@@ -1,13 +1,14 @@
-//! Benchmark of the two per-conformation hot-path optimizations landed
-//! after the zero-allocation pipeline:
+//! Benchmark of the per-conformation closure and environment hot paths,
+//! with every closure section at the sampler's production CCD operating
+//! point (`SamplerConfig::default().ccd`: 24 sweeps / 0.25 Å):
 //!
-//! * **CCD closure**: the pre-incremental sweep (full NeRF rebuild of the
-//!   whole loop after every accepted rotation, reproduced verbatim in
-//!   [`full_rebuild`]) against the production sweep
-//!   (`CcdCloser::close_with_scratch`, suffix-only `rebuild_from`), at
-//!   loop lengths 4, 8 and 12.  Both run the identical rotation schedule —
-//!   the results are bit-identical — so the ratio isolates the rebuild
-//!   cost.
+//! * **CCD closure**: the NeRF-per-rotation sweep (the downstream spine
+//!   re-placed by NeRF after every accepted rotation, reproduced in
+//!   [`nerf_per_rotation`]) against the production rigid-body sweep
+//!   (`CcdCloser::close_with_scratch`: O(1) motion update per rotation, one
+//!   exact spine rebuild per sweep), at loop lengths 4, 8 and 12.  Both
+//!   run the same rotation schedule up to round-off, so the ratio isolates
+//!   the per-rotation update cost.
 //! * **VDW environment term**: the exhaustive linear candidate scan
 //!   against the production per-residue-window cell-list pass (one shared
 //!   gather per residue) and the older per-site cell-list query it
@@ -19,11 +20,8 @@
 //!   across each residue's sites.
 //! * **Lockstep CCD blocks**: the population-batched `close_batch` swept
 //!   over CCD block widths, on the scalar backend and (with the `simd`
-//!   feature) the wide-lane backend whose sweeps now run the lane-major
-//!   spine rebuild.  Alongside it, two isolated scalar-vs-wide
-//!   comparisons: the batched optimal-rotation kernel, and the lane-major
-//!   NeRF spine rebuild itself — the cost that dominates `close_batch` and
-//!   previously kept the closure-level ratio flat.
+//!   feature) the wide-lane backend, whose only wide kernel in the closure
+//!   is the batched optimal-rotation kernel — also compared in isolation.
 //!
 //! Besides the criterion groups, the harness writes `BENCH_ccd.json` at
 //! the workspace root recording the comparisons (and, under the `simd`
@@ -32,7 +30,8 @@
 
 use criterion::{criterion_group, Criterion};
 use lms_bench::scaled_env_target;
-use lms_closure::{optimal_rotation_batch, CcdBatchScratch, CcdCloser, CcdLane};
+use lms_closure::{optimal_rotation_batch, CcdBatchScratch, CcdCloser, CcdConfig, CcdLane};
+use lms_core::SamplerConfig;
 use lms_geometry::{StreamRngFactory, Vec3};
 use lms_protein::{
     AminoAcid, BenchmarkLibrary, LoopBuilder, LoopFrame, LoopStructure, LoopTarget, TargetSpec,
@@ -43,11 +42,17 @@ use lms_simt::ExecutorConfig;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// The pre-incremental CCD sweep, kept as the benchmark baseline after
-/// production closure moved to suffix-only rebuilds: identical maths and
-/// rotation schedule, but `build_into` over the whole loop after every
-/// accepted rotation.
-mod full_rebuild {
+/// The CCD operating point the sampler runs (and so every closure section
+/// here measures).
+fn production_ccd() -> CcdConfig {
+    SamplerConfig::default().ccd
+}
+
+/// The NeRF-per-rotation CCD sweep the production rigid-body sweep
+/// replaced, kept as the benchmark baseline: identical maths and rotation
+/// schedule, but `rebuild_spine_from` over the downstream spine after
+/// every accepted rotation.
+mod nerf_per_rotation {
     use super::*;
 
     fn optimal_rotation(moving: &[Vec3; 3], targets: &[Vec3; 3], pivot: Vec3, axis: Vec3) -> f64 {
@@ -68,26 +73,23 @@ mod full_rebuild {
         }
     }
 
-    /// One closure with a full rebuild per accepted rotation; mirrors
-    /// `CcdCloser::close_with_scratch` with default `CcdConfig` (the
-    /// schedule parameters are read from it, so config tuning cannot
-    /// silently desynchronise the two sides of the comparison).
+    /// One closure from torsion 0 with a NeRF spine rebuild per accepted
+    /// rotation and the final full build, mirroring
+    /// `CcdCloser::close_with_scratch` at `config`.
     pub fn close(
         builder: &LoopBuilder,
+        config: &CcdConfig,
         frame: &LoopFrame,
         sequence: &[AminoAcid],
         torsions: &mut Torsions,
         scratch: &mut LoopStructure,
     ) -> (bool, usize) {
-        let config = lms_closure::CcdConfig::default();
-        let max_sweeps = config.max_sweeps;
-        let tolerance = config.tolerance;
         let targets = frame.c_anchor.atoms();
         builder.build_into(frame, sequence, torsions, scratch);
         let mut deviation = builder.closure_deviation(frame, scratch);
         let mut sweeps = 0;
         let mut rotations = 0usize;
-        while deviation > tolerance && sweeps < max_sweeps {
+        while deviation > config.tolerance && sweeps < config.max_sweeps {
             sweeps += 1;
             for k in 0..torsions.n_angles() {
                 let (residue, kind) = Torsions::describe_angle(k);
@@ -106,11 +108,14 @@ mod full_rebuild {
                 }
                 torsions.rotate_angle(k, delta);
                 rotations += 1;
-                builder.build_into(frame, sequence, torsions, scratch);
+                builder.rebuild_spine_from(frame, sequence, torsions, k, scratch);
             }
             deviation = builder.closure_deviation(frame, scratch);
         }
-        (deviation <= tolerance, rotations)
+        if rotations > 0 {
+            builder.build_into(frame, sequence, torsions, scratch);
+        }
+        (deviation <= config.tolerance, rotations)
     }
 }
 
@@ -129,6 +134,9 @@ const KERNEL_WIDTHS: [usize; 4] = [4, 8, 16, 32];
 /// Members in the lockstep-closure population.
 const BLOCK_POPULATION: usize = 16;
 
+/// Population closures per timed sample of the lockstep-closure sweep.
+const BLOCK_ITERS: u32 = 40;
+
 fn target_of_len(len: usize) -> LoopTarget {
     let spec = TargetSpec {
         name: "1cex",
@@ -140,7 +148,7 @@ fn target_of_len(len: usize) -> LoopTarget {
 }
 
 /// Perturbed-native torsion starts: far enough from closure that CCD does
-/// real work, close enough that it reliably converges at every length.
+/// real work at every length.
 fn starts(target: &LoopTarget, count: usize) -> Vec<Torsions> {
     let factory = StreamRngFactory::new(31);
     (0..count)
@@ -216,6 +224,7 @@ fn close_population(
 
 fn bench_ccd_closure(c: &mut Criterion) {
     let builder = LoopBuilder::default();
+    let config = production_ccd();
     let mut group = c.benchmark_group("ccd_closure");
     group.sample_size(12);
     group.measurement_time(Duration::from_secs(2));
@@ -224,16 +233,17 @@ fn bench_ccd_closure(c: &mut Criterion) {
     for &len in &LOOP_LENGTHS {
         let target = target_of_len(len);
         let torsions = starts(&target, 16);
-        let closer = CcdCloser::default();
+        let closer = CcdCloser::with_config(config);
 
-        group.bench_function(format!("full/len{len}"), |b| {
+        group.bench_function(format!("nerf_per_rotation/len{len}"), |b| {
             let mut scratch = LoopStructure::with_capacity(len);
             let mut i = 0usize;
             b.iter(|| {
                 let mut t = torsions[i % torsions.len()].clone();
                 i += 1;
-                black_box(full_rebuild::close(
+                black_box(nerf_per_rotation::close(
                     &builder,
+                    &config,
                     &target.frame,
                     &target.sequence,
                     &mut t,
@@ -242,7 +252,7 @@ fn bench_ccd_closure(c: &mut Criterion) {
             })
         });
 
-        group.bench_function(format!("incremental/len{len}"), |b| {
+        group.bench_function(format!("rigid/len{len}"), |b| {
             let mut scratch = LoopStructure::with_capacity(len);
             let mut i = 0usize;
             b.iter(|| {
@@ -339,6 +349,29 @@ fn median_ns<F: FnMut()>(mut f: F, iters: u32, samples: u32) -> f64 {
     results[results.len() / 2]
 }
 
+/// Median ns/call of `f` on `a` and on `b`, timed in alternating batches
+/// so that host-speed drift during the measurement hits both sides alike.
+#[cfg(feature = "simd")]
+fn paired_median_ns<T>(
+    mut f: impl FnMut(&T),
+    a: &T,
+    b: &T,
+    iters: u32,
+    samples: u32,
+) -> (f64, f64) {
+    let mut time = |x: &T| {
+        let start = Instant::now();
+        for _ in 0..iters {
+            f(x);
+        }
+        start.elapsed().as_nanos() as f64 / iters as f64
+    };
+    let (mut ta, mut tb): (Vec<f64>, Vec<f64>) = (0..samples).map(|_| (time(a), time(b))).unzip();
+    ta.sort_by(|x, y| x.partial_cmp(y).unwrap());
+    tb.sort_by(|x, y| x.partial_cmp(y).unwrap());
+    (ta[ta.len() / 2], tb[tb.len() / 2])
+}
+
 /// The capabilities of the executor backend this bench run's lockstep
 /// sweep corresponds to, rendered as JSON metadata so the artifact's
 /// numbers stay attributable to a backend.
@@ -360,166 +393,11 @@ fn executor_metadata() -> String {
     )
 }
 
-/// Measure the isolated scalar-vs-lane-major NeRF spine rebuild — the cost
-/// that dominates `close_batch` — and render the `"rebuild"` JSON section.
-/// Every member rebuilds the full suffix from the first angle (the
-/// worst-case, and the common case early in a CCD sweep); bit-identity of
-/// the rebuilt spines and end frames is asserted before timing.
-#[cfg(feature = "simd")]
-fn rebuild_section() -> String {
-    use lms_closure::rebuild_spine_from_batch;
-    use lms_protein::SpineKernel;
-
-    /// Member counts the rebuild comparison runs at (4-lane groups: one
-    /// full group, two, four).
-    const REBUILD_WIDTHS: [usize; 3] = [4, 8, 16];
-
-    let builder = LoopBuilder::default();
-    let target = target_of_len(12);
-    let kernel = SpineKernel::new(builder.geometry(), &target.frame);
-    let isa = ExecutorConfig::simd()
-        .build()
-        .expect("simd backend available")
-        .capabilities()
-        .isa;
-    let mut entries = Vec::new();
-    let mut speedups = Vec::new();
-    for &width in &REBUILD_WIDTHS {
-        let member_starts = starts(&target, width);
-        let accepted: Vec<usize> = (0..width).collect();
-
-        let torsions = member_starts.clone();
-        let mut structures: Vec<LoopStructure> = member_starts
-            .iter()
-            .map(|t| target.build(&builder, t))
-            .collect();
-        let mut wide_torsions = member_starts.clone();
-        let mut wide_structures: Vec<LoopStructure> = member_starts
-            .iter()
-            .map(|t| target.build(&builder, t))
-            .collect();
-        let mut lanes: Vec<CcdLane> = wide_torsions
-            .iter_mut()
-            .zip(wide_structures.iter_mut())
-            .map(|(t, s)| CcdLane {
-                torsions: t,
-                structure: s,
-                start_index: 0,
-            })
-            .collect();
-
-        // Bit-identity sanity check before timing anything.
-        rebuild_spine_from_batch(
-            &builder,
-            &kernel,
-            &target.frame,
-            &target.sequence,
-            &mut lanes,
-            &accepted,
-            0,
-        );
-        let same = |a: Vec3, b: Vec3| {
-            a.x.to_bits() == b.x.to_bits()
-                && a.y.to_bits() == b.y.to_bits()
-                && a.z.to_bits() == b.z.to_bits()
-        };
-        for j in 0..width {
-            builder.rebuild_spine_from(
-                &target.frame,
-                &target.sequence,
-                &torsions[j],
-                0,
-                &mut structures[j],
-            );
-            let wide_structure = &*lanes[j].structure;
-            for (w, r) in wide_structure
-                .residues
-                .iter()
-                .zip(structures[j].residues.iter())
-            {
-                assert!(
-                    same(w.n, r.n) && same(w.ca, r.ca) && same(w.c, r.c),
-                    "lane-major rebuild diverged from scalar (member {j})"
-                );
-            }
-            for (w, r) in wide_structure
-                .end_frame
-                .atoms()
-                .iter()
-                .zip(structures[j].end_frame.atoms().iter())
-            {
-                assert!(same(*w, *r), "lane-major end frame diverged (member {j})");
-            }
-        }
-
-        let iters = 20_000u32;
-        let scalar = median_ns(
-            || {
-                for j in 0..width {
-                    builder.rebuild_spine_from(
-                        &target.frame,
-                        &target.sequence,
-                        &torsions[j],
-                        0,
-                        &mut structures[j],
-                    );
-                }
-                black_box(&structures);
-            },
-            iters,
-            9,
-        ) / width as f64;
-        let wide = median_ns(
-            || {
-                rebuild_spine_from_batch(
-                    &builder,
-                    &kernel,
-                    &target.frame,
-                    &target.sequence,
-                    &mut lanes,
-                    &accepted,
-                    0,
-                );
-                black_box(&lanes);
-            },
-            iters,
-            9,
-        ) / width as f64;
-        let speedup = scalar / wide;
-        speedups.push(speedup);
-        println!(
-            "spine_rebuild members={width}: scalar {scalar:.0} ns/member, \
-             lane-major {wide:.0} ns/member, speedup {speedup:.2}x"
-        );
-        entries.push(format!(
-            "      {{\"members\": {width}, \"scalar_ns_per_member\": {scalar:.1}, \
-             \"wide_ns_per_member\": {wide:.1}, \"speedup\": {speedup:.3}}}"
-        ));
-    }
-    speedups.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let median = speedups[speedups.len() / 2];
-    println!("spine_rebuild median lane-major speedup: {median:.2}x (isa {isa})");
-    format!(
-        ",\n  \"rebuild\": {{\n    \
-         \"comparison\": \"scalar per-member NeRF spine rebuild vs lane-major f64x4 rebuild (bit-identical, full suffix, loop_len 12)\",\n    \
-         \"isa\": \"{isa}\",\n    \"results\": [\n{}\n    ],\n    \
-         \"speedup\": {median:.3}\n  }}",
-        entries.join(",\n")
-    )
-}
-
-/// Without the `simd` feature there is no lane-major rebuild to compare;
-/// the artifact has no `"rebuild"` section and the perf gate treats its
-/// metrics as optional until both sides carry them.
-#[cfg(not(feature = "simd"))]
-fn rebuild_section() -> String {
-    String::new()
-}
-
 /// Measure the isolated scalar-vs-wide optimal-rotation kernel across lane
 /// counts and render the `"simd"` JSON section the perf gate tracks.  The
 /// kernel-level ratio is the gated number because the closure-level sweep
-/// is dominated by NeRF rebuild cost, which the wide lanes do not touch.
+/// also runs the scalar rigid-motion updates and sweep-end rebuilds, which
+/// the wide lanes do not touch.
 #[cfg(feature = "simd")]
 fn simd_kernel_section() -> String {
     let lane_width = ExecutorConfig::simd()
@@ -606,22 +484,24 @@ fn simd_kernel_section() -> String {
 fn write_bench_json() {
     let builder = LoopBuilder::default();
 
-    // --- CCD: full rebuild vs incremental -----------------------------
+    // --- CCD: NeRF per rotation vs rigid-body sweep --------------------
+    let config = production_ccd();
     let mut ccd_entries = Vec::new();
     for &len in &LOOP_LENGTHS {
         let target = target_of_len(len);
         let torsions = starts(&target, 16);
-        let closer = CcdCloser::default();
-        let iters = 60u32;
+        let closer = CcdCloser::with_config(config);
+        let iters = 200u32;
 
         let mut scratch = LoopStructure::with_capacity(len);
         let mut i = 0usize;
-        let full = median_ns(
+        let nerf = median_ns(
             || {
                 let mut t = torsions[i % torsions.len()].clone();
                 i += 1;
-                black_box(full_rebuild::close(
+                black_box(nerf_per_rotation::close(
                     &builder,
+                    &config,
                     &target.frame,
                     &target.sequence,
                     &mut t,
@@ -633,7 +513,7 @@ fn write_bench_json() {
         );
 
         let mut j = 0usize;
-        let incremental = median_ns(
+        let rigid = median_ns(
             || {
                 let mut t = torsions[j % torsions.len()].clone();
                 j += 1;
@@ -649,14 +529,14 @@ fn write_bench_json() {
             9,
         );
 
-        let speedup = full / incremental;
+        let speedup = nerf / rigid;
         println!(
-            "ccd_closure len={len}: full {full:.0} ns/closure, \
-             incremental {incremental:.0} ns/closure, speedup {speedup:.2}x"
+            "ccd_closure len={len}: nerf-per-rotation {nerf:.0} ns/closure, \
+             rigid {rigid:.0} ns/closure, speedup {speedup:.2}x"
         );
         ccd_entries.push(format!(
-            "      {{\"loop_len\": {len}, \"full_ns_per_closure\": {full:.1}, \
-             \"incremental_ns_per_closure\": {incremental:.1}, \"speedup\": {speedup:.3}}}"
+            "      {{\"loop_len\": {len}, \"nerf_ns_per_closure\": {nerf:.1}, \
+             \"rigid_ns_per_closure\": {rigid:.1}, \"speedup\": {speedup:.3}}}"
         ));
     }
 
@@ -726,40 +606,25 @@ fn write_bench_json() {
     let mut batch_scratch = CcdBatchScratch::default();
     let mut block_entries = Vec::new();
     for &width in &BLOCK_WIDTHS {
-        let scalar_closer = CcdCloser::default();
-        let scalar = median_ns(
-            || {
-                close_population(
-                    &scalar_closer,
-                    &target,
-                    &member_starts,
-                    width,
-                    &mut member_torsions,
-                    &mut member_structures,
-                    &mut batch_scratch,
-                );
-            },
-            2,
-            5,
-        ) / BLOCK_POPULATION as f64;
+        let mut close = |closer: &CcdCloser| {
+            close_population(
+                closer,
+                &target,
+                &member_starts,
+                width,
+                &mut member_torsions,
+                &mut member_structures,
+                &mut batch_scratch,
+            )
+        };
+        let scalar_closer = CcdCloser::with_config(config);
         #[cfg(feature = "simd")]
         {
-            let wide_closer = CcdCloser::default().with_wide_lanes(true);
-            let wide = median_ns(
-                || {
-                    close_population(
-                        &wide_closer,
-                        &target,
-                        &member_starts,
-                        width,
-                        &mut member_torsions,
-                        &mut member_structures,
-                        &mut batch_scratch,
-                    );
-                },
-                2,
-                5,
-            ) / BLOCK_POPULATION as f64;
+            let wide_closer = CcdCloser::with_config(config).with_wide_lanes(true);
+            let (scalar, wide) =
+                paired_median_ns(&mut close, &scalar_closer, &wide_closer, BLOCK_ITERS, 9);
+            let scalar = scalar / BLOCK_POPULATION as f64;
+            let wide = wide / BLOCK_POPULATION as f64;
             let speedup = scalar / wide;
             println!(
                 "ccd_blocks w={width}: scalar {scalar:.0} ns/member, \
@@ -772,6 +637,8 @@ fn write_bench_json() {
         }
         #[cfg(not(feature = "simd"))]
         {
+            let scalar =
+                median_ns(|| close(&scalar_closer), BLOCK_ITERS, 9) / BLOCK_POPULATION as f64;
             println!("ccd_blocks w={width}: scalar {scalar:.0} ns/member");
             block_entries.push(format!(
                 "      {{\"block_width\": {width}, \"scalar_ns_per_member\": {scalar:.1}}}"
@@ -782,19 +649,20 @@ fn write_bench_json() {
     let json = format!(
         "{{\n  \"benchmark\": \"ccd_closure\",\n  \"unit\": \"ns\",\n  \
          \"executor\": {},\n  \"ccd\": {{\n    \
-         \"comparison\": \"full NeRF rebuild per rotation vs suffix-only rebuild_from\",\n    \
+         \"comparison\": \"NeRF spine rebuild per rotation vs rigid-body sweep (CCD {} sweeps / {} A)\",\n    \
          \"results\": [\n{}\n    ]\n  }},\n  \"vdw_env\": {{\n    \
          \"comparison\": \"linear candidate scan vs per-site cell-list queries vs per-residue candidate windows\",\n    \
          \"results\": [\n{}\n    ],\n    \"cells_cost_growth_100x_over_1x\": {growth:.3},\n    \
          \"window_speedup\": {window_speedup:.3}\n  }},\n  \
          \"blocks\": {{\n    \
-         \"comparison\": \"lockstep close_batch over a {BLOCK_POPULATION}-member population, per CCD block width\",\n    \
-         \"results\": [\n{}\n    ]\n  }}{}{}\n}}\n",
+         \"comparison\": \"lockstep close_batch over a {BLOCK_POPULATION}-member population, per CCD block width (scalar vs wide optimal-rotation kernel)\",\n    \
+         \"results\": [\n{}\n    ]\n  }}{}\n}}\n",
         executor_metadata(),
+        config.max_sweeps,
+        config.tolerance,
         ccd_entries.join(",\n"),
         env_entries.join(",\n"),
         block_entries.join(",\n"),
-        rebuild_section(),
         simd_kernel_section()
     );
     let root = std::env::var("CARGO_MANIFEST_DIR")

@@ -2,7 +2,7 @@
 //! artifacts against the committed `BENCH_*.baseline.json` snapshots and
 //! fails when any tracked speedup ratio regresses beyond a noise tolerance.
 //!
-//! Only *ratios* are gated (allocating/workspace, full/incremental,
+//! Only *ratios* are gated (allocating/workspace, NeRF-per-rotation/rigid,
 //! linear/cells, three/four objectives, sequential/batch), never absolute
 //! nanoseconds: both sides of each ratio are measured in the same process
 //! on the same host, so the ratio is robust to runner speed while absolute
@@ -370,7 +370,8 @@ pub fn collect_metrics(
         });
     }
 
-    // ccd_closure: incremental-rebuild speedup per loop length.
+    // ccd_closure: rigid-body sweep speedup over the NeRF-per-rotation
+    // sweep, per loop length.
     pair_by_key(
         ccd_baseline.get("ccd").and_then(|c| c.get("results")),
         ccd_fresh.get("ccd").and_then(|c| c.get("results")),
@@ -378,7 +379,7 @@ pub fn collect_metrics(
         "speedup",
         |id, b, f| {
             metrics.push(Metric {
-                name: format!("ccd incremental speedup (len {id})"),
+                name: format!("ccd rigid-update speedup (len {id})"),
                 baseline: b,
                 fresh: f,
                 direction: Direction::HigherIsBetter,
@@ -398,23 +399,6 @@ pub fn collect_metrics(
     ) {
         metrics.push(Metric {
             name: "simd rotation-kernel speedup".to_string(),
-            baseline: b,
-            fresh: f,
-            direction: Direction::HigherIsBetter,
-            absolute: false,
-        });
-    }
-
-    // ccd_closure: lane-major NeRF spine-rebuild speedup (median across
-    // member counts) — the cost that dominates close_batch.  Present only
-    // when the bench ran with the `simd` feature; optional on both sides
-    // like the rotation-kernel metric.
-    if let (Some(b), Some(f)) = (
-        ccd_baseline.get("rebuild").and_then(|o| o.num("speedup")),
-        ccd_fresh.get("rebuild").and_then(|o| o.num("speedup")),
-    ) {
-        metrics.push(Metric {
-            name: "simd spine-rebuild speedup".to_string(),
             baseline: b,
             fresh: f,
             direction: Direction::HigherIsBetter,
@@ -615,7 +599,6 @@ mod tests {
         {"block_width": 4, "scalar_ns_per_member": 100.0},
         {"block_width": 8, "scalar_ns_per_member": 100.0, "wide_ns_per_member": 80.0, "speedup": 1.250}
       ]},
-      "rebuild": {"isa": "sse2+avx2", "speedup": 1.600},
       "simd": {"lane_width": 4, "speedup": 1.320}
     }"#;
 
@@ -653,9 +636,9 @@ mod tests {
             0.25,
         )
         .unwrap();
-        // 2 scoring speedups + cost ratio + pipeline + 2 ccd + rebuild
-        // + blocks w8 + simd + 2 vdw_env + window + batch floor.
-        assert_eq!(metrics.len(), 13);
+        // 2 scoring speedups + cost ratio + pipeline + 2 ccd + blocks w8
+        // + simd + 2 vdw_env + window + batch floor.
+        assert_eq!(metrics.len(), 12);
         assert!(regressions.is_empty(), "{regressions:?}");
     }
 
@@ -693,7 +676,7 @@ mod tests {
             0.25,
         )
         .unwrap();
-        assert_eq!(metrics.len(), 12);
+        assert_eq!(metrics.len(), 11);
         assert!(regressions.is_empty(), "{regressions:?}");
     }
 
@@ -732,34 +715,15 @@ mod tests {
             0.25,
         )
         .unwrap();
-        assert_eq!(metrics.len(), 12);
+        assert_eq!(metrics.len(), 11);
         assert!(regressions.is_empty(), "{regressions:?}");
     }
 
     #[test]
-    fn spine_rebuild_and_window_regressions_fail_the_gate() {
-        // The lane-major rebuild decaying to below scalar speed (1.60 →
-        // 1.00, i.e. −38%) must trip the 25% gate.
-        let degraded = CCD.replace(
-            "\"rebuild\": {\"isa\": \"sse2+avx2\", \"speedup\": 1.600}",
-            "\"rebuild\": {\"isa\": \"sse2+avx2\", \"speedup\": 1.000}",
-        );
-        assert_ne!(degraded, CCD, "fixture surgery failed");
-        let (_, regressions) = gate(
-            &j(SCORING),
-            &j(SCORING),
-            &j(CCD),
-            &j(&degraded),
-            &j(BATCH_1CORE),
-            &j(BATCH_1CORE),
-            0.25,
-        )
-        .unwrap();
-        assert_eq!(regressions.len(), 1);
-        assert!(regressions[0].name.contains("spine-rebuild"));
-        // Likewise the per-residue-window pass falling back to per-site
-        // cost (1.80 → 1.00) and the closure-level close_batch win
-        // evaporating (1.25 → 0.90).
+    fn window_and_close_batch_regressions_fail_the_gate() {
+        // The per-residue-window pass falling back to per-site cost (1.80
+        // → 1.00) and the closure-level close_batch win evaporating (1.25
+        // → 0.90) must each trip the 25% gate.
         let degraded = CCD
             .replace("\"window_speedup\": 1.800", "\"window_speedup\": 1.000")
             .replace("\"speedup\": 1.250", "\"speedup\": 0.900");
@@ -857,7 +821,7 @@ mod tests {
             0.25,
         )
         .unwrap();
-        assert_eq!(metrics.len(), 14);
+        assert_eq!(metrics.len(), 13);
         assert!(regressions.is_empty(), "{regressions:?}");
         // …and past the bound it fails, no matter the tolerance: the
         // bound is absolute, so even a huge tolerance cannot excuse it.

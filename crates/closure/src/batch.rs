@@ -15,16 +15,16 @@
 //! state, and the lockstep schedule performs, per member, exactly the same
 //! operations in exactly the same order as the sequential
 //! [`CcdCloser::close_with_scratch`]: build → (check; sweep over eligible
-//! torsions: axis, optimal rotation, conditional apply + suffix rebuild) →
-//! deviation.  The batched inner products call the identical scalar kernel
-//! per gathered lane, so every rotation angle — and therefore every closed
-//! loop — matches the per-member reference bit for bit (property-tested in
-//! this module and in `lms-core`'s batched-pipeline equivalence tests).
+//! torsions: axis through the sweep's rigid motion, optimal rotation,
+//! conditional apply; exact spine rebuild) → deviation.  Both paths drive
+//! the same per-member rigid-sweep helper, and the batched inner products
+//! call the identical scalar kernel per gathered lane (or its bit-identical
+//! wide twin), so every rotation angle — and therefore every closed loop —
+//! matches the per-member reference bit for bit (property-tested in this
+//! module and in `lms-core`'s batched-pipeline equivalence tests).
 
-use crate::ccd::{optimal_rotation, CcdCloser, CcdResult};
+use crate::ccd::{optimal_rotation, CcdCloser, CcdResult, RigidSweep};
 use lms_geometry::Vec3;
-#[cfg(feature = "simd")]
-use lms_protein::{sin_cos_lanes, AnchorFrame, LoopBuilder, SpineKernel, WideVec3};
 use lms_protein::{AminoAcid, LoopFrame, LoopStructure, Torsions};
 
 /// One member's view into a population-batched closure: its candidate
@@ -41,10 +41,11 @@ pub struct CcdLane<'a> {
     pub start_index: usize,
 }
 
-/// Reusable SoA workspace of one closure block: per-lane sweep state plus
-/// the gather buffers of the batched optimal-rotation kernel.  All buffers
-/// warm up to the block width on first use; afterwards a `close_batch` call
-/// performs no heap allocation.
+/// Reusable SoA workspace of one closure block: per-lane sweep state (the
+/// rigid motion of the current sweep included) plus the gather buffers of
+/// the batched optimal-rotation kernel.  All buffers warm up to the block
+/// width on first use; afterwards a `close_batch` call performs no heap
+/// allocation.
 #[derive(Debug, Clone, Default)]
 pub struct CcdBatchScratch {
     deviation: Vec<f64>,
@@ -52,6 +53,7 @@ pub struct CcdBatchScratch {
     sweeps: Vec<usize>,
     rotations: Vec<usize>,
     active: Vec<bool>,
+    sweep: Vec<RigidSweep>,
     results: Vec<CcdResult>,
     // Gathered per-rotation inputs, member-major SoA.
     g_lane: Vec<usize>,
@@ -59,9 +61,6 @@ pub struct CcdBatchScratch {
     g_axis: Vec<Vec3>,
     g_moving: Vec<[Vec3; 3]>,
     g_theta: Vec<f64>,
-    // Lanes whose rotation was accepted this torsion — the rebuild
-    // worklist the lane-major spine driver chunks into wide groups.
-    g_accept: Vec<usize>,
 }
 
 impl CcdBatchScratch {
@@ -99,6 +98,8 @@ impl CcdBatchScratch {
         self.rotations.resize(lanes, 0);
         self.active.clear();
         self.active.resize(lanes, false);
+        self.sweep.clear();
+        self.sweep.resize(lanes, RigidSweep::default());
         self.results.clear();
         self.g_lane.clear();
         if self.g_lane.capacity() < lanes {
@@ -107,10 +108,6 @@ impl CcdBatchScratch {
             self.g_axis.reserve(lanes);
             self.g_moving.reserve(lanes);
             self.g_theta.reserve(lanes);
-        }
-        self.g_accept.clear();
-        if self.g_accept.capacity() < lanes {
-            self.g_accept.reserve(lanes);
         }
     }
 }
@@ -304,206 +301,6 @@ mod wide_kernel {
     }
 }
 
-/// The lane-major (member-transposed) NeRF spine rebuild: every accepted
-/// lane of one torsion step rebuilds from the *same* changed angle — and
-/// therefore from the same first residue over the same suffix — so the
-/// driver chunks the accepted lanes into `f64x4` groups and marches each
-/// group through [`SpineKernel::place_spine`] with one member per SIMD
-/// lane.  Per lane the kernel performs exactly the scalar
-/// [`LoopBuilder::rebuild_spine_from`] operation sequence (see
-/// `lms_protein::backbone_wide`), so the rebuilt spines and end frames are
-/// bit-identical to the scalar driver's.  Groups in which any lane would
-/// take a scalar degeneracy branch fall back to the scalar rebuild per
-/// member, which restarts from the untouched prefix and overwrites any
-/// partially scattered suffix — bit-identical either way.
-///
-/// On `x86_64` the drive loop dispatches at runtime to an
-/// `#[target_feature(enable = "avx2")]` clone when the host CPU supports
-/// AVX2 (`wide::runtime_avx2`), re-compiling the inlined lane arithmetic
-/// with the AVX ISA available; the portable/SSE2 path is the fallback.
-///
-/// Public so the CCD benchmark can time the lane-major rebuild in
-/// isolation against the scalar per-member driver; production code reaches
-/// it through [`CcdCloser::close_batch`].
-#[cfg(feature = "simd")]
-pub fn rebuild_spine_from_batch(
-    builder: &LoopBuilder,
-    kernel: &SpineKernel,
-    frame: &LoopFrame,
-    sequence: &[AminoAcid],
-    lanes: &mut [CcdLane<'_>],
-    accepted: &[usize],
-    changed_angle: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if wide::runtime_avx2() {
-        // SAFETY: AVX2 support on the running CPU was just verified.
-        unsafe {
-            rebuild_spine_from_batch_avx2(
-                builder,
-                kernel,
-                frame,
-                sequence,
-                lanes,
-                accepted,
-                changed_angle,
-            );
-        }
-        return;
-    }
-    rebuild_spine_from_batch_generic(
-        builder,
-        kernel,
-        frame,
-        sequence,
-        lanes,
-        accepted,
-        changed_angle,
-    );
-}
-
-/// The AVX2-featured clone of the rebuild drive loop: identical code,
-/// compiled with the AVX ISA enabled so the `#[inline(always)]` lane
-/// arithmetic underneath picks up VEX encodings.  Results are bit-identical
-/// to the generic path (every lane operation is the same IEEE instruction
-/// either way); only the instruction selection differs.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn rebuild_spine_from_batch_avx2(
-    builder: &LoopBuilder,
-    kernel: &SpineKernel,
-    frame: &LoopFrame,
-    sequence: &[AminoAcid],
-    lanes: &mut [CcdLane<'_>],
-    accepted: &[usize],
-    changed_angle: usize,
-) {
-    rebuild_spine_from_batch_generic(
-        builder,
-        kernel,
-        frame,
-        sequence,
-        lanes,
-        accepted,
-        changed_angle,
-    );
-}
-
-#[cfg(feature = "simd")]
-#[inline(always)]
-fn rebuild_spine_from_batch_generic(
-    builder: &LoopBuilder,
-    kernel: &SpineKernel,
-    frame: &LoopFrame,
-    sequence: &[AminoAcid],
-    lanes: &mut [CcdLane<'_>],
-    accepted: &[usize],
-    changed_angle: usize,
-) {
-    for group in accepted.chunks(wide::f64x4::LANES) {
-        rebuild_spine_group(
-            builder,
-            kernel,
-            frame,
-            sequence,
-            lanes,
-            group,
-            changed_angle,
-        );
-    }
-}
-
-/// Rebuild one group of up to four accepted lanes in lockstep.  Ragged
-/// groups pad by replicating the first lane's indices (the pad lanes
-/// compute real arithmetic but never scatter), so raggedness cannot change
-/// any member's bits.
-#[cfg(feature = "simd")]
-#[inline(always)]
-fn rebuild_spine_group(
-    builder: &LoopBuilder,
-    kernel: &SpineKernel,
-    frame: &LoopFrame,
-    sequence: &[AminoAcid],
-    lanes: &mut [CcdLane<'_>],
-    group: &[usize],
-    changed_angle: usize,
-) {
-    debug_assert!(!group.is_empty() && group.len() <= wide::f64x4::LANES);
-    let len = sequence.len();
-    let (first, _) = Torsions::describe_angle(changed_angle);
-    let idx: [usize; 4] = core::array::from_fn(|l| group[l.min(group.len() - 1)]);
-
-    let scalar_fallback = |lanes: &mut [CcdLane<'_>]| {
-        for &j in group {
-            let lane = &mut lanes[j];
-            builder.rebuild_spine_from(
-                frame,
-                sequence,
-                lane.torsions,
-                changed_angle,
-                lane.structure,
-            );
-        }
-    };
-
-    // The rebuild context: the shared N-anchor frame for a prefix rebuild
-    // (identical in every lane), or each lane's own residue `first - 1`
-    // (untouched by this torsion step, so still current).
-    let (mut prev_n, mut prev_ca, mut prev_c, mut prev_psi) = if first == 0 {
-        (
-            WideVec3::splat(frame.n_anchor.n),
-            WideVec3::splat(frame.n_anchor.ca),
-            WideVec3::splat(frame.n_anchor.c),
-            [frame.n_anchor_psi; 4],
-        )
-    } else {
-        (
-            WideVec3::from_lanes(core::array::from_fn(|l| {
-                lanes[idx[l]].structure.residues[first - 1].n
-            })),
-            WideVec3::from_lanes(core::array::from_fn(|l| {
-                lanes[idx[l]].structure.residues[first - 1].ca
-            })),
-            WideVec3::from_lanes(core::array::from_fn(|l| {
-                lanes[idx[l]].structure.residues[first - 1].c
-            })),
-            core::array::from_fn(|l| lanes[idx[l]].torsions.psi(first - 1)),
-        )
-    };
-
-    for i in first..len {
-        let (psi_sin, psi_cos) = sin_cos_lanes(prev_psi);
-        let (phi_sin, phi_cos) =
-            sin_cos_lanes(core::array::from_fn(|l| lanes[idx[l]].torsions.phi(i)));
-        let Some((n, ca, c)) =
-            kernel.place_spine(prev_n, prev_ca, prev_c, psi_sin, psi_cos, phi_sin, phi_cos)
-        else {
-            scalar_fallback(lanes);
-            return;
-        };
-        for (l, &j) in group.iter().enumerate() {
-            let r = &mut lanes[j].structure.residues[i];
-            r.n = n.lane(l);
-            r.ca = ca.lane(l);
-            r.c = c.lane(l);
-        }
-        prev_n = n;
-        prev_ca = ca;
-        prev_c = c;
-        prev_psi = core::array::from_fn(|l| lanes[idx[l]].torsions.psi(i));
-    }
-
-    let (psi_sin, psi_cos) = sin_cos_lanes(prev_psi);
-    match kernel.place_end_frame(prev_n, prev_ca, prev_c, psi_sin, psi_cos) {
-        Some((n, ca, c)) => {
-            for (l, &j) in group.iter().enumerate() {
-                lanes[j].structure.end_frame = AnchorFrame::new(n.lane(l), ca.lane(l), c.lane(l));
-            }
-        }
-        None => scalar_fallback(lanes),
-    }
-}
-
 impl CcdCloser {
     /// Close every lane of one block in population lockstep.
     ///
@@ -527,12 +324,6 @@ impl CcdCloser {
         let builder = *self.builder();
         let config = *self.config();
         let targets = frame.c_anchor.atoms();
-        // Hoist the lane-major spine kernel's constants (bond-angle
-        // products, ω and C-anchor-φ sin/cos) once per block.
-        #[cfg(feature = "simd")]
-        let spine_kernel = self
-            .wide_lanes()
-            .then(|| SpineKernel::new(builder.geometry(), frame));
         scratch.reset(lanes.len());
         if lanes.is_empty() {
             return;
@@ -557,12 +348,13 @@ impl CcdCloser {
         loop {
             // Mask: a lane sweeps while its own `while` condition holds.
             let mut any_active = false;
-            for j in 0..lanes.len() {
+            for (j, lane) in lanes.iter().enumerate() {
                 let go = scratch.deviation[j] > config.tolerance
                     && scratch.sweeps[j] < config.max_sweeps;
                 scratch.active[j] = go;
                 if go {
                     scratch.sweeps[j] += 1;
+                    scratch.sweep[j] = RigidSweep::begin(lane.structure);
                     any_active = true;
                 }
             }
@@ -578,23 +370,18 @@ impl CcdCloser {
                 scratch.g_pivot.clear();
                 scratch.g_axis.clear();
                 scratch.g_moving.clear();
-                let (residue, kind) = Torsions::describe_angle(k);
                 for (j, lane) in lanes.iter().enumerate() {
                     if !scratch.active[j] || k < lane.start_index.min(n_angles) {
                         continue;
                     }
-                    let res_atoms = &lane.structure.residues[residue];
-                    let (pivot, axis_end) = match kind {
-                        lms_protein::TorsionKind::Phi => (res_atoms.n, res_atoms.ca),
-                        lms_protein::TorsionKind::Psi => (res_atoms.ca, res_atoms.c),
-                    };
-                    let Some(axis) = (axis_end - pivot).try_normalize() else {
+                    let sweep = &scratch.sweep[j];
+                    let Some((pivot, axis)) = sweep.axis(lane.structure, k) else {
                         continue;
                     };
                     scratch.g_lane.push(j);
                     scratch.g_pivot.push(pivot);
                     scratch.g_axis.push(axis);
-                    scratch.g_moving.push(lane.structure.end_frame.atoms());
+                    scratch.g_moving.push(sweep.moving());
                 }
 
                 // Batched inner products across the gathered members —
@@ -628,68 +415,42 @@ impl CcdCloser {
                     &mut scratch.g_theta,
                 );
 
-                // Apply phase: accepted rotations mutate their lane and
-                // suffix-rebuild its structure.  Only the backbone spine and
-                // the end frame feed the sweep (rotation pivots/axes and the
-                // deviation metric), so the rebuild skips the O/centroid
-                // placements; one full rebuild after the sweeps recovers
-                // them bit-identically.  Rotations land first so the
-                // rebuild worklist can be driven lane-major: all accepted
-                // lanes rebuild from the same changed angle `k`.
-                scratch.g_accept.clear();
+                // Apply phase: accepted rotations turn their lane's torsion
+                // and fold into its rigid motion — O(1) per rotation, no
+                // structure traversal.
                 for (g, &j) in scratch.g_lane.iter().enumerate() {
-                    let delta = scratch.g_theta[g];
-                    if delta.abs() < 1e-9 {
-                        continue;
-                    }
-                    lanes[j].torsions.rotate_angle(k, delta);
-                    scratch.rotations[j] += 1;
-                    scratch.g_accept.push(j);
-                }
-                #[cfg(feature = "simd")]
-                if let Some(kernel) = &spine_kernel {
-                    rebuild_spine_from_batch(
-                        &builder,
-                        kernel,
-                        frame,
-                        sequence,
-                        lanes,
-                        &scratch.g_accept,
+                    let accepted = scratch.sweep[j].accept(
+                        lanes[j].torsions,
                         k,
+                        scratch.g_pivot[g],
+                        scratch.g_axis[g],
+                        scratch.g_theta[g],
                     );
-                } else {
-                    for &j in &scratch.g_accept {
-                        let lane = &mut lanes[j];
-                        builder.rebuild_spine_from(
-                            frame,
-                            sequence,
-                            lane.torsions,
-                            k,
-                            lane.structure,
-                        );
+                    if accepted {
+                        scratch.rotations[j] += 1;
                     }
-                }
-                #[cfg(not(feature = "simd"))]
-                for &j in &scratch.g_accept {
-                    let lane = &mut lanes[j];
-                    builder.rebuild_spine_from(frame, sequence, lane.torsions, k, lane.structure);
                 }
             }
 
-            // Post-sweep deviation for the lanes that swept.
-            for (j, lane) in lanes.iter().enumerate() {
+            // Sweep end for the lanes that swept: one exact spine rebuild
+            // each, and the deviation of that exact build.
+            for (j, lane) in lanes.iter_mut().enumerate() {
                 if scratch.active[j] {
-                    scratch.deviation[j] = builder.closure_deviation(frame, lane.structure);
+                    scratch.deviation[j] = scratch.sweep[j].finish(
+                        &builder,
+                        frame,
+                        sequence,
+                        lane.torsions,
+                        lane.structure,
+                    );
                 }
             }
         }
 
-        // The sweeps rebuilt spines only; one full rebuild per rotated lane
-        // restores the O atoms and centroids, bit-identical to the
-        // sequential path's final state (a full build from the final
-        // torsions equals the incremental chain — property-tested in
-        // `lms-protein/tests/incremental_rebuild.rs`).  Untouched lanes
-        // still hold their exact initial full build.
+        // The sweeps re-placed spines only; one full rebuild per rotated
+        // lane restores the O atoms and centroids, exactly as the
+        // sequential path's final state.  Untouched lanes still hold their
+        // exact initial full build.
         for (j, lane) in lanes.iter_mut().enumerate() {
             if scratch.rotations[j] > 0 {
                 builder.build_into(frame, sequence, lane.torsions, lane.structure);

@@ -30,7 +30,5 @@ pub mod ccd;
 
 #[cfg(feature = "simd")]
 pub use batch::optimal_rotation_batch_wide;
-#[cfg(feature = "simd")]
-pub use batch::rebuild_spine_from_batch;
 pub use batch::{optimal_rotation_batch, CcdBatchScratch, CcdLane};
 pub use ccd::{CcdCloser, CcdConfig, CcdResult};

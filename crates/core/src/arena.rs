@@ -28,18 +28,6 @@ use lms_protein::{LoopStructure, Torsions};
 use lms_scoring::{ScoreScratch, ScoreVector, ScratchPool};
 use rand_chacha::ChaCha8Rng;
 
-/// The historical fixed CCD lockstep block width.  The block width is now a
-/// backend-reported parameter of the executor
-/// ([`lms_simt::Executor::ccd_block_width`]) and flows into the population
-/// arena at trajectory start; this constant survives only
-/// as the default ([`lms_simt::DEFAULT_CCD_BLOCK_WIDTH`]).
-#[deprecated(
-    since = "0.1.0",
-    note = "the CCD block width is runtime-configured via ExecutorConfig::ccd_block_width; \
-            use lms_simt::DEFAULT_CCD_BLOCK_WIDTH for the default"
-)]
-pub const CCD_BLOCK_WIDTH: usize = lms_simt::DEFAULT_CCD_BLOCK_WIDTH;
-
 /// One member's heavyweight reusable workspaces: the buffers the
 /// per-conformation kernels mutate through references, exactly as the
 /// per-`Member` reference implementation holds them.

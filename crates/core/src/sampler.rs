@@ -272,8 +272,8 @@ impl WorkModel {
 ///
 /// Besides the conformation itself, every member owns the workspace buffers
 /// of the zero-allocation pipeline, reused across all iterations: a
-/// [`LoopStructure`] that CCD rebuilds in place (suffix-only via
-/// `LoopBuilder::rebuild_from` after each accepted rotation) and hands to
+/// [`LoopStructure`] that CCD rebuilds in place (one spine rebuild per
+/// sweep, one full build at the end) and hands to
 /// scoring, a [`ScoreScratch`] for the SoA scoring kernels (including the
 /// index buffer the VDW environment term gathers its per-site cell-list
 /// query results into), a candidate torsion vector for proposals, and the

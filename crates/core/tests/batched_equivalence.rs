@@ -49,10 +49,9 @@ fn equivalence_executors() -> Vec<Executor> {
                 .build()
                 .unwrap(),
         );
-        // Widths that leave the lane-major spine rebuild with ragged
-        // 4-lane groups (6 = 4+2, 7 = 4+3) so its masked-tail path — the
-        // last group repeating a lane — is exercised, not just full
-        // groups.
+        // Widths that leave the wide optimal-rotation kernel a scalar
+        // tail (6 = 4+2, 7 = 4+3) so its tail path is exercised, not just
+        // full 4-lane chunks.
         executors.push(ExecutorConfig::simd().ccd_block_width(6).build().unwrap());
         executors.push(
             ExecutorConfig::simd()

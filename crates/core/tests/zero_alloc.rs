@@ -1,14 +1,20 @@
 //! Counting-allocator proof of the zero-allocation invariant: after
 //! warm-up, one member-iteration of the evolution kernel's work —
 //! mutation into a reused candidate buffer, CCD closure into a reused
-//! structure (suffix-only incremental rebuilds included), workspace
-//! scoring through the environment-candidate **cell list**, and
+//! structure (rigid-body sweeps plus one exact spine rebuild per sweep),
+//! workspace scoring through the environment-candidate **cell list**, and
 //! allocation-free RMSD — performs zero heap allocations.
 //!
 //! Two proofs: the full member-iteration on a surface target, and a
 //! dense-environment (buried-target) variant that drives the incremental
 //! `rebuild_from` path and the per-site cell-list gather directly, so
 //! neither optimization can silently regress into allocating.
+//!
+//! The counter is per thread: the test harness runs proofs concurrently,
+//! and a process-wide count would charge each proof with its siblings'
+//! allocations.  Every proof runs its kernels on the calling thread (the
+//! scalar backend, or a one-thread SIMD executor), so the calling thread's
+//! count is the whole story.
 
 use lms_closure::{CcdCloser, CcdConfig};
 use lms_core::{MoscemSampler, MutationConfig, Mutator, RunControls, SamplerConfig};
@@ -17,16 +23,27 @@ use lms_protein::{BenchmarkLibrary, LoopBuilder, LoopStructure, RamaClass, Torsi
 use lms_scoring::{KnowledgeBase, KnowledgeBaseConfig, MultiScorer, ScoreScratch, VdwScore};
 use lms_simt::ExecutorConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A system allocator that counts allocation calls.
+/// A system allocator that counts allocation calls per thread.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // `const`-initialised and drop-free, so touching it from inside the
+    // allocator can never allocate or recurse.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` tolerates allocations made while this thread's locals
+    // are being torn down.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -35,7 +52,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -43,8 +60,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocation_count() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]
@@ -303,6 +321,8 @@ fn staged_arena_pipeline_is_allocation_free_after_warmup() {
             .expect("valid test config");
         let sampler = MoscemSampler::new(target, kb, cfg);
 
+        // The progress hook must be `Sync`; it runs on the calling thread,
+        // so it samples that thread's count.
         let samples: Vec<AtomicUsize> = (0..=iterations).map(|_| AtomicUsize::new(0)).collect();
         let progress = |done: usize, _total: usize| {
             samples[done].store(allocation_count(), Ordering::Relaxed);

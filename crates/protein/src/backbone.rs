@@ -17,9 +17,10 @@
 //! for every residue strictly before the residue owning the first changed
 //! flat index.  [`LoopBuilder::rebuild_from`] exploits this: it keeps the
 //! untouched prefix in the caller's buffer and re-runs the identical
-//! placement code only from the changed residue onward, which is what makes
-//! CCD's per-rotation rebuild O(suffix) instead of O(loop) without altering
-//! a single output bit.  Both `build_into` and `rebuild_from` funnel through
+//! placement code only from the changed residue onward, which makes a
+//! rebuild after an edit O(suffix) instead of O(loop) without altering a
+//! single output bit (CCD re-places the spine this way once per sweep, from
+//! the first torsion the sweep rotated).  Both `build_into` and `rebuild_from` funnel through
 //! the same private `place_residue`/`place_end_frame` helpers, so the
 //! equivalence is structural, not coincidental (and is property-tested in
 //! `tests/incremental_rebuild.rs`).
@@ -364,8 +365,8 @@ impl LoopBuilder {
     /// The NeRF recurrence consumes only the spine: O and centroid hang off
     /// a residue's own N/Cα/C' and never feed a later placement.  A closure
     /// sweep that only needs rotation pivots/axes (spine atoms) and the
-    /// moving end frame — exactly CCD's inner loop — can therefore skip
-    /// ~2/5 of every suffix rebuild and recover the full structure with one
+    /// moving end frame — exactly CCD's sweep — can therefore skip ~2/5 of
+    /// every suffix rebuild and recover the full structure with one
     /// [`LoopBuilder::build_into`] at the end.  The spine and end-frame
     /// coordinates this produces are bit-identical to
     /// [`LoopBuilder::rebuild_from`]'s (the placement calls are the same

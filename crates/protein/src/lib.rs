@@ -25,8 +25,6 @@
 
 pub mod amino;
 pub mod backbone;
-#[cfg(feature = "simd")]
-pub mod backbone_wide;
 pub mod benchmark;
 pub mod environment;
 pub mod loop_def;
@@ -39,8 +37,6 @@ pub use backbone::{
     build_segment_de_novo, AnchorFrame, BackboneGeometry, LoopBuilder, LoopFrame, LoopStructure,
     ResidueAtoms,
 };
-#[cfg(feature = "simd")]
-pub use backbone_wide::{sin_cos_lanes, SpineKernel, WideVec3};
 pub use benchmark::{standard_specs, BenchmarkLibrary, TargetSpec};
 pub use environment::{EnvAtom, EnvCandidates, Environment};
 pub use loop_def::{LoopTarget, ENV_CONTACT_MARGIN};

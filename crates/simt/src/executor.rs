@@ -153,8 +153,8 @@ pub struct Capabilities {
     pub ccd_block_width: usize,
     /// The instruction set the measurement is attributable to.  For the
     /// SIMD backend this is the wide shim's compiled/dispatched backend
-    /// (`"avx2"`, `"sse2"`, `"sse2+avx2"` when AVX2 kernel clones are
-    /// runtime-dispatched on an SSE2 build, `"neon"`, or `"portable"`);
+    /// (`"avx2"`, `"sse2"`, `"sse2+avx2"` for an SSE2 build on a host that
+    /// also offers AVX2, `"neon"`, or `"portable"`);
     /// for the scalar and parallel backends it is the detected host ISA.
     pub isa: &'static str,
 }
@@ -442,40 +442,6 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// The sequential baseline executor.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ExecutorConfig::scalar().build()` (validated builder) instead"
-    )]
-    pub fn scalar() -> Executor {
-        ExecutorConfig::scalar()
-            .build()
-            .expect("default scalar config is valid")
-    }
-
-    /// A parallel executor using rayon's global pool (one thread per core).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ExecutorConfig::parallel().build()` (validated builder) instead"
-    )]
-    pub fn parallel() -> Executor {
-        ExecutorConfig::parallel()
-            .build()
-            .expect("default parallel config is valid")
-    }
-
-    /// A parallel executor with an explicit thread count.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ExecutorConfig::parallel().threads(n).build()` (validated builder) instead"
-    )]
-    pub fn parallel_with_threads(threads: usize) -> Executor {
-        ExecutorConfig::parallel()
-            .threads(threads)
-            .build()
-            .expect("sized parallel config is valid")
-    }
-
     /// The lazily-built pool of an explicitly-sized pooled executor.
     fn sized_pool(pool: &OnceLock<ThreadPool>, threads: usize) -> &ThreadPool {
         pool.get_or_init(|| {
@@ -902,23 +868,6 @@ mod tests {
         parallel_with_threads(2).for_each_indexed(&mut items, |i, x| *x = i as u64);
         for (i, &x) in items.iter().enumerate() {
             assert_eq!(x, i as u64);
-        }
-    }
-
-    /// The deprecated constructors must keep working (thin wrappers over
-    /// the builder) until removal; this module is their only sanctioned
-    /// call site.
-    #[allow(deprecated)]
-    mod deprecated_constructors {
-        use super::super::*;
-
-        #[test]
-        fn legacy_constructors_match_the_builder() {
-            assert_eq!(Executor::scalar().capabilities().backend, Backend::Scalar);
-            let p = Executor::parallel();
-            assert_eq!(p.capabilities().backend, Backend::Parallel);
-            assert_eq!(p.ccd_block_width(), DEFAULT_CCD_BLOCK_WIDTH);
-            assert_eq!(Executor::parallel_with_threads(3).thread_count(), 3);
         }
     }
 }

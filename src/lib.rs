@@ -96,19 +96,19 @@
 //! builder and slot in behind the same kernel-launch entry point: `scalar`
 //! (sequential baseline), `parallel` (rayon thread pool), and — with the
 //! `simd` cargo feature — `simd`, which runs explicit wide-`f64` lanes
-//! through the hot kernels: the lane-major (member-transposed) NeRF spine
-//! rebuild inside `close_batch`, the batched CCD optimal-rotation kernel,
+//! through the batched CCD optimal-rotation kernel inside `close_batch`,
 //! the VDW/BURIAL contact gathers and the Metropolis dominance reduction
-//! (the `rebuild`, `simd` and `blocks` ratios in `BENCH_ccd.json`).
+//! (the `simd` and `blocks` ratios in `BENCH_ccd.json`).  CCD's per-rotation
+//! update is a scalar O(1) rigid-body motion on every backend, so the
+//! closure-level wide-vs-scalar ratio is modest by design.
 //!
 //! The wide lanes compile down through an **arch-gated instruction-set
 //! dispatch** in the vendored `wide` shim, selected in this order: AVX2
 //! intrinsics when the build targets them (`-C target-cpu=native` on a
 //! modern x86_64), else SSE2 intrinsics on x86_64 / NEON intrinsics on
 //! aarch64, else a portable scalar fallback on any other architecture.
-//! On an SSE2-baseline x86_64 build the rebuild drive loop additionally
-//! re-dispatches at **runtime** to AVX2-featured clones when the host CPU
-//! supports it (reported as `"sse2+avx2"`).  Backend choice **never
+//! On an SSE2-baseline x86_64 build the shim also detects AVX2 at runtime
+//! (reported as `"sse2+avx2"`).  Backend choice **never
 //! changes sampled trajectories** (per-stream RNG discipline plus
 //! bit-identical wide kernels — every ISA backend is property-tested
 //! bit-for-bit against the portable reference, NaN/∞ lanes included);
