@@ -5,8 +5,9 @@
 //! * **CCD closure**: the NeRF-per-rotation sweep (the downstream spine
 //!   re-placed by NeRF after every accepted rotation, reproduced in
 //!   [`nerf_per_rotation`]) against the production rigid-body sweep
-//!   (`CcdCloser::close_with_scratch`: O(1) motion update per rotation, one
-//!   exact spine rebuild per sweep), at loop lengths 4, 8 and 12.  Both
+//!   (`CcdCloser::close_with_scratch`: O(1) motion update per rotation,
+//!   spine written back as the sweep visits it, one exact build at closure
+//!   start and end), at loop lengths 4, 8 and 12.  Both
 //!   run the same rotation schedule up to round-off, so the ratio isolates
 //!   the per-rotation update cost.
 //! * **VDW environment term**: the exhaustive linear candidate scan
@@ -396,8 +397,8 @@ fn executor_metadata() -> String {
 /// Measure the isolated scalar-vs-wide optimal-rotation kernel across lane
 /// counts and render the `"simd"` JSON section the perf gate tracks.  The
 /// kernel-level ratio is the gated number because the closure-level sweep
-/// also runs the scalar rigid-motion updates and sweep-end rebuilds, which
-/// the wide lanes do not touch.
+/// also runs the scalar rigid-motion updates, spine write-back and exact
+/// builds, which the wide lanes do not touch.
 #[cfg(feature = "simd")]
 fn simd_kernel_section() -> String {
     let lane_width = ExecutorConfig::simd()

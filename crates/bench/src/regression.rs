@@ -318,14 +318,15 @@ pub fn collect_metrics(
 
     // scoring_pipeline: 4-objective vs 3-objective cost ratio (lower is
     // better).  Optional in the baseline for forward compatibility.
-    if let (Some(b), Some(f)) = (
+    if let Some((b, f)) = snapshotted(
+        "objectives.cost_ratio",
         scoring_baseline
             .get("objectives")
             .and_then(|o| o.num("cost_ratio")),
         scoring_fresh
             .get("objectives")
             .and_then(|o| o.num("cost_ratio")),
-    ) {
+    )? {
         metrics.push(Metric {
             name: "4-objective eval cost ratio".to_string(),
             baseline: b,
@@ -338,12 +339,13 @@ pub fn collect_metrics(
     // scoring_pipeline: staged batched-pipeline vs per-member-reference
     // trajectory speedup (higher is better).  Optional in the baseline for
     // forward compatibility; once snapshotted it cannot silently regress.
-    if let (Some(b), Some(f)) = (
+    if let Some((b, f)) = snapshotted(
+        "pipeline.speedup",
         scoring_baseline
             .get("pipeline")
             .and_then(|o| o.num("speedup")),
         scoring_fresh.get("pipeline").and_then(|o| o.num("speedup")),
-    ) {
+    )? {
         metrics.push(Metric {
             name: "batched pipeline speedup".to_string(),
             baseline: b,
@@ -355,12 +357,19 @@ pub fn collect_metrics(
 
     // scoring_pipeline: numerical-health-sweep overhead per batched
     // member-iteration.  Gated against the absolute 3% bound (the ratio
-    // is measured in-process, so no baseline is needed); optional until
-    // the artifacts carry the section.
-    if let Some(f) = scoring_fresh
-        .get("health_sweep")
-        .and_then(|o| o.num("overhead_ratio"))
-    {
+    // is measured in-process, so the baseline value is not needed), but
+    // a fresh artifact that lost a snapshotted section is an error.
+    let health = |json: &Json| {
+        json.get("health_sweep")
+            .and_then(|o| o.num("overhead_ratio"))
+    };
+    let fresh_health = health(scoring_fresh);
+    snapshotted(
+        "health_sweep.overhead_ratio",
+        health(scoring_baseline),
+        fresh_health,
+    )?;
+    if let Some(f) = fresh_health {
         metrics.push(Metric {
             name: format!("health sweep overhead (bound {HEALTH_SWEEP_OVERHEAD_BOUND})"),
             baseline: HEALTH_SWEEP_OVERHEAD_BOUND,
@@ -390,13 +399,14 @@ pub fn collect_metrics(
 
     // ccd_closure: wide-lane SIMD speedup of the batched optimal-rotation
     // kernel (median across lane counts).  Present only when the bench ran
-    // with the `simd` feature; optional on both sides so scalar-only runs
-    // still gate everything else, but once both artifacts carry it the
-    // wide kernels cannot silently regress to scalar speed.
-    if let (Some(b), Some(f)) = (
+    // with the `simd` feature; once the baseline carries it, a fresh run
+    // without it is an error, so the wide kernels can neither silently
+    // regress to scalar speed nor drop out of the gate.
+    if let Some((b, f)) = snapshotted(
+        "simd.speedup",
         ccd_baseline.get("simd").and_then(|o| o.num("speedup")),
         ccd_fresh.get("simd").and_then(|o| o.num("speedup")),
-    ) {
+    )? {
         metrics.push(Metric {
             name: "simd rotation-kernel speedup".to_string(),
             baseline: b,
@@ -408,35 +418,30 @@ pub fn collect_metrics(
 
     // ccd_closure: closure-level wide-vs-scalar close_batch speedup per
     // CCD block width.  Rows carry "speedup" only when the bench ran with
-    // the `simd` feature; each width present on both sides is gated.
-    if let (Some(b_rows), Some(f_rows)) = (
-        ccd_baseline
-            .get("blocks")
+    // the `simd` feature; every width whose baseline row carries one must
+    // carry one in the fresh artifact too.
+    fn block_rows(json: &Json) -> &[Json] {
+        json.get("blocks")
             .and_then(|c| c.get("results"))
-            .and_then(Json::as_array),
-        ccd_fresh
-            .get("blocks")
-            .and_then(|c| c.get("results"))
-            .and_then(Json::as_array),
-    ) {
-        for row in b_rows {
-            let (Some(id), Some(b)) = (row.num("block_width"), row.num("speedup")) else {
-                continue;
-            };
-            if let Some(f) = f_rows
-                .iter()
-                .find(|r| r.num("block_width") == Some(id))
-                .and_then(|r| r.num("speedup"))
-            {
-                metrics.push(Metric {
-                    name: format!("close_batch wide speedup (w{})", id as i64),
-                    baseline: b,
-                    fresh: f,
-                    direction: Direction::HigherIsBetter,
-                    absolute: false,
-                });
-            }
-        }
+            .and_then(Json::as_array)
+            .unwrap_or(&[])
+    }
+    for row in block_rows(ccd_baseline) {
+        let (Some(id), Some(b)) = (row.num("block_width"), row.num("speedup")) else {
+            continue;
+        };
+        let f = block_rows(ccd_fresh)
+            .iter()
+            .find(|r| r.num("block_width") == Some(id))
+            .and_then(|r| r.num("speedup"))
+            .ok_or_else(|| format!("fresh artifact lost tracked point block_width={id}"))?;
+        metrics.push(Metric {
+            name: format!("close_batch wide speedup (w{})", id as i64),
+            baseline: b,
+            fresh: f,
+            direction: Direction::HigherIsBetter,
+            absolute: false,
+        });
     }
 
     // ccd_closure: cell-list speedup per environment factor.
@@ -457,16 +462,17 @@ pub fn collect_metrics(
     )?;
 
     // ccd_closure: per-residue candidate-window speedup over per-site
-    // cell-list queries (median across environment factors).  Optional on
-    // both sides for forward compatibility.
-    if let (Some(b), Some(f)) = (
+    // cell-list queries (median across environment factors).  Optional in
+    // the baseline for forward compatibility.
+    if let Some((b, f)) = snapshotted(
+        "vdw_env.window_speedup",
         ccd_baseline
             .get("vdw_env")
             .and_then(|o| o.num("window_speedup")),
         ccd_fresh
             .get("vdw_env")
             .and_then(|o| o.num("window_speedup")),
-    ) {
+    )? {
         metrics.push(Metric {
             name: "vdw_env per-residue-window speedup".to_string(),
             baseline: b,
@@ -506,6 +512,22 @@ pub fn collect_metrics(
     }
 
     Ok(metrics)
+}
+
+/// Pair an optional metric: gated (`Some`) when both artifacts carry it,
+/// ungated (`None`) while the baseline does not carry it yet, and an error
+/// when the baseline carries it but the fresh artifact lost it — a
+/// snapshotted metric can never silently drop out of the gate.
+fn snapshotted(
+    what: &str,
+    baseline: Option<f64>,
+    fresh: Option<f64>,
+) -> Result<Option<(f64, f64)>, String> {
+    match (baseline, fresh) {
+        (Some(b), Some(f)) => Ok(Some((b, f))),
+        (Some(_), None) => Err(format!("fresh artifact lost tracked metric {what}")),
+        (None, _) => Ok(None),
+    }
 }
 
 /// Walk two parallel result arrays matched by an integer `key` field and
@@ -699,13 +721,14 @@ mod tests {
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].name.contains("simd"));
         // A fresh artifact from a scalar-only bench run has no "simd"
-        // section: the metric is skipped, everything else still gates.
+        // section: against a baseline that snapshotted it, that is an
+        // error, not a skipped metric.
         let scalar_only = CCD.replace(
             ",\n      \"simd\": {\"lane_width\": 4, \"speedup\": 1.320}",
             "",
         );
         assert_ne!(scalar_only, CCD, "fixture surgery failed");
-        let (metrics, regressions) = gate(
+        let err = gate(
             &j(SCORING),
             &j(SCORING),
             &j(CCD),
@@ -714,9 +737,8 @@ mod tests {
             &j(BATCH_1CORE),
             0.25,
         )
-        .unwrap();
-        assert_eq!(metrics.len(), 11);
-        assert!(regressions.is_empty(), "{regressions:?}");
+        .unwrap_err();
+        assert!(err.contains("simd"), "{err}");
     }
 
     #[test]
@@ -899,6 +921,44 @@ mod tests {
         )
         .unwrap();
         assert_eq!(regressions.len(), 1);
+    }
+
+    #[test]
+    fn losing_a_snapshotted_optional_metric_is_an_error() {
+        // Optional metrics are ungated only while the baseline lacks them;
+        // once snapshotted, a fresh artifact without one must fail the
+        // gate rather than silently drop the metric.
+        let no_wide_block = CCD.replace(", \"wide_ns_per_member\": 80.0, \"speedup\": 1.250", "");
+        assert_ne!(no_wide_block, CCD, "fixture surgery failed");
+        let no_cost = SCORING.replace(", \"cost_ratio\": 1.100", "");
+        assert_ne!(no_cost, SCORING, "fixture surgery failed");
+        for (scoring, ccd) in [(SCORING, no_wide_block.as_str()), (no_cost.as_str(), CCD)] {
+            let err = gate(
+                &j(SCORING),
+                &j(scoring),
+                &j(CCD),
+                &j(ccd),
+                &j(BATCH_1CORE),
+                &j(BATCH_1CORE),
+                0.25,
+            )
+            .unwrap_err();
+            assert!(err.contains("lost tracked"), "{err}");
+        }
+        // The reverse — a fresh metric the baseline has not snapshotted
+        // yet — is new coverage and stays ungated.
+        let (metrics, regressions) = gate(
+            &j(SCORING),
+            &j(SCORING),
+            &j(&no_wide_block),
+            &j(CCD),
+            &j(BATCH_1CORE),
+            &j(BATCH_1CORE),
+            0.25,
+        )
+        .unwrap();
+        assert_eq!(metrics.len(), 11);
+        assert!(regressions.is_empty(), "{regressions:?}");
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! **Bit-identity.**  Each member's computation depends only on its own
 //! state, and the lockstep schedule performs, per member, exactly the same
 //! operations in exactly the same order as the sequential
-//! [`CcdCloser::close_with_scratch`]: build → (check; sweep over eligible
-//! torsions: axis through the sweep's rigid motion, optimal rotation,
-//! conditional apply; exact spine rebuild) → deviation.  Both paths drive
+//! [`CcdCloser::close_with_scratch`]: exact build → (check; sweep over
+//! eligible torsions: axis atoms mapped through the sweep's rigid motion
+//! and written back, optimal rotation, conditional apply; tracked end frame
+//! stored) → exact final build and its deviation.  Both paths drive
 //! the same per-member rigid-sweep helper, and the batched inner products
 //! call the identical scalar kernel per gathered lane (or its bit-identical
 //! wide twin), so every rotation angle — and therefore every closed loop —
@@ -370,7 +371,7 @@ impl CcdCloser {
                 scratch.g_pivot.clear();
                 scratch.g_axis.clear();
                 scratch.g_moving.clear();
-                for (j, lane) in lanes.iter().enumerate() {
+                for (j, lane) in lanes.iter_mut().enumerate() {
                     if !scratch.active[j] || k < lane.start_index.min(n_angles) {
                         continue;
                     }
@@ -432,28 +433,23 @@ impl CcdCloser {
                 }
             }
 
-            // Sweep end for the lanes that swept: one exact spine rebuild
-            // each, and the deviation of that exact build.
+            // Sweep end for the lanes that swept: store the tracked end
+            // frame and take its deviation.
             for (j, lane) in lanes.iter_mut().enumerate() {
                 if scratch.active[j] {
-                    scratch.deviation[j] = scratch.sweep[j].finish(
-                        &builder,
-                        frame,
-                        sequence,
-                        lane.torsions,
-                        lane.structure,
-                    );
+                    scratch.deviation[j] = scratch.sweep[j].finish(frame, lane.structure);
                 }
             }
         }
 
-        // The sweeps re-placed spines only; one full rebuild per rotated
-        // lane restores the O atoms and centroids, exactly as the
-        // sequential path's final state.  Untouched lanes still hold their
-        // exact initial full build.
+        // One exact build per rotated lane restores the whole structure and
+        // gives the reported deviation, exactly as the sequential path's
+        // final state.  Untouched lanes still hold their exact initial
+        // build.
         for (j, lane) in lanes.iter_mut().enumerate() {
             if scratch.rotations[j] > 0 {
                 builder.build_into(frame, sequence, lane.torsions, lane.structure);
+                scratch.deviation[j] = builder.closure_deviation(frame, lane.structure);
             }
         }
 

@@ -23,28 +23,35 @@
 //! still read in this sweep sits downstream of every rotation it has already
 //! applied.  Each of those points has therefore moved by one and the same
 //! rigid motion `x ↦ R·x + t`, the composition of the sweep's accepted
-//! rotations.  A sweep (`RigidSweep`) keeps the structure's spine as it was
-//! at sweep start and tracks only that motion:
+//! rotations.  A sweep (`RigidSweep`) tracks only that motion:
 //!
-//! * per torsion, the stored pivot and axis end are mapped through the
-//!   motion (two matrix–vector products);
+//! * per torsion, the axis atoms are mapped from their sweep-start
+//!   positions through the motion and **written back** into the structure
+//!   (Nᵢ and Cαᵢ at φᵢ, C'ᵢ at ψᵢ — Cαᵢ lies on φᵢ's axis, so it is already
+//!   current).  No later rotation of the ascending sweep moves an atom once
+//!   visited, so each stored position is final for the sweep;
 //! * per accepted rotation, Rodrigues(axis, δ) about the pivot is composed
 //!   into the motion and applied to the three end-frame atoms.
 //!
 //! Both are O(1), independent of the loop length, where re-placing the
 //! downstream spine by NeRF after every rotation cost O(suffix) per rotation
-//! and O(n²) per sweep.  At sweep end one exact
-//! [`LoopBuilder::rebuild_spine_from`] from the first rotated torsion
-//! re-places the spine, and the sweep's convergence test — hence the
-//! reported `final_deviation` and the sampler's closure gate — reads the
-//! end frame of that exact NeRF build, never the tracked one.  The tracked
-//! frame differs from the exact one only by floating-point round-off, so the
-//! rotation schedule matches a NeRF-per-rotation sweep up to that round-off
-//! (checked against a test-only NeRF oracle over a production-point
-//! ensemble in this module's tests).
+//! and O(n²) per sweep.  At sweep end the tracked end frame is stored and
+//! the sweep's convergence test reads its deviation; the next sweep starts
+//! from the written-back spine.  No NeRF runs inside the sweep loop: the
+//! exact [`LoopBuilder::build_into`] runs once at closure start and, if any
+//! rotation was applied, once at closure end.  `final_deviation` and
+//! `converged` — hence the sampler's closure gate — are computed from that
+//! exact final build, never from the tracked frame.  The written-back spine differs from the exact build only
+//! by floating-point round-off (checked at every sweep end, and over full
+//! `CcdConfig::default()` runs from random starts, in this module's tests),
+//! so the rotation schedule matches a NeRF-per-rotation sweep up to that
+//! round-off (checked against a test-only NeRF oracle over a
+//! production-point ensemble).
 
 use lms_geometry::{Rotation, Vec3};
-use lms_protein::{AminoAcid, LoopBuilder, LoopFrame, LoopStructure, TorsionKind, Torsions};
+use lms_protein::{
+    AminoAcid, AnchorFrame, LoopBuilder, LoopFrame, LoopStructure, TorsionKind, Torsions,
+};
 
 /// Configuration of the CCD closure run.
 ///
@@ -239,16 +246,17 @@ impl CcdCloser {
                     rotations_applied += 1;
                 }
             }
-            deviation = sweep.finish(&self.builder, frame, sequence, torsions, scratch);
+            deviation = sweep.finish(frame, scratch);
         }
 
-        // The sweeps re-placed spines only; one full rebuild restores the O
-        // atoms and centroids so `scratch` holds the exact structure of the
-        // final torsions (the spine-only chain equals a full build — see
-        // `LoopBuilder::rebuild_spine_from`).  With zero rotations `scratch`
-        // still holds its exact initial full build.
+        // The sweeps moved the spine and end frame rigidly and left O atoms
+        // and centroids stale; one exact build of the final torsions
+        // restores the whole structure, and the reported deviation (hence
+        // the sampler's closure gate) is that build's.  With zero rotations
+        // `scratch` still holds its exact initial build.
         if rotations_applied > 0 {
             self.builder.build_into(frame, sequence, torsions, scratch);
+            deviation = self.builder.closure_deviation(frame, scratch);
         }
 
         CcdResult {
@@ -280,21 +288,21 @@ const MIN_ROTATION: f64 = 1e-9;
 
 /// The rigid-body state of one CCD sweep (see the module docs): the
 /// composed motion `x ↦ rot·x + shift` of everything downstream of the
-/// sweep's accepted rotations, the tracked end frame, and the first rotated
-/// torsion.  Shared by [`CcdCloser::close_with_scratch`] and
-/// [`CcdCloser::close_batch`], so both perform the same operations per
-/// member and stay bit-identical.
+/// sweep's accepted rotations and the tracked end frame.  Shared by
+/// [`CcdCloser::close_with_scratch`] and [`CcdCloser::close_batch`], so
+/// both perform the same operations per member and stay bit-identical.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct RigidSweep {
     rot: Rotation,
     shift: Vec3,
     end: [Vec3; 3],
-    first_rotated: Option<usize>,
+    moved: bool,
 }
 
 impl RigidSweep {
-    /// Start a sweep on `structure`, whose spine and end frame are exact
-    /// for the current torsions.  The spine stays untouched until
+    /// Start a sweep on `structure`, whose spine and end frame are current
+    /// for the torsions.  The sweep writes each spine atom back as it
+    /// visits it ([`RigidSweep::axis`]) and the end frame at
     /// [`RigidSweep::finish`].
     pub(crate) fn begin(structure: &LoopStructure) -> Self {
         RigidSweep {
@@ -303,23 +311,31 @@ impl RigidSweep {
         }
     }
 
-    /// The current pivot and unit axis of torsion `k` (φ spins about
-    /// N→Cα, ψ about Cα→C'), or `None` for a degenerate axis.  Both atoms
-    /// lie downstream of (or on the axis of) every rotation accepted so far
-    /// in the sweep, so the motion maps their sweep-start positions to
-    /// their current ones.
+    /// Bring torsion `k`'s axis atoms up to date and return its pivot and
+    /// unit axis (φ spins about N→Cα, ψ about Cα→C'), or `None` for a
+    /// degenerate axis.  φᵢ maps Nᵢ and Cαᵢ from their sweep-start
+    /// positions through the motion and stores them; ψᵢ maps and stores
+    /// C'ᵢ only, since Cαᵢ lies on φᵢ's axis and is already current.  Every
+    /// later rotation of the sweep is downstream of (or pivots on) an atom
+    /// once visited, so each stored position is final for the sweep.
     #[inline]
-    pub(crate) fn axis(&self, structure: &LoopStructure, k: usize) -> Option<(Vec3, Vec3)> {
+    pub(crate) fn axis(&self, structure: &mut LoopStructure, k: usize) -> Option<(Vec3, Vec3)> {
         let (residue, kind) = Torsions::describe_angle(k);
-        let atoms = &structure.residues[residue];
-        let (mut pivot, mut axis_end) = match kind {
+        let atoms = &mut structure.residues[residue];
+        if self.moved {
+            let map = |x: Vec3| self.rot.apply(x) + self.shift;
+            match kind {
+                TorsionKind::Phi => {
+                    atoms.n = map(atoms.n);
+                    atoms.ca = map(atoms.ca);
+                }
+                TorsionKind::Psi => atoms.c = map(atoms.c),
+            }
+        }
+        let (pivot, axis_end) = match kind {
             TorsionKind::Phi => (atoms.n, atoms.ca),
             TorsionKind::Psi => (atoms.ca, atoms.c),
         };
-        if self.first_rotated.is_some() {
-            pivot = self.rot.apply(pivot) + self.shift;
-            axis_end = self.rot.apply(axis_end) + self.shift;
-        }
         (axis_end - pivot).try_normalize().map(|axis| (pivot, axis))
     }
 
@@ -354,25 +370,17 @@ impl RigidSweep {
         for atom in &mut self.end {
             *atom = r.apply_about(*atom, pivot);
         }
-        self.first_rotated.get_or_insert(k);
+        self.moved = true;
         true
     }
 
-    /// End the sweep: re-place the spine exactly by NeRF from the first
-    /// rotated torsion and return the closure deviation of that exact
-    /// build.  O atoms and centroids stay stale until a full rebuild.
-    pub(crate) fn finish(
-        &self,
-        builder: &LoopBuilder,
-        frame: &LoopFrame,
-        sequence: &[AminoAcid],
-        torsions: &Torsions,
-        structure: &mut LoopStructure,
-    ) -> f64 {
-        if let Some(k) = self.first_rotated {
-            builder.rebuild_spine_from(frame, sequence, torsions, k, structure);
-        }
-        builder.closure_deviation(frame, structure)
+    /// End the sweep: store the tracked end frame and return its closure
+    /// deviation.  The spine atoms were stored during the sweep; O atoms
+    /// and centroids stay stale until a full rebuild.
+    pub(crate) fn finish(&self, frame: &LoopFrame, structure: &mut LoopStructure) -> f64 {
+        let [n, ca, c] = self.end;
+        structure.end_frame = AnchorFrame::new(n, ca, c);
+        structure.end_frame.rms_distance(&frame.c_anchor)
     }
 }
 
@@ -701,6 +709,83 @@ mod tests {
         );
     }
 
+    /// What [`audit_sweeps`] observed while driving the production sweep
+    /// helpers.
+    struct SweepAudit {
+        torsions: Torsions,
+        sweeps: usize,
+        /// Largest rise of the tracked anchor deviation on one accepted
+        /// rotation (Å; ≤ 0 when it never rose).
+        max_rise: f64,
+        /// Largest distance between a written-back spine atom (N, Cα, C')
+        /// and the exact build of the current torsions, over every sweep
+        /// end (Å).
+        max_spine_gap: f64,
+        /// Largest distance between the tracked end frame and the exact
+        /// build's, over every sweep end (Å).
+        max_end_gap: f64,
+    }
+
+    /// Drive the production sweep helpers step by step, exactly as
+    /// `close_with_scratch` does, and audit the invariants between steps:
+    /// per accepted rotation the tracked deviation, and at every sweep end
+    /// the written-back spine and end frame against a fresh exact build.
+    fn audit_sweeps(
+        target: &LoopTarget,
+        start_torsions: &Torsions,
+        start: usize,
+        config: CcdConfig,
+    ) -> SweepAudit {
+        let (frame, sequence) = (&target.frame, &target.sequence[..]);
+        let builder = LoopBuilder::default();
+        let targets = frame.c_anchor.atoms();
+        let anchor_rms = |atoms: [Vec3; 3]| {
+            AnchorFrame::new(atoms[0], atoms[1], atoms[2]).rms_distance(&frame.c_anchor)
+        };
+        let n_angles = start_torsions.n_angles();
+        let mut audit = SweepAudit {
+            torsions: start_torsions.clone(),
+            sweeps: 0,
+            max_rise: f64::NEG_INFINITY,
+            max_spine_gap: 0.0,
+            max_end_gap: 0.0,
+        };
+        let torsions = &mut audit.torsions;
+        let mut structure = builder.build(frame, sequence, torsions);
+        let mut exact = structure.clone();
+        let mut deviation = builder.closure_deviation(frame, &structure);
+        while deviation > config.tolerance && audit.sweeps < config.max_sweeps {
+            audit.sweeps += 1;
+            let mut sweep = RigidSweep::begin(&structure);
+            for k in start..n_angles {
+                let Some((pivot, axis)) = sweep.axis(&mut structure, k) else {
+                    continue;
+                };
+                let before = anchor_rms(sweep.moving());
+                let delta = optimal_rotation(&sweep.moving(), &targets, pivot, axis);
+                if sweep.accept(torsions, k, pivot, axis, delta) {
+                    audit.max_rise = audit.max_rise.max(anchor_rms(sweep.moving()) - before);
+                }
+            }
+            deviation = sweep.finish(frame, &mut structure);
+            builder.build_into(frame, sequence, torsions, &mut exact);
+            for (s, e) in structure.residues.iter().zip(&exact.residues) {
+                for (a, b) in [(s.n, e.n), (s.ca, e.ca), (s.c, e.c)] {
+                    audit.max_spine_gap = audit.max_spine_gap.max(a.distance(b));
+                }
+            }
+            for (t, e) in structure
+                .end_frame
+                .atoms()
+                .iter()
+                .zip(exact.end_frame.atoms())
+            {
+                audit.max_end_gap = audit.max_end_gap.max(t.distance(e));
+            }
+        }
+        audit
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -711,11 +796,10 @@ mod tests {
             perturb_deg in 5.0..60.0f64,
             start_frac in 0.0..0.6f64,
         ) {
-            // Drive the production sweep helpers step by step, exactly as
-            // `close_with_scratch` does, checking the invariants between
-            // steps: the tracked end frame never moves away from the anchor
-            // on an accepted rotation, and at every sweep end it agrees
-            // with the exact NeRF rebuild up to round-off.
+            // The tracked end frame never moves away from the anchor on an
+            // accepted rotation, and at every sweep end the written-back
+            // spine and end frame agree with the exact NeRF build up to
+            // round-off.
             let target = BenchmarkLibrary::standard()
                 .target_by_name(ENSEMBLE_TARGETS[pick])
                 .unwrap();
@@ -726,51 +810,33 @@ mod tests {
                 let delta = deg_to_rad((rng.gen::<f64>() * 2.0 - 1.0) * perturb_deg);
                 start_torsions.rotate_angle(k, delta);
             }
-            let n_angles = start_torsions.n_angles();
-            let start = (start_frac * n_angles as f64) as usize;
+            let start = (start_frac * start_torsions.n_angles() as f64) as usize;
             let config = production_config();
-            let builder = LoopBuilder::default();
-            let targets = frame.c_anchor.atoms();
-            let anchor_rms = |atoms: [Vec3; 3]| {
-                AnchorFrame::new(atoms[0], atoms[1], atoms[2]).rms_distance(&frame.c_anchor)
-            };
-
-            let mut torsions = start_torsions.clone();
-            let mut structure = builder.build(frame, sequence, &torsions);
-            let mut deviation = builder.closure_deviation(frame, &structure);
-            let mut sweeps = 0;
-            while deviation > config.tolerance && sweeps < config.max_sweeps {
-                sweeps += 1;
-                let mut sweep = RigidSweep::begin(&structure);
-                for k in start..n_angles {
-                    let Some((pivot, axis)) = sweep.axis(&structure, k) else {
-                        continue;
-                    };
-                    let before = anchor_rms(sweep.moving());
-                    let delta = optimal_rotation(&sweep.moving(), &targets, pivot, axis);
-                    if sweep.accept(&mut torsions, k, pivot, axis, delta) {
-                        let after = anchor_rms(sweep.moving());
-                        prop_assert!(
-                            after <= before + 1e-12,
-                            "rotation of torsion {k} raised the deviation {before} -> {after}"
-                        );
-                    }
-                }
-                let tracked = sweep.moving();
-                deviation = sweep.finish(&builder, frame, sequence, &torsions, &mut structure);
-                for (t, e) in tracked.iter().zip(structure.end_frame.atoms()) {
-                    let gap = t.max_abs_diff(e);
-                    prop_assert!(gap < 1e-9, "tracked end frame off the exact build by {gap:e} A");
-                }
-            }
+            let audit = audit_sweeps(&target, &start_torsions, start, config);
+            prop_assert!(
+                audit.max_rise <= 1e-12,
+                "an accepted rotation raised the tracked deviation by {:e} A",
+                audit.max_rise
+            );
+            prop_assert!(
+                audit.max_spine_gap < 1e-9,
+                "written-back spine off the exact build by {:e} A",
+                audit.max_spine_gap
+            );
+            prop_assert!(
+                audit.max_end_gap < 1e-9,
+                "tracked end frame off the exact build by {:e} A",
+                audit.max_end_gap
+            );
 
             // The public entry point runs the same steps and reports the
             // deviation of a fresh full build, bit for bit.
+            let builder = LoopBuilder::default();
             let closer = CcdCloser::with_config(config);
             let mut closed = start_torsions;
             let result = closer.close_with_start(frame, sequence, &mut closed, start);
-            prop_assert_eq!(&closed, &torsions);
-            prop_assert_eq!(result.sweeps, sweeps);
+            prop_assert_eq!(&closed, &audit.torsions);
+            prop_assert_eq!(result.sweeps, audit.sweeps);
             let fresh = builder.build(frame, sequence, &closed);
             prop_assert_eq!(
                 result.final_deviation.to_bits(),
@@ -780,8 +846,52 @@ mod tests {
     }
 
     #[test]
+    fn written_back_spine_does_not_drift_at_the_default_config() {
+        // The longest the spine goes without an exact rebuild: fully random
+        // starts at `CcdConfig::default()` (256 sweeps / 0.1 A), most of
+        // which run to the sweep cap.  Round-off must not accumulate past
+        // 1e-9 A, and the reported result still reads the exact build.
+        let lib = BenchmarkLibrary::standard();
+        let config = CcdConfig::default();
+        let closer = CcdCloser::with_config(config);
+        let builder = LoopBuilder::default();
+        let mut longest = 0;
+        for (t, name) in ["1cex", "1akz", "153l"].iter().enumerate() {
+            let target = lib.target_by_name(name).unwrap();
+            for seed in 0..4u64 {
+                let mut rng = lms_geometry::StreamRngFactory::new(seed).stream(t as u64, 1);
+                let mut start_torsions = Torsions::zeros(target.n_residues());
+                for k in 0..start_torsions.n_angles() {
+                    start_torsions.set_angle(k, lms_geometry::random_torsion(&mut rng));
+                }
+                let audit = audit_sweeps(&target, &start_torsions, 0, config);
+                longest = longest.max(audit.sweeps);
+                assert!(
+                    audit.max_spine_gap < 1e-9 && audit.max_end_gap < 1e-9,
+                    "{name} seed {seed}: spine drifted {:e} A, end frame {:e} A after {} sweeps",
+                    audit.max_spine_gap,
+                    audit.max_end_gap,
+                    audit.sweeps
+                );
+
+                let mut closed = start_torsions;
+                let result = closer.close(&target.frame, &target.sequence, &mut closed);
+                assert_eq!(closed, audit.torsions);
+                let fresh = builder.build(&target.frame, &target.sequence, &closed);
+                let exact = builder.closure_deviation(&target.frame, &fresh);
+                assert_eq!(result.final_deviation.to_bits(), exact.to_bits());
+                assert_eq!(result.converged, exact <= config.tolerance);
+            }
+        }
+        assert_eq!(
+            longest, config.max_sweeps,
+            "no start ran to the sweep cap; the drift case is too easy"
+        );
+    }
+
+    #[test]
     fn spine_only_sweeps_leave_a_fully_built_scratch_structure() {
-        // The sweeps rebuild spines only; on return the scratch structure
+        // The sweeps move spines only; on return the scratch structure
         // must nevertheless be the exact full build of the final torsions
         // (O atoms and centroids included), because callers score it
         // directly.  Include an untouched native loop (zero rotations).

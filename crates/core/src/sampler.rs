@@ -912,12 +912,11 @@ impl MoscemSampler {
         let capabilities = executor.capabilities();
         profiler.set_executor(capabilities);
         let work = WorkModel::for_target(&self.target);
-        // A backend reporting wide lanes gets the explicit wide-f64 CCD and
-        // VDW kernels — bit-identical to the scalar loops, so this flips
+        // A backend reporting wide lanes gets the explicit wide-f64 CCD
+        // rotation kernel — bit-identical to the scalar loop, so this flips
         // only the instruction mix, never the trajectory.
         let wide = capabilities.lane_width > 1;
         let closer = CcdCloser::new(self.builder, cfg.ccd).with_wide_lanes(wide);
-        let scorer = self.scorer.clone().with_wide_lanes(wide);
         let spec = &self.timing.device;
 
         let wall_start = Instant::now();
@@ -1038,7 +1037,6 @@ impl MoscemSampler {
         self.stage_rebuild_and_score(
             executor,
             &mut arena,
-            &scorer,
             &work,
             launch_cfg,
             &profiler,
@@ -1208,7 +1206,6 @@ impl MoscemSampler {
             self.stage_rebuild_and_score(
                 executor,
                 &mut arena,
-                &scorer,
                 &work,
                 launch_cfg,
                 &profiler,
@@ -1512,7 +1509,6 @@ impl MoscemSampler {
         &self,
         executor: &Executor,
         arena: &mut PopulationArena,
-        scorer: &MultiScorer,
         work: &WorkModel,
         launch_cfg: LaunchConfig,
         profiler: &Profiler,
@@ -1579,15 +1575,18 @@ impl MoscemSampler {
                     let mut a = sv.as_array();
                     match kind {
                         KernelKind::EvalVdw => {
-                            let (vdw, burial) = scorer.vdw_pass(&self.target, structure, scratch);
+                            let (vdw, burial) =
+                                self.scorer.vdw_pass(&self.target, structure, scratch);
                             a[0] = vdw;
                             a[3] = burial;
                         }
                         KernelKind::EvalDist => {
-                            a[1] = scorer.dist_pass(&self.target, structure, scratch);
+                            a[1] = self.scorer.dist_pass(&self.target, structure, scratch);
                         }
                         KernelKind::EvalTrip => {
-                            a[2] = scorer.triplet_pass(&self.target, structure, cand, scratch);
+                            a[2] = self
+                                .scorer
+                                .triplet_pass(&self.target, structure, cand, scratch);
                         }
                         _ => unreachable!("score stage launches only Eval kernels"),
                     }

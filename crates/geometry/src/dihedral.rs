@@ -7,7 +7,9 @@
 //! into Cartesian atom positions therefore needs one primitive: *given three
 //! already-placed atoms A–B–C and the internal coordinates (bond length
 //! C–D, bond angle B–C–D, dihedral A–B–C–D), place atom D*.  That primitive
-//! is [`place_atom`], the Natural Extension Reference Frame (NeRF) rule.
+//! is [`place_atom`], the Natural Extension Reference Frame (NeRF) rule;
+//! [`place_atom_with`] is the same rule with the bond trigonometry hoisted
+//! out ([`NerfBond`]) for builders whose bond geometry is fixed.
 
 use crate::vec3::Vec3;
 
@@ -66,6 +68,52 @@ pub fn place_atom(
     bond_angle: f64,
     dihedral: f64,
 ) -> Vec3 {
+    place_atom_with(
+        a,
+        b,
+        c,
+        NerfBond::new(bond_length, bond_angle),
+        dihedral.sin_cos(),
+    )
+}
+
+/// The bond-length/bond-angle part of a NeRF placement with its
+/// trigonometry evaluated once: a builder whose bonds are fixed (ideal
+/// covalent geometry) keeps one `NerfBond` per bond instead of calling
+/// `sin_cos` on a constant angle for every atom it places.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NerfBond {
+    /// `bond_length · cos(bond_angle)`.
+    pub len_cos: f64,
+    /// `bond_length · sin(bond_angle)`.
+    pub len_sin: f64,
+}
+
+impl NerfBond {
+    /// The bond of length `bond_length` (Å) at bond angle `bond_angle`
+    /// (radians).
+    pub fn new(bond_length: f64, bond_angle: f64) -> Self {
+        let (sin_t, cos_t) = bond_angle.sin_cos();
+        NerfBond {
+            len_cos: bond_length * cos_t,
+            len_sin: bond_length * sin_t,
+        }
+    }
+}
+
+/// [`place_atom`] with the bond and the dihedral's `(sin, cos)` supplied
+/// precomputed.  Evaluates the same IEEE expressions in the same
+/// association as [`place_atom`] (which delegates here), so the two are
+/// bit-identical for `bond = NerfBond::new(len, θ)` and
+/// `dihedral = φ.sin_cos()`.
+#[inline]
+pub fn place_atom_with(
+    a: Vec3,
+    b: Vec3,
+    c: Vec3,
+    bond: NerfBond,
+    (sin_p, cos_p): (f64, f64),
+) -> Vec3 {
     // Local frame at C: bc is the x-axis, n is the z-axis.
     let bc = match (c - b).try_normalize() {
         Some(v) => v,
@@ -82,14 +130,9 @@ pub fn place_atom(
     };
     let m = n.cross(bc);
 
-    // Position of D in the local frame (standard NeRF formula).
-    let (sin_t, cos_t) = bond_angle.sin_cos();
-    let (sin_p, cos_p) = dihedral.sin_cos();
-    let d_local = Vec3::new(
-        -bond_length * cos_t,
-        bond_length * sin_t * cos_p,
-        bond_length * sin_t * sin_p,
-    );
+    // Position of D in the local frame (standard NeRF formula);
+    // `-(l·cos θ)` is bit-equal to `(-l)·cos θ`.
+    let d_local = Vec3::new(-bond.len_cos, bond.len_sin * cos_p, bond.len_sin * sin_p);
 
     // Transform to global coordinates: columns of the frame are (bc, m, n).
     c + bc * d_local.x + m * d_local.y + n * d_local.z

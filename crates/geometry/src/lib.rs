@@ -38,7 +38,9 @@ pub use angles::{
     angular_distance_deg, angular_distance_rad, circular_mean_rad, circular_variance_rad,
     deg_to_rad, max_torsion_deviation_deg, rad_to_deg, wrap_deg, wrap_rad,
 };
-pub use dihedral::{bond_angle, dihedral_angle, place_atom, InternalCoords};
+pub use dihedral::{
+    bond_angle, dihedral_angle, place_atom, place_atom_with, InternalCoords, NerfBond,
+};
 pub use rmsd::{jacobi_eigen_symmetric3, kabsch, rmsd_direct, rmsd_superposed, Superposition};
 pub use rng::{random_torsion, wrapped_normal, StreamRngFactory};
 pub use rotation::{Mat3, Rotation};

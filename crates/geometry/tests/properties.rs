@@ -1,8 +1,8 @@
 //! Property-based tests for the geometry substrate.
 
 use lms_geometry::{
-    angular_distance_deg, deg_to_rad, dihedral_angle, kabsch, place_atom, rmsd_direct,
-    rmsd_superposed, wrap_deg, wrap_rad, InternalCoords, Rotation, Vec3,
+    angular_distance_deg, deg_to_rad, dihedral_angle, kabsch, place_atom, place_atom_with,
+    rmsd_direct, rmsd_superposed, wrap_deg, wrap_rad, InternalCoords, NerfBond, Rotation, Vec3,
 };
 use proptest::prelude::*;
 use std::f64::consts::PI;
@@ -21,6 +21,40 @@ fn arb_angle() -> impl Strategy<Value = f64> {
 
 fn arb_points(n: usize) -> impl Strategy<Value = Vec<Vec3>> {
     prop::collection::vec(arb_vec3(), n)
+}
+
+/// The NeRF placement as written before its trigonometry was hoisted into
+/// [`NerfBond`]: every call evaluates `sin_cos` of both the bond angle and
+/// the dihedral.  Oracle for `place_atom_with`'s bit-identity.
+fn place_atom_unhoisted(
+    a: Vec3,
+    b: Vec3,
+    c: Vec3,
+    bond_length: f64,
+    bond_angle: f64,
+    dihedral: f64,
+) -> Vec3 {
+    let bc = match (c - b).try_normalize() {
+        Some(v) => v,
+        None => Vec3::X,
+    };
+    let ab = b - a;
+    let n = match ab.cross(bc).try_normalize() {
+        Some(v) => v,
+        None => {
+            let fallback = if bc.x.abs() < 0.9 { Vec3::X } else { Vec3::Y };
+            bc.cross(fallback).normalized()
+        }
+    };
+    let m = n.cross(bc);
+    let (sin_t, cos_t) = bond_angle.sin_cos();
+    let (sin_p, cos_p) = dihedral.sin_cos();
+    let d_local = Vec3::new(
+        -bond_length * cos_t,
+        bond_length * sin_t * cos_p,
+        bond_length * sin_t * sin_p,
+    );
+    c + bc * d_local.x + m * d_local.y + n * d_local.z
 }
 
 proptest! {
@@ -97,6 +131,29 @@ proptest! {
         prop_assert!((ic.bond_angle - ang).abs() < 1e-6);
         let ddiff = wrap_rad(ic.dihedral - dih).abs();
         prop_assert!(ddiff < 1e-6, "dihedral mismatch: {} vs {}", ic.dihedral, dih);
+    }
+
+    #[test]
+    fn hoisted_nerf_is_bit_identical_to_the_unhoisted_formula(
+        a in arb_vec3(),
+        b in arb_vec3(),
+        c in arb_vec3(),
+        len in 0.5..3.0f64,
+        ang in 0.0..PI,
+        dih in arb_angle(),
+        mode in 0usize..2,
+    ) {
+        // Random chains, plus collinear ones (up to rounding) that can
+        // take the fallback frame.
+        let c = if mode == 1 { b + (b - a) * 0.7 } else { c };
+        let expected = place_atom_unhoisted(a, b, c, len, ang, dih);
+        let hoisted = place_atom_with(a, b, c, NerfBond::new(len, ang), dih.sin_cos());
+        let plain = place_atom(a, b, c, len, ang, dih);
+        for (got, want) in [(hoisted, expected), (plain, expected)] {
+            prop_assert_eq!(got.x.to_bits(), want.x.to_bits());
+            prop_assert_eq!(got.y.to_bits(), want.y.to_bits());
+            prop_assert_eq!(got.z.to_bits(), want.z.to_bits());
+        }
     }
 
     #[test]

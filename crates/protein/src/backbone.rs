@@ -19,15 +19,23 @@
 //! untouched prefix in the caller's buffer and re-runs the identical
 //! placement code only from the changed residue onward, which makes a
 //! rebuild after an edit O(suffix) instead of O(loop) without altering a
-//! single output bit (CCD re-places the spine this way once per sweep, from
-//! the first torsion the sweep rotated).  Both `build_into` and `rebuild_from` funnel through
-//! the same private `place_residue`/`place_end_frame` helpers, so the
-//! equivalence is structural, not coincidental (and is property-tested in
-//! `tests/incremental_rebuild.rs`).
+//! single output bit.  CCD itself does not use these suffix rebuilds (its
+//! sweeps move the spine rigidly and finish with one full build);
+//! [`LoopBuilder::rebuild_spine_from`] serves the CCD tests'
+//! NeRF-per-rotation oracle and the closure bench's baseline.  Both `build_into` and `rebuild_from`
+//! funnel through the same private `place_residue`/`place_end_frame`
+//! helpers, so the equivalence is structural, not coincidental (and is
+//! property-tested in `tests/incremental_rebuild.rs`).
+//!
+//! Every placement goes through [`lms_geometry::place_atom_with`] with the
+//! fixed bonds' `len·cos θ` / `len·sin θ` and the `sin_cos` of ω and of the
+//! Cβ improper evaluated once per builder, so only the varying φ/ψ
+//! dihedrals pay for trigonometry; the coordinates are bit-identical to
+//! [`lms_geometry::place_atom`]'s.
 
 use crate::amino::AminoAcid;
 use crate::torsions::Torsions;
-use lms_geometry::{deg_to_rad, dihedral_angle, place_atom, Vec3};
+use lms_geometry::{deg_to_rad, dihedral_angle, place_atom_with, NerfBond, Vec3};
 use std::f64::consts::PI;
 
 /// Ideal backbone covalent geometry (Engh–Huber-like values).
@@ -183,9 +191,51 @@ impl LoopStructure {
 }
 
 /// Builds loop structures from torsion vectors.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct LoopBuilder {
     geometry: BackboneGeometry,
+    nerf: NerfConstants,
+}
+
+impl Default for LoopBuilder {
+    fn default() -> Self {
+        LoopBuilder::new(BackboneGeometry::default())
+    }
+}
+
+/// The fixed-geometry trigonometry of every NeRF placement the builder
+/// makes, evaluated once per builder: only the φ/ψ dihedrals vary from
+/// atom to atom.
+#[derive(Debug, Clone, Copy)]
+struct NerfConstants {
+    /// C'ᵢ₋₁–Nᵢ at angle Cα–C'–N.
+    c_n: NerfBond,
+    /// N–Cα at angle C'–N–Cα.
+    n_ca: NerfBond,
+    /// Cα–C' at angle N–Cα–C'.
+    ca_c: NerfBond,
+    /// C'=O at angle Cα–C'=O.
+    c_o: NerfBond,
+    /// Unit Cβ direction at angle C'–Cα–Cβ.
+    cb: NerfBond,
+    /// `(sin, cos)` of ω.
+    omega: (f64, f64),
+    /// `(sin, cos)` of the Cβ improper dihedral.
+    cb_improper: (f64, f64),
+}
+
+impl NerfConstants {
+    fn new(g: &BackboneGeometry) -> Self {
+        NerfConstants {
+            c_n: NerfBond::new(g.len_c_n, g.ang_ca_c_n),
+            n_ca: NerfBond::new(g.len_n_ca, g.ang_c_n_ca),
+            ca_c: NerfBond::new(g.len_ca_c, g.ang_n_ca_c),
+            c_o: NerfBond::new(g.len_c_o, g.ang_ca_c_o),
+            cb: NerfBond::new(1.0, g.ang_c_ca_cb),
+            omega: g.omega.sin_cos(),
+            cb_improper: g.dih_n_c_ca_cb.sin_cos(),
+        }
+    }
 }
 
 /// Everything that stays fixed while a loop's torsions vary: the anchors
@@ -208,7 +258,10 @@ pub struct LoopFrame {
 impl LoopBuilder {
     /// Create a builder with the given covalent geometry.
     pub fn new(geometry: BackboneGeometry) -> Self {
-        LoopBuilder { geometry }
+        LoopBuilder {
+            geometry,
+            nerf: NerfConstants::new(&geometry),
+        }
     }
 
     /// The covalent geometry in use.
@@ -235,7 +288,7 @@ impl LoopBuilder {
     /// but writing into a caller-owned [`LoopStructure`], reusing its residue
     /// buffer.  After the first call on a given buffer, rebuilding performs no
     /// heap allocation — this is the primitive the zero-allocation scoring
-    /// pipeline and the CCD inner loop are built on.
+    /// pipeline and CCD closure are built on.
     ///
     /// # Panics
     /// Panics if `torsions.n_residues() != sequence.len()`.
@@ -294,9 +347,9 @@ impl LoopBuilder {
     /// earlier `rebuild_from`) from a torsion vector that agrees with
     /// `torsions` on every flat index `< changed_angle`.  A
     /// `changed_angle ≥ torsions.n_angles()` means nothing changed and the
-    /// call is a no-op.  This is exactly the state CCD maintains when it
-    /// sweeps torsions in ascending order and rebuilds after each accepted
-    /// rotation.
+    /// call is a no-op.  This is exactly the state a NeRF-per-rotation CCD
+    /// sweep maintains when it visits torsions in ascending order and
+    /// rebuilds after each accepted rotation.
     ///
     /// # Panics
     /// Panics if `torsions`, `sequence` and `out` disagree on residue count.
@@ -365,11 +418,11 @@ impl LoopBuilder {
     /// The NeRF recurrence consumes only the spine: O and centroid hang off
     /// a residue's own N/Cα/C' and never feed a later placement.  A closure
     /// sweep that only needs rotation pivots/axes (spine atoms) and the
-    /// moving end frame — exactly CCD's sweep — can therefore skip ~2/5 of
-    /// every suffix rebuild and recover the full structure with one
-    /// [`LoopBuilder::build_into`] at the end.  The spine and end-frame
-    /// coordinates this produces are bit-identical to
-    /// [`LoopBuilder::rebuild_from`]'s (the placement calls are the same
+    /// moving end frame can therefore skip ~2/5 of every suffix rebuild and
+    /// recover the full structure with one [`LoopBuilder::build_into`] at
+    /// the end (the NeRF-per-rotation CCD reference does exactly this).
+    /// The spine and end-frame coordinates this produces are bit-identical
+    /// to [`LoopBuilder::rebuild_from`]'s (the placement calls are the same
     /// code on the same inputs); only O/centroid are left behind.
     ///
     /// # Contract
@@ -438,13 +491,13 @@ impl LoopBuilder {
         prev_psi: f64,
         phi: f64,
     ) -> (Vec3, Vec3, Vec3) {
-        let g = &self.geometry;
+        let k = &self.nerf;
         // N_i: extends the previous residue's C' along its psi.
-        let n = place_atom(prev_n, prev_ca, prev_c, g.len_c_n, g.ang_ca_c_n, prev_psi);
+        let n = place_atom_with(prev_n, prev_ca, prev_c, k.c_n, prev_psi.sin_cos());
         // CA_i: the omega torsion (fixed trans).
-        let ca = place_atom(prev_ca, prev_c, n, g.len_n_ca, g.ang_c_n_ca, g.omega);
+        let ca = place_atom_with(prev_ca, prev_c, n, k.n_ca, k.omega);
         // C'_i: this residue's phi.
-        let c = place_atom(prev_c, n, ca, g.len_ca_c, g.ang_n_ca_c, phi);
+        let c = place_atom_with(prev_c, n, ca, k.ca_c, phi.sin_cos());
         (n, ca, c)
     }
 
@@ -464,15 +517,15 @@ impl LoopBuilder {
         phi: f64,
         psi: f64,
     ) -> ResidueAtoms {
-        let g = &self.geometry;
+        let k = &self.nerf;
         let (n, ca, c) = self.place_spine(prev_n, prev_ca, prev_c, prev_psi, phi);
         // O_i: anti-periplanar to the next N, i.e. psi + 180 deg.
-        let o = place_atom(n, ca, c, g.len_c_o, g.ang_ca_c_o, psi + PI);
+        let o = place_atom_with(n, ca, c, k.c_o, (psi + PI).sin_cos());
         // Side-chain centroid along the Cβ direction (absent for Gly).
         let centroid = if aa.is_glycine() {
             None
         } else {
-            let cb_dir = place_atom(n, c, ca, 1.0, g.ang_c_ca_cb, g.dih_n_c_ca_cb) - ca;
+            let cb_dir = place_atom_with(n, c, ca, k.cb, k.cb_improper) - ca;
             Some(ca + cb_dir.normalized() * aa.centroid_distance())
         };
         ResidueAtoms {
@@ -495,17 +548,10 @@ impl LoopBuilder {
         prev_psi: f64,
         c_anchor_phi: f64,
     ) -> AnchorFrame {
-        let g = &self.geometry;
-        let end_n = place_atom(prev_n, prev_ca, prev_c, g.len_c_n, g.ang_ca_c_n, prev_psi);
-        let end_ca = place_atom(prev_ca, prev_c, end_n, g.len_n_ca, g.ang_c_n_ca, g.omega);
-        let end_c = place_atom(
-            prev_c,
-            end_n,
-            end_ca,
-            g.len_ca_c,
-            g.ang_n_ca_c,
-            c_anchor_phi,
-        );
+        let k = &self.nerf;
+        let end_n = place_atom_with(prev_n, prev_ca, prev_c, k.c_n, prev_psi.sin_cos());
+        let end_ca = place_atom_with(prev_ca, prev_c, end_n, k.n_ca, k.omega);
+        let end_c = place_atom_with(prev_c, end_n, end_ca, k.ca_c, c_anchor_phi.sin_cos());
         AnchorFrame::new(end_n, end_ca, end_c)
     }
 

@@ -337,52 +337,6 @@ impl EnvCandidates {
         n
     }
 
-    /// The explicitly-wide [`EnvCandidates::count_within`]: four gathered
-    /// candidates' squared distances per iteration in wide-`f64` lanes,
-    /// with a scalar tail.  Per lane it performs exactly the scalar pass's
-    /// subtractions, products and left-associated `dx·dx + dy·dy + dz·dz`
-    /// accumulation, and the `d² <= r²` test is the same ordered
-    /// comparison — and since the result is an integer *count*, the wide
-    /// pass is trivially identical to [`EnvCandidates::count_within`] on
-    /// any input.
-    #[cfg(feature = "simd")]
-    pub fn count_within_wide(&self, p: Vec3, radius: f64, indices: &[u32]) -> u32 {
-        use wide::f64x4;
-        const W: usize = wide::f64x4::LANES;
-        let r2 = f64x4::splat(radius * radius);
-        let px = f64x4::splat(p.x);
-        let py = f64x4::splat(p.y);
-        let pz = f64x4::splat(p.z);
-        let mut n = 0u32;
-        let chunks = indices.len() / W;
-        for c in 0..chunks {
-            let idx = &indices[c * W..c * W + W];
-            let gather = |src: &[f64]| {
-                f64x4::from_array([
-                    src[idx[0] as usize],
-                    src[idx[1] as usize],
-                    src[idx[2] as usize],
-                    src[idx[3] as usize],
-                ])
-            };
-            let dx = px - gather(&self.xs);
-            let dy = py - gather(&self.ys);
-            let dz = pz - gather(&self.zs);
-            let d2 = dx * dx + dy * dy + dz * dz;
-            n += d2.le_bitmask(r2).count_ones();
-        }
-        for &i in &indices[chunks * W..] {
-            let i = i as usize;
-            let dx = p.x - self.xs[i];
-            let dy = p.y - self.ys[i];
-            let dz = p.z - self.zs[i];
-            if dx * dx + dy * dy + dz * dz <= radius * radius {
-                n += 1;
-            }
-        }
-        n
-    }
-
     /// Exhaustive linear-scan count of the candidates whose centre lies
     /// within `radius` of `p` — the reference implementation any cell-list
     /// path must match exactly.

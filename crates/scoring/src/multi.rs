@@ -64,19 +64,12 @@ impl MultiScorer {
         self
     }
 
-    /// Enable or disable explicit wide-`f64` lanes in the VDW contact
-    /// distance passes (see [`VdwScore::with_wide_lanes`]).  The sampler
-    /// flips this on when the executor backend reports a wide lane width;
-    /// scores are bit-identical either way.
+    /// Accepted for source compatibility and ignored: every scoring pass
+    /// is scalar on every backend, because wide VDW/BURIAL distance passes
+    /// measured slower than the scalar loops inside the pipeline.
     #[must_use]
-    pub fn with_wide_lanes(mut self, wide: bool) -> Self {
-        self.vdw = self.vdw.with_wide_lanes(wide);
+    pub fn with_wide_lanes(self, _wide: bool) -> Self {
         self
-    }
-
-    /// Whether the VDW passes use the wide distance kernel.
-    pub fn wide_lanes(&self) -> bool {
-        self.vdw.wide_lanes()
     }
 
     /// Whether the BURIAL objective is evaluated.

@@ -13,8 +13,8 @@
 //!
 //! ## Why there is no wide (SIMD) variant of this kernel
 //!
-//! Unlike the VDW/BURIAL distance passes, this kernel has no wide-f64
-//! arithmetic to exploit: per residue it is a branchy angle wrap
+//! This kernel has no wide-f64 arithmetic to exploit: per residue it is a
+//! branchy angle wrap
 //! ([`torsion_bin`](crate::library::torsion_bin)), three integer bin
 //! computations and one table load — gather-dominated, with the only
 //! floating-point reduction being the sequential `total +=` whose

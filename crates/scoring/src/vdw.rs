@@ -89,9 +89,6 @@ pub struct VdwScore {
     /// Neighbour-query cutoff (Å); must exceed the largest possible radius
     /// sum so no overlapping pair is missed.
     cutoff: f64,
-    /// Whether the contact passes stage their d² computations through the
-    /// wide (SIMD) distance kernel.
-    wide: bool,
 }
 
 impl Default for VdwScore {
@@ -109,25 +106,7 @@ impl VdwScore {
             radii,
             weights,
             cutoff: 7.0,
-            wide: false,
         }
-    }
-
-    /// Enable explicit wide-`f64` lanes in the contact distance passes: the
-    /// per-candidate d² values are computed four lanes at a time into a
-    /// staging buffer, then consumed by the unchanged scalar-order
-    /// accumulation loop — early-outs, Cα-table stores and summation order
-    /// are preserved exactly, so scores are bit-identical to the scalar
-    /// path.  Without the `simd` cargo feature this is a no-op.
-    #[must_use]
-    pub fn with_wide_lanes(mut self, wide: bool) -> Self {
-        self.wide = wide;
-        self
-    }
-
-    /// Whether the contact passes use the wide distance kernel.
-    pub fn wide_lanes(&self) -> bool {
-        self.wide
     }
 
     /// The radii in use.
@@ -365,11 +344,7 @@ impl VdwScore {
     /// With `burial_radius = Some(r)`, each residue's environment contact
     /// count within `r` of its Cα is derived from the same window into
     /// `scratch.burial_counts` — the burial objective still costs one
-    /// extra distance filter, not a second gather.  When wide lanes are
-    /// enabled, the per-candidate d² staging and the burial count go
-    /// through the wide kernels ([`stage_wide_d2_gather`],
-    /// [`EnvCandidates::count_within_wide`]); per-lane IEEE arithmetic and
-    /// integer counts keep both bit-identical to the scalar path.
+    /// extra distance filter, not a second gather.
     fn against_environment_windows(
         &self,
         s: &mut ScoreScratch,
@@ -387,14 +362,6 @@ impl VdwScore {
         if s.env_idx.capacity() < env.len() {
             s.env_idx.clear();
             s.env_idx.reserve(env.len());
-        }
-        // The wide d² staging buffer mirrors env_idx one-to-one; reserve it
-        // to the same bound up front so an unusually large window appearing
-        // after warm-up can never force a steady-state regrowth (the
-        // zero-alloc invariant).
-        if s.wide_d2.capacity() < env.len() {
-            s.wide_d2.clear();
-            s.wide_d2.reserve(env.len());
         }
         let softness = self.radii.softness;
         let max_reach = env.max_radius();
@@ -428,34 +395,11 @@ impl VdwScore {
             env.gather_within(ca, window + WINDOW_SLACK, &mut s.env_idx);
             s.env_idx.sort_unstable();
             if let Some(r) = burial_radius {
-                #[cfg(feature = "simd")]
-                let count = if self.wide {
-                    env.count_within_wide(ca, r, &s.env_idx)
-                } else {
-                    env.count_within(ca, r, &s.env_idx)
-                };
-                #[cfg(not(feature = "simd"))]
-                let count = env.count_within(ca, r, &s.env_idx);
-                s.burial_counts[res as usize] = count;
+                s.burial_counts[res as usize] = env.count_within(ca, r, &s.env_idx);
             }
             for a in start..end {
                 let (xa, ya, za) = (s.site_x[a], s.site_y[a], s.site_z[a]);
                 let (ra, a_centroid) = (s.site_r[a], s.site_centroid[a]);
-                #[cfg(feature = "simd")]
-                if self.wide {
-                    stage_wide_d2_gather(&s.env_idx, ex, ey, ez, (xa, ya, za), &mut s.wide_d2);
-                    for (g, &b) in s.env_idx.iter().enumerate() {
-                        let b = b as usize;
-                        let d2 = s.wide_d2[g];
-                        let sigma = (ra + er[b]) * softness;
-                        if d2 >= sigma * sigma || sigma <= 0.0 {
-                            continue;
-                        }
-                        total += self.contact_weight(a_centroid, ec[b])
-                            * self.overlap_penalty(d2.sqrt(), ra + er[b]);
-                    }
-                    continue;
-                }
                 for &b in &s.env_idx {
                     let b = b as usize;
                     let dx = xa - ex[b];
@@ -473,105 +417,6 @@ impl VdwScore {
             start = end;
         }
         total
-    }
-
-    /// Wide variant of [`VdwScore::intra_loop`]: the d² of every candidate
-    /// pair of a row is staged four lanes at a time
-    /// ([`stage_wide_d2_row`]), then the unchanged scalar accumulation loop
-    /// (adjacency skip, Cα-table store, σ early-out, penalty sum) reads
-    /// from the buffer.  Per pair the staged d² is computed by the same
-    /// IEEE operations in the same association as the scalar expression,
-    /// and the accumulation order is untouched — bit-identical.
-    #[cfg(feature = "simd")]
-    fn intra_loop_wide(&self, s: &mut ScoreScratch, n_residues: usize) -> f64 {
-        s.ca_d2.clear();
-        s.ca_d2.resize(n_residues * n_residues, f64::INFINITY);
-        s.ca_d2_staged = true;
-        let n = s.site_x.len();
-        let mut total = 0.0;
-        for a in 0..n {
-            let (xa, ya, za) = (s.site_x[a], s.site_y[a], s.site_z[a]);
-            let (ra, ia, ca) = (s.site_r[a], s.site_res[a], s.site_centroid[a]);
-            let a_is_ca = s.site_is_ca[a];
-            stage_wide_d2_row(
-                &s.site_x[a + 1..],
-                &s.site_y[a + 1..],
-                &s.site_z[a + 1..],
-                (xa, ya, za),
-                &mut s.wide_d2,
-            );
-            for b in (a + 1)..n {
-                // Residues closer than 2 apart in sequence are covalently
-                // coupled; their short contacts are not clashes.
-                if s.site_res[b].abs_diff(ia) < 2 {
-                    continue;
-                }
-                let d2 = s.wide_d2[b - a - 1];
-                if a_is_ca && s.site_is_ca[b] {
-                    s.ca_d2[ia as usize * n_residues + s.site_res[b] as usize] = d2;
-                }
-                let sigma = (ra + s.site_r[b]) * self.radii.softness;
-                if d2 >= sigma * sigma || sigma <= 0.0 {
-                    continue;
-                }
-                total += self.contact_weight(ca, s.site_centroid[b])
-                    * self.overlap_penalty(d2.sqrt(), ra + s.site_r[b]);
-            }
-        }
-        total
-    }
-
-    /// Wide variant of [`VdwScore::against_environment_cells`]: the sorted
-    /// gather's d² values are staged four lanes at a time
-    /// ([`stage_wide_d2_gather`]), then consumed in the scalar loop's exact
-    /// order — bit-identical.
-    #[cfg(feature = "simd")]
-    fn against_environment_cells_wide(&self, s: &mut ScoreScratch, env: &EnvCandidates) -> f64 {
-        if env.is_empty() {
-            return 0.0;
-        }
-        if s.env_idx.capacity() < env.len() {
-            s.env_idx.clear();
-            s.env_idx.reserve(env.len());
-        }
-        let softness = self.radii.softness;
-        let max_reach = env.max_radius();
-        let mut total = 0.0;
-        for a in 0..s.site_x.len() {
-            let (xa, ya, za) = (s.site_x[a], s.site_y[a], s.site_z[a]);
-            let (ra, ca) = (s.site_r[a], s.site_centroid[a]);
-            s.env_idx.clear();
-            env.gather_within(
-                Vec3::new(xa, ya, za),
-                (ra + max_reach) * softness,
-                &mut s.env_idx,
-            );
-            s.env_idx.sort_unstable();
-            let (ex, ey, ez) = (env.xs(), env.ys(), env.zs());
-            let (er, ec) = (env.radii(), env.centroid_flags());
-            stage_wide_d2_gather(&s.env_idx, ex, ey, ez, (xa, ya, za), &mut s.wide_d2);
-            for (g, &b) in s.env_idx.iter().enumerate() {
-                let b = b as usize;
-                let d2 = s.wide_d2[g];
-                let sigma = (ra + er[b]) * softness;
-                if d2 >= sigma * sigma || sigma <= 0.0 {
-                    continue;
-                }
-                total +=
-                    self.contact_weight(ca, ec[b]) * self.overlap_penalty(d2.sqrt(), ra + er[b]);
-            }
-        }
-        total
-    }
-
-    /// Dispatch between the scalar and wide intra-loop passes.
-    #[inline]
-    fn intra_loop_dispatch(&self, s: &mut ScoreScratch, n_residues: usize) -> f64 {
-        #[cfg(feature = "simd")]
-        if self.wide {
-            return self.intra_loop_wide(s, n_residues);
-        }
-        self.intra_loop(s, n_residues)
     }
 
     /// The loop-to-environment term of [`VdwScore::score_target_with`] in
@@ -600,7 +445,6 @@ impl VdwScore {
     /// of one per residue.  Kept as the comparison path for the window
     /// pass — the CCD benchmark tracks the window speedup against this,
     /// and the equivalence tests pin both to the linear reference.
-    /// Honours [`VdwScore::with_wide_lanes`] like the production path.
     pub fn environment_term_per_site(
         &self,
         target: &LoopTarget,
@@ -608,10 +452,6 @@ impl VdwScore {
         scratch: &mut ScoreScratch,
     ) -> f64 {
         self.fill_sites(target, structure, scratch);
-        #[cfg(feature = "simd")]
-        if self.wide {
-            return self.against_environment_cells_wide(scratch, target.env_candidates());
-        }
         self.against_environment_cells(scratch, target.env_candidates())
     }
 
@@ -644,7 +484,7 @@ impl VdwScore {
             lms_protein::ENV_CONTACT_MARGIN
         );
         self.fill_sites(target, structure, scratch);
-        let intra = self.intra_loop_dispatch(scratch, structure.n_residues());
+        let intra = self.intra_loop(scratch, structure.n_residues());
         let inter = self.against_environment_windows(
             scratch,
             target.env_candidates(),
@@ -676,7 +516,7 @@ impl VdwScore {
             lms_protein::ENV_CONTACT_MARGIN
         );
         self.fill_sites(target, structure, scratch);
-        let intra = self.intra_loop_dispatch(scratch, structure.n_residues());
+        let intra = self.intra_loop(scratch, structure.n_residues());
         let inter = self.against_environment_windows(
             scratch,
             target.env_candidates(),
@@ -700,91 +540,6 @@ impl VdwScore {
 /// extra candidates are removed by the exact d²/σ² filter and the exact
 /// burial distance filter, so the scores stay bit-identical.
 const WINDOW_SLACK: f64 = 1e-9;
-
-/// Stage the squared distances from one probe point to a contiguous run of
-/// SoA sites, four lanes at a time with a scalar tail, into `out`
-/// (`out[i]` = d² to `xs[i]`).  Each lane performs the scalar expression
-/// `dx*dx + dy*dy + dz*dz` with the same IEEE operations and association,
-/// so every staged value is bit-identical to the scalar loop's.
-#[cfg(feature = "simd")]
-#[inline]
-fn stage_wide_d2_row(
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    (xa, ya, za): (f64, f64, f64),
-    out: &mut Vec<f64>,
-) {
-    use wide::f64x4;
-    const W: usize = f64x4::LANES;
-    let n = xs.len();
-    out.clear();
-    if out.capacity() < n {
-        out.reserve(n);
-    }
-    let (sx, sy, sz) = (f64x4::splat(xa), f64x4::splat(ya), f64x4::splat(za));
-    let chunks = n / W;
-    for c in 0..chunks {
-        let base = c * W;
-        let dx = sx - f64x4::from_slice(&xs[base..]);
-        let dy = sy - f64x4::from_slice(&ys[base..]);
-        let dz = sz - f64x4::from_slice(&zs[base..]);
-        let d2 = dx * dx + dy * dy + dz * dz;
-        out.extend_from_slice(&d2.to_array());
-    }
-    for b in chunks * W..n {
-        let dx = xa - xs[b];
-        let dy = ya - ys[b];
-        let dz = za - zs[b];
-        out.push(dx * dx + dy * dy + dz * dz);
-    }
-}
-
-/// [`stage_wide_d2_row`] over a gathered index list: `out[g]` = d² from the
-/// probe to candidate `idx[g]`.  The scattered loads are transposed into
-/// wide registers; the arithmetic per lane is identical to the scalar
-/// expression.
-#[cfg(feature = "simd")]
-#[inline]
-fn stage_wide_d2_gather(
-    idx: &[u32],
-    ex: &[f64],
-    ey: &[f64],
-    ez: &[f64],
-    (xa, ya, za): (f64, f64, f64),
-    out: &mut Vec<f64>,
-) {
-    use wide::f64x4;
-    const W: usize = f64x4::LANES;
-    let n = idx.len();
-    out.clear();
-    if out.capacity() < n {
-        out.reserve(n);
-    }
-    let (sx, sy, sz) = (f64x4::splat(xa), f64x4::splat(ya), f64x4::splat(za));
-    let chunks = n / W;
-    for c in 0..chunks {
-        let base = c * W;
-        let i = [
-            idx[base] as usize,
-            idx[base + 1] as usize,
-            idx[base + 2] as usize,
-            idx[base + 3] as usize,
-        ];
-        let dx = sx - f64x4::from_array([ex[i[0]], ex[i[1]], ex[i[2]], ex[i[3]]]);
-        let dy = sy - f64x4::from_array([ey[i[0]], ey[i[1]], ey[i[2]], ey[i[3]]]);
-        let dz = sz - f64x4::from_array([ez[i[0]], ez[i[1]], ez[i[2]], ez[i[3]]]);
-        let d2 = dx * dx + dy * dy + dz * dz;
-        out.extend_from_slice(&d2.to_array());
-    }
-    for &i in &idx[chunks * W..n] {
-        let b = i as usize;
-        let dx = xa - ex[b];
-        let dy = ya - ey[b];
-        let dz = za - ez[b];
-        out.push(dx * dx + dy * dy + dz * dz);
-    }
-}
 
 impl ScoringFunction for VdwScore {
     fn name(&self) -> &'static str {
@@ -960,49 +715,6 @@ mod tests {
                     env.count_within_linear(res.ca, crate::burial::BURIAL_RADIUS),
                     "{name} residue {i}"
                 );
-            }
-        }
-    }
-
-    #[cfg(feature = "simd")]
-    #[test]
-    fn wide_passes_are_bit_identical_to_scalar() {
-        // Cover intra-loop, plain environment cells, and the shared
-        // VDW+BURIAL pass (counts included) on clashing and native
-        // conformations of surface and buried targets.
-        let lib = BenchmarkLibrary::standard();
-        let builder = LoopBuilder::default();
-        for name in ["1cex", "1xyz", "5pti"] {
-            let target = lib.target_by_name(name).unwrap();
-            for torsions in [
-                target.native_torsions.clone(),
-                Torsions::zeros(target.n_residues()),
-            ] {
-                let structure = target.build(&builder, &torsions);
-                let scalar = VdwScore::default();
-                let wide = VdwScore::default().with_wide_lanes(true);
-                assert!(wide.wide_lanes());
-                let mut ss = ScoreScratch::new();
-                let mut sw = ScoreScratch::new();
-
-                let a = scalar.score_target_with(&target, &structure, &mut ss);
-                let b = wide.score_target_with(&target, &structure, &mut sw);
-                assert_eq!(a.to_bits(), b.to_bits(), "{name}: score_target_with");
-
-                let a = scalar.environment_term(&target, &structure, &mut ss);
-                let b = wide.environment_term(&target, &structure, &mut sw);
-                assert_eq!(a.to_bits(), b.to_bits(), "{name}: environment_term");
-
-                let a = scalar.environment_term_per_site(&target, &structure, &mut ss);
-                let b = wide.environment_term_per_site(&target, &structure, &mut sw);
-                assert_eq!(a.to_bits(), b.to_bits(), "{name}: per-site term");
-
-                let r = crate::burial::BURIAL_RADIUS;
-                let a = scalar.score_target_with_burial(&target, &structure, &mut ss, r);
-                let b = wide.score_target_with_burial(&target, &structure, &mut sw, r);
-                assert_eq!(a.to_bits(), b.to_bits(), "{name}: burial pass score");
-                assert_eq!(ss.burial_counts(), sw.burial_counts(), "{name}: counts");
-                assert_eq!(ss.ca_d2, sw.ca_d2, "{name}: shared ca_d2 table");
             }
         }
     }

@@ -68,13 +68,6 @@ pub struct ScoreScratch {
     /// table staged for a different structure — fails loudly instead of
     /// silently mis-skipping pairs.
     pub(crate) ca_d2_staged: bool,
-    /// Squared-distance staging buffer of the wide (SIMD) VDW passes: one
-    /// d² per candidate of the current site, computed four lanes at a time,
-    /// then consumed by the unchanged scalar-order accumulation loop.
-    /// Capacity floors at the row length (intra-loop) / candidate count
-    /// (environment), so steady-state wide passes never allocate.  Unused
-    /// (and never grown) on the scalar path.
-    pub(crate) wide_d2: Vec<f64>,
 }
 
 impl ScoreScratch {
@@ -102,7 +95,6 @@ impl ScoreScratch {
             burial_counts: Vec::with_capacity(n_residues),
             ca_d2: Vec::with_capacity(n_residues * n_residues),
             ca_d2_staged: false,
-            wide_d2: Vec::with_capacity(5 * n_residues),
         }
     }
 
@@ -129,7 +121,6 @@ impl ScoreScratch {
         self.burial_counts.clear();
         self.ca_d2.clear();
         self.ca_d2_staged = false;
-        self.wide_d2.clear();
     }
 }
 

@@ -18,8 +18,8 @@
 //!   population (rayon), playing the role of the GPU in the heterogeneous
 //!   CPU–GPU platform.
 //! * [`Backend::Simd`] — the parallel dispatch plus explicit wide-`f64`
-//!   lanes inside the dominant kernels (lockstep CCD rotation batches, SoA
-//!   contact gathers); requires the `simd` cargo feature, which vendors a
+//!   lanes inside the lockstep CCD rotation batches and the Metropolis
+//!   dominance reduction; requires the `simd` cargo feature, which vendors a
 //!   portable 4-lane `f64` shim.
 //!
 //! Executors are built through the validated [`ExecutorConfig`] builder:

@@ -96,11 +96,13 @@
 //! builder and slot in behind the same kernel-launch entry point: `scalar`
 //! (sequential baseline), `parallel` (rayon thread pool), and — with the
 //! `simd` cargo feature — `simd`, which runs explicit wide-`f64` lanes
-//! through the batched CCD optimal-rotation kernel inside `close_batch`,
-//! the VDW/BURIAL contact gathers and the Metropolis dominance reduction
-//! (the `simd` and `blocks` ratios in `BENCH_ccd.json`).  CCD's per-rotation
-//! update is a scalar O(1) rigid-body motion on every backend, so the
-//! closure-level wide-vs-scalar ratio is modest by design.
+//! through the batched CCD optimal-rotation kernel inside `close_batch`
+//! and the Metropolis dominance reduction (the `simd` and `blocks` ratios
+//! in `BENCH_ccd.json`).  Scoring is scalar on every backend: wide VDW and
+//! BURIAL distance passes measured slower than the scalar loops inside the
+//! pipeline.  CCD's per-rotation update is a scalar O(1) rigid-body motion
+//! on every backend, so the closure-level wide-vs-scalar ratio is modest by
+//! design.
 //!
 //! The wide lanes compile down through an **arch-gated instruction-set
 //! dispatch** in the vendored `wide` shim, selected in this order: AVX2
