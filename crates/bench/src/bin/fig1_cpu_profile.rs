@@ -1,10 +1,8 @@
 //! Harness binary regenerating the paper's fig1 cpu profile experiment.
 //!
-//! Besides the component shares, the report breaks the measured host time
-//! down by staged kernel launch — the evolution loop now runs as one
-//! population-wide launch per stage (`mutate`/`close`/`rebuild`/`score`/
-//! `metropolis`/`select`) over the SoA member arena, so per-stage times are
-//! measured rather than apportioned from a monolithic evolve pass.
+//! Besides the component shares, the report lists the trajectory's measured
+//! stage record: launch count and summed launch wall time of every stage
+//! (`mutate`/`close`/`rebuild`/`score`/`metropolis`/`select`/`health`).
 //!
 //! Usage: `cargo run --release -p lms-bench --bin fig1_cpu_profile [--scale quick|standard|paper]`
 

@@ -1,10 +1,8 @@
 //! Harness binary regenerating the paper's table2 kernel profile experiment.
 //!
-//! The rows report the staged population-batched pipeline's per-stage
-//! kernel launches (one launch per stage per iteration over the SoA member
-//! arena) with measured host time per kernel, replacing the pre-batching
-//! report that apportioned one monolithic per-member evolve pass by modeled
-//! work.
+//! The modeled GPU columns are derived after the run from the trajectory's
+//! measured stage record (`lms_bench::profiler`); the host column is each
+//! stage's summed launch wall time.
 //!
 //! Usage: `cargo run --release -p lms-bench --bin table2_kernel_profile [--scale quick|standard|paper]`
 

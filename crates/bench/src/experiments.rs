@@ -16,25 +16,25 @@
 //! | [`fig5_front_evolution`] | Figure 5 — evolution of the Pareto front on 5pti |
 //! | [`fig6_best_decoys`] | Figure 6 — best decoys for 3pte and 1xyz |
 
+use crate::profiler::{table3_report, DeviceProfile};
 use crate::{load_target, sampler_for, scaled_config, shared_kb, Scale};
-use lms_core::MoscemSampler;
+use lms_core::{MoscemSampler, TrajectoryResult};
 use lms_decoys::{ensemble_stats, format_percent, format_us, section, TextTable};
 use lms_protein::{to_pdb, LoopBuilder};
 use lms_scoring::{normalize_population, ScoreVector};
-use lms_simt::ExecutorConfig;
+use lms_simt::{ExecutorConfig, LaunchConfig};
 
 /// Figure 1: wall-clock time share of the algorithm components in the
 /// CPU-only implementation (paper: CCD + scoring ≈ 99 %, CCD alone ≈ 84 %).
 ///
-/// The profile now reflects the staged population-batched pipeline: the run
-/// executes one kernel launch per stage per iteration over the SoA arena,
-/// and a second table breaks the measured host time down by staged launch
-/// (the pre-batching implementation could only time the monolithic evolve
-/// pass and apportion it by modeled work).
+/// The shares are a view over the trajectory's measured stage record (each
+/// stage's summed launch wall time), and a second table lists the record's
+/// rows.
 pub fn fig1_cpu_profile(scale: Scale) -> String {
     let sampler = sampler_for("1cex", scale, 101);
     let result = sampler.run(&ExecutorConfig::scalar().build().unwrap());
-    let f = result.component_times.fractions();
+    let components = result.stages.components();
+    let f = components.fractions();
 
     let mut out = section("Figure 1: time profile of the CPU-only implementation (1cex 40:51)");
     let mut table = TextTable::new(vec!["Component", "Share of run time", "Paper"]);
@@ -58,29 +58,28 @@ pub fn fig1_cpu_profile(scale: Scale) -> String {
         "\npopulation {}, {} iterations, total component time {}\n",
         sampler.config().population_size,
         sampler.config().iterations,
-        format_us(result.component_times.total_us())
+        format_us(components.total_us())
     ));
 
-    // Per-stage measured host time of the staged kernel launches.
-    let stats = result.profiler.kernel_stats();
-    let host_total: f64 = stats.values().map(|s| s.host_us).sum::<f64>().max(1e-12);
+    // Per-stage measured launch wall time.
+    let host_total = result.stages.total_wall().as_secs_f64().max(1e-12);
     let mut staged = TextTable::new(vec![
         "Staged kernel launch",
         "Launches",
         "Host (usec)",
         "Host share",
     ]);
-    let mut rows: Vec<_> = stats.iter().collect();
-    rows.sort_by(|a, b| b.1.host_us.partial_cmp(&a.1.host_us).unwrap());
-    for (kind, s) in rows {
+    let mut rows: Vec<_> = result.stages.rows().collect();
+    rows.sort_by_key(|(_, row)| std::cmp::Reverse(row.wall));
+    for (kind, row) in rows {
         staged.add_row(vec![
             kind.name().to_string(),
-            s.calls.to_string(),
-            format!("{:.0}", s.host_us),
-            format_percent(s.host_us / host_total),
+            row.calls.to_string(),
+            format!("{:.0}", row.wall.as_secs_f64() * 1e6),
+            format_percent(row.wall.as_secs_f64() / host_total),
         ]);
     }
-    out.push_str("\nMeasured host time per staged kernel launch (population-batched pipeline):\n");
+    out.push_str("\nMeasured launch wall time per stage (population-batched pipeline):\n");
     out.push_str(&staged.render());
     out
 }
@@ -179,14 +178,15 @@ pub fn fig4_speedup_scaling(scale: Scale) -> String {
         let sampler = MoscemSampler::new(target.clone(), kb.clone(), cfg.clone());
         let scalar = sampler.run(&ExecutorConfig::scalar().build().unwrap());
         let parallel = sampler.run(&ExecutorConfig::parallel().build().unwrap());
-        modeled_cpu_series.push(scalar.modeled_cpu_us);
-        modeled_gpu_series.push(scalar.modeled_gpu_us);
+        let modeled = DeviceProfile::derive(&scalar, &target, &cfg, pop);
+        modeled_cpu_series.push(modeled.cpu_us());
+        modeled_gpu_series.push(modeled.gpu_us());
         table.add_row(vec![
             pop.to_string(),
-            (pop / cfg.threads_per_block).max(1).to_string(),
-            format_us(scalar.modeled_cpu_us),
-            format_us(scalar.modeled_gpu_us),
-            format!("{:.1}x", scalar.modeled_speedup()),
+            modeled.launch.blocks.to_string(),
+            format_us(modeled.cpu_us()),
+            format_us(modeled.gpu_us()),
+            format!("{:.1}x", modeled.speedup()),
             format!("{:.2?}", scalar.host_wall),
             format!("{:.2?}", parallel.host_wall),
         ]);
@@ -202,28 +202,17 @@ pub fn fig4_speedup_scaling(scale: Scale) -> String {
     out
 }
 
-/// Modeled speedup of a finished trajectory re-launched at the paper's
-/// operating point (15,360 threads, 128 per block): the per-thread work of
-/// every recorded kernel is kept, only the launch geometry changes.  This is
-/// what lets the quick-scale harness still report the paper's full-population
-/// speedup honestly.
-pub fn extrapolate_speedup_to_paper_population(result: &lms_core::TrajectoryResult) -> f64 {
-    use lms_simt::{LaunchConfig, TimingModel};
-    let model = TimingModel::default();
-    let population = 15_360usize;
-    let launch = LaunchConfig::for_population(population);
-    let mut gpu_us = 0.0;
-    let mut cpu_us = 0.0;
-    for (kind, stats) in result.profiler.kernel_stats() {
-        if stats.calls == 0 {
-            continue;
-        }
-        // Average per-thread work of one launch of this kernel.
-        let per_thread = stats.work_units / (stats.calls as f64 * result.population.len() as f64);
-        gpu_us += stats.calls as f64 * model.kernel_time_us(kind, launch, per_thread);
-        cpu_us += stats.calls as f64 * model.cpu_time_us(kind, population, per_thread);
-    }
-    cpu_us / gpu_us.max(1e-12)
+/// Modeled kernel speedup of a finished trajectory re-launched at the
+/// paper's operating point (15,360 threads, 128 per block): the per-thread
+/// work of every kernel is kept, only the launch geometry changes.  This is
+/// what lets the quick-scale harness still report the paper's
+/// full-population speedup honestly.
+pub fn extrapolate_speedup_to_paper_population(
+    result: &TrajectoryResult,
+    sampler: &MoscemSampler,
+) -> f64 {
+    let paper = DeviceProfile::derive(result, sampler.target(), sampler.config(), 15_360);
+    paper.cpu_us() / paper.kernel_gpu_us().max(1e-12)
 }
 
 /// Table I: speedup on the six 12-residue loops at the paper's operating
@@ -254,14 +243,23 @@ pub fn table1_speedup(scale: Scale) -> String {
     for (i, (name, start, end)) in loops.iter().enumerate() {
         let sampler = sampler_for(name, scale, 500 + i as u64);
         let result = sampler.run(&ExecutorConfig::parallel().build().unwrap());
+        let modeled = DeviceProfile::derive(
+            &result,
+            sampler.target(),
+            sampler.config(),
+            sampler.config().population_size,
+        );
         table.add_row(vec![
             name.to_string(),
             start.to_string(),
             end.to_string(),
-            format_us(result.modeled_cpu_us),
-            format_us(result.modeled_gpu_us),
-            format!("{:.1}", result.modeled_speedup()),
-            format!("{:.1}", extrapolate_speedup_to_paper_population(&result)),
+            format_us(modeled.cpu_us()),
+            format_us(modeled.gpu_us()),
+            format!("{:.1}", modeled.speedup()),
+            format!(
+                "{:.1}",
+                extrapolate_speedup_to_paper_population(&result, &sampler)
+            ),
             format!("{:.1}", paper_speedup[i]),
         ]);
     }
@@ -276,37 +274,35 @@ pub fn table1_speedup(scale: Scale) -> String {
 
 /// Table II: per-kernel device time breakdown on 1cex(40:51).
 ///
-/// Every row is a real staged launch of the population-batched pipeline
+/// Every kernel row is a staged launch of the population-batched pipeline
 /// (`mutate`/`close`/`rebuild`/per-objective `score`/`metropolis`/`select`
-/// per iteration), so the host column is that kernel's own measured time —
-/// not, as before the batching refactor, a modeled-work share of one
-/// monolithic per-member evolve pass.
+/// per iteration): the GPU columns are derived from the trajectory's stage
+/// record after the run, and the host column is the stage's measured launch
+/// wall time.
 pub fn table2_kernel_profile(scale: Scale) -> String {
     let sampler = sampler_for("1cex", scale, 202);
-    let result = sampler.run(&ExecutorConfig::parallel().build().unwrap());
+    let executor = ExecutorConfig::parallel().build().unwrap();
+    let result = sampler.run(&executor);
+    let modeled = DeviceProfile::derive(
+        &result,
+        sampler.target(),
+        sampler.config(),
+        sampler.config().population_size,
+    );
     let mut out = section("Table II: computational time of GPU tasks on 1cex(40:51)");
-    out.push_str(&result.profiler.table2_report());
+    out.push_str(&modeled.table2_report(executor.capabilities()));
     out.push_str(
-        "\nEach kernel row is one staged population-wide launch per iteration; the host\ncolumn is measured per launch (the [Rebuild]/[Select] rows are pipeline stages\nthe paper folds into other tasks).\nPaper shape: [CCD] ~75%, [EvalDIST] ~14%, [EvalVDW] ~8%, [EvalTRIP] ~0.04%,\nfitness kernels ~1%, memory synchronisation below 1%.\n",
+        "\nEach kernel row is one staged population-wide launch per iteration; the host\ncolumn is the stage's summed launch wall time (the [Rebuild]/[Select] rows are\npipeline stages the paper folds into other tasks).\nPaper shape: [CCD] ~75%, [EvalDIST] ~14%, [EvalVDW] ~8%, [EvalTRIP] ~0.04%,\nfitness kernels ~1%, memory synchronisation below 1%.\n",
     );
     out
 }
 
 /// Table III: registers per thread and multiprocessor occupancy per kernel.
 pub fn table3_occupancy(scale: Scale) -> String {
-    // A very small trajectory is enough: occupancy depends only on the
-    // kernel register footprints and the block size.
-    let cfg = scaled_config(Scale::Quick, 1)
-        .to_builder()
-        .population_size(128.min(scale.population()))
-        .n_complexes(1)
-        .iterations(1)
-        .build()
-        .expect("valid experiment config");
-    let sampler = MoscemSampler::new(load_target("1cex"), shared_kb(), cfg);
-    let result = sampler.run(&ExecutorConfig::parallel().build().unwrap());
     let mut out = section("Table III: registers per thread and occupancy per multiprocessor");
-    out.push_str(&result.profiler.table3_report());
+    out.push_str(&table3_report(LaunchConfig::for_population(
+        scale.population(),
+    )));
     out.push_str("\nPaper: CCD/EvalDIST/EvalVDW 32 registers -> 50%, EvalTRIP 20 -> 75%, fitness kernels -> 100%.\n");
     out
 }

@@ -19,6 +19,7 @@ use lms_scoring::{KnowledgeBase, KnowledgeBaseConfig};
 use std::sync::{Arc, OnceLock};
 
 pub mod experiments;
+pub mod profiler;
 pub mod regression;
 
 /// How far an experiment run is scaled toward the paper's operating point.

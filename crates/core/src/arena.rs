@@ -77,10 +77,6 @@ pub struct PopulationArena {
     pub(crate) accepted_moves: Vec<usize>,
     pub(crate) ccd_start: Vec<usize>,
     pub(crate) rngs: Vec<ChaCha8Rng>,
-    pub(crate) ccd_rotations: Vec<f64>,
-    // --- per-stage measurement buffers ----------------------------------
-    pub(crate) stage_us: Vec<f64>,
-    pub(crate) block_ccd_us: Vec<f64>,
     // --- reusable host-side iteration buffers ---------------------------
     pub(crate) order: Vec<usize>,
     pub(crate) complex_of: Vec<usize>,
@@ -158,9 +154,6 @@ impl PopulationArena {
             accepted_moves: vec![0; n_members],
             ccd_start: vec![0; n_members],
             rngs: vec![placeholder; n_members],
-            ccd_rotations: vec![0.0; n_members],
-            stage_us: vec![0.0; n_members],
-            block_ccd_us: vec![0.0; n_blocks],
             order: Vec::with_capacity(n_members),
             complex_of: vec![0; n_members],
             complex_scores: vec![ScoreVector::default(); n_members],
@@ -258,7 +251,6 @@ mod tests {
         assert_eq!(arena.n_blocks(), 4);
         assert_eq!(arena.block_range(0), 0..6);
         assert_eq!(arena.block_range(3), 18..20);
-        assert_eq!(arena.block_ccd_us.len(), 4);
         assert_eq!(arena.ccd_blocks.len(), 4);
     }
 

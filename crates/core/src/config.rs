@@ -134,8 +134,6 @@ pub struct SamplerConfig {
     pub n_complexes: usize,
     /// Number of MCMC iterations.
     pub iterations: usize,
-    /// Threads per block for the device model (the paper uses 128).
-    pub threads_per_block: usize,
     /// Master random seed; every conformation derives its own stream.
     pub seed: u64,
     /// Initial Metropolis temperature on the fitness landscape.
@@ -193,7 +191,6 @@ impl Default for SamplerConfig {
             population_size: 256,
             n_complexes: 2,
             iterations: 30,
-            threads_per_block: 128,
             seed: 2010,
             initial_temperature: 0.25,
             min_temperature: 1e-3,
@@ -299,9 +296,6 @@ impl SamplerConfig {
                 population_size: self.population_size,
             });
         }
-        if self.threads_per_block == 0 {
-            return Err(ConfigError::ZeroThreadsPerBlock);
-        }
         if self.initial_temperature <= 0.0 || self.initial_temperature.is_nan() {
             return Err(ConfigError::NonPositiveTemperature {
                 value: self.initial_temperature,
@@ -403,12 +397,6 @@ impl SamplerConfigBuilder {
     /// Number of MCMC iterations.
     pub fn iterations(mut self, n: usize) -> Self {
         self.cfg.iterations = n;
-        self
-    }
-
-    /// Threads per block for the device model.
-    pub fn threads_per_block(mut self, n: usize) -> Self {
-        self.cfg.threads_per_block = n;
         self
     }
 
@@ -547,7 +535,6 @@ mod tests {
         assert_eq!(c.population_size, 15_360);
         assert_eq!(c.n_complexes, 120);
         assert_eq!(c.iterations, 100);
-        assert_eq!(c.threads_per_block, 128);
         assert_eq!(c.complex_size(), 128);
         assert!(c.validate().is_ok());
     }

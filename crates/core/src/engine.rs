@@ -32,7 +32,7 @@ use crate::error::{ConfigError, Error};
 use crate::sampler::{MoscemSampler, RunControls, TrajectoryResult};
 use lms_protein::LoopTarget;
 use lms_scoring::{KnowledgeBase, ScratchPool};
-use lms_simt::{Capabilities, Executor, ExecutorConfig, TimingModel};
+use lms_simt::{Capabilities, Executor, ExecutorConfig};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -345,13 +345,12 @@ impl Ticket {
     }
 }
 
-/// What every job shares: the knowledge base, the executor, the timing
-/// model, and the warm scratch pool.
+/// What every job shares: the knowledge base, the executor and the warm
+/// scratch pool.
 #[derive(Debug)]
 struct EngineInner {
     kb: Arc<KnowledgeBase>,
     executor: Executor,
-    timing: TimingModel,
     scratch: ScratchPool,
     concurrency: usize,
     retry: RetryPolicy,
@@ -364,7 +363,6 @@ struct EngineInner {
 pub struct EngineBuilder {
     kb: Arc<KnowledgeBase>,
     executor: ExecutorConfig,
-    timing: TimingModel,
     concurrency: usize,
     retry: RetryPolicy,
 }
@@ -395,12 +393,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Set the device timing model applied to every job's trajectory.
-    pub fn timing_model(mut self, timing: TimingModel) -> Self {
-        self.timing = timing;
-        self
-    }
-
     /// Set the maximum number of jobs running at once (default: one per
     /// available core).  Must be at least 1.
     pub fn concurrency(mut self, jobs: usize) -> Self {
@@ -428,7 +420,6 @@ impl EngineBuilder {
             inner: Arc::new(EngineInner {
                 kb: self.kb,
                 executor,
-                timing: self.timing,
                 scratch: ScratchPool::new(),
                 concurrency: self.concurrency,
                 retry: self.retry,
@@ -453,7 +444,6 @@ impl LoopModelingEngine {
         EngineBuilder {
             kb,
             executor: ExecutorConfig::parallel(),
-            timing: TimingModel::default(),
             concurrency: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
@@ -489,8 +479,7 @@ impl LoopModelingEngine {
     /// Run one job to completion on the calling thread, using the engine's
     /// full executor and shared scratch pool.
     pub fn run(&self, job: Job) -> Result<TrajectoryResult, Error> {
-        let sampler = MoscemSampler::try_new(job.target, Arc::clone(&self.inner.kb), job.config)?
-            .with_timing_model(self.inner.timing.clone());
+        let sampler = MoscemSampler::try_new(job.target, Arc::clone(&self.inner.kb), job.config)?;
         let controls = RunControls::new().scratch_pool(&self.inner.scratch);
         sampler.run_controlled(&self.inner.executor, job.seed, &controls)
     }
@@ -604,7 +593,6 @@ fn run_one(
         ) {
             Err(e) => Err(Error::Config(e)),
             Ok(sampler) => {
-                let sampler = sampler.with_timing_model(inner.timing.clone());
                 let report = |done: usize, _total: usize| {
                     ticket.iterations_done.store(done, Ordering::Relaxed);
                 };

@@ -32,8 +32,6 @@ pub enum ConfigError {
         /// Configured population size.
         population_size: usize,
     },
-    /// `threads_per_block` must be positive.
-    ZeroThreadsPerBlock,
     /// `initial_temperature` must be positive and not NaN.
     NonPositiveTemperature {
         /// The rejected temperature.
@@ -106,7 +104,6 @@ impl fmt::Display for ConfigError {
                 f,
                 "n_complexes ({n_complexes}) cannot exceed population_size ({population_size})"
             ),
-            ConfigError::ZeroThreadsPerBlock => write!(f, "threads_per_block must be positive"),
             ConfigError::NonPositiveTemperature { value } => {
                 write!(f, "initial_temperature must be positive (got {value})")
             }

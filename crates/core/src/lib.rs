@@ -16,8 +16,9 @@
 //! * [`mutation`] — the torsion mutation (reproduction) move set;
 //! * [`sampler`] — one MOSCEM sampling trajectory (initialisation, fitness
 //!   assignment, complex partitioning, evolution with CCD closure and
-//!   three-objective scoring, Metropolis acceptance, temperature control),
-//!   with full device-model instrumentation;
+//!   three-objective scoring, Metropolis acceptance, temperature control);
+//! * [`stages`] — the measured per-stage record every staged trajectory
+//!   returns (launch counts, launch wall time, CCD rotations);
 //! * [`decoyset`] — accumulation of structurally distinct non-dominated
 //!   decoys across trajectories (the paper's decoy-production protocol);
 //! * [`error`] — the typed [`ConfigError`]/[`Error`] hierarchy every
@@ -60,6 +61,7 @@ pub mod health;
 pub mod mutation;
 pub mod pareto;
 pub mod sampler;
+pub mod stages;
 
 pub use annealing::{TemperatureController, TemperatureSchedule};
 pub use arena::PopulationArena;
@@ -81,6 +83,6 @@ pub use pareto::{
     fitness_assignment, non_dominated_indices, strengths,
 };
 pub use sampler::{
-    ComponentTimes, DecoyProduction, IterationSnapshot, MoscemSampler, RunControls,
-    TrajectoryResult,
+    DecoyProduction, IterationSnapshot, MoscemSampler, RunControls, TrajectoryResult,
 };
+pub use stages::{ComponentTimes, StageRecord, StageRow};

@@ -14,9 +14,11 @@
 //!
 //! The per-conformation work is expressed as kernels over the population and
 //! executed by an [`Executor`] — sequentially (the CPU baseline) or
-//! data-parallel (the device role) — while every launch is also fed to the
-//! analytic device/host [`TimingModel`] so the experiment harness can report
-//! the paper's modeled GPU-vs-CPU timings alongside the measured host times.
+//! data-parallel (the device role).  The staged pipeline records only
+//! measurements: one [`StageRecord`] row update per stage invocation (launch
+//! count and launch wall time) plus the trajectory's CCD rotation count.
+//! The experiment harness derives the paper's modeled GPU-vs-CPU timings
+//! from that record after the run.
 
 use crate::arena::{MemberSlot, PopulationArena};
 use crate::config::{InitMode, NumericGuard, ObjectiveMode, SamplerConfig};
@@ -25,18 +27,16 @@ use crate::decoyset::DecoySet;
 use crate::error::{ConfigError, Error};
 use crate::mutation::Mutator;
 use crate::pareto::{fitness_against, non_dominated_indices};
+use crate::stages::StageRecord;
 use lms_closure::{CcdCloser, CcdLane};
 use lms_geometry::{random_torsion, StreamRngFactory};
 use lms_protein::{LoopBuilder, LoopStructure, LoopTarget, RamaClass, RamaLibrary, Torsions};
 use lms_scoring::{KnowledgeBase, MultiScorer, ScoreScratch, ScoreVector, ScratchPool};
-use lms_simt::{
-    Executor, KernelKind, LaunchConfig, Profiler, SharedLanes, TimingModel, TransferKind,
-    MAX_CCD_BLOCK_WIDTH,
-};
+use lms_simt::{Executor, KernelKind, KernelLaunch, SharedLanes, MAX_CCD_BLOCK_WIDTH};
 use rand::Rng;
 use std::fmt;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -98,39 +98,6 @@ impl<'a> RunControls<'a> {
     }
 }
 
-/// Host-measured time spent in each algorithm component, summed over all
-/// population members (the quantity behind the paper's Figure 1 pie chart).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ComponentTimes {
-    /// Time in CCD loop closure (µs).
-    pub ccd_us: f64,
-    /// Time in the three scoring-function evaluations (µs).
-    pub scoring_us: f64,
-    /// Time in fitness assignment (µs).
-    pub fitness_us: f64,
-    /// Everything else: initialization bookkeeping, sorting, partitioning,
-    /// assembling, temperature control (µs).
-    pub other_us: f64,
-}
-
-impl ComponentTimes {
-    /// Total accounted time (µs).
-    pub fn total_us(&self) -> f64 {
-        self.ccd_us + self.scoring_us + self.fitness_us + self.other_us
-    }
-
-    /// Fractions of the total in the order (CCD, scoring, fitness, other).
-    pub fn fractions(&self) -> [f64; 4] {
-        let t = self.total_us().max(1e-12);
-        [
-            self.ccd_us / t,
-            self.scoring_us / t,
-            self.fitness_us / t,
-            self.other_us / t,
-        ]
-    }
-}
-
 /// A snapshot of the population at a chosen iteration (Figure 5 data).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IterationSnapshot {
@@ -154,23 +121,15 @@ pub struct TrajectoryResult {
     pub population: Vec<Conformation>,
     /// Snapshots at the configured iterations.
     pub snapshots: Vec<IterationSnapshot>,
-    /// Host-measured component times (Figure 1).
-    pub component_times: ComponentTimes,
-    /// Modeled device time of the whole trajectory (µs) — the "CPU-GPU
-    /// implementation" column of Figure 4 / Table I.
-    pub modeled_gpu_us: f64,
-    /// Modeled single-core CPU time of the whole trajectory (µs) — the
-    /// "CPU implementation" column of Figure 4 / Table I.
-    pub modeled_cpu_us: f64,
+    /// Measured per-stage launch counts and wall times, plus the total CCD
+    /// rotation count (empty for the per-member reference).
+    pub stages: StageRecord,
     /// Measured wall-clock duration of the trajectory on the host.
     pub host_wall: Duration,
     /// Final Metropolis temperature.
     pub final_temperature: f64,
     /// Overall acceptance rate across all proposals.
     pub acceptance_rate: f64,
-    /// The device profiler with per-kernel and per-memcpy statistics
-    /// (Tables II and III).
-    pub profiler: Arc<Profiler>,
     /// Per-complex trace of the mean VDW score after every iteration; the
     /// complexes act as parallel chains for convergence diagnostics.
     pub complex_traces: Vec<Vec<f64>>,
@@ -189,11 +148,6 @@ impl TrajectoryResult {
             .iter()
             .map(|c| c.rmsd_to_native)
             .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Modeled GPU-over-CPU speedup for the trajectory.
-    pub fn modeled_speedup(&self) -> f64 {
-        self.modeled_cpu_us / self.modeled_gpu_us.max(1e-12)
     }
 
     /// Harvest this trajectory's distinct non-dominated conformations into a
@@ -223,51 +177,6 @@ pub struct DecoyProduction {
     pub trajectories: Vec<TrajectoryResult>,
 }
 
-/// Abstract work-unit model of one conformation's kernels on a given target,
-/// used to convert measured work into modeled device/CPU time.
-#[derive(Debug, Clone, Copy)]
-struct WorkModel {
-    /// Atom placements per CCD rotation (rebuild of the whole loop).
-    ccd_per_rotation: f64,
-    /// Scored atom pairs for DIST.
-    dist_work: f64,
-    /// Examined contacts for VDW.
-    vdw_work: f64,
-    /// Table lookups for TRIPLET.
-    trip_work: f64,
-}
-
-impl WorkModel {
-    fn for_target(target: &LoopTarget) -> WorkModel {
-        let n = target.n_residues();
-        // CCD rebuilds only the suffix from the rotated torsion onward
-        // (LoopBuilder::rebuild_from); rotations are spread over the sweep,
-        // so the expected rebuild is half the loop's 5 placements/residue.
-        let ccd_per_rotation = (n * 5) as f64 * 0.5;
-        // DIST: 16 atom-kind pairs per residue pair at separation >= 2.
-        let res_pairs_sep2: usize = (2..n).map(|d| n - d).sum();
-        let dist_work = (res_pairs_sep2 * 16) as f64;
-        // VDW: intra-loop sites plus environment contacts near the loop.
-        let centroids = target.sequence.iter().filter(|a| !a.is_glycine()).count();
-        let sites = (4 * n + centroids) as f64;
-        let env_neighbors: f64 = {
-            let atoms = target.native_structure.backbone_atoms();
-            let total: usize = atoms
-                .iter()
-                .map(|a| target.environment.burial_count(*a, 7.0))
-                .sum();
-            total as f64 / atoms.len().max(1) as f64
-        };
-        let vdw_work = sites * (sites - 1.0) / 2.0 + sites * env_neighbors;
-        WorkModel {
-            ccd_per_rotation,
-            dist_work,
-            vdw_work,
-            trip_work: n as f64,
-        }
-    }
-}
-
 /// Internal per-member state used inside the population kernels.
 ///
 /// Besides the conformation itself, every member owns the workspace buffers
@@ -291,9 +200,6 @@ struct Member {
     cand: Torsions,
     /// Reused mutated-index buffer for the mutation move.
     mut_indices: Vec<usize>,
-    ccd_us: f64,
-    scoring_us: f64,
-    ccd_rotations: f64,
     accepted_last: bool,
     /// Whether the last close of this member's candidate converged (the
     /// CCD non-convergence readback behind the stall guard).
@@ -311,9 +217,6 @@ impl Member {
             scratch,
             cand: Torsions::zeros(n_res),
             mut_indices: Vec::with_capacity(max_mutations.max(1)),
-            ccd_us: 0.0,
-            scoring_us: 0.0,
-            ccd_rotations: 0.0,
             accepted_last: false,
             converged_last: false,
             poison: None,
@@ -329,7 +232,6 @@ pub struct MoscemSampler {
     config: SamplerConfig,
     builder: LoopBuilder,
     mutator: Mutator,
-    timing: TimingModel,
 }
 
 impl MoscemSampler {
@@ -347,7 +249,6 @@ impl MoscemSampler {
             mutator: Mutator::new(config.mutation.clone()),
             config,
             builder: LoopBuilder::default(),
-            timing: TimingModel::default(),
         })
     }
 
@@ -369,12 +270,6 @@ impl MoscemSampler {
     /// The loop target being sampled.
     pub fn target(&self) -> &LoopTarget {
         &self.target
-    }
-
-    /// Replace the timing model (e.g. to model a different device).
-    pub fn with_timing_model(mut self, timing: TimingModel) -> Self {
-        self.timing = timing;
-        self
     }
 
     /// Run one sampling trajectory with the configured seed.
@@ -431,34 +326,15 @@ impl MoscemSampler {
             .map(|aa| aa.rama_class())
             .collect();
         let factory = StreamRngFactory::new(seed);
-        let launch = LaunchConfig::with_block_size(n, cfg.threads_per_block);
-        let profiler = Arc::new(Profiler::new());
-        profiler.set_executor(executor.capabilities());
-        let work = WorkModel::for_target(&self.target);
         let closer = CcdCloser::new(self.builder, cfg.ccd);
-        let spec = &self.timing.device;
 
         let wall_start = Instant::now();
         let limits = cfg.limits;
         let deadline = limits.deadline.map(|d| (wall_start + d, d));
         let mut stall_streak = 0usize;
-        let mut component = ComponentTimes::default();
-        let mut modeled_gpu = 0.0f64;
-        let mut modeled_cpu = 0.0f64;
         let mut snapshots = Vec::new();
         let mut total_proposed = 0usize;
         let mut total_accepted = 0usize;
-
-        // --- Stage the pre-calculated data onto the device (texture /
-        // constant memory), as the paper does at program start. ------------
-        let kb_bytes = 27 * 36 * 36 * 4 + 16 * 3 * 32 * 4;
-        for _ in 0..8 {
-            profiler.record_transfer(spec, TransferKind::HtoA, kb_bytes / 8);
-        }
-        profiler.record_transfer(spec, TransferKind::HtoA, self.target.environment.len() * 16);
-        profiler.record_transfer(spec, TransferKind::HtoA, n_res * 8);
-        profiler.record_transfer(spec, TransferKind::HtoD, n * 2 * n_res * 4);
-        modeled_gpu += 0.0; // transfer time is accounted inside the profiler totals
 
         // --- Initialization kernel -----------------------------------------
         if Self::cancelled(controls) {
@@ -496,7 +372,6 @@ impl MoscemSampler {
             let mut rng = init_factory.stream(i as u64, 0);
             sample_initial_torsions(init_mode, &classes, &rama, &mut m.conf.torsions, &mut rng);
 
-            let t_ccd = Instant::now();
             let mut ccd = closer.close_with_scratch(
                 &self.target.frame,
                 &self.target.sequence,
@@ -508,7 +383,6 @@ impl MoscemSampler {
             // CCD stalls on a bad random start, redraw (deterministically
             // from this member's stream) rather than seeding the population
             // with an unclosed conformation.
-            let mut rotations = ccd.rotations_applied;
             for _ in 0..3 {
                 if ccd.final_deviation <= max_closure {
                     break;
@@ -521,13 +395,10 @@ impl MoscemSampler {
                     ccd_start_index,
                     &mut m.structure,
                 );
-                rotations += ccd.rotations_applied;
             }
-            let ccd_us = t_ccd.elapsed().as_secs_f64() * 1e6;
 
             // CCD leaves `m.structure` built from the final torsions, so
             // scoring needs no rebuild.
-            let t_score = Instant::now();
             let scores = self.scorer.evaluate_with(
                 &self.target,
                 &m.structure,
@@ -535,25 +406,11 @@ impl MoscemSampler {
                 &mut m.scratch,
             );
             let rmsd = self.target.rmsd_to_native(&m.structure);
-            let scoring_us = t_score.elapsed().as_secs_f64() * 1e6;
 
             m.conf.scores = scores;
             m.conf.closure_deviation = ccd.final_deviation;
             m.conf.rmsd_to_native = rmsd;
-            m.ccd_us = ccd_us;
-            m.scoring_us = scoring_us;
-            m.ccd_rotations = rotations as f64;
         });
-        self.account_population_kernels(
-            &members,
-            &work,
-            launch,
-            n,
-            &profiler,
-            &mut component,
-            &mut modeled_gpu,
-            &mut modeled_cpu,
-        );
 
         // Initialisation numerical health: the same sweep-and-verdict the
         // staged pipeline runs as its `[HealthSweep]` stage, applied to the
@@ -569,15 +426,7 @@ impl MoscemSampler {
         let mut schedule_rng = factory.derive(0xA7).stream(0, 0);
         let mut complex_traces: Vec<Vec<f64>> = vec![Vec::new(); cfg.n_complexes];
         let scores_snapshot: Vec<ScoreVector> = members.iter().map(|m| m.conf.scores).collect();
-        let fitness = self.population_fitness(
-            executor,
-            &scores_snapshot,
-            launch,
-            &profiler,
-            &mut component,
-            &mut modeled_gpu,
-            &mut modeled_cpu,
-        );
+        let fitness = self.population_fitness(executor, &scores_snapshot);
         for (m, f) in members.iter_mut().zip(fitness.iter()) {
             m.conf.fitness = *f;
         }
@@ -605,7 +454,6 @@ impl MoscemSampler {
                     });
                 }
             }
-            let other_start = Instant::now();
             // Sorting (best fitness first) and stride partition into
             // complexes, exactly as in the paper's pseudo-code; both stay on
             // the host because they are a negligible share of the work.
@@ -627,7 +475,6 @@ impl MoscemSampler {
             }
             let complex_scores = Arc::new(complex_scores);
             let complex_of = Arc::new(complex_of);
-            component.other_us += other_start.elapsed().as_secs_f64() * 1e6;
 
             // Evolution kernel: reproduction, CCD, scoring, Metropolis — one
             // thread per conformation, against its complex's snapshot.
@@ -647,7 +494,6 @@ impl MoscemSampler {
                     &mut m.mut_indices,
                 );
 
-                let t_ccd = Instant::now();
                 let ccd = closer.close_with_scratch(
                     &self.target.frame,
                     &self.target.sequence,
@@ -655,16 +501,13 @@ impl MoscemSampler {
                     ccd_start,
                     &mut m.structure,
                 );
-                let ccd_us = t_ccd.elapsed().as_secs_f64() * 1e6;
 
                 // CCD leaves `m.structure` built from the final candidate
                 // torsions; score it directly (no rebuild).
-                let t_score = Instant::now();
                 let cand_scores =
                     self.scorer
                         .evaluate_with(&self.target, &m.structure, &m.cand, &mut m.scratch);
                 let cand_rmsd = self.target.rmsd_to_native(&m.structure);
-                let scoring_us = t_score.elapsed().as_secs_f64() * 1e6;
 
                 // Numerical health: a non-finite candidate lane never
                 // reaches the Metropolis draw (NaN compares false against
@@ -703,9 +546,6 @@ impl MoscemSampler {
                     m.conf.accepted_moves += 1;
                 }
                 m.accepted_last = accept;
-                m.ccd_us = ccd_us;
-                m.scoring_us = scoring_us;
-                m.ccd_rotations = ccd.rotations_applied as f64;
                 m.converged_last = ccd.converged;
                 m.poison = if finite {
                     None
@@ -741,50 +581,8 @@ impl MoscemSampler {
                     }
                 }
             }
-            self.account_population_kernels(
-                &members,
-                &work,
-                launch,
-                n,
-                &profiler,
-                &mut component,
-                &mut modeled_gpu,
-                &mut modeled_cpu,
-            );
-            // Reproduction + Metropolis kernels (cheap; recorded for the
-            // profiler's completeness).
-            self.account_simple_kernel(
-                KernelKind::Reproduction,
-                launch,
-                n,
-                cfg.mutation.max_mutations as f64 * 5.0,
-                &profiler,
-                &mut modeled_gpu,
-                &mut modeled_cpu,
-            );
-            self.account_simple_kernel(
-                KernelKind::Metropolis,
-                launch,
-                n,
-                2.0,
-                &profiler,
-                &mut modeled_gpu,
-                &mut modeled_cpu,
-            );
-            // Fitness against the complex inside the evolution kernel.
-            let complex_work = 2.0 * cfg.complex_size() as f64 * cfg.active_objectives() as f64;
-            self.account_simple_kernel(
-                KernelKind::FitAssgComplex,
-                launch,
-                n,
-                complex_work,
-                &profiler,
-                &mut modeled_gpu,
-                &mut modeled_cpu,
-            );
 
             // Acceptance statistics and adaptive temperature.
-            let other_start = Instant::now();
             let accepted_now = members.iter().filter(|m| m.accepted_last).count();
             total_accepted += accepted_now;
             total_proposed += n;
@@ -802,34 +600,9 @@ impl MoscemSampler {
                 complex_traces[c].push(if count == 0 { 0.0 } else { sum / count as f64 });
             }
 
-            // Per-iteration host/device traffic mirroring the paper's
-            // Table II memcpy pattern.
-            let conf_bytes = n * 2 * n_res * 4;
-            let score_bytes = n * cfg.active_objectives() * 4;
-            for _ in 0..5 {
-                profiler.record_transfer(spec, TransferKind::HtoD, 64);
-            }
-            profiler.record_transfer(spec, TransferKind::DtoA, conf_bytes);
-            profiler.record_transfer(spec, TransferKind::DtoA, score_bytes);
-            for _ in 0..7 {
-                profiler.record_transfer(spec, TransferKind::DtoH, score_bytes);
-            }
-            for _ in 0..3 {
-                profiler.record_transfer(spec, TransferKind::DtoD, score_bytes);
-            }
-            component.other_us += other_start.elapsed().as_secs_f64() * 1e6;
-
             // Population-wide fitness for the next iteration's sorting.
             let scores_snapshot: Vec<ScoreVector> = members.iter().map(|m| m.conf.scores).collect();
-            let fitness = self.population_fitness(
-                executor,
-                &scores_snapshot,
-                launch,
-                &profiler,
-                &mut component,
-                &mut modeled_gpu,
-                &mut modeled_cpu,
-            );
+            let fitness = self.population_fitness(executor, &scores_snapshot);
             for (m, f) in members.iter_mut().zip(fitness.iter()) {
                 m.conf.fitness = *f;
             }
@@ -842,22 +615,12 @@ impl MoscemSampler {
             }
         }
 
-        // Include modeled transfer time in the GPU total.
-        let transfer_us: f64 = profiler
-            .transfer_stats()
-            .values()
-            .map(|t| t.device_us)
-            .sum();
-        modeled_gpu += transfer_us;
-
         Self::return_scratches(&mut members, controls);
         let population: Vec<Conformation> = members.into_iter().map(|m| m.conf).collect();
         Ok(TrajectoryResult {
             population,
             snapshots,
-            component_times: component,
-            modeled_gpu_us: modeled_gpu,
-            modeled_cpu_us: modeled_cpu,
+            stages: StageRecord::default(),
             host_wall: wall_start.elapsed(),
             final_temperature: temperature,
             acceptance_rate: if total_proposed == 0 {
@@ -865,7 +628,6 @@ impl MoscemSampler {
             } else {
                 total_accepted as f64 / total_proposed as f64
             },
-            profiler,
             complex_traces,
         })
     }
@@ -907,38 +669,20 @@ impl MoscemSampler {
             .map(|aa| aa.rama_class())
             .collect();
         let factory = StreamRngFactory::new(seed);
-        let launch_cfg = LaunchConfig::with_block_size(n, cfg.threads_per_block);
-        let profiler = Arc::new(Profiler::new());
-        let capabilities = executor.capabilities();
-        profiler.set_executor(capabilities);
-        let work = WorkModel::for_target(&self.target);
         // A backend reporting wide lanes gets the explicit wide-f64 CCD
         // rotation kernel — bit-identical to the scalar loop, so this flips
         // only the instruction mix, never the trajectory.
-        let wide = capabilities.lane_width > 1;
+        let wide = executor.capabilities().lane_width > 1;
         let closer = CcdCloser::new(self.builder, cfg.ccd).with_wide_lanes(wide);
-        let spec = &self.timing.device;
 
         let wall_start = Instant::now();
         let limits = cfg.limits;
         let deadline = limits.deadline.map(|d| (wall_start + d, d));
         let mut stall_streak = 0usize;
-        let mut component = ComponentTimes::default();
-        let mut modeled_gpu = 0.0f64;
-        let mut modeled_cpu = 0.0f64;
+        let mut stages = StageRecord::default();
         let mut snapshots = Vec::new();
         let mut total_proposed = 0usize;
         let mut total_accepted = 0usize;
-
-        // --- Stage the pre-calculated data onto the device (texture /
-        // constant memory), as the paper does at program start. ------------
-        let kb_bytes = 27 * 36 * 36 * 4 + 16 * 3 * 32 * 4;
-        for _ in 0..8 {
-            profiler.record_transfer(spec, TransferKind::HtoA, kb_bytes / 8);
-        }
-        profiler.record_transfer(spec, TransferKind::HtoA, self.target.environment.len() * 16);
-        profiler.record_transfer(spec, TransferKind::HtoA, n_res * 8);
-        profiler.record_transfer(spec, TransferKind::HtoD, n * 2 * n_res * 4);
 
         if Self::cancelled(controls) {
             return Err(Error::Cancelled {
@@ -974,7 +718,8 @@ impl MoscemSampler {
         let init_mode = cfg.init_mode;
         let max_closure = cfg.max_closure_deviation;
 
-        arena.block_ccd_us.iter_mut().for_each(|t| *t = 0.0);
+        // The init rounds together make one `[CCD]` stage invocation.
+        let mut init_close = Duration::ZERO;
         for round in 0..4usize {
             // The loop-closure condition gates everything downstream; a
             // member redraws (deterministically from its own stream) while
@@ -988,7 +733,9 @@ impl MoscemSampler {
                 let slots = SharedLanes::new(&mut arena.slots);
                 let rngs = SharedLanes::new(&mut arena.rngs);
                 let devs = &arena.cand_closure_dev;
-                let sample = executor.launch(KernelKind::Reproduction, n, |i| {
+                // Initial sampling is not a recorded stage: `[Reproduction]`
+                // counts the mutation launches, one per iteration.
+                let _ = executor.launch(KernelKind::Reproduction, n, |i| {
                     if round > 0 && devs[i] <= max_closure {
                         return;
                     }
@@ -1004,49 +751,26 @@ impl MoscemSampler {
                         slot.cand.set_angle(0, f64::NAN);
                     }
                 });
-                // The reference times redraw sampling inside its CCD span;
-                // mirror that attribution.
-                if round == 0 {
-                    component.other_us += sample.host_us();
-                } else {
-                    component.ccd_us += sample.host_us();
-                }
             }
-            self.stage_close(
+            let (close, rotations) = self.stage_close(
                 executor,
                 &mut arena,
                 &closer,
                 if round > 0 { Some(max_closure) } else { None },
                 Some(cfg.ccd.start_index),
-                true,
             );
+            init_close += close.host;
+            stages.add_ccd_rotations(rotations);
         }
-        let init_ccd_us: f64 = arena.block_ccd_us.iter().sum();
-        component.ccd_us += init_ccd_us;
-        let mean_rotations = arena.ccd_rotations.iter().sum::<f64>() / n.max(1) as f64;
-        self.record_kernel_launch(
-            KernelKind::Ccd,
-            launch_cfg,
-            n,
-            (mean_rotations + 1.0) * work.ccd_per_rotation,
-            init_ccd_us,
-            &profiler,
-            &mut modeled_gpu,
-            &mut modeled_cpu,
-        );
-        self.stage_rebuild_and_score(
-            executor,
-            &mut arena,
-            &work,
-            launch_cfg,
-            &profiler,
-            &mut component,
-            &mut modeled_gpu,
-            &mut modeled_cpu,
-        );
+        stages.record(KernelKind::Ccd, init_close);
+        for launch in self.stage_rebuild_and_score(executor, &mut arena) {
+            stages.record(launch.kind, launch.host);
+        }
         // Numerical health sweep over the freshly scored candidates before
         // they become the population.
-        if let Err(e) = self.stage_health(executor, &mut arena, 0, &mut component) {
+        let sweep = self.stage_health(executor, &mut arena);
+        stages.record(sweep.kind, sweep.host);
+        if let Err(e) = self.quarantine_or_fail(&mut arena, 0) {
             arena.release_scratches(controls.scratch_pool);
             return Err(e);
         }
@@ -1066,14 +790,9 @@ impl MoscemSampler {
         let mut complex_traces: Vec<Vec<f64>> = (0..cfg.n_complexes)
             .map(|_| Vec::with_capacity(cfg.iterations))
             .collect();
-        self.stage_fitness(
-            executor,
-            &mut arena,
-            launch_cfg,
-            &profiler,
-            &mut component,
-            &mut modeled_gpu,
-            &mut modeled_cpu,
+        stages.record(
+            KernelKind::FitAssgPopulation,
+            self.stage_fitness(executor, &mut arena),
         );
         if cfg.snapshot_iterations.contains(&0) {
             snapshots.push(self.snapshot_arena(0, &arena, temperature));
@@ -1086,7 +805,6 @@ impl MoscemSampler {
         let evo_factory = factory.derive(1);
         let mode = cfg.objective_mode;
         let m_complexes = cfg.n_complexes;
-        let complex_work = 2.0 * cfg.complex_size() as f64 * cfg.active_objectives() as f64;
         for iter in 1..=cfg.iterations {
             if Self::cancelled(controls) {
                 arena.release_scratches(controls.scratch_pool);
@@ -1103,7 +821,6 @@ impl MoscemSampler {
                     });
                 }
             }
-            let other_start = Instant::now();
             // Sorting (best fitness first) and stride partition into
             // complexes stay on the host, writing the arena's reusable
             // order / CSR-partition buffers.  The unstable sort breaks
@@ -1126,7 +843,6 @@ impl MoscemSampler {
                 arena.complex_scores[arena.complex_offsets[c] + pos / m_complexes] =
                     arena.scores[idx];
             }
-            component.other_us += other_start.elapsed().as_secs_f64() * 1e6;
 
             // Stage 1 — mutate: seed the (member, iteration) stream, load
             // the member's torsion lane and propose a candidate.
@@ -1153,35 +869,14 @@ impl MoscemSampler {
                         slot.cand.set_angle(0, f64::NAN);
                     }
                 });
-                component.other_us += mutate.host_us();
-                self.record_kernel_launch(
-                    KernelKind::Reproduction,
-                    launch_cfg,
-                    n,
-                    cfg.mutation.max_mutations as f64 * 5.0,
-                    mutate.host_us(),
-                    &profiler,
-                    &mut modeled_gpu,
-                    &mut modeled_cpu,
-                );
+                stages.record(mutate.kind, mutate.host);
             }
 
             // Stage 2 — close: lockstep CCD blocks with batched
             // optimal-rotation inner products.
-            self.stage_close(executor, &mut arena, &closer, None, None, false);
-            let close_us: f64 = arena.block_ccd_us.iter().sum();
-            component.ccd_us += close_us;
-            let mean_rotations = arena.ccd_rotations.iter().sum::<f64>() / n.max(1) as f64;
-            self.record_kernel_launch(
-                KernelKind::Ccd,
-                launch_cfg,
-                n,
-                (mean_rotations + 1.0) * work.ccd_per_rotation,
-                close_us,
-                &profiler,
-                &mut modeled_gpu,
-                &mut modeled_cpu,
-            );
+            let (close, rotations) = self.stage_close(executor, &mut arena, &closer, None, None);
+            stages.record(close.kind, close.host);
+            stages.add_ccd_rotations(rotations);
             // Closure stall guard: a streak of iterations in which not a
             // single member's CCD converged means the sampler is burning
             // its budget without making progress.
@@ -1203,22 +898,17 @@ impl MoscemSampler {
 
             // Stages 3 + 4 — rebuild (observable readback) and the three
             // scoring kernels, one population-wide launch each.
-            self.stage_rebuild_and_score(
-                executor,
-                &mut arena,
-                &work,
-                launch_cfg,
-                &profiler,
-                &mut component,
-                &mut modeled_gpu,
-                &mut modeled_cpu,
-            );
+            for launch in self.stage_rebuild_and_score(executor, &mut arena) {
+                stages.record(launch.kind, launch.host);
+            }
 
             // Numerical health sweep: poisoned candidates are quarantined
             // (force-rejected without touching the member's stream) or fail
             // the job, per the configured guard policy — before the
             // Metropolis stage can let NaN into the population.
-            if let Err(e) = self.stage_health(executor, &mut arena, iter, &mut component) {
+            let sweep = self.stage_health(executor, &mut arena);
+            stages.record(sweep.kind, sweep.host);
+            if let Err(e) = self.quarantine_or_fail(&mut arena, iter) {
                 arena.release_scratches(controls.scratch_pool);
                 return Err(e);
             }
@@ -1256,27 +946,7 @@ impl MoscemSampler {
                     };
                     *unsafe { accepted.item_mut(i) } = accept;
                 });
-                component.other_us += met.host_us();
-                self.record_kernel_launch(
-                    KernelKind::Metropolis,
-                    launch_cfg,
-                    n,
-                    2.0,
-                    met.host_us(),
-                    &profiler,
-                    &mut modeled_gpu,
-                    &mut modeled_cpu,
-                );
-                self.record_kernel_launch(
-                    KernelKind::FitAssgComplex,
-                    launch_cfg,
-                    n,
-                    complex_work,
-                    0.0,
-                    &profiler,
-                    &mut modeled_gpu,
-                    &mut modeled_cpu,
-                );
+                stages.record(met.kind, met.host);
             }
 
             // Stage 6 — select: accepted candidates overwrite their
@@ -1305,21 +975,10 @@ impl MoscemSampler {
                         *unsafe { accepted_moves.item_mut(i) } += 1;
                     }
                 });
-                component.other_us += select.host_us();
-                self.record_kernel_launch(
-                    KernelKind::Select,
-                    launch_cfg,
-                    n,
-                    stride as f64,
-                    select.host_us(),
-                    &profiler,
-                    &mut modeled_gpu,
-                    &mut modeled_cpu,
-                );
+                stages.record(select.kind, select.host);
             }
 
             // Acceptance statistics and adaptive temperature.
-            let other_start = Instant::now();
             let accepted_now = arena.accepted.iter().filter(|&&a| a).count();
             total_accepted += accepted_now;
             total_proposed += n;
@@ -1339,32 +998,10 @@ impl MoscemSampler {
                 complex_traces[c].push(if count == 0 { 0.0 } else { sum / count as f64 });
             }
 
-            // Per-iteration host/device traffic mirroring the paper's
-            // Table II memcpy pattern.
-            let conf_bytes = n * 2 * n_res * 4;
-            let score_bytes = n * cfg.active_objectives() * 4;
-            for _ in 0..5 {
-                profiler.record_transfer(spec, TransferKind::HtoD, 64);
-            }
-            profiler.record_transfer(spec, TransferKind::DtoA, conf_bytes);
-            profiler.record_transfer(spec, TransferKind::DtoA, score_bytes);
-            for _ in 0..7 {
-                profiler.record_transfer(spec, TransferKind::DtoH, score_bytes);
-            }
-            for _ in 0..3 {
-                profiler.record_transfer(spec, TransferKind::DtoD, score_bytes);
-            }
-            component.other_us += other_start.elapsed().as_secs_f64() * 1e6;
-
             // Population-wide fitness for the next iteration's sorting.
-            self.stage_fitness(
-                executor,
-                &mut arena,
-                launch_cfg,
-                &profiler,
-                &mut component,
-                &mut modeled_gpu,
-                &mut modeled_cpu,
+            stages.record(
+                KernelKind::FitAssgPopulation,
+                self.stage_fitness(executor, &mut arena),
             );
 
             if cfg.snapshot_iterations.contains(&iter) {
@@ -1375,21 +1012,11 @@ impl MoscemSampler {
             }
         }
 
-        // Include modeled transfer time in the GPU total.
-        let transfer_us: f64 = profiler
-            .transfer_stats()
-            .values()
-            .map(|t| t.device_us)
-            .sum();
-        modeled_gpu += transfer_us;
-
         arena.release_scratches(controls.scratch_pool);
         Ok(TrajectoryResult {
             population: arena.into_population(),
             snapshots,
-            component_times: component,
-            modeled_gpu_us: modeled_gpu,
-            modeled_cpu_us: modeled_cpu,
+            stages,
             host_wall: wall_start.elapsed(),
             final_temperature: temperature,
             acceptance_rate: if total_proposed == 0 {
@@ -1397,7 +1024,6 @@ impl MoscemSampler {
             } else {
                 total_accepted as f64 / total_proposed as f64
             },
-            profiler,
             complex_traces,
         })
     }
@@ -1411,9 +1037,8 @@ impl MoscemSampler {
     /// `mask_above` restricts the launch to members whose candidate closure
     /// deviation still exceeds the bound (the init retry rounds);
     /// `start_override` forces one CCD start index for every lane (init)
-    /// instead of the per-member mutated index; `accumulate` adds rotations
-    /// and block times onto the arena's counters instead of overwriting
-    /// them (init rounds share one recorded kernel).
+    /// instead of the per-member mutated index.  Returns the launch and the
+    /// number of CCD rotations its lanes applied.
     fn stage_close(
         &self,
         executor: &Executor,
@@ -1421,24 +1046,18 @@ impl MoscemSampler {
         closer: &CcdCloser,
         mask_above: Option<f64>,
         start_override: Option<usize>,
-        accumulate: bool,
-    ) {
+    ) -> (KernelLaunch, u64) {
         let n = arena.n_members();
         let n_blocks = arena.n_blocks();
         let width = arena.ccd_block_width();
         debug_assert!(width <= MAX_CCD_BLOCK_WIDTH);
-        if !accumulate {
-            arena.block_ccd_us.iter_mut().for_each(|t| *t = 0.0);
-        }
         let slots = SharedLanes::new(&mut arena.slots);
         let blocks = SharedLanes::new(&mut arena.ccd_blocks);
-        let block_us = SharedLanes::new(&mut arena.block_ccd_us);
         let devs = SharedLanes::new(&mut arena.cand_closure_dev);
-        let rotations = SharedLanes::new(&mut arena.ccd_rotations);
         let converged = SharedLanes::new(&mut arena.cand_converged);
         let starts = &arena.ccd_start;
-        let _ = executor.launch(KernelKind::Ccd, n_blocks, |b| {
-            let t = Instant::now();
+        let rotations = AtomicU64::new(0);
+        let launch = executor.launch(KernelKind::Ccd, n_blocks, |b| {
             let lo = b * width;
             let hi = (lo + width).min(n);
             // SAFETY: kernel b touches only block b's scratch and the
@@ -1479,53 +1098,43 @@ impl MoscemSampler {
                 std::slice::from_raw_parts_mut(store.as_mut_ptr().cast::<CcdLane>(), count)
             };
             closer.close_batch(&self.target.frame, &self.target.sequence, lanes, scratch);
+            let mut block_rotations = 0u64;
             for (j, &i) in ids[..count].iter().enumerate() {
                 let res = scratch.results()[j];
                 *unsafe { devs.item_mut(i) } = res.final_deviation;
                 *unsafe { converged.item_mut(i) } = res.converged;
-                let r = unsafe { rotations.item_mut(i) };
-                if accumulate {
-                    *r += res.rotations_applied as f64;
-                } else {
-                    *r = res.rotations_applied as f64;
-                }
+                block_rotations += res.rotations_applied as u64;
             }
+            // Relaxed: a count that publishes no other data, read after the
+            // launch has joined every block.
+            rotations.fetch_add(block_rotations, Ordering::Relaxed);
             #[cfg(feature = "fault-injection")]
             if lms_simt::fault::take_nan() {
                 *unsafe { devs.item_mut(lo) } = f64::NAN;
             }
-            *unsafe { block_us.item_mut(b) } += t.elapsed().as_secs_f64() * 1e6;
         });
+        (launch, rotations.into_inner())
     }
 
     /// The staged `rebuild` and `score` kernels: observable readback (RMSD
     /// to native, candidate-lane writeback) followed by one population-wide
-    /// launch per objective kernel, each recorded with its own measured
-    /// host time.  The VDW kernel stages the shared Cα table (and, with the
+    /// launch per objective kernel; returns the four launches in that
+    /// order.  The VDW kernel stages the shared Cα table (and, with the
     /// burial objective on, the contact counts) its successors consume from
     /// the member's scratch.
-    #[allow(clippy::too_many_arguments)]
     fn stage_rebuild_and_score(
         &self,
         executor: &Executor,
         arena: &mut PopulationArena,
-        work: &WorkModel,
-        launch_cfg: LaunchConfig,
-        profiler: &Profiler,
-        component: &mut ComponentTimes,
-        modeled_gpu: &mut f64,
-        modeled_cpu: &mut f64,
-    ) {
+    ) -> [KernelLaunch; 4] {
         let n = arena.n_members();
         let stride = arena.stride();
         // Rebuild: RMSD observable + candidate torsion lane readback.
-        {
+        let rebuild = {
             let slots = SharedLanes::new(&mut arena.slots);
             let rmsds = SharedLanes::new(&mut arena.cand_rmsd);
             let cand_flat = SharedLanes::new(&mut arena.cand_torsions);
-            let times = SharedLanes::new(&mut arena.stage_us);
-            let _ = executor.launch(KernelKind::Rebuild, n, |i| {
-                let t = Instant::now();
+            executor.launch(KernelKind::Rebuild, n, |i| {
                 // SAFETY: kernel i touches only member i's slot and lanes.
                 let slot = unsafe { slots.item_mut(i) };
                 *unsafe { rmsds.item_mut(i) } = self.target.rmsd_to_native(&slot.structure);
@@ -1535,113 +1144,74 @@ impl MoscemSampler {
                 if lms_simt::fault::take_nan() {
                     *unsafe { rmsds.item_mut(i) } = f64::NAN;
                 }
-                *unsafe { times.item_mut(i) } = t.elapsed().as_secs_f64() * 1e6;
-            });
-        }
-        let rebuild_us: f64 = arena.stage_us.iter().sum();
-        component.scoring_us += rebuild_us;
-        self.record_kernel_launch(
-            KernelKind::Rebuild,
-            launch_cfg,
-            n,
-            (4 * self.target.n_residues()) as f64,
-            rebuild_us,
-            profiler,
-            modeled_gpu,
-            modeled_cpu,
-        );
+            })
+        };
 
         // Score: one launch per objective kernel in canonical order.
-        for (kind, per_thread_work) in [
-            (KernelKind::EvalVdw, work.vdw_work),
-            (KernelKind::EvalDist, work.dist_work),
-            (KernelKind::EvalTrip, work.trip_work),
-        ] {
-            {
-                let slots = SharedLanes::new(&mut arena.slots);
-                let outs = SharedLanes::new(&mut arena.cand_scores);
-                let times = SharedLanes::new(&mut arena.stage_us);
-                let _ = executor.launch(kind, n, |i| {
-                    let t = Instant::now();
-                    // SAFETY: kernel i touches only member i's slot/lanes.
-                    let slot = unsafe { slots.item_mut(i) };
-                    let MemberSlot {
-                        structure,
-                        scratch,
-                        cand,
-                        ..
-                    } = slot;
-                    let sv = unsafe { outs.item_mut(i) };
-                    let mut a = sv.as_array();
+        let mut score = |kind: KernelKind| {
+            let slots = SharedLanes::new(&mut arena.slots);
+            let outs = SharedLanes::new(&mut arena.cand_scores);
+            executor.launch(kind, n, |i| {
+                // SAFETY: kernel i touches only member i's slot/lanes.
+                let slot = unsafe { slots.item_mut(i) };
+                let MemberSlot {
+                    structure,
+                    scratch,
+                    cand,
+                    ..
+                } = slot;
+                let sv = unsafe { outs.item_mut(i) };
+                let mut a = sv.as_array();
+                match kind {
+                    KernelKind::EvalVdw => {
+                        let (vdw, burial) = self.scorer.vdw_pass(&self.target, structure, scratch);
+                        a[0] = vdw;
+                        a[3] = burial;
+                    }
+                    KernelKind::EvalDist => {
+                        a[1] = self.scorer.dist_pass(&self.target, structure, scratch);
+                    }
+                    KernelKind::EvalTrip => {
+                        a[2] = self
+                            .scorer
+                            .triplet_pass(&self.target, structure, cand, scratch);
+                    }
+                    _ => unreachable!("score stage launches only Eval kernels"),
+                }
+                #[cfg(feature = "fault-injection")]
+                if lms_simt::fault::take_nan() {
                     match kind {
-                        KernelKind::EvalVdw => {
-                            let (vdw, burial) =
-                                self.scorer.vdw_pass(&self.target, structure, scratch);
-                            a[0] = vdw;
-                            a[3] = burial;
-                        }
-                        KernelKind::EvalDist => {
-                            a[1] = self.scorer.dist_pass(&self.target, structure, scratch);
-                        }
-                        KernelKind::EvalTrip => {
-                            a[2] = self
-                                .scorer
-                                .triplet_pass(&self.target, structure, cand, scratch);
-                        }
-                        _ => unreachable!("score stage launches only Eval kernels"),
+                        KernelKind::EvalVdw => a[0] = f64::NAN,
+                        KernelKind::EvalDist => a[1] = f64::NAN,
+                        _ => a[2] = f64::NAN,
                     }
-                    #[cfg(feature = "fault-injection")]
-                    if lms_simt::fault::take_nan() {
-                        match kind {
-                            KernelKind::EvalVdw => a[0] = f64::NAN,
-                            KernelKind::EvalDist => a[1] = f64::NAN,
-                            _ => a[2] = f64::NAN,
-                        }
-                    }
-                    *sv = ScoreVector::from_array(a);
-                    *unsafe { times.item_mut(i) } = t.elapsed().as_secs_f64() * 1e6;
-                });
-            }
-            let kernel_us: f64 = arena.stage_us.iter().sum();
-            component.scoring_us += kernel_us;
-            self.record_kernel_launch(
-                kind,
-                launch_cfg,
-                n,
-                per_thread_work,
-                kernel_us,
-                profiler,
-                modeled_gpu,
-                modeled_cpu,
-            );
-        }
+                }
+                *sv = ScoreVector::from_array(a);
+            })
+        };
+        [
+            rebuild,
+            score(KernelKind::EvalVdw),
+            score(KernelKind::EvalDist),
+            score(KernelKind::EvalTrip),
+        ]
     }
 
     /// Population-wide fitness assignment (Eq. 1) over the arena's score
     /// lanes, executed as two data-parallel passes of the
     /// `[FitAssg] within Population` kernel writing the arena's
-    /// strength/front/fitness buffers in place.
-    #[allow(clippy::too_many_arguments)]
-    fn stage_fitness(
-        &self,
-        executor: &Executor,
-        arena: &mut PopulationArena,
-        launch_cfg: LaunchConfig,
-        profiler: &Profiler,
-        component: &mut ComponentTimes,
-        modeled_gpu: &mut f64,
-        modeled_cpu: &mut f64,
-    ) {
+    /// strength/front/fitness buffers in place.  Returns the summed launch
+    /// wall time of the stage.
+    fn stage_fitness(&self, executor: &Executor, arena: &mut PopulationArena) -> Duration {
         let n = arena.n_members();
-        let start = Instant::now();
         match self.config.objective_mode {
             ObjectiveMode::MultiScoring => {
                 // Pass 1: strength and non-dominated flag per member.
-                {
+                let pass1 = {
                     let scores = &arena.scores;
                     let strength = SharedLanes::new(&mut arena.strength);
                     let front = SharedLanes::new(&mut arena.front);
-                    let _ = executor.launch(KernelKind::FitAssgPopulation, n, |i| {
+                    executor.launch(KernelKind::FitAssgPopulation, n, |i| {
                         let si = &scores[i];
                         let dominated = scores.iter().filter(|sj| si.dominates(sj)).count();
                         let is_nd = !scores
@@ -1651,15 +1221,15 @@ impl MoscemSampler {
                         // SAFETY: kernel i touches only member i's slots.
                         *unsafe { strength.item_mut(i) } = dominated as f64 / n as f64;
                         *unsafe { front.item_mut(i) } = is_nd;
-                    });
-                }
+                    })
+                };
                 // Pass 2: Eq. 1.
-                {
+                let pass2 = {
                     let scores = &arena.scores;
                     let strength = &arena.strength;
                     let front = &arena.front;
                     let fitness = SharedLanes::new(&mut arena.fitness);
-                    let _ = executor.launch(KernelKind::FitAssgPopulation, n, |i| {
+                    executor.launch(KernelKind::FitAssgPopulation, n, |i| {
                         let si = &scores[i];
                         let value = if front[i] {
                             strength[i]
@@ -1673,85 +1243,60 @@ impl MoscemSampler {
                         };
                         // SAFETY: kernel i touches only member i's slot.
                         *unsafe { fitness.item_mut(i) } = value;
-                    });
-                }
+                    })
+                };
+                pass1.host + pass2.host
             }
             ObjectiveMode::Single(obj) => {
                 let scores = &arena.scores;
                 let fitness = SharedLanes::new(&mut arena.fitness);
-                let _ = executor.launch(KernelKind::FitAssgPopulation, n, |i| {
-                    *unsafe { fitness.item_mut(i) } = obj.value(&scores[i]);
-                });
+                executor
+                    .launch(KernelKind::FitAssgPopulation, n, |i| {
+                        *unsafe { fitness.item_mut(i) } = obj.value(&scores[i]);
+                    })
+                    .host
             }
             ObjectiveMode::WeightedSum(w) => {
                 let scores = &arena.scores;
                 let fitness = SharedLanes::new(&mut arena.fitness);
-                let _ = executor.launch(KernelKind::FitAssgPopulation, n, |i| {
-                    *unsafe { fitness.item_mut(i) } = weighted_sum(&w, &scores[i]);
-                });
+                executor
+                    .launch(KernelKind::FitAssgPopulation, n, |i| {
+                        *unsafe { fitness.item_mut(i) } = weighted_sum(&w, &scores[i]);
+                    })
+                    .host
             }
         }
-        let host_us = start.elapsed().as_secs_f64() * 1e6;
-        component.fitness_us += host_us;
-        let work_per_thread = 2.0 * n as f64 * self.config.active_objectives() as f64;
-        self.record_kernel_launch(
-            KernelKind::FitAssgPopulation,
-            launch_cfg,
-            n,
-            work_per_thread,
-            host_us,
-            profiler,
-            modeled_gpu,
-            modeled_cpu,
-        );
     }
 
     /// The staged `health` kernel: one population-wide `[HealthSweep]`
     /// launch classifying every member's candidate lanes as finite or
-    /// poisoned, followed by the host-side [`NumericGuard`] policy verdict
-    /// ([`MoscemSampler::quarantine_or_fail`]).
+    /// poisoned; the host-side [`NumericGuard`] policy verdict on its flags
+    /// is [`MoscemSampler::quarantine_or_fail`].
     ///
     /// The sweep is a robustness stage of this implementation, not a paper
-    /// task: it is deliberately *not* recorded into the profiler or the
-    /// modeled GPU/CPU totals, so the staged pipeline's modeled timings
-    /// stay comparable to the fused reference's.  Its measured host time
-    /// lands in [`ComponentTimes::other_us`], and the CI perf gate bounds
-    /// it below 3% of a staged iteration.
-    fn stage_health(
-        &self,
-        executor: &Executor,
-        arena: &mut PopulationArena,
-        iteration: usize,
-        component: &mut ComponentTimes,
-    ) -> Result<(), Error> {
+    /// task: it gets a measured row like every stage, but the modeled
+    /// device tables leave it out.
+    fn stage_health(&self, executor: &Executor, arena: &mut PopulationArena) -> KernelLaunch {
         let n = arena.n_members();
         let stride = arena.stride();
-        let start = Instant::now();
-        {
-            let healthy = SharedLanes::new(&mut arena.healthy);
-            let scores = &arena.cand_scores;
-            let torsions = &arena.cand_torsions;
-            let devs = &arena.cand_closure_dev;
-            let rmsds = &arena.cand_rmsd;
-            let _ = executor.launch(KernelKind::HealthSweep, n, |i| {
-                // SAFETY: kernel i touches only member i's verdict slot.
-                *unsafe { healthy.item_mut(i) } = crate::health::member_is_finite(
-                    &scores[i],
-                    &torsions[i * stride..(i + 1) * stride],
-                    devs[i],
-                    rmsds[i],
-                );
-            });
-        }
-        component.other_us += start.elapsed().as_secs_f64() * 1e6;
-        if arena.healthy.iter().all(|&h| h) {
-            return Ok(());
-        }
-        self.quarantine_or_fail(arena, iteration)
+        let healthy = SharedLanes::new(&mut arena.healthy);
+        let scores = &arena.cand_scores;
+        let torsions = &arena.cand_torsions;
+        let devs = &arena.cand_closure_dev;
+        let rmsds = &arena.cand_rmsd;
+        executor.launch(KernelKind::HealthSweep, n, |i| {
+            // SAFETY: kernel i touches only member i's verdict slot.
+            *unsafe { healthy.item_mut(i) } = crate::health::member_is_finite(
+                &scores[i],
+                &torsions[i * stride..(i + 1) * stride],
+                devs[i],
+                rmsds[i],
+            );
+        })
     }
 
-    /// The [`NumericGuard`] verdict on a health sweep that flagged at least
-    /// one poisoned member: fail the job with a typed
+    /// The [`NumericGuard`] verdict on the last health sweep: a no-op when
+    /// every member is healthy; otherwise fail the job with a typed
     /// [`Error::NumericalFault`], or quarantine the poisoned members and
     /// keep sampling.  A fully poisoned population fails regardless of the
     /// policy — there is no sound state left to continue from.
@@ -1760,11 +1305,9 @@ impl MoscemSampler {
         arena: &mut PopulationArena,
         iteration: usize,
     ) -> Result<(), Error> {
-        let first_bad = arena
-            .healthy
-            .iter()
-            .position(|&h| !h)
-            .expect("caller flagged at least one poisoned member");
+        let Some(first_bad) = arena.healthy.iter().position(|&h| !h) else {
+            return Ok(());
+        };
         let donor = arena.healthy.iter().position(|&h| h);
         if matches!(self.config.numeric_guard, NumericGuard::Fail) || donor.is_none() {
             return Err(self.numeric_fault(arena, first_bad, iteration));
@@ -1881,38 +1424,6 @@ impl MoscemSampler {
         Ok(())
     }
 
-    /// Record one staged kernel launch: modeled device/CPU time from the
-    /// work model plus the measured host time, keeping the per-kernel
-    /// [`Profiler`] rows of the staged pipeline as honest as the fused
-    /// reference's.
-    #[allow(clippy::too_many_arguments)]
-    fn record_kernel_launch(
-        &self,
-        kind: KernelKind,
-        launch_cfg: LaunchConfig,
-        population: usize,
-        per_thread_work: f64,
-        host_us: f64,
-        profiler: &Profiler,
-        modeled_gpu: &mut f64,
-        modeled_cpu: &mut f64,
-    ) {
-        let occ = launch_cfg.occupancy(&self.timing.device, kind);
-        let gpu_us = self
-            .timing
-            .kernel_time_us(kind, launch_cfg, per_thread_work);
-        let cpu_us = self.timing.cpu_time_us(kind, population, per_thread_work);
-        profiler.record_kernel(
-            kind,
-            gpu_us,
-            host_us,
-            per_thread_work * population as f64,
-            occ,
-        );
-        *modeled_gpu += gpu_us;
-        *modeled_cpu += cpu_us;
-    }
-
     /// [`MoscemSampler::snapshot`] over the arena's SoA lanes.
     fn snapshot_arena(
         &self,
@@ -2006,23 +1517,10 @@ impl MoscemSampler {
     }
 
     /// Population-wide fitness assignment (Eq. 1), executed as two passes of
-    /// a data-parallel kernel and recorded as the paper's
-    /// `[FitAssg] within Population` kernel.
-    #[allow(clippy::too_many_arguments)]
-    fn population_fitness(
-        &self,
-        executor: &Executor,
-        scores: &[ScoreVector],
-        launch: LaunchConfig,
-        profiler: &Profiler,
-        component: &mut ComponentTimes,
-        modeled_gpu: &mut f64,
-        modeled_cpu: &mut f64,
-    ) -> Vec<f64> {
+    /// a data-parallel kernel (the paper's `[FitAssg] within Population`).
+    fn population_fitness(&self, executor: &Executor, scores: &[ScoreVector]) -> Vec<f64> {
         let n = scores.len();
-        let mode = self.config.objective_mode;
-        let start = Instant::now();
-        let fitness = match mode {
+        match self.config.objective_mode {
             ObjectiveMode::MultiScoring => {
                 // Pass 1: strength and non-dominated flag per member.
                 let (pass1, _) = executor.map_indexed(scores, |i, si| {
@@ -2052,96 +1550,7 @@ impl MoscemSampler {
             }
             ObjectiveMode::Single(obj) => scores.iter().map(|s| obj.value(s)).collect(),
             ObjectiveMode::WeightedSum(w) => scores.iter().map(|s| weighted_sum(&w, s)).collect(),
-        };
-        let host_us = start.elapsed().as_secs_f64() * 1e6;
-        component.fitness_us += host_us;
-
-        let work_per_thread = 2.0 * n as f64 * self.config.active_objectives() as f64;
-        let occ = launch.occupancy(&self.timing.device, KernelKind::FitAssgPopulation);
-        let gpu_us =
-            self.timing
-                .kernel_time_us(KernelKind::FitAssgPopulation, launch, work_per_thread);
-        let cpu_us = self
-            .timing
-            .cpu_time_us(KernelKind::FitAssgPopulation, n, work_per_thread);
-        profiler.record_kernel(
-            KernelKind::FitAssgPopulation,
-            gpu_us,
-            host_us,
-            work_per_thread * n as f64,
-            occ,
-        );
-        *modeled_gpu += gpu_us;
-        *modeled_cpu += cpu_us;
-        fitness
-    }
-
-    /// Record the CCD and the three scoring kernels for one population-wide
-    /// launch, using the members' measured times and the work model.
-    #[allow(clippy::too_many_arguments)]
-    fn account_population_kernels(
-        &self,
-        members: &[Member],
-        work: &WorkModel,
-        launch: LaunchConfig,
-        population: usize,
-        profiler: &Profiler,
-        component: &mut ComponentTimes,
-        modeled_gpu: &mut f64,
-        modeled_cpu: &mut f64,
-    ) {
-        let n = population.max(1);
-        let ccd_host_us: f64 = members.iter().map(|m| m.ccd_us).sum();
-        let scoring_host_us: f64 = members.iter().map(|m| m.scoring_us).sum();
-        component.ccd_us += ccd_host_us;
-        component.scoring_us += scoring_host_us;
-
-        let mean_rotations: f64 = members.iter().map(|m| m.ccd_rotations).sum::<f64>() / n as f64;
-        let ccd_work = (mean_rotations + 1.0) * work.ccd_per_rotation;
-
-        // Split the measured scoring time across the three evaluation
-        // kernels in proportion to their modeled work so the host columns of
-        // Table II stay meaningful.
-        let eval_total_work = work.dist_work + work.vdw_work + work.trip_work;
-        let kernels: [(KernelKind, f64); 4] = [
-            (KernelKind::Ccd, ccd_work),
-            (KernelKind::EvalDist, work.dist_work),
-            (KernelKind::EvalVdw, work.vdw_work),
-            (KernelKind::EvalTrip, work.trip_work),
-        ];
-        for (kind, per_thread_work) in kernels {
-            let occ = launch.occupancy(&self.timing.device, kind);
-            let gpu_us = self.timing.kernel_time_us(kind, launch, per_thread_work);
-            let cpu_us = self.timing.cpu_time_us(kind, n, per_thread_work);
-            let host_us = match kind {
-                KernelKind::Ccd => ccd_host_us,
-                _ => scoring_host_us * per_thread_work / eval_total_work.max(1e-12),
-            };
-            profiler.record_kernel(kind, gpu_us, host_us, per_thread_work * n as f64, occ);
-            *modeled_gpu += gpu_us;
-            *modeled_cpu += cpu_us;
         }
-    }
-
-    /// Record one lightweight kernel launch that has no separately measured
-    /// host time.
-    #[allow(clippy::too_many_arguments)]
-    fn account_simple_kernel(
-        &self,
-        kind: KernelKind,
-        launch: LaunchConfig,
-        population: usize,
-        work_per_thread: f64,
-        profiler: &Profiler,
-        modeled_gpu: &mut f64,
-        modeled_cpu: &mut f64,
-    ) {
-        let occ = launch.occupancy(&self.timing.device, kind);
-        let gpu_us = self.timing.kernel_time_us(kind, launch, work_per_thread);
-        let cpu_us = self.timing.cpu_time_us(kind, population, work_per_thread);
-        profiler.record_kernel(kind, gpu_us, 0.0, work_per_thread * population as f64, occ);
-        *modeled_gpu += gpu_us;
-        *modeled_cpu += cpu_us;
     }
 }
 
@@ -2322,7 +1731,7 @@ mod tests {
         };
         let sampler = small_sampler("1cex", cfg);
         let result = sampler.run(&scalar());
-        let f = result.component_times.fractions();
+        let f = result.stages.components().fractions();
         let heavy = f[0] + f[1];
         assert!(
             heavy > 0.80,
@@ -2332,52 +1741,29 @@ mod tests {
     }
 
     #[test]
-    fn modeled_times_favor_the_device_at_large_population() {
-        let cfg = SamplerConfig {
-            population_size: 128,
-            n_complexes: 2,
-            iterations: 1,
-            ..SamplerConfig::test_scale()
-        };
-        let sampler = small_sampler("1dim", cfg);
-        let result = sampler.run(&parallel());
-        assert!(result.modeled_cpu_us > 0.0);
-        assert!(result.modeled_gpu_us > 0.0);
-        assert!(result.modeled_speedup() > 1.0);
-    }
-
-    #[test]
-    fn profiler_records_the_papers_kernels_and_transfers() {
+    fn stage_walls_fit_inside_host_wall() {
+        // Stages run one launch at a time inside the trajectory, so their
+        // summed launch wall time cannot exceed the run's wall clock.
         let cfg = SamplerConfig {
             population_size: 16,
             n_complexes: 2,
-            iterations: 2,
+            iterations: 3,
             ..SamplerConfig::test_scale()
         };
         let sampler = small_sampler("1ixh", cfg);
-        let result = sampler.run(&scalar());
-        let kernels = result.profiler.kernel_stats();
-        for kind in [
-            KernelKind::Ccd,
-            KernelKind::EvalDist,
-            KernelKind::EvalVdw,
-            KernelKind::EvalTrip,
-            KernelKind::FitAssgPopulation,
-            KernelKind::FitAssgComplex,
-        ] {
-            assert!(kernels.contains_key(&kind), "missing kernel {kind:?}");
+        for executor in [scalar(), parallel()] {
+            let result = sampler.run(&executor);
+            let stages = result.stages.total_wall();
+            assert!(stages > Duration::ZERO);
+            assert!(
+                stages <= result.host_wall,
+                "stage wall {stages:?} exceeds host wall {:?}",
+                result.host_wall
+            );
         }
-        // CCD dominates device time, TRIPLET is negligible — Table II shape.
-        assert!(kernels[&KernelKind::Ccd].device_us > kernels[&KernelKind::EvalDist].device_us);
-        assert!(
-            kernels[&KernelKind::EvalDist].device_us > kernels[&KernelKind::EvalTrip].device_us
-        );
-        let transfers = result.profiler.transfer_stats();
-        assert!(transfers.contains_key(&TransferKind::HtoA));
-        assert!(transfers.contains_key(&TransferKind::DtoH));
-        // Transfers are a small share of total device time.
-        let transfer_us: f64 = transfers.values().map(|t| t.device_us).sum();
-        assert!(transfer_us < 0.05 * result.profiler.total_device_us());
+        // The per-member reference keeps no stage record.
+        let reference = sampler.run_reference_with_seed(&scalar(), 1);
+        assert_eq!(reference.stages, StageRecord::default());
     }
 
     #[test]

@@ -90,7 +90,7 @@ fn base_config() -> SamplerConfig {
 }
 
 /// Bitwise equality of everything the sampling computation determines
-/// (timings and profiler rows are measurements and excluded).
+/// (the stage record and wall times are measurements and excluded).
 fn assert_bit_identical(batched: &TrajectoryResult, reference: &TrajectoryResult, label: &str) {
     assert_eq!(
         batched.population.len(),

@@ -71,9 +71,8 @@ const SIMD_LANE_WIDTH: usize = 4;
 /// The record of one staged population-kernel launch through
 /// [`Executor::launch`]: which kernel ran, over how many device threads
 /// (population members), and the measured host wall-clock time of the
-/// launch.  The sampler feeds these into the [`crate::Profiler`] /
-/// [`crate::TimingModel`] accounting so the staged pipeline's per-kernel
-/// rows stay honest.
+/// launch.  The sampler adds each launch's `host` time to its per-stage
+/// record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[must_use]
 pub struct KernelLaunch {
@@ -131,7 +130,7 @@ impl fmt::Display for Backend {
 /// width, its worker-thread budget and the lockstep CCD block width it
 /// wants the sampler to batch with.  Reported through
 /// [`Executor::capabilities`] and recorded on perf artifacts
-/// (`Profiler::table2_report`, `BENCH_*.json`) and job results so every
+/// (the Table II report, `BENCH_*.json`) and job results so every
 /// measurement is attributable to a backend.
 ///
 /// `#[non_exhaustive]`: future backends will report more (device memory,
@@ -192,7 +191,7 @@ fn detected_host_isa() -> &'static str {
 }
 
 /// The ISA-qualified display name of the SIMD backend, so every
-/// `Capabilities::name` (and thus every `BENCH_*.json` / profiler report)
+/// `Capabilities::name` (and thus every `BENCH_*.json` / Table II report)
 /// states which wide backend actually produced the measurement.
 #[cfg(feature = "simd")]
 fn simd_qualified_name() -> &'static str {

@@ -1,15 +1,17 @@
 //! # lms-simt
 //!
 //! The heterogeneous CPU–GPU platform substitute: a software model of the
-//! paper's NVIDIA GTX 280 (resource limits, occupancy, kernel/memcpy timing,
-//! profiler) plus host-side executors that actually run the per-conformation
-//! kernels — sequentially (the CPU baseline) or data-parallel across cores
-//! (the device role).
+//! paper's NVIDIA GTX 280 (resource limits, occupancy, kernel/memcpy timing)
+//! plus host-side executors that actually run the per-conformation kernels
+//! — sequentially (the CPU baseline) or data-parallel across cores (the
+//! device role).
 //!
 //! The numerical work is always performed for real on the host; only the
-//! *device timings* are modeled, which is what lets the benchmark harness
-//! regenerate the paper's Figure 4 and Tables I–III without CUDA hardware.
-//! See DESIGN.md ("Substitutions") for the fidelity argument.
+//! *device timings* are modeled.  The executors measure each launch's wall
+//! time; the pure model modules here are evaluated after a run, by the
+//! benchmark harness (`lms-bench`'s `profiler` module), over the sampler's
+//! measured stage counts to regenerate the paper's Figure 4 and Tables I–III
+//! without CUDA hardware.
 //!
 //! ## Quick example
 //!
@@ -45,7 +47,6 @@ pub mod kernel;
 pub mod lanes;
 pub mod memory;
 pub mod occupancy;
-pub mod profiler;
 pub mod timing;
 
 pub use device::{DeviceSpec, HostSpec};
@@ -59,5 +60,4 @@ pub use kernel::{KernelKind, LaunchConfig};
 pub use lanes::SharedLanes;
 pub use memory::{transfer_time_us, DataPlacement, MemorySpace, TransferKind};
 pub use occupancy::{occupancy, Occupancy, OccupancyLimiter};
-pub use profiler::{KernelStats, Profiler, TransferStats};
 pub use timing::TimingModel;

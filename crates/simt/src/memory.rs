@@ -4,8 +4,8 @@
 //! conformations in global memory, read-only copies and the pre-calculated
 //! scoring tables in texture memory, run constants in constant memory — and
 //! its Table II reports the time spent in each `memcpy` direction.  This
-//! module models those placements and transfers so the profiler can emit the
-//! same rows.
+//! module models those placements and transfers so the experiment harness
+//! can emit the same rows.
 
 use crate::device::DeviceSpec;
 

@@ -34,12 +34,14 @@ fn main() -> Result<(), Error> {
     let result = engine.run(job)?;
 
     // 4. Report what the trajectory found.
+    let [ccd, scoring, fitness, other] = result.stages.components().fractions();
     println!(
-        "\nfinished in {:.2?} (modeled GTX-280 time {:.1} ms, modeled 1-core CPU time {:.1} ms, modeled speedup {:.1}x)",
+        "\nfinished in {:.2?} (stage wall: CCD {:.0}%, scoring {:.0}%, fitness {:.0}%, other {:.0}%)",
         result.host_wall,
-        result.modeled_gpu_us / 1e3,
-        result.modeled_cpu_us / 1e3,
-        result.modeled_speedup(),
+        ccd * 100.0,
+        scoring * 100.0,
+        fitness * 100.0,
+        other * 100.0,
     );
     println!(
         "non-dominated conformations: {} of {}",

@@ -116,8 +116,8 @@
 //! bit-for-bit against the portable reference, NaN/∞ lanes included);
 //! it only changes how fast they run.  Every executor reports
 //! [`prelude::Capabilities`] (backend name, lane width, thread budget,
-//! CCD block width, and the detected ISA), which the profiler's Table II
-//! report, the bench JSON artifacts and each [`prelude::JobResult`] carry
+//! CCD block width, and the detected ISA), which the experiment harness's
+//! Table II report, the bench JSON artifacts and each [`prelude::JobResult`] carry
 //! so measurements stay attributable to the instruction set that produced
 //! them.
 //!
@@ -194,7 +194,7 @@
 //! | [`closure`] | CCD loop closure |
 //! | [`protein`] | backbone geometry, benchmark targets, PDB I/O |
 //! | [`geometry`] | vectors, rotations, dihedral math, streamed RNG |
-//! | [`simt`] | executors, device model, kernel profiler |
+//! | [`simt`] | executors, device timing model |
 //! | [`decoys`] | decoy clustering and ensemble statistics |
 
 #![warn(missing_docs)]
@@ -217,7 +217,8 @@ pub mod prelude {
         DecoyProduction, DecoySet, EngineBuilder, Error, InitMode, IterationSnapshot, Job,
         JobBuilder, JobId, JobLimits, JobProgress, JobResult, JobStatus, LoopModelingEngine,
         MoscemSampler, MutationConfig, NumericGuard, ObjectiveMode, PoisonedLane, RetryPolicy,
-        RunControls, SamplerConfig, SamplerConfigBuilder, TemperatureSchedule, TrajectoryResult,
+        RunControls, SamplerConfig, SamplerConfigBuilder, StageRecord, StageRow,
+        TemperatureSchedule, TrajectoryResult,
     };
     pub use lms_decoys::{
         cluster_decoys, compare_decoy_sets, distinct_non_dominated, ensemble_stats, ClusterMetric,
@@ -231,9 +232,8 @@ pub mod prelude {
         ScoreVector, ScratchPool, NUM_OBJECTIVES,
     };
     pub use lms_simt::{
-        Backend, Capabilities, DeviceSpec, Executor, ExecutorConfig, ExecutorConfigError,
-        KernelKind, KernelLaunch, LaunchConfig, Profiler, TimingModel, DEFAULT_CCD_BLOCK_WIDTH,
-        MAX_CCD_BLOCK_WIDTH,
+        Backend, Capabilities, Executor, ExecutorConfig, ExecutorConfigError, KernelKind,
+        KernelLaunch, DEFAULT_CCD_BLOCK_WIDTH, MAX_CCD_BLOCK_WIDTH,
     };
     #[cfg(feature = "fault-injection")]
     pub use lms_simt::{FaultKind, FaultPlan, FaultSession, FaultSite};

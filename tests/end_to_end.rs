@@ -150,22 +150,34 @@ fn multi_scoring_front_is_broader_than_single_objective() {
 }
 
 #[test]
-fn profiler_matches_table2_structure_end_to_end() {
+fn stage_record_matches_table2_structure_end_to_end() {
     let target = BenchmarkLibrary::standard().target_by_name("1ixh").unwrap();
     let sampler = MoscemSampler::new(target, fast_kb(), small_config(32, 4, 11));
     let result = sampler.run(&ExecutorConfig::parallel().build().unwrap());
-    let stats = result.profiler.kernel_stats();
-    // Table II ordering: CCD > DIST > VDW > TRIPLET in device time.
-    let t = |k: KernelKind| stats[&k].device_us;
-    assert!(t(KernelKind::Ccd) > t(KernelKind::EvalDist));
-    assert!(t(KernelKind::EvalDist) > t(KernelKind::EvalVdw));
-    assert!(t(KernelKind::EvalVdw) > t(KernelKind::EvalTrip));
-    // Call counts: every per-iteration kernel ran iterations + 1 times
-    // (the +1 is the initialization launch), fitness-complex once per iteration.
-    assert_eq!(stats[&KernelKind::Ccd].calls, 5);
-    assert_eq!(stats[&KernelKind::FitAssgComplex].calls, 4);
-    // Table III: the register-heavy kernels sit at 50% occupancy.
-    let occ = result.profiler.occupancies();
-    assert!((occ[&KernelKind::Ccd].occupancy - 0.5).abs() < 1e-9);
-    assert!((occ[&KernelKind::FitAssgPopulation].occupancy - 1.0).abs() < 1e-9);
+    let calls = |k: KernelKind| result.stages.row(k).calls;
+    // Call counts: every per-member stage ran iterations + 1 times (the +1
+    // is the initialization launch), the per-iteration stages once per
+    // iteration, and population fitness once per stage invocation.
+    for kind in [
+        KernelKind::Ccd,
+        KernelKind::Rebuild,
+        KernelKind::EvalVdw,
+        KernelKind::EvalDist,
+        KernelKind::EvalTrip,
+        KernelKind::HealthSweep,
+        KernelKind::FitAssgPopulation,
+    ] {
+        assert_eq!(calls(kind), 5, "{kind:?}");
+    }
+    for kind in [
+        KernelKind::Reproduction,
+        KernelKind::Metropolis,
+        KernelKind::Select,
+    ] {
+        assert_eq!(calls(kind), 4, "{kind:?}");
+    }
+    // Fitness within the complex runs inside the Metropolis launch and has
+    // no stage of its own.
+    assert_eq!(calls(KernelKind::FitAssgComplex), 0);
+    assert!(result.stages.ccd_rotations() > 0);
 }
