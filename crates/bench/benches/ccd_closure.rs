@@ -25,11 +25,12 @@
 //!   is the batched optimal-rotation kernel — also compared in isolation.
 //!
 //! Besides the criterion groups, the harness writes `BENCH_ccd.json` at
-//! the workspace root recording the comparisons (and, under the `simd`
-//! feature, the wide-lane `simd` section with the executor capabilities
-//! that produced it) for the perf trajectory.
+//! the workspace root (see `lms_bench::artifact`) recording the
+//! comparisons, the executor capabilities that produced them and, under
+//! the `simd` feature, the wide-lane `blocks.wide_*` and `simd.*` rows.
 
 use criterion::{criterion_group, Criterion};
+use lms_bench::artifact::{Artifact, Better, Gate};
 use lms_bench::scaled_env_target;
 use lms_closure::{optimal_rotation_batch, CcdBatchScratch, CcdCloser, CcdConfig, CcdLane};
 use lms_core::SamplerConfig;
@@ -374,8 +375,8 @@ fn paired_median_ns<T>(
 }
 
 /// The capabilities of the executor backend this bench run's lockstep
-/// sweep corresponds to, rendered as JSON metadata so the artifact's
-/// numbers stay attributable to a backend.
+/// sweep corresponds to, so the artifact's numbers stay attributable to a
+/// backend.
 fn executor_metadata() -> String {
     #[cfg(feature = "simd")]
     let executor = ExecutorConfig::simd()
@@ -386,27 +387,16 @@ fn executor_metadata() -> String {
     let executor = ExecutorConfig::scalar()
         .build()
         .expect("scalar backend is always available");
-    let caps = executor.capabilities();
-    format!(
-        "{{\"backend\": \"{}\", \"lane_width\": {}, \"threads\": {}, \
-         \"ccd_block_width\": {}, \"isa\": \"{}\"}}",
-        caps.name, caps.lane_width, caps.threads, caps.ccd_block_width, caps.isa
-    )
+    executor.capabilities().to_string()
 }
 
 /// Measure the isolated scalar-vs-wide optimal-rotation kernel across lane
-/// counts and render the `"simd"` JSON section the perf gate tracks.  The
+/// counts and push the `simd.*` rows; the median speedup is gated.  The
 /// kernel-level ratio is the gated number because the closure-level sweep
 /// also runs the scalar rigid-motion updates, spine write-back and exact
 /// builds, which the wide lanes do not touch.
 #[cfg(feature = "simd")]
-fn simd_kernel_section() -> String {
-    let lane_width = ExecutorConfig::simd()
-        .build()
-        .expect("simd backend available")
-        .capabilities()
-        .lane_width;
-    let mut entries = Vec::new();
+fn simd_kernel_rows(artifact: &mut Artifact) {
     let mut speedups = Vec::new();
     for &width in &KERNEL_WIDTHS {
         let (moving, targets, pivots, axes) = kernel_inputs(width);
@@ -456,29 +446,21 @@ fn simd_kernel_section() -> String {
             "ccd_rotation_kernel w={width}: scalar {scalar:.2} ns/lane, \
              wide {wide:.2} ns/lane, speedup {speedup:.2}x"
         );
-        entries.push(format!(
-            "      {{\"lanes\": {width}, \"scalar_ns_per_lane\": {scalar:.2}, \
-             \"wide_ns_per_lane\": {wide:.2}, \"speedup\": {speedup:.3}}}"
-        ));
+        artifact.ns(format!("simd.scalar_ns_per_lane.lanes{width}"), scalar);
+        artifact.ns(format!("simd.wide_ns_per_lane.lanes{width}"), wide);
+        let name = format!("simd.speedup.lanes{width}");
+        artifact.push(name, speedup, "ratio", Better::Higher, Gate::None);
     }
     speedups.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let median = speedups[speedups.len() / 2];
     println!("ccd_rotation_kernel median wide-lane speedup: {median:.2}x");
-    format!(
-        ",\n  \"simd\": {{\n    \
-         \"comparison\": \"scalar vs wide-f64 batched optimal-rotation kernel (bit-identical)\",\n    \
-         \"lane_width\": {lane_width},\n    \"results\": [\n{}\n    ],\n    \
-         \"speedup\": {median:.3}\n  }}",
-        entries.join(",\n")
-    )
+    artifact.ratio("simd.speedup", median, Better::Higher);
 }
 
-/// Without the `simd` feature the artifact simply has no `"simd"` section;
-/// the perf gate treats the metric as optional until both sides carry it.
+/// Without the `simd` feature the artifact has no `simd.*` rows; against a
+/// baseline that gates them the perf gate reports them lost.
 #[cfg(not(feature = "simd"))]
-fn simd_kernel_section() -> String {
-    String::new()
-}
+fn simd_kernel_rows(_: &mut Artifact) {}
 
 /// Measure both comparisons and write `BENCH_ccd.json` at the workspace
 /// root.
@@ -487,7 +469,7 @@ fn write_bench_json() {
 
     // --- CCD: NeRF per rotation vs rigid-body sweep --------------------
     let config = production_ccd();
-    let mut ccd_entries = Vec::new();
+    let mut artifact = Artifact::new("ccd_closure", Some(executor_metadata()));
     for &len in &LOOP_LENGTHS {
         let target = target_of_len(len);
         let torsions = starts(&target, 16);
@@ -535,16 +517,15 @@ fn write_bench_json() {
             "ccd_closure len={len}: nerf-per-rotation {nerf:.0} ns/closure, \
              rigid {rigid:.0} ns/closure, speedup {speedup:.2}x"
         );
-        ccd_entries.push(format!(
-            "      {{\"loop_len\": {len}, \"nerf_ns_per_closure\": {nerf:.1}, \
-             \"rigid_ns_per_closure\": {rigid:.1}, \"speedup\": {speedup:.3}}}"
-        ));
+        artifact.ns(format!("ccd.nerf_ns_per_closure.len{len}"), nerf);
+        artifact.ns(format!("ccd.rigid_ns_per_closure.len{len}"), rigid);
+        let name = format!("ccd.rigid_speedup.len{len}");
+        artifact.ratio(name, speedup, Better::Higher);
     }
 
     // --- VDW environment: linear scan vs cell list ---------------------
     let vdw = VdwScore::default();
     let base = target_of_len(12);
-    let mut env_entries = Vec::new();
     let mut cells_by_factor = Vec::new();
     let mut window_speedups = Vec::new();
     for &factor in &ENV_FACTORS {
@@ -584,18 +565,29 @@ fn write_bench_json() {
              per-site {per_site:.0} ns/eval, windows {cells:.0} ns/eval, \
              speedup vs linear {speedup:.2}x, vs per-site {window_speedup:.2}x"
         );
-        env_entries.push(format!(
-            "      {{\"env_factor\": {factor}, \"candidates\": {candidates}, \
-             \"linear_ns_per_eval\": {linear:.1}, \"per_site_ns_per_eval\": {per_site:.1}, \
-             \"cells_ns_per_eval\": {cells:.1}, \"speedup\": {speedup:.3}, \
-             \"window_speedup\": {window_speedup:.3}}}"
-        ));
+        let x = |what: &str| format!("vdw_env.{what}.x{factor}");
+        let count = candidates as f64;
+        artifact.push(x("candidates"), count, "count", Better::Lower, Gate::None);
+        artifact.ns(x("linear_ns_per_eval"), linear);
+        artifact.ns(x("per_site_ns_per_eval"), per_site);
+        artifact.ns(x("cells_ns_per_eval"), cells);
+        artifact.ratio(x("cells_speedup"), speedup, Better::Higher);
+        artifact.push(
+            x("window_speedup"),
+            window_speedup,
+            "ratio",
+            Better::Higher,
+            Gate::None,
+        );
     }
     let growth = cells_by_factor[2] / cells_by_factor[0];
     println!("vdw_env cell-list cost growth 100x/1x: {growth:.2}x");
+    let name = "vdw_env.cells_cost_growth_100x_over_1x";
+    artifact.push(name, growth, "ratio", Better::Lower, Gate::None);
     window_speedups.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let window_speedup = window_speedups[window_speedups.len() / 2];
     println!("vdw_env median per-residue-window speedup over per-site: {window_speedup:.2}x");
+    artifact.ratio("vdw_env.window_speedup", window_speedup, Better::Higher);
 
     // --- Lockstep CCD blocks: block-width / backend sweep --------------
     let target = target_of_len(8);
@@ -605,7 +597,6 @@ fn write_bench_json() {
         .map(|_| LoopStructure::with_capacity(8))
         .collect();
     let mut batch_scratch = CcdBatchScratch::default();
-    let mut block_entries = Vec::new();
     for &width in &BLOCK_WIDTHS {
         let mut close = |closer: &CcdCloser| {
             close_population(
@@ -631,47 +622,22 @@ fn write_bench_json() {
                 "ccd_blocks w={width}: scalar {scalar:.0} ns/member, \
                  wide {wide:.0} ns/member, speedup {speedup:.2}x"
             );
-            block_entries.push(format!(
-                "      {{\"block_width\": {width}, \"scalar_ns_per_member\": {scalar:.1}, \
-                 \"wide_ns_per_member\": {wide:.1}, \"speedup\": {speedup:.3}}}"
-            ));
+            artifact.ns(format!("blocks.scalar_ns_per_member.w{width}"), scalar);
+            artifact.ns(format!("blocks.wide_ns_per_member.w{width}"), wide);
+            let name = format!("blocks.wide_speedup.w{width}");
+            artifact.ratio(name, speedup, Better::Higher);
         }
         #[cfg(not(feature = "simd"))]
         {
             let scalar =
                 median_ns(|| close(&scalar_closer), BLOCK_ITERS, 9) / BLOCK_POPULATION as f64;
             println!("ccd_blocks w={width}: scalar {scalar:.0} ns/member");
-            block_entries.push(format!(
-                "      {{\"block_width\": {width}, \"scalar_ns_per_member\": {scalar:.1}}}"
-            ));
+            artifact.ns(format!("blocks.scalar_ns_per_member.w{width}"), scalar);
         }
     }
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"ccd_closure\",\n  \"unit\": \"ns\",\n  \
-         \"executor\": {},\n  \"ccd\": {{\n    \
-         \"comparison\": \"NeRF spine rebuild per rotation vs rigid-body sweep (CCD {} sweeps / {} A)\",\n    \
-         \"results\": [\n{}\n    ]\n  }},\n  \"vdw_env\": {{\n    \
-         \"comparison\": \"linear candidate scan vs per-site cell-list queries vs per-residue candidate windows\",\n    \
-         \"results\": [\n{}\n    ],\n    \"cells_cost_growth_100x_over_1x\": {growth:.3},\n    \
-         \"window_speedup\": {window_speedup:.3}\n  }},\n  \
-         \"blocks\": {{\n    \
-         \"comparison\": \"lockstep close_batch over a {BLOCK_POPULATION}-member population, per CCD block width (scalar vs wide optimal-rotation kernel)\",\n    \
-         \"results\": [\n{}\n    ]\n  }}{}\n}}\n",
-        executor_metadata(),
-        config.max_sweeps,
-        config.tolerance,
-        ccd_entries.join(",\n"),
-        env_entries.join(",\n"),
-        block_entries.join(",\n"),
-        simd_kernel_section()
-    );
-    let root = std::env::var("CARGO_MANIFEST_DIR")
-        .map(|d| format!("{d}/../.."))
-        .unwrap_or_else(|_| ".".to_string());
-    let path = format!("{root}/BENCH_ccd.json");
-    std::fs::write(&path, json).expect("write BENCH_ccd.json");
-    println!("wrote {path}");
+    simd_kernel_rows(&mut artifact);
+    artifact.write_to_workspace_root("BENCH_ccd.json");
 }
 
 criterion_group!(

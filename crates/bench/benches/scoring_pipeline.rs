@@ -28,14 +28,16 @@
 //! post-score finite-classification pass the fault-tolerant runtime runs
 //! once per staged iteration — against the cost of one batched
 //! member-iteration.  The guard is supposed to be noise (< 3% of a
-//! member-iteration); the CI gate enforces that bound absolutely.
+//! member-iteration); its row carries that bound, which the CI gate
+//! enforces absolutely.
 //!
 //! Besides the criterion groups, the harness writes `BENCH_scoring.json`
-//! at the workspace root with the measured numbers so future PRs have a
-//! recorded perf trajectory; the `pipeline` and `health_sweep` ratios are
-//! tracked by the CI perf-regression gate.
+//! at the workspace root (see `lms_bench::artifact`): every measured time
+//! as an ungated row, and the workspace, cost, pipeline and health-sweep
+//! ratios as rows the CI perf-regression gate tracks.
 
 use criterion::{criterion_group, Criterion};
+use lms_bench::artifact::{Artifact, Better, Gate};
 use lms_bench::{scaled_env_target, shared_kb};
 use lms_core::{member_is_finite, MoscemSampler, SamplerConfig};
 use lms_protein::{BenchmarkLibrary, LoopBuilder, LoopStructure, LoopTarget, TargetSpec, Torsions};
@@ -390,11 +392,18 @@ fn median_ns_per_eval<F: FnMut()>(mut f: F, iters: u32, samples: u32) -> f64 {
     results[results.len() / 2]
 }
 
-/// Measure both paths and write `BENCH_scoring.json` at the workspace root.
+/// Absolute ceiling on the health sweep's cost relative to one batched
+/// member-iteration: the guard runs every staged iteration, so it must stay
+/// noise regardless of runner speed.
+const HEALTH_SWEEP_OVERHEAD_BOUND: f64 = 0.03;
+
+/// Measure every comparison and write `BENCH_scoring.json` at the
+/// workspace root.
 fn write_bench_json() {
     let kb = shared_kb();
     let builder = LoopBuilder::default();
-    let mut entries = Vec::new();
+    let exec = ExecutorConfig::scalar().build().unwrap();
+    let mut artifact = Artifact::new("scoring_pipeline", Some(exec.capabilities().to_string()));
     for &len in &LOOP_LENGTHS {
         let target = target_of_len(len);
         let scorer = MultiScorer::new(kb.clone());
@@ -432,10 +441,10 @@ fn write_bench_json() {
             "scoring_pipeline len={len}: allocating {allocating:.0} ns/eval, \
              workspace {workspace:.0} ns/eval, speedup {speedup:.2}x"
         );
-        entries.push(format!(
-            "    {{\"loop_len\": {len}, \"allocating_ns_per_eval\": {allocating:.1}, \
-             \"workspace_ns_per_eval\": {workspace:.1}, \"speedup\": {speedup:.3}}}"
-        ));
+        artifact.ns(format!("allocating_ns_per_eval.len{len}"), allocating);
+        artifact.ns(format!("workspace_ns_per_eval.len{len}"), workspace);
+        let name = format!("workspace_speedup.len{len}");
+        artifact.ratio(name, speedup, Better::Higher);
     }
 
     // --- 3-objective vs 4-objective shared-gather comparison ----------
@@ -467,6 +476,9 @@ fn write_bench_json() {
         "objective_scaling x{OBJECTIVE_ENV_FACTOR}: three {three_ns:.0} ns/eval, \
          four {four_ns:.0} ns/eval, cost ratio {cost_ratio:.2}x"
     );
+    artifact.ns("objectives.three_ns_per_eval", three_ns);
+    artifact.ns("objectives.four_ns_per_eval", four_ns);
+    artifact.ratio("objectives.cost_ratio", cost_ratio, Better::Lower);
 
     // --- shared-gather DIST bound: fused vs unfused ------------------
     let target = target_of_len(12);
@@ -513,10 +525,13 @@ fn write_bench_json() {
         "shared_gather_dist len=12: unfused {unfused_ns:.0} ns/eval, \
          fused {fused_ns:.0} ns/eval, speedup {gather_speedup:.3}x"
     );
+    artifact.ns("shared_gather.unfused_ns_per_eval", unfused_ns);
+    artifact.ns("shared_gather.fused_ns_per_eval", fused_ns);
+    let name = "shared_gather.speedup";
+    artifact.push(name, gather_speedup, "ratio", Better::Higher, Gate::None);
 
     // --- population-batched pipeline vs per-member reference ----------
     let sampler = pipeline_sampler();
-    let exec = ExecutorConfig::scalar().build().unwrap();
     // Bit-identity is asserted on every measurement run: the ratio below is
     // pure execution-shape speedup, never an algorithm change.
     {
@@ -548,6 +563,9 @@ fn write_bench_json() {
          per-member {per_member_ns:.0} ns/member-iter, batched {batched_ns:.0} ns/member-iter, \
          speedup {pipeline_speedup:.3}x"
     );
+    artifact.ns("pipeline.per_member_ns_per_member_iter", per_member_ns);
+    artifact.ns("pipeline.batched_ns_per_member_iter", batched_ns);
+    artifact.ratio("pipeline.speedup", pipeline_speedup, Better::Higher);
 
     // --- numerical health sweep vs one batched member-iteration -------
     // The sweep body exactly as `stage_health` runs it: one
@@ -586,31 +604,15 @@ fn write_bench_json() {
          {batched_ns:.0} ns/member-iter, overhead ratio {health_overhead:.5}"
     );
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"scoring_pipeline\",\n  \"unit\": \"ns/eval\",\n  \"results\": [\n{}\n  ],\n  \
-         \"objectives\": {{\n    \"comparison\": \"MultiScorer 3 objectives vs 4 (shared-gather burial)\",\n    \
-         \"env_factor\": {OBJECTIVE_ENV_FACTOR},\n    \"three_objective_ns_per_eval\": {three_ns:.1},\n    \
-         \"four_objective_ns_per_eval\": {four_ns:.1},\n    \"cost_ratio\": {cost_ratio:.3}\n  }},\n  \
-         \"shared_gather\": {{\n    \"comparison\": \"DIST Ca-Ca bound from the shared VDW gather vs recomputed\",\n    \
-         \"loop_len\": 12,\n    \"unfused_ns_per_eval\": {unfused_ns:.1},\n    \
-         \"fused_ns_per_eval\": {fused_ns:.1},\n    \"speedup\": {gather_speedup:.3}\n  }},\n  \
-         \"pipeline\": {{\n    \"comparison\": \"staged SoA-arena kernel pipeline vs per-member reference\",\n    \
-         \"loop_len\": 12,\n    \"population\": {PIPELINE_POPULATION},\n    \"iterations\": {PIPELINE_ITERATIONS},\n    \
-         \"per_member_ns_per_member_iter\": {per_member_ns:.1},\n    \
-         \"batched_ns_per_member_iter\": {batched_ns:.1},\n    \"speedup\": {pipeline_speedup:.3}\n  }},\n  \
-         \"health_sweep\": {{\n    \"comparison\": \"post-score finite-classification sweep vs one batched member-iteration\",\n    \
-         \"population\": {population},\n    \"sweep_ns_per_member\": {sweep_ns:.2},\n    \
-         \"batched_ns_per_member_iter\": {batched_ns:.1},\n    \"overhead_ratio\": {health_overhead:.5}\n  }}\n}}\n",
-        entries.join(",\n")
+    artifact.ns("health_sweep.sweep_ns_per_member", sweep_ns);
+    artifact.push(
+        "health_sweep.overhead_ratio",
+        health_overhead,
+        "ratio",
+        Better::Lower,
+        Gate::Bound(HEALTH_SWEEP_OVERHEAD_BOUND),
     );
-    // The bench runs from the crate directory under cargo; walk up to the
-    // workspace root so the artifact lands next to ROADMAP.md.
-    let root = std::env::var("CARGO_MANIFEST_DIR")
-        .map(|d| format!("{d}/../.."))
-        .unwrap_or_else(|_| ".".to_string());
-    let path = format!("{root}/BENCH_scoring.json");
-    std::fs::write(&path, json).expect("write BENCH_scoring.json");
-    println!("wrote {path}");
+    artifact.write_to_workspace_root("BENCH_scoring.json");
 }
 
 criterion_group!(

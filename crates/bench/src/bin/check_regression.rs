@@ -1,18 +1,18 @@
 //! CI perf-regression gate over the bench artifacts.
 //!
-//! Compares the freshly produced `BENCH_scoring.json` / `BENCH_ccd.json` /
-//! `BENCH_batch.json` against the committed `BENCH_*.baseline.json`
-//! snapshots and exits non-zero when any tracked speedup ratio regresses
-//! more than the noise tolerance (default 25%).  Only ratios are gated, so
-//! the check is robust to absolute runner speed; the batch-engine ratio is
-//! reduced to a scheduler-overhead floor on 1-core runners.
+//! Pairs every `BENCH_<x>.baseline.json` in the baseline directory with
+//! `BENCH_<x>.json` in the fresh directory and runs the gate of
+//! [`lms_bench::regression`] over each pair: exits non-zero when a gated
+//! ratio regresses more than the noise tolerance (default 25%), a bound
+//! row breaks its bound, or a gated row is missing on either side.
 //!
 //! ```text
 //! cargo run -p lms-bench --bin check_regression -- \
 //!     [--tolerance 0.25] [--baseline-dir DIR] [--fresh-dir DIR]
 //! ```
 
-use lms_bench::regression::{gate, Json};
+use lms_bench::artifact::Artifact;
+use lms_bench::regression::compare;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -63,50 +63,68 @@ fn parse_options() -> Result<Options, String> {
     Ok(opts)
 }
 
-fn load(dir: &Path, name: &str) -> Result<Json, String> {
-    let path = dir.join(name);
-    let text = std::fs::read_to_string(&path)
+fn load(path: &Path) -> Result<Artifact, String> {
+    let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    Json::parse(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
+    Artifact::parse(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
+}
+
+/// The `<x>` of every `BENCH_<x>.baseline.json` in `dir`, sorted.
+fn baseline_stems(dir: &Path) -> Result<Vec<String>, String> {
+    let entries =
+        std::fs::read_dir(dir).map_err(|e| format!("cannot list {}: {e}", dir.display()))?;
+    let mut stems: Vec<String> = entries
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter_map(|name| {
+            let stem = name
+                .strip_prefix("BENCH_")?
+                .strip_suffix(".baseline.json")?;
+            Some(stem.to_string())
+        })
+        .collect();
+    if stems.is_empty() {
+        return Err(format!("no BENCH_*.baseline.json in {}", dir.display()));
+    }
+    stems.sort();
+    Ok(stems)
 }
 
 fn run() -> Result<bool, String> {
     let opts = parse_options()?;
-    let scoring_baseline = load(&opts.baseline_dir, "BENCH_scoring.baseline.json")?;
-    let ccd_baseline = load(&opts.baseline_dir, "BENCH_ccd.baseline.json")?;
-    let batch_baseline = load(&opts.baseline_dir, "BENCH_batch.baseline.json")?;
-    let scoring_fresh = load(&opts.fresh_dir, "BENCH_scoring.json")?;
-    let ccd_fresh = load(&opts.fresh_dir, "BENCH_ccd.json")?;
-    let batch_fresh = load(&opts.fresh_dir, "BENCH_batch.json")?;
+    let mut report = Vec::new();
+    for stem in baseline_stems(&opts.baseline_dir)? {
+        let baseline = load(
+            &opts
+                .baseline_dir
+                .join(format!("BENCH_{stem}.baseline.json")),
+        )?;
+        let fresh = load(&opts.fresh_dir.join(format!("BENCH_{stem}.json")))?;
+        report.push((stem, compare(&baseline, &fresh)?));
+    }
 
-    let (metrics, regressions) = gate(
-        &scoring_baseline,
-        &scoring_fresh,
-        &ccd_baseline,
-        &ccd_fresh,
-        &batch_baseline,
-        &batch_fresh,
-        opts.tolerance,
-    )?;
-
+    let gated: usize = report.iter().map(|(_, c)| c.len()).sum();
     println!(
-        "perf-regression gate: {} tracked ratios, tolerance {:.0}%",
-        metrics.len(),
+        "perf-regression gate: {gated} gated metrics, tolerance {:.0}%",
         opts.tolerance * 100.0
     );
-    for m in &metrics {
-        let flag = if m.regressed(opts.tolerance) {
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!("  [{flag:>9}] {m}");
+    let mut regressions = 0;
+    for (stem, comparisons) in &report {
+        println!("  BENCH_{stem}.json");
+        for c in comparisons {
+            let flag = if c.regressed(opts.tolerance) {
+                regressions += 1;
+                "REGRESSED"
+            } else {
+                "ok"
+            };
+            println!("  [{flag:>9}] {c}");
+        }
     }
-    if regressions.is_empty() {
+    if regressions == 0 {
         println!("gate PASSED");
         Ok(true)
     } else {
-        println!("gate FAILED: {} regression(s)", regressions.len());
+        println!("gate FAILED: {regressions} regression(s)");
         Ok(false)
     }
 }

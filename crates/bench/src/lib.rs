@@ -5,11 +5,12 @@
 //! benches.
 //!
 //! Each harness binary accepts a scale argument (`quick`, `standard`,
-//! `paper`) selecting how close the run is to the paper's full operating
-//! point.  `quick` finishes in seconds and is the default so that the whole
-//! experiment suite can be exercised routinely; `paper` uses the published
-//! population sizes and iteration counts (population 15,360, 100
-//! iterations) and takes correspondingly long on a CPU-only host.
+//! `paper`; anything else is a usage error) selecting how close the run is
+//! to the paper's full operating point.  `quick` finishes in seconds and is
+//! the default so that the whole experiment suite can be exercised
+//! routinely; `paper` uses the published population sizes and iteration
+//! counts (population 15,360, 100 iterations) and takes correspondingly
+//! long on a CPU-only host.
 
 #![warn(missing_docs)]
 
@@ -18,6 +19,7 @@ use lms_protein::{BenchmarkLibrary, LoopTarget};
 use lms_scoring::{KnowledgeBase, KnowledgeBaseConfig};
 use std::sync::{Arc, OnceLock};
 
+pub mod artifact;
 pub mod experiments;
 pub mod profiler;
 pub mod regression;
@@ -44,28 +46,29 @@ impl Scale {
         }
     }
 
-    /// Read the scale from the process arguments (`--scale <name>` or a bare
-    /// positional name), defaulting to [`Scale::Quick`].
+    /// Parse the scale from harness arguments (program name excluded):
+    /// `--scale <name>`, `--scale=<name>` or a bare `<name>`, with no
+    /// arguments selecting [`Scale::Quick`].  A missing or unknown scale and
+    /// any other argument are errors.
+    pub fn from_arg_list(args: &[String]) -> Result<Scale, String> {
+        let name = match args {
+            [] => return Ok(Scale::Quick),
+            [flag] if flag == "--scale" => return Err("--scale needs a value".to_string()),
+            [flag, name] if flag == "--scale" => name.as_str(),
+            [arg] => arg.strip_prefix("--scale=").unwrap_or(arg),
+            _ => return Err(format!("unexpected arguments {args:?}")),
+        };
+        Scale::parse(name).ok_or_else(|| format!("unknown scale {name:?}"))
+    }
+
+    /// Read the scale from the process arguments (see
+    /// [`Scale::from_arg_list`]), exiting with a usage error on bad input.
     pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        for (i, a) in args.iter().enumerate() {
-            if a == "--scale" {
-                if let Some(next) = args.get(i + 1) {
-                    if let Some(s) = Scale::parse(next) {
-                        return s;
-                    }
-                }
-            }
-            if let Some(s) = a.strip_prefix("--scale=").and_then(Scale::parse) {
-                return s;
-            }
-            if i > 0 {
-                if let Some(s) = Scale::parse(a) {
-                    return s;
-                }
-            }
-        }
-        Scale::Quick
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Scale::from_arg_list(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}\nusage: [--scale] quick|standard|paper");
+            std::process::exit(2)
+        })
     }
 
     /// Population size used by single-trajectory experiments at this scale.
@@ -211,6 +214,27 @@ mod tests {
         assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
         assert_eq!(Scale::parse("full"), Some(Scale::Paper));
         assert_eq!(Scale::parse("nope"), None);
+    }
+
+    #[test]
+    fn scale_arguments_reject_bad_input() {
+        let parse = |args: &[&str]| {
+            Scale::from_arg_list(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+        };
+        assert_eq!(parse(&[]), Ok(Scale::Quick));
+        assert_eq!(parse(&["paper"]), Ok(Scale::Paper));
+        assert_eq!(parse(&["--scale", "standard"]), Ok(Scale::Standard));
+        assert_eq!(parse(&["--scale=quick"]), Ok(Scale::Quick));
+        for bad in [
+            &["--scale", "papr"][..],
+            &["--scale"],
+            &["--scale="],
+            &["papr"],
+            &["--scale", "quick", "extra"],
+            &["--verbose"],
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]

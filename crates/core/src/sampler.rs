@@ -303,19 +303,15 @@ impl MoscemSampler {
     /// two **bit-identical**, which the batched-pipeline equivalence
     /// property tests (`tests/batched_equivalence.rs`) verify against this
     /// implementation.
+    ///
+    /// # Panics
+    ///
+    /// Like [`MoscemSampler::run_with_seed`], when the config's
+    /// [`JobLimits`](crate::JobLimits) or [`NumericGuard`] abort the run.
     pub fn run_reference_with_seed(&self, executor: &Executor, seed: u64) -> TrajectoryResult {
-        self.run_reference_controlled(executor, seed, &RunControls::new())
-            .expect("a run without controls can only fail when JobLimits or NumericGuard abort it")
-    }
-
-    /// [`MoscemSampler::run_reference_with_seed`] under cooperative
-    /// [`RunControls`].
-    fn run_reference_controlled(
-        &self,
-        executor: &Executor,
-        seed: u64,
-        controls: &RunControls,
-    ) -> Result<TrajectoryResult, Error> {
+        fn abort(e: Error) -> ! {
+            panic!("a run without controls can only fail when JobLimits or NumericGuard abort it: {e:?}")
+        }
         let cfg = &self.config;
         let n = cfg.population_size;
         let n_res = self.target.n_residues();
@@ -337,14 +333,9 @@ impl MoscemSampler {
         let mut total_accepted = 0usize;
 
         // --- Initialization kernel -----------------------------------------
-        if Self::cancelled(controls) {
-            return Err(Error::Cancelled {
-                completed_iterations: 0,
-            });
-        }
         if let Some((at, limit)) = deadline {
             if Instant::now() >= at {
-                return Err(Error::DeadlineExceeded {
+                abort(Error::DeadlineExceeded {
                     limit,
                     completed_iterations: 0,
                 });
@@ -355,11 +346,11 @@ impl MoscemSampler {
         self.target.env_candidates();
         let mut members: Vec<Member> = (0..n)
             .map(|_| {
-                let scratch = match controls.scratch_pool {
-                    Some(pool) => pool.acquire(n_res),
-                    None => ScoreScratch::for_loop_len(n_res),
-                };
-                Member::new(n_res, cfg.mutation.max_mutations, scratch)
+                Member::new(
+                    n_res,
+                    cfg.mutation.max_mutations,
+                    ScoreScratch::for_loop_len(n_res),
+                )
             })
             .collect();
 
@@ -416,8 +407,7 @@ impl MoscemSampler {
         // staged pipeline runs as its `[HealthSweep]` stage, applied to the
         // members' freshly scored state.
         if let Err(e) = self.reference_init_health(&mut members) {
-            Self::return_scratches(&mut members, controls);
-            return Err(e);
+            abort(e);
         }
 
         // --- Initial fitness + snapshot 0 ----------------------------------
@@ -433,22 +423,12 @@ impl MoscemSampler {
         if cfg.snapshot_iterations.contains(&0) {
             snapshots.push(self.snapshot(0, &members, temperature));
         }
-        if let Some(report) = controls.progress {
-            report(0, cfg.iterations);
-        }
 
         // --- MCMC iterations ------------------------------------------------
         for iter in 1..=cfg.iterations {
-            if Self::cancelled(controls) {
-                Self::return_scratches(&mut members, controls);
-                return Err(Error::Cancelled {
-                    completed_iterations: iter - 1,
-                });
-            }
             if let Some((at, limit)) = deadline {
                 if Instant::now() >= at {
-                    Self::return_scratches(&mut members, controls);
-                    return Err(Error::DeadlineExceeded {
+                    abort(Error::DeadlineExceeded {
                         limit,
                         completed_iterations: iter - 1,
                     });
@@ -562,8 +542,7 @@ impl MoscemSampler {
             // flags the evolution kernel recorded.
             if members.iter().any(|m| m.poison.is_some()) {
                 if let Err(e) = self.reference_poison_verdict(&members, iter) {
-                    Self::return_scratches(&mut members, controls);
-                    return Err(e);
+                    abort(e);
                 }
             }
             if let Some(limit) = limits.max_closure_stall {
@@ -572,8 +551,7 @@ impl MoscemSampler {
                 } else {
                     stall_streak += 1;
                     if stall_streak >= limit {
-                        Self::return_scratches(&mut members, controls);
-                        return Err(Error::Stalled {
+                        abort(Error::Stalled {
                             streak: stall_streak,
                             limit,
                             completed_iterations: iter - 1,
@@ -610,14 +588,10 @@ impl MoscemSampler {
             if cfg.snapshot_iterations.contains(&iter) {
                 snapshots.push(self.snapshot(iter, &members, temperature));
             }
-            if let Some(report) = controls.progress {
-                report(iter, cfg.iterations);
-            }
         }
 
-        Self::return_scratches(&mut members, controls);
         let population: Vec<Conformation> = members.into_iter().map(|m| m.conf).collect();
-        Ok(TrajectoryResult {
+        TrajectoryResult {
             population,
             snapshots,
             stages: StageRecord::default(),
@@ -629,7 +603,7 @@ impl MoscemSampler {
                 total_accepted as f64 / total_proposed as f64
             },
             complex_traces,
-        })
+        }
     }
 
     /// Run one sampling trajectory under cooperative [`RunControls`]
@@ -1451,14 +1425,6 @@ impl MoscemSampler {
         controls
             .cancel
             .is_some_and(|flag| flag.load(Ordering::Relaxed))
-    }
-
-    /// Hand every member's scoring scratch back to the controls' pool (a
-    /// no-op without one); called on every exit path of a controlled run.
-    fn return_scratches(members: &mut [Member], controls: &RunControls) {
-        if let Some(pool) = controls.scratch_pool {
-            pool.release_all(members.iter_mut().map(|m| std::mem::take(&mut m.scratch)));
-        }
     }
 
     /// Run repeated trajectories (fresh seed each time) harvesting distinct
