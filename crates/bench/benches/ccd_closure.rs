@@ -11,14 +11,12 @@
 //!   run the same rotation schedule up to round-off, so the ratio isolates
 //!   the per-rotation update cost.
 //! * **VDW environment term**: the exhaustive linear candidate scan
-//!   against the production per-residue-window cell-list pass (one shared
-//!   gather per residue) and the older per-site cell-list query it
-//!   replaced, on environments scaled 1×/10×/100× at roughly constant
-//!   *local* density (extra atoms fill the candidate reach sphere,
-//!   emulating a full-size protein around the loop).  The linear scan
-//!   degrades with the total candidate count; the cell-list passes should
-//!   stay near-flat, with the windowed pass amortizing the query cost
-//!   across each residue's sites.
+//!   against the production pass over the precomputed per-cell candidate
+//!   lists (one slice read per site), on environments scaled 1×/10×/100×
+//!   at roughly constant *local* density (extra atoms fill the candidate
+//!   reach sphere, emulating a full-size protein around the loop).  The
+//!   linear scan degrades with the total candidate count; the list pass
+//!   should stay near-flat.  The lists' memory is recorded per scale.
 //! * **Lockstep CCD blocks**: the population-batched `close_batch` swept
 //!   over CCD block widths, on the scalar backend and (with the `simd`
 //!   feature) the wide-lane backend, whose only wide kernel in the closure
@@ -291,11 +289,7 @@ fn bench_vdw_environment(c: &mut Criterion) {
             let mut scratch = ScoreScratch::for_loop_len(12);
             b.iter(|| black_box(vdw.environment_term_linear(&target, &structure, &mut scratch)))
         });
-        group.bench_function(format!("per_site/x{factor}"), |b| {
-            let mut scratch = ScoreScratch::for_loop_len(12);
-            b.iter(|| black_box(vdw.environment_term_per_site(&target, &structure, &mut scratch)))
-        });
-        group.bench_function(format!("windows/x{factor}"), |b| {
+        group.bench_function(format!("lists/x{factor}"), |b| {
             let mut scratch = ScoreScratch::for_loop_len(12);
             b.iter(|| black_box(vdw.environment_term(&target, &structure, &mut scratch)))
         });
@@ -523,28 +517,21 @@ fn write_bench_json() {
         artifact.ratio(name, speedup, Better::Higher);
     }
 
-    // --- VDW environment: linear scan vs cell list ---------------------
+    // --- VDW environment: linear scan vs per-cell lists ---------------
     let vdw = VdwScore::default();
     let base = target_of_len(12);
     let mut cells_by_factor = Vec::new();
-    let mut window_speedups = Vec::new();
     for &factor in &ENV_FACTORS {
         let target = scaled_env_target(&base, factor);
         let structure = target.build(&builder, &target.native_torsions);
-        let candidates = target.env_candidates().len();
+        let env = target.env_candidates();
+        let (candidates, list_bytes) = (env.len(), env.list_bytes());
         let iters = (40_000 / factor as u32).max(200);
 
         let mut scratch = ScoreScratch::for_loop_len(12);
         let linear = median_ns(
             || {
                 black_box(vdw.environment_term_linear(&target, &structure, &mut scratch));
-            },
-            iters,
-            9,
-        );
-        let per_site = median_ns(
-            || {
-                black_box(vdw.environment_term_per_site(&target, &structure, &mut scratch));
             },
             iters,
             9,
@@ -558,36 +545,23 @@ fn write_bench_json() {
         );
         cells_by_factor.push(cells);
         let speedup = linear / cells;
-        let window_speedup = per_site / cells;
-        window_speedups.push(window_speedup);
         println!(
-            "vdw_env x{factor}: {candidates} candidates, linear {linear:.0} ns/eval, \
-             per-site {per_site:.0} ns/eval, windows {cells:.0} ns/eval, \
-             speedup vs linear {speedup:.2}x, vs per-site {window_speedup:.2}x"
+            "vdw_env x{factor}: {candidates} candidates, {list_bytes} list bytes, \
+             linear {linear:.0} ns/eval, lists {cells:.0} ns/eval, speedup {speedup:.2}x"
         );
         let x = |what: &str| format!("vdw_env.{what}.x{factor}");
         let count = candidates as f64;
         artifact.push(x("candidates"), count, "count", Better::Lower, Gate::None);
+        let bytes = list_bytes as f64;
+        artifact.push(x("list_bytes"), bytes, "bytes", Better::Lower, Gate::None);
         artifact.ns(x("linear_ns_per_eval"), linear);
-        artifact.ns(x("per_site_ns_per_eval"), per_site);
         artifact.ns(x("cells_ns_per_eval"), cells);
         artifact.ratio(x("cells_speedup"), speedup, Better::Higher);
-        artifact.push(
-            x("window_speedup"),
-            window_speedup,
-            "ratio",
-            Better::Higher,
-            Gate::None,
-        );
     }
     let growth = cells_by_factor[2] / cells_by_factor[0];
-    println!("vdw_env cell-list cost growth 100x/1x: {growth:.2}x");
+    println!("vdw_env list cost growth 100x/1x: {growth:.2}x");
     let name = "vdw_env.cells_cost_growth_100x_over_1x";
     artifact.push(name, growth, "ratio", Better::Lower, Gate::None);
-    window_speedups.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let window_speedup = window_speedups[window_speedups.len() / 2];
-    println!("vdw_env median per-residue-window speedup over per-site: {window_speedup:.2}x");
-    artifact.ratio("vdw_env.window_speedup", window_speedup, Better::Higher);
 
     // --- Lockstep CCD blocks: block-width / backend sweep --------------
     let target = target_of_len(8);

@@ -8,9 +8,10 @@
 //! A second comparison measures the cost of the fourth (solvation/burial)
 //! objective: `MultiScorer::evaluate_with` with three objectives vs four on
 //! a 10×-scaled environment (full-size-protein candidate counts).  Because
-//! the burial contact counts piggyback on the VDW environment gathers (one
-//! cell-list query per site serves both objectives), the fourth objective
-//! should cost well under 1.5× the three-objective evaluation.
+//! the burial contact counts are filtered from the candidate lists the VDW
+//! environment pass already reads (one list per site serves both
+//! objectives), the fourth objective should cost well under 1.5× the
+//! three-objective evaluation.
 //!
 //! A third comparison measures the shared-gather DIST bound: the fused
 //! evaluation (the VDW pass records the Cα–Cα distance table, DIST reads

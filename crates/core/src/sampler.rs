@@ -183,9 +183,8 @@ pub struct DecoyProduction {
 /// of the zero-allocation pipeline, reused across all iterations: a
 /// [`LoopStructure`] that CCD rebuilds in place (one spine rebuild per
 /// sweep, one full build at the end) and hands to
-/// scoring, a [`ScoreScratch`] for the SoA scoring kernels (including the
-/// index buffer the VDW environment term gathers its per-site cell-list
-/// query results into), a candidate torsion vector for proposals, and the
+/// scoring, a [`ScoreScratch`] for the SoA scoring kernels, a candidate
+/// torsion vector for proposals, and the
 /// mutation-index scratch.  After the first iteration warms these buffers
 /// up, one member-iteration of the evolution kernel performs no heap
 /// allocation (verified by `tests/zero_alloc.rs`).

@@ -2,12 +2,12 @@
 //! warm-up, one member-iteration of the evolution kernel's work —
 //! mutation into a reused candidate buffer, CCD closure into a reused
 //! structure (rigid-body sweeps plus one exact spine rebuild per sweep),
-//! workspace scoring through the environment-candidate **cell list**, and
+//! workspace scoring through the environment's per-cell candidate lists, and
 //! allocation-free RMSD — performs zero heap allocations.
 //!
 //! Two proofs: the full member-iteration on a surface target, and a
 //! dense-environment (buried-target) variant that drives the incremental
-//! `rebuild_from` path and the per-site cell-list gather directly, so
+//! `rebuild_from` path and the per-site candidate-list reads directly, so
 //! neither optimization can silently regress into allocating.
 //!
 //! The counter is per thread: the test harness runs proofs concurrently,
@@ -147,10 +147,10 @@ fn member_iteration_is_allocation_free_after_warmup() {
 #[test]
 fn incremental_rebuild_and_cell_list_paths_are_allocation_free() {
     // The buried 1xyz target has the densest environment in the benchmark,
-    // so its candidate set (and therefore the cell-list gathers) is the
+    // so its candidate set (and therefore the candidate lists) is the
     // largest the sampler ever sees.  Drive the two new hot paths directly:
     // suffix-only `rebuild_from` at every angle index, and the VDW
-    // environment term through the per-site cell-list query.
+    // environment term through the per-site candidate-list reads.
     let target = BenchmarkLibrary::standard().target_by_name("1xyz").unwrap();
     let builder = LoopBuilder::default();
     let vdw = VdwScore::default();
@@ -159,8 +159,8 @@ fn incremental_rebuild_and_cell_list_paths_are_allocation_free() {
     let mut structure = target.build(&builder, &torsions);
     let mut scratch = ScoreScratch::for_loop_len(n_res);
 
-    // Warm up: builds the env-candidate cache (with its cell list) and
-    // sizes the gather buffer to the candidate count.
+    // Warm up: builds the env-candidate cache (with its per-cell lists) and
+    // sizes the site buffers.
     target.env_candidates();
     let pass = |structure: &mut LoopStructure,
                 torsions: &mut Torsions,
@@ -197,11 +197,11 @@ fn incremental_rebuild_and_cell_list_paths_are_allocation_free() {
 
 #[test]
 fn scratch_reused_across_targets_stays_allocation_free_after_rewarm() {
-    // Regression guard for the gather-buffer capacity bound: a scratch
-    // warmed up on a small-environment target and then moved to a target
-    // with many more candidates must, after ONE warm-up evaluation on the
-    // new target, go back to allocating nothing — the capacity floor is
-    // the new target's candidate count, not a stale increment.
+    // Regression guard for cross-target scratch reuse: a scratch warmed up
+    // on a small-environment target and then moved to a target with many
+    // more candidates must, after ONE warm-up evaluation on the new target,
+    // go back to allocating nothing — no scratch buffer scales with the
+    // environment, whose lists are read in place from the target's cache.
     let lib = BenchmarkLibrary::standard();
     let small = lib.target_by_name("1cex").unwrap();
     let dense = lib.target_by_name("1xyz").unwrap();
@@ -216,7 +216,7 @@ fn scratch_reused_across_targets_stays_allocation_free_after_rewarm() {
     let s_small = small.build(&builder, &small.native_torsions);
     let s_dense = dense.build(&builder, &dense.native_torsions);
     // Warm on the small target, then one re-warm evaluation on the dense
-    // one (may allocate: sites and gather buffer regrow).
+    // one (may allocate: the site buffers regrow).
     vdw.environment_term(&small, &s_small, &mut scratch);
     vdw.environment_term(&dense, &s_dense, &mut scratch);
 
@@ -236,7 +236,7 @@ fn scratch_reused_across_targets_stays_allocation_free_after_rewarm() {
 
 #[test]
 fn burial_enabled_scoring_is_allocation_free_after_warmup() {
-    // The fourth objective's shared-gather path (wider Cα queries + the
+    // The fourth objective's shared path (Cα-site list filters + the
     // per-residue count buffer) must preserve the zero-allocation invariant
     // on the densest-environment target.
     let target = BenchmarkLibrary::standard().target_by_name("1xyz").unwrap();

@@ -5,9 +5,11 @@
 //! protein" (the paper's wording).  [`Environment`] holds that fixed atom
 //! set together with a uniform spatial hash grid for one-off neighbourhood
 //! queries; [`EnvCandidates`] is the per-target snapshot the scoring hot
-//! path actually consumes — flat SoA coordinate arrays plus a CSR cell
-//! list (see its docs for the layout), built once per target so
-//! per-evaluation queries touch no `HashMap` and allocate nothing.
+//! path actually consumes — flat SoA coordinate arrays plus, for every cell
+//! of a grid, the ascending list of candidates within [`ENV_LIST_RADIUS`]
+//! of that cell (see its docs for the layout).  It is built once per
+//! target, so a per-evaluation query is one slice read: no `HashMap`, no
+//! gather, no sort, no allocation.
 
 use lms_geometry::Vec3;
 use std::collections::HashMap;
@@ -99,35 +101,34 @@ pub struct Environment {
 }
 
 /// A precomputed, flat structure-of-arrays snapshot of the environment atoms
-/// that can ever interact with a loop region, plus a flat cell list over
-/// them for O(local density) per-site queries.
+/// that can ever interact with a loop region, plus per-cell candidate lists
+/// over them so a contact query reads one precomputed slice.
 ///
 /// Scoring functions historically walked these parallel arrays linearly per
 /// loop site, which degrades toward O(total protein atoms) per evaluation on
 /// full-size environments: the candidate reach bound covers the *whole*
 /// loop, so on a real protein the candidate set is large even though each
-/// individual site only ever contacts a handful of atoms.  The cell list
-/// restores locality without giving up the flat-array, allocation-free
-/// evaluation discipline.
+/// individual site only ever contacts a handful of atoms.  The environment
+/// is fixed for the whole target, so the neighbourhood of every point is
+/// worked out once, at construction (once per target): the
+/// molecular-dynamics cell/Verlet-list trade of memory for per-evaluation
+/// work.
 ///
-/// ## Cell-list layout (CSR, no hashing on the hot path)
+/// ## List layout (CSR, no hashing, gathering or sorting on the hot path)
 ///
-/// Candidates are binned once — at construction, i.e. once per target — into
-/// a uniform grid of [`DEFAULT_CELL_SIZE`] cubes covering their bounding
-/// box.  The grid is stored structure-of-arrays, CSR-style:
+/// A uniform grid of [`DEFAULT_CELL_SIZE`] cubes covers the candidates'
+/// bounding box grown by [`ENV_LIST_RADIUS`] on every side.  One CSR row per
+/// cell (x-major: `c = (cz * ny + cy) * nx + cx`) holds, **ascending**, every
+/// candidate whose distance to that cell's box is at most the list radius:
+/// `rows[row_starts[c]..row_starts[c + 1]]`.
 ///
-/// * `cell_starts[c]..cell_starts[c + 1]` is the slice of `cell_atoms`
-///   holding the candidate indices that fall in flat cell `c`
-///   (x-major: `c = (cz * ny + cy) * nx + cx`);
-/// * `cell_atoms` is a permutation of `0..len()` grouped by cell via a
-///   counting sort, **ascending within each cell** so queries can restore
-///   global index order cheaply.
-///
-/// [`EnvCandidates::gather_within`] visits only the cells overlapping a
-/// query sphere's bounding box and appends their candidate indices to a
-/// caller-owned buffer — a conservative superset of the true neighbours, so
-/// kernels that apply their own distance cutoff produce results identical
-/// to the linear scan (the scoring crate property-tests this equivalence).
+/// [`EnvCandidates::near`] maps a point to its cell and returns that row:
+/// a superset of the candidates within [`ENV_LIST_RADIUS`] of the point, in
+/// the linear scan's index order.  A point outside the grid is farther than
+/// the list radius from every candidate and gets an empty slice.  Kernels
+/// that apply their own exact cutoff (at most the list radius) over the
+/// slice therefore produce results identical to the linear scan, floating
+/// point summation order included (the scoring crate property-tests this).
 #[derive(Debug, Clone, Default)]
 pub struct EnvCandidates {
     xs: Vec<f64>,
@@ -136,18 +137,19 @@ pub struct EnvCandidates {
     radii: Vec<f64>,
     centroid: Vec<bool>,
     /// Largest candidate soft-sphere radius (0 when empty); callers use it
-    /// to bound per-site query radii.
+    /// to bound per-site contact reach.
     max_radius: f64,
-    /// Minimum corner of the candidate bounding box (grid origin).
+    /// Minimum corner of the list grid.
     origin: Vec3,
-    /// Grid dimensions (cells per axis).
+    /// Grid dimensions (cells per axis; 0 when there are no candidates).
     nx: usize,
     ny: usize,
     nz: usize,
-    /// CSR row offsets: `cell_starts.len() == nx * ny * nz + 1`.
-    cell_starts: Vec<u32>,
-    /// Candidate indices grouped by cell, ascending within each cell.
-    cell_atoms: Vec<u32>,
+    /// CSR row offsets: `row_starts.len() == nx * ny * nz + 1` (empty when
+    /// there is no grid).
+    row_starts: Vec<u32>,
+    /// Candidate indices of every row, ascending within each row.
+    rows: Vec<u32>,
 }
 
 impl EnvCandidates {
@@ -188,140 +190,151 @@ impl EnvCandidates {
     }
 
     /// Largest candidate soft-sphere radius (0 for an empty set); bounds the
-    /// query radius any contact kernel needs per site.
+    /// contact reach any kernel needs per site.
     pub fn max_radius(&self) -> f64 {
         self.max_radius
     }
 
-    /// Bin the candidates into the CSR cell list.  Called once at
-    /// construction; O(len) via a counting sort that keeps indices
-    /// ascending within each cell.
-    fn build_cells(&mut self) {
-        let n = self.len();
+    /// Bytes held by the per-cell lists (row offsets plus row entries).
+    pub fn list_bytes(&self) -> usize {
+        (self.row_starts.len() + self.rows.len()) * std::mem::size_of::<u32>()
+    }
+
+    /// Build the per-cell lists.  Called once at construction: one geometry
+    /// pass finds and counts each candidate's cells, then the candidates are
+    /// scattered in ascending index order, so every row comes out sorted
+    /// with no sort step.
+    fn build_lists(&mut self) {
         self.max_radius = self.radii.iter().fold(0.0f64, |m, &r| m.max(r));
-        if n == 0 {
-            self.origin = Vec3::ZERO;
-            self.nx = 0;
-            self.ny = 0;
-            self.nz = 0;
-            self.cell_starts = vec![0];
-            self.cell_atoms.clear();
+        if self.is_empty() {
             return;
         }
         let fold =
             |init: f64, vs: &[f64], f: fn(f64, f64) -> f64| vs.iter().fold(init, |m, &v| f(m, v));
+        let reach = ENV_LIST_RADIUS + LIST_SLACK;
+        let grow = Vec3::new(reach, reach, reach);
         let min = Vec3::new(
             fold(f64::INFINITY, &self.xs, f64::min),
             fold(f64::INFINITY, &self.ys, f64::min),
             fold(f64::INFINITY, &self.zs, f64::min),
-        );
+        ) - grow;
         let max = Vec3::new(
             fold(f64::NEG_INFINITY, &self.xs, f64::max),
             fold(f64::NEG_INFINITY, &self.ys, f64::max),
             fold(f64::NEG_INFINITY, &self.zs, f64::max),
-        );
+        ) + grow;
         self.origin = min;
-        let cells_along = |lo: f64, hi: f64| ((hi - lo) / DEFAULT_CELL_SIZE).floor() as usize + 1;
+        let cells_along = |lo: f64, hi: f64| ((hi - lo) * INV_CELL) as usize + 1;
         self.nx = cells_along(min.x, max.x);
         self.ny = cells_along(min.y, max.y);
         self.nz = cells_along(min.z, max.z);
-
-        // Counting sort into CSR: count per cell, prefix-sum, then place the
-        // atoms in index order so each cell's slice stays ascending.
         let n_cells = self.nx * self.ny * self.nz;
-        let mut counts = vec![0u32; n_cells + 1];
-        let flat: Vec<usize> = (0..n)
-            .map(|i| self.flat_cell_of(Vec3::new(self.xs[i], self.ys[i], self.zs[i])))
-            .collect();
-        for &c in &flat {
-            counts[c + 1] += 1;
-        }
-        for c in 0..n_cells {
-            counts[c + 1] += counts[c];
-        }
-        self.cell_starts = counts.clone();
-        self.cell_atoms = vec![0u32; n];
-        let mut cursor = counts;
-        for (i, &c) in flat.iter().enumerate() {
-            self.cell_atoms[cursor[c] as usize] = i as u32;
-            cursor[c] += 1;
-        }
-    }
 
-    /// Flat cell index of a position (which must lie inside the bounding
-    /// box used to build the grid).
-    #[inline]
-    fn flat_cell_of(&self, p: Vec3) -> usize {
-        let inv = 1.0 / DEFAULT_CELL_SIZE;
-        let cx = (((p.x - self.origin.x) * inv) as usize).min(self.nx - 1);
-        let cy = (((p.y - self.origin.y) * inv) as usize).min(self.ny - 1);
-        let cz = (((p.z - self.origin.z) * inv) as usize).min(self.nz - 1);
-        (cz * self.ny + cy) * self.nx + cx
-    }
-
-    /// Append to `out` the indices of every candidate in a cell overlapping
-    /// the axis-aligned bounding box of the sphere `(p, radius)` — a
-    /// conservative superset of the candidates whose centres lie within
-    /// `radius` of `p`.  Indices are ascending within each visited cell but
-    /// not globally; callers needing a deterministic global order (e.g. for
-    /// bit-stable floating-point accumulation) sort the buffer afterwards.
-    ///
-    /// `out` is *not* cleared: steady-state callers own the buffer and
-    /// `clear()` it themselves, so the query allocates nothing once the
-    /// buffer's capacity covers the local density high-water mark
-    /// (`len()` is always a sufficient capacity).
-    ///
-    /// Returns the number of indices appended, so a caller that shares one
-    /// gather between several consumers (e.g. the VDW environment sum and
-    /// the BURIAL contact counts) knows which slice of `out` this query
-    /// produced.
-    pub fn gather_within(&self, p: Vec3, radius: f64, out: &mut Vec<u32>) -> usize {
-        let before = out.len();
-        if self.cell_atoms.is_empty() {
-            return 0;
+        // One geometry pass: record every candidate's x-runs of cells and
+        // count the row lengths in a difference array (+1 at a run's first
+        // cell, −1 past its last).
+        let mut runs: Vec<(u32, u32)> = Vec::new();
+        let mut run_ends = Vec::with_capacity(self.len());
+        let mut diff = vec![0i32; n_cells + 1];
+        for i in 0..self.len() {
+            self.for_each_run(i, reach, |first, last| {
+                runs.push((first as u32, last as u32));
+                diff[first] += 1;
+                diff[last + 1] -= 1;
+            });
+            run_ends.push(runs.len());
         }
-        let inv = 1.0 / DEFAULT_CELL_SIZE;
-        // Per-axis inclusive cell ranges of the bbox, intersected with the
-        // grid; an empty intersection on any axis means no candidates.
-        let axis_range = |lo: f64, n: usize, coord: f64| -> Option<(usize, usize)> {
-            let a = ((coord - radius - lo) * inv).floor() as i64;
-            let b = ((coord + radius - lo) * inv).floor() as i64;
-            let a = a.max(0);
-            let b = b.min(n as i64 - 1);
-            if a > b {
-                None
-            } else {
-                Some((a as usize, b as usize))
+        let mut row_starts = Vec::with_capacity(n_cells + 1);
+        let (mut len, mut total) = (0i32, 0u32);
+        row_starts.push(0);
+        for &d in &diff[..n_cells] {
+            len += d;
+            total = total
+                .checked_add(len as u32)
+                .expect("environment list entries overflow u32");
+            row_starts.push(total);
+        }
+        drop(diff);
+        // Integer counting sort: scatter the candidates in ascending index
+        // order, so every row comes out sorted.
+        let mut next = row_starts[..n_cells].to_vec();
+        let mut rows = vec![0u32; total as usize];
+        let mut begin = 0;
+        for (i, &end) in run_ends.iter().enumerate() {
+            for &(first, last) in &runs[begin..end] {
+                for slot in &mut next[first as usize..=last as usize] {
+                    rows[*slot as usize] = i as u32;
+                    *slot += 1;
+                }
             }
+            begin = end;
+        }
+        self.row_starts = row_starts;
+        self.rows = rows;
+    }
+
+    /// Call `f(first, last)` for every x-run of cells (inclusive flat cell
+    /// indices) whose box lies within `reach` of candidate `i`: a row-wise
+    /// box-distance range per (y, z) cell pair instead of a test per cell.
+    fn for_each_run(&self, i: usize, reach: f64, mut f: impl FnMut(usize, usize)) {
+        let u = Vec3::new(self.xs[i], self.ys[i], self.zs[i]) - self.origin;
+        // Inclusive cell span along one axis of the interval `v ± r`.
+        let span = |v: f64, r: f64, n: usize| {
+            let lo = ((v - r) * INV_CELL).max(0.0) as usize;
+            let hi = (((v + r) * INV_CELL).max(0.0) as usize).min(n - 1);
+            (lo, hi)
         };
-        let Some((x0, x1)) = axis_range(self.origin.x, self.nx, p.x) else {
-            return 0;
+        // Distance from `v` to cell `c`'s interval along one axis.
+        let gap = |v: f64, c: usize| {
+            let lo = c as f64 * DEFAULT_CELL_SIZE;
+            (lo - v).max(v - (lo + DEFAULT_CELL_SIZE)).max(0.0)
         };
-        let Some((y0, y1)) = axis_range(self.origin.y, self.ny, p.y) else {
-            return 0;
-        };
-        let Some((z0, z1)) = axis_range(self.origin.z, self.nz, p.z) else {
-            return 0;
-        };
+        let (z0, z1) = span(u.z, reach, self.nz);
+        let (y0, y1) = span(u.y, reach, self.ny);
         for cz in z0..=z1 {
+            let dz = gap(u.z, cz);
             for cy in y0..=y1 {
+                let dy = gap(u.y, cy);
+                let rest = reach * reach - dz * dz - dy * dy;
+                if rest < 0.0 {
+                    continue;
+                }
+                let (x0, x1) = span(u.x, rest.sqrt(), self.nx);
                 let row = (cz * self.ny + cy) * self.nx;
-                let start = self.cell_starts[row + x0] as usize;
-                let end = self.cell_starts[row + x1 + 1] as usize;
-                // Cells are contiguous along x, so one slice covers the
-                // whole x-run of this (y, z) row.
-                out.extend_from_slice(&self.cell_atoms[start..end]);
+                f(row + x0, row + x1);
             }
         }
-        out.len() - before
+    }
+
+    /// The candidates that may lie within [`ENV_LIST_RADIUS`] of `p`: the
+    /// precomputed list of `p`'s grid cell, ascending, a superset of every
+    /// candidate whose centre is within the list radius of `p`.  Empty when
+    /// `p` lies outside the grid (no candidate is in range there) or is not
+    /// finite.
+    #[inline]
+    pub fn near(&self, p: Vec3) -> &[u32] {
+        // Non-negative cell coordinates truncate to their floor.
+        let cell = |v: f64, lo: f64, n: usize| {
+            let f = (v - lo) * INV_CELL;
+            (f >= 0.0 && f < n as f64).then_some(f as usize)
+        };
+        let (Some(cx), Some(cy), Some(cz)) = (
+            cell(p.x, self.origin.x, self.nx),
+            cell(p.y, self.origin.y, self.ny),
+            cell(p.z, self.origin.z, self.nz),
+        ) else {
+            return &[];
+        };
+        let c = (cz * self.ny + cy) * self.nx + cx;
+        &self.rows[self.row_starts[c] as usize..self.row_starts[c + 1] as usize]
     }
 
     /// Count how many of the candidate `indices` have their centre within
     /// `radius` of `p` — the exact-distance filter a contact-number consumer
-    /// applies to a (conservative) [`EnvCandidates::gather_within`] result.
-    /// Because the count is an integer, any superset of the true neighbours
-    /// yields the identical value, so a gather performed at a larger radius
-    /// for another consumer can be shared without error.
+    /// applies to a (conservative) [`EnvCandidates::near`] slice.  Because
+    /// the count is an integer, any superset of the true neighbours yields
+    /// the identical value, so the slice another consumer reads can be
+    /// shared without error.
     pub fn count_within(&self, p: Vec3, radius: f64, indices: &[u32]) -> u32 {
         let r2 = radius * radius;
         let mut n = 0u32;
@@ -355,9 +368,24 @@ impl EnvCandidates {
     }
 }
 
-/// Default grid cell size (Å).  Chosen near the typical clash cutoff so a
-/// query touches at most 27 cells.
+/// Default grid cell size (Å): the edge of the cells the environment
+/// spatial hash and the per-cell candidate lists are built over.
 pub const DEFAULT_CELL_SIZE: f64 = 4.0;
+
+/// Reciprocal of [`DEFAULT_CELL_SIZE`] (a power of two, so exact).
+const INV_CELL: f64 = 1.0 / DEFAULT_CELL_SIZE;
+
+/// Radius (Å) of the per-cell candidate lists ([`EnvCandidates::near`]):
+/// the largest contact distance any scoring kernel may ask of the
+/// environment.  It is the VDW neighbour cutoff and the BURIAL probe radius;
+/// both kernels assert their reach against it.
+pub const ENV_LIST_RADIUS: f64 = 7.0;
+
+/// Slack (Å) added to the list radius when the lists are built, so
+/// floating-point rounding in the cell mapping and in the box distances can
+/// never leave out a candidate within [`ENV_LIST_RADIUS`].  Extra entries
+/// are removed by the consumers' exact distance filters.
+const LIST_SLACK: f64 = 1e-6;
 
 impl Environment {
     /// Build an environment (and its spatial index) from an atom list.
@@ -416,10 +444,10 @@ impl Environment {
     }
 
     /// Collect a flat SoA candidate set of every atom whose centre lies
-    /// within `radius` of `center`, together with its CSR cell list.
+    /// within `radius` of `center`, together with its per-cell lists.
     /// Computed once per loop target (the caller passes a conservative reach
-    /// bound); the scoring kernels then query the cell list per site (or
-    /// scan the arrays linearly) with no per-evaluation allocation.
+    /// bound); the scoring kernels then read one list per site (or scan the
+    /// arrays linearly) with no per-evaluation allocation.
     pub fn candidates_within(&self, center: Vec3, radius: f64) -> EnvCandidates {
         let mut out = EnvCandidates::default();
         let r2 = radius * radius;
@@ -432,7 +460,7 @@ impl Environment {
                 out.centroid.push(a.is_centroid);
             }
         }
-        out.build_cells();
+        out.build_lists();
         out
     }
 
@@ -450,6 +478,7 @@ impl Environment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn grid_of_atoms(n: i32, spacing: f64) -> Vec<EnvAtom> {
         let mut atoms = Vec::new();
@@ -525,60 +554,69 @@ mod tests {
         assert_eq!(env.burial_count(Vec3::new(3.0, 3.0, 3.0), 100.0), 27);
     }
 
-    #[test]
-    fn gather_within_is_a_superset_of_true_neighbors() {
-        let atoms = grid_of_atoms(6, 2.1);
-        let env = Environment::new(atoms);
-        let cand = env.candidates_within(Vec3::new(5.0, 5.0, 5.0), 100.0);
-        assert_eq!(cand.len(), 216);
-        let mut buf = Vec::new();
-        for &(p, r) in &[
-            (Vec3::new(5.0, 5.0, 5.0), 3.0),
-            (Vec3::new(0.0, 0.0, 0.0), 4.5),
-            (Vec3::new(10.6, 1.0, 6.0), 6.0),
-            (Vec3::new(-9.0, -9.0, -9.0), 2.0),
-            (Vec3::new(50.0, 50.0, 50.0), 3.0),
-            (Vec3::new(6.1, 6.1, 6.1), 0.25),
-        ] {
-            buf.clear();
-            cand.gather_within(p, r, &mut buf);
-            // No duplicates.
-            let mut sorted = buf.clone();
-            sorted.sort_unstable();
-            let mut dedup = sorted.clone();
-            dedup.dedup();
-            assert_eq!(sorted, dedup, "duplicate indices at {p} r={r}");
-            // Every true neighbour is gathered.
-            let r2 = r * r;
-            for i in 0..cand.len() {
-                let q = Vec3::new(cand.xs()[i], cand.ys()[i], cand.zs()[i]);
-                if q.distance_sq(p) <= r2 {
-                    assert!(
-                        buf.contains(&(i as u32)),
-                        "missed neighbour {i} at {p} r={r}"
-                    );
-                }
-            }
+    /// Every candidate index within `r` of `p` by exhaustive scan.
+    fn within(cand: &EnvCandidates, p: Vec3, r: f64) -> Vec<u32> {
+        (0..cand.len() as u32)
+            .filter(|&i| {
+                let i = i as usize;
+                Vec3::new(cand.xs()[i], cand.ys()[i], cand.zs()[i]).distance_sq(p) <= r * r
+            })
+            .collect()
+    }
+
+    /// The slice is strictly ascending (so duplicate-free) and contains
+    /// every candidate within the list radius of `p`.
+    fn assert_list_covers(cand: &EnvCandidates, p: Vec3) {
+        let list = cand.near(p);
+        assert!(
+            list.windows(2).all(|w| w[0] < w[1]),
+            "list at {p} is not strictly ascending"
+        );
+        for i in within(cand, p, ENV_LIST_RADIUS) {
+            assert!(
+                list.binary_search(&i).is_ok(),
+                "missed neighbour {i} at {p}"
+            );
         }
     }
 
     #[test]
-    fn empty_candidates_gather_nothing() {
+    fn near_is_a_superset_of_true_neighbors() {
+        let atoms = grid_of_atoms(6, 2.1);
+        let env = Environment::new(atoms);
+        let cand = env.candidates_within(Vec3::new(5.0, 5.0, 5.0), 100.0);
+        assert_eq!(cand.len(), 216);
+        for p in [
+            Vec3::new(5.0, 5.0, 5.0),
+            Vec3::new(0.0, 0.0, 0.0),
+            Vec3::new(10.6, 1.0, 6.0),
+            Vec3::new(-9.0, -9.0, -9.0),
+            Vec3::new(50.0, 50.0, 50.0),
+            Vec3::new(6.1, 6.1, 6.1),
+        ] {
+            assert_list_covers(&cand, p);
+        }
+        // Far outside the grid: provably nothing in range, empty slice.
+        assert!(cand.near(Vec3::new(50.0, 50.0, 50.0)).is_empty());
+        assert!(cand.list_bytes() > 0);
+    }
+
+    #[test]
+    fn empty_candidates_have_empty_lists() {
         let env = Environment::empty();
         let cand = env.candidates_within(Vec3::ZERO, 50.0);
         assert!(cand.is_empty());
         assert_eq!(cand.max_radius(), 0.0);
-        let mut buf = Vec::new();
-        cand.gather_within(Vec3::ZERO, 10.0, &mut buf);
-        assert!(buf.is_empty());
+        assert!(cand.near(Vec3::ZERO).is_empty());
+        assert_eq!(cand.list_bytes(), 0);
         // A default (never-built) candidate set behaves the same.
         let default = EnvCandidates::default();
-        default.gather_within(Vec3::ZERO, 10.0, &mut buf);
-        assert!(buf.is_empty());
+        assert!(default.near(Vec3::ZERO).is_empty());
+        assert!(default.near(Vec3::new(f64::NAN, 0.0, 0.0)).is_empty());
     }
 
     #[test]
-    fn single_cell_candidates_gather_everything_in_range() {
+    fn single_cell_candidates_list_everything_in_range() {
         // All atoms inside one grid cell.
         let atoms = vec![
             EnvAtom::backbone(Vec3::new(0.1, 0.2, 0.3), 1.7),
@@ -589,14 +627,9 @@ mod tests {
         let cand = env.candidates_within(Vec3::ZERO, 10.0);
         assert_eq!(cand.len(), 3);
         assert!((cand.max_radius() - 2.3).abs() < 1e-12);
-        let mut buf = Vec::new();
-        cand.gather_within(Vec3::ZERO, 1.0, &mut buf);
-        buf.sort_unstable();
-        assert_eq!(buf, vec![0, 1, 2]);
-        // A query far away touches no cells at all.
-        buf.clear();
-        cand.gather_within(Vec3::new(100.0, 0.0, 0.0), 1.0, &mut buf);
-        assert!(buf.is_empty());
+        assert_eq!(cand.near(Vec3::ZERO), &[0, 1, 2]);
+        // A point far away lies outside the grid.
+        assert!(cand.near(Vec3::new(100.0, 0.0, 0.0)).is_empty());
     }
 
     #[test]
@@ -604,14 +637,10 @@ mod tests {
         let atoms = grid_of_atoms(4, 3.7);
         let env = Environment::new(atoms);
         let cand = env.candidates_within(Vec3::new(5.0, 5.0, 5.0), 100.0);
-        let mut buf = Vec::new();
-        // Gather one tight query per atom position: each visits a handful
-        // of cells whose slices must each be ascending runs.
         for i in 0..cand.len() {
-            buf.clear();
             let p = Vec3::new(cand.xs()[i], cand.ys()[i], cand.zs()[i]);
-            cand.gather_within(p, 0.5, &mut buf);
-            assert!(buf.contains(&(i as u32)));
+            assert!(cand.near(p).binary_search(&(i as u32)).is_ok());
+            assert_list_covers(&cand, p);
         }
     }
 
@@ -620,23 +649,66 @@ mod tests {
         let atoms = grid_of_atoms(6, 2.1);
         let env = Environment::new(atoms);
         let cand = env.candidates_within(Vec3::new(5.0, 5.0, 5.0), 100.0);
-        let mut buf = Vec::new();
         for &(p, r) in &[
             (Vec3::new(5.0, 5.0, 5.0), 3.0),
             (Vec3::new(0.0, 0.0, 0.0), 4.5),
             (Vec3::new(10.6, 1.0, 6.0), 6.0),
+            (Vec3::new(2.0, 9.0, 3.3), ENV_LIST_RADIUS),
             (Vec3::new(50.0, 50.0, 50.0), 3.0),
         ] {
-            buf.clear();
-            // Gather at a deliberately larger radius: the superset must not
-            // change the exact-distance count.
-            let appended = cand.gather_within(p, r + 3.0, &mut buf);
-            assert_eq!(appended, buf.len());
+            // The superset slice must not change the exact-distance count.
             assert_eq!(
-                cand.count_within(p, r, &buf),
+                cand.count_within(p, r, cand.near(p)),
                 cand.count_within_linear(p, r),
                 "count mismatch at {p} r={r}"
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn lists_cover_the_list_radius_everywhere(
+            coords in prop::collection::vec(-1.0..1.0f64, 3 * 64),
+            count in 1usize..64,
+            scale in 1.0..30.0f64,
+            probe in prop::collection::vec(-1.5..1.5f64, 3 * 16),
+            cell in prop::collection::vec(0.0..1.0f64, 3 * 8),
+        ) {
+            let atoms: Vec<EnvAtom> = (0..count)
+                .map(|i| {
+                    let p = Vec3::new(coords[3 * i], coords[3 * i + 1], coords[3 * i + 2]);
+                    EnvAtom::backbone(p * scale, 1.7)
+                })
+                .collect();
+            let cand = Environment::new(atoms).candidates_within(Vec3::ZERO, 1e3);
+            prop_assert_eq!(cand.len(), count);
+            // Random points inside, near and outside the grid.
+            for q in probe.chunks(3) {
+                let p = Vec3::new(q[0], q[1], q[2]) * (scale + ENV_LIST_RADIUS);
+                assert_list_covers(&cand, p);
+            }
+            // Points exactly on cell faces, edges and corners.
+            let (n, o) = ([cand.nx, cand.ny, cand.nz], cand.origin);
+            for k in cell.chunks(3) {
+                let idx = |t: f64, n: usize| (t * (n + 1) as f64).floor();
+                let face = Vec3::new(
+                    o.x + idx(k[0], n[0]) * DEFAULT_CELL_SIZE,
+                    o.y + idx(k[1], n[1]) * DEFAULT_CELL_SIZE,
+                    o.z + k[2] * n[2] as f64 * DEFAULT_CELL_SIZE,
+                );
+                assert_list_covers(&cand, face);
+                let corner = Vec3::new(face.x, face.y, o.z + idx(k[2], n[2]) * DEFAULT_CELL_SIZE);
+                assert_list_covers(&cand, corner);
+            }
+            // Outside the grid on any axis: no candidate in range, empty.
+            let beyond = Vec3::new(o.x + (n[0] as f64 + 0.01) * DEFAULT_CELL_SIZE, o.y, o.z);
+            prop_assert!(within(&cand, beyond, ENV_LIST_RADIUS).is_empty());
+            prop_assert!(cand.near(beyond).is_empty());
+            let below = Vec3::new(o.x + 1.0, o.y - 1e-9, o.z + 1.0);
+            prop_assert!(within(&cand, below, ENV_LIST_RADIUS).is_empty());
+            prop_assert!(cand.near(below).is_empty());
         }
     }
 

@@ -38,7 +38,7 @@ pub use backbone::{
     ResidueAtoms,
 };
 pub use benchmark::{standard_specs, BenchmarkLibrary, TargetSpec};
-pub use environment::{EnvAtom, EnvCandidates, Environment};
+pub use environment::{EnvAtom, EnvCandidates, Environment, ENV_LIST_RADIUS};
 pub use loop_def::{LoopTarget, ENV_CONTACT_MARGIN};
 pub use pdb::{parse_pdb_atoms, to_pdb, PdbAtom};
 pub use ramachandran::{RamaBasin, RamaLibrary, RamaModel};

@@ -8,7 +8,7 @@
 
 use crate::amino::AminoAcid;
 use crate::backbone::{LoopBuilder, LoopFrame, LoopStructure};
-use crate::environment::{EnvCandidates, Environment};
+use crate::environment::{EnvCandidates, Environment, ENV_LIST_RADIUS};
 use crate::torsions::Torsions;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -53,10 +53,13 @@ pub struct LoopTarget {
 }
 
 /// Safety margin (Å) added to the loop reach bound when collecting
-/// environment candidates; must be at least as large as the biggest contact
-/// cutoff any scoring function uses (the VDW soft-sphere query uses 7 Å —
-/// it asserts against this constant).
+/// environment candidates; must be at least the list radius
+/// [`ENV_LIST_RADIUS`], the largest contact distance any scoring function
+/// asks of the environment, so the candidate set holds every atom a loop
+/// site can contact.
 pub const ENV_CONTACT_MARGIN: f64 = 8.0;
+
+const _: () = assert!(ENV_LIST_RADIUS <= ENV_CONTACT_MARGIN);
 
 impl LoopTarget {
     /// Number of residues in the loop.
@@ -74,9 +77,10 @@ impl LoopTarget {
     }
 
     /// The fixed-environment atoms that can ever be within contact range of
-    /// this loop, as a flat SoA candidate set.  Computed on first use (once
-    /// per target, shared across clones) so per-evaluation scoring performs
-    /// no spatial-grid queries and no allocation.
+    /// this loop, as a flat SoA candidate set with its per-cell lists.
+    /// Computed on first use (once per target, shared across clones) so
+    /// per-evaluation scoring performs no spatial-grid queries and no
+    /// allocation.
     pub fn env_candidates(&self) -> &EnvCandidates {
         self.env_cache.get_or_init(|| {
             self.environment.candidates_within(

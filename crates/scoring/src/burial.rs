@@ -10,33 +10,33 @@
 //! [`BurialTable`](crate::library::BurialTable) (hydrophobic types are
 //! centred on deeper burial than polar ones).
 //!
-//! ## Sharing the environment gather with VDW
+//! ## Sharing the environment lists with VDW
 //!
-//! Counting environment contacts needs exactly the same cell-list query the
-//! VDW environment term already performs per site.  The production path
+//! Counting environment contacts needs exactly the candidate list the VDW
+//! environment term already reads for each Cα site.  The production path
 //! therefore does **not** run this kernel standalone: when the objective is
 //! enabled, [`MultiScorer::evaluate_with`](crate::MultiScorer::evaluate_with)
 //! runs the combined VDW pass
 //! ([`VdwScore::score_target_with_burial`](crate::VdwScore::score_target_with_burial)),
-//! which widens the Cα-site query to cover the burial radius and derives the
-//! contact counts from the *same* gathered index list the VDW sum consumes —
-//! one gather serves both objectives.  Because a contact count is an
-//! integer filtered by an exact distance cutoff, any conservative superset
-//! gathers to the identical count, so the shared path, the standalone
-//! cell-list path here, and the exhaustive linear scan
-//! ([`BurialScore::score_target_linear`]) all agree bit for bit
+//! which filters each residue's contact count from its Cα site's list
+//! ([`EnvCandidates::near`](lms_protein::EnvCandidates::near)), the *same*
+//! slice the VDW sum consumes.  A list holds every candidate within
+//! [`ENV_LIST_RADIUS`] of its point and the probe radius is no larger, and
+//! a contact count is an integer filtered by an exact distance cutoff, so
+//! the shared path, the standalone path here, and the exhaustive linear
+//! scan ([`BurialScore::score_target_linear`]) all agree bit for bit
 //! (property-tested in `tests/burial_equivalence.rs`).
 
 use crate::library::KnowledgeBase;
 use crate::traits::ScoringFunction;
 use crate::workspace::ScoreScratch;
-use lms_protein::{LoopStructure, LoopTarget, Torsions};
+use lms_protein::{LoopStructure, LoopTarget, Torsions, ENV_LIST_RADIUS};
 use std::sync::Arc;
 
-/// Default burial probe radius (Å) around each residue's Cα.  Must not
-/// exceed [`lms_protein::ENV_CONTACT_MARGIN`], which bounds what the
-/// per-target candidate set is guaranteed to contain.
-pub const BURIAL_RADIUS: f64 = 7.0;
+/// Default burial probe radius (Å) around each residue's Cα: the
+/// environment list radius, the largest contact distance the per-cell
+/// candidate lists answer for.
+pub const BURIAL_RADIUS: f64 = ENV_LIST_RADIUS;
 
 /// Solvation/burial contact-number statistical potential.
 #[derive(Debug, Clone)]
@@ -78,37 +78,29 @@ impl BurialScore {
     }
 
     /// Fill `scratch.burial_counts` with each residue's environment contact
-    /// count via the per-target candidate cell list (one gather per
-    /// residue).  Standalone path: the production pipeline gets the counts
-    /// for free from the shared VDW gather instead.
+    /// count, filtered from the candidate list of its Cα.  Standalone path:
+    /// the production pipeline gets the counts for free from the shared VDW
+    /// pass instead.
     pub fn counts_with(
         &self,
         target: &LoopTarget,
         structure: &LoopStructure,
         scratch: &mut ScoreScratch,
     ) {
-        debug_assert!(
-            self.radius <= lms_protein::ENV_CONTACT_MARGIN,
-            "burial radius {} exceeds the environment candidate margin {}",
-            self.radius,
-            lms_protein::ENV_CONTACT_MARGIN
+        assert!(
+            self.radius <= ENV_LIST_RADIUS,
+            "burial radius {} Å exceeds the environment list radius {ENV_LIST_RADIUS} Å",
+            self.radius
         );
         let env = target.env_candidates();
         scratch.burial_counts.clear();
-        if scratch.env_idx.capacity() < env.len() {
-            scratch.env_idx.clear();
-            scratch.env_idx.reserve(env.len());
-        }
         for res in &structure.residues {
-            scratch.env_idx.clear();
-            env.gather_within(res.ca, self.radius, &mut scratch.env_idx);
-            scratch
-                .burial_counts
-                .push(env.count_within(res.ca, self.radius, &scratch.env_idx));
+            let count = env.count_within(res.ca, self.radius, env.near(res.ca));
+            scratch.burial_counts.push(count);
         }
     }
 
-    /// Score a structure through the standalone cell-list counting path.
+    /// Score a structure through the standalone list counting path.
     pub fn score_target_with(
         &self,
         target: &LoopTarget,
@@ -123,7 +115,7 @@ impl BurialScore {
     }
 
     /// Score a structure through the exhaustive linear-scan reference the
-    /// cell-list paths must match bit for bit.
+    /// list paths must match bit for bit.
     pub fn score_target_linear(&self, target: &LoopTarget, structure: &LoopStructure) -> f64 {
         let env = target.env_candidates();
         let n = structure.n_residues();
@@ -170,7 +162,7 @@ mod tests {
         let s = scorer();
         assert_eq!(s.name(), "BURIAL");
         assert_eq!(s.radius(), BURIAL_RADIUS);
-        assert!(s.radius() <= lms_protein::ENV_CONTACT_MARGIN);
+        assert!(s.radius() <= ENV_LIST_RADIUS);
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //! the BURIAL objective disabled (the default), its slot stays at exactly
 //! `0.0` and every kernel, comparison and normalisation reduces
 //! bit-identically to the three-objective pipeline.  Enabled (see
-//! [`MultiScorer::with_burial`]), the VDW environment pass piggybacks the
-//! per-residue contact counts on its cell-list gathers, so the fourth
-//! objective costs one extra distance filter per Cα site instead of a
-//! second environment sweep (property-tested in
+//! [`MultiScorer::with_burial`]), the VDW environment pass filters the
+//! per-residue contact counts from the candidate lists it already reads, so
+//! the fourth objective costs one extra distance filter per Cα site instead
+//! of a second environment sweep (property-tested in
 //! `tests/burial_equivalence.rs`).
 //!
 //! ## The workspace API and the allocation-free invariant
@@ -39,17 +39,17 @@
 //!   return **bit-identical** values.
 //!
 //! The environment half of the VDW kernel additionally relies on the
-//! per-target environment-neighbour cache
-//! (`LoopTarget::env_candidates`): the fixed-environment atoms reachable
-//! from the loop region are collected once per target into a flat SoA
-//! candidate set with a CSR cell list over it.  Per-evaluation scoring
-//! queries only the cells within each site's contact reach — O(local
-//! density) per site instead of O(all candidates) — gathering indices into
-//! a scratch-owned buffer and sorting them back to ascending order so the
-//! accumulation is bit-identical to the exhaustive linear scan (kept as
-//! [`VdwScore::environment_term_linear`] and property-tested in
-//! `tests/cell_list_equivalence.rs`).
-//!
+//! per-target environment-neighbour cache (`LoopTarget::env_candidates`),
+//! built once per target: the fixed-environment atoms reachable from the
+//! loop region as a flat SoA candidate set, plus, for every cell of a 4 Å
+//! grid, the ascending list of candidates within the list radius
+//! (`lms_protein::ENV_LIST_RADIUS`, 7 Å) of that cell.  Per evaluation each
+//! site reads its cell's list — no gather, no sort, no scratch index buffer,
+//! O(local density) per site instead of O(all candidates) — and sums in the
+//! linear scan's order, so the term is bit-identical to the exhaustive
+//! linear scan (kept as [`VdwScore::environment_term_linear`] and
+//! property-tested in `tests/cell_list_equivalence.rs`).
+
 //! ## Quick example
 //!
 //! ```

@@ -7,10 +7,10 @@
 //! [`ScoreVector`] stays at exactly `0.0` and the evaluation runs the
 //! identical kernels as the three-objective pipeline — bit-identical
 //! behaviour, so enabling the objective is a pure extension.  When it is on,
-//! the VDW environment pass piggybacks the per-residue contact counts on its
-//! cell-list gathers ([`VdwScore::score_target_with_burial`]), so the fourth
-//! objective costs one extra distance filter per Cα site rather than a
-//! second sweep over the environment.
+//! the VDW environment pass filters the per-residue contact counts from the
+//! candidate lists it already reads ([`VdwScore::score_target_with_burial`]),
+//! so the fourth objective costs one extra distance filter per Cα site
+//! rather than a second sweep over the environment.
 
 use crate::burial::BurialScore;
 use crate::dist::DistScore;
@@ -121,8 +121,8 @@ impl MultiScorer {
     /// Staged VDW kernel: stages the interaction sites (recording the shared
     /// Cα–Cα distance table the DIST pass reads its bounding check from) and
     /// runs the intra-loop and environment clash sums.  With the burial
-    /// objective enabled, the environment pass piggybacks the per-residue
-    /// contact counts on the same cell-list gathers and the second returned
+    /// objective enabled, the environment pass filters the per-residue
+    /// contact counts from the same candidate lists and the second returned
     /// value is the BURIAL score; otherwise it is `0.0`.
     ///
     /// Must run before [`MultiScorer::dist_pass`] on the same scratch — this
@@ -233,7 +233,7 @@ mod tests {
 
         let v3 = s3.evaluate(&target, &native, &target.native_torsions);
         let v4 = s4.evaluate(&target, &native, &target.native_torsions);
-        // The shared gather leaves the three core objectives bit-identical.
+        // The shared pass leaves the three core objectives bit-identical.
         assert_eq!(v3.vdw().to_bits(), v4.vdw().to_bits());
         assert_eq!(v3.dist().to_bits(), v4.dist().to_bits());
         assert_eq!(v3.triplet().to_bits(), v4.triplet().to_bits());

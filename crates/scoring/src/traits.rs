@@ -34,7 +34,7 @@ pub const NUM_OBJECTIVES: usize = 4;
 /// from a shared pool and launches the objectives as separate
 /// population-wide kernels in canonical order, with the shared staging of
 /// one pass feeding the next (the VDW pass records the Cα–Cα distance
-/// table and the BURIAL contact counts its cell-list gathers produce; the
+/// table and the BURIAL contact counts filtered from its candidate lists; the
 /// DIST pass reads its bounding check from that table — see
 /// `MultiScorer::vdw_pass`/`dist_pass`/`triplet_pass` in this crate).
 /// Implementations must therefore treat the scratch as stage-owned state

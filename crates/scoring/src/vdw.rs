@@ -12,25 +12,24 @@
 //!
 //! * between all loop backbone atoms / centroids at residue separation ≥ 2
 //!   (intra-loop clashes), and
-//! * between every loop atom / centroid and the fixed environment atoms
-//!   within a cutoff, queried through the per-target candidate cell list
-//!   ([`EnvCandidates::gather_within`]) so each site pays O(local density)
-//!   rather than O(all candidates).  Production scoring batches the queries
-//!   into **per-residue candidate windows**: one gather per residue,
-//!   centred on its Cα with a radius covering every site's own contact
-//!   reach, sorted once and shared by all of the residue's ~5 sites (each
-//!   site keeps its exact d²/σ² filter).  Gathered indices are always
-//!   sorted back into ascending order before accumulation, which restores
-//!   the exhaustive linear scan's floating-point summation order — the
-//!   window pass, the per-site pass
-//!   ([`VdwScore::environment_term_per_site`]) and the linear scan
-//!   ([`VdwScore::environment_term_linear`]) are all bit-identical
-//!   (property-tested in `tests/cell_list_equivalence.rs`).
+//! * between every loop atom / centroid and the fixed environment atoms.
+//!   The environment is fixed for the whole target, so each site reads the
+//!   precomputed candidate list of its grid cell
+//!   ([`EnvCandidates::near`]): no gather, no sort, no scratch index
+//!   buffer, and O(local density) work per site rather than O(all
+//!   candidates).  A list holds every candidate within
+//!   [`ENV_LIST_RADIUS`] of the site, in ascending index order.  Every
+//!   contributing pair lies within the site's reach
+//!   `(r_site + max_env_radius) · softness`, which the pass asserts is at
+//!   most the list radius, and the surviving contributions are summed in
+//!   the linear scan's order, so the production term is bit-identical to
+//!   the exhaustive linear scan ([`VdwScore::environment_term_linear`],
+//!   property-tested in `tests/cell_list_equivalence.rs`).
 
 use crate::traits::ScoringFunction;
 use crate::workspace::ScoreScratch;
 use lms_geometry::Vec3;
-use lms_protein::{EnvCandidates, LoopStructure, LoopTarget, Torsions};
+use lms_protein::{EnvCandidates, LoopStructure, LoopTarget, Torsions, ENV_LIST_RADIUS};
 
 /// Soft-sphere radii (Å) of the backbone heavy atoms.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,9 +85,6 @@ impl Default for ContactWeights {
 pub struct VdwScore {
     radii: VdwRadii,
     weights: ContactWeights,
-    /// Neighbour-query cutoff (Å); must exceed the largest possible radius
-    /// sum so no overlapping pair is missed.
-    cutoff: f64,
 }
 
 impl Default for VdwScore {
@@ -100,13 +96,7 @@ impl Default for VdwScore {
 impl VdwScore {
     /// Create a scorer with explicit radii and contact weights.
     pub fn new(radii: VdwRadii, weights: ContactWeights) -> Self {
-        // Largest centroid radius is ~3.2 A (Trp); largest backbone radius
-        // 1.7 A; 3.2 + 3.2 = 6.4 A bounds every radius sum.
-        VdwScore {
-            radii,
-            weights,
-            cutoff: 7.0,
-        }
+        VdwScore { radii, weights }
     }
 
     /// The radii in use.
@@ -114,11 +104,13 @@ impl VdwScore {
         &self.radii
     }
 
-    /// The neighbour-query cutoff (Å).  The environment candidate cache is
-    /// built with a reach margin at least this large, so the linear SoA
-    /// scan sees every atom a grid query within `cutoff` would see.
+    /// The environment neighbour cutoff (Å): the list radius
+    /// [`ENV_LIST_RADIUS`].  Every site's contact reach must lie within it,
+    /// which the environment pass asserts.  The largest radius sum, Trp
+    /// centroid on Trp centroid, is 3.2 + 3.2 = 6.4 Å, so every softness up
+    /// to 7 / 6.4 fits.
     pub fn cutoff(&self) -> f64 {
-        self.cutoff
+        ENV_LIST_RADIUS
     }
 
     fn overlap_penalty(&self, d: f64, sigma: f64) -> f64 {
@@ -228,10 +220,9 @@ impl VdwScore {
     /// Loop-to-environment clash contribution via an exhaustive linear scan
     /// of the target's precomputed SoA candidate set.  Candidates beyond
     /// overlap range contribute exactly 0, so the conservative candidate
-    /// superset changes nothing but speed.  This is the *reference* path:
-    /// production scoring goes through the per-residue window pass
-    /// ([`VdwScore::against_environment_windows`]), which must (and does)
-    /// reproduce this sum bit for bit.
+    /// superset changes nothing but speed.  This is the *reference* path
+    /// that the production pass ([`VdwScore::against_environment`]) must
+    /// (and does) reproduce bit for bit.
     fn against_environment_linear(&self, s: &ScoreScratch, env: &EnvCandidates) -> f64 {
         let (ex, ey, ez) = (env.xs(), env.ys(), env.zs());
         let (er, ec) = (env.radii(), env.centroid_flags());
@@ -255,176 +246,74 @@ impl VdwScore {
         total
     }
 
-    /// Loop-to-environment clash contribution via *per-site* candidate
-    /// cell-list queries: each site gathers only the candidates in cells
-    /// overlapping its contact reach `(rₐ + max_env_radius) · softness`, so
-    /// per-site cost tracks *local* density instead of the total candidate
-    /// count.  Kept as the comparison path for the per-residue window pass
-    /// ([`VdwScore::against_environment_windows`]), which amortises the
-    /// gather+sort over a residue's sites.
+    /// The production loop-to-environment pass: each staged site reads its
+    /// cell's precomputed candidate list ([`EnvCandidates::near`]) and
+    /// applies its exact d²/σ² filter to it.
     ///
-    /// Two details keep this bit-identical to
-    /// [`VdwScore::against_environment_linear`]:
-    /// * the gather is a superset of every candidate with a non-zero
-    ///   penalty (any contributing pair has `d < σ ≤ reach`), and excluded
-    ///   candidates contribute exactly 0;
-    /// * gathered indices are sorted ascending before accumulation, so the
-    ///   surviving contributions are summed in the linear scan's order.
+    /// Bit-identity to [`VdwScore::against_environment_linear`]:
+    /// * every contributing candidate satisfies `d < σ ≤ reach ≤`
+    ///   [`ENV_LIST_RADIUS`] (asserted below), so it is in the site's list;
+    ///   listed candidates beyond σ contribute exactly 0;
+    /// * each list is ascending, so the surviving contributions are summed
+    ///   in the linear scan's order.
     ///
-    /// The index buffer lives in the scratch; its capacity is raised to the
-    /// candidate count (the hard upper bound on any gather) on first use,
-    /// after which queries never allocate.
-    fn against_environment_cells(&self, s: &mut ScoreScratch, env: &EnvCandidates) -> f64 {
-        if env.is_empty() {
-            return 0.0;
-        }
-        if s.env_idx.capacity() < env.len() {
-            // `reserve` takes an *additional* count on top of the current
-            // length; clearing first makes it an absolute capacity floor,
-            // so the guarantee holds even when a scratch warmed up on a
-            // smaller target is reused on a larger one.
-            s.env_idx.clear();
-            s.env_idx.reserve(env.len());
-        }
-        let softness = self.radii.softness;
-        let max_reach = env.max_radius();
-        let mut total = 0.0;
-        for a in 0..s.site_x.len() {
-            let (xa, ya, za) = (s.site_x[a], s.site_y[a], s.site_z[a]);
-            let (ra, ca) = (s.site_r[a], s.site_centroid[a]);
-            s.env_idx.clear();
-            env.gather_within(
-                Vec3::new(xa, ya, za),
-                (ra + max_reach) * softness,
-                &mut s.env_idx,
-            );
-            s.env_idx.sort_unstable();
-            let (ex, ey, ez) = (env.xs(), env.ys(), env.zs());
-            let (er, ec) = (env.radii(), env.centroid_flags());
-            for &b in &s.env_idx {
-                let b = b as usize;
-                let dx = xa - ex[b];
-                let dy = ya - ey[b];
-                let dz = za - ez[b];
-                let d2 = dx * dx + dy * dy + dz * dz;
-                let sigma = (ra + er[b]) * softness;
-                if d2 >= sigma * sigma || sigma <= 0.0 {
-                    continue;
-                }
-                total +=
-                    self.contact_weight(ca, ec[b]) * self.overlap_penalty(d2.sqrt(), ra + er[b]);
-            }
-        }
-        total
-    }
-
-    /// The production loop-to-environment pass, over **per-residue
-    /// candidate windows**: one cell-list gather per residue, centred on
-    /// its Cα with a radius covering every site's own contact reach
-    /// (`|site − Cα| + (r_site + max_env_radius)·softness`, plus
-    /// `burial_radius` when the BURIAL piggyback is enabled), sorted once
-    /// and shared by all of the residue's ~5 sites.  This amortises the
-    /// dominant gather + sort cost ~5× while each site keeps its exact
-    /// d²/σ² filter.
-    ///
-    /// Bit-identity to the per-site pass (and hence the linear reference):
-    /// * the window is a superset of each site's own gather — any
-    ///   contributing candidate satisfies `d < σ ≤ reach`, so by the
-    ///   triangle inequality it lies within `|site − Cα| + reach` of the
-    ///   Cα, and [`WINDOW_SLACK`] absorbs the few-ulp rounding of that
-    ///   bound;
-    /// * superset membership is harmless — excluded or extra candidates
-    ///   contribute exactly 0 to the penalty sum and pass through an exact
-    ///   integer distance filter in the burial count, so only the
-    ///   *surviving* pairs matter, and those are identical;
-    /// * the window indices are sorted ascending once, so every site
-    ///   accumulates its surviving contributions in the linear scan's
-    ///   order.
-    ///
-    /// With `burial_radius = Some(r)`, each residue's environment contact
-    /// count within `r` of its Cα is derived from the same window into
-    /// `scratch.burial_counts` — the burial objective still costs one
-    /// extra distance filter, not a second gather.
-    fn against_environment_windows(
+    /// With `burial_radius = Some(r)` (`r ≤` the list radius, asserted),
+    /// each residue's environment contact count within `r` of its Cα is
+    /// filtered from the Cα site's own list into `scratch.burial_counts`:
+    /// the burial objective costs one extra distance filter per residue.
+    fn against_environment(
         &self,
         s: &mut ScoreScratch,
         env: &EnvCandidates,
         n_residues: usize,
         burial_radius: Option<f64>,
     ) -> f64 {
-        if burial_radius.is_some() {
+        let softness = self.radii.softness;
+        let max_site = s.site_r.iter().fold(0.0f64, |m, &r| m.max(r));
+        let reach = (max_site + env.max_radius()) * softness;
+        assert!(
+            reach <= ENV_LIST_RADIUS,
+            "VDW site reach {reach} Å exceeds the environment list radius {ENV_LIST_RADIUS} Å"
+        );
+        if let Some(r) = burial_radius {
+            assert!(
+                r <= ENV_LIST_RADIUS,
+                "burial radius {r} Å exceeds the environment list radius {ENV_LIST_RADIUS} Å"
+            );
             s.burial_counts.clear();
             s.burial_counts.resize(n_residues, 0);
         }
-        if env.is_empty() {
-            return 0.0;
-        }
-        if s.env_idx.capacity() < env.len() {
-            s.env_idx.clear();
-            s.env_idx.reserve(env.len());
-        }
-        let softness = self.radii.softness;
-        let max_reach = env.max_radius();
         let (ex, ey, ez) = (env.xs(), env.ys(), env.zs());
         let (er, ec) = (env.radii(), env.centroid_flags());
-        let n = s.site_x.len();
         let mut total = 0.0;
-        let mut start = 0;
-        while start < n {
-            let res = s.site_res[start];
-            let mut end = start + 1;
-            while end < n && s.site_res[end] == res {
-                end += 1;
+        for a in 0..s.site_x.len() {
+            let p = Vec3::new(s.site_x[a], s.site_y[a], s.site_z[a]);
+            let (ra, a_centroid) = (s.site_r[a], s.site_centroid[a]);
+            let near = env.near(p);
+            if let Some(r) = burial_radius.filter(|_| s.site_is_ca[a]) {
+                s.burial_counts[s.site_res[a] as usize] = env.count_within(p, r, near);
             }
-            // The residue's Cα anchors the window (sites are staged
-            // N, Cα, C', O[, centroid] — located by flag for robustness).
-            let ca_i = (start..end)
-                .find(|&a| s.site_is_ca[a])
-                .expect("every residue stages a Cα site");
-            let ca = Vec3::new(s.site_x[ca_i], s.site_y[ca_i], s.site_z[ca_i]);
-            let mut window = burial_radius.unwrap_or(0.0);
-            for a in start..end {
-                let dx = s.site_x[a] - ca.x;
-                let dy = s.site_y[a] - ca.y;
-                let dz = s.site_z[a] - ca.z;
-                let dist = (dx * dx + dy * dy + dz * dz).sqrt();
-                let reach = (s.site_r[a] + max_reach) * softness;
-                window = window.max(dist + reach);
-            }
-            s.env_idx.clear();
-            env.gather_within(ca, window + WINDOW_SLACK, &mut s.env_idx);
-            s.env_idx.sort_unstable();
-            if let Some(r) = burial_radius {
-                s.burial_counts[res as usize] = env.count_within(ca, r, &s.env_idx);
-            }
-            for a in start..end {
-                let (xa, ya, za) = (s.site_x[a], s.site_y[a], s.site_z[a]);
-                let (ra, a_centroid) = (s.site_r[a], s.site_centroid[a]);
-                for &b in &s.env_idx {
-                    let b = b as usize;
-                    let dx = xa - ex[b];
-                    let dy = ya - ey[b];
-                    let dz = za - ez[b];
-                    let d2 = dx * dx + dy * dy + dz * dz;
-                    let sigma = (ra + er[b]) * softness;
-                    if d2 >= sigma * sigma || sigma <= 0.0 {
-                        continue;
-                    }
-                    total += self.contact_weight(a_centroid, ec[b])
-                        * self.overlap_penalty(d2.sqrt(), ra + er[b]);
+            for &b in near {
+                let b = b as usize;
+                let dx = p.x - ex[b];
+                let dy = p.y - ey[b];
+                let dz = p.z - ez[b];
+                let d2 = dx * dx + dy * dy + dz * dz;
+                let sigma = (ra + er[b]) * softness;
+                if d2 >= sigma * sigma || sigma <= 0.0 {
+                    continue;
                 }
+                total += self.contact_weight(a_centroid, ec[b])
+                    * self.overlap_penalty(d2.sqrt(), ra + er[b]);
             }
-            start = end;
         }
         total
     }
 
     /// The loop-to-environment term of [`VdwScore::score_target_with`] in
-    /// isolation, evaluated through per-residue candidate windows over the
-    /// cell list (the production path).  Exposed so equivalence tests and
-    /// benchmarks can compare it against
-    /// [`VdwScore::environment_term_linear`] and
-    /// [`VdwScore::environment_term_per_site`].
+    /// isolation (the production pass over the per-cell candidate lists).
+    /// Exposed so equivalence tests and benchmarks can compare it against
+    /// [`VdwScore::environment_term_linear`].
     pub fn environment_term(
         &self,
         target: &LoopTarget,
@@ -432,7 +321,7 @@ impl VdwScore {
         scratch: &mut ScoreScratch,
     ) -> f64 {
         self.fill_sites(target, structure, scratch);
-        self.against_environment_windows(
+        self.against_environment(
             scratch,
             target.env_candidates(),
             structure.n_residues(),
@@ -440,23 +329,8 @@ impl VdwScore {
         )
     }
 
-    /// The same environment term via the original per-site gather
-    /// discipline: one cell-list query + sort per interaction site instead
-    /// of one per residue.  Kept as the comparison path for the window
-    /// pass — the CCD benchmark tracks the window speedup against this,
-    /// and the equivalence tests pin both to the linear reference.
-    pub fn environment_term_per_site(
-        &self,
-        target: &LoopTarget,
-        structure: &LoopStructure,
-        scratch: &mut ScoreScratch,
-    ) -> f64 {
-        self.fill_sites(target, structure, scratch);
-        self.against_environment_cells(scratch, target.env_candidates())
-    }
-
     /// The same environment term via the exhaustive linear SoA scan — the
-    /// reference implementation the cell-list path must match bit for bit.
+    /// reference implementation the production pass must match bit for bit.
     pub fn environment_term_linear(
         &self,
         target: &LoopTarget,
@@ -475,17 +349,9 @@ impl VdwScore {
         structure: &LoopStructure,
         scratch: &mut ScoreScratch,
     ) -> f64 {
-        // The candidate cache must cover everything a grid query within
-        // `cutoff` would see; the reach margin guarantees that coupling.
-        debug_assert!(
-            self.cutoff <= lms_protein::ENV_CONTACT_MARGIN,
-            "VDW cutoff {} exceeds the environment candidate margin {}",
-            self.cutoff,
-            lms_protein::ENV_CONTACT_MARGIN
-        );
         self.fill_sites(target, structure, scratch);
         let intra = self.intra_loop(scratch, structure.n_residues());
-        let inter = self.against_environment_windows(
+        let inter = self.against_environment(
             scratch,
             target.env_candidates(),
             structure.n_residues(),
@@ -497,9 +363,13 @@ impl VdwScore {
     /// [`VdwScore::score_target_with`] with the environment term evaluated
     /// through the shared VDW + BURIAL pass: on return,
     /// `scratch.burial_counts` holds each residue's environment contact
-    /// count within `burial_radius` of its Cα, derived from the same
-    /// cell-list gathers the VDW sum consumed.  The returned VDW score is
+    /// count within `burial_radius` of its Cα, filtered from the same
+    /// candidate lists the VDW sum consumed.  The returned VDW score is
     /// bit-identical to [`VdwScore::score_target_with`].
+    ///
+    /// # Panics
+    ///
+    /// If `burial_radius` exceeds [`ENV_LIST_RADIUS`].
     pub fn score_target_with_burial(
         &self,
         target: &LoopTarget,
@@ -507,17 +377,9 @@ impl VdwScore {
         scratch: &mut ScoreScratch,
         burial_radius: f64,
     ) -> f64 {
-        debug_assert!(
-            self.cutoff <= lms_protein::ENV_CONTACT_MARGIN
-                && burial_radius <= lms_protein::ENV_CONTACT_MARGIN,
-            "query radii (VDW {}, burial {}) exceed the environment candidate margin {}",
-            self.cutoff,
-            burial_radius,
-            lms_protein::ENV_CONTACT_MARGIN
-        );
         self.fill_sites(target, structure, scratch);
         let intra = self.intra_loop(scratch, structure.n_residues());
-        let inter = self.against_environment_windows(
+        let inter = self.against_environment(
             scratch,
             target.env_candidates(),
             structure.n_residues(),
@@ -532,14 +394,6 @@ impl VdwScore {
         self.score_target_with(target, structure, &mut scratch)
     }
 }
-
-/// Slack (Å) added to each per-residue window radius so floating-point
-/// rounding in the `|site − Cα| + reach` covering bound can never exclude a
-/// contributing candidate.  Orders of magnitude above the few-ulp rounding
-/// error of the bound at protein scales, and harmless when over-generous:
-/// extra candidates are removed by the exact d²/σ² filter and the exact
-/// burial distance filter, so the scores stay bit-identical.
-const WINDOW_SLACK: f64 = 1e-9;
 
 impl ScoringFunction for VdwScore {
     fn name(&self) -> &'static str {
@@ -672,7 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn per_residue_windows_match_per_site_gathers_and_linear() {
+    fn production_environment_term_matches_linear() {
         let lib = BenchmarkLibrary::standard();
         let builder = LoopBuilder::default();
         for name in ["1cex", "1xyz", "5pti"] {
@@ -684,13 +538,31 @@ mod tests {
                 let structure = target.build(&builder, &torsions);
                 let s = VdwScore::default();
                 let mut scratch = ScoreScratch::new();
-                let windows = s.environment_term(&target, &structure, &mut scratch);
-                let per_site = s.environment_term_per_site(&target, &structure, &mut scratch);
+                let production = s.environment_term(&target, &structure, &mut scratch);
                 let linear = s.environment_term_linear(&target, &structure, &mut scratch);
-                assert_eq!(windows.to_bits(), per_site.to_bits(), "{name}: per-site");
-                assert_eq!(windows.to_bits(), linear.to_bits(), "{name}: linear");
+                assert_eq!(production.to_bits(), linear.to_bits(), "{name}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the environment list radius")]
+    fn site_reach_beyond_the_list_radius_panics() {
+        let lib = BenchmarkLibrary::standard();
+        let target = lib.target_by_name("1cex").unwrap();
+        // (5.0 + the environment's largest radius) · 1.0 is beyond 7 Å: a
+        // contact there could be missing from the lists.
+        assert!(target.env_candidates().max_radius() > ENV_LIST_RADIUS - 5.0);
+        let s = VdwScore::new(
+            VdwRadii {
+                softness: 1.0,
+                ca: 5.0,
+                ..VdwRadii::default()
+            },
+            ContactWeights::default(),
+        );
+        let native = target.build(&LoopBuilder::default(), &target.native_torsions);
+        s.score_target(&target, &native);
     }
 
     #[test]

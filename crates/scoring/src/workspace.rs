@@ -11,7 +11,9 @@
 //! **Invariant:** after one warm-up evaluation on a given loop length, no
 //! `score_with` call allocates.  `clear()` + `push` on retained `Vec`s is
 //! the only buffer discipline used, and every capacity is a function of the
-//! loop length, which is fixed per target.
+//! loop length, which is fixed per target.  The environment is read in
+//! place: each site borrows its precomputed candidate list from the
+//! per-target cache, so no buffer here scales with the environment.
 
 use lms_protein::RamaClass;
 
@@ -45,15 +47,9 @@ pub struct ScoreScratch {
     pub(crate) atom_z: Vec<f64>,
     /// TRIPLET per-residue Ramachandran classes.
     pub(crate) classes: Vec<RamaClass>,
-    /// Candidate-index buffer the VDW environment kernel gathers cell-list
-    /// query results into (one query per site, buffer reused across all of
-    /// them).  Capacity is bounded by the target's total candidate count,
-    /// which the kernel reserves up front so steady-state queries never
-    /// allocate.
-    pub(crate) env_idx: Vec<u32>,
     /// BURIAL per-residue environment contact counts.  Filled by the shared
-    /// VDW/BURIAL environment pass (one cell-list gather per site serves
-    /// both objectives) or by the standalone BURIAL kernel.
+    /// VDW/BURIAL environment pass (a Cα site's candidate list serves both
+    /// objectives) or by the standalone BURIAL kernel.
     pub(crate) burial_counts: Vec<u32>,
     /// Shared Cα–Cα squared-distance table (`n_residues × n_residues`,
     /// row-major, only `i < j` at separation ≥ 2 filled).  The VDW
@@ -91,7 +87,6 @@ impl ScoreScratch {
             atom_y: Vec::with_capacity(4 * n_residues),
             atom_z: Vec::with_capacity(4 * n_residues),
             classes: Vec::with_capacity(n_residues),
-            env_idx: Vec::new(),
             burial_counts: Vec::with_capacity(n_residues),
             ca_d2: Vec::with_capacity(n_residues * n_residues),
             ca_d2_staged: false,
@@ -117,7 +112,6 @@ impl ScoreScratch {
         self.atom_y.clear();
         self.atom_z.clear();
         self.classes.clear();
-        self.env_idx.clear();
         self.burial_counts.clear();
         self.ca_d2.clear();
         self.ca_d2_staged = false;

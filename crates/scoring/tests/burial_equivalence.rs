@@ -1,13 +1,13 @@
 //! Property tests for the BURIAL objective and the shared VDW/BURIAL
-//! environment gather:
+//! environment pass:
 //!
-//! * the shared-gather burial score (piggybacked on the VDW cell-list
-//!   queries) is **bit-identical** to both the standalone cell-list kernel
-//!   and the exhaustive linear-scan reference, on arbitrary conformations
-//!   and environment densities;
+//! * the shared burial score (counts filtered from the candidate lists the
+//!   VDW pass reads) is **bit-identical** to both the standalone list
+//!   kernel and the exhaustive linear-scan reference, on arbitrary
+//!   conformations and environment densities;
 //! * enabling the objective leaves the three core components bit-identical
-//!   to the three-objective evaluation (the wider Cα gathers only add
-//!   candidates that contribute exactly 0 to the VDW sum);
+//!   to the three-objective evaluation (the burial filter only reads the
+//!   lists the VDW sum already consumes);
 //! * with the objective disabled, the BURIAL slot stays at exactly `0.0`.
 
 use lms_geometry::{StreamRngFactory, Vec3};
@@ -80,13 +80,13 @@ proptest! {
         let torsions = perturbed(&target, seed as u64, magnitude);
         let structure = target.build(&builder, &torsions);
 
-        // Shared-gather path (production): burial piggybacked on the VDW
+        // Shared path (production): burial counts filtered in the VDW
         // environment pass inside the burial-enabled MultiScorer.
         let scorer = MultiScorer::new(kb()).with_burial(true);
         let mut scratch = ScoreScratch::for_loop_len(target.n_residues());
         let v = scorer.evaluate_with(&target, &structure, &torsions, &mut scratch);
 
-        // Standalone cell-list kernel and exhaustive linear reference.
+        // Standalone list kernel and exhaustive linear reference.
         let burial = BurialScore::new(kb());
         let mut scratch2 = ScoreScratch::new();
         let standalone = burial.score_target_with(&target, &structure, &mut scratch2);

@@ -1,15 +1,18 @@
-//! Property tests for the VDW environment cell list: the cell-list query
-//! path ([`VdwScore::environment_term`]) must be **bit-identical** (`==`
-//! over raw `f64`s, no tolerance) to the exhaustive linear SoA scan
-//! ([`VdwScore::environment_term_linear`]) for random environments —
-//! including empty environments, environments collapsed into a single grid
-//! cell, widely scattered ones, and random softness/weight parameters.
-//! The sort-into-ascending-index step inside the cell path is what makes
-//! the floating-point summation order (and hence every output bit) match.
+//! Property tests for the VDW environment cell lists: the production path
+//! ([`VdwScore::environment_term`], one precomputed per-cell candidate list
+//! per site) must be **bit-identical** (`==` over raw `f64`s, no tolerance)
+//! to the exhaustive linear SoA scan ([`VdwScore::environment_term_linear`])
+//! for random environments — including empty environments, environments
+//! collapsed into a single grid cell, widely scattered ones, and random
+//! softness/weight parameters.  Each list is stored in ascending index
+//! order, which is what makes the floating-point summation order (and
+//! hence every output bit) match.
 
 use lms_geometry::{deg_to_rad, Vec3};
 use lms_protein::LoopBuilder;
-use lms_protein::{AminoAcid, AnchorFrame, EnvAtom, Environment, LoopFrame, LoopTarget, Torsions};
+use lms_protein::{
+    AminoAcid, AnchorFrame, EnvAtom, Environment, LoopFrame, LoopTarget, Torsions, ENV_LIST_RADIUS,
+};
 use lms_scoring::{ContactWeights, ScoreScratch, VdwRadii, VdwScore};
 use proptest::prelude::*;
 use std::f64::consts::PI;
@@ -92,7 +95,7 @@ proptest! {
         let cells = vdw.environment_term(&target, &structure, &mut scratch);
         let linear = vdw.environment_term_linear(&target, &structure, &mut scratch);
         prop_assert_eq!(cells, linear);
-        // The full score path (which routes through the cell list) stays
+        // The full score path (which reads the same lists) stays
         // finite and deterministic.
         let a = vdw.score_target_with(&target, &structure, &mut scratch);
         let b = vdw.score_target_with(&target, &structure, &mut scratch);
@@ -110,8 +113,19 @@ proptest! {
     ) {
         // Tight scatter so many pairs actually overlap.
         let target = target_with_env(&angles, env_from(&coords, count, 6.0));
+        let radii = VdwRadii { softness, ..VdwRadii::default() };
+        // Only parameters whose site reach fits the list radius are
+        // accepted; beyond it the pass panics (checked in the VDW unit
+        // tests) instead of dropping contacts.
+        let max_site = target
+            .sequence
+            .iter()
+            .map(|aa| aa.centroid_radius())
+            .fold(radii.n.max(radii.ca).max(radii.c).max(radii.o), f64::max);
+        let reach = (max_site + target.env_candidates().max_radius()) * softness;
+        prop_assume!(reach <= ENV_LIST_RADIUS);
         let vdw = VdwScore::new(
-            VdwRadii { softness, ..VdwRadii::default() },
+            radii,
             ContactWeights {
                 atom_atom: w[0],
                 atom_centroid: w[1],

@@ -54,9 +54,10 @@ fn main() -> Result<(), Error> {
     let kb = KnowledgeBase::build(KnowledgeBaseConfig::fast());
     // `.burial_objective(true)` turns on the fourth scoring function: each
     // residue's environment contact number scored against its residue
-    // type's knowledge-based burial reference.  The counts ride on the VDW
-    // cell-list gathers, so the extra objective is nearly free; leave it
-    // off (the default) to match the paper's three-objective setup exactly.
+    // type's knowledge-based burial reference.  The counts are filtered from
+    // the candidate lists the VDW pass already reads, so the extra objective
+    // is nearly free; leave it off (the default) to match the paper's
+    // three-objective setup exactly.
     let config = SamplerConfig::builder()
         .population_size(96)
         .n_complexes(2)

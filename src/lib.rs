@@ -31,10 +31,11 @@
 //! # }
 //! ```
 //!
-//! The evaluation reuses the VDW environment cell list — one gather per
-//! site feeds both the clash sum and the burial counts — so the fourth
-//! objective costs far less than a second environment sweep (see the
-//! `scoring_pipeline` bench's 3-vs-4-objective comparison).
+//! The evaluation reuses the VDW environment's precomputed per-cell
+//! candidate lists — the list each Cα site reads feeds both the clash sum
+//! and that residue's burial count — so the fourth objective costs far
+//! less than a second environment sweep (see the `scoring_pipeline`
+//! bench's 3-vs-4-objective comparison).
 //!
 //! ## The engine lifecycle: build → submit → stream → harvest
 //!
