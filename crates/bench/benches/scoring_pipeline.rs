@@ -13,10 +13,9 @@
 //! objectives), the fourth objective should cost well under 1.5× the
 //! three-objective evaluation.
 //!
-//! A third comparison measures the shared-gather DIST bound: the fused
-//! evaluation (the VDW pass records the Cα–Cα distance table, DIST reads
-//! its bounding check from it) against the unfused composition where DIST
-//! recomputes the Cα geometry per residue pair.
+//! A third measurement times each staged scoring pass on its own
+//! (`MultiScorer::vdw_pass`, `dist_pass`, `triplet_pass`) at loop 12 on
+//! prebuilt conformations, so a change to one kernel shows in its own row.
 //!
 //! A fourth comparison measures the **population-batched kernel pipeline**:
 //! one full trajectory through the staged SoA-arena launches
@@ -42,7 +41,7 @@ use lms_bench::artifact::{Artifact, Better, Gate};
 use lms_bench::{scaled_env_target, shared_kb};
 use lms_core::{member_is_finite, MoscemSampler, SamplerConfig};
 use lms_protein::{BenchmarkLibrary, LoopBuilder, LoopStructure, LoopTarget, TargetSpec, Torsions};
-use lms_scoring::{MultiScorer, ScoreScratch, ScoringFunction, VdwScore};
+use lms_scoring::{MultiScorer, ScoreScratch};
 use lms_simt::ExecutorConfig;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -331,48 +330,43 @@ fn bench_population_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_shared_gather(c: &mut Criterion) {
-    let kb = shared_kb();
+/// Loop 12 conformations, built once, that the per-pass rows time each
+/// staged scoring pass on.
+fn pass_inputs() -> (LoopTarget, Vec<Torsions>, Vec<LoopStructure>) {
     let builder = LoopBuilder::default();
     let target = target_of_len(12);
-    let scorer = MultiScorer::new(kb.clone());
-    let vdw = VdwScore::default();
-    let torsions = conformations(&target, 16);
     target.env_candidates();
+    let torsions = conformations(&target, 16);
+    let structures = torsions.iter().map(|t| target.build(&builder, t)).collect();
+    (target, torsions, structures)
+}
 
-    let mut group = c.benchmark_group("shared_gather_dist");
+fn bench_passes(c: &mut Criterion) {
+    let scorer = MultiScorer::new(shared_kb());
+    let (target, torsions, structures) = pass_inputs();
+    let mut group = c.benchmark_group("passes");
     group.sample_size(20);
     group.measurement_time(Duration::from_secs(2));
     group.warm_up_time(Duration::from_millis(300));
-
-    group.bench_function("fused/len12", |b| {
-        let mut structure = LoopStructure::with_capacity(12);
-        let mut scratch = ScoreScratch::for_loop_len(12);
-        let mut i = 0usize;
+    let mut scratch = ScoreScratch::for_loop_len(12);
+    let mut i = 0usize;
+    group.bench_function("vdw/len12", |b| {
         b.iter(|| {
-            let t = &torsions[i % torsions.len()];
             i += 1;
-            target.build_into(&builder, t, &mut structure);
-            // The fused path: the VDW pass records the Cα table, DIST reads
-            // its bound from it.
-            black_box(scorer.evaluate_with(&target, &structure, t, &mut scratch))
+            black_box(scorer.vdw_pass(&target, &structures[i % structures.len()], &mut scratch))
         })
     });
-    group.bench_function("unfused/len12", |b| {
-        let mut structure = LoopStructure::with_capacity(12);
-        let mut scratch = ScoreScratch::for_loop_len(12);
-        let comps = scorer.components();
-        let mut i = 0usize;
+    group.bench_function("dist/len12", |b| {
         b.iter(|| {
-            let t = &torsions[i % torsions.len()];
             i += 1;
-            target.build_into(&builder, t, &mut structure);
-            // The unfused composition: each objective through its own
-            // trait kernel, DIST recomputing the Cα bound per pair.
-            let v = vdw.score_with(&target, &structure, t, &mut scratch);
-            let d = comps[1].score_with(&target, &structure, t, &mut scratch);
-            let tr = comps[2].score_with(&target, &structure, t, &mut scratch);
-            black_box((v, d, tr))
+            black_box(scorer.dist_pass(&target, &structures[i % structures.len()], &mut scratch))
+        })
+    });
+    group.bench_function("triplet/len12", |b| {
+        b.iter(|| {
+            i += 1;
+            let k = i % structures.len();
+            black_box(scorer.triplet_pass(&target, &structures[k], &torsions[k], &mut scratch))
         })
     });
     group.finish();
@@ -481,55 +475,43 @@ fn write_bench_json() {
     artifact.ns("objectives.four_ns_per_eval", four_ns);
     artifact.ratio("objectives.cost_ratio", cost_ratio, Better::Lower);
 
-    // --- shared-gather DIST bound: fused vs unfused ------------------
-    let target = target_of_len(12);
-    target.env_candidates();
-    let torsions = conformations(&target, 16);
+    // --- per-pass cost at loop 12 -------------------------------------
     let scorer = MultiScorer::new(kb.clone());
-    let vdw = VdwScore::default();
-    let fused_ns = {
-        let mut structure = LoopStructure::with_capacity(12);
-        let mut scratch = ScoreScratch::for_loop_len(12);
-        let mut i = 0usize;
-        median_ns_per_eval(
-            || {
-                let t = &torsions[i % torsions.len()];
-                i += 1;
-                target.build_into(&builder, t, &mut structure);
-                black_box(scorer.evaluate_with(&target, &structure, t, &mut scratch));
-            },
-            2_000,
-            9,
-        )
-    };
-    let unfused_ns = {
-        let mut structure = LoopStructure::with_capacity(12);
-        let mut scratch = ScoreScratch::for_loop_len(12);
-        let comps = scorer.components();
-        let mut i = 0usize;
-        median_ns_per_eval(
-            || {
-                let t = &torsions[i % torsions.len()];
-                i += 1;
-                target.build_into(&builder, t, &mut structure);
-                let v = vdw.score_with(&target, &structure, t, &mut scratch);
-                let d = comps[1].score_with(&target, &structure, t, &mut scratch);
-                let tr = comps[2].score_with(&target, &structure, t, &mut scratch);
-                black_box((v, d, tr));
-            },
-            2_000,
-            9,
-        )
-    };
-    let gather_speedup = unfused_ns / fused_ns;
-    println!(
-        "shared_gather_dist len=12: unfused {unfused_ns:.0} ns/eval, \
-         fused {fused_ns:.0} ns/eval, speedup {gather_speedup:.3}x"
+    let (target, torsions, structures) = pass_inputs();
+    let mut scratch = ScoreScratch::for_loop_len(12);
+    let mut i = 0usize;
+    let vdw_ns = median_ns_per_eval(
+        || {
+            i += 1;
+            black_box(scorer.vdw_pass(&target, &structures[i % structures.len()], &mut scratch));
+        },
+        5_000,
+        9,
     );
-    artifact.ns("shared_gather.unfused_ns_per_eval", unfused_ns);
-    artifact.ns("shared_gather.fused_ns_per_eval", fused_ns);
-    let name = "shared_gather.speedup";
-    artifact.push(name, gather_speedup, "ratio", Better::Higher, Gate::None);
+    let dist_ns = median_ns_per_eval(
+        || {
+            i += 1;
+            black_box(scorer.dist_pass(&target, &structures[i % structures.len()], &mut scratch));
+        },
+        5_000,
+        9,
+    );
+    let triplet_ns = median_ns_per_eval(
+        || {
+            i += 1;
+            let k = i % structures.len();
+            black_box(scorer.triplet_pass(&target, &structures[k], &torsions[k], &mut scratch));
+        },
+        20_000,
+        9,
+    );
+    println!(
+        "passes len=12: vdw {vdw_ns:.0} ns/eval, dist {dist_ns:.0} ns/eval, \
+         triplet {triplet_ns:.0} ns/eval"
+    );
+    artifact.ns("passes.vdw_ns_per_eval", vdw_ns);
+    artifact.ns("passes.dist_ns_per_eval", dist_ns);
+    artifact.ns("passes.triplet_ns_per_eval", triplet_ns);
 
     // --- population-batched pipeline vs per-member reference ----------
     let sampler = pipeline_sampler();
@@ -620,7 +602,7 @@ criterion_group!(
     benches,
     bench_scoring_pipeline,
     bench_objective_scaling,
-    bench_shared_gather,
+    bench_passes,
     bench_population_pipeline
 );
 

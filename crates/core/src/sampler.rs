@@ -1092,9 +1092,8 @@ impl MoscemSampler {
     /// The staged `rebuild` and `score` kernels: observable readback (RMSD
     /// to native, candidate-lane writeback) followed by one population-wide
     /// launch per objective kernel; returns the four launches in that
-    /// order.  The VDW kernel stages the shared Cα table (and, with the
-    /// burial objective on, the contact counts) its successors consume from
-    /// the member's scratch.
+    /// order.  With the burial objective on, the VDW kernel also fills the
+    /// member's contact counts; DIST and TRIPLET depend on no other pass.
     fn stage_rebuild_and_score(
         &self,
         executor: &Executor,

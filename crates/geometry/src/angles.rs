@@ -21,18 +21,35 @@ pub fn rad_to_deg(rad: f64) -> f64 {
 }
 
 /// Wrap an angle in radians into the canonical interval `(-π, π]`.
+///
+/// Inside `(-2π, 2π)` the remainder `angle % 2π` is `angle` itself (IEEE
+/// `fmod` is exact), so the common case skips the software `fmod` call
+/// and returns the same bits.
+#[inline]
 pub fn wrap_rad(angle: f64) -> f64 {
     if !angle.is_finite() {
         return angle;
     }
     let two_pi = 2.0 * PI;
-    let mut a = angle % two_pi;
+    let mut a = if angle.abs() < two_pi {
+        angle
+    } else {
+        rem_two_pi(angle)
+    };
     if a <= -PI {
         a += two_pi;
     } else if a > PI {
         a -= two_pi;
     }
     a
+}
+
+/// `angle % 2π`, out of line so the `fmod` call stays off the inlined
+/// fast path of [`wrap_rad`].
+#[cold]
+#[inline(never)]
+fn rem_two_pi(angle: f64) -> f64 {
+    angle % (2.0 * PI)
 }
 
 /// Wrap an angle in degrees into the canonical interval `(-180, 180]`.
@@ -114,6 +131,7 @@ pub fn max_torsion_deviation_deg(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-10
@@ -137,6 +155,81 @@ mod tests {
         assert!(close(wrap_rad(2.0 * PI), 0.0));
         assert!(close(wrap_rad(-2.5 * PI), -0.5 * PI));
         assert!(wrap_rad(f64::NAN).is_nan());
+    }
+
+    /// `wrap_rad` as it reads without the fast path: `%` on every finite
+    /// input.
+    fn wrap_rad_fmod(angle: f64) -> f64 {
+        if !angle.is_finite() {
+            return angle;
+        }
+        let two_pi = 2.0 * PI;
+        let mut a = angle % two_pi;
+        if a <= -PI {
+            a += two_pi;
+        } else if a > PI {
+            a -= two_pi;
+        }
+        a
+    }
+
+    fn assert_wrap_matches_fmod(angle: f64) {
+        assert_eq!(
+            wrap_rad(angle).to_bits(),
+            wrap_rad_fmod(angle).to_bits(),
+            "wrap_rad({angle:e}) (bits {:#018x})",
+            angle.to_bits()
+        );
+    }
+
+    #[test]
+    fn wrap_rad_fast_path_matches_fmod_at_special_values_and_edges() {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MAX,
+            f64::MIN,
+        ];
+        for a in specials {
+            assert_wrap_matches_fmod(a);
+        }
+        for edge in [PI, 2.0 * PI, 3.0 * PI, 4.0 * PI] {
+            for sign in [1.0, -1.0] {
+                let mut lo = sign * edge;
+                let mut hi = sign * edge;
+                for _ in 0..64 {
+                    assert_wrap_matches_fmod(lo);
+                    assert_wrap_matches_fmod(hi);
+                    lo = lo.next_down();
+                    hi = hi.next_up();
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        fn wrap_rad_fast_path_matches_fmod_on_any_bits(
+            a in any::<u64>().prop_map(f64::from_bits),
+        ) {
+            prop_assert_eq!(wrap_rad(a).to_bits(), wrap_rad_fmod(a).to_bits());
+        }
+
+        #[test]
+        fn wrap_rad_fast_path_matches_fmod_on_torsion_range(a in -20.0..20.0f64) {
+            prop_assert_eq!(wrap_rad(a).to_bits(), wrap_rad_fmod(a).to_bits());
+        }
     }
 
     #[test]

@@ -6,18 +6,19 @@
 //! ≥ 2 contributes a table energy indexed by the two atom kinds, the
 //! separation class and the binned distance.  The table is the DIST half of
 //! the synthetic [`KnowledgeBase`].
+//!
+//! The kernel reads the backbone atoms in place from the structure, takes
+//! the separation class once per residue pair and each atom pair's table
+//! row once, and rejects pairs at or beyond [`DIST_MAX`] on the squared
+//! distance before taking the square root.  Pairs it skips contribute
+//! nothing, so the score is bit-identical to the naive all-pairs sum over
+//! [`DistTable::energy`](crate::DistTable::energy) (the test oracle below).
 
-use crate::library::{BackboneAtomKind, KnowledgeBase, SeparationClass, DIST_MAX};
+use crate::library::{distance_bin, BackboneAtomKind, KnowledgeBase, SeparationClass, DIST_MAX};
 use crate::traits::ScoringFunction;
 use crate::workspace::ScoreScratch;
 use lms_protein::{LoopStructure, LoopTarget, Torsions};
 use std::sync::Arc;
-
-/// Upper bound (Å) on the distance from any backbone heavy atom to its own
-/// residue's Cα under ideal covalent geometry.  N sits 1.458 Å away, C'
-/// 1.525 Å, and O at most 2.41 Å (law of cosines over Cα–C'=O); 2.45 Å
-/// bounds all three with margin.
-const MAX_ATOM_CA_OFFSET: f64 = 2.45;
 
 /// Atom pair-wise distance-based statistical potential.
 #[derive(Debug, Clone)]
@@ -31,110 +32,36 @@ impl DistScore {
         DistScore { kb }
     }
 
-    /// Score a built structure reading the Cα–Cα bounding check from the
-    /// scratch's shared `ca_d2` table (filled by the VDW intra-loop pass of
-    /// the same evaluation), instead of recomputing the Cα geometry per
-    /// residue pair.  The table holds exactly the squared distances this
-    /// kernel's own bound would compute — same coordinates, same arithmetic
-    /// — so the pair skips, and therefore the score, are bit-identical to
-    /// [`DistScore::score_structure_with`] (property-tested in
-    /// `tests/workspace_equivalence.rs`).
-    ///
-    /// This is the staged-pipeline path: [`crate::MultiScorer`] launches the
-    /// VDW kernel first, so the table is always fresh when DIST runs.
-    pub fn score_structure_with_ca_table(
-        &self,
-        structure: &LoopStructure,
-        scratch: &mut ScoreScratch,
-    ) -> f64 {
-        // The table is consume-once: staged by the VDW pass of the same
-        // evaluation, invalidated here.  A stale table (e.g. staged for a
-        // previous structure of the same loop length) would silently skip
-        // the wrong pairs, so misuse fails loudly in every build profile.
-        let n = structure.residues.len();
-        assert!(
-            scratch.ca_d2_staged && scratch.ca_d2.len() == n * n,
-            "ca_d2 table not staged for this structure; run the VDW pass first"
-        );
-        scratch.ca_d2_staged = false;
-        self.score_structure_inner(structure, scratch, true)
-    }
-
-    /// Score a built structure directly, staging atom coordinates in the
-    /// caller's scratch SoA buffers (no allocation after warm-up).
-    pub fn score_structure_with(
-        &self,
-        structure: &LoopStructure,
-        scratch: &mut ScoreScratch,
-    ) -> f64 {
-        self.score_structure_inner(structure, scratch, false)
-    }
-
-    fn score_structure_inner(
-        &self,
-        structure: &LoopStructure,
-        scratch: &mut ScoreScratch,
-        use_ca_table: bool,
-    ) -> f64 {
-        // Stage the backbone atoms as flat split-coordinate arrays: atom
-        // `4*i + k` is residue i's (N, Cα, C', O)[k].
-        scratch.atom_x.clear();
-        scratch.atom_y.clear();
-        scratch.atom_z.clear();
-        for r in &structure.residues {
-            for p in r.backbone() {
-                scratch.atom_x.push(p.x);
-                scratch.atom_y.push(p.y);
-                scratch.atom_z.push(p.z);
-            }
-        }
-        let (xs, ys, zs) = (&scratch.atom_x, &scratch.atom_y, &scratch.atom_z);
-        let n = structure.residues.len();
+    /// Score a built structure directly (without needing the target).
+    /// Reads the atoms in place and allocates nothing.
+    pub fn score_structure(&self, structure: &LoopStructure) -> f64 {
+        let residues = &structure.residues;
         let mut total = 0.0;
         let mut pairs = 0usize;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let Some(sep) = SeparationClass::from_separation(j - i) else {
-                    continue;
-                };
-                // Cheap bounding check: every atom lies within
-                // MAX_ATOM_CA_OFFSET of its residue's Cα, so when the Cα–Cα
-                // distance exceeds DIST_MAX by twice that offset, all 16
-                // atom pairs are ≥ DIST_MAX and would be skipped anyway.
-                // The staged path reads the squared distance from the shared
-                // table the VDW pass recorded for this pair; the fallback
-                // recomputes it from the staged Cα coordinates.  The values
-                // are bit-identical, so both paths skip the same pairs.
-                let bound = DIST_MAX + 2.0 * MAX_ATOM_CA_OFFSET;
-                let ca_gap2 = if use_ca_table {
-                    scratch.ca_d2[i * n + j]
-                } else {
-                    let (ca_i, ca_j) = (4 * i + 1, 4 * j + 1);
-                    let dx = xs[ca_i] - xs[ca_j];
-                    let dy = ys[ca_i] - ys[ca_j];
-                    let dz = zs[ca_i] - zs[ca_j];
-                    dx * dx + dy * dy + dz * dz
-                };
-                if ca_gap2 >= bound * bound {
-                    continue;
-                }
-                for a in (4 * i)..(4 * i + 4) {
-                    let ka = BackboneAtomKind::ALL[a % 4];
-                    for b in (4 * j)..(4 * j + 4) {
-                        let dx = xs[a] - xs[b];
-                        let dy = ys[a] - ys[b];
-                        let dz = zs[a] - zs[b];
-                        let d = (dx * dx + dy * dy + dz * dz).sqrt();
+        for (i, ri) in residues.iter().enumerate() {
+            let atoms_i = ri.backbone();
+            for (j, rj) in residues.iter().enumerate().skip(i + 2) {
+                let sep = SeparationClass::from_separation(j - i)
+                    .expect("every separation >= 2 has a class");
+                let atoms_j = rj.backbone();
+                // By reference: by-value `into_iter` ran this loop ~30%
+                // slower (baseline x86-64 target, 12-residue loop).
+                for (&ka, &pa) in BackboneAtomKind::ALL.iter().zip(atoms_i.iter()) {
+                    for (&kb, &pb) in BackboneAtomKind::ALL.iter().zip(atoms_j.iter()) {
+                        let d2 = pa.distance_sq(pb);
                         // Pairs beyond the table range carry no statistical
                         // signal and are skipped, matching how the table was
-                        // built.
+                        // built.  `d2 >= DIST_MAX²` implies `d >= DIST_MAX`;
+                        // the second test stays because sqrt can round a `d2`
+                        // just below DIST_MAX² up to exactly DIST_MAX.
+                        if d2 >= DIST_MAX * DIST_MAX {
+                            continue;
+                        }
+                        let d = d2.sqrt();
                         if d >= DIST_MAX {
                             continue;
                         }
-                        total += self
-                            .kb
-                            .dist
-                            .energy(ka, BackboneAtomKind::ALL[b % 4], sep, d);
+                        total += self.kb.dist.row(ka, kb, sep)[distance_bin(d)];
                         pairs += 1;
                     }
                 }
@@ -145,13 +72,6 @@ impl DistScore {
         } else {
             total / pairs as f64
         }
-    }
-
-    /// Score a built structure directly (without needing the target);
-    /// allocating wrapper over [`DistScore::score_structure_with`].
-    pub fn score_structure(&self, structure: &LoopStructure) -> f64 {
-        let mut scratch = ScoreScratch::new();
-        self.score_structure_with(structure, &mut scratch)
     }
 }
 
@@ -165,9 +85,9 @@ impl ScoringFunction for DistScore {
         _target: &LoopTarget,
         structure: &LoopStructure,
         _torsions: &Torsions,
-        scratch: &mut ScoreScratch,
+        _scratch: &mut ScoreScratch,
     ) -> f64 {
-        self.score_structure_with(structure, scratch)
+        self.score_structure(structure)
     }
 }
 
@@ -176,7 +96,7 @@ mod tests {
     use super::*;
     use crate::library::KnowledgeBaseConfig;
     use lms_geometry::deg_to_rad;
-    use lms_protein::{BenchmarkLibrary, LoopBuilder, Torsions};
+    use lms_protein::{AminoAcid, BenchmarkLibrary, LoopBuilder, Torsions};
 
     fn scorer() -> DistScore {
         DistScore::new(KnowledgeBase::build(KnowledgeBaseConfig::fast()))
@@ -240,33 +160,80 @@ mod tests {
         );
     }
 
+    /// The naive DIST oracle: every residue pair at separation ≥ 2, every
+    /// atom pair through `Vec3::distance` and the public
+    /// [`crate::DistTable::energy`], no bound and no squared-distance
+    /// reject.
+    fn naive_dist(kb: &KnowledgeBase, structure: &LoopStructure) -> f64 {
+        let residues = &structure.residues;
+        let mut total = 0.0;
+        let mut pairs = 0usize;
+        for i in 0..residues.len() {
+            for j in (i + 1)..residues.len() {
+                let Some(sep) = SeparationClass::from_separation(j - i) else {
+                    continue;
+                };
+                for (ka, pa) in BackboneAtomKind::ALL
+                    .into_iter()
+                    .zip(residues[i].backbone())
+                {
+                    for (kb_kind, pb) in BackboneAtomKind::ALL
+                        .into_iter()
+                        .zip(residues[j].backbone())
+                    {
+                        let d = pa.distance(pb);
+                        if d >= DIST_MAX {
+                            continue;
+                        }
+                        total += kb.dist.energy(ka, kb_kind, sep, d);
+                        pairs += 1;
+                    }
+                }
+            }
+        }
+        if pairs == 0 {
+            0.0
+        } else {
+            total / pairs as f64
+        }
+    }
+
     #[test]
-    fn ca_table_path_matches_own_bound_path_bitwise() {
-        use crate::vdw::VdwScore;
-        let s = scorer();
-        let vdw = VdwScore::default();
+    fn dist_pass_matches_naive_oracle_bitwise() {
+        let kb = KnowledgeBase::build(KnowledgeBaseConfig::fast());
+        let scorer = crate::MultiScorer::new(kb.clone());
         let lib = BenchmarkLibrary::standard();
         let builder = LoopBuilder::default();
         let factory = lms_geometry::StreamRngFactory::new(23);
-        for name in ["1cex", "1xyz", "1akz"] {
-            let target = lib.target_by_name(name).unwrap();
+        let mut targets: Vec<LoopTarget> = ["1cex", "1xyz", "1akz"]
+            .into_iter()
+            .map(|name| lib.target_by_name(name).unwrap())
+            .collect();
+        // A loop with glycines: those residues stage 4 sites, no centroid.
+        let mut gly = lib.target_by_name("1cex").unwrap();
+        for k in (0..gly.sequence.len()).step_by(3) {
+            gly.sequence[k] = AminoAcid::Gly;
+        }
+        targets.push(gly);
+        for target in &targets {
             let mut scratch = ScoreScratch::new();
-            for trial in 0..12u64 {
+            for trial in 0..16u64 {
                 let mut rng = factory.stream(trial, 0);
                 let mut torsions = target.native_torsions.clone();
+                // Trial 0 is the native; the others spread from mild
+                // perturbations to fully random (and clashing) loops.
+                let scale = trial as f64 / 8.0;
                 for k in 0..torsions.n_angles() {
-                    torsions.rotate_angle(k, lms_geometry::random_torsion(&mut rng) * 0.3);
+                    torsions.rotate_angle(k, lms_geometry::random_torsion(&mut rng) * scale);
                 }
                 let structure = target.build(&builder, &torsions);
-                // Stage the shared table exactly as the pipeline does: the
-                // VDW pass runs first on the same scratch.
-                vdw.score_target_with(&target, &structure, &mut scratch);
-                let table = s.score_structure_with_ca_table(&structure, &mut scratch);
-                let own = s.score_structure_with(&structure, &mut scratch);
+                let pass = scorer.dist_pass(target, &structure, &mut scratch);
+                let oracle = naive_dist(&kb, &structure);
                 assert_eq!(
-                    table.to_bits(),
-                    own.to_bits(),
-                    "{name} trial {trial}: shared-table DIST diverged"
+                    pass.to_bits(),
+                    oracle.to_bits(),
+                    "{} trial {trial}: DIST pass diverged from the naive oracle",
+                    target.name
                 );
             }
         }

@@ -104,20 +104,24 @@ impl SeparationClass {
 }
 
 /// Map a φ or ψ angle (radians) to its bin index in `[0, TRIPLET_BINS)`.
+///
+/// The bins truncate with `as usize`: for every `f64` that equals
+/// `.floor() as usize` (both saturate, NaN gives 0), and it needs no libm
+/// `floor` call on baseline x86-64.
+#[inline]
 pub fn torsion_bin(angle: f64) -> usize {
     let a = wrap_rad(angle);
     // wrap_rad returns (-pi, pi]; shift to [0, 2pi) and bin.
     let shifted = if a >= PI { 0.0 } else { a + PI };
-    let idx = (shifted / (2.0 * PI) * TRIPLET_BINS as f64).floor() as usize;
+    let idx = (shifted / (2.0 * PI) * TRIPLET_BINS as f64) as usize;
     idx.min(TRIPLET_BINS - 1)
 }
 
 /// Map a distance (Å) to its bin index, saturating at the last bin.
+/// Non-positive and NaN distances fall in bin 0.
+#[inline]
 pub fn distance_bin(d: f64) -> usize {
-    if d <= 0.0 {
-        return 0;
-    }
-    ((d / DIST_BIN_WIDTH).floor() as usize).min(DIST_BINS - 1)
+    ((d / DIST_BIN_WIDTH) as usize).min(DIST_BINS - 1)
 }
 
 /// Number of contact-count bins in the burial table.
@@ -254,7 +258,22 @@ impl DistTable {
         d: f64,
     ) -> f64 {
         // The table is symmetrised at build time, so (a, b) and (b, a) agree.
-        self.energies[Self::flat_index(a, b, sep, distance_bin(d))]
+        self.row(a, b, sep)[distance_bin(d)]
+    }
+
+    /// The energies of one `(a, b, sep)` combination over all distance
+    /// bins.  The fixed length lets a [`distance_bin`] index skip its
+    /// bounds check.
+    pub(crate) fn row(
+        &self,
+        a: BackboneAtomKind,
+        b: BackboneAtomKind,
+        sep: SeparationClass,
+    ) -> &[f64; DIST_BINS] {
+        let start = Self::flat_index(a, b, sep, 0);
+        self.energies[start..start + DIST_BINS]
+            .try_into()
+            .expect("a DIST table row holds DIST_BINS energies")
     }
 
     /// Total number of table entries.
@@ -605,6 +624,7 @@ fn build_burial_table(config: &KnowledgeBaseConfig) -> BurialTable {
 mod tests {
     use super::*;
     use lms_geometry::deg_to_rad;
+    use proptest::prelude::*;
 
     fn fast_kb() -> Arc<KnowledgeBase> {
         KnowledgeBase::build(KnowledgeBaseConfig {
@@ -637,6 +657,100 @@ mod tests {
         assert_eq!(distance_bin(0.1), 0);
         assert_eq!(distance_bin(0.6), 1);
         assert_eq!(distance_bin(1_000.0), DIST_BINS - 1);
+    }
+
+    /// The bin formulas as they read with `.floor()`, over the `%`-based
+    /// angle wrap.
+    fn torsion_bin_floor(angle: f64) -> usize {
+        let a = if angle.is_finite() {
+            let mut a = angle % (2.0 * PI);
+            if a <= -PI {
+                a += 2.0 * PI;
+            } else if a > PI {
+                a -= 2.0 * PI;
+            }
+            a
+        } else {
+            angle
+        };
+        let shifted = if a >= PI { 0.0 } else { a + PI };
+        let idx = (shifted / (2.0 * PI) * TRIPLET_BINS as f64).floor() as usize;
+        idx.min(TRIPLET_BINS - 1)
+    }
+
+    fn distance_bin_floor(d: f64) -> usize {
+        if d <= 0.0 {
+            return 0;
+        }
+        ((d / DIST_BIN_WIDTH).floor() as usize).min(DIST_BINS - 1)
+    }
+
+    fn assert_bins_match_floor(x: f64) {
+        assert_eq!(torsion_bin(x), torsion_bin_floor(x), "torsion_bin({x:e})");
+        assert_eq!(
+            distance_bin(x),
+            distance_bin_floor(x),
+            "distance_bin({x:e})"
+        );
+    }
+
+    /// `x` and its 16 neighbouring doubles on each side.
+    fn neighbours(x: f64) -> impl Iterator<Item = f64> {
+        let down = std::iter::successors(Some(x), |v| Some(v.next_down())).take(17);
+        let up = std::iter::successors(Some(x.next_up()), |v| Some(v.next_up())).take(16);
+        down.chain(up)
+    }
+
+    #[test]
+    fn truncating_bins_match_floor_at_special_values_and_edges() {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MAX,
+            f64::MIN,
+        ];
+        for x in specials {
+            assert_bins_match_floor(x);
+        }
+        // Distance bin edges, past the saturating last bin.
+        for k in 0..=2 * DIST_BINS {
+            neighbours(k as f64 * DIST_BIN_WIDTH).for_each(assert_bins_match_floor);
+        }
+        // Torsion bin edges over two turns, and ±π, ±2π.
+        let width = 2.0 * PI / TRIPLET_BINS as f64;
+        for k in -(2 * TRIPLET_BINS as i32)..=2 * TRIPLET_BINS as i32 {
+            neighbours(k as f64 * width - PI).for_each(assert_bins_match_floor);
+        }
+        for edge in [PI, -PI, 2.0 * PI, -2.0 * PI] {
+            neighbours(edge).for_each(assert_bins_match_floor);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        fn truncating_bins_match_floor_on_any_bits(
+            x in any::<u64>().prop_map(f64::from_bits),
+        ) {
+            prop_assert_eq!(torsion_bin(x), torsion_bin_floor(x));
+            prop_assert_eq!(distance_bin(x), distance_bin_floor(x));
+        }
+
+        #[test]
+        fn truncating_bins_match_floor_on_the_table_ranges(x in -20.0..20.0f64) {
+            prop_assert_eq!(torsion_bin(x), torsion_bin_floor(x));
+            prop_assert_eq!(distance_bin(x), distance_bin_floor(x));
+        }
     }
 
     #[test]

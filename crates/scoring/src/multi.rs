@@ -118,15 +118,11 @@ impl MultiScorer {
         }
     }
 
-    /// Staged VDW kernel: stages the interaction sites (recording the shared
-    /// Cα–Cα distance table the DIST pass reads its bounding check from) and
-    /// runs the intra-loop and environment clash sums.  With the burial
-    /// objective enabled, the environment pass filters the per-residue
-    /// contact counts from the same candidate lists and the second returned
-    /// value is the BURIAL score; otherwise it is `0.0`.
-    ///
-    /// Must run before [`MultiScorer::dist_pass`] on the same scratch — this
-    /// pass owns the shared staging the later kernels consume.
+    /// Staged VDW kernel: stages the interaction sites and runs the
+    /// intra-loop and environment clash sums.  With the burial objective
+    /// enabled, the environment pass filters the per-residue contact counts
+    /// from the same candidate lists (VDW owns the burial counts) and the
+    /// second returned value is the BURIAL score; otherwise it is `0.0`.
     pub fn vdw_pass(
         &self,
         target: &LoopTarget,
@@ -146,20 +142,20 @@ impl MultiScorer {
         }
     }
 
-    /// Staged DIST kernel: the atom pair-wise distance score with the Cα–Cα
-    /// bounding check read from the shared table recorded by
-    /// [`MultiScorer::vdw_pass`] — one Cα staging serves three objectives.
+    /// Staged DIST kernel: the atom pair-wise distance score.  It reads
+    /// the backbone atoms in place, so it neither uses the scratch nor
+    /// depends on the other passes.
     pub fn dist_pass(
         &self,
         _target: &LoopTarget,
         structure: &LoopStructure,
-        scratch: &mut ScoreScratch,
+        _scratch: &mut ScoreScratch,
     ) -> f64 {
-        self.dist.score_structure_with_ca_table(structure, scratch)
+        self.dist.score_structure(structure)
     }
 
-    /// Staged TRIPLET kernel: the torsion-triplet score (independent of the
-    /// shared staging; it reads only the torsion vector).
+    /// Staged TRIPLET kernel: the torsion-triplet score (it reads only the
+    /// torsion vector and the residue classes).
     pub fn triplet_pass(
         &self,
         target: &LoopTarget,

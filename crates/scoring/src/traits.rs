@@ -33,9 +33,8 @@ pub const NUM_OBJECTIVES: usize = 4;
 /// the population-batched sampler pipeline leases one scratch per member
 /// from a shared pool and launches the objectives as separate
 /// population-wide kernels in canonical order, with the shared staging of
-/// one pass feeding the next (the VDW pass records the Cα–Cα distance
-/// table and the BURIAL contact counts filtered from its candidate lists; the
-/// DIST pass reads its bounding check from that table — see
+/// one pass feeding the next (the VDW pass fills the BURIAL contact counts
+/// filtered from its candidate lists — see
 /// `MultiScorer::vdw_pass`/`dist_pass`/`triplet_pass` in this crate).
 /// Implementations must therefore treat the scratch as stage-owned state
 /// that persists between kernels of the same evaluation, never as private

@@ -13,10 +13,10 @@
 //!
 //! ## Why there is no wide (SIMD) variant of this kernel
 //!
-//! This kernel has no wide-f64 arithmetic to exploit: per residue it is a
-//! branchy angle wrap
-//! ([`torsion_bin`](crate::library::torsion_bin)), three integer bin
-//! computations and one table load — gather-dominated, with the only
+//! This kernel has no wide-f64 arithmetic to exploit: per residue it is
+//! two angle wraps and truncating bin computations
+//! ([`torsion_bin`](crate::library::torsion_bin)), one context index and
+//! one table load — gather-dominated, with the only
 //! floating-point reduction being the sequential `total +=` whose
 //! association is part of the bit-identity contract.  Widening the sum
 //! would reassociate it; widening the lookups would serialise on the

@@ -170,39 +170,27 @@ impl VdwScore {
 
     /// Intra-loop clash contribution over the staged SoA sites.
     ///
-    /// While walking the site pairs this pass also records every Cα–Cα
-    /// squared distance it computes (residue separation ≥ 2 — exactly the
-    /// pairs the DIST kernel scores) into the scratch's shared `ca_d2`
-    /// table, so the DIST Cα–Cα bounding check becomes a table read instead
-    /// of a recomputation: one staging of the Cα coordinates serves VDW,
-    /// BURIAL and DIST.  The stores happen before the overlap early-out and
-    /// never change the clash sum.
-    fn intra_loop(&self, s: &mut ScoreScratch, n_residues: usize) -> f64 {
-        s.ca_d2.clear();
-        s.ca_d2.resize(n_residues * n_residues, f64::INFINITY);
-        s.ca_d2_staged = true;
+    /// Residues closer than 2 apart in sequence are covalently coupled;
+    /// their short contacts are not clashes.  Sites are staged in residue
+    /// order, so row `a` starts at the first site of residue
+    /// `site_res[a] + 2` (advanced once per row) and visits exactly the
+    /// pairs `b > a` at separation ≥ 2, in ascending order.
+    fn intra_loop(&self, s: &ScoreScratch) -> f64 {
         let n = s.site_x.len();
         let mut total = 0.0;
+        let mut first = 0;
         for a in 0..n {
             let (xa, ya, za) = (s.site_x[a], s.site_y[a], s.site_z[a]);
-            let (ra, ia, ca) = (s.site_r[a], s.site_res[a], s.site_centroid[a]);
-            let a_is_ca = s.site_is_ca[a];
-            for b in (a + 1)..n {
-                // Residues closer than 2 apart in sequence are covalently
-                // coupled; their short contacts are not clashes.
-                if s.site_res[b].abs_diff(ia) < 2 {
-                    continue;
-                }
+            let (ra, ca) = (s.site_r[a], s.site_centroid[a]);
+            let far = s.site_res[a] + 2;
+            while first < n && s.site_res[first] < far {
+                first += 1;
+            }
+            for b in first..n {
                 let dx = xa - s.site_x[b];
                 let dy = ya - s.site_y[b];
                 let dz = za - s.site_z[b];
                 let d2 = dx * dx + dy * dy + dz * dz;
-                if a_is_ca && s.site_is_ca[b] {
-                    // Sites are staged in residue order, so `a` is the
-                    // earlier residue: the stored value is bit-identical to
-                    // what DIST's own Cα bound computation would produce.
-                    s.ca_d2[ia as usize * n_residues + s.site_res[b] as usize] = d2;
-                }
                 let sigma = (ra + s.site_r[b]) * self.radii.softness;
                 // Squared-distance early-out: pairs at or beyond the softened
                 // radius sum contribute exactly 0, so skipping them before
@@ -350,7 +338,7 @@ impl VdwScore {
         scratch: &mut ScoreScratch,
     ) -> f64 {
         self.fill_sites(target, structure, scratch);
-        let intra = self.intra_loop(scratch, structure.n_residues());
+        let intra = self.intra_loop(scratch);
         let inter = self.against_environment(
             scratch,
             target.env_candidates(),
@@ -378,7 +366,7 @@ impl VdwScore {
         burial_radius: f64,
     ) -> f64 {
         self.fill_sites(target, structure, scratch);
-        let intra = self.intra_loop(scratch, structure.n_residues());
+        let intra = self.intra_loop(scratch);
         let inter = self.against_environment(
             scratch,
             target.env_candidates(),
@@ -525,22 +513,68 @@ mod tests {
         }
     }
 
+    /// The intra-loop oracle: every site pair `b > a`, skipping residues
+    /// closer than 2 apart in sequence.
+    fn intra_loop_all_pairs(vdw: &VdwScore, s: &ScoreScratch) -> f64 {
+        let n = s.site_x.len();
+        let mut total = 0.0;
+        for a in 0..n {
+            for b in (a + 1)..n {
+                if s.site_res[b].abs_diff(s.site_res[a]) < 2 {
+                    continue;
+                }
+                let dx = s.site_x[a] - s.site_x[b];
+                let dy = s.site_y[a] - s.site_y[b];
+                let dz = s.site_z[a] - s.site_z[b];
+                let d = (dx * dx + dy * dy + dz * dz).sqrt();
+                total += vdw.contact_weight(s.site_centroid[a], s.site_centroid[b])
+                    * vdw.overlap_penalty(d, s.site_r[a] + s.site_r[b]);
+            }
+        }
+        total
+    }
+
+    /// Both production passes against their oracles: the environment term
+    /// against the linear scan, the intra-loop term against all site
+    /// pairs.  Inputs: native, all-zero (clashing) and random conformations,
+    /// and a loop with glycines (4 sites, no centroid).
     #[test]
     fn production_environment_term_matches_linear() {
         let lib = BenchmarkLibrary::standard();
         let builder = LoopBuilder::default();
-        for name in ["1cex", "1xyz", "5pti"] {
-            let target = lib.target_by_name(name).unwrap();
-            for torsions in [
+        let factory = lms_geometry::StreamRngFactory::new(31);
+        let mut gly = lib.target_by_name("1cex").unwrap();
+        for k in (1..gly.sequence.len()).step_by(3) {
+            gly.sequence[k] = lms_protein::AminoAcid::Gly;
+        }
+        let mut targets: Vec<LoopTarget> = ["1cex", "1xyz", "5pti"]
+            .into_iter()
+            .map(|name| lib.target_by_name(name).unwrap())
+            .collect();
+        targets.push(gly);
+        for target in &targets {
+            let mut inputs = vec![
                 target.native_torsions.clone(),
                 Torsions::zeros(target.n_residues()),
-            ] {
+            ];
+            for trial in 0..6u64 {
+                let mut rng = factory.stream(trial, 0);
+                let mut torsions = target.native_torsions.clone();
+                for k in 0..torsions.n_angles() {
+                    torsions.rotate_angle(k, lms_geometry::random_torsion(&mut rng));
+                }
+                inputs.push(torsions);
+            }
+            for torsions in inputs {
                 let structure = target.build(&builder, &torsions);
                 let s = VdwScore::default();
                 let mut scratch = ScoreScratch::new();
-                let production = s.environment_term(&target, &structure, &mut scratch);
-                let linear = s.environment_term_linear(&target, &structure, &mut scratch);
-                assert_eq!(production.to_bits(), linear.to_bits(), "{name}");
+                let linear = s.environment_term_linear(target, &structure, &mut scratch);
+                let production = s.environment_term(target, &structure, &mut scratch);
+                assert_eq!(production.to_bits(), linear.to_bits(), "{}", target.name);
+                let intra = s.intra_loop(&scratch);
+                let oracle = intra_loop_all_pairs(&s, &scratch);
+                assert_eq!(intra.to_bits(), oracle.to_bits(), "{} intra", target.name);
             }
         }
     }

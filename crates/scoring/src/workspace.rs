@@ -2,7 +2,7 @@
 //!
 //! Every scoring function can be evaluated through
 //! [`ScoringFunction::score_with`](crate::traits::ScoringFunction::score_with),
-//! which stages its intermediate data in a [`ScoreScratch`] instead of
+//! which stages any intermediate data in a [`ScoreScratch`] instead of
 //! allocating per call.  The buffers are laid out structure-of-arrays
 //! (split x/y/z coordinate arrays plus parallel radius/kind arrays) so the
 //! contact loops are branch-light and auto-vectorizable — the same data
@@ -17,7 +17,8 @@
 
 use lms_protein::RamaClass;
 
-/// Reusable scratch space shared by the VDW, DIST and TRIPLET kernels.
+/// Reusable scratch space for the VDW, BURIAL and TRIPLET kernels (DIST
+/// reads the backbone atoms in place and stages nothing).
 ///
 /// One `ScoreScratch` per concurrent evaluator (e.g. per population member)
 /// suffices; the buffers grow to the high-water mark of the loop being
@@ -39,31 +40,12 @@ pub struct ScoreScratch {
     /// Whether each VDW site is its residue's Cα — the probe point the
     /// shared environment pass computes BURIAL contact counts at.
     pub(crate) site_is_ca: Vec<bool>,
-    /// DIST backbone-atom x coordinates (4 per residue: N, Cα, C', O).
-    pub(crate) atom_x: Vec<f64>,
-    /// DIST backbone-atom y coordinates.
-    pub(crate) atom_y: Vec<f64>,
-    /// DIST backbone-atom z coordinates.
-    pub(crate) atom_z: Vec<f64>,
     /// TRIPLET per-residue Ramachandran classes.
     pub(crate) classes: Vec<RamaClass>,
     /// BURIAL per-residue environment contact counts.  Filled by the shared
     /// VDW/BURIAL environment pass (a Cα site's candidate list serves both
     /// objectives) or by the standalone BURIAL kernel.
     pub(crate) burial_counts: Vec<u32>,
-    /// Shared Cα–Cα squared-distance table (`n_residues × n_residues`,
-    /// row-major, only `i < j` at separation ≥ 2 filled).  The VDW
-    /// intra-loop pass records the squared distances it computes anyway for
-    /// its Cα–Cα site pairs; the DIST kernel then reads its pair bounding
-    /// check from the table instead of recomputing the Cα geometry — one
-    /// staging of the Cα coordinates serves VDW, BURIAL and DIST.
-    pub(crate) ca_d2: Vec<f64>,
-    /// Whether `ca_d2` holds a freshly staged table for the structure under
-    /// evaluation.  Set by the VDW intra-loop pass, *consumed* (reset) by
-    /// the table-reading DIST kernel, so stage-order misuse — reading a
-    /// table staged for a different structure — fails loudly instead of
-    /// silently mis-skipping pairs.
-    pub(crate) ca_d2_staged: bool,
 }
 
 impl ScoreScratch {
@@ -83,13 +65,8 @@ impl ScoreScratch {
             site_res: Vec::with_capacity(5 * n_residues),
             site_centroid: Vec::with_capacity(5 * n_residues),
             site_is_ca: Vec::with_capacity(5 * n_residues),
-            atom_x: Vec::with_capacity(4 * n_residues),
-            atom_y: Vec::with_capacity(4 * n_residues),
-            atom_z: Vec::with_capacity(4 * n_residues),
             classes: Vec::with_capacity(n_residues),
             burial_counts: Vec::with_capacity(n_residues),
-            ca_d2: Vec::with_capacity(n_residues * n_residues),
-            ca_d2_staged: false,
         }
     }
 
@@ -108,13 +85,8 @@ impl ScoreScratch {
         self.site_res.clear();
         self.site_centroid.clear();
         self.site_is_ca.clear();
-        self.atom_x.clear();
-        self.atom_y.clear();
-        self.atom_z.clear();
         self.classes.clear();
         self.burial_counts.clear();
-        self.ca_d2.clear();
-        self.ca_d2_staged = false;
     }
 }
 
@@ -126,7 +98,8 @@ mod tests {
     fn presized_scratch_has_capacity() {
         let s = ScoreScratch::for_loop_len(12);
         assert!(s.site_x.capacity() >= 60);
-        assert!(s.atom_x.capacity() >= 48);
+        assert!(s.site_res.capacity() >= 60);
+        assert!(s.burial_counts.capacity() >= 12);
         assert!(s.classes.capacity() >= 12);
     }
 

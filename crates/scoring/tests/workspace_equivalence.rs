@@ -8,7 +8,7 @@
 //! 2. **Seed-math equivalence** — the SoA kernels must agree with an
 //!    *independent* reimplementation of the seed repository's original
 //!    kernels ([`seed_reference`]): DIST and TRIPLET bit-identically (same
-//!    summation order; the Cα–Cα bounding skip only removes
+//!    summation order; the squared-distance reject only removes
 //!    zero-contribution pairs), VDW to tight relative tolerance (the
 //!    environment term sums the same contacts in a different order).
 
@@ -207,8 +207,8 @@ proptest! {
 
     #[test]
     fn dist_matches_seed_reference_bit_identically(torsions in arb_torsions(12)) {
-        // Same summation order as the seed kernel; the bounding skip only
-        // removes pairs the seed kernel also skipped (zero contribution).
+        // Same summation order as the seed kernel; the squared-distance
+        // reject only removes pairs the seed kernel also skipped.
         let target = shared_target();
         let structure = target.build(&LoopBuilder::default(), &torsions);
         let dist = DistScore::new(shared_kb());
