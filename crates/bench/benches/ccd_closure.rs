@@ -18,14 +18,13 @@
 //!   linear scan degrades with the total candidate count; the list pass
 //!   should stay near-flat.  The lists' memory is recorded per scale.
 //! * **Lockstep CCD blocks**: the population-batched `close_batch` swept
-//!   over CCD block widths, on the scalar backend and (with the `simd`
-//!   feature) the wide-lane backend, whose only wide kernel in the closure
-//!   is the batched optimal-rotation kernel — also compared in isolation.
+//!   over CCD block widths (ungated `blocks.scalar_ns_per_member.w*`
+//!   rows); the batched optimal-rotation kernel is also timed in
+//!   isolation (criterion only).
 //!
 //! Besides the criterion groups, the harness writes `BENCH_ccd.json` at
 //! the workspace root (see `lms_bench::artifact`) recording the
-//! comparisons, the executor capabilities that produced them and, under
-//! the `simd` feature, the wide-lane `blocks.wide_*` and `simd.*` rows.
+//! comparisons and the executor capabilities that produced them.
 
 use criterion::{criterion_group, Criterion};
 use lms_bench::artifact::{Artifact, Better, Gate};
@@ -312,20 +311,6 @@ fn bench_rotation_kernel(c: &mut Criterion) {
                 black_box(&thetas);
             })
         });
-        #[cfg(feature = "simd")]
-        group.bench_function(format!("wide/w{width}"), |b| {
-            let mut thetas = Vec::with_capacity(width);
-            b.iter(|| {
-                lms_closure::optimal_rotation_batch_wide(
-                    &moving,
-                    &targets,
-                    &pivots,
-                    &axes,
-                    &mut thetas,
-                );
-                black_box(&thetas);
-            })
-        });
     }
     group.finish();
 }
@@ -345,116 +330,15 @@ fn median_ns<F: FnMut()>(mut f: F, iters: u32, samples: u32) -> f64 {
     results[results.len() / 2]
 }
 
-/// Median ns/call of `f` on `a` and on `b`, timed in alternating batches
-/// so that host-speed drift during the measurement hits both sides alike.
-#[cfg(feature = "simd")]
-fn paired_median_ns<T>(
-    mut f: impl FnMut(&T),
-    a: &T,
-    b: &T,
-    iters: u32,
-    samples: u32,
-) -> (f64, f64) {
-    let mut time = |x: &T| {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f(x);
-        }
-        start.elapsed().as_nanos() as f64 / iters as f64
-    };
-    let (mut ta, mut tb): (Vec<f64>, Vec<f64>) = (0..samples).map(|_| (time(a), time(b))).unzip();
-    ta.sort_by(|x, y| x.partial_cmp(y).unwrap());
-    tb.sort_by(|x, y| x.partial_cmp(y).unwrap());
-    (ta[ta.len() / 2], tb[tb.len() / 2])
-}
-
 /// The capabilities of the executor backend this bench run's lockstep
 /// sweep corresponds to, so the artifact's numbers stay attributable to a
 /// backend.
 fn executor_metadata() -> String {
-    #[cfg(feature = "simd")]
-    let executor = ExecutorConfig::simd()
-        .threads(1)
-        .build()
-        .expect("simd backend available under the simd feature");
-    #[cfg(not(feature = "simd"))]
     let executor = ExecutorConfig::scalar()
         .build()
         .expect("scalar backend is always available");
     executor.capabilities().to_string()
 }
-
-/// Measure the isolated scalar-vs-wide optimal-rotation kernel across lane
-/// counts and push the `simd.*` rows; the median speedup is gated.  The
-/// kernel-level ratio is the gated number because the closure-level sweep
-/// also runs the scalar rigid-motion updates, spine write-back and exact
-/// builds, which the wide lanes do not touch.
-#[cfg(feature = "simd")]
-fn simd_kernel_rows(artifact: &mut Artifact) {
-    let mut speedups = Vec::new();
-    for &width in &KERNEL_WIDTHS {
-        let (moving, targets, pivots, axes) = kernel_inputs(width);
-        // Bit-identity sanity check before timing anything.
-        let mut scalar_thetas = Vec::new();
-        let mut wide_thetas = Vec::new();
-        optimal_rotation_batch(&moving, &targets, &pivots, &axes, &mut scalar_thetas);
-        lms_closure::optimal_rotation_batch_wide(
-            &moving,
-            &targets,
-            &pivots,
-            &axes,
-            &mut wide_thetas,
-        );
-        assert_eq!(scalar_thetas.len(), wide_thetas.len());
-        for (s, w) in scalar_thetas.iter().zip(wide_thetas.iter()) {
-            assert_eq!(s.to_bits(), w.to_bits(), "wide kernel diverged from scalar");
-        }
-
-        let iters = 8_000u32;
-        let mut thetas = Vec::with_capacity(width);
-        let scalar = median_ns(
-            || {
-                optimal_rotation_batch(&moving, &targets, &pivots, &axes, &mut thetas);
-                black_box(&thetas);
-            },
-            iters,
-            9,
-        ) / width as f64;
-        let wide = median_ns(
-            || {
-                lms_closure::optimal_rotation_batch_wide(
-                    &moving,
-                    &targets,
-                    &pivots,
-                    &axes,
-                    &mut thetas,
-                );
-                black_box(&thetas);
-            },
-            iters,
-            9,
-        ) / width as f64;
-        let speedup = scalar / wide;
-        speedups.push(speedup);
-        println!(
-            "ccd_rotation_kernel w={width}: scalar {scalar:.2} ns/lane, \
-             wide {wide:.2} ns/lane, speedup {speedup:.2}x"
-        );
-        artifact.ns(format!("simd.scalar_ns_per_lane.lanes{width}"), scalar);
-        artifact.ns(format!("simd.wide_ns_per_lane.lanes{width}"), wide);
-        let name = format!("simd.speedup.lanes{width}");
-        artifact.push(name, speedup, "ratio", Better::Higher, Gate::None);
-    }
-    speedups.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let median = speedups[speedups.len() / 2];
-    println!("ccd_rotation_kernel median wide-lane speedup: {median:.2}x");
-    artifact.ratio("simd.speedup", median, Better::Higher);
-}
-
-/// Without the `simd` feature the artifact has no `simd.*` rows; against a
-/// baseline that gates them the perf gate reports them lost.
-#[cfg(not(feature = "simd"))]
-fn simd_kernel_rows(_: &mut Artifact) {}
 
 /// Measure both comparisons and write `BENCH_ccd.json` at the workspace
 /// root.
@@ -563,7 +447,7 @@ fn write_bench_json() {
     let name = "vdw_env.cells_cost_growth_100x_over_1x";
     artifact.push(name, growth, "ratio", Better::Lower, Gate::None);
 
-    // --- Lockstep CCD blocks: block-width / backend sweep --------------
+    // --- Lockstep CCD blocks: block-width sweep ------------------------
     let target = target_of_len(8);
     let member_starts = starts(&target, BLOCK_POPULATION);
     let mut member_torsions = member_starts.clone();
@@ -571,10 +455,11 @@ fn write_bench_json() {
         .map(|_| LoopStructure::with_capacity(8))
         .collect();
     let mut batch_scratch = CcdBatchScratch::default();
+    let closer = CcdCloser::with_config(config);
     for &width in &BLOCK_WIDTHS {
-        let mut close = |closer: &CcdCloser| {
+        let close = || {
             close_population(
-                closer,
+                &closer,
                 &target,
                 &member_starts,
                 width,
@@ -583,34 +468,11 @@ fn write_bench_json() {
                 &mut batch_scratch,
             )
         };
-        let scalar_closer = CcdCloser::with_config(config);
-        #[cfg(feature = "simd")]
-        {
-            let wide_closer = CcdCloser::with_config(config).with_wide_lanes(true);
-            let (scalar, wide) =
-                paired_median_ns(&mut close, &scalar_closer, &wide_closer, BLOCK_ITERS, 9);
-            let scalar = scalar / BLOCK_POPULATION as f64;
-            let wide = wide / BLOCK_POPULATION as f64;
-            let speedup = scalar / wide;
-            println!(
-                "ccd_blocks w={width}: scalar {scalar:.0} ns/member, \
-                 wide {wide:.0} ns/member, speedup {speedup:.2}x"
-            );
-            artifact.ns(format!("blocks.scalar_ns_per_member.w{width}"), scalar);
-            artifact.ns(format!("blocks.wide_ns_per_member.w{width}"), wide);
-            let name = format!("blocks.wide_speedup.w{width}");
-            artifact.ratio(name, speedup, Better::Higher);
-        }
-        #[cfg(not(feature = "simd"))]
-        {
-            let scalar =
-                median_ns(|| close(&scalar_closer), BLOCK_ITERS, 9) / BLOCK_POPULATION as f64;
-            println!("ccd_blocks w={width}: scalar {scalar:.0} ns/member");
-            artifact.ns(format!("blocks.scalar_ns_per_member.w{width}"), scalar);
-        }
+        let scalar = median_ns(close, BLOCK_ITERS, 9) / BLOCK_POPULATION as f64;
+        println!("ccd_blocks w={width}: scalar {scalar:.0} ns/member");
+        artifact.ns(format!("blocks.scalar_ns_per_member.w{width}"), scalar);
     }
 
-    simd_kernel_rows(&mut artifact);
     artifact.write_to_workspace_root("BENCH_ccd.json");
 }
 

@@ -4,7 +4,7 @@
 //! ```text
 //! {
 //!   "benchmark": "scoring_pipeline",
-//!   "executor": "scalar (lane_width=1, threads=1, ccd_block_width=8, isa=avx2)",
+//!   "executor": "scalar (threads=1, ccd_block_width=8, isa=avx2)",
 //!   "metrics": [
 //!     {"name": "pipeline.speedup", "value": 1.027, "unit": "ratio", "better": "higher", "gate": "ratio"},
 //!     {"name": "health_sweep.overhead_ratio", "value": 0.00003, "unit": "ratio", "better": "lower", "gate": "bound", "bound": 0.03},
@@ -449,7 +449,7 @@ mod tests {
 
     #[test]
     fn rows_round_trip_through_the_writer() {
-        let mut a = Artifact::new("demo", Some("scalar (lane_width=1)".to_string()));
+        let mut a = Artifact::new("demo", Some("scalar (threads=1)".to_string()));
         a.push(
             "x.speedup",
             4.133183528,

@@ -79,8 +79,7 @@ pub struct KernelRow {
     pub gpu_us: f64,
     /// Modeled single-core CPU time of the same work (µs).
     pub cpu_us: f64,
-    /// Measured launch wall time of the stage (zero for
-    /// `[FitAssg] within Complex`, which runs inside `[Metropolis]`).
+    /// Measured launch wall time of the stage.
     pub host: Duration,
     /// Occupancy of the launch on the modeled device.
     pub occupancy: Occupancy,
@@ -148,10 +147,8 @@ impl DeviceProfile {
                     KernelKind::EvalVdw => (row.calls, work.vdw_work),
                     KernelKind::EvalTrip => (row.calls, work.trip_work),
                     KernelKind::FitAssgPopulation => (row.calls, 2.0 * n as f64 * objectives),
-                    // Fitness against the complex runs inside every
-                    // Metropolis launch.
                     KernelKind::FitAssgComplex => {
-                        (iterations, 2.0 * config.complex_size() as f64 * objectives)
+                        (row.calls, 2.0 * config.complex_size() as f64 * objectives)
                     }
                     KernelKind::Reproduction => {
                         (row.calls, config.mutation.max_mutations as f64 * 5.0)
@@ -387,7 +384,7 @@ mod tests {
         assert!(t(KernelKind::Ccd) > t(KernelKind::EvalDist));
         assert!(t(KernelKind::EvalDist) > t(KernelKind::EvalVdw));
         assert!(t(KernelKind::EvalVdw) > t(KernelKind::EvalTrip));
-        // Fitness within the complex runs once per Metropolis launch.
+        // Fitness within the complex runs once per iteration.
         assert_eq!(p.kernel(KernelKind::FitAssgComplex).unwrap().calls, 4);
         // Table III: the register-heavy kernels sit at 50% occupancy.
         let occ = |k: KernelKind| p.kernel(k).unwrap().occupancy.occupancy;
@@ -492,7 +489,7 @@ mod tests {
         let executor = scalar();
         let report = profile_of(&s, &executor).table2_report(executor.capabilities());
         assert!(
-            report.starts_with("Executor: scalar (lane_width=1, threads=1, ccd_block_width="),
+            report.starts_with("Executor: scalar (threads=1, ccd_block_width="),
             "report header names the backend:\n{report}"
         );
     }

@@ -377,8 +377,7 @@ mod tests {
 
     #[test]
     fn losing_a_snapshotted_optional_metric_is_an_error() {
-        // Rows a bench writes only under some configuration (the wide
-        // close_batch speedup needs the `simd` feature) are gated once
+        // Rows a bench writes only under some configuration are gated once
         // snapshotted: a fresh artifact without one fails the gate rather
         // than silently dropping the metric.
         let no_wide_block = without(a(CCD), "blocks.wide_speedup.w8");

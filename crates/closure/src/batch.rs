@@ -19,10 +19,10 @@
 //! and written back, optimal rotation, conditional apply; tracked end frame
 //! stored) → exact final build and its deviation.  Both paths drive
 //! the same per-member rigid-sweep helper, and the batched inner products
-//! call the identical scalar kernel per gathered lane (or its bit-identical
-//! wide twin), so every rotation angle — and therefore every closed loop —
-//! matches the per-member reference bit for bit (property-tested in this
-//! module and in `lms-core`'s batched-pipeline equivalence tests).
+//! call the identical scalar kernel per gathered lane, so every rotation
+//! angle — and therefore every closed loop — matches the per-member
+//! reference bit for bit (property-tested in this module and in
+//! `lms-core`'s batched-pipeline equivalence tests).
 
 use crate::ccd::{optimal_rotation, CcdCloser, CcdResult, RigidSweep};
 use lms_geometry::Vec3;
@@ -76,18 +76,6 @@ impl CcdBatchScratch {
         &self.results
     }
 
-    /// How many of the first `lanes` results of the most recent batch
-    /// failed to converge (final deviation above the CCD tolerance).  The
-    /// sampler's stall guard aggregates this per iteration: a long streak
-    /// of all-lanes non-convergence is what `Error::Stalled` reports.
-    pub fn non_converged(&self, lanes: usize) -> usize {
-        self.results
-            .iter()
-            .take(lanes)
-            .filter(|r| !r.converged)
-            .count()
-    }
-
     fn reset(&mut self, lanes: usize) {
         self.deviation.clear();
         self.deviation.resize(lanes, 0.0);
@@ -131,174 +119,6 @@ pub fn optimal_rotation_batch(
     thetas.clear();
     for j in 0..moving.len() {
         thetas.push(optimal_rotation(&moving[j], targets, pivots[j], axes[j]));
-    }
-}
-
-/// The explicitly-wide optimal-rotation kernel: the gathered lanes are
-/// processed four at a time in wide-`f64` registers (the vendored
-/// portable-SIMD shim), with a scalar tail for the remainder.
-///
-/// **Bit-identity.**  The wide path transposes each chunk of four lanes
-/// into SoA component registers and then performs, per lane, *exactly* the
-/// scalar kernel's operation sequence — the same left-associated dot
-/// products, the same projection and cross-product component expressions,
-/// the same serial accumulation over the three anchor-atom pairs — using
-/// element-wise IEEE operations (no FMA, no reassociation).  Only the
-/// final `atan2` runs scalar per lane.  Every lane therefore matches
-/// [`optimal_rotation_batch`] bit for bit (asserted by the tests below and
-/// by the cross-backend pipeline equivalence harness in `lms-core`).
-#[cfg(feature = "simd")]
-pub fn optimal_rotation_batch_wide(
-    moving: &[[Vec3; 3]],
-    targets: &[Vec3; 3],
-    pivots: &[Vec3],
-    axes: &[Vec3],
-    thetas: &mut Vec<f64>,
-) {
-    const W: usize = wide::f64x4::LANES;
-    debug_assert_eq!(moving.len(), pivots.len());
-    debug_assert_eq!(moving.len(), axes.len());
-    thetas.clear();
-    let n = moving.len();
-    let chunks = n / W;
-    for c in 0..chunks {
-        wide_kernel::optimal_rotation_chunk(moving, targets, pivots, axes, c * W, thetas);
-    }
-    for j in chunks * W..n {
-        thetas.push(optimal_rotation(&moving[j], targets, pivots[j], axes[j]));
-    }
-}
-
-#[cfg(feature = "simd")]
-mod wide_kernel {
-    use lms_geometry::Vec3;
-    use wide::f64x4;
-
-    /// Wide 3-vector: one component register per coordinate, four lanes
-    /// (population members) each.  Every method mirrors the corresponding
-    /// `Vec3` operation's exact component expressions and association so
-    /// per-lane results are bit-identical to the scalar kernel.
-    #[derive(Clone, Copy)]
-    struct WVec3 {
-        x: f64x4,
-        y: f64x4,
-        z: f64x4,
-    }
-
-    impl WVec3 {
-        /// Transpose four consecutive gathered vectors into SoA registers.
-        #[inline(always)]
-        fn gather(vs: &[Vec3], base: usize) -> WVec3 {
-            WVec3 {
-                x: f64x4::from_array([vs[base].x, vs[base + 1].x, vs[base + 2].x, vs[base + 3].x]),
-                y: f64x4::from_array([vs[base].y, vs[base + 1].y, vs[base + 2].y, vs[base + 3].y]),
-                z: f64x4::from_array([vs[base].z, vs[base + 1].z, vs[base + 2].z, vs[base + 3].z]),
-            }
-        }
-
-        /// Transpose anchor-atom pair `p` of four consecutive lanes.
-        #[inline(always)]
-        fn gather_pair(moving: &[[Vec3; 3]], base: usize, p: usize) -> WVec3 {
-            WVec3 {
-                x: f64x4::from_array([
-                    moving[base][p].x,
-                    moving[base + 1][p].x,
-                    moving[base + 2][p].x,
-                    moving[base + 3][p].x,
-                ]),
-                y: f64x4::from_array([
-                    moving[base][p].y,
-                    moving[base + 1][p].y,
-                    moving[base + 2][p].y,
-                    moving[base + 3][p].y,
-                ]),
-                z: f64x4::from_array([
-                    moving[base][p].z,
-                    moving[base + 1][p].z,
-                    moving[base + 2][p].z,
-                    moving[base + 3][p].z,
-                ]),
-            }
-        }
-
-        /// Broadcast one vector (the shared anchor target) to all lanes.
-        #[inline(always)]
-        fn splat(v: Vec3) -> WVec3 {
-            WVec3 {
-                x: f64x4::splat(v.x),
-                y: f64x4::splat(v.y),
-                z: f64x4::splat(v.z),
-            }
-        }
-
-        #[inline(always)]
-        fn sub(self, o: WVec3) -> WVec3 {
-            WVec3 {
-                x: self.x - o.x,
-                y: self.y - o.y,
-                z: self.z - o.z,
-            }
-        }
-
-        #[inline(always)]
-        fn scale(self, s: f64x4) -> WVec3 {
-            WVec3 {
-                x: self.x * s,
-                y: self.y * s,
-                z: self.z * s,
-            }
-        }
-
-        /// Same left-to-right association as `Vec3::dot`.
-        #[inline(always)]
-        fn dot(self, o: WVec3) -> f64x4 {
-            self.x * o.x + self.y * o.y + self.z * o.z
-        }
-
-        /// Same component expressions as `Vec3::cross`.
-        #[inline(always)]
-        fn cross(self, o: WVec3) -> WVec3 {
-            WVec3 {
-                x: self.y * o.z - self.z * o.y,
-                y: self.z * o.x - self.x * o.z,
-                z: self.x * o.y - self.y * o.x,
-            }
-        }
-    }
-
-    /// One four-lane chunk of the Canutescu–Dunbrack closed form: the
-    /// scalar `optimal_rotation`, lane-parallel.
-    pub(super) fn optimal_rotation_chunk(
-        moving: &[[Vec3; 3]],
-        targets: &[Vec3; 3],
-        pivots: &[Vec3],
-        axes: &[Vec3],
-        base: usize,
-        thetas: &mut Vec<f64>,
-    ) {
-        let pivot = WVec3::gather(pivots, base);
-        let axis = WVec3::gather(axes, base);
-        let mut a = f64x4::ZERO;
-        let mut b = f64x4::ZERO;
-        // Serial accumulation over the three anchor-atom pairs, exactly as
-        // the scalar kernel's `for (m, t) in moving.zip(targets)` loop.
-        for (p, target) in targets.iter().enumerate() {
-            let m_rel = WVec3::gather_pair(moving, base, p).sub(pivot);
-            let t_rel = WVec3::splat(*target).sub(pivot);
-            // Components perpendicular to the axis.
-            let r = m_rel.sub(axis.scale(m_rel.dot(axis)));
-            let f = t_rel.sub(axis.scale(t_rel.dot(axis)));
-            a += f.dot(r);
-            b += f.dot(axis.cross(r));
-        }
-        let (aa, bb) = (a.to_array(), b.to_array());
-        for l in 0..f64x4::LANES {
-            thetas.push(if aa[l].abs() < 1e-15 && bb[l].abs() < 1e-15 {
-                0.0
-            } else {
-                bb[l].atan2(aa[l])
-            });
-        }
     }
 }
 
@@ -385,29 +205,7 @@ impl CcdCloser {
                     scratch.g_moving.push(sweep.moving());
                 }
 
-                // Batched inner products across the gathered members —
-                // wide-`f64` lanes when the closer (i.e. the SIMD executor
-                // backend) asks for them, the scalar kernel otherwise;
-                // bit-identical either way.
-                #[cfg(feature = "simd")]
-                if self.wide_lanes() {
-                    optimal_rotation_batch_wide(
-                        &scratch.g_moving,
-                        &targets,
-                        &scratch.g_pivot,
-                        &scratch.g_axis,
-                        &mut scratch.g_theta,
-                    );
-                } else {
-                    optimal_rotation_batch(
-                        &scratch.g_moving,
-                        &targets,
-                        &scratch.g_pivot,
-                        &scratch.g_axis,
-                        &mut scratch.g_theta,
-                    );
-                }
-                #[cfg(not(feature = "simd"))]
+                // Batched inner products across the gathered members.
                 optimal_rotation_batch(
                     &scratch.g_moving,
                     &targets,
@@ -607,82 +405,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "simd")]
-    #[test]
-    fn wide_rotation_kernel_is_bit_identical_to_scalar() {
-        // 19 lanes: four full wide chunks plus a 3-lane scalar tail.
-        let targets = [
-            Vec3::new(2.0, 0.5, 1.0),
-            Vec3::new(-1.0, 3.0, -1.0),
-            Vec3::new(1.5, 1.5, 0.5),
-        ];
-        let n = 19;
-        let moving: Vec<[Vec3; 3]> = (0..n)
-            .map(|i| {
-                let s = i as f64 * 0.31 - 2.0;
-                [
-                    Vec3::new(2.0 + s, 0.5 - s, 1.0 + 0.1 * s),
-                    Vec3::new(-1.0 - s, 3.0 + s, -1.0 + s),
-                    Vec3::new(1.5 - s, 1.5 + 0.3 * s, 0.5 + s),
-                ]
-            })
-            .collect();
-        let pivots: Vec<Vec3> = (0..n)
-            .map(|i| Vec3::new(0.1 * i as f64, -0.05 * i as f64, 0.2))
-            .collect();
-        let axes: Vec<Vec3> = (0..n)
-            .map(|i| {
-                Vec3::new(0.2 * i as f64 - 1.0, 1.0, 0.5)
-                    .try_normalize()
-                    .unwrap()
-            })
-            .collect();
-        let mut scalar = Vec::new();
-        let mut wide = Vec::new();
-        optimal_rotation_batch(&moving, &targets, &pivots, &axes, &mut scalar);
-        optimal_rotation_batch_wide(&moving, &targets, &pivots, &axes, &mut wide);
-        assert_eq!(scalar.len(), wide.len());
-        for j in 0..n {
-            assert_eq!(wide[j].to_bits(), scalar[j].to_bits(), "lane {j}");
-        }
-    }
-
-    #[cfg(feature = "simd")]
-    #[test]
-    fn wide_close_batch_is_bit_identical_to_scalar_close_batch() {
-        for (name, seed) in [("1cex", 3u64), ("1akz", 23)] {
-            let (target, members) = perturbed(name, 9, seed);
-            let n_res = target.n_residues();
-            let config = CcdConfig::new().with_max_sweeps(64);
-            let run = |wide: bool| {
-                let closer = CcdCloser::with_config(config).with_wide_lanes(wide);
-                let mut torsions = members.clone();
-                let mut structures: Vec<LoopStructure> = (0..members.len())
-                    .map(|_| LoopStructure::with_capacity(n_res))
-                    .collect();
-                let mut lanes: Vec<CcdLane> = torsions
-                    .iter_mut()
-                    .zip(structures.iter_mut())
-                    .enumerate()
-                    .map(|(m, (t, s))| CcdLane {
-                        torsions: t,
-                        structure: s,
-                        start_index: m % 3,
-                    })
-                    .collect();
-                let mut scratch = CcdBatchScratch::new();
-                closer.close_batch(&target.frame, &target.sequence, &mut lanes, &mut scratch);
-                drop(lanes);
-                (torsions, structures, scratch.results().to_vec())
-            };
-            let (st, ss, sr) = run(false);
-            let (wt, ws, wr) = run(true);
-            assert_eq!(st, wt, "{name}: torsions diverged");
-            assert_eq!(ss, ws, "{name}: structures diverged");
-            assert_eq!(sr, wr, "{name}: stats diverged");
-        }
-    }
-
     #[test]
     fn empty_and_converged_blocks_are_noops() {
         let mut scratch = CcdBatchScratch::new();
@@ -706,7 +428,6 @@ mod tests {
         assert!(scratch.results()[0].converged);
         assert_eq!(scratch.results()[0].sweeps, 0);
         assert_eq!(scratch.results()[0].rotations_applied, 0);
-        assert_eq!(scratch.non_converged(1), 0);
         assert_eq!(t, target.native_torsions);
     }
 }

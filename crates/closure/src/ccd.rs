@@ -134,17 +134,12 @@ pub struct CcdResult {
 pub struct CcdCloser {
     builder: LoopBuilder,
     config: CcdConfig,
-    wide: bool,
 }
 
 impl CcdCloser {
     /// Create a closer with an explicit builder and configuration.
     pub fn new(builder: LoopBuilder, config: CcdConfig) -> Self {
-        CcdCloser {
-            builder,
-            config,
-            wide: false,
-        }
+        CcdCloser { builder, config }
     }
 
     /// Create a closer with the default builder and the given configuration.
@@ -152,25 +147,15 @@ impl CcdCloser {
         CcdCloser {
             builder: LoopBuilder::default(),
             config,
-            wide: false,
         }
     }
 
-    /// Enable explicit wide-`f64` lanes in the batched rotation kernel
-    /// ([`CcdCloser::close_batch`]).  The wide kernel applies the same IEEE
-    /// operations in the same per-lane order as the scalar one, so results
-    /// are bit-identical either way.  Without the `simd` cargo feature this
-    /// is a no-op (the scalar kernel runs regardless); the sequential entry
-    /// points are always scalar.
+    /// Ignored; kept only because the frozen `loopbench/` replay still
+    /// calls it.  Remove with that package's next change.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_wide_lanes(mut self, wide: bool) -> Self {
-        self.wide = wide;
+    pub fn with_wide_lanes(self, _wide: bool) -> Self {
         self
-    }
-
-    /// Whether the batched rotation kernel uses wide lanes.
-    pub fn wide_lanes(&self) -> bool {
-        self.wide
     }
 
     /// The configuration in use.
@@ -186,7 +171,7 @@ impl CcdCloser {
     /// Close the loop *in place*: `torsions` is modified so that the built
     /// structure's end frame approaches the fixed C-anchor.  Returns the
     /// closure statistics; the caller rebuilds the structure afterwards (or
-    /// uses [`CcdCloser::close_and_build`]).
+    /// uses [`CcdCloser::close_with_scratch`], which leaves it built).
     pub fn close(
         &self,
         frame: &LoopFrame,
@@ -266,19 +251,6 @@ impl CcdCloser {
             final_deviation: deviation,
             rotations_applied,
         }
-    }
-
-    /// Close the loop and return both the statistics and the final built
-    /// structure.
-    pub fn close_and_build(
-        &self,
-        frame: &LoopFrame,
-        sequence: &[AminoAcid],
-        torsions: &mut Torsions,
-    ) -> (CcdResult, LoopStructure) {
-        let result = self.close(frame, sequence, torsions);
-        let structure = self.builder.build(frame, sequence, torsions);
-        (result, structure)
     }
 }
 
@@ -556,17 +528,6 @@ mod tests {
         // Downstream torsions did move (closure required work).
         assert!(result.rotations_applied > 0);
         assert!(result.final_deviation < result.initial_deviation);
-    }
-
-    #[test]
-    fn close_and_build_returns_consistent_structure() {
-        let (target, mut torsions) = target_and_perturbed("153l", 30.0, 9);
-        let closer = CcdCloser::default();
-        let (result, structure) =
-            closer.close_and_build(&target.frame, &target.sequence, &mut torsions);
-        let rebuilt = target.build(&LoopBuilder::default(), &torsions);
-        assert_eq!(structure, rebuilt);
-        assert!((target.closure_deviation(&structure) - result.final_deviation).abs() < 1e-9);
     }
 
     /// `SamplerConfig`'s production CCD operating point (24 sweeps /
@@ -895,7 +856,13 @@ mod tests {
         // must nevertheless be the exact full build of the final torsions
         // (O atoms and centroids included), because callers score it
         // directly.  Include an untouched native loop (zero rotations).
-        for (name, perturb, seed) in [("1cex", 30.0, 11), ("1akz", 45.0, 2), ("5pti", 0.0, 8)] {
+        let cases = [
+            ("1cex", 30.0, 11),
+            ("1akz", 45.0, 2),
+            ("153l", 30.0, 9),
+            ("5pti", 0.0, 8),
+        ];
+        for (name, perturb, seed) in cases {
             let (target, mut torsions) = target_and_perturbed(name, perturb, seed);
             let closer = CcdCloser::default();
             let mut scratch = LoopStructure::with_capacity(target.n_residues());

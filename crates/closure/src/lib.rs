@@ -28,7 +28,5 @@
 pub mod batch;
 pub mod ccd;
 
-#[cfg(feature = "simd")]
-pub use batch::optimal_rotation_batch_wide;
 pub use batch::{optimal_rotation_batch, CcdBatchScratch, CcdLane};
 pub use ccd::{CcdCloser, CcdConfig, CcdResult};

@@ -16,7 +16,8 @@
 //!   flat lane is loaded into, the mutation-index scratch),
 //!
 //! plus the reusable host-side iteration buffers (sort order, complex
-//! partition in CSR form, trace accumulators) and one
+//! partition in CSR form with its per-complex fitness table, trace
+//! accumulators) and one
 //! [`CcdBatchScratch`] per closure block.  Everything is allocated once at
 //! trajectory start and reused for every iteration: after the first
 //! iteration warms the buffers up, a whole staged iteration performs no
@@ -82,6 +83,11 @@ pub struct PopulationArena {
     pub(crate) complex_of: Vec<usize>,
     pub(crate) complex_scores: Vec<ScoreVector>,
     pub(crate) complex_offsets: Vec<usize>,
+    /// Per sorted position of `complex_scores`: the member's Eq. 1
+    /// strength and front flag within its complex, written by the
+    /// `[FitAssg] within Complex` kernel for the Metropolis stage.
+    pub(crate) complex_strength: Vec<f64>,
+    pub(crate) complex_front: Vec<bool>,
     pub(crate) trace_sums: Vec<(f64, usize)>,
     // --- heavyweight member and block workspaces ------------------------
     pub(crate) slots: Vec<MemberSlot>,
@@ -158,6 +164,8 @@ impl PopulationArena {
             complex_of: vec![0; n_members],
             complex_scores: vec![ScoreVector::default(); n_members],
             complex_offsets,
+            complex_strength: vec![0.0; n_members],
+            complex_front: vec![false; n_members],
             trace_sums: vec![(0.0, 0); m],
             slots,
             ccd_blocks: vec![CcdBatchScratch::new(); n_blocks],

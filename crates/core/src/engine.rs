@@ -1047,7 +1047,6 @@ mod tests {
         let caps = results[0].capabilities;
         assert_eq!(caps.backend, lms_simt::Backend::Scalar);
         assert_eq!(caps.ccd_block_width, 4);
-        assert_eq!(caps.lane_width, 1);
     }
 
     #[test]

@@ -79,8 +79,8 @@ pub use error::{ConfigError, Error};
 pub use health::{member_is_finite, member_poison, PoisonedLane};
 pub use mutation::{MutationConfig, MutationOutcome, Mutator};
 pub use pareto::{
-    count_non_dominated, crowding_distances, fitness_against, fitness_against_scalar,
-    fitness_assignment, non_dominated_indices, strengths,
+    count_non_dominated, crowding_distances, fitness_against, fitness_assignment,
+    non_dominated_indices, strengths,
 };
 pub use sampler::{
     DecoyProduction, IterationSnapshot, MoscemSampler, RunControls, TrajectoryResult,

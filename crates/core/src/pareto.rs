@@ -81,26 +81,18 @@ pub fn fitness_assignment(scores: &[ScoreVector]) -> Vec<f64> {
 }
 
 /// Fitness of one candidate score vector evaluated against a reference set
-/// (used for the Metropolis test of an offspring against its complex).  The
+/// (the Metropolis test of an offspring against its complex).  The
 /// candidate's fitness follows the same Eq. 1 rule with the reference set
 /// playing the role of the population.
 ///
-/// With the `simd` feature this dispatches to the wide reduction
-/// ([`fitness_against`] keeps the same signature): the four objective
-/// slots of each vector fill one 4-lane register, so every dominance test
-/// collapses from a four-iteration scalar loop into two lane-wise
-/// comparisons plus bitmask inspections.  Dominance is a boolean and the
-/// dominated-count/strength arithmetic is untouched, so the result is
-/// bit-identical to this scalar reference (unit-tested on randomized
-/// vectors including NaN/∞ components).
-pub fn fitness_against_scalar(candidate: &ScoreVector, reference: &[ScoreVector]) -> f64 {
+/// This is the direct formula, O(|reference|²) per call: the per-member
+/// reference sampler calls it, and it is the oracle for the staged
+/// pipeline's table-driven [`fitness_against_table`].
+pub fn fitness_against(candidate: &ScoreVector, reference: &[ScoreVector]) -> f64 {
     // The candidate is treated as a (prospective) member of the population,
     // so strengths are fractions of the reference-plus-candidate set.  This
     // keeps front-member fitness strictly below 1 even for a candidate that
     // dominates the entire reference set.
-    // This runs twice per conformation per iteration inside the evolution
-    // kernel, so it iterates the reference set directly instead of
-    // collecting intermediate index vectors (no heap allocation).
     let n = reference.len() + 1;
     let dominated_by_candidate =
         reference.iter().filter(|r| candidate.dominates(r)).count() as f64 / n as f64;
@@ -130,83 +122,53 @@ pub fn fitness_against_scalar(candidate: &ScoreVector, reference: &[ScoreVector]
     }
 }
 
-/// Production entry point of the Metropolis fitness reduction: the wide
-/// (4-lane) evaluation when the `simd` feature is on.  See
-/// [`fitness_against_scalar`] for the semantics and the bit-identity
-/// argument.
-#[cfg(feature = "simd")]
-pub fn fitness_against(candidate: &ScoreVector, reference: &[ScoreVector]) -> f64 {
-    use wide_dominance::WideScores;
-    let n = reference.len() + 1;
-    let c = WideScores::pack(candidate);
-    let dominated_by_candidate = reference
+/// Member `i`'s Eq. 1 terms within `set`: its strength (the number of
+/// members of `set` it dominates, as a fraction of `denominator`) and its
+/// front flag (no other member of `set` dominates it).
+///
+/// The population fitness stage calls it with `denominator = set.len()`;
+/// the `[FitAssg] within Complex` table with `set.len() + 1`, the
+/// prospective-candidate denominator of [`fitness_against`].
+pub fn strength_and_front(set: &[ScoreVector], i: usize, denominator: usize) -> (f64, bool) {
+    let si = &set[i];
+    let dominated = set.iter().filter(|sj| si.dominates(sj)).count();
+    let front = !set
         .iter()
-        .filter(|r| c.dominates(WideScores::pack(r)))
-        .count() as f64
-        / n as f64;
-    let has_dominator = reference.iter().any(|r| WideScores::pack(r).dominates(c));
-    if !has_dominator {
-        dominated_by_candidate
-    } else {
-        1.0 + (0..reference.len())
-            .filter(|&j| WideScores::pack(&reference[j]).dominates(c))
-            .filter(|&j| {
-                let rj = WideScores::pack(&reference[j]);
-                !reference
-                    .iter()
-                    .enumerate()
-                    .any(|(k, rk)| k != j && WideScores::pack(rk).dominates(rj))
-            })
-            .map(|j| {
-                let rj = WideScores::pack(&reference[j]);
-                reference
-                    .iter()
-                    .filter(|r| rj.dominates(WideScores::pack(r)))
-                    .count() as f64
-                    / n as f64
-            })
-            .sum::<f64>()
+        .enumerate()
+        .any(|(j, sj)| j != i && sj.dominates(si));
+    (dominated as f64 / denominator as f64, front)
+}
+
+/// [`fitness_against`] from a precomputed table of the reference set's
+/// within-set terms: `strength[j]` and `front[j]` are
+/// [`strength_and_front`]`(reference, j, reference.len() + 1)`.  One pass
+/// over the reference set, O(|reference|) per call, adding the same
+/// strengths in the same ascending order as the direct formula, so the
+/// result is bit-identical to it.
+pub fn fitness_against_table(
+    candidate: &ScoreVector,
+    reference: &[ScoreVector],
+    strength: &[f64],
+    front: &[bool],
+) -> f64 {
+    let mut dominated = 0usize;
+    let mut has_dominator = false;
+    let mut dominator_strength = 0.0;
+    for (j, r) in reference.iter().enumerate() {
+        if candidate.dominates(r) {
+            dominated += 1;
+        }
+        if r.dominates(candidate) {
+            has_dominator = true;
+            if front[j] {
+                dominator_strength += strength[j];
+            }
+        }
     }
-}
-
-/// Production entry point of the Metropolis fitness reduction: without the
-/// `simd` feature this is the scalar evaluation,
-/// [`fitness_against_scalar`].
-#[cfg(not(feature = "simd"))]
-pub fn fitness_against(candidate: &ScoreVector, reference: &[ScoreVector]) -> f64 {
-    fitness_against_scalar(candidate, reference)
-}
-
-/// Whole-vector Pareto dominance in one 4-lane register.
-#[cfg(feature = "simd")]
-mod wide_dominance {
-    use super::*;
-    use wide::f64x4;
-
-    // The packing below is only a transposition-free register load because
-    // the objective count matches the lane width exactly.
-    const _: () = assert!(NUM_OBJECTIVES == wide::f64x4::LANES);
-
-    /// One [`ScoreVector`] packed into a single wide register, objective
-    /// slots in canonical order as lanes.
-    #[derive(Clone, Copy)]
-    pub(super) struct WideScores(f64x4);
-
-    impl WideScores {
-        #[inline(always)]
-        pub(super) fn pack(s: &ScoreVector) -> Self {
-            WideScores(f64x4::from_array(s.as_array()))
-        }
-
-        /// [`ScoreVector::dominates`] as two lane-wise comparisons: no
-        /// lane strictly worse, at least one lane strictly better.  The
-        /// ordered-quiet wide comparisons return false on NaN lanes
-        /// exactly like the scalar `>`/`<`, so a NaN component neither
-        /// vetoes nor establishes dominance on either path.
-        #[inline(always)]
-        pub(super) fn dominates(self, other: WideScores) -> bool {
-            self.0.gt_bitmask(other.0) == 0 && self.0.lt_bitmask(other.0) != 0
-        }
+    if has_dominator {
+        1.0 + dominator_strength
+    } else {
+        dominated as f64 / (reference.len() + 1) as f64
     }
 }
 
@@ -354,9 +316,8 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "simd")]
     #[test]
-    fn wide_fitness_against_is_bit_identical_to_scalar() {
+    fn table_fitness_is_bit_identical_to_the_direct_formula() {
         use lms_geometry::StreamRngFactory;
         use rand::Rng;
         let mut rng = StreamRngFactory::new(0x5eed_fa11).stream(0, 0);
@@ -370,27 +331,43 @@ mod tests {
                 _ => rng.gen_range(-3..4) as f64,
             }
         };
-        for _ in 0..200 {
-            let len = rng.gen_range(0..8);
-            let reference: Vec<ScoreVector> = (0..len)
-                .map(|_| {
-                    ScoreVector::from_array([
-                        component(&mut rng),
-                        component(&mut rng),
-                        component(&mut rng),
-                        component(&mut rng),
-                    ])
-                })
+        let vector = |rng: &mut rand_chacha::ChaCha8Rng| {
+            ScoreVector::from_array([
+                component(rng),
+                component(rng),
+                component(rng),
+                component(rng),
+            ])
+        };
+        let check = |candidate: &ScoreVector, reference: &[ScoreVector]| {
+            let table: Vec<(f64, bool)> = (0..reference.len())
+                .map(|j| strength_and_front(reference, j, reference.len() + 1))
                 .collect();
-            let candidate = ScoreVector::from_array([
-                component(&mut rng),
-                component(&mut rng),
-                component(&mut rng),
-                component(&mut rng),
-            ]);
-            let wide = fitness_against(&candidate, &reference);
-            let scalar = fitness_against_scalar(&candidate, &reference);
-            assert_eq!(wide.to_bits(), scalar.to_bits());
+            let strength: Vec<f64> = table.iter().map(|t| t.0).collect();
+            let front: Vec<bool> = table.iter().map(|t| t.1).collect();
+            let direct = fitness_against(candidate, reference);
+            let tabled = fitness_against_table(candidate, reference, &strength, &front);
+            assert_eq!(
+                tabled.to_bits(),
+                direct.to_bits(),
+                "{candidate:?} vs {reference:?}"
+            );
+        };
+        let sizes = (0..200usize).map(|k| k % 8).chain([0, 1, 7, 128]);
+        for len in sizes {
+            let mut reference: Vec<ScoreVector> = (0..len).map(|_| vector(&mut rng)).collect();
+            if len > 1 {
+                // Duplicate vectors: equal members never dominate each other.
+                let (from, to) = (rng.gen_range(0..len), rng.gen_range(0..len));
+                reference[to] = reference[from];
+            }
+            check(&vector(&mut rng), &reference);
+            if len > 0 {
+                // A candidate equal to a reference member (the current
+                // member's own fitness in the Metropolis test).
+                let j = rng.gen_range(0..len);
+                check(&reference[j], &reference);
+            }
         }
     }
 

@@ -26,7 +26,9 @@ use crate::conformation::Conformation;
 use crate::decoyset::DecoySet;
 use crate::error::{ConfigError, Error};
 use crate::mutation::Mutator;
-use crate::pareto::{fitness_against, non_dominated_indices};
+use crate::pareto::{
+    fitness_against, fitness_against_table, non_dominated_indices, strength_and_front,
+};
 use crate::stages::StageRecord;
 use lms_closure::{CcdCloser, CcdLane};
 use lms_geometry::{random_torsion, StreamRngFactory};
@@ -506,8 +508,11 @@ impl MoscemSampler {
                     false
                 } else {
                     let reference = &complex_scores[complex_of[i]];
-                    let cand_fit = candidate_fitness(mode, &cand_scores, reference);
-                    let curr_fit = candidate_fitness(mode, &m.conf.scores, reference);
+                    let fitness = |s: &ScoreVector| {
+                        candidate_fitness(mode, s, |s| fitness_against(s, reference))
+                    };
+                    let cand_fit = fitness(&cand_scores);
+                    let curr_fit = fitness(&m.conf.scores);
                     if cand_fit <= curr_fit {
                         true
                     } else {
@@ -642,11 +647,7 @@ impl MoscemSampler {
             .map(|aa| aa.rama_class())
             .collect();
         let factory = StreamRngFactory::new(seed);
-        // A backend reporting wide lanes gets the explicit wide-f64 CCD
-        // rotation kernel — bit-identical to the scalar loop, so this flips
-        // only the instruction mix, never the trajectory.
-        let wide = executor.capabilities().lane_width > 1;
-        let closer = CcdCloser::new(self.builder, cfg.ccd).with_wide_lanes(wide);
+        let closer = CcdCloser::new(self.builder, cfg.ccd);
 
         let wall_start = Instant::now();
         let limits = cfg.limits;
@@ -816,6 +817,11 @@ impl MoscemSampler {
                 arena.complex_scores[arena.complex_offsets[c] + pos / m_complexes] =
                     arena.scores[idx];
             }
+            // Only Eq. 1 Metropolis reads the per-complex fitness table.
+            if matches!(mode, ObjectiveMode::MultiScoring) {
+                let table = Self::stage_complex_fitness(executor, &mut arena);
+                stages.record(table.kind, table.host);
+            }
 
             // Stage 1 — mutate: seed the (member, iteration) stream, load
             // the member's torsion lane and propose a candidate.
@@ -896,6 +902,8 @@ impl MoscemSampler {
                 let cand_dev = &arena.cand_closure_dev;
                 let complex_of = &arena.complex_of;
                 let complex_scores = &arena.complex_scores;
+                let complex_strength = &arena.complex_strength;
+                let complex_front = &arena.complex_front;
                 let offsets = &arena.complex_offsets;
                 let temperature_now = temperature;
                 let met = executor.launch(KernelKind::Metropolis, n, |i| {
@@ -906,9 +914,17 @@ impl MoscemSampler {
                         false
                     } else {
                         let c = complex_of[i];
-                        let reference = &complex_scores[offsets[c]..offsets[c + 1]];
-                        let cand_fit = candidate_fitness(mode, &cand_scores[i], reference);
-                        let curr_fit = candidate_fitness(mode, &scores[i], reference);
+                        let (lo, hi) = (offsets[c], offsets[c + 1]);
+                        let reference = &complex_scores[lo..hi];
+                        let strength = &complex_strength[lo..hi];
+                        let front = &complex_front[lo..hi];
+                        let fitness = |s: &ScoreVector| {
+                            candidate_fitness(mode, s, |s| {
+                                fitness_against_table(s, reference, strength, front)
+                            })
+                        };
+                        let cand_fit = fitness(&cand_scores[i]);
+                        let curr_fit = fitness(&scores[i]);
                         if cand_fit <= curr_fit {
                             true
                         } else {
@@ -1184,15 +1200,10 @@ impl MoscemSampler {
                     let strength = SharedLanes::new(&mut arena.strength);
                     let front = SharedLanes::new(&mut arena.front);
                     executor.launch(KernelKind::FitAssgPopulation, n, |i| {
-                        let si = &scores[i];
-                        let dominated = scores.iter().filter(|sj| si.dominates(sj)).count();
-                        let is_nd = !scores
-                            .iter()
-                            .enumerate()
-                            .any(|(j, sj)| j != i && sj.dominates(si));
+                        let (s, f) = strength_and_front(scores, i, n);
                         // SAFETY: kernel i touches only member i's slots.
-                        *unsafe { strength.item_mut(i) } = dominated as f64 / n as f64;
-                        *unsafe { front.item_mut(i) } = is_nd;
+                        *unsafe { strength.item_mut(i) } = s;
+                        *unsafe { front.item_mut(i) } = f;
                     })
                 };
                 // Pass 2: Eq. 1.
@@ -1238,6 +1249,26 @@ impl MoscemSampler {
                     .host
             }
         }
+    }
+
+    /// The `[FitAssg] within Complex` kernel: thread `p` writes the Eq. 1
+    /// strength and front flag of sorted position `p` of the CSR
+    /// `complex_scores` within its complex, the table the Metropolis stage
+    /// evaluates candidates against in O(|complex|) each (see
+    /// [`fitness_against_table`]).
+    fn stage_complex_fitness(executor: &Executor, arena: &mut PopulationArena) -> KernelLaunch {
+        let complex_scores = &arena.complex_scores;
+        let offsets = &arena.complex_offsets;
+        let strength = SharedLanes::new(&mut arena.complex_strength);
+        let front = SharedLanes::new(&mut arena.complex_front);
+        executor.launch(KernelKind::FitAssgComplex, arena.n_members, |p| {
+            let c = offsets.partition_point(|&o| o <= p) - 1;
+            let complex = &complex_scores[offsets[c]..offsets[c + 1]];
+            let (s, f) = strength_and_front(complex, p - offsets[c], complex.len() + 1);
+            // SAFETY: kernel p touches only position p's slots.
+            *unsafe { strength.item_mut(p) } = s;
+            *unsafe { front.item_mut(p) } = f;
+        })
     }
 
     /// The staged `health` kernel: one population-wide `[HealthSweep]`
@@ -1556,11 +1587,16 @@ fn weighted_sum(w: &[f64; lms_scoring::NUM_OBJECTIVES], s: &ScoreVector) -> f64 
     total
 }
 
-/// Fitness of a candidate against a reference set under the configured
-/// objective handling.
-fn candidate_fitness(mode: ObjectiveMode, scores: &ScoreVector, reference: &[ScoreVector]) -> f64 {
+/// Fitness of a candidate under the configured objective handling;
+/// `multi_scoring` is the Eq. 1 fitness against the candidate's reference
+/// set (direct in the reference sampler, table-driven in the staged one).
+fn candidate_fitness(
+    mode: ObjectiveMode,
+    scores: &ScoreVector,
+    multi_scoring: impl Fn(&ScoreVector) -> f64,
+) -> f64 {
     match mode {
-        ObjectiveMode::MultiScoring => fitness_against(scores, reference),
+        ObjectiveMode::MultiScoring => multi_scoring(scores),
         ObjectiveMode::Single(obj) => obj.value(scores),
         ObjectiveMode::WeightedSum(w) => weighted_sum(&w, scores),
     }

@@ -71,8 +71,8 @@ impl StageRecord {
 
     /// The paper's Figure 1 buckets as a view over the rows: CCD is
     /// `[CCD]`; scoring is `[Rebuild]` plus the three `Eval*` stages;
-    /// fitness is `[FitAssg] within Population`; other is every remaining
-    /// stage.
+    /// fitness is `[FitAssg] within Population` and `[FitAssg] within
+    /// Complex`; other is every remaining stage.
     pub fn components(&self) -> ComponentTimes {
         let mut c = ComponentTimes::default();
         for (kind, row) in self.rows() {
@@ -83,7 +83,7 @@ impl StageRecord {
                 | KernelKind::EvalVdw
                 | KernelKind::EvalDist
                 | KernelKind::EvalTrip => c.scoring_us += us,
-                KernelKind::FitAssgPopulation => c.fitness_us += us,
+                KernelKind::FitAssgPopulation | KernelKind::FitAssgComplex => c.fitness_us += us,
                 _ => c.other_us += us,
             }
         }
@@ -100,7 +100,7 @@ pub struct ComponentTimes {
     /// Time in the rebuild readback and the scoring-function evaluations
     /// (µs).
     pub scoring_us: f64,
-    /// Time in population fitness assignment (µs).
+    /// Time in fitness assignment, population and complex (µs).
     pub fitness_us: f64,
     /// Every other stage: mutation, Metropolis, selection, health sweep
     /// (µs).

@@ -2,7 +2,7 @@
 //! (`MoscemSampler::run_controlled` / `run_with_seed`) is **bit-identical**
 //! to the per-member reference implementation
 //! (`MoscemSampler::run_reference_with_seed`) — across every executor
-//! backend (scalar / parallel / SIMD when compiled in), several CCD block
+//! backend (scalar / parallel), several CCD block
 //! widths, both objective modes (3- and 4-objective), the single-objective
 //! and weighted-sum baselines, multiple seeds and targets.
 //!
@@ -24,8 +24,7 @@ use std::sync::Arc;
 /// build knows about appears here — adding an executor backend without
 /// extending this harness is a bug.
 fn equivalence_executors() -> Vec<Executor> {
-    #[cfg_attr(not(feature = "simd"), allow(unused_mut))]
-    let mut executors = vec![
+    vec![
         ExecutorConfig::scalar().build().unwrap(),
         ExecutorConfig::parallel().build().unwrap(),
         ExecutorConfig::parallel().threads(2).build().unwrap(),
@@ -38,30 +37,7 @@ fn equivalence_executors() -> Vec<Executor> {
             .build()
             .unwrap(),
         ExecutorConfig::scalar().ccd_block_width(1).build().unwrap(),
-    ];
-    #[cfg(feature = "simd")]
-    {
-        executors.push(ExecutorConfig::simd().build().unwrap());
-        executors.push(
-            ExecutorConfig::simd()
-                .threads(2)
-                .ccd_block_width(12)
-                .build()
-                .unwrap(),
-        );
-        // Widths that leave the wide optimal-rotation kernel a scalar
-        // tail (6 = 4+2, 7 = 4+3) so its tail path is exercised, not just
-        // full 4-lane chunks.
-        executors.push(ExecutorConfig::simd().ccd_block_width(6).build().unwrap());
-        executors.push(
-            ExecutorConfig::simd()
-                .threads(2)
-                .ccd_block_width(7)
-                .build()
-                .unwrap(),
-        );
-    }
-    executors
+    ]
 }
 
 /// Label an executor for assertion messages.
@@ -198,8 +174,7 @@ fn batched_pipeline_matches_reference_in_four_objective_mode() {
     let s = sampler("1xyz", cfg);
     for seed in [7u64, 99] {
         let reference = s.run_reference_with_seed(&ExecutorConfig::scalar().build().unwrap(), seed);
-        #[cfg_attr(not(feature = "simd"), allow(unused_mut))]
-        let mut executors = vec![
+        let executors = [
             ExecutorConfig::scalar().build().unwrap(),
             ExecutorConfig::parallel()
                 .threads(2)
@@ -207,8 +182,6 @@ fn batched_pipeline_matches_reference_in_four_objective_mode() {
                 .build()
                 .unwrap(),
         ];
-        #[cfg(feature = "simd")]
-        executors.push(ExecutorConfig::simd().build().unwrap());
         for executor in executors {
             let batched = s.run_with_seed(&executor, seed);
             assert_bit_identical(

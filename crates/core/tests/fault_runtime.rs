@@ -56,14 +56,14 @@ fn zero_backoff(max_attempts: usize) -> RetryPolicy {
 
 /// Launch index 0 exists for every kernel the staged pipeline launches:
 /// init for the sample/close/rebuild/score/health kernels, iteration 1
-/// for Metropolis/Select.  (`FitAssgComplex` is a reference-path kernel
-/// and never launched by the staged pipeline.)
-const STAGED_KINDS: [KernelKind; 10] = [
+/// for the complex fitness table, Metropolis and Select.
+const STAGED_KINDS: [KernelKind; 11] = [
     KernelKind::Ccd,
     KernelKind::EvalDist,
     KernelKind::EvalVdw,
     KernelKind::EvalTrip,
     KernelKind::FitAssgPopulation,
+    KernelKind::FitAssgComplex,
     KernelKind::Reproduction,
     KernelKind::Metropolis,
     KernelKind::Rebuild,
@@ -261,12 +261,10 @@ fn fault_sites_key_identically_across_executor_backends() {
         FaultPlan::new().inject(KernelKind::EvalDist, 1, 1, FaultKind::Nan),
         FaultPlan::new().inject(KernelKind::Ccd, 0, 0, FaultKind::Nan),
     ];
-    let mut executor_configs = vec![
+    let executor_configs = [
         lms_simt::ExecutorConfig::scalar(),
         lms_simt::ExecutorConfig::parallel().threads(2),
     ];
-    #[cfg(feature = "simd")]
-    executor_configs.push(lms_simt::ExecutorConfig::simd().threads(2));
     for plan in plans {
         let mut baseline: Option<Vec<Conformation>> = None;
         for exec_cfg in &executor_configs {

@@ -13,7 +13,7 @@
 //! The counter is per thread: the test harness runs proofs concurrently,
 //! and a process-wide count would charge each proof with its siblings'
 //! allocations.  Every proof runs its kernels on the calling thread (the
-//! scalar backend, or a one-thread SIMD executor), so the calling thread's
+//! scalar backend, or a one-thread parallel executor), so the calling thread's
 //! count is the whole story.
 
 use lms_closure::{CcdCloser, CcdConfig};
@@ -293,19 +293,16 @@ fn staged_arena_pipeline_is_allocation_free_after_warmup() {
     //
     // The invariant must hold for every block partition of the population
     // (the default width, a non-divisor width with a ragged final block,
-    // single-member blocks) and on the wide-lane SIMD backend, whose CCD
-    // and VDW kernels stage into preallocated lane buffers.  Executors are
-    // pinned to one worker because the parallel dispatch path itself spawns
-    // scoped threads (an allocation by design); the kernels it runs are the
-    // same ones proven allocation-free here.
-    #[cfg_attr(not(feature = "simd"), allow(unused_mut))]
-    let mut executor_configs = vec![
+    // single-member blocks) and on the pooled parallel dispatch.  Executors
+    // are pinned to one worker because the parallel dispatch path itself
+    // spawns scoped threads (an allocation by design); the kernels it runs
+    // are the same ones proven allocation-free here.
+    let executor_configs = [
         ExecutorConfig::scalar(),
         ExecutorConfig::scalar().ccd_block_width(5),
         ExecutorConfig::scalar().ccd_block_width(1),
+        ExecutorConfig::parallel().threads(1).ccd_block_width(6),
     ];
-    #[cfg(feature = "simd")]
-    executor_configs.push(ExecutorConfig::simd().threads(1).ccd_block_width(6));
     for exec_cfg in executor_configs {
         let executor = exec_cfg.build().expect("valid executor config");
         let caps = executor.capabilities();

@@ -64,9 +64,9 @@ impl MultiScorer {
         self
     }
 
-    /// Accepted for source compatibility and ignored: every scoring pass
-    /// is scalar on every backend, because wide VDW/BURIAL distance passes
-    /// measured slower than the scalar loops inside the pipeline.
+    /// Ignored; kept only because the frozen `loopbench/` replay still
+    /// calls it.  Remove with that package's next change.
+    #[doc(hidden)]
     #[must_use]
     pub fn with_wide_lanes(self, _wide: bool) -> Self {
         self

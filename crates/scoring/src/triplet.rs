@@ -20,8 +20,7 @@
 //! floating-point reduction being the sequential `total +=` whose
 //! association is part of the bit-identity contract.  Widening the sum
 //! would reassociate it; widening the lookups would serialise on the
-//! gathers anyway.  The SIMD build therefore intentionally leaves TRIPLET
-//! on the scalar path.
+//! gathers anyway.
 
 use crate::library::KnowledgeBase;
 use crate::traits::ScoringFunction;

@@ -9,18 +9,14 @@
 //! [`launch(KernelKind, threads, f)`](Executor::launch) entry point, so the
 //! sampler's stage loop never changes when the backend does.
 //!
-//! Three backends realise the pattern on the host today (a GPU backend is
-//! the designed-for fourth):
+//! Two backends realise the pattern on the host today (a GPU backend is
+//! the designed-for third):
 //!
 //! * [`Backend::Scalar`] — one conformation after another on the calling
 //!   thread: the "CPU implementation" baseline of the paper.
 //! * [`Backend::Parallel`] — a work-stealing data-parallel map over the
 //!   population (rayon), playing the role of the GPU in the heterogeneous
 //!   CPU–GPU platform.
-//! * [`Backend::Simd`] — the parallel dispatch plus explicit wide-`f64`
-//!   lanes inside the lockstep CCD rotation batches and the Metropolis
-//!   dominance reduction; requires the `simd` cargo feature, which vendors a
-//!   portable 4-lane `f64` shim.
 //!
 //! Executors are built through the validated [`ExecutorConfig`] builder:
 //!
@@ -41,11 +37,10 @@
 //!
 //! All backends produce *identical results for identical seeds*, because
 //! all per-conformation randomness comes from counter-derived streams
-//! rather than from shared mutable RNG state, and the wide lanes apply the
-//! same IEEE operations in the same per-lane order as the scalar loops (the
-//! paper makes the weaker statement that its CPU and GPU versions are
-//! "functionally equivalent"; determinism here is strictly stronger and is
-//! verified by property tests).
+//! rather than from shared mutable RNG state (the paper makes the weaker
+//! statement that its CPU and GPU versions are "functionally equivalent";
+//! determinism here is strictly stronger and is verified by property
+//! tests).
 
 use crate::kernel::KernelKind;
 use rayon::prelude::*;
@@ -63,10 +58,6 @@ pub const DEFAULT_CCD_BLOCK_WIDTH: usize = 8;
 /// lane descriptors for one block on the stack, so the width is capped to
 /// keep that staging area small and fixed-size.
 pub const MAX_CCD_BLOCK_WIDTH: usize = 64;
-
-/// Width of the explicit wide-`f64` lanes the SIMD backend vectorizes with
-/// (the vendored portable shim's `f64x4`).
-const SIMD_LANE_WIDTH: usize = 4;
 
 /// The record of one staged population-kernel launch through
 /// [`Executor::launch`]: which kernel ran, over how many device threads
@@ -102,20 +93,14 @@ pub enum Backend {
     Scalar,
     /// Data-parallel execution across a rayon thread pool (the device role).
     Parallel,
-    /// Parallel dispatch plus explicit wide-`f64` lanes inside the dominant
-    /// kernels.  Selecting it requires the `simd` cargo feature;
-    /// [`ExecutorConfig::build`] reports
-    /// [`ExecutorConfigError::SimdUnavailable`] otherwise.
-    Simd,
 }
 
 impl Backend {
-    /// Short display name ("scalar" / "parallel" / "simd").
+    /// Short display name ("scalar" / "parallel").
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
             Backend::Parallel => "parallel",
-            Backend::Simd => "simd",
         }
     }
 }
@@ -126,8 +111,8 @@ impl fmt::Display for Backend {
     }
 }
 
-/// What an [`Executor`] reports about itself: the backend, its wide-lane
-/// width, its worker-thread budget and the lockstep CCD block width it
+/// What an [`Executor`] reports about itself: the backend, its
+/// worker-thread budget and the lockstep CCD block width it
 /// wants the sampler to batch with.  Reported through
 /// [`Executor::capabilities`] and recorded on perf artifacts
 /// (the Table II report, `BENCH_*.json`) and job results so every
@@ -143,18 +128,17 @@ pub struct Capabilities {
     /// Short backend name (same as `backend.name()`), kept as a field so
     /// reports can embed it without matching on the enum.
     pub name: &'static str,
-    /// Wide-`f64` lane width the backend's kernels vectorize with (1 for
-    /// the scalar and parallel backends).
+    /// Always 1; kept only because the frozen `loopbench/` package still
+    /// reads it.  Remove with that package's next change.
+    #[doc(hidden)]
     pub lane_width: usize,
     /// Number of worker threads the executor will use.
     pub threads: usize,
     /// Lockstep CCD block width the sampler should batch closure with.
     pub ccd_block_width: usize,
-    /// The instruction set the measurement is attributable to.  For the
-    /// SIMD backend this is the wide shim's compiled/dispatched backend
-    /// (`"avx2"`, `"sse2"`, `"sse2+avx2"` for an SSE2 build on a host that
-    /// also offers AVX2, `"neon"`, or `"portable"`);
-    /// for the scalar and parallel backends it is the detected host ISA.
+    /// The host's best-detected wide-`f64` instruction set (`"avx2"`,
+    /// `"sse2"`, `"neon"` or `"portable"`), so a measurement is
+    /// attributable to the machine it ran on.
     pub isa: &'static str,
 }
 
@@ -162,15 +146,15 @@ impl fmt::Display for Capabilities {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} (lane_width={}, threads={}, ccd_block_width={}, isa={})",
-            self.name, self.lane_width, self.threads, self.ccd_block_width, self.isa
+            "{} (threads={}, ccd_block_width={}, isa={})",
+            self.name, self.threads, self.ccd_block_width, self.isa
         )
     }
 }
 
 /// The host CPU's best-detected ISA for wide-`f64` work, independent of
-/// what any crate was compiled for.  Used to attribute scalar/parallel
-/// measurements to the machine they ran on.
+/// what any crate was compiled for.  Used to attribute measurements to the
+/// machine they ran on.
 fn detected_host_isa() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     {
@@ -190,20 +174,6 @@ fn detected_host_isa() -> &'static str {
     }
 }
 
-/// The ISA-qualified display name of the SIMD backend, so every
-/// `Capabilities::name` (and thus every `BENCH_*.json` / Table II report)
-/// states which wide backend actually produced the measurement.
-#[cfg(feature = "simd")]
-fn simd_qualified_name() -> &'static str {
-    match wide::dispatch_summary() {
-        "avx2" => "simd[avx2]",
-        "sse2+avx2" => "simd[sse2+avx2]",
-        "sse2" => "simd[sse2]",
-        "neon" => "simd[neon]",
-        _ => "simd[portable]",
-    }
-}
-
 /// Why an [`ExecutorConfig`] failed to validate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
@@ -218,9 +188,6 @@ pub enum ExecutorConfigError {
         /// The maximum ([`MAX_CCD_BLOCK_WIDTH`]).
         max: usize,
     },
-    /// [`Backend::Simd`] was requested but the `simd` cargo feature is not
-    /// compiled in.
-    SimdUnavailable,
 }
 
 impl fmt::Display for ExecutorConfigError {
@@ -232,10 +199,6 @@ impl fmt::Display for ExecutorConfigError {
             ExecutorConfigError::CcdBlockWidthTooLarge { got, max } => {
                 write!(f, "ccd_block_width {got} exceeds the maximum of {max}")
             }
-            ExecutorConfigError::SimdUnavailable => write!(
-                f,
-                "the simd backend requires building with the `simd` cargo feature"
-            ),
         }
     }
 }
@@ -292,9 +255,12 @@ impl ExecutorConfig {
         ExecutorConfig::new().backend(Backend::Parallel)
     }
 
-    /// Shorthand for `new().backend(Backend::Simd)`.
+    /// The same as [`parallel`](Self::parallel); kept only because the
+    /// frozen `loopbench/` package still calls it.  Remove with that
+    /// package's next change.
+    #[doc(hidden)]
     pub fn simd() -> ExecutorConfig {
-        ExecutorConfig::new().backend(Backend::Simd)
+        ExecutorConfig::parallel()
     }
 
     /// Select the execution backend.
@@ -336,13 +302,6 @@ impl ExecutorConfig {
                 threads: self.threads,
                 pool: Arc::new(OnceLock::new()),
             },
-            #[cfg(feature = "simd")]
-            Backend::Simd => BackendImpl::Simd {
-                threads: self.threads,
-                pool: Arc::new(OnceLock::new()),
-            },
-            #[cfg(not(feature = "simd"))]
-            Backend::Simd => return Err(ExecutorConfigError::SimdUnavailable),
         };
         Ok(Executor {
             backend,
@@ -388,11 +347,6 @@ enum BackendImpl {
         /// serves instead.
         pool: Arc<OnceLock<ThreadPool>>,
     },
-    #[cfg(feature = "simd")]
-    Simd {
-        threads: usize,
-        pool: Arc<OnceLock<ThreadPool>>,
-    },
 }
 
 impl BackendImpl {
@@ -400,8 +354,6 @@ impl BackendImpl {
         match self {
             BackendImpl::Scalar => Backend::Scalar,
             BackendImpl::Parallel { .. } => Backend::Parallel,
-            #[cfg(feature = "simd")]
-            BackendImpl::Simd { .. } => Backend::Simd,
         }
     }
 
@@ -411,19 +363,14 @@ impl BackendImpl {
         match self {
             BackendImpl::Scalar => 0,
             BackendImpl::Parallel { threads, .. } => *threads,
-            #[cfg(feature = "simd")]
-            BackendImpl::Simd { threads, .. } => *threads,
         }
     }
 
-    /// The pooled-dispatch parameters, for every backend that maps work
-    /// across a rayon pool.
+    /// The pooled-dispatch parameters of the parallel backend.
     fn pool_parts(&self) -> Option<(usize, &Arc<OnceLock<ThreadPool>>)> {
         match self {
             BackendImpl::Scalar => None,
             BackendImpl::Parallel { threads, pool } => Some((*threads, pool)),
-            #[cfg(feature = "simd")]
-            BackendImpl::Simd { threads, pool } => Some((*threads, pool)),
         }
     }
 }
@@ -477,26 +424,17 @@ impl Executor {
         }
     }
 
-    /// What this executor reports about itself: backend, wide-lane width,
-    /// thread budget and CCD block width.
+    /// What this executor reports about itself: backend, thread budget,
+    /// CCD block width and host ISA.
     pub fn capabilities(&self) -> Capabilities {
         let backend = self.backend.kind();
-        let lane_width = match backend {
-            Backend::Simd => SIMD_LANE_WIDTH,
-            _ => 1,
-        };
-        let (name, isa) = match backend {
-            #[cfg(feature = "simd")]
-            Backend::Simd => (simd_qualified_name(), wide::dispatch_summary()),
-            _ => (backend.name(), detected_host_isa()),
-        };
         Capabilities {
             backend,
-            name,
-            lane_width,
+            name: backend.name(),
+            lane_width: 1,
             threads: self.thread_count(),
             ccd_block_width: self.ccd_block_width,
-            isa,
+            isa: detected_host_isa(),
         }
     }
 
@@ -504,11 +442,6 @@ impl Executor {
     /// batch closure with.
     pub fn ccd_block_width(&self) -> usize {
         self.ccd_block_width
-    }
-
-    /// Wide-`f64` lane width of this backend's kernels (1 unless SIMD).
-    pub fn lane_width(&self) -> usize {
-        self.capabilities().lane_width
     }
 
     /// Short display name of the backend.
@@ -728,7 +661,6 @@ mod tests {
         let caps = parallel_with_threads(3).capabilities();
         assert_eq!(caps.backend, Backend::Parallel);
         assert_eq!(caps.name, "parallel");
-        assert_eq!(caps.lane_width, 1);
         assert_eq!(caps.threads, 3);
         assert_eq!(caps.ccd_block_width, DEFAULT_CCD_BLOCK_WIDTH);
         let shown = caps.to_string();
@@ -736,37 +668,7 @@ mod tests {
 
         let caps = scalar().capabilities();
         assert_eq!(caps.backend, Backend::Scalar);
-        assert_eq!((caps.lane_width, caps.threads), (1, 1));
-    }
-
-    #[cfg(feature = "simd")]
-    #[test]
-    fn simd_backend_reports_wide_lanes() {
-        let exec = ExecutorConfig::simd().threads(2).build().unwrap();
-        let caps = exec.capabilities();
-        assert_eq!(caps.backend, Backend::Simd);
-        assert!(
-            caps.name.starts_with("simd["),
-            "simd name is ISA-qualified: {}",
-            caps.name
-        );
-        assert_eq!(caps.isa, wide::dispatch_summary());
-        assert_eq!(caps.lane_width, SIMD_LANE_WIDTH);
-        assert_eq!(exec.lane_width(), wide::f64x4::LANES);
-        assert!(exec.is_parallel());
-        // The SIMD backend dispatches like the parallel one.
-        let mut items = vec![0u64; 257];
-        exec.for_each_indexed(&mut items, |i, x| *x = i as u64);
-        assert!(items.iter().enumerate().all(|(i, &x)| x == i as u64));
-    }
-
-    #[cfg(not(feature = "simd"))]
-    #[test]
-    fn simd_backend_is_rejected_without_the_feature() {
-        assert_eq!(
-            ExecutorConfig::simd().build().unwrap_err(),
-            ExecutorConfigError::SimdUnavailable
-        );
+        assert_eq!(caps.threads, 1);
     }
 
     #[test]

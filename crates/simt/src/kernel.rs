@@ -24,7 +24,10 @@ pub enum KernelKind {
     EvalTrip,
     /// Pareto-strength fitness assignment across the whole population.
     FitAssgPopulation,
-    /// Fitness assignment within one complex.
+    /// Fitness assignment within one complex: per sorted population
+    /// position, the member's Eq. 1 strength and front flag within its
+    /// complex, the table the Metropolis test reads.  Launched once per
+    /// iteration under multi-scoring.
     FitAssgComplex,
     /// Generation of a new conformation by torsion mutation.
     Reproduction,

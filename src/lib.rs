@@ -95,32 +95,14 @@
 //!
 //! Executors are built through the validated [`prelude::ExecutorConfig`]
 //! builder and slot in behind the same kernel-launch entry point: `scalar`
-//! (sequential baseline), `parallel` (rayon thread pool), and — with the
-//! `simd` cargo feature — `simd`, which runs explicit wide-`f64` lanes
-//! through the batched CCD optimal-rotation kernel inside `close_batch`
-//! and the Metropolis dominance reduction (the `simd` and `blocks` ratios
-//! in `BENCH_ccd.json`).  Scoring is scalar on every backend: wide VDW and
-//! BURIAL distance passes measured slower than the scalar loops inside the
-//! pipeline.  CCD's per-rotation update is a scalar O(1) rigid-body motion
-//! on every backend, so the closure-level wide-vs-scalar ratio is modest by
-//! design.
-//!
-//! The wide lanes compile down through an **arch-gated instruction-set
-//! dispatch** in the vendored `wide` shim, selected in this order: AVX2
-//! intrinsics when the build targets them (`-C target-cpu=native` on a
-//! modern x86_64), else SSE2 intrinsics on x86_64 / NEON intrinsics on
-//! aarch64, else a portable scalar fallback on any other architecture.
-//! On an SSE2-baseline x86_64 build the shim also detects AVX2 at runtime
-//! (reported as `"sse2+avx2"`).  Backend choice **never
-//! changes sampled trajectories** (per-stream RNG discipline plus
-//! bit-identical wide kernels — every ISA backend is property-tested
-//! bit-for-bit against the portable reference, NaN/∞ lanes included);
-//! it only changes how fast they run.  Every executor reports
-//! [`prelude::Capabilities`] (backend name, lane width, thread budget,
-//! CCD block width, and the detected ISA), which the experiment harness's
-//! Table II report, the bench JSON artifacts and each [`prelude::JobResult`] carry
-//! so measurements stay attributable to the instruction set that produced
-//! them.
+//! (sequential baseline) and `parallel` (rayon thread pool).  Every kernel
+//! is scalar code on both.  Backend choice **never changes sampled
+//! trajectories** (per-stream RNG discipline); it only changes how fast
+//! they run.  Every executor reports [`prelude::Capabilities`] (backend
+//! name, thread budget, CCD block width and the detected host ISA), which
+//! the experiment harness's Table II report, the bench JSON artifacts and
+//! each [`prelude::JobResult`] carry so measurements stay attributable to
+//! the machine that produced them.
 //!
 //! ```
 //! use lms::prelude::*;
@@ -134,9 +116,6 @@
 //! assert_eq!(caps.name, "parallel");
 //! assert_eq!(caps.threads, 4);
 //! assert_eq!(caps.ccd_block_width, 16);
-//! // With `--features simd`: ExecutorConfig::simd() selects the wide-lane
-//! // backend (lane_width 4); without the feature it is rejected at build
-//! // time as ExecutorConfigError::SimdUnavailable.
 //! # Ok(())
 //! # }
 //! ```
