@@ -4,12 +4,13 @@
 //!
 //! * **CCD closure**: the NeRF-per-rotation sweep (the downstream spine
 //!   re-placed by NeRF after every accepted rotation, reproduced in
-//!   [`nerf_per_rotation`]) against the production rigid-body sweep
-//!   (`CcdCloser::close_with_scratch`: O(1) motion update per rotation,
-//!   spine written back as the sweep visits it, one exact build at closure
-//!   start and end), at loop lengths 4, 8 and 12.  Both
-//!   run the same rotation schedule up to round-off, so the ratio isolates
-//!   the per-rotation update cost.
+//!   [`nerf_per_rotation`], one `atan2` and one `sin_cos` per rotation)
+//!   against the production rigid-body sweep (`CcdCloser::close_lane`, a
+//!   one-lane `close_batch`: O(1) trig-free motion update per rotation,
+//!   spine written back as the sweep visits it, one `atan2` per turned
+//!   torsion and one exact build at closure start and end), at loop
+//!   lengths 4, 8 and 12.  Both run the same rotation schedule up to
+//!   round-off, so the ratio isolates the per-rotation update cost.
 //! * **VDW environment term**: the exhaustive linear candidate scan
 //!   against the production pass over the precomputed per-cell candidate
 //!   lists (one slice read per site), on environments scaled 1×/10×/100×
@@ -24,12 +25,16 @@
 //!
 //! Besides the criterion groups, the harness writes `BENCH_ccd.json` at
 //! the workspace root (see `lms_bench::artifact`) recording the
-//! comparisons and the executor capabilities that produced them.
+//! comparisons and the executor capabilities that produced them.  The two
+//! CCD sweeps are timed in alternating batches, so their ratio survives
+//! host-speed drift.
 
 use criterion::{criterion_group, Criterion};
 use lms_bench::artifact::{Artifact, Better, Gate};
 use lms_bench::scaled_env_target;
-use lms_closure::{optimal_rotation_batch, CcdBatchScratch, CcdCloser, CcdConfig, CcdLane};
+use lms_closure::{
+    optimal_rotation_batch, CcdBatchScratch, CcdCloser, CcdConfig, CcdLane, CcdResult,
+};
 use lms_core::SamplerConfig;
 use lms_geometry::{StreamRngFactory, Vec3};
 use lms_protein::{
@@ -73,8 +78,8 @@ mod nerf_per_rotation {
     }
 
     /// One closure from torsion 0 with a NeRF spine rebuild per accepted
-    /// rotation and the final full build, mirroring
-    /// `CcdCloser::close_with_scratch` at `config`.
+    /// rotation and the final full build, mirroring the production
+    /// closure at `config`.
     pub fn close(
         builder: &LoopBuilder,
         config: &CcdConfig,
@@ -192,6 +197,23 @@ fn kernel_inputs(width: usize) -> (Vec<[Vec3; 3]>, [Vec3; 3], Vec<Vec3>, Vec<Vec
     (moving, targets, pivots, axes)
 }
 
+/// Close one member from torsion 0 through the production per-member path,
+/// a one-lane block.
+fn close_one(
+    closer: &CcdCloser,
+    target: &LoopTarget,
+    torsions: &mut Torsions,
+    structure: &mut LoopStructure,
+    block: &mut CcdBatchScratch,
+) -> CcdResult {
+    let lane = CcdLane {
+        torsions,
+        structure,
+        start_index: 0,
+    };
+    closer.close_lane(&target.frame, &target.sequence, lane, block)
+}
+
 /// Close a population in lockstep blocks of `width`, resetting every member
 /// to its start torsions first.  Mirrors the sampler's `stage_close` block
 /// partition (ragged final block included) over reused buffers.
@@ -253,16 +275,17 @@ fn bench_ccd_closure(c: &mut Criterion) {
 
         group.bench_function(format!("rigid/len{len}"), |b| {
             let mut scratch = LoopStructure::with_capacity(len);
+            let mut block = CcdBatchScratch::new();
             let mut i = 0usize;
             b.iter(|| {
                 let mut t = torsions[i % torsions.len()].clone();
                 i += 1;
-                black_box(closer.close_with_scratch(
-                    &target.frame,
-                    &target.sequence,
+                black_box(close_one(
+                    &closer,
+                    &target,
                     &mut t,
-                    0,
                     &mut scratch,
+                    &mut block,
                 ))
             })
         });
@@ -305,29 +328,50 @@ fn bench_rotation_kernel(c: &mut Criterion) {
     for &width in &KERNEL_WIDTHS {
         let (moving, targets, pivots, axes) = kernel_inputs(width);
         group.bench_function(format!("scalar/w{width}"), |b| {
-            let mut thetas = Vec::with_capacity(width);
+            let mut ab = Vec::with_capacity(width);
             b.iter(|| {
-                optimal_rotation_batch(&moving, &targets, &pivots, &axes, &mut thetas);
-                black_box(&thetas);
+                optimal_rotation_batch(&moving, &targets, &pivots, &axes, &mut ab);
+                black_box(&ab);
             })
         });
     }
     group.finish();
 }
 
-/// Median ns/call of a closure over `samples` timed batches.
-fn median_ns<F: FnMut()>(mut f: F, iters: u32, samples: u32) -> f64 {
-    let mut results: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
+/// Mean ns/call of one timed batch of `iters` calls.
+fn batch_ns<F: FnMut()>(f: &mut F, iters: u32) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    start.elapsed().as_nanos() as f64 / iters as f64
+}
+
+fn median(mut results: Vec<f64>) -> f64 {
     results.sort_by(|a, b| a.partial_cmp(b).unwrap());
     results[results.len() / 2]
+}
+
+/// Median ns/call of a closure over `samples` timed batches.
+fn median_ns<F: FnMut()>(mut f: F, iters: u32, samples: u32) -> f64 {
+    median((0..samples).map(|_| batch_ns(&mut f, iters)).collect())
+}
+
+/// Median ns/call of two closures over `samples` timed batches each, the
+/// batches alternating, so host-speed drift slows both sides of their
+/// ratio alike.
+fn paired_median_ns<F: FnMut(), G: FnMut()>(
+    mut f: F,
+    mut g: G,
+    iters: u32,
+    samples: u32,
+) -> (f64, f64) {
+    let (mut fs, mut gs) = (Vec::new(), Vec::new());
+    for _ in 0..samples {
+        fs.push(batch_ns(&mut f, iters));
+        gs.push(batch_ns(&mut g, iters));
+    }
+    (median(fs), median(gs))
 }
 
 /// The capabilities of the executor backend this bench run's lockstep
@@ -354,9 +398,12 @@ fn write_bench_json() {
         let closer = CcdCloser::with_config(config);
         let iters = 200u32;
 
-        let mut scratch = LoopStructure::with_capacity(len);
+        let mut nerf_scratch = LoopStructure::with_capacity(len);
         let mut i = 0usize;
-        let nerf = median_ns(
+        let mut rigid_scratch = LoopStructure::with_capacity(len);
+        let mut block = CcdBatchScratch::new();
+        let mut j = 0usize;
+        let (nerf, rigid) = paired_median_ns(
             || {
                 let mut t = torsions[i % torsions.len()].clone();
                 i += 1;
@@ -366,24 +413,18 @@ fn write_bench_json() {
                     &target.frame,
                     &target.sequence,
                     &mut t,
-                    &mut scratch,
+                    &mut nerf_scratch,
                 ));
             },
-            iters,
-            9,
-        );
-
-        let mut j = 0usize;
-        let rigid = median_ns(
             || {
                 let mut t = torsions[j % torsions.len()].clone();
                 j += 1;
-                black_box(closer.close_with_scratch(
-                    &target.frame,
-                    &target.sequence,
+                black_box(close_one(
+                    &closer,
+                    &target,
                     &mut t,
-                    0,
-                    &mut scratch,
+                    &mut rigid_scratch,
+                    &mut block,
                 ));
             },
             iters,

@@ -11,20 +11,22 @@
 //! batched loop ([`optimal_rotation_batch`]) instead of being interleaved
 //! with structure traversal.
 //!
-//! **Bit-identity.**  Each member's computation depends only on its own
-//! state, and the lockstep schedule performs, per member, exactly the same
-//! operations in exactly the same order as the sequential
-//! [`CcdCloser::close_with_scratch`]: exact build → (check; sweep over
-//! eligible torsions: axis atoms mapped through the sweep's rigid motion
-//! and written back, optimal rotation, conditional apply; tracked end frame
-//! stored) → exact final build and its deviation.  Both paths drive
-//! the same per-member rigid-sweep helper, and the batched inner products
-//! call the identical scalar kernel per gathered lane, so every rotation
-//! angle — and therefore every closed loop — matches the per-member
-//! reference bit for bit (property-tested in this module and in
+//! **Bit-identity.**  `close_batch` is the only driver of the rigid sweep;
+//! the per-member entry points ([`CcdCloser::close_lane`] and the
+//! allocating [`CcdCloser::close`]) close a one-lane block.  Each member's
+//! computation depends only on its own state, and the lockstep schedule
+//! performs, per member, the same operations in the same order whatever
+//! the block width: exact build → (check; sweep over eligible torsions:
+//! axis atoms mapped through the sweep's rigid motion and written back,
+//! closed-form `[a, b]`, conditional apply into the motion and the
+//! torsion's turn; tracked end frame stored) → settle the turned torsions
+//! → exact suffix build and its deviation.  The batched inner products call
+//! the identical scalar kernel per gathered lane, so every rotation — and
+//! therefore every closed loop — is independent of how the population is
+//! partitioned into blocks, bit for bit (tested in this module and in
 //! `lms-core`'s batched-pipeline equivalence tests).
 
-use crate::ccd::{optimal_rotation, CcdCloser, CcdResult, RigidSweep};
+use crate::ccd::{optimal_rotation, settle, CcdCloser, CcdResult, RigidSweep, Turn, NO_TURN};
 use lms_geometry::Vec3;
 use lms_protein::{AminoAcid, LoopFrame, LoopStructure, Torsions};
 
@@ -43,10 +45,12 @@ pub struct CcdLane<'a> {
 }
 
 /// Reusable SoA workspace of one closure block: per-lane sweep state (the
-/// rigid motion of the current sweep included) plus the gather buffers of
-/// the batched optimal-rotation kernel.  All buffers warm up to the block
-/// width on first use; afterwards a `close_batch` call performs no heap
-/// allocation.
+/// rigid motion of the current sweep included), the per-lane torsion turns
+/// (`width × n_angles` unit complex numbers, each torsion's accumulated
+/// rotation over the closure, settled into the torsions at closure end)
+/// and the gather buffers of the batched optimal-rotation kernel.  All
+/// buffers warm up to the block width and loop length on first use;
+/// afterwards a `close_batch` call performs no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct CcdBatchScratch {
     deviation: Vec<f64>,
@@ -55,13 +59,15 @@ pub struct CcdBatchScratch {
     rotations: Vec<usize>,
     active: Vec<bool>,
     sweep: Vec<RigidSweep>,
+    /// Lane-major: lane `j`'s turns are `turns[j * n_angles..][..n_angles]`.
+    turns: Vec<Turn>,
     results: Vec<CcdResult>,
     // Gathered per-rotation inputs, member-major SoA.
     g_lane: Vec<usize>,
     g_pivot: Vec<Vec3>,
     g_axis: Vec<Vec3>,
     g_moving: Vec<[Vec3; 3]>,
-    g_theta: Vec<f64>,
+    g_ab: Vec<[f64; 2]>,
 }
 
 impl CcdBatchScratch {
@@ -76,7 +82,7 @@ impl CcdBatchScratch {
         &self.results
     }
 
-    fn reset(&mut self, lanes: usize) {
+    fn reset(&mut self, lanes: usize, n_angles: usize) {
         self.deviation.clear();
         self.deviation.resize(lanes, 0.0);
         self.initial.clear();
@@ -89,6 +95,8 @@ impl CcdBatchScratch {
         self.active.resize(lanes, false);
         self.sweep.clear();
         self.sweep.resize(lanes, RigidSweep::default());
+        self.turns.clear();
+        self.turns.resize(lanes * n_angles, NO_TURN);
         self.results.clear();
         self.g_lane.clear();
         if self.g_lane.capacity() < lanes {
@@ -96,7 +104,7 @@ impl CcdBatchScratch {
             self.g_pivot.reserve(lanes);
             self.g_axis.reserve(lanes);
             self.g_moving.reserve(lanes);
-            self.g_theta.reserve(lanes);
+            self.g_ab.reserve(lanes);
         }
     }
 }
@@ -104,32 +112,47 @@ impl CcdBatchScratch {
 /// The batched optimal-rotation kernel: one tight loop over the gathered
 /// member-major SoA arrays, with nothing between the inner products — the
 /// lane iterations are independent, so the compiler is free to vectorise
-/// across members.  Each lane's angle is computed by the *identical* scalar
-/// closed form the sequential sweep uses, so the batch is bit-identical to
-/// per-member evaluation by construction.
+/// across members.  Each lane's closed-form `[a, b]` pair (optimal angle
+/// `atan2(b, a)`) is computed by the *identical* scalar kernel, so the
+/// batch is bit-identical to per-member evaluation by construction.
 pub fn optimal_rotation_batch(
     moving: &[[Vec3; 3]],
     targets: &[Vec3; 3],
     pivots: &[Vec3],
     axes: &[Vec3],
-    thetas: &mut Vec<f64>,
+    ab: &mut Vec<[f64; 2]>,
 ) {
     debug_assert_eq!(moving.len(), pivots.len());
     debug_assert_eq!(moving.len(), axes.len());
-    thetas.clear();
+    ab.clear();
     for j in 0..moving.len() {
-        thetas.push(optimal_rotation(&moving[j], targets, pivots[j], axes[j]));
+        ab.push(optimal_rotation(&moving[j], targets, pivots[j], axes[j]));
     }
 }
 
 impl CcdCloser {
+    /// Close one member in a caller-owned structure and block workspace:
+    /// a one-lane [`CcdCloser::close_batch`].  Reusing both buffers across
+    /// closures makes a closure allocation-free after warm-up; on return
+    /// `lane.structure` holds the structure built from the final torsions,
+    /// letting the caller score it without rebuilding.
+    pub fn close_lane(
+        &self,
+        frame: &LoopFrame,
+        sequence: &[AminoAcid],
+        lane: CcdLane<'_>,
+        scratch: &mut CcdBatchScratch,
+    ) -> CcdResult {
+        self.close_batch(frame, sequence, &mut [lane], scratch);
+        scratch.results[0]
+    }
+
     /// Close every lane of one block in population lockstep.
     ///
     /// All lanes march through the same `(sweep, torsion)` schedule;
     /// converged and out-of-range lanes are masked.  Per-lane statistics
     /// land in `scratch.results()` (lane order) and each lane's structure
-    /// buffer holds the final built candidate, exactly as after a
-    /// per-member [`CcdCloser::close_with_scratch`] call.
+    /// buffer holds the exact build of its final torsions.
     ///
     /// # Panics
     ///
@@ -145,11 +168,7 @@ impl CcdCloser {
         let builder = *self.builder();
         let config = *self.config();
         let targets = frame.c_anchor.atoms();
-        scratch.reset(lanes.len());
-        if lanes.is_empty() {
-            return;
-        }
-        let n_angles = lanes[0].torsions.n_angles();
+        let n_angles = lanes.first().map_or(0, |lane| lane.torsions.n_angles());
         for lane in lanes.iter() {
             assert_eq!(
                 lane.torsions.n_angles(),
@@ -157,8 +176,8 @@ impl CcdCloser {
                 "all lanes of a closure block must share the loop length"
             );
         }
+        scratch.reset(lanes.len(), n_angles);
 
-        // Initial build + deviation, exactly as the sequential path.
         for (j, lane) in lanes.iter_mut().enumerate() {
             builder.build_into(frame, sequence, lane.torsions, lane.structure);
             let dev = builder.closure_deviation(frame, lane.structure);
@@ -167,7 +186,8 @@ impl CcdCloser {
         }
 
         loop {
-            // Mask: a lane sweeps while its own `while` condition holds.
+            // Mask: a lane sweeps while its deviation is above tolerance
+            // and its sweep budget lasts.
             let mut any_active = false;
             for (j, lane) in lanes.iter().enumerate() {
                 let go = scratch.deviation[j] > config.tolerance
@@ -211,19 +231,18 @@ impl CcdCloser {
                     &targets,
                     &scratch.g_pivot,
                     &scratch.g_axis,
-                    &mut scratch.g_theta,
+                    &mut scratch.g_ab,
                 );
 
-                // Apply phase: accepted rotations turn their lane's torsion
-                // and fold into its rigid motion — O(1) per rotation, no
-                // structure traversal.
+                // Apply phase: accepted rotations fold into their lane's
+                // rigid motion and torsion turn — O(1) per rotation, no
+                // structure traversal and no trigonometry.
                 for (g, &j) in scratch.g_lane.iter().enumerate() {
                     let accepted = scratch.sweep[j].accept(
-                        lanes[j].torsions,
-                        k,
+                        &mut scratch.turns[j * n_angles + k],
                         scratch.g_pivot[g],
                         scratch.g_axis[g],
-                        scratch.g_theta[g],
+                        scratch.g_ab[g],
                     );
                     if accepted {
                         scratch.rotations[j] += 1;
@@ -240,13 +259,17 @@ impl CcdCloser {
             }
         }
 
-        // One exact build per rotated lane restores the whole structure and
-        // gives the reported deviation, exactly as the sequential path's
-        // final state.  Untouched lanes still hold their exact initial
-        // build.
+        // Per rotated lane: settle the turns into the torsions, then one
+        // exact suffix build from the start torsion's residue restores the
+        // whole structure (the sweeps wrote nothing upstream of it, so
+        // this is bit-identical to a full build) and gives the reported
+        // deviation.  Untouched lanes still hold their exact initial build.
         for (j, lane) in lanes.iter_mut().enumerate() {
             if scratch.rotations[j] > 0 {
-                builder.build_into(frame, sequence, lane.torsions, lane.structure);
+                let turns = &scratch.turns[j * n_angles..(j + 1) * n_angles];
+                settle(lane.torsions, turns);
+                let start = lane.start_index.min(n_angles);
+                builder.rebuild_from(frame, sequence, lane.torsions, start, lane.structure);
                 scratch.deviation[j] = builder.closure_deviation(frame, lane.structure);
             }
         }
@@ -288,90 +311,57 @@ mod tests {
     }
 
     #[test]
-    fn batch_closure_is_bit_identical_to_per_member() {
-        for (name, seed) in [("1cex", 3u64), ("5pti", 11)] {
+    fn block_partitioning_does_not_change_results() {
+        // Closing the same population in one-lane blocks (the per-member
+        // path), in blocks of 3 and 4 (ragged final block) and all at once
+        // gives identical torsions, statistics and structures, bit for
+        // bit: lanes are fully independent.  Start indices are
+        // heterogeneous, including starts at and past the last torsion.
+        for (name, seed) in [("1cex", 3u64), ("5pti", 11), ("1akz", 17)] {
             let (target, members) = perturbed(name, 7, seed);
             let closer = CcdCloser::with_config(CcdConfig::new().with_max_sweeps(64));
             let n_res = target.n_residues();
-
-            // Per-member reference.
-            let mut ref_torsions = members.clone();
-            let mut ref_results = Vec::new();
-            let mut ref_structures = Vec::new();
-            for (m, t) in ref_torsions.iter_mut().enumerate() {
-                let mut s = LoopStructure::with_capacity(n_res);
-                let start = m % 5; // exercise heterogeneous start indices
-                ref_results.push(closer.close_with_scratch(
-                    &target.frame,
-                    &target.sequence,
-                    t,
-                    start,
-                    &mut s,
-                ));
-                ref_structures.push(s);
-            }
-
-            // One lockstep block over the same members.
-            let mut batch_torsions = members.clone();
-            let mut structures: Vec<LoopStructure> = (0..members.len())
-                .map(|_| LoopStructure::with_capacity(n_res))
-                .collect();
-            let mut lanes: Vec<CcdLane> = batch_torsions
-                .iter_mut()
-                .zip(structures.iter_mut())
-                .enumerate()
-                .map(|(m, (t, s))| CcdLane {
-                    torsions: t,
-                    structure: s,
-                    start_index: m % 5,
-                })
-                .collect();
-            let mut scratch = CcdBatchScratch::new();
-            closer.close_batch(&target.frame, &target.sequence, &mut lanes, &mut scratch);
-            drop(lanes);
-
-            assert_eq!(batch_torsions, ref_torsions, "{name}: torsions diverged");
-            assert_eq!(
-                scratch.results(),
-                &ref_results[..],
-                "{name}: stats diverged"
-            );
-            assert_eq!(structures, ref_structures, "{name}: structures diverged");
-        }
-    }
-
-    #[test]
-    fn block_partitioning_does_not_change_results() {
-        // Closing the same population in blocks of 1, 3 and all-at-once
-        // gives identical trajectories: lanes are fully independent.
-        let (target, members) = perturbed("1akz", 6, 17);
-        let closer = CcdCloser::with_config(CcdConfig::new().with_max_sweeps(48));
-        let n_res = target.n_residues();
-        let close_in_blocks = |width: usize| -> Vec<Torsions> {
-            let mut torsions = members.clone();
-            let mut structures: Vec<LoopStructure> = (0..members.len())
-                .map(|_| LoopStructure::with_capacity(n_res))
-                .collect();
-            let mut scratch = CcdBatchScratch::new();
-            for (ts, ss) in torsions.chunks_mut(width).zip(structures.chunks_mut(width)) {
-                let mut lanes: Vec<CcdLane> = ts
-                    .iter_mut()
-                    .zip(ss.iter_mut())
-                    .map(|(t, s)| CcdLane {
-                        torsions: t,
-                        structure: s,
-                        start_index: 0,
-                    })
+            let n_angles = members[0].n_angles();
+            let starts = [0, 3, 1, n_angles - 1, 4, n_angles, n_angles + 3];
+            let close_in_blocks = |width: usize| {
+                let mut torsions = members.clone();
+                let mut structures: Vec<LoopStructure> = (0..members.len())
+                    .map(|_| LoopStructure::with_capacity(n_res))
                     .collect();
-                closer.close_batch(&target.frame, &target.sequence, &mut lanes, &mut scratch);
+                let mut results = Vec::new();
+                let mut scratch = CcdBatchScratch::new();
+                let blocks = torsions
+                    .chunks_mut(width)
+                    .zip(structures.chunks_mut(width))
+                    .zip(starts.chunks(width));
+                for ((ts, ss), st) in blocks {
+                    let mut lanes: Vec<CcdLane> = ts
+                        .iter_mut()
+                        .zip(ss.iter_mut())
+                        .zip(st)
+                        .map(|((t, s), &start_index)| CcdLane {
+                            torsions: t,
+                            structure: s,
+                            start_index,
+                        })
+                        .collect();
+                    closer.close_batch(&target.frame, &target.sequence, &mut lanes, &mut scratch);
+                    results.extend_from_slice(scratch.results());
+                }
+                (torsions, results, structures)
+            };
+            let one = close_in_blocks(1);
+            assert!(
+                one.1.iter().filter(|r| r.rotations_applied > 0).count() >= 4,
+                "{name}: too few lanes rotated to compare"
+            );
+            for width in [3, 4, members.len()] {
+                let other = close_in_blocks(width);
+                assert_eq!(one.0, other.0, "{name} w{width}: torsions diverged");
+                assert_eq!(one.1, other.1, "{name} w{width}: stats diverged");
+                assert_eq!(one.2, other.2, "{name} w{width}: structures diverged");
             }
-            torsions
-        };
-        let one = close_in_blocks(1);
-        let three = close_in_blocks(3);
-        let all = close_in_blocks(members.len());
-        assert_eq!(one, three);
-        assert_eq!(one, all);
+        }
     }
 
     #[test]
@@ -397,11 +387,13 @@ mod tests {
         let axes: Vec<Vec3> = (0..16)
             .map(|i| Vec3::new(0.2 * i as f64, 1.0, 0.5).try_normalize().unwrap())
             .collect();
-        let mut thetas = Vec::new();
-        optimal_rotation_batch(&moving, &targets, &pivots, &axes, &mut thetas);
+        let mut ab = Vec::new();
+        optimal_rotation_batch(&moving, &targets, &pivots, &axes, &mut ab);
+        assert_eq!(ab.len(), 16);
+        let bits = |[a, b]: [f64; 2]| [a.to_bits(), b.to_bits()];
         for j in 0..16 {
             let scalar = optimal_rotation(&moving[j], &targets, pivots[j], axes[j]);
-            assert_eq!(thetas[j].to_bits(), scalar.to_bits(), "lane {j}");
+            assert_eq!(bits(ab[j]), bits(scalar), "lane {j}");
         }
     }
 

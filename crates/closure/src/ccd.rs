@@ -30,24 +30,39 @@
 //!   (Nᵢ and Cαᵢ at φᵢ, C'ᵢ at ψᵢ — Cαᵢ lies on φᵢ's axis, so it is already
 //!   current).  No later rotation of the ascending sweep moves an atom once
 //!   visited, so each stored position is final for the sweep;
-//! * per accepted rotation, Rodrigues(axis, δ) about the pivot is composed
-//!   into the motion and applied to the three end-frame atoms.
+//! * per accepted rotation, the closed form's `(a, b)` normalised to
+//!   `(cos δ, sin δ) = (a, b)/√(a²+b²)` gives Rodrigues(axis, δ) about the
+//!   pivot directly — no angle and no trigonometry.  It is composed into
+//!   the motion, applied to the three end-frame atoms, and multiplied into
+//!   the torsion's *turn*, the unit complex number `(cos, sin)` of
+//!   everything the closure has turned that torsion by so far.
 //!
 //! Both are O(1), independent of the loop length, where re-placing the
 //! downstream spine by NeRF after every rotation cost O(suffix) per rotation
 //! and O(n²) per sweep.  At sweep end the tracked end frame is stored and
 //! the sweep's convergence test reads its deviation; the next sweep starts
-//! from the written-back spine.  No NeRF runs inside the sweep loop: the
-//! exact [`LoopBuilder::build_into`] runs once at closure start and, if any
-//! rotation was applied, once at closure end.  `final_deviation` and
+//! from the written-back spine.  The sweep never reads a torsion value, so
+//! the torsions are settled once per closure: each turned torsion is
+//! rotated by its turn's angle, one `atan2` per turned torsion instead of
+//! one per rotation.
+//!
+//! No NeRF runs inside the sweep loop: the exact [`LoopBuilder::build_into`]
+//! runs once at closure start and, if any rotation was applied, the exact
+//! suffix build [`LoopBuilder::rebuild_from`] of the settled torsions runs
+//! once at closure end (nothing upstream of the start torsion's residue
+//! moved, so it is bit-identical to a full build).  `final_deviation` and
 //! `converged` — hence the sampler's closure gate — are computed from that
-//! exact final build, never from the tracked frame.  The written-back spine differs from the exact build only
-//! by floating-point round-off (checked at every sweep end, and over full
-//! `CcdConfig::default()` runs from random starts, in this module's tests),
-//! so the rotation schedule matches a NeRF-per-rotation sweep up to that
-//! round-off (checked against a test-only NeRF oracle over a
-//! production-point ensemble).
+//! exact final build, never from the tracked frame.  The written-back spine
+//! differs from the exact build only by floating-point round-off (checked
+//! at every sweep end, and over full `CcdConfig::default()` runs from random
+//! starts, in this module's tests), so the rotation schedule matches a
+//! NeRF-per-rotation sweep up to that round-off (checked against a
+//! test-only NeRF oracle over a production-point ensemble).
+//!
+//! [`CcdCloser::close_batch`] is the one driver of the sweep; the
+//! per-member entry points close a one-lane block.
 
+use crate::batch::{CcdBatchScratch, CcdLane};
 use lms_geometry::{Rotation, Vec3};
 use lms_protein::{
     AminoAcid, AnchorFrame, LoopBuilder, LoopFrame, LoopStructure, TorsionKind, Torsions,
@@ -171,7 +186,7 @@ impl CcdCloser {
     /// Close the loop *in place*: `torsions` is modified so that the built
     /// structure's end frame approaches the fixed C-anchor.  Returns the
     /// closure statistics; the caller rebuilds the structure afterwards (or
-    /// uses [`CcdCloser::close_with_scratch`], which leaves it built).
+    /// uses [`CcdCloser::close_lane`], which leaves it built).
     pub fn close(
         &self,
         frame: &LoopFrame,
@@ -182,7 +197,8 @@ impl CcdCloser {
     }
 
     /// [`CcdCloser::close`] with an explicit start torsion index overriding
-    /// the configured one.
+    /// the configured one.  Allocates its structure and block workspace;
+    /// the allocation-free per-member path is [`CcdCloser::close_lane`].
     pub fn close_with_start(
         &self,
         frame: &LoopFrame,
@@ -191,78 +207,32 @@ impl CcdCloser {
         start_index: usize,
     ) -> CcdResult {
         let mut structure = LoopStructure::with_capacity(sequence.len());
-        self.close_with_scratch(frame, sequence, torsions, start_index, &mut structure)
-    }
-
-    /// [`CcdCloser::close_with_start`] working in a caller-owned scratch
-    /// structure.
-    ///
-    /// Reusing one structure buffer across closures removes the largest
-    /// allocation source of the sampling pipeline.  On return `scratch`
-    /// holds the structure built from the final torsions, letting the caller
-    /// score it without rebuilding.
-    pub fn close_with_scratch(
-        &self,
-        frame: &LoopFrame,
-        sequence: &[AminoAcid],
-        torsions: &mut Torsions,
-        start_index: usize,
-        scratch: &mut LoopStructure,
-    ) -> CcdResult {
-        let targets = frame.c_anchor.atoms();
-        self.builder.build_into(frame, sequence, torsions, scratch);
-        let initial_deviation = self.builder.closure_deviation(frame, scratch);
-        let mut deviation = initial_deviation;
-        let mut sweeps = 0;
-        let mut rotations_applied = 0;
-
-        let n_angles = torsions.n_angles();
-        let start = start_index.min(n_angles);
-
-        while deviation > self.config.tolerance && sweeps < self.config.max_sweeps {
-            sweeps += 1;
-            let mut sweep = RigidSweep::begin(scratch);
-            for k in start..n_angles {
-                let Some((pivot, axis)) = sweep.axis(scratch, k) else {
-                    continue;
-                };
-                let delta = optimal_rotation(&sweep.moving(), &targets, pivot, axis);
-                if sweep.accept(torsions, k, pivot, axis, delta) {
-                    rotations_applied += 1;
-                }
-            }
-            deviation = sweep.finish(frame, scratch);
-        }
-
-        // The sweeps moved the spine and end frame rigidly and left O atoms
-        // and centroids stale; one exact build of the final torsions
-        // restores the whole structure, and the reported deviation (hence
-        // the sampler's closure gate) is that build's.  With zero rotations
-        // `scratch` still holds its exact initial build.
-        if rotations_applied > 0 {
-            self.builder.build_into(frame, sequence, torsions, scratch);
-            deviation = self.builder.closure_deviation(frame, scratch);
-        }
-
-        CcdResult {
-            converged: deviation <= self.config.tolerance,
-            sweeps,
-            initial_deviation,
-            final_deviation: deviation,
-            rotations_applied,
-        }
+        let lane = CcdLane {
+            torsions,
+            structure: &mut structure,
+            start_index,
+        };
+        self.close_lane(frame, sequence, lane, &mut CcdBatchScratch::new())
     }
 }
 
 /// Rotations smaller than this (radians) are skipped: they cannot move the
-/// end frame measurably and would only add round-off.
+/// end frame measurably and would only add round-off.  Read as a bound on
+/// `|sin δ|` of a forward (`cos δ > 0`) rotation.
 const MIN_ROTATION: f64 = 1e-9;
+
+/// A torsion's accumulated turn over one closure: the unit complex number
+/// `(cos, sin)` of the angle every accepted rotation of that torsion sums
+/// to.  [`NO_TURN`] until the torsion's first accepted rotation.
+pub(crate) type Turn = [f64; 2];
+
+/// The identity turn.
+pub(crate) const NO_TURN: Turn = [1.0, 0.0];
 
 /// The rigid-body state of one CCD sweep (see the module docs): the
 /// composed motion `x ↦ rot·x + shift` of everything downstream of the
-/// sweep's accepted rotations and the tracked end frame.  Shared by
-/// [`CcdCloser::close_with_scratch`] and [`CcdCloser::close_batch`], so
-/// both perform the same operations per member and stay bit-identical.
+/// sweep's accepted rotations and the tracked end frame.  Driven only by
+/// [`CcdCloser::close_batch`].
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct RigidSweep {
     rot: Rotation,
@@ -317,26 +287,36 @@ impl RigidSweep {
         self.end
     }
 
-    /// Apply the optimal rotation `delta` of torsion `k` about `axis`
-    /// through `pivot`: rotate the torsion, compose Rodrigues(axis, δ) into
-    /// the motion and rotate the end frame.  Returns whether the rotation
-    /// was large enough to apply.
+    /// Apply the optimal rotation given by the closed form's `[a, b]` about
+    /// the unit `axis` through `pivot`: multiply `(cos δ, sin δ) = (a, b)/ρ`
+    /// into the torsion's `turn`, compose Rodrigues from that pair into the
+    /// motion and rotate the end frame.  Returns whether the rotation was
+    /// applied: degenerate geometry (`|a|, |b| < 1e-15`) and forward
+    /// rotations below [`MIN_ROTATION`] are skipped.  A NaN in `a` or `b`
+    /// passes both tests, so it is applied and reaches the torsion at
+    /// [`settle`], where the numerical health sweep catches it.
     #[inline]
     pub(crate) fn accept(
         &mut self,
-        torsions: &mut Torsions,
-        k: usize,
+        turn: &mut Turn,
         pivot: Vec3,
         axis: Vec3,
-        delta: f64,
+        ab: [f64; 2],
     ) -> bool {
-        if delta.abs() < MIN_ROTATION {
+        let [a, b] = ab;
+        if a.abs() < 1e-15 && b.abs() < 1e-15 {
+            return false;
+        }
+        let rho = (a * a + b * b).sqrt();
+        let (c, s) = (a / rho, b / rho);
+        if c > 0.0 && s.abs() < MIN_ROTATION {
             return false;
         }
         // A right-handed turn about the axis is the direction in which
         // `rotate_angle` turns everything downstream of the torsion.
-        torsions.rotate_angle(k, delta);
-        let r = Rotation::about_axis(axis, delta);
+        let [tc, ts] = *turn;
+        *turn = [tc * c - ts * s, tc * s + ts * c];
+        let r = Rotation::about_unit_axis(axis, c, s);
         self.rot = r.compose(&self.rot);
         self.shift = r.apply_about(self.shift, pivot);
         for atom in &mut self.end {
@@ -356,8 +336,20 @@ impl RigidSweep {
     }
 }
 
-/// The closed-form optimal rotation about `axis` through `pivot` that
-/// minimises Σ |targetᵢ − R(θ)·movingᵢ|², following Canutescu & Dunbrack.
+/// Rotate every torsion whose closure turn moved by that turn's angle: one
+/// `atan2` per turned torsion.  `turns` is indexed by flat torsion index.
+pub(crate) fn settle(torsions: &mut Torsions, turns: &[Turn]) {
+    for (k, &[c, s]) in turns.iter().enumerate() {
+        if [c, s] != NO_TURN {
+            torsions.rotate_angle(k, s.atan2(c));
+        }
+    }
+}
+
+/// The closed form of the rotation about `axis` through `pivot` that
+/// minimises Σ |targetᵢ − R(θ)·movingᵢ|², following Canutescu & Dunbrack:
+/// returns `[a, b]` with `θ* = atan2(b, a)`.  The angle itself is never
+/// formed; [`RigidSweep::accept`] rotates by the normalised pair.
 ///
 /// `#[inline]` so the population-batched caller
 /// ([`crate::batch::optimal_rotation_batch`]) compiles into one tight loop
@@ -368,7 +360,7 @@ pub(crate) fn optimal_rotation(
     targets: &[Vec3; 3],
     pivot: Vec3,
     axis: Vec3,
-) -> f64 {
+) -> [f64; 2] {
     let mut a = 0.0;
     let mut b = 0.0;
     for (m, t) in moving.iter().zip(targets.iter()) {
@@ -380,11 +372,7 @@ pub(crate) fn optimal_rotation(
         a += f.dot(r);
         b += f.dot(axis.cross(r));
     }
-    if a.abs() < 1e-15 && b.abs() < 1e-15 {
-        0.0
-    } else {
-        b.atan2(a)
-    }
+    [a, b]
 }
 
 #[cfg(test)]
@@ -394,6 +382,7 @@ mod tests {
     use lms_protein::{AnchorFrame, BenchmarkLibrary, LoopTarget};
     use proptest::prelude::*;
     use rand::Rng;
+    use std::f64::consts::PI;
 
     fn target_and_perturbed(name: &str, perturb_deg: f64, seed: u64) -> (LoopTarget, Torsions) {
         let lib = BenchmarkLibrary::standard();
@@ -423,7 +412,8 @@ mod tests {
             rot.apply(targets[1]),
             rot.apply(targets[2]),
         ];
-        let theta = optimal_rotation(&moving, &targets, Vec3::ZERO, Vec3::Z);
+        let [a, b] = optimal_rotation(&moving, &targets, Vec3::ZERO, Vec3::Z);
+        let theta = b.atan2(a);
         assert!(
             (theta + applied).abs() < 1e-9,
             "expected {} got {theta}",
@@ -436,8 +426,82 @@ mod tests {
         // Moving atoms on the axis: no rotation can help.
         let moving = [Vec3::ZERO, Vec3::Z, Vec3::Z * 2.0];
         let targets = [Vec3::X, Vec3::X + Vec3::Z, Vec3::X + Vec3::Z * 2.0];
-        let theta = optimal_rotation(&moving, &targets, Vec3::ZERO, Vec3::Z);
-        assert_eq!(theta, 0.0);
+        let [a, b] = optimal_rotation(&moving, &targets, Vec3::ZERO, Vec3::Z);
+        assert_eq!([a, b], [0.0, 0.0]);
+        assert_eq!(b.atan2(a), 0.0);
+    }
+
+    /// Drive [`RigidSweep::accept`] once with `ab` about the z axis; returns
+    /// whether it applied and the torsion it left after [`settle`].
+    fn accept_once(ab: [f64; 2]) -> (bool, f64) {
+        let mut sweep = RigidSweep::default();
+        let mut turns = [NO_TURN];
+        let applied = sweep.accept(&mut turns[0], Vec3::ZERO, Vec3::Z, ab);
+        let mut torsions = Torsions::zeros(1);
+        settle(&mut torsions, &turns[..1]);
+        (applied, torsions.angle(0))
+    }
+
+    #[test]
+    fn accept_skips_exactly_the_degenerate_and_negligible_rotations() {
+        // Degenerate geometry: no direction to turn in.
+        assert_eq!(accept_once([0.0, 0.0]), (false, 0.0));
+        assert!(!accept_once([1e-16, -1e-16]).0);
+        // Below MIN_ROTATION either way: skipped.  A few times above it:
+        // applied, and the torsion turns by δ.  The pair's scale is
+        // irrelevant (only its direction is used).
+        for rho in [1e-6f64, 1.0, 37.5] {
+            for delta in [1e-10f64, -1e-10] {
+                let (applied, angle) = accept_once([rho * delta.cos(), rho * delta.sin()]);
+                assert!(!applied, "δ = {delta:e} at ρ = {rho} must be skipped");
+                assert_eq!(angle, 0.0);
+            }
+            for delta in [2e-9f64, -2e-9] {
+                let (applied, angle) = accept_once([rho * delta.cos(), rho * delta.sin()]);
+                assert!(applied, "δ = {delta:e} at ρ = {rho} must be applied");
+                assert!((angle - delta).abs() < 1e-20, "{angle:e} != {delta:e}");
+            }
+        }
+        // δ ≈ π: b ≈ 0 but a < 0, a half turn, not a negligible one.
+        for b in [0.0, 1e-12, -1e-12] {
+            let (applied, angle) = accept_once([-2.0, b]);
+            assert!(applied, "a < 0, b = {b:e} must be applied");
+            assert!((angle.abs() - PI).abs() < 1e-11, "{angle}");
+        }
+        // NaN in either component is applied and reaches the torsion.
+        for ab in [[f64::NAN, 1.0], [1.0, f64::NAN], [f64::NAN, f64::NAN]] {
+            let (applied, angle) = accept_once(ab);
+            assert!(applied, "{ab:?} must be applied");
+            assert!(angle.is_nan(), "{ab:?} left torsion {angle}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn settled_turns_equal_the_summed_rotation(
+            count in 1usize..25,
+            deltas in prop::collection::vec(-PI..PI, 24),
+            rhos in prop::collection::vec(0.01..50.0f64, 24),
+        ) {
+            // Composing `count` accepted turns (one per sweep, up to the
+            // production sweep cap) and settling them with one atan2 turns
+            // the torsion by the wrapped sum of the rotations.
+            let mut sweep = RigidSweep::default();
+            let mut turns = [NO_TURN];
+            let mut sum = 0.0;
+            for (&delta, &rho) in deltas.iter().zip(&rhos).take(count) {
+                let ab = [rho * delta.cos(), rho * delta.sin()];
+                if sweep.accept(&mut turns[0], Vec3::ZERO, Vec3::X, ab) {
+                    sum += delta;
+                }
+            }
+            let mut torsions = Torsions::zeros(1);
+            settle(&mut torsions, &turns);
+            let gap = wrap_rad(torsions.angle(0) - wrap_rad(sum)).abs();
+            prop_assert!(gap < 1e-13, "settled turn off the summed angle by {:e}", gap);
+        }
     }
 
     #[test]
@@ -573,7 +637,12 @@ mod tests {
                 let Some(axis) = (axis_end - pivot).try_normalize() else {
                     continue;
                 };
-                let delta = optimal_rotation(&scratch.end_frame.atoms(), &targets, pivot, axis);
+                let [a, b] = optimal_rotation(&scratch.end_frame.atoms(), &targets, pivot, axis);
+                let delta = if a.abs() < 1e-15 && b.abs() < 1e-15 {
+                    0.0
+                } else {
+                    b.atan2(a)
+                };
                 if delta.abs() < MIN_ROTATION {
                     continue;
                 }
@@ -659,6 +728,10 @@ mod tests {
                 }
             }
         }
+        println!(
+            "NeRF oracle: {same_schedule}/{total} identical schedules, \
+             max torsion gap {max_torsion_gap:e} rad"
+        );
         assert!(total >= 256, "ensemble too small: {total}");
         assert!(
             same_schedule * 100 >= total * 99,
@@ -687,8 +760,8 @@ mod tests {
         max_end_gap: f64,
     }
 
-    /// Drive the production sweep helpers step by step, exactly as
-    /// `close_with_scratch` does, and audit the invariants between steps:
+    /// Drive the production sweep helpers step by step, exactly as a
+    /// one-lane `close_batch` does, and audit the invariants between steps:
     /// per accepted rotation the tracked deviation, and at every sweep end
     /// the written-back spine and end frame against a fresh exact build.
     fn audit_sweeps(
@@ -712,24 +785,29 @@ mod tests {
             max_end_gap: 0.0,
         };
         let torsions = &mut audit.torsions;
+        let mut turns = vec![NO_TURN; n_angles];
         let mut structure = builder.build(frame, sequence, torsions);
         let mut exact = structure.clone();
         let mut deviation = builder.closure_deviation(frame, &structure);
         while deviation > config.tolerance && audit.sweeps < config.max_sweeps {
             audit.sweeps += 1;
             let mut sweep = RigidSweep::begin(&structure);
-            for k in start..n_angles {
+            for (k, turn) in turns.iter_mut().enumerate().skip(start) {
                 let Some((pivot, axis)) = sweep.axis(&mut structure, k) else {
                     continue;
                 };
                 let before = anchor_rms(sweep.moving());
-                let delta = optimal_rotation(&sweep.moving(), &targets, pivot, axis);
-                if sweep.accept(torsions, k, pivot, axis, delta) {
+                let ab = optimal_rotation(&sweep.moving(), &targets, pivot, axis);
+                if sweep.accept(turn, pivot, axis, ab) {
                     audit.max_rise = audit.max_rise.max(anchor_rms(sweep.moving()) - before);
                 }
             }
             deviation = sweep.finish(frame, &mut structure);
-            builder.build_into(frame, sequence, torsions, &mut exact);
+            // The torsions are settled once per closure; audit against the
+            // exact build of a settled copy.
+            let mut settled = torsions.clone();
+            settle(&mut settled, &turns);
+            builder.build_into(frame, sequence, &settled, &mut exact);
             for (s, e) in structure.residues.iter().zip(&exact.residues) {
                 for (a, b) in [(s.n, e.n), (s.ca, e.ca), (s.c, e.c)] {
                     audit.max_spine_gap = audit.max_spine_gap.max(a.distance(b));
@@ -744,6 +822,7 @@ mod tests {
                 audit.max_end_gap = audit.max_end_gap.max(t.distance(e));
             }
         }
+        settle(torsions, &turns);
         audit
     }
 
@@ -852,33 +931,47 @@ mod tests {
 
     #[test]
     fn spine_only_sweeps_leave_a_fully_built_scratch_structure() {
-        // The sweeps move spines only; on return the scratch structure
-        // must nevertheless be the exact full build of the final torsions
-        // (O atoms and centroids included), because callers score it
-        // directly.  Include an untouched native loop (zero rotations).
+        // The sweeps move spines only and the closing build re-places only
+        // the suffix from the start torsion's residue; on return the
+        // scratch structure must nevertheless be the exact full build of
+        // the final torsions (O atoms and centroids included, upstream of
+        // the start too), because callers score it directly.  Include an
+        // untouched native loop (zero rotations), and reuse one structure
+        // and one block workspace across every closure.
         let cases = [
             ("1cex", 30.0, 11),
             ("1akz", 45.0, 2),
             ("153l", 30.0, 9),
             ("5pti", 0.0, 8),
         ];
+        let closer = CcdCloser::default();
+        let mut block = CcdBatchScratch::new();
         for (name, perturb, seed) in cases {
-            let (target, mut torsions) = target_and_perturbed(name, perturb, seed);
-            let closer = CcdCloser::default();
+            let (target, perturbed) = target_and_perturbed(name, perturb, seed);
+            let n_angles = perturbed.n_angles();
             let mut scratch = LoopStructure::with_capacity(target.n_residues());
-            let result = closer.close_with_scratch(
-                &target.frame,
-                &target.sequence,
-                &mut torsions,
-                0,
-                &mut scratch,
-            );
-            let full = target.build(&LoopBuilder::default(), &torsions);
-            assert_eq!(scratch, full, "{name}: scratch is not the full build");
-            assert!(
-                (target.closure_deviation(&scratch) - result.final_deviation).abs() < 1e-12,
-                "{name}: deviation inconsistent with returned structure"
-            );
+            for start in [0, 1, 7, n_angles - 1] {
+                let mut torsions = perturbed.clone();
+                let lane = CcdLane {
+                    torsions: &mut torsions,
+                    structure: &mut scratch,
+                    start_index: start,
+                };
+                let result = closer.close_lane(&target.frame, &target.sequence, lane, &mut block);
+                assert!(
+                    perturb == 0.0 || result.rotations_applied > 0,
+                    "{name} start {start}: no rotation, the suffix build went untested"
+                );
+                let full = target.build(&LoopBuilder::default(), &torsions);
+                assert_eq!(
+                    scratch, full,
+                    "{name} start {start}: scratch is not the full build"
+                );
+                assert!(
+                    (target.closure_deviation(&scratch) - result.final_deviation).abs() < 1e-12,
+                    "{name} start {start}: deviation inconsistent with returned structure"
+                );
+            }
         }
     }
 

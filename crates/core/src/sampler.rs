@@ -30,7 +30,7 @@ use crate::pareto::{
     fitness_against, fitness_against_table, non_dominated_indices, strength_and_front,
 };
 use crate::stages::StageRecord;
-use lms_closure::{CcdCloser, CcdLane};
+use lms_closure::{CcdBatchScratch, CcdCloser, CcdLane};
 use lms_geometry::{random_torsion, StreamRngFactory};
 use lms_protein::{LoopBuilder, LoopStructure, LoopTarget, RamaClass, RamaLibrary, Torsions};
 use lms_scoring::{KnowledgeBase, MultiScorer, ScoreScratch, ScoreVector, ScratchPool};
@@ -195,6 +195,8 @@ struct Member {
     conf: Conformation,
     /// Reused structure buffer: holds the most recently built candidate.
     structure: LoopStructure,
+    /// Reused closure workspace: the member closes as a one-lane block.
+    ccd: CcdBatchScratch,
     /// Reused scoring workspace.
     scratch: ScoreScratch,
     /// Reused candidate torsion vector for proposals.
@@ -215,6 +217,7 @@ impl Member {
         Member {
             conf: Conformation::new(Torsions::zeros(n_res)),
             structure: LoopStructure::with_capacity(n_res),
+            ccd: CcdBatchScratch::new(),
             scratch,
             cand: Torsions::zeros(n_res),
             mut_indices: Vec::with_capacity(max_mutations.max(1)),
@@ -364,12 +367,15 @@ impl MoscemSampler {
             let mut rng = init_factory.stream(i as u64, 0);
             sample_initial_torsions(init_mode, &classes, &rama, &mut m.conf.torsions, &mut rng);
 
-            let mut ccd = closer.close_with_scratch(
+            let mut ccd = closer.close_lane(
                 &self.target.frame,
                 &self.target.sequence,
-                &mut m.conf.torsions,
-                ccd_start_index,
-                &mut m.structure,
+                CcdLane {
+                    torsions: &mut m.conf.torsions,
+                    structure: &mut m.structure,
+                    start_index: ccd_start_index,
+                },
+                &mut m.ccd,
             );
             // The loop-closure condition gates everything downstream; when
             // CCD stalls on a bad random start, redraw (deterministically
@@ -380,12 +386,15 @@ impl MoscemSampler {
                     break;
                 }
                 sample_initial_torsions(init_mode, &classes, &rama, &mut m.conf.torsions, &mut rng);
-                ccd = closer.close_with_scratch(
+                ccd = closer.close_lane(
                     &self.target.frame,
                     &self.target.sequence,
-                    &mut m.conf.torsions,
-                    ccd_start_index,
-                    &mut m.structure,
+                    CcdLane {
+                        torsions: &mut m.conf.torsions,
+                        structure: &mut m.structure,
+                        start_index: ccd_start_index,
+                    },
+                    &mut m.ccd,
                 );
             }
 
@@ -475,12 +484,15 @@ impl MoscemSampler {
                     &mut m.mut_indices,
                 );
 
-                let ccd = closer.close_with_scratch(
+                let ccd = closer.close_lane(
                     &self.target.frame,
                     &self.target.sequence,
-                    &mut m.cand,
-                    ccd_start,
-                    &mut m.structure,
+                    CcdLane {
+                        torsions: &mut m.cand,
+                        structure: &mut m.structure,
+                        start_index: ccd_start,
+                    },
+                    &mut m.ccd,
                 );
 
                 // CCD leaves `m.structure` built from the final candidate

@@ -16,7 +16,7 @@
 //! scalar backend, or a one-thread parallel executor), so the calling thread's
 //! count is the whole story.
 
-use lms_closure::{CcdCloser, CcdConfig};
+use lms_closure::{CcdBatchScratch, CcdCloser, CcdConfig, CcdLane};
 use lms_core::{MoscemSampler, MutationConfig, Mutator, RunControls, SamplerConfig};
 use lms_geometry::StreamRngFactory;
 use lms_protein::{BenchmarkLibrary, LoopBuilder, LoopStructure, RamaClass, Torsions};
@@ -89,6 +89,7 @@ fn member_iteration_is_allocation_free_after_warmup() {
     let mut cand = Torsions::zeros(n_res);
     let mut indices: Vec<usize> = Vec::with_capacity(8);
     let mut structure = LoopStructure::with_capacity(n_res);
+    let mut ccd_scratch = CcdBatchScratch::new();
     let mut scratch = ScoreScratch::for_loop_len(n_res);
 
     // Warm up: the first pass may size buffers and fill the per-target
@@ -99,11 +100,16 @@ fn member_iteration_is_allocation_free_after_warmup() {
                             cand: &mut Torsions,
                             indices: &mut Vec<usize>,
                             structure: &mut LoopStructure,
+                            ccd_scratch: &mut CcdBatchScratch,
                             scratch: &mut ScoreScratch| {
         let mut rng = factory.stream(0, iter);
         let ccd_start = mutator.mutate_into(current, &classes, &mut rng, cand, indices);
-        let ccd =
-            closer.close_with_scratch(&target.frame, &target.sequence, cand, ccd_start, structure);
+        let lane = CcdLane {
+            torsions: cand,
+            structure,
+            start_index: ccd_start,
+        };
+        let ccd = closer.close_lane(&target.frame, &target.sequence, lane, ccd_scratch);
         let scores = scorer.evaluate_with(&target, structure, cand, scratch);
         let rmsd = target.rmsd_to_native(structure);
         assert!(scores.is_finite());
@@ -119,6 +125,7 @@ fn member_iteration_is_allocation_free_after_warmup() {
             &mut cand,
             &mut indices,
             &mut structure,
+            &mut ccd_scratch,
             &mut scratch,
         );
     }
@@ -132,6 +139,7 @@ fn member_iteration_is_allocation_free_after_warmup() {
             &mut cand,
             &mut indices,
             &mut structure,
+            &mut ccd_scratch,
             &mut scratch,
         );
     }

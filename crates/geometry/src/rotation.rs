@@ -154,6 +154,15 @@ impl Rotation {
             return Rotation::IDENTITY;
         };
         let (s, c) = angle.sin_cos();
+        Rotation::about_unit_axis(u, c, s)
+    }
+
+    /// Rodrigues' formula for the rotation about the *unit* axis `u` whose
+    /// angle has cosine `c` and sine `s`: [`Rotation::about_axis`] without
+    /// the axis normalisation and the trigonometry.  The caller guarantees
+    /// `|u| = 1` and `c² + s² = 1` (up to round-off); nothing is checked.
+    #[inline]
+    pub fn about_unit_axis(u: Vec3, c: f64, s: f64) -> Rotation {
         let t = 1.0 - c;
         let (x, y, z) = (u.x, u.y, u.z);
         let matrix = Mat3::from_rows(

@@ -110,6 +110,24 @@ proptest! {
     }
 
     #[test]
+    fn unit_axis_rodrigues_matches_the_angle_form(
+        polar in 0.0..PI,
+        azimuth in -PI..PI,
+        delta in -PI..PI,
+    ) {
+        let u = Vec3::new(polar.sin() * azimuth.cos(), polar.sin() * azimuth.sin(), polar.cos());
+        let (s, c) = delta.sin_cos();
+        let direct = Rotation::about_unit_axis(u, c, s);
+        let via_angle = Rotation::about_axis(u, delta);
+        for r in 0..3 {
+            for col in 0..3 {
+                let gap = (direct.matrix().get(r, col) - via_angle.matrix().get(r, col)).abs();
+                prop_assert!(gap < 1e-15, "element ({}, {}) differs by {:e}", r, col, gap);
+            }
+        }
+    }
+
+    #[test]
     fn place_atom_respects_internal_coords(
         a in arb_vec3(),
         dir in arb_vec3(),

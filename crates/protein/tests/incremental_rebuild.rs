@@ -103,7 +103,7 @@ proptest! {
     ) {
         // Three ascending sweeps of single-angle rotations, each applied
         // with a suffix-only rebuild into ONE reused buffer — exactly the
-        // access pattern of `CcdCloser::close_with_scratch`.  The buffer
+        // access pattern of a NeRF-per-rotation CCD sweep.  The buffer
         // must track the from-scratch build bit for bit throughout.
         let builder = LoopBuilder::default();
         let frame = frame_from(&[-0.6, 0.3, -0.1, 0.8, 0.2, -0.7]);
