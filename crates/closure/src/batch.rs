@@ -311,6 +311,72 @@ mod tests {
     }
 
     #[test]
+    fn batch_closure_is_bit_identical_to_per_member() {
+        for (name, seed) in [("1cex", 3u64), ("5pti", 11)] {
+            let (target, members) = perturbed(name, 7, seed);
+            let closer = CcdCloser::with_config(CcdConfig::new().with_max_sweeps(64));
+            let n_res = target.n_residues();
+
+            // Per-member reference through the one-lane entry point, one
+            // workspace reused across members as the samplers do.
+            let mut ref_torsions = members.clone();
+            let mut ref_results = Vec::new();
+            let mut ref_structures = Vec::new();
+            let mut lane_scratch = CcdBatchScratch::new();
+            for (m, t) in ref_torsions.iter_mut().enumerate() {
+                let mut s = LoopStructure::with_capacity(n_res);
+                let lane = CcdLane {
+                    torsions: t,
+                    structure: &mut s,
+                    start_index: m % 5, // exercise heterogeneous start indices
+                };
+                ref_results.push(closer.close_lane(
+                    &target.frame,
+                    &target.sequence,
+                    lane,
+                    &mut lane_scratch,
+                ));
+                ref_structures.push(s);
+            }
+
+            // One lockstep block over the same members.
+            let mut batch_torsions = members.clone();
+            let mut structures: Vec<LoopStructure> = (0..members.len())
+                .map(|_| LoopStructure::with_capacity(n_res))
+                .collect();
+            let mut lanes: Vec<CcdLane> = batch_torsions
+                .iter_mut()
+                .zip(structures.iter_mut())
+                .enumerate()
+                .map(|(m, (t, s))| CcdLane {
+                    torsions: t,
+                    structure: s,
+                    start_index: m % 5,
+                })
+                .collect();
+            let mut scratch = CcdBatchScratch::new();
+            closer.close_batch(&target.frame, &target.sequence, &mut lanes, &mut scratch);
+            drop(lanes);
+
+            assert!(
+                ref_results
+                    .iter()
+                    .filter(|r| r.rotations_applied > 0)
+                    .count()
+                    >= 4,
+                "{name}: too few lanes rotated to compare"
+            );
+            assert_eq!(batch_torsions, ref_torsions, "{name}: torsions diverged");
+            assert_eq!(
+                scratch.results(),
+                &ref_results[..],
+                "{name}: stats diverged"
+            );
+            assert_eq!(structures, ref_structures, "{name}: structures diverged");
+        }
+    }
+
+    #[test]
     fn block_partitioning_does_not_change_results() {
         // Closing the same population in one-lane blocks (the per-member
         // path), in blocks of 3 and 4 (ragged final block) and all at once
