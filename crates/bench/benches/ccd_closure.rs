@@ -26,8 +26,8 @@
 //! Besides the criterion groups, the harness writes `BENCH_ccd.json` at
 //! the workspace root (see `lms_bench::artifact`) recording the
 //! comparisons and the executor capabilities that produced them.  The two
-//! CCD sweeps are timed in alternating batches, so their ratio survives
-//! host-speed drift.
+//! CCD sweeps, and the two VDW environment passes, are timed in
+//! alternating batches, so their ratios survive host-speed drift.
 
 use criterion::{criterion_group, Criterion};
 use lms_bench::artifact::{Artifact, Better, Gate};
@@ -453,17 +453,14 @@ fn write_bench_json() {
         let (candidates, list_bytes) = (env.len(), env.list_bytes());
         let iters = (40_000 / factor as u32).max(200);
 
-        let mut scratch = ScoreScratch::for_loop_len(12);
-        let linear = median_ns(
+        let mut linear_scratch = ScoreScratch::for_loop_len(12);
+        let mut cells_scratch = ScoreScratch::for_loop_len(12);
+        let (linear, cells) = paired_median_ns(
             || {
-                black_box(vdw.environment_term_linear(&target, &structure, &mut scratch));
+                black_box(vdw.environment_term_linear(&target, &structure, &mut linear_scratch));
             },
-            iters,
-            9,
-        );
-        let cells = median_ns(
             || {
-                black_box(vdw.environment_term(&target, &structure, &mut scratch));
+                black_box(vdw.environment_term(&target, &structure, &mut cells_scratch));
             },
             iters,
             9,

@@ -322,7 +322,7 @@ fn bench_population_pipeline(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(4));
     group.warm_up_time(Duration::from_millis(500));
     group.bench_function("per_member/len12", |b| {
-        b.iter(|| black_box(sampler.run_reference_with_seed(&exec, PIPELINE_SEED)))
+        b.iter(|| black_box(sampler.run_reference_with_seed(PIPELINE_SEED)))
     });
     group.bench_function("batched/len12", |b| {
         b.iter(|| black_box(sampler.run_with_seed(&exec, PIPELINE_SEED)))
@@ -518,7 +518,7 @@ fn write_bench_json() {
     // Bit-identity is asserted on every measurement run: the ratio below is
     // pure execution-shape speedup, never an algorithm change.
     {
-        let a = sampler.run_reference_with_seed(&exec, PIPELINE_SEED);
+        let a = sampler.run_reference_with_seed(PIPELINE_SEED);
         let b = sampler.run_with_seed(&exec, PIPELINE_SEED);
         for (x, y) in a.population.iter().zip(b.population.iter()) {
             assert_eq!(x.torsions, y.torsions, "pipeline bench lost bit-identity");
@@ -528,7 +528,7 @@ fn write_bench_json() {
     let member_iters = (PIPELINE_POPULATION * PIPELINE_ITERATIONS) as f64;
     let per_member_ns = median_ns_per_eval(
         || {
-            let _ = black_box(sampler.run_reference_with_seed(&exec, PIPELINE_SEED));
+            let _ = black_box(sampler.run_reference_with_seed(PIPELINE_SEED));
         },
         1,
         9,

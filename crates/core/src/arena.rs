@@ -4,8 +4,8 @@
 //! structure-of-arrays global memory — per-member torsions, score slots and
 //! flags addressed by thread id — and every pipeline stage is a
 //! population-wide kernel launch over those buffers.  [`PopulationArena`]
-//! is that layout on the host: the per-`Member` owned buffers of the
-//! sequential reference implementation are replaced by
+//! is that layout on the host: instead of one owned struct per member, it
+//! holds
 //!
 //! * flat member-major SoA buffers for everything cross-member stages read
 //!   (current/candidate torsion lanes, [`ScoreVector`] slots, closure and
@@ -30,8 +30,7 @@ use lms_scoring::{ScoreScratch, ScoreVector, ScratchPool};
 use rand_chacha::ChaCha8Rng;
 
 /// One member's heavyweight reusable workspaces: the buffers the
-/// per-conformation kernels mutate through references, exactly as the
-/// per-`Member` reference implementation holds them.
+/// per-conformation kernels mutate through references.
 #[derive(Debug)]
 pub(crate) struct MemberSlot {
     /// Reused structure buffer: holds the most recently built candidate.
@@ -201,8 +200,8 @@ impl PopulationArena {
         lo..((lo + self.ccd_block_width).min(self.n_members))
     }
 
-    /// Hand every member's scoring scratch back to `pool` (used on every
-    /// exit path of a controlled run, including cancellation).
+    /// Hand every member's scoring scratch back to `pool` (a controlled
+    /// run calls it once, on its one exit path).
     pub(crate) fn release_scratches(&mut self, pool: Option<&ScratchPool>) {
         if let Some(pool) = pool {
             pool.release_all(
@@ -213,9 +212,8 @@ impl PopulationArena {
         }
     }
 
-    /// Drain the arena into the final population, one [`Conformation`] per
-    /// member, mirroring the reference implementation's `Member → Conformation`
-    /// harvest.
+    /// Drain the arena into the final population, one
+    /// [`Conformation`](crate::conformation::Conformation) per member.
     pub(crate) fn into_population(self) -> Vec<crate::conformation::Conformation> {
         (0..self.n_members)
             .map(|i| crate::conformation::Conformation {

@@ -17,6 +17,8 @@
 //! * [`sampler`] — one MOSCEM sampling trajectory (initialisation, fitness
 //!   assignment, complex partitioning, evolution with CCD closure and
 //!   three-objective scoring, Metropolis acceptance, temperature control);
+//! * [`reference`](mod@reference) — the per-member oracle the staged
+//!   trajectory must match bit for bit;
 //! * [`stages`] — the measured per-stage record every staged trajectory
 //!   returns (launch counts, launch wall time, CCD rotations);
 //! * [`decoyset`] — accumulation of structurally distinct non-dominated
@@ -60,6 +62,7 @@ pub mod error;
 pub mod health;
 pub mod mutation;
 pub mod pareto;
+pub mod reference;
 pub mod sampler;
 pub mod stages;
 
@@ -77,7 +80,7 @@ pub use engine::{
 };
 pub use error::{ConfigError, Error};
 pub use health::{member_is_finite, member_poison, PoisonedLane};
-pub use mutation::{MutationConfig, MutationOutcome, Mutator};
+pub use mutation::{MutationConfig, Mutator};
 pub use pareto::{
     count_non_dominated, crowding_distances, fitness_against, fitness_assignment,
     non_dominated_indices, strengths,

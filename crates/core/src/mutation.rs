@@ -70,20 +70,6 @@ impl MutationConfig {
     }
 }
 
-/// Outcome of one mutation move.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MutationOutcome {
-    /// The mutated torsion vector.
-    pub torsions: Torsions,
-    /// Flat indices that were mutated, sorted ascending.
-    pub mutated_indices: Vec<usize>,
-    /// The flat index from which CCD should start repairing closure (the
-    /// smallest mutated index — the paper starts "from the immediate
-    /// torsion angle after the mutated ones", and every torsion from the
-    /// first mutation onward may need adjustment).
-    pub ccd_start_index: usize,
-}
-
 /// The mutation operator.
 #[derive(Debug, Clone)]
 pub struct Mutator {
@@ -105,48 +91,14 @@ impl Mutator {
         &self.config
     }
 
-    /// Produce a mutated copy of `torsions` for a loop whose residues have
-    /// the given Ramachandran classes.
-    pub fn mutate<R: Rng + ?Sized>(
-        &self,
-        torsions: &Torsions,
-        classes: &[RamaClass],
-        rng: &mut R,
-    ) -> MutationOutcome {
-        let mut out = torsions.clone();
-        let mut mutated_indices = Vec::new();
-        let ccd_start_index =
-            self.mutate_into(torsions, classes, rng, &mut out, &mut mutated_indices);
-        MutationOutcome {
-            torsions: out,
-            mutated_indices,
-            ccd_start_index,
-        }
-    }
-
-    /// [`Mutator::mutate`] writing into caller-owned buffers: `out` receives
-    /// the mutated torsions (its storage is reused) and `indices` the sorted
-    /// mutated flat indices.  Returns the CCD start index.  Performs no heap
-    /// allocation once the buffers have warmed up, which makes it safe to
-    /// call from the sampler's zero-allocation evolution kernel.
-    pub fn mutate_into<R: Rng + ?Sized>(
-        &self,
-        torsions: &Torsions,
-        classes: &[RamaClass],
-        rng: &mut R,
-        out: &mut Torsions,
-        indices: &mut Vec<usize>,
-    ) -> usize {
-        out.copy_from(torsions);
-        self.mutate_in_place(out, classes, rng, indices)
-    }
-
-    /// Mutate `out` in place (it already holds the current torsions): the
-    /// population-batched pipeline copies a member's torsion lane out of the
-    /// SoA arena and mutates the copy directly, skipping the extra source
-    /// vector [`Mutator::mutate_into`] needs.  Draws exactly the same
-    /// random sequence as `mutate_into`, so the two entry points are
-    /// bit-identical.
+    /// Mutate `out` in place (it holds the current torsions on entry) for
+    /// a loop whose residues have the given Ramachandran classes: `indices`
+    /// receives the sorted mutated flat indices, and the return value is
+    /// the CCD start index (the smallest of them — the paper starts "from
+    /// the immediate torsion angle after the mutated ones", and every
+    /// torsion from the first mutation onward may need adjustment).
+    /// Performs no heap allocation once `indices` has warmed up, which
+    /// makes it safe to call from the zero-allocation mutate stage.
     pub fn mutate_in_place<R: Rng + ?Sized>(
         &self,
         out: &mut Torsions,
@@ -213,6 +165,21 @@ mod tests {
         Torsions::from_pairs(&vec![(-1.1, -0.75); n])
     }
 
+    /// One move on a copy of `current`, as the mutate stage makes it: the
+    /// mutated torsions, the sorted mutated indices and the CCD start.
+    fn mutate<R: Rng>(
+        mutator: &Mutator,
+        current: &Torsions,
+        cls: &[RamaClass],
+        rng: &mut R,
+    ) -> (Torsions, Vec<usize>, usize) {
+        let mut cand = Torsions::zeros(current.n_residues());
+        cand.copy_from(current);
+        let mut indices = Vec::new();
+        let start = mutator.mutate_in_place(&mut cand, cls, rng, &mut indices);
+        (cand, indices, start)
+    }
+
     #[test]
     fn mutation_changes_only_selected_indices() {
         let mutator = Mutator::new(MutationConfig::default());
@@ -220,19 +187,15 @@ mod tests {
         let cls = classes(12);
         let mut rng = StreamRngFactory::new(5).stream(0, 0);
         for _ in 0..100 {
-            let out = mutator.mutate(&t0, &cls, &mut rng);
-            assert!(!out.mutated_indices.is_empty());
-            assert!(out.mutated_indices.len() <= mutator.config().max_mutations);
+            let (torsions, indices, _) = mutate(&mutator, &t0, &cls, &mut rng);
+            assert!(!indices.is_empty());
+            assert!(indices.len() <= mutator.config().max_mutations);
             for k in 0..t0.n_angles() {
-                if out.mutated_indices.contains(&k) {
+                if indices.contains(&k) {
                     // A mutation may, with vanishing probability, leave the
                     // angle numerically unchanged; do not assert change here.
                 } else {
-                    assert_eq!(
-                        out.torsions.angle(k),
-                        t0.angle(k),
-                        "index {k} must not move"
-                    );
+                    assert_eq!(torsions.angle(k), t0.angle(k), "index {k} must not move");
                 }
             }
         }
@@ -248,15 +211,12 @@ mod tests {
         let cls = classes(10);
         let mut rng = StreamRngFactory::new(9).stream(1, 0);
         for _ in 0..50 {
-            let out = mutator.mutate(&t0, &cls, &mut rng);
-            assert_eq!(
-                out.ccd_start_index,
-                *out.mutated_indices.iter().min().unwrap()
-            );
+            let (_, indices, start) = mutate(&mutator, &t0, &cls, &mut rng);
+            assert_eq!(start, *indices.iter().min().unwrap());
             // Indices are sorted and unique.
-            let mut sorted = out.mutated_indices.clone();
+            let mut sorted = indices.clone();
             sorted.dedup();
-            assert_eq!(sorted, out.mutated_indices);
+            assert_eq!(sorted, indices);
         }
     }
 
@@ -266,11 +226,11 @@ mod tests {
         let t0 = base_torsions(11);
         let cls = classes(11);
         let f = StreamRngFactory::new(77);
-        let a = mutator.mutate(&t0, &cls, &mut f.stream(3, 9));
-        let b = mutator.mutate(&t0, &cls, &mut f.stream(3, 9));
+        let a = mutate(&mutator, &t0, &cls, &mut f.stream(3, 9));
+        let b = mutate(&mutator, &t0, &cls, &mut f.stream(3, 9));
         assert_eq!(a, b);
-        let c = mutator.mutate(&t0, &cls, &mut f.stream(4, 9));
-        assert_ne!(a.torsions, c.torsions);
+        let c = mutate(&mutator, &t0, &cls, &mut f.stream(4, 9));
+        assert_ne!(a.0, c.0);
     }
 
     #[test]
@@ -284,9 +244,9 @@ mod tests {
         let cls = classes(12);
         let mut rng = StreamRngFactory::new(3).stream(0, 0);
         for _ in 0..200 {
-            let out = mutator.mutate(&t0, &cls, &mut rng);
-            for k in 0..out.torsions.n_angles() {
-                let a = out.torsions.angle(k);
+            let (torsions, _, _) = mutate(&mutator, &t0, &cls, &mut rng);
+            for k in 0..torsions.n_angles() {
+                let a = torsions.angle(k);
                 assert!(a > -std::f64::consts::PI - 1e-9 && a <= std::f64::consts::PI + 1e-9);
             }
         }
@@ -301,9 +261,9 @@ mod tests {
         let t0 = base_torsions(1);
         let cls = classes(1);
         let mut rng = StreamRngFactory::new(1).stream(0, 0);
-        let out = mutator.mutate(&t0, &cls, &mut rng);
-        assert!(out.mutated_indices.len() <= 2);
-        assert!(out.ccd_start_index < 2);
+        let (_, indices, start) = mutate(&mutator, &t0, &cls, &mut rng);
+        assert!(indices.len() <= 2);
+        assert!(start < 2);
     }
 
     #[test]
@@ -313,6 +273,6 @@ mod tests {
         let t0 = base_torsions(5);
         let cls = classes(4);
         let mut rng = StreamRngFactory::new(1).stream(0, 0);
-        let _ = mutator.mutate(&t0, &cls, &mut rng);
+        let _ = mutate(&mutator, &t0, &cls, &mut rng);
     }
 }

@@ -18,7 +18,8 @@
 //! measurements: one [`StageRecord`] row update per stage invocation (launch
 //! count and launch wall time) plus the trajectory's CCD rotation count.
 //! The experiment harness derives the paper's modeled GPU-vs-CPU timings
-//! from that record after the run.
+//! from that record after the run.  The per-member oracle the staged
+//! pipeline must match bit for bit lives in [`crate::reference`].
 
 use crate::arena::{MemberSlot, PopulationArena};
 use crate::config::{InitMode, NumericGuard, ObjectiveMode, SamplerConfig};
@@ -26,14 +27,12 @@ use crate::conformation::Conformation;
 use crate::decoyset::DecoySet;
 use crate::error::{ConfigError, Error};
 use crate::mutation::Mutator;
-use crate::pareto::{
-    fitness_against, fitness_against_table, non_dominated_indices, strength_and_front,
-};
+use crate::pareto::{fitness_against_table, non_dominated_indices, strength_and_front};
 use crate::stages::StageRecord;
-use lms_closure::{CcdBatchScratch, CcdCloser, CcdLane};
+use lms_closure::{CcdCloser, CcdLane};
 use lms_geometry::{random_torsion, StreamRngFactory};
-use lms_protein::{LoopBuilder, LoopStructure, LoopTarget, RamaClass, RamaLibrary, Torsions};
-use lms_scoring::{KnowledgeBase, MultiScorer, ScoreScratch, ScoreVector, ScratchPool};
+use lms_protein::{LoopBuilder, LoopTarget, RamaClass, RamaLibrary, Torsions};
+use lms_scoring::{KnowledgeBase, MultiScorer, ScoreVector, ScratchPool};
 use lms_simt::{Executor, KernelKind, KernelLaunch, SharedLanes, MAX_CCD_BLOCK_WIDTH};
 use rand::Rng;
 use std::fmt;
@@ -124,7 +123,9 @@ pub struct TrajectoryResult {
     /// Snapshots at the configured iterations.
     pub snapshots: Vec<IterationSnapshot>,
     /// Measured per-stage launch counts and wall times, plus the total CCD
-    /// rotation count (empty for the per-member reference).
+    /// rotation count.  Empty for the per-member oracle
+    /// ([`MoscemSampler::run_reference_with_seed`]), which launches no
+    /// kernels.
     pub stages: StageRecord,
     /// Measured wall-clock duration of the trajectory on the host.
     pub host_wall: Duration,
@@ -179,63 +180,14 @@ pub struct DecoyProduction {
     pub trajectories: Vec<TrajectoryResult>,
 }
 
-/// Internal per-member state used inside the population kernels.
-///
-/// Besides the conformation itself, every member owns the workspace buffers
-/// of the zero-allocation pipeline, reused across all iterations: a
-/// [`LoopStructure`] that CCD rebuilds in place (one spine rebuild per
-/// sweep, one full build at the end) and hands to
-/// scoring, a [`ScoreScratch`] for the SoA scoring kernels, a candidate
-/// torsion vector for proposals, and the
-/// mutation-index scratch.  After the first iteration warms these buffers
-/// up, one member-iteration of the evolution kernel performs no heap
-/// allocation (verified by `tests/zero_alloc.rs`).
-#[derive(Debug, Clone)]
-struct Member {
-    conf: Conformation,
-    /// Reused structure buffer: holds the most recently built candidate.
-    structure: LoopStructure,
-    /// Reused closure workspace: the member closes as a one-lane block.
-    ccd: CcdBatchScratch,
-    /// Reused scoring workspace.
-    scratch: ScoreScratch,
-    /// Reused candidate torsion vector for proposals.
-    cand: Torsions,
-    /// Reused mutated-index buffer for the mutation move.
-    mut_indices: Vec<usize>,
-    accepted_last: bool,
-    /// Whether the last close of this member's candidate converged (the
-    /// CCD non-convergence readback behind the stall guard).
-    converged_last: bool,
-    /// The first poisoned candidate lane the last evolution step saw, if
-    /// any (feeds the [`NumericGuard`] verdict on the host).
-    poison: Option<crate::health::PoisonedLane>,
-}
-
-impl Member {
-    fn new(n_res: usize, max_mutations: usize, scratch: ScoreScratch) -> Member {
-        Member {
-            conf: Conformation::new(Torsions::zeros(n_res)),
-            structure: LoopStructure::with_capacity(n_res),
-            ccd: CcdBatchScratch::new(),
-            scratch,
-            cand: Torsions::zeros(n_res),
-            mut_indices: Vec::with_capacity(max_mutations.max(1)),
-            accepted_last: false,
-            converged_last: false,
-            poison: None,
-        }
-    }
-}
-
 /// The MOSCEM multi-scoring-functions loop sampler.
 #[derive(Debug, Clone)]
 pub struct MoscemSampler {
     target: LoopTarget,
-    scorer: MultiScorer,
+    pub(crate) scorer: MultiScorer,
     config: SamplerConfig,
-    builder: LoopBuilder,
-    mutator: Mutator,
+    pub(crate) builder: LoopBuilder,
+    pub(crate) mutator: Mutator,
 }
 
 impl MoscemSampler {
@@ -296,332 +248,6 @@ impl MoscemSampler {
             .expect("a run without controls can only fail when JobLimits or NumericGuard abort it")
     }
 
-    /// Run one sampling trajectory through the **per-member reference
-    /// implementation**: the evolution inner loop walks members one at a
-    /// time, each fused kernel doing mutation → CCD → scoring → Metropolis
-    /// for one conformation before moving to the next.
-    ///
-    /// The production path is the staged population-batched pipeline of
-    /// [`MoscemSampler::run_controlled`]; this reference is kept precisely
-    /// because the per-(member, iteration) RNG stream discipline makes the
-    /// two **bit-identical**, which the batched-pipeline equivalence
-    /// property tests (`tests/batched_equivalence.rs`) verify against this
-    /// implementation.
-    ///
-    /// # Panics
-    ///
-    /// Like [`MoscemSampler::run_with_seed`], when the config's
-    /// [`JobLimits`](crate::JobLimits) or [`NumericGuard`] abort the run.
-    pub fn run_reference_with_seed(&self, executor: &Executor, seed: u64) -> TrajectoryResult {
-        fn abort(e: Error) -> ! {
-            panic!("a run without controls can only fail when JobLimits or NumericGuard abort it: {e:?}")
-        }
-        let cfg = &self.config;
-        let n = cfg.population_size;
-        let n_res = self.target.n_residues();
-        let classes: Vec<RamaClass> = self
-            .target
-            .sequence
-            .iter()
-            .map(|aa| aa.rama_class())
-            .collect();
-        let factory = StreamRngFactory::new(seed);
-        let closer = CcdCloser::new(self.builder, cfg.ccd);
-
-        let wall_start = Instant::now();
-        let limits = cfg.limits;
-        let deadline = limits.deadline.map(|d| (wall_start + d, d));
-        let mut stall_streak = 0usize;
-        let mut snapshots = Vec::new();
-        let mut total_proposed = 0usize;
-        let mut total_accepted = 0usize;
-
-        // --- Initialization kernel -----------------------------------------
-        if let Some((at, limit)) = deadline {
-            if Instant::now() >= at {
-                abort(Error::DeadlineExceeded {
-                    limit,
-                    completed_iterations: 0,
-                });
-            }
-        }
-        // Warm the per-target environment-candidate cache on the host thread
-        // before the population kernels fan out.
-        self.target.env_candidates();
-        let mut members: Vec<Member> = (0..n)
-            .map(|_| {
-                Member::new(
-                    n_res,
-                    cfg.mutation.max_mutations,
-                    ScoreScratch::for_loop_len(n_res),
-                )
-            })
-            .collect();
-
-        let init_factory = factory.derive(0xC0);
-        let rama = RamaLibrary::default();
-        let init_mode = cfg.init_mode;
-        let max_closure = cfg.max_closure_deviation;
-        let ccd_start_index = cfg.ccd.start_index;
-        executor.for_each_indexed(&mut members, |i, m| {
-            let mut rng = init_factory.stream(i as u64, 0);
-            sample_initial_torsions(init_mode, &classes, &rama, &mut m.conf.torsions, &mut rng);
-
-            let mut ccd = closer.close_lane(
-                &self.target.frame,
-                &self.target.sequence,
-                CcdLane {
-                    torsions: &mut m.conf.torsions,
-                    structure: &mut m.structure,
-                    start_index: ccd_start_index,
-                },
-                &mut m.ccd,
-            );
-            // The loop-closure condition gates everything downstream; when
-            // CCD stalls on a bad random start, redraw (deterministically
-            // from this member's stream) rather than seeding the population
-            // with an unclosed conformation.
-            for _ in 0..3 {
-                if ccd.final_deviation <= max_closure {
-                    break;
-                }
-                sample_initial_torsions(init_mode, &classes, &rama, &mut m.conf.torsions, &mut rng);
-                ccd = closer.close_lane(
-                    &self.target.frame,
-                    &self.target.sequence,
-                    CcdLane {
-                        torsions: &mut m.conf.torsions,
-                        structure: &mut m.structure,
-                        start_index: ccd_start_index,
-                    },
-                    &mut m.ccd,
-                );
-            }
-
-            // CCD leaves `m.structure` built from the final torsions, so
-            // scoring needs no rebuild.
-            let scores = self.scorer.evaluate_with(
-                &self.target,
-                &m.structure,
-                &m.conf.torsions,
-                &mut m.scratch,
-            );
-            let rmsd = self.target.rmsd_to_native(&m.structure);
-
-            m.conf.scores = scores;
-            m.conf.closure_deviation = ccd.final_deviation;
-            m.conf.rmsd_to_native = rmsd;
-        });
-
-        // Initialisation numerical health: the same sweep-and-verdict the
-        // staged pipeline runs as its `[HealthSweep]` stage, applied to the
-        // members' freshly scored state.
-        if let Err(e) = self.reference_init_health(&mut members) {
-            abort(e);
-        }
-
-        // --- Initial fitness + snapshot 0 ----------------------------------
-        let mut temperature_controller = cfg.effective_temperature_schedule().controller();
-        let mut temperature = temperature_controller.temperature();
-        let mut schedule_rng = factory.derive(0xA7).stream(0, 0);
-        let mut complex_traces: Vec<Vec<f64>> = vec![Vec::new(); cfg.n_complexes];
-        let scores_snapshot: Vec<ScoreVector> = members.iter().map(|m| m.conf.scores).collect();
-        let fitness = self.population_fitness(executor, &scores_snapshot);
-        for (m, f) in members.iter_mut().zip(fitness.iter()) {
-            m.conf.fitness = *f;
-        }
-        if cfg.snapshot_iterations.contains(&0) {
-            snapshots.push(self.snapshot(0, &members, temperature));
-        }
-
-        // --- MCMC iterations ------------------------------------------------
-        for iter in 1..=cfg.iterations {
-            if let Some((at, limit)) = deadline {
-                if Instant::now() >= at {
-                    abort(Error::DeadlineExceeded {
-                        limit,
-                        completed_iterations: iter - 1,
-                    });
-                }
-            }
-            // Sorting (best fitness first) and stride partition into
-            // complexes, exactly as in the paper's pseudo-code; both stay on
-            // the host because they are a negligible share of the work.
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by(|&a, &b| {
-                members[a]
-                    .conf
-                    .fitness
-                    .partial_cmp(&members[b].conf.fitness)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let m_complexes = cfg.n_complexes;
-            let mut complex_of = vec![0usize; n];
-            let mut complex_scores: Vec<Vec<ScoreVector>> = vec![Vec::new(); m_complexes];
-            for (pos, &idx) in order.iter().enumerate() {
-                let c = pos % m_complexes;
-                complex_of[idx] = c;
-                complex_scores[c].push(members[idx].conf.scores);
-            }
-            let complex_scores = Arc::new(complex_scores);
-            let complex_of = Arc::new(complex_of);
-
-            // Evolution kernel: reproduction, CCD, scoring, Metropolis — one
-            // thread per conformation, against its complex's snapshot.
-            // Every stage writes into the member's persistent buffers
-            // (candidate torsions, loop structure, scoring scratch), so a
-            // member-iteration performs no heap allocation.
-            let evo_factory = factory.derive(1);
-            let mode = cfg.objective_mode;
-            let temperature_now = temperature;
-            executor.for_each_indexed(&mut members, |i, m| {
-                let mut rng = evo_factory.stream(i as u64, iter as u64);
-                let ccd_start = self.mutator.mutate_into(
-                    &m.conf.torsions,
-                    &classes,
-                    &mut rng,
-                    &mut m.cand,
-                    &mut m.mut_indices,
-                );
-
-                let ccd = closer.close_lane(
-                    &self.target.frame,
-                    &self.target.sequence,
-                    CcdLane {
-                        torsions: &mut m.cand,
-                        structure: &mut m.structure,
-                        start_index: ccd_start,
-                    },
-                    &mut m.ccd,
-                );
-
-                // CCD leaves `m.structure` built from the final candidate
-                // torsions; score it directly (no rebuild).
-                let cand_scores =
-                    self.scorer
-                        .evaluate_with(&self.target, &m.structure, &m.cand, &mut m.scratch);
-                let cand_rmsd = self.target.rmsd_to_native(&m.structure);
-
-                // Numerical health: a non-finite candidate lane never
-                // reaches the Metropolis draw (NaN compares false against
-                // the closure bound, so the gate alone would let it
-                // through), mirroring the staged pipeline's post-score
-                // health sweep.
-                let finite = crate::health::member_is_finite(
-                    &cand_scores,
-                    m.cand.as_slice(),
-                    ccd.final_deviation,
-                    cand_rmsd,
-                );
-                // The loop-closure condition: candidates that CCD could not
-                // bring back to the anchor are rejected outright (an open
-                // loop scores deceptively well by drifting off the protein).
-                let accept = if !finite || ccd.final_deviation > max_closure {
-                    false
-                } else {
-                    let reference = &complex_scores[complex_of[i]];
-                    let fitness = |s: &ScoreVector| {
-                        candidate_fitness(mode, s, |s| fitness_against(s, reference))
-                    };
-                    let cand_fit = fitness(&cand_scores);
-                    let curr_fit = fitness(&m.conf.scores);
-                    if cand_fit <= curr_fit {
-                        true
-                    } else {
-                        let p = ((curr_fit - cand_fit) / temperature_now).exp();
-                        rng.gen::<f64>() < p
-                    }
-                };
-
-                m.conf.proposed_moves += 1;
-                if accept {
-                    std::mem::swap(&mut m.conf.torsions, &mut m.cand);
-                    m.conf.scores = cand_scores;
-                    m.conf.closure_deviation = ccd.final_deviation;
-                    m.conf.rmsd_to_native = cand_rmsd;
-                    m.conf.accepted_moves += 1;
-                }
-                m.accepted_last = accept;
-                m.converged_last = ccd.converged;
-                m.poison = if finite {
-                    None
-                } else {
-                    crate::health::member_poison(
-                        &cand_scores,
-                        m.cand.as_slice(),
-                        ccd.final_deviation,
-                        cand_rmsd,
-                    )
-                };
-            });
-            // Numerical-health verdict and the closure stall guard, on the
-            // flags the evolution kernel recorded.
-            if members.iter().any(|m| m.poison.is_some()) {
-                if let Err(e) = self.reference_poison_verdict(&members, iter) {
-                    abort(e);
-                }
-            }
-            if let Some(limit) = limits.max_closure_stall {
-                if members.iter().any(|m| m.converged_last) {
-                    stall_streak = 0;
-                } else {
-                    stall_streak += 1;
-                    if stall_streak >= limit {
-                        abort(Error::Stalled {
-                            streak: stall_streak,
-                            limit,
-                            completed_iterations: iter - 1,
-                        });
-                    }
-                }
-            }
-
-            // Acceptance statistics and adaptive temperature.
-            let accepted_now = members.iter().filter(|m| m.accepted_last).count();
-            total_accepted += accepted_now;
-            total_proposed += n;
-            let rate = accepted_now as f64 / n as f64;
-            temperature = temperature_controller.update(rate, &mut schedule_rng);
-
-            // Per-complex mean VDW trace for convergence diagnostics.
-            let mut sums = vec![(0.0f64, 0usize); cfg.n_complexes];
-            for (i, m) in members.iter().enumerate() {
-                let c = complex_of[i];
-                sums[c].0 += m.conf.scores.vdw();
-                sums[c].1 += 1;
-            }
-            for (c, (sum, count)) in sums.into_iter().enumerate() {
-                complex_traces[c].push(if count == 0 { 0.0 } else { sum / count as f64 });
-            }
-
-            // Population-wide fitness for the next iteration's sorting.
-            let scores_snapshot: Vec<ScoreVector> = members.iter().map(|m| m.conf.scores).collect();
-            let fitness = self.population_fitness(executor, &scores_snapshot);
-            for (m, f) in members.iter_mut().zip(fitness.iter()) {
-                m.conf.fitness = *f;
-            }
-
-            if cfg.snapshot_iterations.contains(&iter) {
-                snapshots.push(self.snapshot(iter, &members, temperature));
-            }
-        }
-
-        let population: Vec<Conformation> = members.into_iter().map(|m| m.conf).collect();
-        TrajectoryResult {
-            population,
-            snapshots,
-            stages: StageRecord::default(),
-            host_wall: wall_start.elapsed(),
-            final_temperature: temperature,
-            acceptance_rate: if total_proposed == 0 {
-                0.0
-            } else {
-                total_accepted as f64 / total_proposed as f64
-            },
-            complex_traces,
-        }
-    }
-
     /// Run one sampling trajectory under cooperative [`RunControls`]
     /// through the **staged population-batched kernel pipeline**: all member
     /// state lives in the flat SoA [`PopulationArena`] and every iteration
@@ -650,8 +276,43 @@ impl MoscemSampler {
         controls: &RunControls,
     ) -> Result<TrajectoryResult, Error> {
         let cfg = &self.config;
+        let wall_start = Instant::now();
+        let deadline = cfg.limits.deadline.map(|d| (wall_start + d, d));
+        Self::check_boundary(controls, deadline, 0)?;
+        // Warm the per-target environment-candidate cache on the host thread
+        // before the population kernels fan out, then allocate the arena —
+        // the only allocations of the whole trajectory.
+        self.target.env_candidates();
+        let mut arena = PopulationArena::new(
+            cfg.population_size,
+            self.target.n_residues(),
+            cfg.mutation.max_mutations,
+            cfg.n_complexes,
+            controls.scratch_pool,
+            executor.ccd_block_width(),
+        );
+        // Every exit from here on, early or not, returns the leased scratches.
+        let run = self.run_staged(executor, seed, controls, deadline, &mut arena);
+        arena.release_scratches(controls.scratch_pool);
+        let mut result = run?;
+        result.population = arena.into_population();
+        result.host_wall = wall_start.elapsed();
+        Ok(result)
+    }
+
+    /// The body of [`MoscemSampler::run_controlled`] over an allocated
+    /// arena.  Returns everything but the final population and the host
+    /// wall time, which the caller fills in after the scratches are back.
+    fn run_staged(
+        &self,
+        executor: &Executor,
+        seed: u64,
+        controls: &RunControls,
+        deadline: Option<(Instant, Duration)>,
+        arena: &mut PopulationArena,
+    ) -> Result<TrajectoryResult, Error> {
+        let cfg = &self.config;
         let n = cfg.population_size;
-        let n_res = self.target.n_residues();
         let classes: Vec<RamaClass> = self
             .target
             .sequence
@@ -660,41 +321,11 @@ impl MoscemSampler {
             .collect();
         let factory = StreamRngFactory::new(seed);
         let closer = CcdCloser::new(self.builder, cfg.ccd);
-
-        let wall_start = Instant::now();
-        let limits = cfg.limits;
-        let deadline = limits.deadline.map(|d| (wall_start + d, d));
         let mut stall_streak = 0usize;
         let mut stages = StageRecord::default();
         let mut snapshots = Vec::new();
         let mut total_proposed = 0usize;
         let mut total_accepted = 0usize;
-
-        if Self::cancelled(controls) {
-            return Err(Error::Cancelled {
-                completed_iterations: 0,
-            });
-        }
-        if let Some((at, limit)) = deadline {
-            if Instant::now() >= at {
-                return Err(Error::DeadlineExceeded {
-                    limit,
-                    completed_iterations: 0,
-                });
-            }
-        }
-        // Warm the per-target environment-candidate cache on the host thread
-        // before the population kernels fan out, then allocate the arena —
-        // the only allocations of the whole trajectory.
-        self.target.env_candidates();
-        let mut arena = PopulationArena::new(
-            n,
-            n_res,
-            cfg.mutation.max_mutations,
-            cfg.n_complexes,
-            controls.scratch_pool,
-            executor.ccd_block_width(),
-        );
         let stride = arena.stride();
 
         // --- Initialization: staged sample/close rounds over the whole
@@ -740,7 +371,7 @@ impl MoscemSampler {
             }
             let (close, rotations) = self.stage_close(
                 executor,
-                &mut arena,
+                arena,
                 &closer,
                 if round > 0 { Some(max_closure) } else { None },
                 Some(cfg.ccd.start_index),
@@ -749,17 +380,14 @@ impl MoscemSampler {
             stages.add_ccd_rotations(rotations);
         }
         stages.record(KernelKind::Ccd, init_close);
-        for launch in self.stage_rebuild_and_score(executor, &mut arena) {
+        for launch in self.stage_rebuild_and_score(executor, arena) {
             stages.record(launch.kind, launch.host);
         }
         // Numerical health sweep over the freshly scored candidates before
         // they become the population.
-        let sweep = self.stage_health(executor, &mut arena);
+        let sweep = self.stage_health(executor, arena);
         stages.record(sweep.kind, sweep.host);
-        if let Err(e) = self.quarantine_or_fail(&mut arena, 0) {
-            arena.release_scratches(controls.scratch_pool);
-            return Err(e);
-        }
+        self.quarantine_or_fail(arena, 0)?;
         // Initialization writes the population: the closed, scored
         // candidates become the members' current state.
         arena.torsions.copy_from_slice(&arena.cand_torsions);
@@ -778,10 +406,10 @@ impl MoscemSampler {
             .collect();
         stages.record(
             KernelKind::FitAssgPopulation,
-            self.stage_fitness(executor, &mut arena),
+            self.stage_fitness(executor, arena),
         );
         if cfg.snapshot_iterations.contains(&0) {
-            snapshots.push(self.snapshot_arena(0, &arena, temperature));
+            snapshots.push(snapshot(0, &arena.scores, &arena.rmsd, temperature));
         }
         if let Some(report) = controls.progress {
             report(0, cfg.iterations);
@@ -792,21 +420,7 @@ impl MoscemSampler {
         let mode = cfg.objective_mode;
         let m_complexes = cfg.n_complexes;
         for iter in 1..=cfg.iterations {
-            if Self::cancelled(controls) {
-                arena.release_scratches(controls.scratch_pool);
-                return Err(Error::Cancelled {
-                    completed_iterations: iter - 1,
-                });
-            }
-            if let Some((at, limit)) = deadline {
-                if Instant::now() >= at {
-                    arena.release_scratches(controls.scratch_pool);
-                    return Err(Error::DeadlineExceeded {
-                        limit,
-                        completed_iterations: iter - 1,
-                    });
-                }
-            }
+            Self::check_boundary(controls, deadline, iter - 1)?;
             // Sorting (best fitness first) and stride partition into
             // complexes stay on the host, writing the arena's reusable
             // order / CSR-partition buffers.  The unstable sort breaks
@@ -831,7 +445,7 @@ impl MoscemSampler {
             }
             // Only Eq. 1 Metropolis reads the per-complex fitness table.
             if matches!(mode, ObjectiveMode::MultiScoring) {
-                let table = Self::stage_complex_fitness(executor, &mut arena);
+                let table = Self::stage_complex_fitness(executor, arena);
                 stages.record(table.kind, table.host);
             }
 
@@ -865,19 +479,18 @@ impl MoscemSampler {
 
             // Stage 2 — close: lockstep CCD blocks with batched
             // optimal-rotation inner products.
-            let (close, rotations) = self.stage_close(executor, &mut arena, &closer, None, None);
+            let (close, rotations) = self.stage_close(executor, arena, &closer, None, None);
             stages.record(close.kind, close.host);
             stages.add_ccd_rotations(rotations);
             // Closure stall guard: a streak of iterations in which not a
             // single member's CCD converged means the sampler is burning
             // its budget without making progress.
-            if let Some(limit) = limits.max_closure_stall {
+            if let Some(limit) = cfg.limits.max_closure_stall {
                 if arena.cand_converged.iter().any(|&c| c) {
                     stall_streak = 0;
                 } else {
                     stall_streak += 1;
                     if stall_streak >= limit {
-                        arena.release_scratches(controls.scratch_pool);
                         return Err(Error::Stalled {
                             streak: stall_streak,
                             limit,
@@ -889,7 +502,7 @@ impl MoscemSampler {
 
             // Stages 3 + 4 — rebuild (observable readback) and the three
             // scoring kernels, one population-wide launch each.
-            for launch in self.stage_rebuild_and_score(executor, &mut arena) {
+            for launch in self.stage_rebuild_and_score(executor, arena) {
                 stages.record(launch.kind, launch.host);
             }
 
@@ -897,12 +510,9 @@ impl MoscemSampler {
             // (force-rejected without touching the member's stream) or fail
             // the job, per the configured guard policy — before the
             // Metropolis stage can let NaN into the population.
-            let sweep = self.stage_health(executor, &mut arena);
+            let sweep = self.stage_health(executor, arena);
             stages.record(sweep.kind, sweep.host);
-            if let Err(e) = self.quarantine_or_fail(&mut arena, iter) {
-                arena.release_scratches(controls.scratch_pool);
-                return Err(e);
-            }
+            self.quarantine_or_fail(arena, iter)?;
 
             // Stage 5 — Metropolis against the member's complex snapshot,
             // on the stream the mutate stage advanced.
@@ -1002,23 +612,22 @@ impl MoscemSampler {
             // Population-wide fitness for the next iteration's sorting.
             stages.record(
                 KernelKind::FitAssgPopulation,
-                self.stage_fitness(executor, &mut arena),
+                self.stage_fitness(executor, arena),
             );
 
             if cfg.snapshot_iterations.contains(&iter) {
-                snapshots.push(self.snapshot_arena(iter, &arena, temperature));
+                snapshots.push(snapshot(iter, &arena.scores, &arena.rmsd, temperature));
             }
             if let Some(report) = controls.progress {
                 report(iter, cfg.iterations);
             }
         }
 
-        arena.release_scratches(controls.scratch_pool);
         Ok(TrajectoryResult {
-            population: arena.into_population(),
+            population: Vec::new(),
             snapshots,
             stages,
-            host_wall: wall_start.elapsed(),
+            host_wall: Duration::ZERO,
             final_temperature: temperature,
             acceptance_rate: if total_proposed == 0 {
                 0.0
@@ -1379,93 +988,28 @@ impl MoscemSampler {
         }
     }
 
-    /// Initialisation-round health check of the per-member reference
-    /// implementation: the same classification and [`NumericGuard`] verdict
-    /// as the staged `[HealthSweep]` stage, applied to the members' freshly
-    /// initialised state.
-    fn reference_init_health(&self, members: &mut [Member]) -> Result<(), Error> {
-        fn poison_of(m: &Member) -> Option<crate::health::PoisonedLane> {
-            crate::health::member_poison(
-                &m.conf.scores,
-                m.conf.torsions.as_slice(),
-                m.conf.closure_deviation,
-                m.conf.rmsd_to_native,
-            )
-        }
-        let Some(first_bad) = members.iter().position(|m| poison_of(m).is_some()) else {
-            return Ok(());
-        };
-        let donor = members.iter().position(|m| poison_of(m).is_none());
-        let Some(donor) =
-            donor.filter(|_| matches!(self.config.numeric_guard, NumericGuard::Quarantine))
-        else {
-            return Err(Error::NumericalFault {
-                member: first_bad,
-                iteration: 0,
-                objective: poison_of(&members[first_bad]).and_then(|p| p.objective()),
-            });
-        };
-        let donor_conf = members[donor].conf.clone();
-        for m in members.iter_mut() {
-            if poison_of(m).is_some() {
-                m.conf
-                    .torsions
-                    .copy_from_flat(donor_conf.torsions.as_slice());
-                m.conf.scores = donor_conf.scores;
-                m.conf.closure_deviation = donor_conf.closure_deviation;
-                m.conf.rmsd_to_native = donor_conf.rmsd_to_native;
-            }
-        }
-        Ok(())
-    }
-
-    /// Mid-run [`NumericGuard`] verdict of the per-member reference
-    /// implementation.  The fused evolution kernel already force-rejected
-    /// every poisoned candidate (the reference-path form of quarantine);
-    /// what is left is failing the job when the policy is `Fail` or when
-    /// the whole population proposed poison.
-    fn reference_poison_verdict(&self, members: &[Member], iteration: usize) -> Result<(), Error> {
-        let Some(first_bad) = members.iter().position(|m| m.poison.is_some()) else {
-            return Ok(());
-        };
-        let all_poisoned = members.iter().all(|m| m.poison.is_some());
-        if matches!(self.config.numeric_guard, NumericGuard::Fail) || all_poisoned {
-            return Err(Error::NumericalFault {
-                member: first_bad,
-                iteration,
-                objective: members[first_bad].poison.and_then(|p| p.objective()),
-            });
-        }
-        Ok(())
-    }
-
-    /// [`MoscemSampler::snapshot`] over the arena's SoA lanes.
-    fn snapshot_arena(
-        &self,
-        iteration: usize,
-        arena: &PopulationArena,
-        temperature: f64,
-    ) -> IterationSnapshot {
-        let nd = non_dominated_indices(&arena.scores);
-        let front: Vec<(ScoreVector, f64)> = nd
-            .iter()
-            .map(|&i| (arena.scores[i], arena.rmsd[i]))
-            .collect();
-        let best_rmsd = arena.rmsd.iter().copied().fold(f64::INFINITY, f64::min);
-        IterationSnapshot {
-            iteration,
-            non_dominated_count: nd.len(),
-            front,
-            best_rmsd,
-            temperature,
-        }
-    }
-
-    /// Whether the controls' cancel flag is raised.
-    fn cancelled(controls: &RunControls) -> bool {
-        controls
+    /// The iteration-boundary checks, cancellation before the deadline:
+    /// the typed error a run stops with after `completed_iterations`.
+    fn check_boundary(
+        controls: &RunControls,
+        deadline: Option<(Instant, Duration)>,
+        completed_iterations: usize,
+    ) -> Result<(), Error> {
+        if controls
             .cancel
             .is_some_and(|flag| flag.load(Ordering::Relaxed))
+        {
+            return Err(Error::Cancelled {
+                completed_iterations,
+            });
+        }
+        match deadline {
+            Some((at, limit)) if Instant::now() >= at => Err(Error::DeadlineExceeded {
+                limit,
+                completed_iterations,
+            }),
+            _ => Ok(()),
+        }
     }
 
     /// Run repeated trajectories (fresh seed each time) harvesting distinct
@@ -1497,67 +1041,23 @@ impl MoscemSampler {
             trajectories,
         }
     }
+}
 
-    fn snapshot(
-        &self,
-        iteration: usize,
-        members: &[Member],
-        temperature: f64,
-    ) -> IterationSnapshot {
-        let scores: Vec<ScoreVector> = members.iter().map(|m| m.conf.scores).collect();
-        let nd = non_dominated_indices(&scores);
-        let front: Vec<(ScoreVector, f64)> = nd
-            .iter()
-            .map(|&i| (members[i].conf.scores, members[i].conf.rmsd_to_native))
-            .collect();
-        let best_rmsd = members
-            .iter()
-            .map(|m| m.conf.rmsd_to_native)
-            .fold(f64::INFINITY, f64::min);
-        IterationSnapshot {
-            iteration,
-            non_dominated_count: nd.len(),
-            front,
-            best_rmsd,
-            temperature,
-        }
-    }
-
-    /// Population-wide fitness assignment (Eq. 1), executed as two passes of
-    /// a data-parallel kernel (the paper's `[FitAssg] within Population`).
-    fn population_fitness(&self, executor: &Executor, scores: &[ScoreVector]) -> Vec<f64> {
-        let n = scores.len();
-        match self.config.objective_mode {
-            ObjectiveMode::MultiScoring => {
-                // Pass 1: strength and non-dominated flag per member.
-                let (pass1, _) = executor.map_indexed(scores, |i, si| {
-                    let dominated = scores.iter().filter(|sj| si.dominates(sj)).count();
-                    let is_nd = !scores
-                        .iter()
-                        .enumerate()
-                        .any(|(j, sj)| j != i && sj.dominates(si));
-                    (dominated as f64 / n as f64, is_nd)
-                });
-                // Pass 2: Eq. 1.
-                let pass1 = Arc::new(pass1);
-                let p1 = Arc::clone(&pass1);
-                let (fitness, _) = executor.map_indexed(scores, move |i, si| {
-                    if p1[i].1 {
-                        p1[i].0
-                    } else {
-                        1.0 + scores
-                            .iter()
-                            .enumerate()
-                            .filter(|(j, sj)| p1[*j].1 && sj.dominates(si))
-                            .map(|(j, _)| p1[j].0)
-                            .sum::<f64>()
-                    }
-                });
-                fitness
-            }
-            ObjectiveMode::Single(obj) => scores.iter().map(|s| obj.value(s)).collect(),
-            ObjectiveMode::WeightedSum(w) => scores.iter().map(|s| weighted_sum(&w, s)).collect(),
-        }
+/// The population snapshot at `iteration` (Figure 5 data), from the
+/// members' score and RMSD lanes.
+pub(crate) fn snapshot(
+    iteration: usize,
+    scores: &[ScoreVector],
+    rmsd: &[f64],
+    temperature: f64,
+) -> IterationSnapshot {
+    let nd = non_dominated_indices(scores);
+    IterationSnapshot {
+        iteration,
+        non_dominated_count: nd.len(),
+        front: nd.iter().map(|&i| (scores[i], rmsd[i])).collect(),
+        best_rmsd: rmsd.iter().copied().fold(f64::INFINITY, f64::min),
+        temperature,
     }
 }
 
@@ -1565,7 +1065,7 @@ impl MoscemSampler {
 /// Shared by the per-member reference and the staged pipeline's init
 /// kernel: bit-identity between the two depends on identical draw
 /// sequences, so there is exactly one sampling implementation to drift.
-fn sample_initial_torsions<R: Rng + ?Sized>(
+pub(crate) fn sample_initial_torsions<R: Rng + ?Sized>(
     init_mode: InitMode,
     classes: &[RamaClass],
     rama: &RamaLibrary,
@@ -1601,8 +1101,9 @@ fn weighted_sum(w: &[f64; lms_scoring::NUM_OBJECTIVES], s: &ScoreVector) -> f64 
 
 /// Fitness of a candidate under the configured objective handling;
 /// `multi_scoring` is the Eq. 1 fitness against the candidate's reference
-/// set (direct in the reference sampler, table-driven in the staged one).
-fn candidate_fitness(
+/// set (direct in the per-member oracle, table-driven in the staged
+/// pipeline).
+pub(crate) fn candidate_fitness(
     mode: ObjectiveMode,
     scores: &ScoreVector,
     multi_scoring: impl Fn(&ScoreVector) -> f64,
@@ -1774,7 +1275,7 @@ mod tests {
             );
         }
         // The per-member reference keeps no stage record.
-        let reference = sampler.run_reference_with_seed(&scalar(), 1);
+        let reference = sampler.run_reference_with_seed(1);
         assert_eq!(reference.stages, StageRecord::default());
     }
 

@@ -147,10 +147,8 @@ fn batched_pipeline_matches_reference_across_executors_and_seeds() {
     for name in ["1cex", "5pti"] {
         let s = sampler(name, base_config());
         for seed in [1u64, 42, 2010] {
-            // The reference run itself is executor-invariant; compute it once
-            // per seed on the scalar baseline.
-            let reference =
-                s.run_reference_with_seed(&ExecutorConfig::scalar().build().unwrap(), seed);
+            // The reference run takes no executor; compute it once per seed.
+            let reference = s.run_reference_with_seed(seed);
             for executor in &executors {
                 let batched = s.run_with_seed(executor, seed);
                 assert_bit_identical(
@@ -173,7 +171,7 @@ fn batched_pipeline_matches_reference_in_four_objective_mode() {
     // 1xyz is the buried target: the burial objective is non-trivial there.
     let s = sampler("1xyz", cfg);
     for seed in [7u64, 99] {
-        let reference = s.run_reference_with_seed(&ExecutorConfig::scalar().build().unwrap(), seed);
+        let reference = s.run_reference_with_seed(seed);
         let executors = [
             ExecutorConfig::scalar().build().unwrap(),
             ExecutorConfig::parallel()
@@ -218,7 +216,7 @@ fn batched_pipeline_matches_reference_in_baseline_objective_modes() {
             .build()
             .expect("valid baseline config");
         let s = sampler("1akz", cfg);
-        let reference = s.run_reference_with_seed(&ExecutorConfig::scalar().build().unwrap(), 5);
+        let reference = s.run_reference_with_seed(5);
         let batched = s.run_with_seed(&ExecutorConfig::parallel().build().unwrap(), 5);
         assert_bit_identical(&batched, &reference, label);
     }
@@ -235,7 +233,7 @@ fn uniform_random_init_mode_matches_reference() {
         .expect("valid config");
     let s = sampler("1cex", cfg);
     for seed in [3u64, 11] {
-        let reference = s.run_reference_with_seed(&ExecutorConfig::scalar().build().unwrap(), seed);
+        let reference = s.run_reference_with_seed(seed);
         let batched = s.run_with_seed(
             &ExecutorConfig::parallel().threads(3).build().unwrap(),
             seed,

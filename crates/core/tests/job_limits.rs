@@ -8,8 +8,9 @@ use lms_core::{
     RunControls, SamplerConfig,
 };
 use lms_protein::{BenchmarkLibrary, LoopTarget};
-use lms_scoring::{KnowledgeBase, KnowledgeBaseConfig};
+use lms_scoring::{KnowledgeBase, KnowledgeBaseConfig, ScratchPool};
 use lms_simt::ExecutorConfig;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -85,6 +86,61 @@ fn stall_guard_fires_after_the_configured_streak() {
         }
     );
     assert!(err.is_retryable(), "stalls can be environmental");
+}
+
+#[test]
+fn every_early_exit_returns_the_leased_scratches() {
+    // Each run stops after its arena has leased one scoring scratch per
+    // member from the pool; every exit must hand all of them back.
+    let executor = ExecutorConfig::scalar().build().unwrap();
+    let run = |cfg: SamplerConfig, controls: RunControls| {
+        MoscemSampler::new(target(), fast_kb(), cfg)
+            .run_controlled(&executor, 7, &controls)
+            .unwrap_err()
+    };
+
+    // Cancelled as soon as initialisation reports.
+    let pool = ScratchPool::new();
+    let cancel = AtomicBool::new(false);
+    let raise = |_: usize, _: usize| cancel.store(true, Ordering::Relaxed);
+    let controls = RunControls::new()
+        .cancel_flag(&cancel)
+        .progress(&raise)
+        .scratch_pool(&pool);
+    let err = run(tiny_builder().build().unwrap(), controls);
+    assert_eq!(
+        err,
+        Error::Cancelled {
+            completed_iterations: 0
+        }
+    );
+    assert_eq!(pool.idle_count(), 8);
+
+    // A deadline that passes during initialisation: the progress callback
+    // outlasts it, so it fires at the first iteration boundary.
+    let limit = Duration::from_millis(200);
+    let pool = ScratchPool::new();
+    let outlast = |_: usize, _: usize| std::thread::sleep(limit);
+    let cfg = tiny_builder()
+        .limits(JobLimits::none().with_deadline(limit))
+        .build()
+        .unwrap();
+    let controls = RunControls::new().progress(&outlast).scratch_pool(&pool);
+    let err = run(cfg, controls);
+    assert_eq!(
+        err,
+        Error::DeadlineExceeded {
+            limit,
+            completed_iterations: 0
+        }
+    );
+    assert_eq!(pool.idle_count(), 8);
+
+    // A closure stall.
+    let pool = ScratchPool::new();
+    let err = run(stall_config(2), RunControls::new().scratch_pool(&pool));
+    assert!(matches!(err, Error::Stalled { .. }), "{err:?}");
+    assert_eq!(pool.idle_count(), 8);
 }
 
 #[test]

@@ -83,7 +83,8 @@ fn member_iteration_is_allocation_free_after_warmup() {
     let classes: Vec<RamaClass> = target.sequence.iter().map(|aa| aa.rama_class()).collect();
     let factory = StreamRngFactory::new(42);
 
-    // Per-member persistent buffers, exactly as `Member` holds them.
+    // One member's persistent buffers, reused across iterations as the
+    // staged pipeline reuses a member's arena slot.
     let n_res = target.n_residues();
     let mut current = target.native_torsions.clone();
     let mut cand = Torsions::zeros(n_res);
@@ -103,7 +104,8 @@ fn member_iteration_is_allocation_free_after_warmup() {
                             ccd_scratch: &mut CcdBatchScratch,
                             scratch: &mut ScoreScratch| {
         let mut rng = factory.stream(0, iter);
-        let ccd_start = mutator.mutate_into(current, &classes, &mut rng, cand, indices);
+        cand.copy_from(current);
+        let ccd_start = mutator.mutate_in_place(cand, &classes, &mut rng, indices);
         let lane = CcdLane {
             torsions: cand,
             structure,

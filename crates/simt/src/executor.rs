@@ -465,63 +465,6 @@ impl Executor {
         }
     }
 
-    /// Apply `f` to every element, in index order semantics (the function
-    /// receives the element index so it can derive per-element random
-    /// streams).  Returns the wall-clock time the map took.
-    pub fn for_each_indexed<T, F>(&self, items: &mut [T], f: F) -> Duration
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync + Send,
-    {
-        let start = Instant::now();
-        match self.backend.pool_parts() {
-            None => {
-                for (i, item) in items.iter_mut().enumerate() {
-                    f(i, item);
-                }
-            }
-            Some((threads, pool)) => {
-                if threads == 0 {
-                    items
-                        .par_iter_mut()
-                        .enumerate()
-                        .for_each(|(i, item)| f(i, item));
-                } else {
-                    Self::sized_pool(pool, threads).install(|| {
-                        items
-                            .par_iter_mut()
-                            .enumerate()
-                            .for_each(|(i, item)| f(i, item));
-                    });
-                }
-            }
-        }
-        start.elapsed()
-    }
-
-    /// Map every element to a new value (used for read-only kernels such as
-    /// fitness evaluation).  Returns the results and the wall-clock time.
-    pub fn map_indexed<T, R, F>(&self, items: &[T], f: F) -> (Vec<R>, Duration)
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync + Send,
-    {
-        let start = Instant::now();
-        let out = match self.backend.pool_parts() {
-            None => items.iter().enumerate().map(|(i, t)| f(i, t)).collect(),
-            Some((threads, pool)) => {
-                if threads == 0 {
-                    items.par_iter().enumerate().map(|(i, t)| f(i, t)).collect()
-                } else {
-                    Self::sized_pool(pool, threads)
-                        .install(|| items.par_iter().enumerate().map(|(i, t)| f(i, t)).collect())
-                }
-            }
-        };
-        (out, start.elapsed())
-    }
-
     /// Launch one population-wide kernel: apply `kernel` to every logical
     /// thread index in `0..threads`, exactly once each, under this
     /// executor's execution strategy.  This is the staged-pipeline entry
@@ -555,12 +498,7 @@ impl Executor {
             let launch_index = s.next_launch_index(kind);
             (s, launch_index)
         });
-        // One zero-sized lane per logical thread drives the existing
-        // data-parallel dispatch without ever touching the heap (a `Vec` of
-        // a ZST never allocates), so both entry points share one
-        // scalar/parallel/sized-pool implementation.
-        let mut lanes = vec![(); threads];
-        let host = self.for_each_indexed(&mut lanes, |i, _| {
+        let lane = |i: usize| {
             #[cfg(feature = "fault-injection")]
             if let Some((session, launch_index)) = &session {
                 session.fire(kind, *launch_index, i);
@@ -568,11 +506,21 @@ impl Executor {
             kernel(i);
             #[cfg(feature = "fault-injection")]
             crate::fault::clear_nan();
-        });
+        };
+        let start = Instant::now();
+        // The parallel backends split one zero-sized item per logical
+        // thread across the pool; a `Vec` of a ZST never touches the heap.
+        let mut lanes = vec![(); threads];
+        match self.backend.pool_parts() {
+            None => (0..threads).for_each(lane),
+            Some((0, _)) => lanes.par_iter_mut().enumerate().for_each(|(i, _)| lane(i)),
+            Some((sized, pool)) => Self::sized_pool(pool, sized)
+                .install(|| lanes.par_iter_mut().enumerate().for_each(|(i, _)| lane(i))),
+        }
         KernelLaunch {
             kind,
             threads,
-            host,
+            host: start.elapsed(),
         }
     }
 
@@ -594,6 +542,7 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SharedLanes;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn scalar() -> Executor {
@@ -608,36 +557,43 @@ mod tests {
         ExecutorConfig::parallel().threads(n).build().unwrap()
     }
 
+    /// One launch applying `work` to every element of `items`, each kernel
+    /// touching only its own element.
+    fn launch_over<T: Send>(
+        exec: &Executor,
+        items: &mut [T],
+        work: impl Fn(usize, &mut T) + Sync + Send,
+    ) {
+        let n = items.len();
+        let lanes = SharedLanes::new(items);
+        // SAFETY: kernel i touches only element i.
+        let _ = exec.launch(KernelKind::Reproduction, n, |i| {
+            work(i, unsafe { lanes.item_mut(i) })
+        });
+    }
+
     #[test]
     fn scalar_and_parallel_produce_identical_results() {
         let mut a: Vec<u64> = (0..10_000).collect();
         let mut b = a.clone();
+        let mut c = a.clone();
         let work = |i: usize, x: &mut u64| {
             // Derive the update purely from the index and value: this is the
             // discipline the sampler follows with its per-stream RNGs.
             *x = x.wrapping_mul(6364136223846793005).wrapping_add(i as u64);
         };
-        scalar().for_each_indexed(&mut a, work);
-        parallel().for_each_indexed(&mut b, work);
+        launch_over(&scalar(), &mut a, work);
+        launch_over(&parallel(), &mut b, work);
+        launch_over(&parallel_with_threads(2), &mut c, work);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn map_indexed_matches_across_executors() {
-        let items: Vec<u32> = (0..5_000).collect();
-        let f = |i: usize, x: &u32| (*x as u64) * 3 + i as u64;
-        let (s, _) = scalar().map_indexed(&items, f);
-        let (p, _) = parallel().map_indexed(&items, f);
-        let (p2, _) = parallel_with_threads(2).map_indexed(&items, f);
-        assert_eq!(s, p);
-        assert_eq!(s, p2);
+        assert_eq!(a, c);
     }
 
     #[test]
     fn every_element_is_visited_exactly_once() {
         let counter = AtomicUsize::new(0);
         let mut items = vec![0u8; 4096];
-        parallel().for_each_indexed(&mut items, |_, x| {
+        launch_over(&parallel(), &mut items, |_, x| {
             counter.fetch_add(1, Ordering::Relaxed);
             *x += 1;
         });
@@ -708,11 +664,11 @@ mod tests {
 
     #[test]
     fn empty_population_is_a_noop() {
-        let mut empty: Vec<u32> = Vec::new();
-        let d = parallel().for_each_indexed(&mut empty, |_, _| panic!("must not run"));
-        assert!(d.as_secs() < 1);
-        let (out, _) = scalar().map_indexed(&empty, |_, x| *x);
-        assert!(out.is_empty());
+        for exec in [scalar(), parallel(), parallel_with_threads(2)] {
+            let launch = exec.launch(KernelKind::Ccd, 0, |_| panic!("must not run"));
+            assert_eq!(launch.threads, 0);
+            assert!(launch.host.as_secs() < 1);
+        }
     }
 
     #[test]
@@ -723,10 +679,10 @@ mod tests {
         };
         assert!(pool.get().is_none(), "pool must not be built before use");
         let mut items = vec![0u8; 256];
-        exec.for_each_indexed(&mut items, |_, x| *x += 1);
+        launch_over(&exec, &mut items, |_, x| *x += 1);
         let first = pool.get().expect("first launch builds the pool") as *const ThreadPool;
-        exec.for_each_indexed(&mut items, |_, x| *x += 1);
-        let (_, _) = exec.map_indexed(&items, |_, x| *x);
+        launch_over(&exec, &mut items, |_, x| *x += 1);
+        launch_over(&exec, &mut items, |_, x| *x += 1);
         let second = pool.get().unwrap() as *const ThreadPool;
         assert_eq!(first, second, "subsequent launches must reuse the pool");
         // Clones share the same lazily-built pool; fresh builds do not.
@@ -758,15 +714,15 @@ mod tests {
         let mut a = vec![0u64; 999];
         let mut b = vec![0u64; 999];
         let work = |i: usize, x: &mut u64| *x = (i as u64).wrapping_mul(31);
-        exec.for_each_indexed(&mut a, work);
-        exec.split(3).for_each_indexed(&mut b, work);
+        launch_over(&exec, &mut a, work);
+        launch_over(&exec.split(3), &mut b, work);
         assert_eq!(a, b);
     }
 
     #[test]
     fn explicit_thread_count_still_visits_everything() {
         let mut items = vec![1u64; 1000];
-        parallel_with_threads(2).for_each_indexed(&mut items, |i, x| *x = i as u64);
+        launch_over(&parallel_with_threads(2), &mut items, |i, x| *x = i as u64);
         for (i, &x) in items.iter().enumerate() {
             assert_eq!(x, i as u64);
         }

@@ -16,7 +16,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use lms_simt::{DeviceSpec, ExecutorConfig, KernelKind, LaunchConfig, TimingModel};
+//! use lms_simt::{DeviceSpec, ExecutorConfig, KernelKind, LaunchConfig, SharedLanes, TimingModel};
 //!
 //! // Occupancy of the CCD kernel at the paper's 128-thread blocks.
 //! let spec = DeviceSpec::gtx280();
@@ -25,10 +25,15 @@
 //! assert_eq!(occ.blocks_per_sm, 4);
 //! assert!((occ.occupancy - 0.5).abs() < 1e-9);
 //!
-//! // Run a kernel over a population on all cores.
+//! // Launch a kernel over a population on all cores: thread i writes lane i.
 //! let executor = ExecutorConfig::parallel().build().expect("valid config");
 //! let mut population = vec![0u64; 1024];
-//! executor.for_each_indexed(&mut population, |i, x| *x = i as u64);
+//! let lanes = SharedLanes::new(&mut population);
+//! let record = executor.launch(KernelKind::Ccd, 1024, |i| {
+//!     // SAFETY: kernel i touches only lane i.
+//!     *unsafe { lanes.item_mut(i) } = i as u64;
+//! });
+//! assert_eq!(record.threads, 1024);
 //! assert_eq!(population[1023], 1023);
 //!
 //! // Modeled device time for that launch.

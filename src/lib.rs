@@ -122,18 +122,18 @@
 //!
 //! ## The population-batched kernel pipeline (internal layout)
 //!
-//! Since PR 5 every trajectory executes as a **staged kernel pipeline over
-//! a population-wide SoA member arena** — one population-wide launch per
-//! stage (`mutate`, `close`, `rebuild`, `score`, `metropolis`, `select`)
-//! per iteration, mirroring the paper's device execution, with lockstep
-//! CCD blocks batching the optimal-rotation inner products across members.
-//! This is an *internal* layout and execution-shape change with an
-//! **unchanged public API**: per-(member, iteration) RNG stream discipline
-//! keeps the batched pipeline bit-identical to the per-member reference
-//! implementation (which remains available as
-//! [`prelude::MoscemSampler::run_reference_with_seed`] and anchors the
-//! equivalence property tests), while running measurably faster per
-//! member-iteration — a ratio the CI perf gate tracks.
+//! Every trajectory executes as a **staged kernel pipeline over a
+//! population-wide SoA member arena** — one `Executor::launch` per stage
+//! (`mutate`, `close`, `rebuild`, `score`, `metropolis`, `select`) per
+//! iteration, mirroring the paper's device execution, with lockstep CCD
+//! blocks batching the optimal-rotation inner products across members.
+//! `launch` is the executor's only kernel entry point.  Per-(member,
+//! iteration) RNG stream discipline keeps the pipeline bit-identical to a
+//! plain sequential per-member loop, the oracle
+//! [`prelude::MoscemSampler::run_reference_with_seed`] (module
+//! `lms_core::reference`; it takes no executor and no
+//! [`prelude::JobLimits`]).  That oracle anchors the equivalence property
+//! tests, and the CI perf gate tracks the pipeline's speed against it.
 //!
 //! ## Fault tolerance: deadlines, retries, health guards
 //!
