@@ -16,6 +16,11 @@
 //! A third measurement times each staged scoring pass on its own
 //! (`MultiScorer::vdw_pass`, `dist_pass`, `triplet_pass`) at loop 12 on
 //! prebuilt conformations, so a change to one kernel shows in its own row.
+//! Its `vdw_resumed` row times the VDW pass the sampler runs on a
+//! candidate (`MultiScorer::vdw_pass_from`): each candidate is its member
+//! mutated by `Mutator::mutate_in_place`, and the environment term resumes
+//! from the member's checkpoint at the residue of the returned start
+//! index, so the starts follow the mutation's own distribution.
 //!
 //! A fourth comparison measures the **population-batched kernel pipeline**:
 //! one full trajectory through the staged SoA-arena launches
@@ -39,9 +44,9 @@
 use criterion::{criterion_group, Criterion};
 use lms_bench::artifact::{Artifact, Better, Gate};
 use lms_bench::{scaled_env_target, shared_kb};
-use lms_core::{member_is_finite, MoscemSampler, SamplerConfig};
+use lms_core::{member_is_finite, MoscemSampler, MutationConfig, Mutator, SamplerConfig};
 use lms_protein::{BenchmarkLibrary, LoopBuilder, LoopStructure, LoopTarget, TargetSpec, Torsions};
-use lms_scoring::{MultiScorer, ScoreScratch};
+use lms_scoring::{EnvResume, MultiScorer, ScoreScratch};
 use lms_simt::ExecutorConfig;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -341,9 +346,62 @@ fn pass_inputs() -> (LoopTarget, Vec<Torsions>, Vec<LoopStructure>) {
     (target, torsions, structures)
 }
 
+/// One candidate of the resumed-pass row: its built structure, the residue
+/// its environment pass resumes at, and its member's checkpoint row and
+/// burial counts.
+struct ResumeCase {
+    structure: LoopStructure,
+    residue: usize,
+    totals: Vec<f64>,
+    counts: Vec<u32>,
+}
+
+/// Mutate each of the pass inputs once (its candidate) and record the
+/// member's checkpoint and the candidate's resume residue.
+fn resume_cases(
+    scorer: &MultiScorer,
+    target: &LoopTarget,
+    torsions: &[Torsions],
+) -> Vec<ResumeCase> {
+    let builder = LoopBuilder::default();
+    let mutator = Mutator::new(MutationConfig::default());
+    let classes: Vec<_> = target.sequence.iter().map(|aa| aa.rama_class()).collect();
+    let factory = lms_geometry::StreamRngFactory::new(11);
+    let mut scratch = ScoreScratch::for_loop_len(target.n_residues());
+    let mut indices = Vec::new();
+    torsions
+        .iter()
+        .enumerate()
+        .map(|(i, member)| {
+            scorer.vdw_pass(target, &target.build(&builder, member), &mut scratch);
+            let mut cand = member.clone();
+            let mut rng = factory.stream(i as u64, 0);
+            let start = mutator.mutate_in_place(&mut cand, &classes, &mut rng, &mut indices);
+            ResumeCase {
+                structure: target.build(&builder, &cand),
+                residue: Torsions::describe_angle(start).0,
+                totals: scratch.env_totals().to_vec(),
+                counts: scratch.burial_counts().to_vec(),
+            }
+        })
+        .collect()
+}
+
+/// The resumed VDW pass of one case.
+fn resumed_pass(
+    scorer: &MultiScorer,
+    target: &LoopTarget,
+    case: &ResumeCase,
+    scratch: &mut ScoreScratch,
+) -> (f64, f64) {
+    let from = EnvResume::new(case.residue, &case.totals, &case.counts);
+    scorer.vdw_pass_from(target, &case.structure, scratch, from)
+}
+
 fn bench_passes(c: &mut Criterion) {
     let scorer = MultiScorer::new(shared_kb());
     let (target, torsions, structures) = pass_inputs();
+    let cases = resume_cases(&scorer, &target, &torsions);
     let mut group = c.benchmark_group("passes");
     group.sample_size(20);
     group.measurement_time(Duration::from_secs(2));
@@ -354,6 +412,17 @@ fn bench_passes(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             black_box(scorer.vdw_pass(&target, &structures[i % structures.len()], &mut scratch))
+        })
+    });
+    group.bench_function("vdw_resumed/len12", |b| {
+        b.iter(|| {
+            i += 1;
+            black_box(resumed_pass(
+                &scorer,
+                &target,
+                &cases[i % cases.len()],
+                &mut scratch,
+            ))
         })
     });
     group.bench_function("dist/len12", |b| {
@@ -478,16 +547,37 @@ fn write_bench_json() {
     // --- per-pass cost at loop 12 -------------------------------------
     let scorer = MultiScorer::new(kb.clone());
     let (target, torsions, structures) = pass_inputs();
+    let cases = resume_cases(&scorer, &target, &torsions);
     let mut scratch = ScoreScratch::for_loop_len(12);
     let mut i = 0usize;
-    let vdw_ns = median_ns_per_eval(
-        || {
-            i += 1;
-            black_box(scorer.vdw_pass(&target, &structures[i % structures.len()], &mut scratch));
-        },
-        5_000,
-        9,
-    );
+    // The full and the resumed VDW pass alternate batch by batch, so host
+    // drift slows both rows alike.
+    let (mut vdw_batches, mut resumed_batches) = (Vec::new(), Vec::new());
+    for _ in 0..9 {
+        vdw_batches.push(median_ns_per_eval(
+            || {
+                i += 1;
+                let k = i % structures.len();
+                black_box(scorer.vdw_pass(&target, &structures[k], &mut scratch));
+            },
+            5_000,
+            1,
+        ));
+        resumed_batches.push(median_ns_per_eval(
+            || {
+                i += 1;
+                let case = &cases[i % cases.len()];
+                black_box(resumed_pass(&scorer, &target, case, &mut scratch));
+            },
+            5_000,
+            1,
+        ));
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        v[v.len() / 2]
+    };
+    let (vdw_ns, vdw_resumed_ns) = (median(vdw_batches), median(resumed_batches));
     let dist_ns = median_ns_per_eval(
         || {
             i += 1;
@@ -506,10 +596,11 @@ fn write_bench_json() {
         9,
     );
     println!(
-        "passes len=12: vdw {vdw_ns:.0} ns/eval, dist {dist_ns:.0} ns/eval, \
-         triplet {triplet_ns:.0} ns/eval"
+        "passes len=12: vdw {vdw_ns:.0} ns/eval (resumed {vdw_resumed_ns:.0}), \
+         dist {dist_ns:.0} ns/eval, triplet {triplet_ns:.0} ns/eval"
     );
     artifact.ns("passes.vdw_ns_per_eval", vdw_ns);
+    artifact.ns("passes.vdw_resumed_ns_per_eval", vdw_resumed_ns);
     artifact.ns("passes.dist_ns_per_eval", dist_ns);
     artifact.ns("passes.triplet_ns_per_eval", triplet_ns);
 

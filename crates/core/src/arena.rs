@@ -9,7 +9,8 @@
 //!
 //! * flat member-major SoA buffers for everything cross-member stages read
 //!   (current/candidate torsion lanes, [`ScoreVector`] slots, closure and
-//!   acceptance flags, RNG stream handles, fitness), and
+//!   acceptance flags, RNG stream handles, fitness, and the checkpoint
+//!   rows of each member's VDW environment pass), and
 //! * a `MemberSlot` per member holding the heavyweight reusable
 //!   workspaces that existing kernels consume by reference (the CCD/scoring
 //!   structure buffer, the scoring scratch, the candidate torsion view the
@@ -29,6 +30,15 @@ use lms_protein::{LoopStructure, Torsions};
 use lms_scoring::{ScoreScratch, ScoreVector, ScratchPool};
 use rand_chacha::ChaCha8Rng;
 
+/// Store the candidate checkpoint that `scratch` holds after a VDW pass
+/// (its running environment totals and, with burial on, its counts) into
+/// one member's checkpoint lanes.
+pub(crate) fn store_checkpoint(scratch: &ScoreScratch, totals: &mut [f64], counts: &mut [u32]) {
+    totals.copy_from_slice(scratch.env_totals());
+    let c = scratch.burial_counts();
+    counts[..c.len()].copy_from_slice(c);
+}
+
 /// One member's heavyweight reusable workspaces: the buffers the
 /// per-conformation kernels mutate through references.
 #[derive(Debug)]
@@ -42,6 +52,10 @@ pub(crate) struct MemberSlot {
     pub(crate) cand: Torsions,
     /// Reused mutated-index buffer for the mutation move.
     pub(crate) mut_indices: Vec<usize>,
+    /// Debug builds only: the workspace of the full VDW pass the staged
+    /// `EvalVdw` kernel checks every resumed pass against.
+    #[cfg(debug_assertions)]
+    pub(crate) check: ScoreScratch,
 }
 
 /// The population-wide SoA arena of one staged trajectory run.
@@ -76,6 +90,16 @@ pub struct PopulationArena {
     pub(crate) proposed_moves: Vec<usize>,
     pub(crate) accepted_moves: Vec<usize>,
     pub(crate) ccd_start: Vec<usize>,
+    /// Per-member checkpoint rows of the current conformation's VDW
+    /// environment pass: `n_residues + 1` running totals each (see
+    /// [`lms_scoring::EnvResume`]).  They live here, not in the slot
+    /// scratches, because the engine leases scratches across jobs; a
+    /// candidate's row lands in its slot scratch and Select copies it here
+    /// on acceptance.
+    pub(crate) env_totals: Vec<f64>,
+    /// Per-member burial counts of the current conformation, `n_residues`
+    /// each (all zero while the burial objective is off).
+    pub(crate) burial_counts: Vec<u32>,
     pub(crate) rngs: Vec<ChaCha8Rng>,
     // --- reusable host-side iteration buffers ---------------------------
     pub(crate) order: Vec<usize>,
@@ -121,6 +145,8 @@ impl PopulationArena {
                 },
                 cand: Torsions::zeros(n_residues),
                 mut_indices: Vec::with_capacity(max_mutations.max(1)),
+                #[cfg(debug_assertions)]
+                check: ScoreScratch::for_loop_len(n_residues),
             })
             .collect();
         // Stride partition sizes are fixed by (n, m): complex `c` holds the
@@ -158,6 +184,8 @@ impl PopulationArena {
             proposed_moves: vec![0; n_members],
             accepted_moves: vec![0; n_members],
             ccd_start: vec![0; n_members],
+            env_totals: vec![0.0; n_members * (n_residues + 1)],
+            burial_counts: vec![0; n_members * n_residues],
             rngs: vec![placeholder; n_members],
             order: Vec::with_capacity(n_members),
             complex_of: vec![0; n_members],
@@ -191,6 +219,12 @@ impl PopulationArena {
     /// this arena was allocated for.
     pub fn ccd_block_width(&self) -> usize {
         self.ccd_block_width
+    }
+
+    /// Residues per member (the checkpoint lanes hold one more running
+    /// total than this).
+    pub(crate) fn n_residues(&self) -> usize {
+        self.stride / 2
     }
 
     /// The member range of one closure block.
@@ -248,6 +282,10 @@ mod tests {
         // CSR complex partition: stride partition of 20 over 3 complexes is
         // 7 + 7 + 6 sorted positions.
         assert_eq!(arena.complex_offsets, vec![0, 7, 14, 20]);
+        // Checkpoint lanes: 13 running totals and 12 burial counts each.
+        assert_eq!(arena.env_totals.len(), 20 * 13);
+        assert_eq!(arena.burial_counts.len(), 20 * 12);
+        assert_eq!(arena.n_residues(), 12);
     }
 
     #[test]

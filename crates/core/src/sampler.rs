@@ -21,7 +21,7 @@
 //! from that record after the run.  The per-member oracle the staged
 //! pipeline must match bit for bit lives in [`crate::reference`].
 
-use crate::arena::{MemberSlot, PopulationArena};
+use crate::arena::{store_checkpoint, MemberSlot, PopulationArena};
 use crate::config::{InitMode, NumericGuard, ObjectiveMode, SamplerConfig};
 use crate::conformation::Conformation;
 use crate::decoyset::DecoySet;
@@ -32,7 +32,7 @@ use crate::stages::StageRecord;
 use lms_closure::{CcdCloser, CcdLane};
 use lms_geometry::{random_torsion, StreamRngFactory};
 use lms_protein::{LoopBuilder, LoopTarget, RamaClass, RamaLibrary, Torsions};
-use lms_scoring::{KnowledgeBase, MultiScorer, ScoreVector, ScratchPool};
+use lms_scoring::{EnvResume, KnowledgeBase, MultiScorer, ScoreVector, ScratchPool};
 use lms_simt::{Executor, KernelKind, KernelLaunch, SharedLanes, MAX_CCD_BLOCK_WIDTH};
 use rand::Rng;
 use std::fmt;
@@ -380,8 +380,23 @@ impl MoscemSampler {
             stages.add_ccd_rotations(rotations);
         }
         stages.record(KernelKind::Ccd, init_close);
-        for launch in self.stage_rebuild_and_score(executor, arena) {
+        // The init rounds score in full: no member has a checkpoint yet.
+        let (launches, skipped) = self.stage_rebuild_and_score(executor, arena, false);
+        for launch in launches {
             stages.record(launch.kind, launch.host);
+        }
+        stages.add_env_residues((n * arena.n_residues()) as u64, skipped);
+        // The candidates' checkpoint rows become the members' now, so that
+        // the quarantine below re-seeds a poisoned member's checkpoint from
+        // its donor together with its other lanes.
+        let n_res = arena.n_residues();
+        for ((slot, totals), counts) in arena
+            .slots
+            .iter()
+            .zip(arena.env_totals.chunks_exact_mut(n_res + 1))
+            .zip(arena.burial_counts.chunks_exact_mut(n_res))
+        {
+            store_checkpoint(&slot.scratch, totals, counts);
         }
         // Numerical health sweep over the freshly scored candidates before
         // they become the population.
@@ -469,9 +484,12 @@ impl MoscemSampler {
                         &mut slot.mut_indices,
                     );
                     *unsafe { starts.item_mut(i) } = start;
+                    // The poisoned torsion is the first one, so CCD and the
+                    // resumed VDW pass start there too.
                     #[cfg(feature = "fault-injection")]
                     if lms_simt::fault::take_nan() {
                         slot.cand.set_angle(0, f64::NAN);
+                        *unsafe { starts.item_mut(i) } = 0;
                     }
                 });
                 stages.record(mutate.kind, mutate.host);
@@ -501,10 +519,13 @@ impl MoscemSampler {
             }
 
             // Stages 3 + 4 — rebuild (observable readback) and the three
-            // scoring kernels, one population-wide launch each.
-            for launch in self.stage_rebuild_and_score(executor, arena) {
+            // scoring kernels, one population-wide launch each; the VDW
+            // environment term resumes from each member's checkpoint.
+            let (launches, skipped) = self.stage_rebuild_and_score(executor, arena, true);
+            for launch in launches {
                 stages.record(launch.kind, launch.host);
             }
+            stages.add_env_residues((n * arena.n_residues()) as u64, skipped);
 
             // Numerical health sweep: poisoned candidates are quarantined
             // (force-rejected without touching the member's stream) or fail
@@ -561,9 +582,13 @@ impl MoscemSampler {
             }
 
             // Stage 6 — select: accepted candidates overwrite their
-            // members' lanes.
+            // members' lanes, the VDW checkpoint included.
             {
+                let n_res = arena.n_residues();
                 let cur = SharedLanes::new(&mut arena.torsions);
+                let env_totals = SharedLanes::new(&mut arena.env_totals);
+                let burial_counts = SharedLanes::new(&mut arena.burial_counts);
+                let slots = &arena.slots;
                 let scores = SharedLanes::new(&mut arena.scores);
                 let devs = SharedLanes::new(&mut arena.closure_dev);
                 let rmsds = SharedLanes::new(&mut arena.rmsd);
@@ -583,6 +608,11 @@ impl MoscemSampler {
                         *unsafe { scores.item_mut(i) } = cand_scores[i];
                         *unsafe { devs.item_mut(i) } = cand_dev[i];
                         *unsafe { rmsds.item_mut(i) } = cand_rmsd[i];
+                        store_checkpoint(
+                            &slots[i].scratch,
+                            unsafe { env_totals.lane_mut(i * (n_res + 1), n_res + 1) },
+                            unsafe { burial_counts.lane_mut(i * n_res, n_res) },
+                        );
                         *unsafe { accepted_moves.item_mut(i) } += 1;
                     }
                 });
@@ -729,15 +759,34 @@ impl MoscemSampler {
     /// The staged `rebuild` and `score` kernels: observable readback (RMSD
     /// to native, candidate-lane writeback) followed by one population-wide
     /// launch per objective kernel; returns the four launches in that
-    /// order.  With the burial objective on, the VDW kernel also fills the
-    /// member's contact counts; DIST and TRIPLET depend on no other pass.
+    /// order and the number of environment residues the VDW kernel
+    /// skipped.  With the burial objective on, the VDW kernel also fills
+    /// the member's contact counts; DIST and TRIPLET depend on no other
+    /// pass.
+    ///
+    /// With `resume`, each member's VDW environment term starts at the
+    /// residue of its CCD start index from the member's checkpoint lanes:
+    /// the candidate agrees with the member on every torsion below that
+    /// index, so every residue before it has the member's coordinates.
+    /// Without it (the init rounds) every pass is full.
     fn stage_rebuild_and_score(
         &self,
         executor: &Executor,
         arena: &mut PopulationArena,
-    ) -> [KernelLaunch; 4] {
+        resume: bool,
+    ) -> ([KernelLaunch; 4], u64) {
         let n = arena.n_members();
         let stride = arena.stride();
+        let n_res = arena.n_residues();
+        let starts = &arena.ccd_start;
+        let resume_residue = |i: usize| {
+            if resume {
+                Torsions::describe_angle(starts[i]).0
+            } else {
+                0
+            }
+        };
+        let skipped = (0..n).map(|i| resume_residue(i) as u64).sum();
         // Rebuild: RMSD observable + candidate torsion lane readback.
         let rebuild = {
             let slots = SharedLanes::new(&mut arena.slots);
@@ -757,6 +806,7 @@ impl MoscemSampler {
         };
 
         // Score: one launch per objective kernel in canonical order.
+        let (env_totals, burial_counts) = (&arena.env_totals, &arena.burial_counts);
         let mut score = |kind: KernelKind| {
             let slots = SharedLanes::new(&mut arena.slots);
             let outs = SharedLanes::new(&mut arena.cand_scores);
@@ -767,13 +817,29 @@ impl MoscemSampler {
                     structure,
                     scratch,
                     cand,
+                    #[cfg(debug_assertions)]
+                    check,
                     ..
                 } = slot;
                 let sv = unsafe { outs.item_mut(i) };
                 let mut a = sv.as_array();
                 match kind {
                     KernelKind::EvalVdw => {
-                        let (vdw, burial) = self.scorer.vdw_pass(&self.target, structure, scratch);
+                        let from = EnvResume::new(
+                            resume_residue(i),
+                            &env_totals[i * (n_res + 1)..(i + 1) * (n_res + 1)],
+                            &burial_counts[i * n_res..(i + 1) * n_res],
+                        );
+                        let (vdw, burial) =
+                            self.scorer
+                                .vdw_pass_from(&self.target, structure, scratch, from);
+                        // Debug builds check the prefix invariant on every
+                        // resumed evaluation against the full pass.
+                        #[cfg(debug_assertions)]
+                        if from.residue() > 0 {
+                            let full = self.scorer.vdw_pass(&self.target, structure, check);
+                            assert_resume_is_exact(i, from, (vdw, burial), scratch, full, check);
+                        }
                         a[0] = vdw;
                         a[3] = burial;
                     }
@@ -798,12 +864,13 @@ impl MoscemSampler {
                 *sv = ScoreVector::from_array(a);
             })
         };
-        [
+        let launches = [
             rebuild,
             score(KernelKind::EvalVdw),
             score(KernelKind::EvalDist),
             score(KernelKind::EvalTrip),
-        ]
+        ];
+        (launches, skipped)
     }
 
     /// Population-wide fitness assignment (Eq. 1) over the arena's score
@@ -939,8 +1006,9 @@ impl MoscemSampler {
         let stride = arena.stride();
         if iteration == 0 {
             // Initialisation has no current state to fall back on: re-seed
-            // each poisoned member's candidate lanes from the first healthy
-            // donor before the candidates become the population.
+            // each poisoned member's candidate lanes (and its checkpoint,
+            // already stored) from the first healthy donor before the
+            // candidates become the population.
             let donor = donor.expect("guard handled the all-poisoned case");
             for i in 0..arena.n_members() {
                 if arena.healthy[i] {
@@ -952,6 +1020,13 @@ impl MoscemSampler {
                 arena.cand_scores[i] = arena.cand_scores[donor];
                 arena.cand_closure_dev[i] = arena.cand_closure_dev[donor];
                 arena.cand_rmsd[i] = arena.cand_rmsd[donor];
+                let (n_res, row) = (stride / 2, stride / 2 + 1);
+                arena
+                    .env_totals
+                    .copy_within(donor * row..(donor + 1) * row, i * row);
+                arena
+                    .burial_counts
+                    .copy_within(donor * n_res..(donor + 1) * n_res, i * n_res);
                 arena.healthy[i] = true;
             }
         } else {
@@ -1059,6 +1134,35 @@ pub(crate) fn snapshot(
         best_rmsd: rmsd.iter().copied().fold(f64::INFINITY, f64::min),
         temperature,
     }
+}
+
+/// Debug builds: the VDW pass that member `member` resumed at `from` must
+/// equal the full pass bit for bit — both scores, the checkpoint row and
+/// the burial counts.
+#[cfg(debug_assertions)]
+fn assert_resume_is_exact(
+    member: usize,
+    from: EnvResume<'_>,
+    resumed: (f64, f64),
+    scratch: &lms_scoring::ScoreScratch,
+    full: (f64, f64),
+    check: &lms_scoring::ScoreScratch,
+) {
+    let bits = |row: &[f64]| row.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+    assert!(
+        (resumed.0.to_bits(), resumed.1.to_bits()) == (full.0.to_bits(), full.1.to_bits())
+            && scratch
+                .env_totals()
+                .iter()
+                .map(|t| t.to_bits())
+                .eq(check.env_totals().iter().map(|t| t.to_bits()))
+            && scratch.burial_counts() == check.burial_counts(),
+        "member {member}: the VDW pass resumed at residue {} differs from the full pass: \
+         {resumed:?} vs {full:?}, rows {:?} vs {:?}",
+        from.residue(),
+        bits(scratch.env_totals()),
+        bits(check.env_totals()),
+    );
 }
 
 /// Draw one member's initial torsions under the configured init mode.
@@ -1277,6 +1381,109 @@ mod tests {
         // The per-member reference keeps no stage record.
         let reference = sampler.run_reference_with_seed(1);
         assert_eq!(reference.stages, StageRecord::default());
+    }
+
+    #[test]
+    fn env_residue_counts_follow_the_mutation_starts() {
+        // Every MCMC evaluation skips the residues below the one holding
+        // its candidate's CCD start index; the init rounds score in full.
+        let (population, iterations, seed) = (12usize, 4usize, 11u64);
+        let cfg = SamplerConfig {
+            population_size: population,
+            n_complexes: 2,
+            iterations,
+            ..SamplerConfig::test_scale()
+        };
+        let sampler = small_sampler("1cex", cfg);
+        let result = sampler.run_with_seed(&scalar(), seed);
+        let target = sampler.target();
+        let n_res = target.n_residues();
+        let classes: Vec<RamaClass> = target.sequence.iter().map(|a| a.rama_class()).collect();
+        // The start index depends only on the draws of the member's
+        // (member, iteration) stream, which the mutate stage seeds from
+        // the trajectory factory's derivation 1.
+        let evo = StreamRngFactory::new(seed).derive(1);
+        let mut torsions = target.native_torsions.clone();
+        let mut indices = Vec::new();
+        let mut expected = 0u64;
+        for iter in 1..=iterations {
+            for i in 0..population {
+                let mut rng = evo.stream(i as u64, iter as u64);
+                let start = sampler.mutator.mutate_in_place(
+                    &mut torsions,
+                    &classes,
+                    &mut rng,
+                    &mut indices,
+                );
+                expected += Torsions::describe_angle(start).0 as u64;
+            }
+        }
+        let stages = &result.stages;
+        assert!(expected > 0);
+        assert_eq!(stages.env_residues_skipped(), expected);
+        assert_eq!(
+            stages.env_residues_scored() + stages.env_residues_skipped(),
+            (population * n_res * (iterations + 1)) as u64
+        );
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn init_quarantine_reseeds_the_checkpoint_from_the_donor() {
+        use lms_simt::{fault, FaultKind, FaultPlan, FaultSession};
+        // A NaN in member 3's initial VDW score makes the quarantine
+        // re-seed it from member 0, checkpoint lanes included.  (A NaN
+        // torsion in the initial sample never gets that far: the NeRF
+        // build refuses to normalise a non-finite bond vector and the job
+        // panics.)
+        let cfg = SamplerConfig {
+            population_size: 8,
+            n_complexes: 2,
+            iterations: 0,
+            burial_objective: true,
+            numeric_guard: NumericGuard::Quarantine,
+            ..SamplerConfig::test_scale()
+        };
+        let sampler = small_sampler("1xyz", cfg.clone());
+        let executor = scalar();
+        let mut arena = PopulationArena::new(
+            cfg.population_size,
+            sampler.target().n_residues(),
+            cfg.mutation.max_mutations,
+            cfg.n_complexes,
+            None,
+            executor.ccd_block_width(),
+        );
+        let plan = FaultPlan::new().inject(KernelKind::EvalVdw, 0, 3, FaultKind::Nan);
+        let _session = fault::install(FaultSession::begin(plan));
+        let _ = sampler
+            .run_staged(&executor, 7, &RunControls::new(), None, &mut arena)
+            .expect("quarantine recovers at init");
+        let (stride, n_res) = (arena.stride(), arena.n_residues());
+        let row = n_res + 1;
+        let lane = |v: &[f64], i: usize, w: usize| v[i * w..(i + 1) * w].to_vec();
+        assert_eq!(
+            lane(&arena.torsions, 3, stride),
+            lane(&arena.torsions, 0, stride),
+            "member 3 was re-seeded from the donor"
+        );
+        assert_ne!(
+            lane(&arena.torsions, 1, stride),
+            lane(&arena.torsions, 0, stride)
+        );
+        assert_eq!(
+            lane(&arena.env_totals, 3, row),
+            lane(&arena.env_totals, 0, row)
+        );
+        assert_eq!(
+            arena.burial_counts[3 * n_res..4 * n_res],
+            arena.burial_counts[..n_res]
+        );
+        assert!(
+            arena.env_totals[row - 1] > 0.0,
+            "buried loop touches its environment"
+        );
+        assert!(arena.burial_counts[..n_res].iter().any(|&c| c > 0));
     }
 
     #[test]

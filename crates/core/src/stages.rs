@@ -4,7 +4,8 @@
 //! stage's launch count and the summed wall time of its
 //! [`Executor::launch`](lms_simt::Executor::launch) calls (the
 //! [`KernelLaunch::host`](lms_simt::KernelLaunch::host) duration), plus the
-//! total number of CCD rotations the trajectory applied.  The record is a
+//! total number of CCD rotations the trajectory applied and the number of
+//! residues the VDW environment pass scored and skipped.  The record is a
 //! fixed-size array updated on the host thread between launches: no lock,
 //! no allocation.  Everything else — the paper's Figure 1 buckets here, the
 //! modeled GTX 280 tables in the experiment harness — is derived from it
@@ -23,13 +24,15 @@ pub struct StageRow {
 }
 
 /// Per-[`KernelKind`] measured rows of one trajectory, plus its total CCD
-/// rotation count.
+/// rotation count and its VDW environment residue counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageRecord {
     /// Indexed by `KernelKind as usize` (declaration order, which is
     /// [`KernelKind::ALL`]'s order).
     rows: [StageRow; KernelKind::ALL.len()],
     ccd_rotations: u64,
+    env_residues_scored: u64,
+    env_residues_skipped: u64,
 }
 
 impl StageRecord {
@@ -43,6 +46,14 @@ impl StageRecord {
     /// Add `rotations` applied CCD rotations to the trajectory total.
     pub(crate) fn add_ccd_rotations(&mut self, rotations: u64) {
         self.ccd_rotations += rotations;
+    }
+
+    /// Add one `[EvalVdw]` launch's `residues` loop residues, of which
+    /// `skipped` were resumed from member checkpoints and the rest summed
+    /// against the environment.
+    pub(crate) fn add_env_residues(&mut self, residues: u64, skipped: u64) {
+        self.env_residues_scored += residues - skipped;
+        self.env_residues_skipped += skipped;
     }
 
     /// The row of stage `kind` (zero when the stage never ran).
@@ -62,6 +73,19 @@ impl StageRecord {
     /// rounds included).
     pub fn ccd_rotations(&self) -> u64 {
         self.ccd_rotations
+    }
+
+    /// Loop residues whose sites the VDW environment pass summed over the
+    /// trajectory (every residue of every initial evaluation included).
+    pub fn env_residues_scored(&self) -> u64 {
+        self.env_residues_scored
+    }
+
+    /// Loop residues the VDW environment pass skipped by resuming from the
+    /// member's checkpoint: per MCMC evaluation, the residue of the
+    /// candidate's CCD start index.
+    pub fn env_residues_skipped(&self) -> u64 {
+        self.env_residues_skipped
     }
 
     /// Summed wall time of every recorded stage.
@@ -146,10 +170,13 @@ mod tests {
         r.record(KernelKind::HealthSweep, Duration::from_micros(2));
         r.add_ccd_rotations(40);
         r.add_ccd_rotations(2);
+        r.add_env_residues(24, 4);
+        r.add_env_residues(12, 5);
         assert_eq!(r.row(KernelKind::Ccd).calls, 2);
         assert_eq!(r.row(KernelKind::Ccd).wall, Duration::from_micros(80));
         assert_eq!(r.row(KernelKind::Select), StageRow::default());
         assert_eq!(r.ccd_rotations(), 42);
+        assert_eq!((r.env_residues_scored(), r.env_residues_skipped()), (27, 9));
         assert_eq!(r.total_wall(), Duration::from_micros(100));
         let kinds: Vec<KernelKind> = r.rows().map(|(k, _)| k).collect();
         assert_eq!(

@@ -8,7 +8,9 @@
 //! Two proofs: the full member-iteration on a surface target, and a
 //! dense-environment (buried-target) variant that drives the incremental
 //! `rebuild_from` path and the per-site candidate-list reads directly, so
-//! neither optimization can silently regress into allocating.
+//! neither optimization can silently regress into allocating.  The VDW
+//! environment pass resumed from a checkpoint gets a direct proof too, and
+//! the staged-pipeline proof resumes it on every MCMC evaluation.
 //!
 //! The counter is per thread: the test harness runs proofs concurrently,
 //! and a process-wide count would charge each proof with its siblings'
@@ -20,7 +22,9 @@ use lms_closure::{CcdBatchScratch, CcdCloser, CcdConfig, CcdLane};
 use lms_core::{MoscemSampler, MutationConfig, Mutator, RunControls, SamplerConfig};
 use lms_geometry::StreamRngFactory;
 use lms_protein::{BenchmarkLibrary, LoopBuilder, LoopStructure, RamaClass, Torsions};
-use lms_scoring::{KnowledgeBase, KnowledgeBaseConfig, MultiScorer, ScoreScratch, VdwScore};
+use lms_scoring::{
+    EnvResume, KnowledgeBase, KnowledgeBaseConfig, MultiScorer, ScoreScratch, VdwScore,
+};
 use lms_simt::ExecutorConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -292,6 +296,69 @@ fn burial_enabled_scoring_is_allocation_free_after_warmup() {
 }
 
 #[test]
+fn resumed_environment_pass_is_allocation_free_after_warmup() {
+    // The resumed VDW pass on the densest environment with burial on:
+    // each step moves one torsion and resumes from the previous
+    // conformation's checkpoint at that torsion's residue, the way a
+    // candidate resumes from its member.
+    let target = BenchmarkLibrary::standard().target_by_name("1xyz").unwrap();
+    let kb = KnowledgeBase::build(KnowledgeBaseConfig::fast());
+    let scorer = MultiScorer::new(kb).with_burial(true);
+    let builder = LoopBuilder::default();
+    let n_res = target.n_residues();
+    let mut torsions = target.native_torsions.clone();
+    let mut structure = target.build(&builder, &torsions);
+    let mut scratch = ScoreScratch::for_loop_len(n_res);
+    let mut member = ScoreScratch::for_loop_len(n_res);
+
+    target.env_candidates();
+    scorer.vdw_pass(&target, &structure, &mut member);
+    let pass = |structure: &mut LoopStructure,
+                torsions: &mut Torsions,
+                scratch: &mut ScoreScratch,
+                member: &mut ScoreScratch,
+                step: f64| {
+        for k in 0..torsions.n_angles() {
+            torsions.rotate_angle(k, step);
+            builder.rebuild_from(&target.frame, &target.sequence, torsions, k, structure);
+            let from = EnvResume::new(
+                Torsions::describe_angle(k).0,
+                member.env_totals(),
+                member.burial_counts(),
+            );
+            let (vdw, burial) = scorer.vdw_pass_from(&target, structure, scratch, from);
+            assert!(vdw.is_finite() && burial.is_finite());
+            std::mem::swap(scratch, member);
+        }
+    };
+    pass(
+        &mut structure,
+        &mut torsions,
+        &mut scratch,
+        &mut member,
+        0.05,
+    );
+
+    let before = allocation_count();
+    for i in 0..8 {
+        pass(
+            &mut structure,
+            &mut torsions,
+            &mut scratch,
+            &mut member,
+            -0.05 + 0.01 * i as f64,
+        );
+    }
+    let after = allocation_count();
+    assert_eq!(
+        after - before,
+        0,
+        "resumed environment passes allocated {} times after warm-up",
+        after - before
+    );
+}
+
+#[test]
 fn staged_arena_pipeline_is_allocation_free_after_warmup() {
     // The population-batched pipeline's claim is stronger than the
     // per-member one: not just each member-iteration but the *entire staged
@@ -307,22 +374,32 @@ fn staged_arena_pipeline_is_allocation_free_after_warmup() {
     // are pinned to one worker because the parallel dispatch path itself
     // spawns scoped threads (an allocation by design); the kernels it runs
     // are the same ones proven allocation-free here.
-    let executor_configs = [
-        ExecutorConfig::scalar(),
-        ExecutorConfig::scalar().ccd_block_width(5),
-        ExecutorConfig::scalar().ccd_block_width(1),
-        ExecutorConfig::parallel().threads(1).ccd_block_width(6),
+    //
+    // Every MCMC evaluation resumes the VDW environment term from the
+    // member's checkpoint lanes, and Select copies the accepted rows; the
+    // last run does both with the burial counts on a buried target.
+    let runs = [
+        (ExecutorConfig::scalar(), "1cex", false),
+        (ExecutorConfig::scalar().ccd_block_width(5), "1cex", false),
+        (ExecutorConfig::scalar().ccd_block_width(1), "1cex", false),
+        (
+            ExecutorConfig::parallel().threads(1).ccd_block_width(6),
+            "1cex",
+            false,
+        ),
+        (ExecutorConfig::scalar(), "1xyz", true),
     ];
-    for exec_cfg in executor_configs {
+    for (exec_cfg, name, burial) in runs {
         let executor = exec_cfg.build().expect("valid executor config");
         let caps = executor.capabilities();
-        let target = BenchmarkLibrary::standard().target_by_name("1cex").unwrap();
+        let target = BenchmarkLibrary::standard().target_by_name(name).unwrap();
         let kb = KnowledgeBase::build(KnowledgeBaseConfig::fast());
         let iterations = 10usize;
         let cfg = SamplerConfig::builder()
             .population_size(12)
             .n_complexes(2)
             .iterations(iterations)
+            .burial_objective(burial)
             .seed(7)
             .build()
             .expect("valid test config");
@@ -339,6 +416,7 @@ fn staged_arena_pipeline_is_allocation_free_after_warmup() {
             .run_controlled(&executor, 7, &controls)
             .expect("uncancelled run succeeds");
         assert_eq!(result.population.len(), 12);
+        assert!(result.stages.env_residues_skipped() > 0);
 
         // Every iteration, the first included, must allocate exactly
         // nothing.
@@ -348,7 +426,8 @@ fn staged_arena_pipeline_is_allocation_free_after_warmup() {
             assert_eq!(
                 after - before,
                 0,
-                "staged iteration {iter} on {caps} performed {} heap allocations",
+                "staged iteration {iter} on {caps} ({name}, burial {burial}) performed {} heap \
+                 allocations",
                 after - before
             );
         }

@@ -90,5 +90,5 @@ pub use normalize::{normalize_population, ScoreRange};
 pub use pool::ScratchPool;
 pub use traits::{Objective, ScoreVector, ScoringFunction, NUM_OBJECTIVES};
 pub use triplet::TripletScore;
-pub use vdw::{ContactWeights, VdwRadii, VdwScore};
+pub use vdw::{ContactWeights, EnvResume, VdwRadii, VdwScore};
 pub use workspace::ScoreScratch;

@@ -11,13 +11,21 @@
 //! candidate lists it already reads ([`VdwScore::score_target_with_burial`]),
 //! so the fourth objective costs one extra distance filter per Cα site
 //! rather than a second sweep over the environment.
+//!
+//! The staged sampler scores a candidate with [`MultiScorer::vdw_pass_from`]:
+//! the candidate agrees with its member on every residue below the one
+//! holding the first mutated torsion, so the environment term and the
+//! burial counts resume from the member's checkpoint row there.  The
+//! intra-loop VDW, DIST and TRIPLET terms are always summed in full.
+//! [`MultiScorer::vdw_pass`] and [`MultiScorer::evaluate_with`] are the
+//! full pass.
 
 use crate::burial::BurialScore;
 use crate::dist::DistScore;
 use crate::library::KnowledgeBase;
 use crate::traits::{ScoreVector, ScoringFunction};
 use crate::triplet::TripletScore;
-use crate::vdw::VdwScore;
+use crate::vdw::{EnvResume, VdwScore};
 use crate::workspace::ScoreScratch;
 use lms_protein::{LoopStructure, LoopTarget, Torsions};
 use std::sync::Arc;
@@ -123,22 +131,43 @@ impl MultiScorer {
     /// enabled, the environment pass filters the per-residue contact counts
     /// from the same candidate lists (VDW owns the burial counts) and the
     /// second returned value is the BURIAL score; otherwise it is `0.0`.
+    /// This is the full pass, [`MultiScorer::vdw_pass_from`] at
+    /// [`EnvResume::FULL`].
     pub fn vdw_pass(
         &self,
         target: &LoopTarget,
         structure: &LoopStructure,
         scratch: &mut ScoreScratch,
     ) -> (f64, f64) {
+        self.vdw_pass_from(target, structure, scratch, EnvResume::FULL)
+    }
+
+    /// [`MultiScorer::vdw_pass`] with the environment term and the burial
+    /// counts resumed from an earlier pass's checkpoint (see [`EnvResume`]
+    /// and the [`vdw`](crate::vdw) module docs): only the sites of residues
+    /// from `resume.residue()` on are summed against the environment.  The
+    /// returned scores, `scratch.burial_counts()` and the checkpoint row
+    /// left in `scratch.env_totals()` are bit-identical to a full pass
+    /// whenever `structure` agrees with the checkpoint's conformation on
+    /// every residue below the resume residue.
+    pub fn vdw_pass_from(
+        &self,
+        target: &LoopTarget,
+        structure: &LoopStructure,
+        scratch: &mut ScoreScratch,
+        resume: EnvResume<'_>,
+    ) -> (f64, f64) {
+        let radius = self.burial_enabled.then(|| self.burial.radius());
+        let vdw = self
+            .vdw
+            .score_target_from(target, structure, scratch, radius, resume);
         if self.burial_enabled {
-            let vdw =
-                self.vdw
-                    .score_target_with_burial(target, structure, scratch, self.burial.radius());
             let counts = std::mem::take(&mut scratch.burial_counts);
             let burial = self.burial.score_from_counts(target, &counts);
             scratch.burial_counts = counts;
             (vdw, burial)
         } else {
-            (self.vdw.score_target_with(target, structure, scratch), 0.0)
+            (vdw, 0.0)
         }
     }
 

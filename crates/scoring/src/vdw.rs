@@ -25,11 +25,73 @@
 //!   the linear scan's order, so the production term is bit-identical to
 //!   the exhaustive linear scan ([`VdwScore::environment_term_linear`],
 //!   property-tested in `tests/cell_list_equivalence.rs`).
+//!
+//! ## Resuming the environment term
+//!
+//! The environment term sums site by site in residue order, so the running
+//! total at each residue boundary is a checkpoint: every pass leaves its
+//! row of `n_residues + 1` totals in [`ScoreScratch::env_totals`], and each
+//! residue's burial count depends on its own Cα alone.  A conformation
+//! that agrees with an earlier one on every residue below `r` can start
+//! from that pass's total at `r` and its counts below `r`
+//! ([`EnvResume`]), and sum only the sites of residues `≥ r`, in the same
+//! order: the term, the counts and the new checkpoint row are the same bits
+//! as a full pass (property-tested in `tests/env_resume_equivalence.rs`).
+//! The full pass is the `r = 0` case ([`EnvResume::FULL`]).  The
+//! intra-loop term is always summed in full.
 
 use crate::traits::ScoringFunction;
 use crate::workspace::ScoreScratch;
 use lms_geometry::Vec3;
 use lms_protein::{EnvCandidates, LoopStructure, LoopTarget, Torsions, ENV_LIST_RADIUS};
+
+/// Where a loop-to-environment pass starts: the first residue it sums and
+/// the checkpoint of an earlier pass it resumes from (see the module docs).
+///
+/// The caller vouches that the scored conformation agrees, bit for bit,
+/// with the checkpoint's conformation on every residue below
+/// [`EnvResume::residue`].
+#[derive(Debug, Clone, Copy)]
+pub struct EnvResume<'a> {
+    residue: usize,
+    totals: &'a [f64],
+    counts: &'a [u32],
+}
+
+impl<'a> EnvResume<'a> {
+    /// The full pass: every residue from a zero total.
+    pub const FULL: EnvResume<'static> = EnvResume {
+        residue: 0,
+        totals: &[0.0],
+        counts: &[],
+    };
+
+    /// Resume at `residue` from an earlier pass's checkpoint: `totals` is
+    /// its [`ScoreScratch::env_totals`] row and `counts` its per-residue
+    /// burial counts (read below `residue` only when the pass counts
+    /// burial).
+    ///
+    /// # Panics
+    ///
+    /// If `totals` holds no entry at `residue`.
+    pub fn new(residue: usize, totals: &'a [f64], counts: &'a [u32]) -> Self {
+        assert!(
+            residue < totals.len(),
+            "resume residue {residue} is past the checkpoint row ({} entries)",
+            totals.len()
+        );
+        EnvResume {
+            residue,
+            totals,
+            counts,
+        }
+    }
+
+    /// The first residue whose sites the pass sums.
+    pub fn residue(&self) -> usize {
+        self.residue
+    }
+}
 
 /// Soft-sphere radii (Å) of the backbone heavy atoms.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -249,12 +311,17 @@ impl VdwScore {
     /// each residue's environment contact count within `r` of its Cα is
     /// filtered from the Cα site's own list into `scratch.burial_counts`:
     /// the burial objective costs one extra distance filter per residue.
+    ///
+    /// The pass starts at `resume`'s residue from its checkpoint (the
+    /// asserts still cover every site) and writes the whole checkpoint row
+    /// into `scratch.env_totals`.
     fn against_environment(
         &self,
         s: &mut ScoreScratch,
         env: &EnvCandidates,
         n_residues: usize,
         burial_radius: Option<f64>,
+        resume: EnvResume<'_>,
     ) -> f64 {
         let softness = self.radii.softness;
         let max_site = s.site_r.iter().fold(0.0f64, |m, &r| m.max(r));
@@ -263,37 +330,48 @@ impl VdwScore {
             reach <= ENV_LIST_RADIUS,
             "VDW site reach {reach} Å exceeds the environment list radius {ENV_LIST_RADIUS} Å"
         );
+        let r0 = resume.residue;
         if let Some(r) = burial_radius {
             assert!(
                 r <= ENV_LIST_RADIUS,
                 "burial radius {r} Å exceeds the environment list radius {ENV_LIST_RADIUS} Å"
             );
             s.burial_counts.clear();
+            s.burial_counts.extend_from_slice(&resume.counts[..r0]);
             s.burial_counts.resize(n_residues, 0);
         }
+        s.env_totals.clear();
+        s.env_totals.extend_from_slice(&resume.totals[..=r0]);
         let (ex, ey, ez) = (env.xs(), env.ys(), env.zs());
         let (er, ec) = (env.radii(), env.centroid_flags());
-        let mut total = 0.0;
-        for a in 0..s.site_x.len() {
-            let p = Vec3::new(s.site_x[a], s.site_y[a], s.site_z[a]);
-            let (ra, a_centroid) = (s.site_r[a], s.site_centroid[a]);
-            let near = env.near(p);
-            if let Some(r) = burial_radius.filter(|_| s.site_is_ca[a]) {
-                s.burial_counts[s.site_res[a] as usize] = env.count_within(p, r, near);
-            }
-            for &b in near {
-                let b = b as usize;
-                let dx = p.x - ex[b];
-                let dy = p.y - ey[b];
-                let dz = p.z - ez[b];
-                let d2 = dx * dx + dy * dy + dz * dz;
-                let sigma = (ra + er[b]) * softness;
-                if d2 >= sigma * sigma || sigma <= 0.0 {
-                    continue;
+        let n_sites = s.site_x.len();
+        let mut total = resume.totals[r0];
+        // Sites are staged in residue order: skip the resumed prefix.
+        let mut a = s.site_res.partition_point(|&res| (res as usize) < r0);
+        for residue in r0..n_residues {
+            while a < n_sites && s.site_res[a] as usize == residue {
+                let p = Vec3::new(s.site_x[a], s.site_y[a], s.site_z[a]);
+                let (ra, a_centroid) = (s.site_r[a], s.site_centroid[a]);
+                let near = env.near(p);
+                if let Some(r) = burial_radius.filter(|_| s.site_is_ca[a]) {
+                    s.burial_counts[residue] = env.count_within(p, r, near);
                 }
-                total += self.contact_weight(a_centroid, ec[b])
-                    * self.overlap_penalty(d2.sqrt(), ra + er[b]);
+                for &b in near {
+                    let b = b as usize;
+                    let dx = p.x - ex[b];
+                    let dy = p.y - ey[b];
+                    let dz = p.z - ez[b];
+                    let d2 = dx * dx + dy * dy + dz * dz;
+                    let sigma = (ra + er[b]) * softness;
+                    if d2 >= sigma * sigma || sigma <= 0.0 {
+                        continue;
+                    }
+                    total += self.contact_weight(a_centroid, ec[b])
+                        * self.overlap_penalty(d2.sqrt(), ra + er[b]);
+                }
+                a += 1;
             }
+            s.env_totals.push(total);
         }
         total
     }
@@ -314,6 +392,7 @@ impl VdwScore {
             target.env_candidates(),
             structure.n_residues(),
             None,
+            EnvResume::FULL,
         )
     }
 
@@ -337,15 +416,7 @@ impl VdwScore {
         structure: &LoopStructure,
         scratch: &mut ScoreScratch,
     ) -> f64 {
-        self.fill_sites(target, structure, scratch);
-        let intra = self.intra_loop(scratch);
-        let inter = self.against_environment(
-            scratch,
-            target.env_candidates(),
-            structure.n_residues(),
-            None,
-        );
-        (intra + inter) / structure.n_residues() as f64
+        self.score_target_from(target, structure, scratch, None, EnvResume::FULL)
     }
 
     /// [`VdwScore::score_target_with`] with the environment term evaluated
@@ -365,13 +436,34 @@ impl VdwScore {
         scratch: &mut ScoreScratch,
         burial_radius: f64,
     ) -> f64 {
+        self.score_target_from(
+            target,
+            structure,
+            scratch,
+            Some(burial_radius),
+            EnvResume::FULL,
+        )
+    }
+
+    /// The one VDW pass behind every entry point: stage the sites, sum the
+    /// intra-loop term in full and the environment term from `resume`
+    /// (counting burial within `burial_radius` when given).
+    pub(crate) fn score_target_from(
+        &self,
+        target: &LoopTarget,
+        structure: &LoopStructure,
+        scratch: &mut ScoreScratch,
+        burial_radius: Option<f64>,
+        resume: EnvResume<'_>,
+    ) -> f64 {
         self.fill_sites(target, structure, scratch);
         let intra = self.intra_loop(scratch);
         let inter = self.against_environment(
             scratch,
             target.env_candidates(),
             structure.n_residues(),
-            Some(burial_radius),
+            burial_radius,
+            resume,
         );
         (intra + inter) / structure.n_residues() as f64
     }

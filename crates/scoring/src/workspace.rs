@@ -46,6 +46,10 @@ pub struct ScoreScratch {
     /// VDW/BURIAL environment pass (a Cα site's candidate list serves both
     /// objectives) or by the standalone BURIAL kernel.
     pub(crate) burial_counts: Vec<u32>,
+    /// The environment pass's checkpoint row: entry `r` is the running
+    /// loop-to-environment total over the sites of every residue before
+    /// `r` (`n_residues + 1` entries, the last one the whole term).
+    pub(crate) env_totals: Vec<f64>,
 }
 
 impl ScoreScratch {
@@ -67,6 +71,7 @@ impl ScoreScratch {
             site_is_ca: Vec::with_capacity(5 * n_residues),
             classes: Vec::with_capacity(n_residues),
             burial_counts: Vec::with_capacity(n_residues),
+            env_totals: Vec::with_capacity(n_residues + 1),
         }
     }
 
@@ -74,6 +79,14 @@ impl ScoreScratch {
     /// that computed them (empty until a burial-enabled kernel has run).
     pub fn burial_counts(&self) -> &[u32] {
         &self.burial_counts
+    }
+
+    /// The checkpoint row of the most recent environment pass: entry `r`
+    /// is the running environment total before residue `r`'s sites, so a
+    /// later pass over a conformation that agrees on residues `< r` can
+    /// resume there ([`EnvResume`](crate::EnvResume)).
+    pub fn env_totals(&self) -> &[f64] {
+        &self.env_totals
     }
 
     /// Drop buffered contents (capacity is retained).
@@ -87,6 +100,7 @@ impl ScoreScratch {
         self.site_is_ca.clear();
         self.classes.clear();
         self.burial_counts.clear();
+        self.env_totals.clear();
     }
 }
 
@@ -100,6 +114,7 @@ mod tests {
         assert!(s.site_x.capacity() >= 60);
         assert!(s.site_res.capacity() >= 60);
         assert!(s.burial_counts.capacity() >= 12);
+        assert!(s.env_totals.capacity() >= 13);
         assert!(s.classes.capacity() >= 12);
     }
 
