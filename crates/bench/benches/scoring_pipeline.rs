@@ -456,6 +456,27 @@ fn median_ns_per_eval<F: FnMut()>(mut f: F, iters: u32, samples: u32) -> f64 {
     results[results.len() / 2]
 }
 
+/// Median ns/eval of two closures over `samples` timed batches each, the
+/// batches alternating, so host drift slows both sides of their ratio
+/// alike.
+fn paired_median_ns_per_eval<F: FnMut(), G: FnMut()>(
+    mut f: F,
+    mut g: G,
+    iters: u32,
+    samples: u32,
+) -> (f64, f64) {
+    let (mut fs, mut gs) = (Vec::new(), Vec::new());
+    for _ in 0..samples {
+        fs.push(median_ns_per_eval(&mut f, iters, 1));
+        gs.push(median_ns_per_eval(&mut g, iters, 1));
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        v[v.len() / 2]
+    };
+    (median(fs), median(gs))
+}
+
 /// Absolute ceiling on the health sweep's cost relative to one batched
 /// member-iteration: the guard runs every staged iteration, so it must stay
 /// noise regardless of runner speed.
@@ -475,21 +496,16 @@ fn write_bench_json() {
 
         let iters = 2_000u32.min(40_000 / len as u32);
         let mut i = 0usize;
-        let allocating = median_ns_per_eval(
+        let mut structure = LoopStructure::with_capacity(len);
+        let mut scratch = ScoreScratch::for_loop_len(len);
+        let mut j = 0usize;
+        let (allocating, workspace) = paired_median_ns_per_eval(
             || {
                 let t = &torsions[i % torsions.len()];
                 i += 1;
                 let structure = target.build(&builder, t);
                 black_box(legacy::evaluate(&kb, &target, &structure, t));
             },
-            iters,
-            9,
-        );
-
-        let mut structure = LoopStructure::with_capacity(len);
-        let mut scratch = ScoreScratch::for_loop_len(len);
-        let mut j = 0usize;
-        let workspace = median_ns_per_eval(
             || {
                 let t = &torsions[j % torsions.len()];
                 j += 1;
@@ -552,32 +568,20 @@ fn write_bench_json() {
     let mut i = 0usize;
     // The full and the resumed VDW pass alternate batch by batch, so host
     // drift slows both rows alike.
-    let (mut vdw_batches, mut resumed_batches) = (Vec::new(), Vec::new());
-    for _ in 0..9 {
-        vdw_batches.push(median_ns_per_eval(
-            || {
-                i += 1;
-                let k = i % structures.len();
-                black_box(scorer.vdw_pass(&target, &structures[k], &mut scratch));
-            },
-            5_000,
-            1,
-        ));
-        resumed_batches.push(median_ns_per_eval(
-            || {
-                i += 1;
-                let case = &cases[i % cases.len()];
-                black_box(resumed_pass(&scorer, &target, case, &mut scratch));
-            },
-            5_000,
-            1,
-        ));
-    }
-    let median = |mut v: Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        v[v.len() / 2]
-    };
-    let (vdw_ns, vdw_resumed_ns) = (median(vdw_batches), median(resumed_batches));
+    let (mut resumed_scratch, mut r) = (ScoreScratch::for_loop_len(12), 0usize);
+    let (vdw_ns, vdw_resumed_ns) = paired_median_ns_per_eval(
+        || {
+            i += 1;
+            black_box(scorer.vdw_pass(&target, &structures[i % structures.len()], &mut scratch));
+        },
+        || {
+            r += 1;
+            let case = &cases[r % cases.len()];
+            black_box(resumed_pass(&scorer, &target, case, &mut resumed_scratch));
+        },
+        5_000,
+        9,
+    );
     let dist_ns = median_ns_per_eval(
         || {
             i += 1;

@@ -17,8 +17,8 @@
 //!   flat lane is loaded into, the mutation-index scratch),
 //!
 //! plus the reusable host-side iteration buffers (sort order, complex
-//! partition in CSR form with its per-complex fitness table, trace
-//! accumulators) and one
+//! partition in CSR form with its per-complex fitness table, the front
+//! lists, trace accumulators) and one
 //! [`CcdBatchScratch`] per closure block.  Everything is allocated once at
 //! trajectory start and reused for every iteration: after the first
 //! iteration warms the buffers up, a whole staged iteration performs no
@@ -75,8 +75,13 @@ pub struct PopulationArena {
     pub(crate) scores: Vec<ScoreVector>,
     pub(crate) cand_scores: Vec<ScoreVector>,
     pub(crate) fitness: Vec<f64>,
+    /// Eq. 1 strength per member, written for front members only (the
+    /// only ones Eq. 1 reads).
     pub(crate) strength: Vec<f64>,
     pub(crate) front: Vec<bool>,
+    /// Ascending indices of the front members, built on the host between
+    /// the two `[FitAssg] within Population` passes.
+    pub(crate) front_members: Vec<usize>,
     pub(crate) closure_dev: Vec<f64>,
     pub(crate) cand_closure_dev: Vec<f64>,
     pub(crate) rmsd: Vec<f64>,
@@ -104,13 +109,20 @@ pub struct PopulationArena {
     // --- reusable host-side iteration buffers ---------------------------
     pub(crate) order: Vec<usize>,
     pub(crate) complex_of: Vec<usize>,
+    /// Per member: its sorted position in `complex_scores`.
+    pub(crate) complex_pos: Vec<usize>,
     pub(crate) complex_scores: Vec<ScoreVector>,
     pub(crate) complex_offsets: Vec<usize>,
     /// Per sorted position of `complex_scores`: the member's Eq. 1
-    /// strength and front flag within its complex, written by the
-    /// `[FitAssg] within Complex` kernel for the Metropolis stage.
+    /// strength (front members only), front flag and fitness within its
+    /// complex, written by the two passes of the `[FitAssg] within
+    /// Complex` kernel for the Metropolis stage.
     pub(crate) complex_strength: Vec<f64>,
     pub(crate) complex_front: Vec<bool>,
+    pub(crate) complex_fitness: Vec<f64>,
+    /// Ascending sorted positions of every complex's front members, built
+    /// on the host between the two `[FitAssg] within Complex` passes.
+    pub(crate) complex_front_members: Vec<usize>,
     pub(crate) trace_sums: Vec<(f64, usize)>,
     // --- heavyweight member and block workspaces ------------------------
     pub(crate) slots: Vec<MemberSlot>,
@@ -174,6 +186,7 @@ impl PopulationArena {
             fitness: vec![f64::INFINITY; n_members],
             strength: vec![0.0; n_members],
             front: vec![false; n_members],
+            front_members: Vec::with_capacity(n_members),
             closure_dev: vec![f64::INFINITY; n_members],
             cand_closure_dev: vec![f64::INFINITY; n_members],
             rmsd: vec![f64::INFINITY; n_members],
@@ -189,10 +202,13 @@ impl PopulationArena {
             rngs: vec![placeholder; n_members],
             order: Vec::with_capacity(n_members),
             complex_of: vec![0; n_members],
+            complex_pos: vec![0; n_members],
             complex_scores: vec![ScoreVector::default(); n_members],
             complex_offsets,
             complex_strength: vec![0.0; n_members],
             complex_front: vec![false; n_members],
+            complex_fitness: vec![0.0; n_members],
+            complex_front_members: Vec::with_capacity(n_members),
             trace_sums: vec![(0.0, 0); m],
             slots,
             ccd_blocks: vec![CcdBatchScratch::new(); n_blocks],

@@ -91,6 +91,44 @@ mod tests {
     use super::*;
 
     #[test]
+    fn a_nan_torsion_anywhere_reaches_the_sweep_without_a_panic() {
+        use lms_closure::{CcdBatchScratch, CcdCloser, CcdConfig, CcdLane};
+        use lms_protein::{BenchmarkLibrary, LoopBuilder};
+        use lms_scoring::{KnowledgeBase, KnowledgeBaseConfig, MultiScorer, ScoreScratch};
+        // Everything between the build and the sweep — CCD, RMSD and the
+        // VDW (with burial), DIST and TRIPLET passes — carries a NaN
+        // torsion through as NaN, wherever in the loop it sits.
+        let builder = LoopBuilder::default();
+        let closer = CcdCloser::new(builder, CcdConfig::default());
+        let scorer =
+            MultiScorer::new(KnowledgeBase::build(KnowledgeBaseConfig::fast())).with_burial(true);
+        let library = BenchmarkLibrary::standard();
+        for name in ["1cex", "1xyz"] {
+            let target = library.target_by_name(name).unwrap();
+            let mut structure = target.build(&builder, &target.native_torsions);
+            let (mut ccd, mut scratch) = (CcdBatchScratch::new(), ScoreScratch::new());
+            for k in 0..target.native_torsions.as_slice().len() {
+                let mut torsions = target.native_torsions.clone();
+                torsions.set_angle(k, f64::NAN);
+                let lane = CcdLane {
+                    torsions: &mut torsions,
+                    structure: &mut structure,
+                    start_index: k,
+                };
+                let dev = closer
+                    .close_lane(&target.frame, &target.sequence, lane, &mut ccd)
+                    .final_deviation;
+                let scores = scorer.evaluate_with(&target, &structure, &torsions, &mut scratch);
+                let rmsd = target.rmsd_to_native(&structure);
+                assert!(
+                    !member_is_finite(&scores, torsions.as_slice(), dev, rmsd),
+                    "{name}: a NaN at torsion {k} left the member finite"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn finite_members_pass_the_sweep() {
         let s = ScoreVector::new(1.0, 2.0, 3.0);
         assert!(member_is_finite(&s, &[0.1, -0.2], 0.3, 1.5));

@@ -20,7 +20,8 @@
 //! * [`reference`](mod@reference) — the per-member oracle the staged
 //!   trajectory must match bit for bit;
 //! * [`stages`] — the measured per-stage record every staged trajectory
-//!   returns (launch counts, launch wall time, CCD rotations);
+//!   returns (launch counts, launch wall time, CCD rotations, summed
+//!   population front size);
 //! * [`decoyset`] — accumulation of structurally distinct non-dominated
 //!   decoys across trajectories (the paper's decoy-production protocol);
 //! * [`error`] — the typed [`ConfigError`]/[`Error`] hierarchy every

@@ -18,6 +18,19 @@
 //!
 //! Lower fitness is better; conformations with `fᵢ < 1` are exactly the
 //! current Pareto-optimal front.
+//!
+//! Eq. 1 reads a strength only where the member is on the front: its own,
+//! or a front dominator's.  The staged pipeline's kernels therefore work
+//! front-only.  [`strength_and_front`] settles the front flag first and
+//! counts the dominated members only for front members, and the dominated
+//! members' sums ([`member_fitness`]) visit only front members, in
+//! ascending index order, so every sum adds the same terms in the same
+//! order as the direct formulas ([`fitness_assignment`],
+//! [`fitness_against`]) that the per-member oracle keeps.
+//!
+//! Dominance itself ([`ScoreVector::dominates`]) is branch-free: about
+//! 330k tests run per iteration at the production point, on score vectors
+//! whose comparisons a branch predictor cannot learn.
 
 use lms_scoring::{ScoreVector, NUM_OBJECTIVES};
 
@@ -122,21 +135,60 @@ pub fn fitness_against(candidate: &ScoreVector, reference: &[ScoreVector]) -> f6
     }
 }
 
-/// Member `i`'s Eq. 1 terms within `set`: its strength (the number of
-/// members of `set` it dominates, as a fraction of `denominator`) and its
-/// front flag (no other member of `set` dominates it).
+/// Member `i`'s Eq. 1 terms within `set`: its front flag (no other member
+/// of `set` dominates it) and, for a front member, its strength (the
+/// number of members of `set` it dominates, as a fraction of
+/// `denominator`).
 ///
-/// The population fitness stage calls it with `denominator = set.len()`;
-/// the `[FitAssg] within Complex` table with `set.len() + 1`, the
-/// prospective-candidate denominator of [`fitness_against`].
+/// The front test exits at the first dominator, and a member off the
+/// front gets strength `0.0` without a count: Eq. 1 never reads it (see
+/// the module docs).  The population fitness stage calls it with
+/// `denominator = set.len()`; the `[FitAssg] within Complex` table with
+/// `set.len() + 1`, the prospective-candidate denominator of
+/// [`fitness_against`].
 pub fn strength_and_front(set: &[ScoreVector], i: usize, denominator: usize) -> (f64, bool) {
     let si = &set[i];
+    // A vector never dominates itself, so `i` needs no exclusion.
+    if set.iter().any(|sj| sj.dominates(si)) {
+        return (0.0, false);
+    }
     let dominated = set.iter().filter(|sj| si.dominates(sj)).count();
-    let front = !set
-        .iter()
-        .enumerate()
-        .any(|(j, sj)| j != i && sj.dominates(si));
-    (dominated as f64 / denominator as f64, front)
+    (dominated as f64 / denominator as f64, true)
+}
+
+/// Eq. 1 fitness of member `i` of `set` from the set's within-set terms
+/// (`strength[j]`, `front[j]` as [`strength_and_front`] writes them): its
+/// strength on the front, otherwise one plus the strengths of the front
+/// members that dominate it.  `front_members` lists the front's indices in
+/// ascending order, so the strengths are added in the direct formula's
+/// order and the sum is bit-identical to it; the sum selects rather than
+/// branches, since adding `+0.0` to a sum of non-negative strengths
+/// leaves it unchanged.
+///
+/// With the population's terms (`denominator = set.len()`) this is
+/// [`fitness_assignment`]`(set)[i]`; with a complex's terms
+/// (`set.len() + 1`) it is [`fitness_against`]`(&set[i], set)`, the
+/// member's own fitness in the Metropolis test.
+pub fn member_fitness(
+    set: &[ScoreVector],
+    i: usize,
+    strength: &[f64],
+    front: &[bool],
+    front_members: impl IntoIterator<Item = usize>,
+) -> f64 {
+    if front[i] {
+        return strength[i];
+    }
+    let si = &set[i];
+    let mut sum = 0.0;
+    for j in front_members {
+        sum += if set[j].dominates(si) {
+            strength[j]
+        } else {
+            0.0
+        };
+    }
+    1.0 + sum
 }
 
 /// [`fitness_against`] from a precomputed table of the reference set's
@@ -155,15 +207,16 @@ pub fn fitness_against_table(
     let mut has_dominator = false;
     let mut dominator_strength = 0.0;
     for (j, r) in reference.iter().enumerate() {
-        if candidate.dominates(r) {
-            dominated += 1;
-        }
-        if r.dominates(candidate) {
-            has_dominator = true;
-            if front[j] {
-                dominator_strength += strength[j];
-            }
-        }
+        dominated += usize::from(candidate.dominates(r));
+        let dominator = r.dominates(candidate);
+        has_dominator |= dominator;
+        // Selected, not branched on: `+0.0` leaves the non-negative sum
+        // unchanged.
+        dominator_strength += if dominator & front[j] {
+            strength[j]
+        } else {
+            0.0
+        };
     }
     if has_dominator {
         1.0 + dominator_strength
@@ -316,14 +369,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn table_fitness_is_bit_identical_to_the_direct_formula() {
-        use lms_geometry::StreamRngFactory;
+    type Rng = rand_chacha::ChaCha8Rng;
+
+    fn spiked_rng(seed: u64) -> Rng {
+        lms_geometry::StreamRngFactory::new(seed).stream(0, 0)
+    }
+
+    /// A score vector on a coarse value grid (ties and dominance are
+    /// common), spiked with non-finite components, exercising every branch
+    /// of Eq. 1.
+    fn spiked_vector(rng: &mut Rng) -> ScoreVector {
         use rand::Rng;
-        let mut rng = StreamRngFactory::new(0x5eed_fa11).stream(0, 0);
-        // Coarse value grid (ties and dominance are common) spiked with
-        // non-finite components, exercising every branch of Eq. 1.
-        let component = |rng: &mut rand_chacha::ChaCha8Rng| -> f64 {
+        let mut component = || -> f64 {
             match rng.gen_range(0..12) {
                 0 => f64::NAN,
                 1 => f64::INFINITY,
@@ -331,20 +388,35 @@ mod tests {
                 _ => rng.gen_range(-3..4) as f64,
             }
         };
-        let vector = |rng: &mut rand_chacha::ChaCha8Rng| {
-            ScoreVector::from_array([
-                component(rng),
-                component(rng),
-                component(rng),
-                component(rng),
-            ])
-        };
+        ScoreVector::from_array([component(), component(), component(), component()])
+    }
+
+    /// `len` spiked vectors, one of them (for `len > 1`) duplicated: equal
+    /// members never dominate each other.
+    fn spiked_set(rng: &mut Rng, len: usize) -> Vec<ScoreVector> {
+        use rand::Rng;
+        let mut set: Vec<ScoreVector> = (0..len).map(|_| spiked_vector(rng)).collect();
+        if len > 1 {
+            let (from, to) = (rng.gen_range(0..len), rng.gen_range(0..len));
+            set[to] = set[from];
+        }
+        set
+    }
+
+    /// The within-set table of `set` at `denominator`, as the kernels
+    /// write it.
+    fn table(set: &[ScoreVector], denominator: usize) -> (Vec<f64>, Vec<bool>) {
+        (0..set.len())
+            .map(|j| strength_and_front(set, j, denominator))
+            .unzip()
+    }
+
+    #[test]
+    fn table_fitness_is_bit_identical_to_the_direct_formula() {
+        use rand::Rng;
+        let mut rng = spiked_rng(0x5eed_fa11);
         let check = |candidate: &ScoreVector, reference: &[ScoreVector]| {
-            let table: Vec<(f64, bool)> = (0..reference.len())
-                .map(|j| strength_and_front(reference, j, reference.len() + 1))
-                .collect();
-            let strength: Vec<f64> = table.iter().map(|t| t.0).collect();
-            let front: Vec<bool> = table.iter().map(|t| t.1).collect();
+            let (strength, front) = table(reference, reference.len() + 1);
             let direct = fitness_against(candidate, reference);
             let tabled = fitness_against_table(candidate, reference, &strength, &front);
             assert_eq!(
@@ -355,18 +427,76 @@ mod tests {
         };
         let sizes = (0..200usize).map(|k| k % 8).chain([0, 1, 7, 128]);
         for len in sizes {
-            let mut reference: Vec<ScoreVector> = (0..len).map(|_| vector(&mut rng)).collect();
-            if len > 1 {
-                // Duplicate vectors: equal members never dominate each other.
-                let (from, to) = (rng.gen_range(0..len), rng.gen_range(0..len));
-                reference[to] = reference[from];
-            }
-            check(&vector(&mut rng), &reference);
+            let reference = spiked_set(&mut rng, len);
+            check(&spiked_vector(&mut rng), &reference);
             if len > 0 {
                 // A candidate equal to a reference member (the current
                 // member's own fitness in the Metropolis test).
                 let j = rng.gen_range(0..len);
                 check(&reference[j], &reference);
+            }
+        }
+    }
+
+    /// Complex sizes 0–8 (many draws each) and 128.
+    fn spiked_sizes() -> impl Iterator<Item = usize> {
+        (0..270usize).map(|k| k % 9).chain([128, 128])
+    }
+
+    #[test]
+    fn front_only_terms_match_the_direct_formulas() {
+        let mut rng = spiked_rng(0xf0_17);
+        for len in spiked_sizes() {
+            let set = spiked_set(&mut rng, len);
+            let on_front = {
+                let mut mask = vec![false; len];
+                for i in non_dominated_indices(&set) {
+                    mask[i] = true;
+                }
+                mask
+            };
+            let direct = strengths(&set);
+            for denominator in [len, len + 1] {
+                for (i, &front) in on_front.iter().enumerate() {
+                    let (strength, flag) = strength_and_front(&set, i, denominator);
+                    assert_eq!(flag, front, "front flag of {i} in {set:?}");
+                    if front {
+                        let count = set.iter().filter(|s| set[i].dominates(s)).count();
+                        let expected = count as f64 / denominator as f64;
+                        assert_eq!(strength.to_bits(), expected.to_bits());
+                        if denominator == len {
+                            assert_eq!(strength.to_bits(), direct[i].to_bits());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn member_fitness_is_bit_identical_to_the_direct_formulas() {
+        let mut rng = spiked_rng(0xc0_4e);
+        for len in spiked_sizes() {
+            let set = spiked_set(&mut rng, len);
+            // Population: the front list, Eq. 1 over the whole set.
+            let (strength, front) = table(&set, len);
+            let front_members: Vec<usize> = (0..len).filter(|&j| front[j]).collect();
+            let population = fitness_assignment(&set);
+            // Complex: each position's fitness within its complex, the
+            // candidate-denominator table the Metropolis stage reads.
+            let (c_strength, c_front) = table(&set, len + 1);
+            for i in 0..len {
+                let f = member_fitness(&set, i, &strength, &front, front_members.iter().copied());
+                assert_eq!(f.to_bits(), population[i].to_bits(), "{i} in {set:?}");
+                let c = member_fitness(
+                    &set,
+                    i,
+                    &c_strength,
+                    &c_front,
+                    (0..len).filter(|&j| c_front[j]),
+                );
+                let direct = fitness_against(&set[i], &set);
+                assert_eq!(c.to_bits(), direct.to_bits(), "{i} in {set:?}");
             }
         }
     }

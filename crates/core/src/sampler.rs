@@ -10,7 +10,10 @@
 //!    sorting and stride-partition into complexes (host side), then the
 //!    per-conformation evolution kernel (mutation → CCD → scoring →
 //!    Metropolis against the complex), reassembly, and adaptive temperature
-//!    adjustment.
+//!    adjustment.  Under Eq. 1 the `[FitAssg] within Complex` kernel
+//!    writes, per sorted position, the member's front flag, strength and
+//!    fitness within its complex: Metropolis evaluates only the candidate
+//!    against that table and reads the current member's fitness from it.
 //!
 //! The per-conformation work is expressed as kernels over the population and
 //! executed by an [`Executor`] — sequentially (the CPU baseline) or
@@ -27,7 +30,9 @@ use crate::conformation::Conformation;
 use crate::decoyset::DecoySet;
 use crate::error::{ConfigError, Error};
 use crate::mutation::Mutator;
-use crate::pareto::{fitness_against_table, non_dominated_indices, strength_and_front};
+use crate::pareto::{
+    fitness_against_table, member_fitness, non_dominated_indices, strength_and_front,
+};
 use crate::stages::StageRecord;
 use lms_closure::{CcdCloser, CcdLane};
 use lms_geometry::{random_torsion, StreamRngFactory};
@@ -419,10 +424,7 @@ impl MoscemSampler {
         let mut complex_traces: Vec<Vec<f64>> = (0..cfg.n_complexes)
             .map(|_| Vec::with_capacity(cfg.iterations))
             .collect();
-        stages.record(
-            KernelKind::FitAssgPopulation,
-            self.stage_fitness(executor, arena),
-        );
+        self.stage_fitness(executor, arena, &mut stages);
         if cfg.snapshot_iterations.contains(&0) {
             snapshots.push(snapshot(0, &arena.scores, &arena.rmsd, temperature));
         }
@@ -454,14 +456,17 @@ impl MoscemSampler {
             }
             for (pos, &idx) in arena.order.iter().enumerate() {
                 let c = pos % m_complexes;
+                let slot = arena.complex_offsets[c] + pos / m_complexes;
                 arena.complex_of[idx] = c;
-                arena.complex_scores[arena.complex_offsets[c] + pos / m_complexes] =
-                    arena.scores[idx];
+                arena.complex_pos[idx] = slot;
+                arena.complex_scores[slot] = arena.scores[idx];
             }
             // Only Eq. 1 Metropolis reads the per-complex fitness table.
             if matches!(mode, ObjectiveMode::MultiScoring) {
-                let table = Self::stage_complex_fitness(executor, arena);
-                stages.record(table.kind, table.host);
+                stages.record(
+                    KernelKind::FitAssgComplex,
+                    Self::stage_complex_fitness(executor, arena),
+                );
             }
 
             // Stage 1 — mutate: seed the (member, iteration) stream, load
@@ -536,7 +541,9 @@ impl MoscemSampler {
             self.quarantine_or_fail(arena, iter)?;
 
             // Stage 5 — Metropolis against the member's complex snapshot,
-            // on the stream the mutate stage advanced.
+            // on the stream the mutate stage advanced.  Under Eq. 1 only the
+            // candidate is evaluated against the table: the member's own
+            // fitness within its complex is the table's fitness lane.
             {
                 let rngs = SharedLanes::new(&mut arena.rngs);
                 let accepted = SharedLanes::new(&mut arena.accepted);
@@ -547,6 +554,8 @@ impl MoscemSampler {
                 let complex_scores = &arena.complex_scores;
                 let complex_strength = &arena.complex_strength;
                 let complex_front = &arena.complex_front;
+                let complex_fitness = &arena.complex_fitness;
+                let complex_pos = &arena.complex_pos;
                 let offsets = &arena.complex_offsets;
                 let temperature_now = temperature;
                 let met = executor.launch(KernelKind::Metropolis, n, |i| {
@@ -561,13 +570,12 @@ impl MoscemSampler {
                         let reference = &complex_scores[lo..hi];
                         let strength = &complex_strength[lo..hi];
                         let front = &complex_front[lo..hi];
-                        let fitness = |s: &ScoreVector| {
-                            candidate_fitness(mode, s, |s| {
-                                fitness_against_table(s, reference, strength, front)
-                            })
-                        };
-                        let cand_fit = fitness(&cand_scores[i]);
-                        let curr_fit = fitness(&scores[i]);
+                        let cand_fit = candidate_fitness(mode, &cand_scores[i], |s| {
+                            fitness_against_table(s, reference, strength, front)
+                        });
+                        let curr_fit = candidate_fitness(mode, &scores[i], |_| {
+                            complex_fitness[complex_pos[i]]
+                        });
                         if cand_fit <= curr_fit {
                             true
                         } else {
@@ -640,10 +648,7 @@ impl MoscemSampler {
             }
 
             // Population-wide fitness for the next iteration's sorting.
-            stages.record(
-                KernelKind::FitAssgPopulation,
-                self.stage_fitness(executor, arena),
-            );
+            self.stage_fitness(executor, arena, &mut stages);
 
             if cfg.snapshot_iterations.contains(&iter) {
                 snapshots.push(snapshot(iter, &arena.scores, &arena.rmsd, temperature));
@@ -874,15 +879,22 @@ impl MoscemSampler {
     }
 
     /// Population-wide fitness assignment (Eq. 1) over the arena's score
-    /// lanes, executed as two data-parallel passes of the
-    /// `[FitAssg] within Population` kernel writing the arena's
-    /// strength/front/fitness buffers in place.  Returns the summed launch
-    /// wall time of the stage.
-    fn stage_fitness(&self, executor: &Executor, arena: &mut PopulationArena) -> Duration {
+    /// lanes, recorded as one `[FitAssg] within Population` invocation.
+    /// Under [`ObjectiveMode::MultiScoring`] it runs two data-parallel
+    /// passes writing the arena's strength/front/fitness buffers in place:
+    /// pass 1 settles every member's front flag and the front members'
+    /// strengths, the host lists the front members in ascending order, and
+    /// pass 2 sums each dominated member's front dominators over that list.
+    /// The front size is added to the record.
+    fn stage_fitness(
+        &self,
+        executor: &Executor,
+        arena: &mut PopulationArena,
+        stages: &mut StageRecord,
+    ) {
         let n = arena.n_members();
-        match self.config.objective_mode {
+        let wall = match self.config.objective_mode {
             ObjectiveMode::MultiScoring => {
-                // Pass 1: strength and non-dominated flag per member.
                 let pass1 = {
                     let scores = &arena.scores;
                     let strength = SharedLanes::new(&mut arena.strength);
@@ -894,24 +906,25 @@ impl MoscemSampler {
                         *unsafe { front.item_mut(i) } = f;
                     })
                 };
-                // Pass 2: Eq. 1.
+                arena.front_members.clear();
+                arena
+                    .front_members
+                    .extend((0..n).filter(|&i| arena.front[i]));
+                stages.add_front_size(arena.front_members.len());
                 let pass2 = {
                     let scores = &arena.scores;
                     let strength = &arena.strength;
                     let front = &arena.front;
+                    let front_members = &arena.front_members;
                     let fitness = SharedLanes::new(&mut arena.fitness);
                     executor.launch(KernelKind::FitAssgPopulation, n, |i| {
-                        let si = &scores[i];
-                        let value = if front[i] {
-                            strength[i]
-                        } else {
-                            1.0 + scores
-                                .iter()
-                                .enumerate()
-                                .filter(|(j, sj)| front[*j] && sj.dominates(si))
-                                .map(|(j, _)| strength[j])
-                                .sum::<f64>()
-                        };
+                        let value = member_fitness(
+                            scores,
+                            i,
+                            strength,
+                            front,
+                            front_members.iter().copied(),
+                        );
                         // SAFETY: kernel i touches only member i's slot.
                         *unsafe { fitness.item_mut(i) } = value;
                     })
@@ -936,27 +949,67 @@ impl MoscemSampler {
                     })
                     .host
             }
-        }
+        };
+        stages.record(KernelKind::FitAssgPopulation, wall);
     }
 
-    /// The `[FitAssg] within Complex` kernel: thread `p` writes the Eq. 1
-    /// strength and front flag of sorted position `p` of the CSR
-    /// `complex_scores` within its complex, the table the Metropolis stage
-    /// evaluates candidates against in O(|complex|) each (see
-    /// [`fitness_against_table`]).
-    fn stage_complex_fitness(executor: &Executor, arena: &mut PopulationArena) -> KernelLaunch {
+    /// The `[FitAssg] within Complex` kernel, two passes over the sorted
+    /// positions of the CSR `complex_scores`.  Pass 1: thread `p` writes
+    /// position `p`'s Eq. 1 front flag and (front only) strength within
+    /// its complex, the table the Metropolis stage evaluates candidates
+    /// against in O(|complex|) each (see [`fitness_against_table`]).
+    /// Between the passes the host lists the front positions in ascending
+    /// order.  Pass 2: thread `p` writes position `p`'s Eq. 1 fitness
+    /// within its complex, summed over its complex's front members.  That
+    /// is what [`fitness_against_table`] returns for the member at `p`
+    /// itself, so Metropolis reads the current member's fitness instead of
+    /// evaluating it.  Returns the summed launch wall time of both passes
+    /// (one stage invocation).
+    fn stage_complex_fitness(executor: &Executor, arena: &mut PopulationArena) -> Duration {
         let complex_scores = &arena.complex_scores;
         let offsets = &arena.complex_offsets;
-        let strength = SharedLanes::new(&mut arena.complex_strength);
-        let front = SharedLanes::new(&mut arena.complex_front);
-        executor.launch(KernelKind::FitAssgComplex, arena.n_members, |p| {
+        let complex_of_position = |p: usize| {
             let c = offsets.partition_point(|&o| o <= p) - 1;
-            let complex = &complex_scores[offsets[c]..offsets[c + 1]];
-            let (s, f) = strength_and_front(complex, p - offsets[c], complex.len() + 1);
-            // SAFETY: kernel p touches only position p's slots.
-            *unsafe { strength.item_mut(p) } = s;
-            *unsafe { front.item_mut(p) } = f;
-        })
+            (offsets[c], offsets[c + 1])
+        };
+        let pass1 = {
+            let strength = SharedLanes::new(&mut arena.complex_strength);
+            let front = SharedLanes::new(&mut arena.complex_front);
+            executor.launch(KernelKind::FitAssgComplex, arena.n_members, |p| {
+                let (lo, hi) = complex_of_position(p);
+                let complex = &complex_scores[lo..hi];
+                let (s, f) = strength_and_front(complex, p - lo, complex.len() + 1);
+                // SAFETY: kernel p touches only position p's slots.
+                *unsafe { strength.item_mut(p) } = s;
+                *unsafe { front.item_mut(p) } = f;
+            })
+        };
+        let front = &arena.complex_front;
+        let front_members = &mut arena.complex_front_members;
+        front_members.clear();
+        front_members.extend((0..arena.n_members).filter(|&p| front[p]));
+        let pass2 = {
+            let strength = &arena.complex_strength;
+            let front_members = &arena.complex_front_members;
+            let fitness = SharedLanes::new(&mut arena.complex_fitness);
+            executor.launch(KernelKind::FitAssgComplex, arena.n_members, |p| {
+                let (lo, hi) = complex_of_position(p);
+                // The complex's front members: a sub-slice of the ascending
+                // list, since each complex holds a contiguous position range.
+                let from = front_members.partition_point(|&q| q < lo);
+                let to = front_members.partition_point(|&q| q < hi);
+                let value = member_fitness(
+                    &complex_scores[lo..hi],
+                    p - lo,
+                    &strength[lo..hi],
+                    &front[lo..hi],
+                    front_members[from..to].iter().map(|&q| q - lo),
+                );
+                // SAFETY: kernel p touches only position p's slot.
+                *unsafe { fitness.item_mut(p) } = value;
+            })
+        };
+        pass1.host + pass2.host
     }
 
     /// The staged `health` kernel: one population-wide `[HealthSweep]`
@@ -1337,6 +1390,25 @@ mod tests {
     }
 
     #[test]
+    fn stage_record_sums_the_population_front_sizes() {
+        let iterations = 5;
+        let cfg = SamplerConfig {
+            population_size: 24,
+            n_complexes: 3,
+            iterations,
+            snapshot_iterations: (0..=iterations).collect(),
+            ..SamplerConfig::test_scale()
+        };
+        let result = small_sampler("1cex", cfg).run(&parallel());
+        let fitness_calls = result.stages.row(KernelKind::FitAssgPopulation).calls;
+        assert_eq!(fitness_calls, iterations + 1);
+        assert_eq!(result.snapshots.len(), fitness_calls);
+        let snapshot_fronts: usize = result.snapshots.iter().map(|s| s.non_dominated_count).sum();
+        assert_eq!(result.stages.front_size_sum(), snapshot_fronts as u64);
+        assert!(snapshot_fronts > fitness_calls, "fronts of more than one");
+    }
+
+    #[test]
     fn component_times_are_dominated_by_ccd_and_scoring() {
         // The paper's Figure 1: loop closure and scoring evaluation occupy
         // ~99% of the CPU-only run.
@@ -1431,11 +1503,6 @@ mod tests {
     #[test]
     fn init_quarantine_reseeds_the_checkpoint_from_the_donor() {
         use lms_simt::{fault, FaultKind, FaultPlan, FaultSession};
-        // A NaN in member 3's initial VDW score makes the quarantine
-        // re-seed it from member 0, checkpoint lanes included.  (A NaN
-        // torsion in the initial sample never gets that far: the NeRF
-        // build refuses to normalise a non-finite bond vector and the job
-        // panics.)
         let cfg = SamplerConfig {
             population_size: 8,
             n_complexes: 2,
@@ -1446,44 +1513,58 @@ mod tests {
         };
         let sampler = small_sampler("1xyz", cfg.clone());
         let executor = scalar();
-        let mut arena = PopulationArena::new(
-            cfg.population_size,
-            sampler.target().n_residues(),
-            cfg.mutation.max_mutations,
-            cfg.n_complexes,
-            None,
-            executor.ccd_block_width(),
-        );
-        let plan = FaultPlan::new().inject(KernelKind::EvalVdw, 0, 3, FaultKind::Nan);
-        let _session = fault::install(FaultSession::begin(plan));
-        let _ = sampler
-            .run_staged(&executor, 7, &RunControls::new(), None, &mut arena)
-            .expect("quarantine recovers at init");
-        let (stride, n_res) = (arena.stride(), arena.n_residues());
-        let row = n_res + 1;
-        let lane = |v: &[f64], i: usize, w: usize| v[i * w..(i + 1) * w].to_vec();
-        assert_eq!(
-            lane(&arena.torsions, 3, stride),
-            lane(&arena.torsions, 0, stride),
-            "member 3 was re-seeded from the donor"
-        );
-        assert_ne!(
-            lane(&arena.torsions, 1, stride),
-            lane(&arena.torsions, 0, stride)
-        );
-        assert_eq!(
-            lane(&arena.env_totals, 3, row),
-            lane(&arena.env_totals, 0, row)
-        );
-        assert_eq!(
-            arena.burial_counts[3 * n_res..4 * n_res],
-            arena.burial_counts[..n_res]
-        );
-        assert!(
-            arena.env_totals[row - 1] > 0.0,
-            "buried loop touches its environment"
-        );
-        assert!(arena.burial_counts[..n_res].iter().any(|&c| c > 0));
+        // Member 3 is poisoned at init two ways; either way the quarantine
+        // re-seeds it from member 0, checkpoint lanes included.
+        let plans = [
+            // A NaN initial VDW score.
+            FaultPlan::new().inject(KernelKind::EvalVdw, 0, 3, FaultKind::Nan),
+            // A NaN torsion in every one of its initial samples: its closure
+            // deviation stays NaN, so each of the four init rounds redraws
+            // it, and the NaN structure reaches the health sweep.
+            (0..4).fold(FaultPlan::new(), |plan, round| {
+                plan.inject(KernelKind::Reproduction, round, 3, FaultKind::Nan)
+            }),
+        ];
+        for plan in plans {
+            let mut arena = PopulationArena::new(
+                cfg.population_size,
+                sampler.target().n_residues(),
+                cfg.mutation.max_mutations,
+                cfg.n_complexes,
+                None,
+                executor.ccd_block_width(),
+            );
+            let _session = fault::install(FaultSession::begin(plan));
+            let _ = sampler
+                .run_staged(&executor, 7, &RunControls::new(), None, &mut arena)
+                .expect("quarantine recovers at init");
+            let (stride, n_res) = (arena.stride(), arena.n_residues());
+            let row = n_res + 1;
+            let lane = |v: &[f64], i: usize, w: usize| v[i * w..(i + 1) * w].to_vec();
+            assert_eq!(
+                lane(&arena.torsions, 3, stride),
+                lane(&arena.torsions, 0, stride),
+                "member 3 was re-seeded from the donor"
+            );
+            assert_ne!(
+                lane(&arena.torsions, 1, stride),
+                lane(&arena.torsions, 0, stride)
+            );
+            assert_eq!(arena.scores[3], arena.scores[0]);
+            assert_eq!(
+                lane(&arena.env_totals, 3, row),
+                lane(&arena.env_totals, 0, row)
+            );
+            assert_eq!(
+                arena.burial_counts[3 * n_res..4 * n_res],
+                arena.burial_counts[..n_res]
+            );
+            assert!(
+                arena.env_totals[row - 1] > 0.0,
+                "buried loop touches its environment"
+            );
+            assert!(arena.burial_counts[..n_res].iter().any(|&c| c > 0));
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! stage's launch count and the summed wall time of its
 //! [`Executor::launch`](lms_simt::Executor::launch) calls (the
 //! [`KernelLaunch::host`](lms_simt::KernelLaunch::host) duration), plus the
-//! total number of CCD rotations the trajectory applied and the number of
-//! residues the VDW environment pass scored and skipped.  The record is a
+//! total number of CCD rotations the trajectory applied, the number of
+//! residues the VDW environment pass scored and skipped, and the summed
+//! Pareto front size of the population fitness stage.  The record is a
 //! fixed-size array updated on the host thread between launches: no lock,
 //! no allocation.  Everything else — the paper's Figure 1 buckets here, the
 //! modeled GTX 280 tables in the experiment harness — is derived from it
@@ -24,7 +25,8 @@ pub struct StageRow {
 }
 
 /// Per-[`KernelKind`] measured rows of one trajectory, plus its total CCD
-/// rotation count and its VDW environment residue counts.
+/// rotation count, its VDW environment residue counts and its summed
+/// population front size.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageRecord {
     /// Indexed by `KernelKind as usize` (declaration order, which is
@@ -33,6 +35,7 @@ pub struct StageRecord {
     ccd_rotations: u64,
     env_residues_scored: u64,
     env_residues_skipped: u64,
+    front_size_sum: u64,
 }
 
 impl StageRecord {
@@ -54,6 +57,11 @@ impl StageRecord {
     pub(crate) fn add_env_residues(&mut self, residues: u64, skipped: u64) {
         self.env_residues_scored += residues - skipped;
         self.env_residues_skipped += skipped;
+    }
+
+    /// Add one `[FitAssg] within Population` invocation's front size.
+    pub(crate) fn add_front_size(&mut self, members: usize) {
+        self.front_size_sum += members as u64;
     }
 
     /// The row of stage `kind` (zero when the stage never ran).
@@ -86,6 +94,15 @@ impl StageRecord {
     /// candidate's CCD start index.
     pub fn env_residues_skipped(&self) -> u64 {
         self.env_residues_skipped
+    }
+
+    /// The population's Pareto front size summed over the
+    /// `[FitAssg] within Population` invocations (zero outside
+    /// [`ObjectiveMode::MultiScoring`](crate::ObjectiveMode::MultiScoring)).
+    /// Divided by that stage's calls it is the mean front size; the
+    /// stage's second pass runs `(n − |front|) × |front|` dominance tests.
+    pub fn front_size_sum(&self) -> u64 {
+        self.front_size_sum
     }
 
     /// Summed wall time of every recorded stage.
@@ -172,11 +189,14 @@ mod tests {
         r.add_ccd_rotations(2);
         r.add_env_residues(24, 4);
         r.add_env_residues(12, 5);
+        r.add_front_size(7);
+        r.add_front_size(3);
         assert_eq!(r.row(KernelKind::Ccd).calls, 2);
         assert_eq!(r.row(KernelKind::Ccd).wall, Duration::from_micros(80));
         assert_eq!(r.row(KernelKind::Select), StageRow::default());
         assert_eq!(r.ccd_rotations(), 42);
         assert_eq!((r.env_residues_scored(), r.env_residues_skipped()), (27, 9));
+        assert_eq!(r.front_size_sum(), 10);
         assert_eq!(r.total_wall(), Duration::from_micros(100));
         let kinds: Vec<KernelKind> = r.rows().map(|(k, _)| k).collect();
         assert_eq!(

@@ -163,11 +163,11 @@ fn nan_in_mutate_close_and_rebuild_stages_is_policed_by_the_health_sweep() {
 
     // Init draws at most four masked sample/close rounds, so launch 4 of
     // the Reproduction / Ccd kernels is always an MCMC iteration's stage.
-    // A NaN torsion out of the mutate stage is caught either by the
-    // health sweep (NumericalFault) or earlier, when the closure geometry
-    // chokes on the non-finite structure (JobPanicked) — both retryable,
-    // and a same-seed retry recovers bit-identically (the fault session's
-    // launch counters are already past the armed site).
+    // A NaN torsion out of the mutate stage builds a NaN structure that
+    // closure and scoring carry through to the health sweep
+    // (NumericalFault, retryable), and a same-seed retry recovers
+    // bit-identically (the fault session's launch counters are already
+    // past the armed site).
     let retrying = engine_with(zero_backoff(2));
     let clean = run_single(
         &retrying,
@@ -191,7 +191,7 @@ fn nan_in_mutate_close_and_rebuild_stages_is_policed_by_the_health_sweep() {
     assert!(
         matches!(
             result.attempts[0].error,
-            Error::NumericalFault { member: 2, .. } | Error::JobPanicked { .. }
+            Error::NumericalFault { member: 2, .. }
         ),
         "unexpected classification: {:?}",
         result.attempts[0].error

@@ -521,12 +521,18 @@ impl LoopBuilder {
         let (n, ca, c) = self.place_spine(prev_n, prev_ca, prev_c, prev_psi, phi);
         // O_i: anti-periplanar to the next N, i.e. psi + 180 deg.
         let o = place_atom_with(n, ca, c, k.c_o, (psi + PI).sin_cos());
-        // Side-chain centroid along the Cβ direction (absent for Gly).
+        // Side-chain centroid along the Cβ direction (absent for Gly).  A
+        // direction that does not normalize (a non-finite torsion upstream)
+        // places a NaN centroid, so the poison reaches the sampler's
+        // numerical health sweep instead of panicking here.
         let centroid = if aa.is_glycine() {
             None
         } else {
             let cb_dir = place_atom_with(n, c, ca, k.cb, k.cb_improper) - ca;
-            Some(ca + cb_dir.normalized() * aa.centroid_distance())
+            Some(match cb_dir.try_normalize() {
+                Some(unit) => ca + unit * aa.centroid_distance(),
+                None => Vec3::splat(f64::NAN),
+            })
         };
         ResidueAtoms {
             n,

@@ -129,17 +129,19 @@ impl ScoreVector {
 
     /// Pareto dominance: `self` dominates `other` iff it is no worse in
     /// every objective and strictly better in at least one (lower = better).
+    ///
+    /// Branch-free: both comparisons of every slot are ORed together and
+    /// the verdict is `better & !worse`, the same boolean as an early-return
+    /// scan for every input.  A slot holding NaN on either side compares
+    /// false both ways, so it neither vetoes nor establishes dominance.
+    #[inline]
     pub fn dominates(&self, other: &ScoreVector) -> bool {
-        let mut strictly_better = false;
+        let (mut better, mut worse) = (false, false);
         for i in 0..NUM_OBJECTIVES {
-            if self.values[i] > other.values[i] {
-                return false;
-            }
-            if self.values[i] < other.values[i] {
-                strictly_better = true;
-            }
+            better |= self.values[i] < other.values[i];
+            worse |= self.values[i] > other.values[i];
         }
-        strictly_better
+        better & !worse
     }
 
     /// Whether every component is finite.
@@ -306,5 +308,65 @@ mod tests {
         assert!(s.contains("DIST=2.5"));
         assert!(s.contains("TRIPLET=3.5"));
         assert!(s.contains("BURIAL=4.5"));
+    }
+
+    /// The early-return dominance scan, kept as the oracle of the
+    /// branch-free [`ScoreVector::dominates`].
+    fn dominates_early_return(a: &ScoreVector, b: &ScoreVector) -> bool {
+        let mut strictly_better = false;
+        for i in 0..NUM_OBJECTIVES {
+            if a.values[i] > b.values[i] {
+                return false;
+            }
+            if a.values[i] < b.values[i] {
+                strictly_better = true;
+            }
+        }
+        strictly_better
+    }
+
+    /// One component drawn from 64 random bits: mostly special values and a
+    /// five-value grid (so ties and strict orders are both common), the
+    /// rest arbitrary bit patterns (NaN payloads included).
+    fn component(bits: u64) -> f64 {
+        const SPECIAL: [f64; 8] = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE / 2.0,
+        ];
+        match bits % 16 {
+            k @ 0..=7 => SPECIAL[k as usize],
+            8..=13 => ((bits >> 4) % 5) as f64 - 2.0,
+            // An odd multiplier spreads the bits over sign, exponent and
+            // mantissa.
+            _ => f64::from_bits(bits.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        fn branch_free_dominance_matches_the_early_return_scan(
+            words in proptest::prop::collection::vec(proptest::any::<u64>(), 2 * NUM_OBJECTIVES)
+        ) {
+            let vector = |w: &[u64]| {
+                ScoreVector::from_array([
+                    component(w[0]),
+                    component(w[1]),
+                    component(w[2]),
+                    component(w[3]),
+                ])
+            };
+            let (a, b) = (vector(&words[..4]), vector(&words[4..]));
+            proptest::prop_assert_eq!(a.dominates(&b), dominates_early_return(&a, &b));
+            proptest::prop_assert_eq!(b.dominates(&a), dominates_early_return(&b, &a));
+            proptest::prop_assert!(!a.dominates(&a));
+        }
     }
 }
