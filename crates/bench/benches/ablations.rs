@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lms_bench::{load_target, shared_kb};
 use lms_closure::CcdConfig;
-use lms_core::{MoscemSampler, ObjectiveMode, SamplerConfig};
+use lms_core::{MoscemSampler, ObjectiveMode, SamplerConfig, TemperatureSchedule};
 use lms_scoring::Objective;
 use lms_simt::ExecutorConfig;
 use std::hint::black_box;
@@ -134,10 +134,10 @@ fn bench_annealing(c: &mut Criterion) {
             )
         })
     });
-    // Effectively fixed temperature: a band so wide it never adjusts.
+    // Fixed temperature at the adaptive schedule's starting point.
     let fixed_cfg = base_config()
         .to_builder()
-        .acceptance_band(0.0, 1.0)
+        .temperature(TemperatureSchedule::Fixed { temperature: 0.25 })
         .build()
         .expect("valid bench config");
     let fixed = MoscemSampler::new(target, kb, fixed_cfg);

@@ -58,11 +58,65 @@ use std::time::{Duration, Instant};
 /// fresh class `Vec` in TRIPLET.
 mod legacy {
     use lms_geometry::Vec3;
-    use lms_protein::{LoopStructure, LoopTarget, RamaClass, Torsions};
+    use lms_protein::{EnvAtom, LoopStructure, LoopTarget, RamaClass, Torsions};
     use lms_scoring::{
         BackboneAtomKind, ContactWeights, KnowledgeBase, ScoreVector, SeparationClass, VdwRadii,
         DIST_MAX,
     };
+    use std::collections::HashMap;
+
+    /// The seed's environment index: a uniform spatial hash over 4 Å
+    /// cells, built once per target.
+    pub struct Grid {
+        atoms: Vec<EnvAtom>,
+        cells: HashMap<(i32, i32, i32), Vec<u32>>,
+    }
+
+    impl Grid {
+        const CELL: f64 = 4.0;
+
+        pub fn new(target: &LoopTarget) -> Grid {
+            let atoms = target.environment.atoms().to_vec();
+            let mut cells: HashMap<(i32, i32, i32), Vec<u32>> = HashMap::new();
+            for (i, a) in atoms.iter().enumerate() {
+                cells
+                    .entry(Self::key(a.position))
+                    .or_default()
+                    .push(i as u32);
+            }
+            Grid { atoms, cells }
+        }
+
+        fn key(p: Vec3) -> (i32, i32, i32) {
+            (
+                (p.x / Self::CELL).floor() as i32,
+                (p.y / Self::CELL).floor() as i32,
+                (p.z / Self::CELL).floor() as i32,
+            )
+        }
+
+        /// Visit every atom whose centre lies within `radius` of `p`.
+        fn for_each_within(&self, p: Vec3, radius: f64, mut f: impl FnMut(&EnvAtom)) {
+            let mut scratch = Vec::with_capacity(32);
+            let span = (radius / Self::CELL).ceil() as i32;
+            let (cx, cy, cz) = Self::key(p);
+            for dx in -span..=span {
+                for dy in -span..=span {
+                    for dz in -span..=span {
+                        if let Some(v) = self.cells.get(&(cx + dx, cy + dy, cz + dz)) {
+                            scratch.extend_from_slice(v);
+                        }
+                    }
+                }
+            }
+            for &i in &scratch {
+                let a = &self.atoms[i as usize];
+                if a.position.distance_sq(p) <= radius * radius {
+                    f(a);
+                }
+            }
+        }
+    }
 
     fn overlap_penalty(softness: f64, d: f64, sigma: f64) -> f64 {
         let sigma = sigma * softness;
@@ -74,7 +128,7 @@ mod legacy {
         }
     }
 
-    fn vdw(target: &LoopTarget, structure: &LoopStructure) -> f64 {
+    fn vdw(target: &LoopTarget, grid: &Grid, structure: &LoopStructure) -> f64 {
         let radii = VdwRadii::default();
         let weights = ContactWeights::default();
         let mut sites: Vec<(Vec3, f64, usize, bool)> =
@@ -103,7 +157,7 @@ mod legacy {
             }
         }
         for &(p, r, _i, is_centroid) in &sites {
-            target.environment.for_each_within(p, 7.0, |atom| {
+            grid.for_each_within(p, 7.0, |atom| {
                 let w = match (is_centroid, atom.is_centroid) {
                     (false, false) => weights.atom_atom,
                     (true, true) => weights.centroid_centroid,
@@ -182,11 +236,12 @@ mod legacy {
     pub fn evaluate(
         kb: &KnowledgeBase,
         target: &LoopTarget,
+        grid: &Grid,
         structure: &LoopStructure,
         torsions: &Torsions,
     ) -> ScoreVector {
         ScoreVector::new(
-            vdw(target, structure),
+            vdw(target, grid, structure),
             dist(kb, structure),
             triplet(kb, target, torsions),
         )
@@ -234,6 +289,7 @@ fn bench_scoring_pipeline(c: &mut Criterion) {
 
     for &len in &LOOP_LENGTHS {
         let target = target_of_len(len);
+        let grid = legacy::Grid::new(&target);
         let scorer = MultiScorer::new(kb.clone());
         let torsions = conformations(&target, 16);
 
@@ -244,7 +300,7 @@ fn bench_scoring_pipeline(c: &mut Criterion) {
                 i += 1;
                 // The seed pipeline: fresh structure, AoS sites, grid queries.
                 let structure = target.build(&builder, t);
-                black_box(legacy::evaluate(&kb, &target, &structure, t))
+                black_box(legacy::evaluate(&kb, &target, &grid, &structure, t))
             })
         });
 
@@ -491,6 +547,7 @@ fn write_bench_json() {
     let mut artifact = Artifact::new("scoring_pipeline", Some(exec.capabilities().to_string()));
     for &len in &LOOP_LENGTHS {
         let target = target_of_len(len);
+        let grid = legacy::Grid::new(&target);
         let scorer = MultiScorer::new(kb.clone());
         let torsions = conformations(&target, 16);
 
@@ -504,7 +561,7 @@ fn write_bench_json() {
                 let t = &torsions[i % torsions.len()];
                 i += 1;
                 let structure = target.build(&builder, t);
-                black_box(legacy::evaluate(&kb, &target, &structure, t));
+                black_box(legacy::evaluate(&kb, &target, &grid, &structure, t));
             },
             || {
                 let t = &torsions[j % torsions.len()];

@@ -16,13 +16,14 @@
 //! | [`fig5_front_evolution`] | Figure 5 — evolution of the Pareto front on 5pti |
 //! | [`fig6_best_decoys`] | Figure 6 — best decoys for 3pte and 1xyz |
 
+use crate::gtx280::LaunchConfig;
 use crate::profiler::{table3_report, DeviceProfile};
 use crate::{load_target, sampler_for, scaled_config, shared_kb, Scale};
 use lms_core::{MoscemSampler, TrajectoryResult};
 use lms_decoys::{ensemble_stats, format_percent, format_us, section, TextTable};
 use lms_protein::{to_pdb, LoopBuilder};
 use lms_scoring::{normalize_population, ScoreVector};
-use lms_simt::{ExecutorConfig, LaunchConfig};
+use lms_simt::ExecutorConfig;
 
 /// Figure 1: wall-clock time share of the algorithm components in the
 /// CPU-only implementation (paper: CCD + scoring ≈ 99 %, CCD alone ≈ 84 %).

@@ -21,6 +21,7 @@ use std::sync::{Arc, OnceLock};
 
 pub mod artifact;
 pub mod experiments;
+pub mod gtx280;
 pub mod profiler;
 pub mod regression;
 

@@ -4,22 +4,23 @@
 //! The sampler records only measurements
 //! ([`TrajectoryResult::stages`](lms_core::TrajectoryResult::stages): one
 //! row of launch count and launch wall time per stage, plus the total CCD
-//! rotation count).  The analytic [`TimingModel`] is affine in per-thread
-//! work, so a kernel's modeled time summed over its calls follows from the
-//! call count and the mean per-thread work alone.  [`DeviceProfile::derive`]
-//! takes that work from a work model of the target, the CCD work from the
-//! measured rotations, and launches every kernel at a chosen thread count
-//! (128 threads per block, one thread per conformation).  It also models
-//! the paper's memcpy pattern: a fixed start-up upload plus a per-iteration
-//! pattern times the completed iterations.  The `[HealthSweep]` stage is a
-//! robustness stage of this implementation, not a paper task, and is left
-//! out of the model.
+//! rotation count).  The [`gtx280`](crate::gtx280) model is affine in
+//! per-thread work, so a kernel's modeled time summed over its calls
+//! follows from the call count and the mean per-thread work alone.
+//! [`DeviceProfile::derive`] takes that work from a work model of the
+//! target, the CCD work from the measured rotations, and launches every
+//! kernel at a chosen thread count (128 threads per block, one thread per
+//! conformation).  It also models the paper's memcpy pattern: a fixed
+//! start-up upload plus a per-iteration pattern times the completed
+//! iterations.  The `[HealthSweep]` stage is a robustness stage of this
+//! implementation, not a paper task, and is left out of the model.
 
+use crate::gtx280::{
+    cpu_time_us, kernel_time_us, registers_per_thread, transfer_time_us, LaunchConfig, TransferKind,
+};
 use lms_core::{SamplerConfig, TrajectoryResult};
 use lms_protein::LoopTarget;
-use lms_simt::{
-    transfer_time_us, Capabilities, KernelKind, LaunchConfig, Occupancy, TimingModel, TransferKind,
-};
+use lms_simt::{Capabilities, KernelKind};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -81,8 +82,8 @@ pub struct KernelRow {
     pub cpu_us: f64,
     /// Measured launch wall time of the stage.
     pub host: Duration,
-    /// Occupancy of the launch on the modeled device.
-    pub occupancy: Occupancy,
+    /// Occupancy of the launch on the modeled device, in `[0, 1]`.
+    pub occupancy: f64,
 }
 
 /// One modeled memcpy row of Table II.
@@ -122,7 +123,6 @@ impl DeviceProfile {
         config: &SamplerConfig,
         threads: usize,
     ) -> DeviceProfile {
-        let model = TimingModel::default();
         let launch = LaunchConfig::for_population(threads);
         let work = WorkModel::for_target(target);
         let stages = &result.stages;
@@ -161,10 +161,10 @@ impl DeviceProfile {
                 (calls > 0).then(|| KernelRow {
                     kind,
                     calls,
-                    gpu_us: calls as f64 * model.kernel_time_us(kind, launch, per_thread),
-                    cpu_us: calls as f64 * model.cpu_time_us(kind, threads, per_thread),
+                    gpu_us: calls as f64 * kernel_time_us(kind, launch, per_thread),
+                    cpu_us: calls as f64 * cpu_time_us(kind, threads, per_thread),
                     host: row.wall,
-                    occupancy: launch.occupancy(&model.device, kind),
+                    occupancy: launch.occupancy(kind).occupancy,
                 })
             })
             .collect();
@@ -202,7 +202,7 @@ impl DeviceProfile {
                 for &(_, bytes, count) in copies.iter().filter(|c| c.0 == kind) {
                     row.calls += count;
                     row.bytes += bytes * count;
-                    row.gpu_us += count as f64 * transfer_time_us(&model.device, kind, bytes);
+                    row.gpu_us += count as f64 * transfer_time_us(kind, bytes);
                 }
                 (row.calls > 0).then_some(row)
             })
@@ -291,7 +291,6 @@ impl DeviceProfile {
 /// every modeled kernel at `launch`.  Occupancy depends only on the kernel
 /// and the launch geometry, so no trajectory is needed.
 pub fn table3_report(launch: LaunchConfig) -> String {
-    let device = TimingModel::default().device;
     let mut out = String::new();
     writeln!(
         out,
@@ -303,14 +302,14 @@ pub fn table3_report(launch: LaunchConfig) -> String {
         .into_iter()
         .filter(|&k| k != KernelKind::HealthSweep)
         .collect();
-    kinds.sort_by_key(|k| std::cmp::Reverse(k.registers_per_thread()));
+    kinds.sort_by_key(|&k| std::cmp::Reverse(registers_per_thread(k)));
     for kind in kinds {
         writeln!(
             out,
             "{:<32} {:>17} {:>10.0}%",
             kind.name(),
-            kind.registers_per_thread(),
-            launch.occupancy(&device, kind).occupancy * 100.0
+            registers_per_thread(kind),
+            launch.occupancy(kind).occupancy * 100.0
         )
         .unwrap();
     }
@@ -364,14 +363,55 @@ mod tests {
     fn modeled_totals_match_the_pinned_trajectory() {
         // 1ixh, population 32, 4 iterations, seed 11: the totals the
         // sampler's in-loop accounting reported before the model moved
-        // out of the run.  The model reads only counts, so both executors
-        // give the same numbers.
+        // out of the run, and every row behind them, so a register or cycle
+        // figure on the wrong kernel fails here.  The model reads only
+        // counts, so both executors give the same numbers.
+        use KernelKind::*;
+        use TransferKind::*;
+        // (kernel, calls, gpu_us, cpu_us, occupancy)
+        #[rustfmt::skip]
+        let kernels = [
+            (Ccd, 5, 58411.410256410265, 18915.576923076922, 0.5),
+            (EvalDist, 5, 5879.952516619183, 1895.3846153846155, 0.5),
+            (EvalVdw, 5, 2807.7065527065533, 899.9769230769231, 0.5),
+            (EvalTrip, 5, 56.936026936026934, 11.076923076923077, 0.75),
+            (FitAssgPopulation, 5, 65.55555555555556, 17.723076923076924, 1.0),
+            (FitAssgComplex, 4, 38.22222222222222, 7.0892307692307694, 1.0),
+            (Reproduction, 4, 53.62962962962963, 14.76923076923077, 1.0),
+            (Metropolis, 4, 25.185185185185183, 0.5907692307692308, 1.0),
+            (Rebuild, 5, 150.5273069679849, 44.30769230769231, 0.625),
+            (Select, 4, 28.74074074074074, 2.3630769230769233, 1.0),
+        ];
+        // (direction, calls, bytes, gpu_us)
+        let transfers = [
+            (HtoA, 10, 147824, 109.56479999999999),
+            (HtoD, 21, 4352, 168.8704),
+            (DtoA, 8, 13824, 64.09755822159492),
+            (DtoH, 28, 10752, 226.15040000000002),
+            (DtoD, 12, 4608, 96.03251940719832),
+        ];
         let s = sampler("1ixh", 32, 4, 11);
         for executor in [scalar(), parallel()] {
             let p = profile_of(&s, &executor);
-            let rel = |got: f64, want: f64| ((got - want) / want).abs();
-            assert!(rel(p.gpu_us(), 68182.58167060213) < 1e-9, "{}", p.gpu_us());
-            assert!(rel(p.cpu_us(), 21808.858461538464) < 1e-9, "{}", p.cpu_us());
+            let close = |got: f64, want: f64| ((got - want) / want).abs() < 1e-9;
+            assert_eq!(p.kernels.len(), kernels.len());
+            for (row, &(kind, calls, gpu_us, cpu_us, occupancy)) in p.kernels.iter().zip(&kernels) {
+                assert_eq!((row.kind, row.calls), (kind, calls));
+                assert!(close(row.gpu_us, gpu_us), "{kind:?} gpu {}", row.gpu_us);
+                assert!(close(row.cpu_us, cpu_us), "{kind:?} cpu {}", row.cpu_us);
+                assert!(
+                    close(row.occupancy, occupancy),
+                    "{kind:?} {}",
+                    row.occupancy
+                );
+            }
+            assert_eq!(p.transfers.len(), transfers.len());
+            for (row, &(kind, calls, bytes, gpu_us)) in p.transfers.iter().zip(&transfers) {
+                assert_eq!((row.kind, row.calls, row.bytes), (kind, calls, bytes));
+                assert!(close(row.gpu_us, gpu_us), "{kind:?} {}", row.gpu_us);
+            }
+            assert!(close(p.gpu_us(), 68182.58167060213), "{}", p.gpu_us());
+            assert!(close(p.cpu_us(), 21808.858461538464), "{}", p.cpu_us());
         }
     }
 
@@ -387,7 +427,7 @@ mod tests {
         // Fitness within the complex runs once per iteration.
         assert_eq!(p.kernel(KernelKind::FitAssgComplex).unwrap().calls, 4);
         // Table III: the register-heavy kernels sit at 50% occupancy.
-        let occ = |k: KernelKind| p.kernel(k).unwrap().occupancy.occupancy;
+        let occ = |k: KernelKind| p.kernel(k).unwrap().occupancy;
         assert!((occ(KernelKind::Ccd) - 0.5).abs() < 1e-9);
         assert!((occ(KernelKind::FitAssgPopulation) - 1.0).abs() < 1e-9);
         assert!(p.kernel(KernelKind::HealthSweep).is_none());

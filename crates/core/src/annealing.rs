@@ -15,6 +15,7 @@
 //!   when the chain stops accepting (fast barrier crossing).
 //! * [`TemperatureSchedule::Fixed`] — constant temperature (baseline).
 
+use crate::error::ConfigError;
 use rand::Rng;
 
 /// A temperature schedule for the fitness-landscape Metropolis test.
@@ -59,17 +60,6 @@ pub enum TemperatureSchedule {
 }
 
 impl TemperatureSchedule {
-    /// The paper's default: adaptive control in the `[0.2, 0.5]` band.
-    pub fn paper_default(initial: f64) -> TemperatureSchedule {
-        TemperatureSchedule::Adaptive {
-            initial,
-            band: (0.2, 0.5),
-            factor: 1.15,
-            min: 1e-3,
-            max: 10.0,
-        }
-    }
-
     /// Initial temperature of the schedule.
     pub fn initial_temperature(&self) -> f64 {
         match self {
@@ -78,6 +68,77 @@ impl TemperatureSchedule {
             TemperatureSchedule::Adaptive { initial, .. } => *initial,
             TemperatureSchedule::Tempering { ladder, .. } => {
                 *ladder.first().expect("tempering ladder must not be empty")
+            }
+        }
+    }
+
+    /// Check the schedule's invariants: every temperature positive and
+    /// finite, an adaptive band with `low < high`, `min <= max` and a factor
+    /// above 1, a geometric ratio in `(0, 1)`, and a non-empty tempering
+    /// ladder with a move probability in `[0, 1]`.
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
+        let positive = |value: f64| {
+            if value > 0.0 && value.is_finite() {
+                Ok(())
+            } else {
+                Err(ConfigError::NonPositiveTemperature { value })
+            }
+        };
+        match self {
+            TemperatureSchedule::Fixed { temperature } => positive(*temperature),
+            TemperatureSchedule::Geometric {
+                initial,
+                ratio,
+                min,
+            } => {
+                positive(*initial)?;
+                positive(*min)?;
+                if !(*ratio > 0.0 && *ratio < 1.0) {
+                    return Err(ConfigError::CoolingRatioOutOfRange { ratio: *ratio });
+                }
+                Ok(())
+            }
+            TemperatureSchedule::Adaptive {
+                initial,
+                band: (low, high),
+                factor,
+                min,
+                max,
+            } => {
+                positive(*initial)?;
+                positive(*min)?;
+                positive(*max)?;
+                if low >= high || low.is_nan() || high.is_nan() {
+                    return Err(ConfigError::InvalidAcceptanceBand {
+                        low: *low,
+                        high: *high,
+                    });
+                }
+                if min > max {
+                    return Err(ConfigError::InvertedTemperatureBounds {
+                        min: *min,
+                        max: *max,
+                    });
+                }
+                if *factor <= 1.0 || factor.is_nan() {
+                    return Err(ConfigError::TemperatureAdjustNotAboveOne { factor: *factor });
+                }
+                Ok(())
+            }
+            TemperatureSchedule::Tempering {
+                ladder,
+                move_probability,
+            } => {
+                if ladder.is_empty() {
+                    return Err(ConfigError::EmptyTemperatureLadder);
+                }
+                ladder.iter().try_for_each(|&t| positive(t))?;
+                if !(0.0..=1.0).contains(move_probability) {
+                    return Err(ConfigError::MoveProbabilityOutOfRange {
+                        probability: *move_probability,
+                    });
+                }
+                Ok(())
             }
         }
     }
@@ -207,7 +268,7 @@ mod tests {
 
     #[test]
     fn adaptive_schedule_tracks_the_band() {
-        let mut c = TemperatureSchedule::paper_default(0.25).controller();
+        let mut c = crate::SamplerConfig::default().temperature.controller();
         let mut r = rng();
         // Starved acceptance -> temperature rises.
         let t_up = c.update(0.05, &mut r);

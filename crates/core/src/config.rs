@@ -136,21 +136,11 @@ pub struct SamplerConfig {
     pub iterations: usize,
     /// Master random seed; every conformation derives its own stream.
     pub seed: u64,
-    /// Initial Metropolis temperature on the fitness landscape.
-    pub initial_temperature: f64,
-    /// Lower bound for the adaptive temperature.
-    pub min_temperature: f64,
-    /// Upper bound for the adaptive temperature.
-    pub max_temperature: f64,
-    /// Acceptance-rate band (low, high); outside it the temperature is
-    /// adjusted by `temperature_adjust`.
-    pub acceptance_band: (f64, f64),
-    /// Multiplicative temperature adjustment factor (> 1).
-    pub temperature_adjust: f64,
-    /// Optional explicit temperature schedule.  When set it overrides the
-    /// adaptive parameters above (which remain as the default behaviour and
-    /// match the paper's acceptance-rate adjustment).
-    pub temperature_schedule: Option<TemperatureSchedule>,
+    /// Metropolis temperature schedule on the fitness landscape.  The
+    /// default is the paper's acceptance-rate adjustment:
+    /// [`TemperatureSchedule::Adaptive`] from 0.25 in the `(0.2, 0.5)`
+    /// band, factor 1.15, clamped to `[1e-3, 10]`.
+    pub temperature: TemperatureSchedule,
     /// Mutation (reproduction) move configuration.
     pub mutation: MutationConfig,
     /// CCD loop-closure configuration used inside the sampling loop.
@@ -192,12 +182,13 @@ impl Default for SamplerConfig {
             n_complexes: 2,
             iterations: 30,
             seed: 2010,
-            initial_temperature: 0.25,
-            min_temperature: 1e-3,
-            max_temperature: 10.0,
-            acceptance_band: (0.2, 0.5),
-            temperature_adjust: 1.15,
-            temperature_schedule: None,
+            temperature: TemperatureSchedule::Adaptive {
+                initial: 0.25,
+                band: (0.2, 0.5),
+                factor: 1.15,
+                min: 1e-3,
+                max: 10.0,
+            },
             mutation: MutationConfig::default(),
             ccd: CcdConfig::new()
                 .with_max_sweeps(24)
@@ -267,20 +258,6 @@ impl SamplerConfig {
         }
     }
 
-    /// The effective temperature schedule: the explicit one when set,
-    /// otherwise the paper's adaptive scheme built from the scalar fields.
-    pub fn effective_temperature_schedule(&self) -> TemperatureSchedule {
-        self.temperature_schedule
-            .clone()
-            .unwrap_or(TemperatureSchedule::Adaptive {
-                initial: self.initial_temperature,
-                band: self.acceptance_band,
-                factor: self.temperature_adjust,
-                min: self.min_temperature,
-                max: self.max_temperature,
-            })
-    }
-
     /// Basic sanity checks; returns the violated invariant for impossible
     /// configurations.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -296,22 +273,7 @@ impl SamplerConfig {
                 population_size: self.population_size,
             });
         }
-        if self.initial_temperature <= 0.0 || self.initial_temperature.is_nan() {
-            return Err(ConfigError::NonPositiveTemperature {
-                value: self.initial_temperature,
-            });
-        }
-        if self.acceptance_band.0 >= self.acceptance_band.1 {
-            return Err(ConfigError::InvalidAcceptanceBand {
-                low: self.acceptance_band.0,
-                high: self.acceptance_band.1,
-            });
-        }
-        if self.temperature_adjust <= 1.0 {
-            return Err(ConfigError::TemperatureAdjustNotAboveOne {
-                factor: self.temperature_adjust,
-            });
-        }
+        self.temperature.validate()?;
         if self.max_closure_deviation <= 0.0 || self.max_closure_deviation.is_nan() {
             return Err(ConfigError::NonPositiveClosureDeviation {
                 value: self.max_closure_deviation,
@@ -406,46 +368,9 @@ impl SamplerConfigBuilder {
         self
     }
 
-    /// Initial Metropolis temperature.
-    pub fn initial_temperature(mut self, t: f64) -> Self {
-        self.cfg.initial_temperature = t;
-        self
-    }
-
-    /// Lower bound for the adaptive temperature.
-    pub fn min_temperature(mut self, t: f64) -> Self {
-        self.cfg.min_temperature = t;
-        self
-    }
-
-    /// Upper bound for the adaptive temperature.
-    pub fn max_temperature(mut self, t: f64) -> Self {
-        self.cfg.max_temperature = t;
-        self
-    }
-
-    /// Acceptance-rate band `(low, high)`.
-    pub fn acceptance_band(mut self, low: f64, high: f64) -> Self {
-        self.cfg.acceptance_band = (low, high);
-        self
-    }
-
-    /// Multiplicative temperature adjustment factor (> 1).
-    pub fn temperature_adjust(mut self, factor: f64) -> Self {
-        self.cfg.temperature_adjust = factor;
-        self
-    }
-
-    /// Explicit temperature schedule overriding the adaptive default.
-    pub fn temperature_schedule(mut self, schedule: TemperatureSchedule) -> Self {
-        self.cfg.temperature_schedule = Some(schedule);
-        self
-    }
-
-    /// Remove any explicit temperature schedule, restoring the adaptive
-    /// default (needed when tweaking a preset that carries one).
-    pub fn no_temperature_schedule(mut self) -> Self {
-        self.cfg.temperature_schedule = None;
+    /// Metropolis temperature schedule.
+    pub fn temperature(mut self, schedule: TemperatureSchedule) -> Self {
+        self.cfg.temperature = schedule;
         self
     }
 
@@ -559,6 +484,18 @@ mod tests {
         assert_eq!(tweaked.iterations, built.iterations);
     }
 
+    /// The default adaptive schedule with the given band, factor and
+    /// initial temperature.
+    fn adaptive(band: (f64, f64), factor: f64, initial: f64) -> TemperatureSchedule {
+        TemperatureSchedule::Adaptive {
+            initial,
+            band,
+            factor,
+            min: 1e-3,
+            max: 10.0,
+        }
+    }
+
     #[test]
     fn invalid_configs_are_rejected_with_typed_errors() {
         use crate::error::ConfigError as E;
@@ -576,18 +513,18 @@ mod tests {
                 },
             ),
             (
-                SamplerConfig::builder().acceptance_band(0.5, 0.2),
+                SamplerConfig::builder().temperature(adaptive((0.5, 0.2), 1.15, 0.25)),
                 E::InvalidAcceptanceBand {
                     low: 0.5,
                     high: 0.2,
                 },
             ),
             (
-                SamplerConfig::builder().temperature_adjust(0.9),
+                SamplerConfig::builder().temperature(adaptive((0.2, 0.5), 0.9, 0.25)),
                 E::TemperatureAdjustNotAboveOne { factor: 0.9 },
             ),
             (
-                SamplerConfig::builder().initial_temperature(0.0),
+                SamplerConfig::builder().temperature(adaptive((0.2, 0.5), 1.15, 0.0)),
                 E::NonPositiveTemperature { value: 0.0 },
             ),
             (
@@ -604,6 +541,104 @@ mod tests {
         ];
         for (builder, expected) in cases {
             assert_eq!(builder.build().unwrap_err(), expected);
+        }
+    }
+
+    #[test]
+    fn every_temperature_schedule_is_validated_at_build() {
+        use crate::error::ConfigError as E;
+        let rejected = |schedule: TemperatureSchedule| {
+            SamplerConfig::builder()
+                .temperature(schedule)
+                .build()
+                .unwrap_err()
+        };
+        assert_eq!(
+            rejected(TemperatureSchedule::Tempering {
+                ladder: vec![],
+                move_probability: 0.5,
+            }),
+            E::EmptyTemperatureLadder
+        );
+        assert_eq!(
+            rejected(TemperatureSchedule::Tempering {
+                ladder: vec![0.1, f64::INFINITY],
+                move_probability: 0.5,
+            }),
+            E::NonPositiveTemperature {
+                value: f64::INFINITY
+            }
+        );
+        assert_eq!(
+            rejected(TemperatureSchedule::Tempering {
+                ladder: vec![0.1, 0.2],
+                move_probability: 1.5,
+            }),
+            E::MoveProbabilityOutOfRange { probability: 1.5 }
+        );
+        assert_eq!(
+            rejected(adaptive((0.5, 0.2), 1.15, 0.25)),
+            E::InvalidAcceptanceBand {
+                low: 0.5,
+                high: 0.2,
+            }
+        );
+        assert_eq!(
+            rejected(TemperatureSchedule::Adaptive {
+                initial: 0.25,
+                band: (0.2, 0.5),
+                factor: 1.15,
+                min: 2.0,
+                max: 1.0,
+            }),
+            E::InvertedTemperatureBounds { min: 2.0, max: 1.0 }
+        );
+        assert_eq!(
+            rejected(TemperatureSchedule::Geometric {
+                initial: 1.0,
+                ratio: 1.0,
+                min: 0.01,
+            }),
+            E::CoolingRatioOutOfRange { ratio: 1.0 }
+        );
+        assert_eq!(
+            rejected(TemperatureSchedule::Fixed { temperature: -1.0 }),
+            E::NonPositiveTemperature { value: -1.0 }
+        );
+        // The engine's job builder validates through the same path, so an
+        // invalid schedule never reaches a run (where it would panic).
+        let target = lms_protein::BenchmarkLibrary::standard()
+            .target_by_name("1cex")
+            .unwrap();
+        let config = SamplerConfig {
+            temperature: TemperatureSchedule::Tempering {
+                ladder: vec![],
+                move_probability: 0.5,
+            },
+            ..SamplerConfig::default()
+        };
+        assert!(matches!(
+            crate::Job::builder(target).config(config).build(),
+            Err(E::EmptyTemperatureLadder)
+        ));
+        // Every valid variant builds.
+        for schedule in [
+            SamplerConfig::default().temperature,
+            TemperatureSchedule::Fixed { temperature: 0.25 },
+            TemperatureSchedule::Geometric {
+                initial: 1.0,
+                ratio: 0.5,
+                min: 0.01,
+            },
+            TemperatureSchedule::Tempering {
+                ladder: vec![0.1, 0.2],
+                move_probability: 1.0,
+            },
+        ] {
+            assert!(SamplerConfig::builder()
+                .temperature(schedule)
+                .build()
+                .is_ok());
         }
     }
 

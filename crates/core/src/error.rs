@@ -32,22 +32,42 @@ pub enum ConfigError {
         /// Configured population size.
         population_size: usize,
     },
-    /// `initial_temperature` must be positive and not NaN.
+    /// Every temperature of the schedule must be positive and finite.
     NonPositiveTemperature {
         /// The rejected temperature.
         value: f64,
     },
-    /// The acceptance band must satisfy `low < high`.
+    /// The adaptive schedule's acceptance band must satisfy `low < high`.
     InvalidAcceptanceBand {
         /// Lower edge of the rejected band.
         low: f64,
         /// Upper edge of the rejected band.
         high: f64,
     },
-    /// The multiplicative temperature adjustment must exceed 1.
+    /// The adaptive schedule's temperature floor must not exceed its
+    /// ceiling.
+    InvertedTemperatureBounds {
+        /// The rejected floor.
+        min: f64,
+        /// The rejected ceiling.
+        max: f64,
+    },
+    /// The adaptive schedule's multiplicative adjustment must exceed 1.
     TemperatureAdjustNotAboveOne {
         /// The rejected factor.
         factor: f64,
+    },
+    /// The geometric schedule's cooling ratio must lie in `(0, 1)`.
+    CoolingRatioOutOfRange {
+        /// The rejected ratio.
+        ratio: f64,
+    },
+    /// The tempering schedule's ladder must have at least one rung.
+    EmptyTemperatureLadder,
+    /// The tempering schedule's rung-move probability must lie in `[0, 1]`.
+    MoveProbabilityOutOfRange {
+        /// The rejected probability.
+        probability: f64,
     },
     /// `max_closure_deviation` must be positive and not NaN.
     NonPositiveClosureDeviation {
@@ -105,15 +125,35 @@ impl fmt::Display for ConfigError {
                 "n_complexes ({n_complexes}) cannot exceed population_size ({population_size})"
             ),
             ConfigError::NonPositiveTemperature { value } => {
-                write!(f, "initial_temperature must be positive (got {value})")
+                write!(f, "temperatures must be positive and finite (got {value})")
             }
             ConfigError::InvalidAcceptanceBand { low, high } => write!(
                 f,
                 "acceptance band must satisfy low < high (got {low} >= {high})"
             ),
+            ConfigError::InvertedTemperatureBounds { min, max } => write!(
+                f,
+                "temperature floor must not exceed the ceiling (got {min} > {max})"
+            ),
             ConfigError::TemperatureAdjustNotAboveOne { factor } => {
-                write!(f, "temperature_adjust must exceed 1 (got {factor})")
+                write!(
+                    f,
+                    "temperature adjustment factor must exceed 1 (got {factor})"
+                )
             }
+            ConfigError::CoolingRatioOutOfRange { ratio } => {
+                write!(
+                    f,
+                    "geometric cooling ratio must lie in (0, 1) (got {ratio})"
+                )
+            }
+            ConfigError::EmptyTemperatureLadder => {
+                write!(f, "tempering ladder must not be empty")
+            }
+            ConfigError::MoveProbabilityOutOfRange { probability } => write!(
+                f,
+                "tempering move probability must lie in [0, 1] (got {probability})"
+            ),
             ConfigError::NonPositiveClosureDeviation { value } => {
                 write!(f, "max_closure_deviation must be positive (got {value})")
             }

@@ -115,7 +115,7 @@ impl MoscemSampler {
         }
 
         // --- Initial fitness + snapshot 0 ----------------------------------
-        let mut temperature_controller = cfg.effective_temperature_schedule().controller();
+        let mut temperature_controller = cfg.temperature.controller();
         let mut temperature = temperature_controller.temperature();
         let mut schedule_rng = factory.derive(0xA7).stream(0, 0);
         let mut complex_traces: Vec<Vec<f64>> = vec![Vec::new(); cfg.n_complexes];

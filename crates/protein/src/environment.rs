@@ -3,16 +3,14 @@
 //! The VDW soft-sphere scoring function estimates clashes both *within* the
 //! loop and *between* the loop and "the residues in the rest of the
 //! protein" (the paper's wording).  [`Environment`] holds that fixed atom
-//! set together with a uniform spatial hash grid for one-off neighbourhood
-//! queries; [`EnvCandidates`] is the per-target snapshot the scoring hot
-//! path actually consumes — flat SoA coordinate arrays plus, for every cell
-//! of a grid, the ascending list of candidates within [`ENV_LIST_RADIUS`]
-//! of that cell (see its docs for the layout).  It is built once per
-//! target, so a per-evaluation query is one slice read: no `HashMap`, no
-//! gather, no sort, no allocation.
+//! set; [`EnvCandidates`] is the per-target snapshot the scoring hot path
+//! actually consumes — flat SoA coordinate arrays plus, for every cell of a
+//! grid, the ascending list of candidates within [`ENV_LIST_RADIUS`] of that
+//! cell (see its docs for the layout).  It is built once per target, so a
+//! per-evaluation query is one slice read: no hashing, no gather, no sort,
+//! no allocation.
 
 use lms_geometry::Vec3;
-use std::collections::HashMap;
 
 /// One fixed atom of the protein environment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,57 +45,10 @@ impl EnvAtom {
     }
 }
 
-/// Uniform spatial hash grid over environment atoms.
-#[derive(Debug, Clone)]
-struct SpatialGrid {
-    cell_size: f64,
-    cells: HashMap<(i32, i32, i32), Vec<u32>>,
-}
-
-impl SpatialGrid {
-    fn build(atoms: &[EnvAtom], cell_size: f64) -> Self {
-        let mut cells: HashMap<(i32, i32, i32), Vec<u32>> = HashMap::new();
-        for (i, a) in atoms.iter().enumerate() {
-            cells
-                .entry(Self::key(a.position, cell_size))
-                .or_default()
-                .push(i as u32);
-        }
-        SpatialGrid { cell_size, cells }
-    }
-
-    fn key(p: Vec3, cell: f64) -> (i32, i32, i32) {
-        (
-            (p.x / cell).floor() as i32,
-            (p.y / cell).floor() as i32,
-            (p.z / cell).floor() as i32,
-        )
-    }
-
-    /// Indices of atoms in all cells overlapping a sphere of `radius`
-    /// around `p` (conservative superset of the true neighbours).
-    fn candidate_indices(&self, p: Vec3, radius: f64, out: &mut Vec<u32>) {
-        out.clear();
-        let span = (radius / self.cell_size).ceil() as i32;
-        let (cx, cy, cz) = Self::key(p, self.cell_size);
-        for dx in -span..=span {
-            for dy in -span..=span {
-                for dz in -span..=span {
-                    if let Some(v) = self.cells.get(&(cx + dx, cy + dy, cz + dz)) {
-                        out.extend_from_slice(v);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The fixed protein environment around a loop: an atom list plus a spatial
-/// index for fast neighbourhood queries.
+/// The fixed protein environment around a loop: its atom list.
 #[derive(Debug, Clone)]
 pub struct Environment {
     atoms: Vec<EnvAtom>,
-    grid: SpatialGrid,
 }
 
 /// A precomputed, flat structure-of-arrays snapshot of the environment atoms
@@ -368,8 +319,8 @@ impl EnvCandidates {
     }
 }
 
-/// Default grid cell size (Å): the edge of the cells the environment
-/// spatial hash and the per-cell candidate lists are built over.
+/// Default grid cell size (Å): the edge of the cells the per-cell
+/// candidate lists are built over.
 pub const DEFAULT_CELL_SIZE: f64 = 4.0;
 
 /// Reciprocal of [`DEFAULT_CELL_SIZE`] (a power of two, so exact).
@@ -388,10 +339,9 @@ pub const ENV_LIST_RADIUS: f64 = 7.0;
 const LIST_SLACK: f64 = 1e-6;
 
 impl Environment {
-    /// Build an environment (and its spatial index) from an atom list.
+    /// Build an environment from an atom list.
     pub fn new(atoms: Vec<EnvAtom>) -> Self {
-        let grid = SpatialGrid::build(&atoms, DEFAULT_CELL_SIZE);
-        Environment { atoms, grid }
+        Environment { atoms }
     }
 
     /// An environment with no atoms (loops on an isolated peptide).
@@ -414,33 +364,14 @@ impl Environment {
         &self.atoms
     }
 
-    /// Visit every environment atom whose *centre* lies within `radius` of
-    /// `p`.
-    pub fn for_each_within<F: FnMut(&EnvAtom)>(&self, p: Vec3, radius: f64, mut f: F) {
-        let mut scratch = Vec::with_capacity(32);
-        self.grid.candidate_indices(p, radius, &mut scratch);
-        let r2 = radius * radius;
-        for &i in &scratch {
-            let a = &self.atoms[i as usize];
-            if a.position.distance_sq(p) <= r2 {
-                f(a);
-            }
-        }
-    }
-
-    /// Collect the environment atoms within `radius` of `p`.
-    pub fn neighbors_within(&self, p: Vec3, radius: f64) -> Vec<EnvAtom> {
-        let mut out = Vec::new();
-        self.for_each_within(p, radius, |a| out.push(*a));
-        out
-    }
-
-    /// Number of environment atoms within `radius` of `p`; a cheap measure
-    /// of how buried a position is.
+    /// Number of environment atoms whose centre lies within `radius` of
+    /// `p`; a cheap measure of how buried a position is.
     pub fn burial_count(&self, p: Vec3, radius: f64) -> usize {
-        let mut n = 0;
-        self.for_each_within(p, radius, |_| n += 1);
-        n
+        let r2 = radius * radius;
+        self.atoms
+            .iter()
+            .filter(|a| a.position.distance_sq(p) <= r2)
+            .count()
     }
 
     /// Collect a flat SoA candidate set of every atom whose centre lies
@@ -502,7 +433,6 @@ mod tests {
         assert_eq!(env.len(), 0);
         assert_eq!(env.burial_count(Vec3::ZERO, 10.0), 0);
         assert!(env.min_distance(Vec3::ZERO).is_none());
-        assert!(env.neighbors_within(Vec3::ZERO, 5.0).is_empty());
     }
 
     #[test]
@@ -529,12 +459,12 @@ mod tests {
             EnvAtom::backbone(Vec3::new(10.0, 0.0, 0.0), 1.7),
         ];
         let env = Environment::new(atoms);
-        let near = env.neighbors_within(Vec3::ZERO, 2.0);
-        assert_eq!(near.len(), 2);
-        assert!(near.iter().any(|a| a.is_centroid));
-        let far = env.neighbors_within(Vec3::new(10.0, 0.0, 0.0), 0.5);
-        assert_eq!(far.len(), 1);
-        assert!(!far[0].is_centroid);
+        // Centroids count like backbone atoms, and the radius is inclusive.
+        assert_eq!(env.burial_count(Vec3::ZERO, 2.0), 2);
+        assert_eq!(env.burial_count(Vec3::ZERO, 1.0), 2);
+        assert_eq!(env.burial_count(Vec3::ZERO, 0.5), 1);
+        assert_eq!(env.burial_count(Vec3::new(10.0, 0.0, 0.0), 0.5), 1);
+        assert_eq!(env.burial_count(Vec3::new(5.0, 0.0, 0.0), 0.5), 0);
     }
 
     #[test]

@@ -21,8 +21,8 @@ use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
 /// Independent reimplementation of the seed repository's scoring kernels
-/// (AoS interaction sites, spatial-grid environment queries, nested
-/// atom-pair loops), used as the ground truth the SoA rewrite is checked
+/// (AoS interaction sites, a linear environment scan, nested atom-pair
+/// loops), used as the ground truth the SoA rewrite is checked
 /// against.  Deliberately *not* written in terms of the production kernels.
 mod seed_reference {
     use lms_geometry::Vec3;
@@ -70,10 +70,16 @@ mod seed_reference {
             }
         }
         for &(p, r, _i, is_centroid) in &sites {
-            target.environment.for_each_within(p, 7.0, |atom| {
-                total += weight(is_centroid, atom.is_centroid)
-                    * overlap_penalty(radii.softness, p.distance(atom.position), r + atom.radius);
-            });
+            for atom in target.environment.atoms() {
+                if atom.position.distance_sq(p) <= 7.0 * 7.0 {
+                    total += weight(is_centroid, atom.is_centroid)
+                        * overlap_penalty(
+                            radii.softness,
+                            p.distance(atom.position),
+                            r + atom.radius,
+                        );
+                }
+            }
         }
         total / structure.n_residues() as f64
     }

@@ -5,8 +5,8 @@
 //! multi-objective MCMC sampler over loop torsion space, scored by the
 //! paper's three backbone scoring functions (soft-sphere VDW,
 //! pairwise-distance DIST, triplet torsion TRIPLET) plus an opt-in fourth
-//! solvation/burial objective, with CCD loop closure and a SIMT device
-//! model.
+//! solvation/burial objective, with CCD loop closure and data-parallel
+//! population kernels.
 //!
 //! ## Enabling the fourth (burial) objective
 //!
@@ -174,7 +174,7 @@
 //! | [`closure`] | CCD loop closure |
 //! | [`protein`] | backbone geometry, benchmark targets, PDB I/O |
 //! | [`geometry`] | vectors, rotations, dihedral math, streamed RNG |
-//! | [`simt`] | executors, device timing model |
+//! | [`simt`] | population kernel executors, lanes, stage kinds |
 //! | [`decoys`] | decoy clustering and ensemble statistics |
 
 #![warn(missing_docs)]
