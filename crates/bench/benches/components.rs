@@ -9,8 +9,7 @@ use lms_closure::{CcdCloser, CcdConfig};
 use lms_core::fitness_assignment;
 use lms_geometry::{random_torsion, StreamRngFactory};
 use lms_protein::{LoopBuilder, Torsions};
-use lms_scoring::ScoringFunction;
-use lms_scoring::{DistScore, MultiScorer, ScoreVector, TripletScore, VdwScore};
+use lms_scoring::{MultiScorer, ScoreScratch, ScoreVector};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -54,23 +53,21 @@ fn bench_scoring(c: &mut Criterion) {
     let structure = target.build(&builder, &target.native_torsions);
     let torsions = target.native_torsions.clone();
 
-    let vdw = VdwScore::default();
-    let dist = DistScore::new(kb.clone());
-    let triplet = TripletScore::new(kb.clone());
     let multi = MultiScorer::new(kb);
+    let mut scratch = ScoreScratch::for_loop_len(target.n_residues());
 
     let mut group = c.benchmark_group("components/scoring");
     group.sample_size(30);
     group.measurement_time(Duration::from_secs(3));
     group.warm_up_time(Duration::from_millis(500));
     group.bench_function("vdw", |b| {
-        b.iter(|| black_box(vdw.score(&target, &structure, &torsions)))
+        b.iter(|| black_box(multi.vdw_pass(&target, &structure, &mut scratch)))
     });
     group.bench_function("dist", |b| {
-        b.iter(|| black_box(dist.score(&target, &structure, &torsions)))
+        b.iter(|| black_box(multi.dist_pass(&target, &structure, &mut scratch)))
     });
     group.bench_function("triplet", |b| {
-        b.iter(|| black_box(triplet.score(&target, &structure, &torsions)))
+        b.iter(|| black_box(multi.triplet_pass(&target, &structure, &torsions, &mut scratch)))
     });
     group.bench_function("all_three", |b| {
         b.iter(|| black_box(multi.evaluate(&target, &structure, &torsions)))

@@ -554,27 +554,12 @@ mod tests {
                 .unwrap_err()
         };
         assert_eq!(
-            rejected(TemperatureSchedule::Tempering {
-                ladder: vec![],
-                move_probability: 0.5,
-            }),
-            E::EmptyTemperatureLadder
-        );
-        assert_eq!(
-            rejected(TemperatureSchedule::Tempering {
-                ladder: vec![0.1, f64::INFINITY],
-                move_probability: 0.5,
+            rejected(TemperatureSchedule::Fixed {
+                temperature: f64::INFINITY
             }),
             E::NonPositiveTemperature {
                 value: f64::INFINITY
             }
-        );
-        assert_eq!(
-            rejected(TemperatureSchedule::Tempering {
-                ladder: vec![0.1, 0.2],
-                move_probability: 1.5,
-            }),
-            E::MoveProbabilityOutOfRange { probability: 1.5 }
         );
         assert_eq!(
             rejected(adaptive((0.5, 0.2), 1.15, 0.25)),
@@ -594,14 +579,6 @@ mod tests {
             E::InvertedTemperatureBounds { min: 2.0, max: 1.0 }
         );
         assert_eq!(
-            rejected(TemperatureSchedule::Geometric {
-                initial: 1.0,
-                ratio: 1.0,
-                min: 0.01,
-            }),
-            E::CoolingRatioOutOfRange { ratio: 1.0 }
-        );
-        assert_eq!(
             rejected(TemperatureSchedule::Fixed { temperature: -1.0 }),
             E::NonPositiveTemperature { value: -1.0 }
         );
@@ -611,29 +588,17 @@ mod tests {
             .target_by_name("1cex")
             .unwrap();
         let config = SamplerConfig {
-            temperature: TemperatureSchedule::Tempering {
-                ladder: vec![],
-                move_probability: 0.5,
-            },
+            temperature: TemperatureSchedule::Fixed { temperature: 0.0 },
             ..SamplerConfig::default()
         };
         assert!(matches!(
             crate::Job::builder(target).config(config).build(),
-            Err(E::EmptyTemperatureLadder)
+            Err(E::NonPositiveTemperature { value: 0.0 })
         ));
         // Every valid variant builds.
         for schedule in [
             SamplerConfig::default().temperature,
             TemperatureSchedule::Fixed { temperature: 0.25 },
-            TemperatureSchedule::Geometric {
-                initial: 1.0,
-                ratio: 0.5,
-                min: 0.01,
-            },
-            TemperatureSchedule::Tempering {
-                ladder: vec![0.1, 0.2],
-                move_probability: 1.0,
-            },
         ] {
             assert!(SamplerConfig::builder()
                 .temperature(schedule)

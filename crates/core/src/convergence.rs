@@ -1,18 +1,13 @@
 //! MCMC convergence diagnostics.
 //!
 //! The paper remarks that "MCMC equilibrium analysis techniques can also be
-//! applied to study the convergence of the sampler" and that the optimal
-//! population size for covering the Pareto front is an open question.  This
-//! module supplies the standard diagnostics a user needs to make those
-//! calls on their own runs:
+//! applied to study the convergence of the sampler".  This module supplies
+//! the diagnostic the sampler reports:
 //!
-//! * [`gelman_rubin`] — the Gelman–Rubin potential scale-reduction factor
-//!   (R̂) across the complexes' score traces (MOSCEM's complexes are exactly
-//!   the parallel chains the diagnostic expects);
-//! * [`autocorrelation`] — lag autocorrelation of a scalar trace;
-//! * [`effective_sample_size`] — ESS from the autocorrelation sum;
-//! * [`FrontProgress`] — saturation of the non-dominated front size over
-//!   iterations (has the front stopped growing?).
+//! [`gelman_rubin`], the Gelman–Rubin potential scale-reduction factor (R̂)
+//! across the complexes' score traces (MOSCEM's complexes are exactly the
+//! parallel chains the diagnostic expects); a trajectory reports it as
+//! `TrajectoryResult::gelman_rubin_vdw`.
 
 /// Mean of a slice (0 for empty input).
 fn mean(xs: &[f64]) -> f64 {
@@ -67,77 +62,6 @@ pub fn gelman_rubin(chains: &[Vec<f64>]) -> Option<f64> {
     Some((var_plus / w).sqrt())
 }
 
-/// Lag-`k` autocorrelation of a scalar trace; `None` if the trace is shorter
-/// than `k + 2` or has zero variance.
-pub fn autocorrelation(trace: &[f64], lag: usize) -> Option<f64> {
-    let n = trace.len();
-    if n < lag + 2 {
-        return None;
-    }
-    let m = mean(trace);
-    let denom: f64 = trace.iter().map(|x| (x - m) * (x - m)).sum();
-    if denom <= 1e-300 {
-        return None;
-    }
-    let num: f64 = (0..n - lag)
-        .map(|i| (trace[i] - m) * (trace[i + lag] - m))
-        .sum();
-    Some(num / denom)
-}
-
-/// Effective sample size from the initial-positive-sequence sum of
-/// autocorrelations.  Returns `None` for traces that are too short or
-/// constant.
-pub fn effective_sample_size(trace: &[f64]) -> Option<f64> {
-    let n = trace.len();
-    if n < 4 {
-        return None;
-    }
-    let mut rho_sum = 0.0;
-    for lag in 1..(n / 2) {
-        match autocorrelation(trace, lag) {
-            Some(rho) if rho > 0.0 => rho_sum += rho,
-            _ => break,
-        }
-    }
-    let ess = n as f64 / (1.0 + 2.0 * rho_sum);
-    Some(ess.clamp(1.0, n as f64))
-}
-
-/// Saturation analysis of the non-dominated front size over iterations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrontProgress {
-    /// `(iteration, front size)` points, in iteration order.
-    pub points: Vec<(usize, usize)>,
-}
-
-impl FrontProgress {
-    /// Build from snapshot data.
-    pub fn new(points: Vec<(usize, usize)>) -> Self {
-        FrontProgress { points }
-    }
-
-    /// Relative growth of the front over the last `window` recorded points:
-    /// `(last - first_of_window) / max(first_of_window, 1)`.  Returns `None`
-    /// with fewer than two points in the window.
-    pub fn recent_growth(&self, window: usize) -> Option<f64> {
-        if self.points.len() < 2 || window < 2 {
-            return None;
-        }
-        let w = window.min(self.points.len());
-        let slice = &self.points[self.points.len() - w..];
-        let first = slice.first()?.1 as f64;
-        let last = slice.last()?.1 as f64;
-        Some((last - first) / first.max(1.0))
-    }
-
-    /// Whether the front has effectively stopped growing (recent growth over
-    /// `window` points below `threshold`).
-    pub fn is_saturated(&self, window: usize, threshold: f64) -> bool {
-        matches!(self.recent_growth(window), Some(g) if g.abs() <= threshold)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,50 +93,5 @@ mod tests {
             gelman_rubin(&[vec![1.0; 10], vec![2.0; 10]]),
             Some(f64::INFINITY)
         );
-    }
-
-    #[test]
-    fn autocorrelation_of_constant_and_alternating_traces() {
-        assert!(autocorrelation(&[1.0; 20], 1).is_none());
-        let alternating: Vec<f64> = (0..40)
-            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        let rho1 = autocorrelation(&alternating, 1).unwrap();
-        assert!(
-            rho1 < -0.9,
-            "lag-1 of alternating trace should be ~-1, got {rho1}"
-        );
-        let rho2 = autocorrelation(&alternating, 2).unwrap();
-        assert!(rho2 > 0.9);
-        assert!(autocorrelation(&[1.0, 2.0], 5).is_none());
-    }
-
-    #[test]
-    fn effective_sample_size_bounds() {
-        // A scrambled trace keeps a usable fraction of its nominal samples…
-        let trace: Vec<f64> = (0..200)
-            .map(|i| ((i * 2654435761u64 as usize) % 997) as f64)
-            .collect();
-        let ess = effective_sample_size(&trace).unwrap();
-        assert!((1.0..=200.0).contains(&ess));
-        // …while a slowly-varying (highly autocorrelated) trace keeps far
-        // fewer effective samples.
-        let slow: Vec<f64> = (0..200).map(|i| (i as f64 / 40.0).sin()).collect();
-        let ess_slow = effective_sample_size(&slow).unwrap();
-        assert!(
-            ess > 3.0 * ess_slow,
-            "correlated trace must have much smaller ESS ({ess_slow} vs {ess})"
-        );
-        assert!(effective_sample_size(&[1.0, 2.0]).is_none());
-    }
-
-    #[test]
-    fn front_progress_saturation() {
-        let growing = FrontProgress::new(vec![(0, 5), (10, 12), (20, 25), (30, 50)]);
-        assert!(!growing.is_saturated(3, 0.1));
-        let flat = FrontProgress::new(vec![(0, 5), (10, 40), (20, 41), (30, 41)]);
-        assert!(flat.is_saturated(3, 0.1));
-        assert!(flat.recent_growth(3).unwrap() < 0.05);
-        assert!(FrontProgress::new(vec![(0, 5)]).recent_growth(3).is_none());
     }
 }

@@ -57,18 +57,6 @@ pub enum ConfigError {
         /// The rejected factor.
         factor: f64,
     },
-    /// The geometric schedule's cooling ratio must lie in `(0, 1)`.
-    CoolingRatioOutOfRange {
-        /// The rejected ratio.
-        ratio: f64,
-    },
-    /// The tempering schedule's ladder must have at least one rung.
-    EmptyTemperatureLadder,
-    /// The tempering schedule's rung-move probability must lie in `[0, 1]`.
-    MoveProbabilityOutOfRange {
-        /// The rejected probability.
-        probability: f64,
-    },
     /// `max_closure_deviation` must be positive and not NaN.
     NonPositiveClosureDeviation {
         /// The rejected deviation.
@@ -141,19 +129,6 @@ impl fmt::Display for ConfigError {
                     "temperature adjustment factor must exceed 1 (got {factor})"
                 )
             }
-            ConfigError::CoolingRatioOutOfRange { ratio } => {
-                write!(
-                    f,
-                    "geometric cooling ratio must lie in (0, 1) (got {ratio})"
-                )
-            }
-            ConfigError::EmptyTemperatureLadder => {
-                write!(f, "tempering ladder must not be empty")
-            }
-            ConfigError::MoveProbabilityOutOfRange { probability } => write!(
-                f,
-                "tempering move probability must lie in [0, 1] (got {probability})"
-            ),
             ConfigError::NonPositiveClosureDeviation { value } => {
                 write!(f, "max_closure_deviation must be positive (got {value})")
             }

@@ -73,7 +73,7 @@ pub use config::{
     InitMode, JobLimits, NumericGuard, ObjectiveMode, SamplerConfig, SamplerConfigBuilder,
 };
 pub use conformation::Conformation;
-pub use convergence::{autocorrelation, effective_sample_size, gelman_rubin, FrontProgress};
+pub use convergence::gelman_rubin;
 pub use decoyset::{Decoy, DecoySet};
 pub use engine::{
     AttemptFailure, BatchHandle, EngineBuilder, Job, JobBuilder, JobId, JobProgress, JobResult,
@@ -82,10 +82,7 @@ pub use engine::{
 pub use error::{ConfigError, Error};
 pub use health::{member_is_finite, member_poison, PoisonedLane};
 pub use mutation::{MutationConfig, Mutator};
-pub use pareto::{
-    count_non_dominated, crowding_distances, fitness_against, fitness_assignment,
-    non_dominated_indices, strengths,
-};
+pub use pareto::{fitness_against, fitness_assignment, non_dominated_indices, strengths};
 pub use sampler::{
     DecoyProduction, IterationSnapshot, MoscemSampler, RunControls, TrajectoryResult,
 };

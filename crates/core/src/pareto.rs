@@ -1,10 +1,8 @@
-//! Pareto dominance, the MOSCEM strength-based fitness assignment, and
-//! NSGA-II crowding distances.
+//! Pareto dominance and the MOSCEM strength-based fitness assignment.
 //!
 //! Everything here is generic over the objective set: the kernels operate
-//! on whole [`ScoreVector`]s (dominance) or loop over
-//! [`NUM_OBJECTIVES`] slots (crowding), so adding an objective changes no
-//! code — and an objective that is constant across the population (e.g. the
+//! on whole [`ScoreVector`]s through dominance, so adding an objective
+//! changes no code — and an objective that is constant across the population (e.g. the
 //! disabled burial term, fixed at `0.0`) provably cannot change any result,
 //! which is property-tested in `tests/objective_reduction.rs`.
 //!
@@ -32,7 +30,7 @@
 //! 330k tests run per iteration at the production point, on score vectors
 //! whose comparisons a branch predictor cannot learn.
 
-use lms_scoring::{ScoreVector, NUM_OBJECTIVES};
+use lms_scoring::ScoreVector;
 
 /// Indices of the non-dominated members of a population of score vectors.
 pub fn non_dominated_indices(scores: &[ScoreVector]) -> Vec<usize> {
@@ -225,59 +223,6 @@ pub fn fitness_against_table(
     }
 }
 
-/// Count the distinct non-dominated score vectors (used by Figure 3/5
-/// statistics: structurally distinct counting is done at the torsion level
-/// by the decoy set; this is the score-space count).
-pub fn count_non_dominated(scores: &[ScoreVector]) -> usize {
-    non_dominated_indices(scores).len()
-}
-
-/// NSGA-II crowding distance of every member of a population: per
-/// objective, the population is sorted and each member accumulates the
-/// span-normalised gap between its two neighbours; the extremes of every
-/// objective get `+∞`.  Larger means less crowded — front-diversity
-/// diagnostics prefer keeping high-crowding members.
-///
-/// An objective with zero spread over the population (all members equal —
-/// e.g. the disabled burial slot, fixed at `0.0`) contributes nothing to
-/// any member, so the result reduces exactly to the crowding over the
-/// remaining objectives.  Ties within an objective are broken by the
-/// (stable) original index order, which keeps the assignment deterministic
-/// and independent of objective count.
-pub fn crowding_distances(scores: &[ScoreVector]) -> Vec<f64> {
-    let n = scores.len();
-    let mut distances = vec![0.0f64; n];
-    if n == 0 {
-        return distances;
-    }
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    for k in 0..NUM_OBJECTIVES {
-        order.clear();
-        order.extend(0..n);
-        order.sort_by(|&a, &b| {
-            scores[a]
-                .component(k)
-                .partial_cmp(&scores[b].component(k))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let lo = scores[order[0]].component(k);
-        let hi = scores[order[n - 1]].component(k);
-        let span = hi - lo;
-        if span <= 0.0 || !span.is_finite() {
-            // Degenerate objective: no information, no contribution.
-            continue;
-        }
-        distances[order[0]] = f64::INFINITY;
-        distances[order[n - 1]] = f64::INFINITY;
-        for w in 1..n - 1 {
-            let below = scores[order[w - 1]].component(k);
-            let above = scores[order[w + 1]].component(k);
-            distances[order[w]] += (above - below) / span;
-        }
-    }
-    distances
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,7 +270,6 @@ mod tests {
         assert_eq!(non_dominated_indices(&pop), vec![0, 1, 2]);
         let f = fitness_assignment(&pop);
         assert!(f.iter().all(|&x| x < 1.0), "all on the front: {f:?}");
-        assert_eq!(count_non_dominated(&pop), 3);
     }
 
     #[test]
@@ -515,40 +459,6 @@ mod tests {
         // A candidate incomparable to all front members.
         let incomparable = sv(0.5, 10.0, 2.0);
         assert!(fitness_against(&incomparable, &reference) < 1.0);
-    }
-
-    #[test]
-    fn crowding_extremes_are_infinite_and_interior_accumulates() {
-        let pop = vec![
-            sv(0.0, 4.0, 0.0),
-            sv(1.0, 3.0, 0.0),
-            sv(2.0, 2.0, 0.0),
-            sv(4.0, 0.0, 0.0),
-        ];
-        let d = crowding_distances(&pop);
-        // Boundary members of any objective get infinity.
-        assert!(d[0].is_infinite());
-        assert!(d[3].is_infinite());
-        // Interior members: sum over the two informative objectives of the
-        // neighbour-gap / span.  TRIPLET and BURIAL are constant → ignored.
-        assert!((d[1] - (2.0 / 4.0 + 2.0 / 4.0)).abs() < 1e-12);
-        assert!((d[2] - (3.0 / 4.0 + 3.0 / 4.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn crowding_of_degenerate_population_is_zero() {
-        let pop = vec![sv(1.0, 1.0, 1.0); 3];
-        assert_eq!(crowding_distances(&pop), vec![0.0, 0.0, 0.0]);
-        assert!(crowding_distances(&[]).is_empty());
-        // A single member has no neighbours on any informative objective.
-        assert_eq!(crowding_distances(&[sv(1.0, 2.0, 3.0)]), vec![0.0]);
-    }
-
-    #[test]
-    fn constant_burial_component_does_not_change_crowding() {
-        let base = [sv(0.0, 4.0, 1.0), sv(1.0, 3.0, 5.0), sv(2.0, 2.0, 3.0)];
-        let with_burial: Vec<ScoreVector> = base.iter().map(|s| s.with_burial(7.25)).collect();
-        assert_eq!(crowding_distances(&base), crowding_distances(&with_burial));
     }
 
     #[test]

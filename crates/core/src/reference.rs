@@ -117,7 +117,6 @@ impl MoscemSampler {
         // --- Initial fitness + snapshot 0 ----------------------------------
         let mut temperature_controller = cfg.temperature.controller();
         let mut temperature = temperature_controller.temperature();
-        let mut schedule_rng = factory.derive(0xA7).stream(0, 0);
         let mut complex_traces: Vec<Vec<f64>> = vec![Vec::new(); cfg.n_complexes];
         let mut snapshots = Vec::new();
         assign_fitness(mode, &mut population);
@@ -194,8 +193,7 @@ impl MoscemSampler {
 
             // Acceptance statistics and adaptive temperature.
             total_accepted += accepted_now;
-            temperature =
-                temperature_controller.update(accepted_now as f64 / n as f64, &mut schedule_rng);
+            temperature = temperature_controller.update(accepted_now as f64 / n as f64);
 
             // Per-complex mean VDW trace for convergence diagnostics.
             let mut sums = vec![(0.0f64, 0usize); m];

@@ -4,15 +4,13 @@
 //!
 //! * when the burial component is *constant across a population* (of which
 //!   the disabled objective's all-zero slot is the special case), Pareto
-//!   dominance, non-dominated fronts, strengths, Eq.-1 fitness and NSGA-II
-//!   crowding distances are all identical to the three-objective results;
+//!   dominance, non-dominated fronts, strengths and Eq.-1 fitness are all
+//!   identical to the three-objective results;
 //! * the three-objective results themselves agree with an independent
 //!   reference implementation that hardwires 3 components, guarding the
 //!   generic loops against objective-count regressions.
 
-use lms_core::{
-    crowding_distances, fitness_against, fitness_assignment, non_dominated_indices, strengths,
-};
+use lms_core::{fitness_against, fitness_assignment, non_dominated_indices, strengths};
 use lms_scoring::ScoreVector;
 use proptest::prelude::*;
 
@@ -29,32 +27,6 @@ fn dominates3(a: &ScoreVector, b: &ScoreVector) -> bool {
         }
     }
     strictly
-}
-
-/// Reference three-objective crowding distances (hardwired components).
-fn crowding3(scores: &[ScoreVector]) -> Vec<f64> {
-    let n = scores.len();
-    let mut d = vec![0.0f64; n];
-    for k in 0..3 {
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            scores[a]
-                .component(k)
-                .partial_cmp(&scores[b].component(k))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let span = scores[order[n - 1]].component(k) - scores[order[0]].component(k);
-        if span <= 0.0 {
-            continue;
-        }
-        d[order[0]] = f64::INFINITY;
-        d[order[n - 1]] = f64::INFINITY;
-        for w in 1..n - 1 {
-            d[order[w]] +=
-                (scores[order[w + 1]].component(k) - scores[order[w - 1]].component(k)) / span;
-        }
-    }
-    d
 }
 
 proptest! {
@@ -96,13 +68,6 @@ proptest! {
             fitness_against(&cand4, &pop4[1..]).to_bits(),
             fitness_against(&cand3, &pop3[1..]).to_bits()
         );
-
-        // Crowding: the degenerate objective contributes nothing, and the
-        // generic loop matches the hardwired reference.
-        let c4 = crowding_distances(&pop4);
-        let c3 = crowding_distances(&pop3);
-        prop_assert_eq!(&c4, &c3);
-        prop_assert_eq!(&c3, &crowding3(&pop3));
     }
 
     #[test]

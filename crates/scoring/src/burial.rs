@@ -13,24 +13,21 @@
 //! ## Sharing the environment lists with VDW
 //!
 //! Counting environment contacts needs exactly the candidate list the VDW
-//! environment term already reads for each Cα site.  The production path
-//! therefore does **not** run this kernel standalone: when the objective is
-//! enabled, [`MultiScorer::evaluate_with`](crate::MultiScorer::evaluate_with)
-//! runs the combined VDW pass
-//! ([`VdwScore::score_target_with_burial`](crate::VdwScore::score_target_with_burial)),
-//! which filters each residue's contact count from its Cα site's list
+//! environment term already reads for each Cα site, so BURIAL has no pass
+//! of its own.  With the objective enabled,
+//! [`MultiScorer::vdw_pass_from`](crate::MultiScorer::vdw_pass_from)
+//! filters each residue's contact count from its Cα site's list
 //! ([`EnvCandidates::near`](lms_protein::EnvCandidates::near)), the *same*
-//! slice the VDW sum consumes.  A list holds every candidate within
+//! slice the VDW sum consumes, and scores the counts with
+//! [`BurialScore::score_from_counts`].  A list holds every candidate within
 //! [`ENV_LIST_RADIUS`] of its point and the probe radius is no larger, and
 //! a contact count is an integer filtered by an exact distance cutoff, so
-//! the shared path, the standalone path here, and the exhaustive linear
-//! scan ([`BurialScore::score_target_linear`]) all agree bit for bit
-//! (property-tested in `tests/burial_equivalence.rs`).
+//! the shared pass and the exhaustive linear scan
+//! ([`BurialScore::score_target_linear`], the oracle) agree bit for bit
+//! (property-tested below and in `tests/burial_equivalence.rs`).
 
 use crate::library::KnowledgeBase;
-use crate::traits::ScoringFunction;
-use crate::workspace::ScoreScratch;
-use lms_protein::{LoopStructure, LoopTarget, Torsions, ENV_LIST_RADIUS};
+use lms_protein::{LoopStructure, LoopTarget, ENV_LIST_RADIUS};
 use std::sync::Arc;
 
 /// Default burial probe radius (Å) around each residue's Cα: the
@@ -42,28 +39,22 @@ pub const BURIAL_RADIUS: f64 = ENV_LIST_RADIUS;
 #[derive(Debug, Clone)]
 pub struct BurialScore {
     kb: Arc<KnowledgeBase>,
-    radius: f64,
 }
 
 impl BurialScore {
-    /// Create the scoring function over a pre-built knowledge base with the
-    /// default probe radius.
+    /// Create the scoring function over a pre-built knowledge base.
     pub fn new(kb: Arc<KnowledgeBase>) -> Self {
-        BurialScore {
-            kb,
-            radius: BURIAL_RADIUS,
-        }
+        BurialScore { kb }
     }
 
-    /// The burial probe radius (Å).
+    /// The burial probe radius (Å), [`BURIAL_RADIUS`].
     pub fn radius(&self) -> f64 {
-        self.radius
+        BURIAL_RADIUS
     }
 
-    /// Score a structure from per-residue contact counts that were already
-    /// computed (by the shared VDW/BURIAL environment pass or by one of the
-    /// counting paths below): the mean reference energy of each residue
-    /// type at its observed burial.
+    /// Score a structure from the per-residue contact counts the shared
+    /// VDW/BURIAL environment pass computed: the mean reference energy of
+    /// each residue type at its observed burial.
     pub fn score_from_counts(&self, target: &LoopTarget, counts: &[u32]) -> f64 {
         debug_assert_eq!(counts.len(), target.n_residues());
         let n = counts.len();
@@ -77,45 +68,8 @@ impl BurialScore {
         total / n as f64
     }
 
-    /// Fill `scratch.burial_counts` with each residue's environment contact
-    /// count, filtered from the candidate list of its Cα.  Standalone path:
-    /// the production pipeline gets the counts for free from the shared VDW
-    /// pass instead.
-    pub fn counts_with(
-        &self,
-        target: &LoopTarget,
-        structure: &LoopStructure,
-        scratch: &mut ScoreScratch,
-    ) {
-        assert!(
-            self.radius <= ENV_LIST_RADIUS,
-            "burial radius {} Å exceeds the environment list radius {ENV_LIST_RADIUS} Å",
-            self.radius
-        );
-        let env = target.env_candidates();
-        scratch.burial_counts.clear();
-        for res in &structure.residues {
-            let count = env.count_within(res.ca, self.radius, env.near(res.ca));
-            scratch.burial_counts.push(count);
-        }
-    }
-
-    /// Score a structure through the standalone list counting path.
-    pub fn score_target_with(
-        &self,
-        target: &LoopTarget,
-        structure: &LoopStructure,
-        scratch: &mut ScoreScratch,
-    ) -> f64 {
-        self.counts_with(target, structure, scratch);
-        let counts = std::mem::take(&mut scratch.burial_counts);
-        let score = self.score_from_counts(target, &counts);
-        scratch.burial_counts = counts;
-        score
-    }
-
-    /// Score a structure through the exhaustive linear-scan reference the
-    /// list paths must match bit for bit.
+    /// Score a structure through the exhaustive linear scan: the oracle the
+    /// shared VDW/BURIAL pass must match bit for bit.
     pub fn score_target_linear(&self, target: &LoopTarget, structure: &LoopStructure) -> f64 {
         let env = target.env_candidates();
         let n = structure.n_residues();
@@ -124,26 +78,10 @@ impl BurialScore {
         }
         let mut total = 0.0;
         for (aa, res) in target.sequence.iter().zip(structure.residues.iter()) {
-            let count = env.count_within_linear(res.ca, self.radius);
+            let count = env.count_within_linear(res.ca, BURIAL_RADIUS);
             total += self.kb.burial.energy(*aa, count as usize);
         }
         total / n as f64
-    }
-}
-
-impl ScoringFunction for BurialScore {
-    fn name(&self) -> &'static str {
-        "BURIAL"
-    }
-
-    fn score_with(
-        &self,
-        target: &LoopTarget,
-        structure: &LoopStructure,
-        _torsions: &Torsions,
-        scratch: &mut ScoreScratch,
-    ) -> f64 {
-        self.score_target_with(target, structure, scratch)
     }
 }
 
@@ -151,46 +89,64 @@ impl ScoringFunction for BurialScore {
 mod tests {
     use super::*;
     use crate::library::KnowledgeBaseConfig;
-    use lms_protein::{BenchmarkLibrary, LoopBuilder};
+    use crate::{EnvResume, MultiScorer, ScoreScratch};
+    use lms_protein::{BenchmarkLibrary, LoopBuilder, Torsions};
 
-    fn scorer() -> BurialScore {
-        BurialScore::new(KnowledgeBase::build(KnowledgeBaseConfig::fast()))
+    fn kb() -> Arc<KnowledgeBase> {
+        KnowledgeBase::build(KnowledgeBaseConfig::fast())
+    }
+
+    /// The production BURIAL path: the VDW pass with burial on, which
+    /// returns the score and leaves the counts in the scratch.
+    fn scorer() -> MultiScorer {
+        MultiScorer::new(kb()).with_burial(true)
     }
 
     #[test]
     fn name_and_radius() {
-        let s = scorer();
-        assert_eq!(s.name(), "BURIAL");
+        let s = BurialScore::new(kb());
         assert_eq!(s.radius(), BURIAL_RADIUS);
         assert!(s.radius() <= ENV_LIST_RADIUS);
     }
 
+    /// Both production entry points against the linear oracle: the full
+    /// pass, and the pass resumed at residue 0 from another conformation's
+    /// checkpoint (which must read nothing of it but the zero total).
     #[test]
     fn cell_list_matches_linear_reference_on_benchmark_targets() {
-        let s = scorer();
+        let kb = kb();
+        let scorer = MultiScorer::new(Arc::clone(&kb)).with_burial(true);
+        let s = BurialScore::new(kb);
         let lib = BenchmarkLibrary::standard();
         let builder = LoopBuilder::default();
         for name in ["1cex", "1xyz", "5pti"] {
             let target = lib.target_by_name(name).unwrap();
             let native = target.build(&builder, &target.native_torsions);
-            let mut scratch = ScoreScratch::new();
-            let cells = s.score_target_with(&target, &native, &mut scratch);
             let linear = s.score_target_linear(&target, &native);
-            assert_eq!(cells.to_bits(), linear.to_bits(), "{name}");
-            assert!(cells.is_finite());
+            let mut scratch = ScoreScratch::new();
+            let (_, full) = scorer.vdw_pass(&target, &native, &mut scratch);
+            assert_eq!(full.to_bits(), linear.to_bits(), "{name}");
+            assert!(full.is_finite());
+
+            let other = target.build(&builder, &Torsions::zeros(target.n_residues()));
+            let mut checkpoint = ScoreScratch::new();
+            scorer.vdw_pass(&target, &other, &mut checkpoint);
+            let resume = EnvResume::new(0, checkpoint.env_totals(), checkpoint.burial_counts());
+            let (_, resumed) = scorer.vdw_pass_from(&target, &native, &mut scratch, resume);
+            assert_eq!(resumed.to_bits(), linear.to_bits(), "{name} resumed at 0");
         }
     }
 
     #[test]
     fn buried_target_counts_exceed_surface_counts() {
-        let s = scorer();
+        let scorer = scorer();
         let lib = BenchmarkLibrary::standard();
         let builder = LoopBuilder::default();
         let count_sum = |name: &str| -> u32 {
             let target = lib.target_by_name(name).unwrap();
             let native = target.build(&builder, &target.native_torsions);
             let mut scratch = ScoreScratch::new();
-            s.counts_with(&target, &native, &mut scratch);
+            scorer.vdw_pass(&target, &native, &mut scratch);
             scratch.burial_counts().iter().sum()
         };
         assert!(
@@ -201,24 +157,19 @@ mod tests {
 
     #[test]
     fn score_is_deterministic_and_trait_path_agrees() {
-        let s = scorer();
         let lib = BenchmarkLibrary::standard();
         let target = lib.target_by_name("1dim").unwrap();
         let builder = LoopBuilder::default();
         let native = target.build(&builder, &target.native_torsions);
-        let a = s.score(&target, &native, &target.native_torsions);
-        let b = s.score(&target, &native, &target.native_torsions);
-        assert_eq!(a, b);
+        let scorer = scorer();
         let mut scratch = ScoreScratch::new();
-        assert_eq!(
-            a,
-            s.score_with(&target, &native, &target.native_torsions, &mut scratch)
-        );
+        let (_, a) = scorer.vdw_pass(&target, &native, &mut scratch);
+        let (_, b) = scorer.vdw_pass(&target, &native, &mut scratch);
+        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     #[test]
     fn empty_environment_scores_full_exposure() {
-        let s = scorer();
         let lib = BenchmarkLibrary::standard();
         let donor = lib.target_by_name("1cex").unwrap();
         let target = lms_protein::LoopTarget {
@@ -229,9 +180,10 @@ mod tests {
         let builder = LoopBuilder::default();
         let native = target.build(&builder, &target.native_torsions);
         let mut scratch = ScoreScratch::new();
-        s.counts_with(&target, &native, &mut scratch);
+        let (_, score) = scorer().vdw_pass(&target, &native, &mut scratch);
+        assert_eq!(scratch.burial_counts().len(), target.n_residues());
         assert!(scratch.burial_counts().iter().all(|&c| c == 0));
-        let score = s.score_target_with(&target, &native, &mut scratch);
-        assert_eq!(score, s.score_target_linear(&target, &native));
+        let linear = BurialScore::new(kb()).score_target_linear(&target, &native);
+        assert_eq!(score.to_bits(), linear.to_bits());
     }
 }

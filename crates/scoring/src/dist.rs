@@ -15,9 +15,7 @@
 //! [`DistTable::energy`](crate::DistTable::energy) (the test oracle below).
 
 use crate::library::{distance_bin, BackboneAtomKind, KnowledgeBase, SeparationClass, DIST_MAX};
-use crate::traits::ScoringFunction;
-use crate::workspace::ScoreScratch;
-use lms_protein::{LoopStructure, LoopTarget, Torsions};
+use lms_protein::LoopStructure;
 use std::sync::Arc;
 
 /// Atom pair-wise distance-based statistical potential.
@@ -75,36 +73,16 @@ impl DistScore {
     }
 }
 
-impl ScoringFunction for DistScore {
-    fn name(&self) -> &'static str {
-        "DIST"
-    }
-
-    fn score_with(
-        &self,
-        _target: &LoopTarget,
-        structure: &LoopStructure,
-        _torsions: &Torsions,
-        _scratch: &mut ScoreScratch,
-    ) -> f64 {
-        self.score_structure(structure)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::library::KnowledgeBaseConfig;
+    use crate::ScoreScratch;
     use lms_geometry::deg_to_rad;
-    use lms_protein::{AminoAcid, BenchmarkLibrary, LoopBuilder, Torsions};
+    use lms_protein::{AminoAcid, BenchmarkLibrary, LoopBuilder, LoopTarget, Torsions};
 
     fn scorer() -> DistScore {
         DistScore::new(KnowledgeBase::build(KnowledgeBaseConfig::fast()))
-    }
-
-    #[test]
-    fn name_is_dist() {
-        assert_eq!(scorer().name(), "DIST");
     }
 
     #[test]
@@ -115,14 +93,14 @@ mod tests {
         let builder = LoopBuilder::default();
 
         let native = target.build(&builder, &target.native_torsions);
-        let native_score = s.score(&target, &native, &target.native_torsions);
+        let native_score = s.score_structure(&native);
 
         // A conformation with all torsions at 0 degrees coils the backbone
         // into a tight, clashing spiral — distances pile into the
         // short-range bins that the table penalises.
         let clashing_torsions = Torsions::zeros(target.n_residues());
         let clashing = target.build(&builder, &clashing_torsions);
-        let clashing_score = s.score(&target, &clashing, &clashing_torsions);
+        let clashing_score = s.score_structure(&clashing);
         assert!(
             native_score < clashing_score,
             "native {native_score} should beat clashing {clashing_score}"

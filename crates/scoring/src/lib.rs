@@ -18,25 +18,28 @@
 //! of a second environment sweep (property-tested in
 //! `tests/burial_equivalence.rs`).
 //!
-//! ## The workspace API and the allocation-free invariant
+//! ## One pass per objective, one oracle per pass
+//!
+//! [`MultiScorer`] owns how a conformation is scored.  Each objective has
+//! one production pass — [`MultiScorer::vdw_pass_from`] (with
+//! [`MultiScorer::vdw_pass`] its full form, and the BURIAL counts filtered
+//! in the same environment pass), [`MultiScorer::dist_pass`] and
+//! [`MultiScorer::triplet_pass`] — which the staged sampler launches as
+//! population-wide kernels.  [`MultiScorer::evaluate_with`] runs the three
+//! full passes on one conformation for the per-member oracle and the
+//! health tests; [`MultiScorer::evaluate`] wraps it with a throwaway
+//! scratch.  Each pass is checked against one reference: the linear VDW
+//! environment scan ([`VdwScore::environment_term_linear`]), the linear
+//! BURIAL count ([`BurialScore::score_target_linear`]), and naive DIST and
+//! TRIPLET sums in the tests.
 //!
 //! Scoring runs once per conformation per iteration — millions of times per
-//! trajectory — so the hot path must not touch the allocator.  Every scoring
-//! function therefore has two entry points:
-//!
-//! * [`ScoringFunction::score_with`] (and [`MultiScorer::evaluate_with`]):
-//!   the primary, zero-allocation path.  The caller owns a [`ScoreScratch`]
-//!   whose structure-of-arrays buffers (split x/y/z coordinates, radii,
-//!   atom kinds, residue classes) are `clear()`ed and refilled per
-//!   evaluation.  After one warm-up call per loop length, **no
-//!   `score_with`/`evaluate_with` call allocates** — this invariant is
-//!   enforced by a counting-allocator test in `lms-core`
-//!   (`tests/zero_alloc.rs`) and by the equivalence property tests in this
-//!   crate (`tests/workspace_equivalence.rs`).
-//! * [`ScoringFunction::score`] (and [`MultiScorer::evaluate`]): thin
-//!   wrappers that allocate a throwaway scratch and delegate to the
-//!   workspace path.  Because both paths run the identical kernel, they
-//!   return **bit-identical** values.
+//! trajectory — so the hot path must not touch the allocator.  The caller
+//! owns a [`ScoreScratch`] whose structure-of-arrays buffers (split x/y/z
+//! coordinates, radii, atom kinds, residue classes) are `clear()`ed and
+//! refilled per evaluation.  After one warm-up call per loop length, **no
+//! pass allocates** — this invariant is enforced by a counting-allocator
+//! test in `lms-core` (`tests/zero_alloc.rs`).
 //!
 //! The environment half of the VDW kernel additionally relies on the
 //! per-target environment-neighbour cache (`LoopTarget::env_candidates`),
@@ -88,7 +91,7 @@ pub use library::{
 pub use multi::MultiScorer;
 pub use normalize::{normalize_population, ScoreRange};
 pub use pool::ScratchPool;
-pub use traits::{Objective, ScoreVector, ScoringFunction, NUM_OBJECTIVES};
+pub use traits::{Objective, ScoreVector, NUM_OBJECTIVES};
 pub use triplet::TripletScore;
 pub use vdw::{ContactWeights, EnvResume, VdwRadii, VdwScore};
 pub use workspace::ScoreScratch;

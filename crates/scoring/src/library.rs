@@ -174,11 +174,6 @@ impl BurialTable {
     pub fn is_empty(&self) -> bool {
         self.energies.is_empty()
     }
-
-    /// Size in bytes when staged on the device as f32 texels.
-    pub fn device_bytes(&self) -> usize {
-        self.len() * std::mem::size_of::<f32>()
-    }
 }
 
 /// Triplet torsion-angle statistical table: energy indexed by the residue
@@ -213,8 +208,7 @@ impl TripletTable {
         self.energies[Self::flat_index(ctx, torsion_bin(phi), torsion_bin(psi))]
     }
 
-    /// Total number of table entries (for memory accounting in the SIMT
-    /// device model: these tables live in texture memory).
+    /// Total number of table entries.
     pub fn len(&self) -> usize {
         self.energies.len()
     }
@@ -222,11 +216,6 @@ impl TripletTable {
     /// Whether the table is empty (never true for built tables).
     pub fn is_empty(&self) -> bool {
         self.energies.is_empty()
-    }
-
-    /// Size in bytes when staged on the device as f32 texels.
-    pub fn device_bytes(&self) -> usize {
-        self.len() * std::mem::size_of::<f32>()
     }
 }
 
@@ -285,33 +274,26 @@ impl DistTable {
     pub fn is_empty(&self) -> bool {
         self.energies.is_empty()
     }
-
-    /// Size in bytes when staged on the device as f32 texels.
-    pub fn device_bytes(&self) -> usize {
-        self.len() * std::mem::size_of::<f32>()
-    }
 }
 
-/// Parameters controlling knowledge-base construction.
-///
-/// `#[non_exhaustive]`: construct via [`KnowledgeBaseConfig::default`] /
-/// [`KnowledgeBaseConfig::fast`] and the `with_*` setters.
+/// Parameters controlling knowledge-base construction: one of two presets,
+/// [`KnowledgeBaseConfig::default`] (the production tables) or
+/// [`KnowledgeBaseConfig::fast`] (smaller tables for tests and examples).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
 pub struct KnowledgeBaseConfig {
     /// RNG seed for fragment sampling.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Number of (φ, ψ) samples per triplet context.
-    pub triplet_samples_per_context: usize,
+    pub(crate) triplet_samples_per_context: usize,
     /// Number of synthetic fragments sampled for the distance statistics.
-    pub dist_fragments: usize,
+    pub(crate) dist_fragments: usize,
     /// Length (residues) of each sampled fragment.
-    pub dist_fragment_len: usize,
+    pub(crate) dist_fragment_len: usize,
     /// Number of synthetic contact-count samples per residue type for the
     /// burial statistics.
-    pub burial_samples_per_type: usize,
+    pub(crate) burial_samples_per_type: usize,
     /// Additive smoothing pseudo-count applied to every histogram bin.
-    pub smoothing: f64,
+    pub(crate) smoothing: f64,
 }
 
 impl Default for KnowledgeBaseConfig {
@@ -341,51 +323,6 @@ impl KnowledgeBaseConfig {
             ..Default::default()
         }
     }
-
-    /// Set the RNG seed for fragment sampling.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Set the number of (φ, ψ) samples per triplet context.
-    #[must_use]
-    pub fn with_triplet_samples(mut self, samples: usize) -> Self {
-        self.triplet_samples_per_context = samples;
-        self
-    }
-
-    /// Set the number of synthetic fragments sampled for the distance
-    /// statistics.
-    #[must_use]
-    pub fn with_dist_fragments(mut self, fragments: usize) -> Self {
-        self.dist_fragments = fragments;
-        self
-    }
-
-    /// Set the length (residues) of each sampled fragment.
-    #[must_use]
-    pub fn with_dist_fragment_len(mut self, len: usize) -> Self {
-        self.dist_fragment_len = len;
-        self
-    }
-
-    /// Set the number of synthetic contact-count samples per residue type
-    /// for the burial statistics.
-    #[must_use]
-    pub fn with_burial_samples(mut self, samples: usize) -> Self {
-        self.burial_samples_per_type = samples;
-        self
-    }
-
-    /// Set the additive smoothing pseudo-count applied to every histogram
-    /// bin.
-    #[must_use]
-    pub fn with_smoothing(mut self, smoothing: f64) -> Self {
-        self.smoothing = smoothing;
-        self
-    }
 }
 
 /// The complete pre-calculated knowledge base: both tables plus the
@@ -398,7 +335,6 @@ pub struct KnowledgeBase {
     pub dist: DistTable,
     /// The solvation/burial contact-number table.
     pub burial: BurialTable,
-    config: KnowledgeBaseConfig,
 }
 
 impl KnowledgeBase {
@@ -413,24 +349,7 @@ impl KnowledgeBase {
             triplet,
             dist,
             burial,
-            config,
         })
-    }
-
-    /// Build with default (full-size) parameters.
-    pub fn standard() -> Arc<KnowledgeBase> {
-        Self::build(KnowledgeBaseConfig::default())
-    }
-
-    /// The configuration used to build this knowledge base.
-    pub fn config(&self) -> &KnowledgeBaseConfig {
-        &self.config
-    }
-
-    /// Total bytes of pre-calculated data staged to the device (texture
-    /// memory) by the GPU implementation.
-    pub fn device_bytes(&self) -> usize {
-        self.triplet.device_bytes() + self.dist.device_bytes() + self.burial.device_bytes()
     }
 }
 
@@ -881,7 +800,7 @@ mod tests {
     }
 
     #[test]
-    fn table_sizes_and_device_bytes() {
+    fn table_sizes() {
         let kb = fast_kb();
         assert_eq!(kb.triplet.len(), 27 * TRIPLET_BINS * TRIPLET_BINS);
         assert_eq!(kb.dist.len(), 16 * SeparationClass::COUNT * DIST_BINS);
@@ -889,10 +808,6 @@ mod tests {
         assert!(!kb.triplet.is_empty());
         assert!(!kb.dist.is_empty());
         assert!(!kb.burial.is_empty());
-        assert_eq!(
-            kb.device_bytes(),
-            (kb.triplet.len() + kb.dist.len() + kb.burial.len()) * std::mem::size_of::<f32>()
-        );
     }
 
     #[test]

@@ -1,37 +1,45 @@
-//! The multi-scoring evaluator: the enabled objective set evaluated
-//! together on one conformation.
+//! The multi-scoring evaluator: the one place that decides how a
+//! conformation is scored.
 //!
-//! The three core objectives (VDW, DIST, TRIPLET) are always evaluated; the
-//! BURIAL solvation term is an opt-in fourth objective
-//! ([`MultiScorer::with_burial`]).  When it is off, the BURIAL slot of every
-//! [`ScoreVector`] stays at exactly `0.0` and the evaluation runs the
-//! identical kernels as the three-objective pipeline — bit-identical
-//! behaviour, so enabling the objective is a pure extension.  When it is on,
-//! the VDW environment pass filters the per-residue contact counts from the
-//! candidate lists it already reads ([`VdwScore::score_target_with_burial`]),
-//! so the fourth objective costs one extra distance filter per Cα site
-//! rather than a second sweep over the environment.
+//! Each objective has one production pass, launched by the staged sampler
+//! as its own population-wide kernel in canonical order:
 //!
-//! The staged sampler scores a candidate with [`MultiScorer::vdw_pass_from`]:
-//! the candidate agrees with its member on every residue below the one
-//! holding the first mutated torsion, so the environment term and the
-//! burial counts resume from the member's checkpoint row there.  The
-//! intra-loop VDW, DIST and TRIPLET terms are always summed in full.
-//! [`MultiScorer::vdw_pass`] and [`MultiScorer::evaluate_with`] are the
-//! full pass.
+//! * [`MultiScorer::vdw_pass_from`] — the VDW clash score.  A candidate
+//!   agrees with its member on every residue below the one holding the
+//!   first mutated torsion, so the environment term (and the burial counts)
+//!   resume from the member's checkpoint row there; the intra-loop term is
+//!   summed in full.  With the BURIAL objective enabled
+//!   ([`MultiScorer::with_burial`]) the same environment pass filters each
+//!   residue's contact count from the candidate list of its Cα site, so the
+//!   fourth objective costs one extra distance filter per residue rather
+//!   than a second sweep over the environment.  [`MultiScorer::vdw_pass`]
+//!   is the full pass.
+//! * [`MultiScorer::dist_pass`] — the atom pair-wise DIST score.
+//! * [`MultiScorer::triplet_pass`] — the TRIPLET torsion score.
+//!
+//! [`MultiScorer::evaluate_with`] runs the three full passes in the same
+//! order on one conformation: the per-member oracle, the numerical-health
+//! tests and the allocation proofs call it.  With BURIAL off, its slot
+//! stays at exactly `0.0` and every pass is the three-objective kernel,
+//! bit for bit.
+//!
+//! Each pass is checked against one reference: the VDW environment term
+//! against [`VdwScore::environment_term_linear`], the BURIAL score against
+//! [`BurialScore::score_target_linear`], DIST and TRIPLET against naive
+//! re-implementations in their tests.
 
 use crate::burial::BurialScore;
 use crate::dist::DistScore;
 use crate::library::KnowledgeBase;
-use crate::traits::{ScoreVector, ScoringFunction};
+use crate::traits::ScoreVector;
 use crate::triplet::TripletScore;
 use crate::vdw::{EnvResume, VdwScore};
 use crate::workspace::ScoreScratch;
 use lms_protein::{LoopStructure, LoopTarget, Torsions};
 use std::sync::Arc;
 
-/// Bundles the scoring functions and evaluates them on a conformation in
-/// one call, producing a [`ScoreVector`].
+/// Bundles the scoring functions and evaluates them on a conformation,
+/// producing a [`ScoreVector`].
 ///
 /// `MultiScorer` is cheap to clone (the knowledge base is shared through an
 /// `Arc`), so every worker thread of the parallel executor can own one.
@@ -41,7 +49,7 @@ pub struct MultiScorer {
     dist: DistScore,
     triplet: TripletScore,
     burial: BurialScore,
-    burial_enabled: bool,
+    burial_objective: bool,
 }
 
 impl MultiScorer {
@@ -54,21 +62,15 @@ impl MultiScorer {
             dist: DistScore::new(Arc::clone(&kb)),
             triplet: TripletScore::new(Arc::clone(&kb)),
             burial: BurialScore::new(kb),
-            burial_enabled: false,
+            burial_objective: false,
         }
-    }
-
-    /// Replace the VDW component (used by ablation benches).
-    pub fn with_vdw(mut self, vdw: VdwScore) -> Self {
-        self.vdw = vdw;
-        self
     }
 
     /// Enable or disable the BURIAL objective.  Disabled (the default), the
     /// evaluation is bit-identical to the three-objective pipeline.
     #[must_use]
     pub fn with_burial(mut self, enabled: bool) -> Self {
-        self.burial_enabled = enabled;
+        self.burial_objective = enabled;
         self
     }
 
@@ -80,13 +82,9 @@ impl MultiScorer {
         self
     }
 
-    /// Whether the BURIAL objective is evaluated.
-    pub fn burial_enabled(&self) -> bool {
-        self.burial_enabled
-    }
-
-    /// Evaluate the enabled scoring functions on a built conformation.
-    /// Allocating wrapper over [`MultiScorer::evaluate_with`].
+    /// Evaluate the enabled objectives on a built conformation into a
+    /// throwaway scratch: [`MultiScorer::evaluate_with`] for call sites
+    /// that score rarely.
     pub fn evaluate(
         &self,
         target: &LoopTarget,
@@ -97,17 +95,16 @@ impl MultiScorer {
         self.evaluate_with(target, structure, torsions, &mut scratch)
     }
 
-    /// Evaluate the enabled scoring functions using caller-owned scratch
-    /// buffers: the zero-allocation path the sampler's evolution kernel
-    /// runs once per conformation per iteration.  Returns exactly the same
-    /// vector as [`MultiScorer::evaluate`].
+    /// Evaluate the enabled objectives on one conformation in caller-owned
+    /// scratch buffers: [`MultiScorer::vdw_pass`], then
+    /// [`MultiScorer::dist_pass`], then [`MultiScorer::triplet_pass`].
     ///
-    /// This is the fused composition of the staged per-objective passes
-    /// ([`MultiScorer::vdw_pass`] → [`MultiScorer::dist_pass`] →
-    /// [`MultiScorer::triplet_pass`]), which the population-batched sampler
-    /// pipeline instead launches as separate population-wide kernels —
-    /// stage order and scratch state are identical either way, so the two
-    /// call patterns are bit-identical.
+    /// The staged sampler launches those passes itself, one population-wide
+    /// kernel each; this fused form is what the per-member oracle, the
+    /// numerical-health tests and the allocation proofs run.  Stage order
+    /// and scratch state are the same either way, so the two call patterns
+    /// are bit-identical, and after one warm-up call per loop length it
+    /// allocates nothing.
     pub fn evaluate_with(
         &self,
         target: &LoopTarget,
@@ -119,7 +116,7 @@ impl MultiScorer {
         let dist = self.dist_pass(target, structure, scratch);
         let triplet = self.triplet_pass(target, structure, torsions, scratch);
         let v = ScoreVector::new(vdw, dist, triplet);
-        if self.burial_enabled {
+        if self.burial_objective {
             v.with_burial(burial)
         } else {
             v
@@ -157,14 +154,14 @@ impl MultiScorer {
         scratch: &mut ScoreScratch,
         resume: EnvResume<'_>,
     ) -> (f64, f64) {
-        let radius = self.burial_enabled.then(|| self.burial.radius());
+        let radius = self.burial_objective.then(|| self.burial.radius());
         let vdw = self
             .vdw
             .score_target_from(target, structure, scratch, radius, resume);
-        if self.burial_enabled {
-            let counts = std::mem::take(&mut scratch.burial_counts);
-            let burial = self.burial.score_from_counts(target, &counts);
-            scratch.burial_counts = counts;
+        if self.burial_objective {
+            let burial = self
+                .burial
+                .score_from_counts(target, scratch.burial_counts());
             (vdw, burial)
         } else {
             (vdw, 0.0)
@@ -188,22 +185,11 @@ impl MultiScorer {
     pub fn triplet_pass(
         &self,
         target: &LoopTarget,
-        structure: &LoopStructure,
+        _structure: &LoopStructure,
         torsions: &Torsions,
         scratch: &mut ScoreScratch,
     ) -> f64 {
-        self.triplet
-            .score_with(target, structure, torsions, scratch)
-    }
-
-    /// Access the enabled scoring functions in canonical objective order,
-    /// used by the component-timing profile of Figure 1 / Table II.
-    pub fn components(&self) -> Vec<&dyn ScoringFunction> {
-        let mut c: Vec<&dyn ScoringFunction> = vec![&self.vdw, &self.dist, &self.triplet];
-        if self.burial_enabled {
-            c.push(&self.burial);
-        }
-        c
+        self.triplet.score(target, torsions, scratch)
     }
 }
 
@@ -225,32 +211,24 @@ mod tests {
         let builder = LoopBuilder::default();
         let native = target.build(&builder, &target.native_torsions);
         let v = s.evaluate(&target, &native, &target.native_torsions);
-        let comps = s.components();
-        assert_eq!(comps.len(), 3);
-        assert_eq!(comps[0].name(), "VDW");
-        assert_eq!(comps[1].name(), "DIST");
-        assert_eq!(comps[2].name(), "TRIPLET");
-        assert_eq!(
-            v.vdw(),
-            comps[0].score(&target, &native, &target.native_torsions)
-        );
-        assert_eq!(
-            v.dist(),
-            comps[1].score(&target, &native, &target.native_torsions)
-        );
-        assert_eq!(
-            v.triplet(),
-            comps[2].score(&target, &native, &target.native_torsions)
-        );
+        // Each pass on a scratch of its own gives the fused slot.
+        let fresh = ScoreScratch::new;
+        let (vdw, burial) = s.vdw_pass(&target, &native, &mut fresh());
+        assert_eq!(v.vdw().to_bits(), vdw.to_bits());
+        assert_eq!(burial, 0.0);
+        let dist = s.dist_pass(&target, &native, &mut fresh());
+        assert_eq!(v.dist().to_bits(), dist.to_bits());
+        let triplet = s.triplet_pass(&target, &native, &target.native_torsions, &mut fresh());
+        assert_eq!(v.triplet().to_bits(), triplet.to_bits());
         assert_eq!(v.burial(), 0.0, "disabled burial slot stays zero");
         assert!(v.is_finite());
     }
 
     #[test]
     fn burial_enabled_evaluation_matches_components_and_keeps_core_scores() {
-        let s3 = scorer();
+        let kb = KnowledgeBase::build(KnowledgeBaseConfig::fast());
+        let s3 = MultiScorer::new(Arc::clone(&kb));
         let s4 = s3.clone().with_burial(true);
-        assert!(s4.burial_enabled());
         let lib = BenchmarkLibrary::standard();
         let target = lib.target_by_name("1xyz").unwrap();
         let builder = LoopBuilder::default();
@@ -265,14 +243,9 @@ mod tests {
         assert_eq!(v3.burial(), 0.0);
         assert!(v4.burial() != 0.0, "buried target has non-trivial burial");
 
-        // The fourth component agrees with the standalone scoring function.
-        let comps = s4.components();
-        assert_eq!(comps.len(), 4);
-        assert_eq!(comps[3].name(), "BURIAL");
-        assert_eq!(
-            v4.burial(),
-            comps[3].score(&target, &native, &target.native_torsions)
-        );
+        // The fourth component agrees with the linear BURIAL oracle.
+        let linear = BurialScore::new(kb).score_target_linear(&target, &native);
+        assert_eq!(v4.burial().to_bits(), linear.to_bits());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Scoring-function abstractions shared by the objectives.
+//! The objective set and the score vector shared by the objectives.
 //!
 //! The objective set is described by [`Objective`] and sized by
 //! [`NUM_OBJECTIVES`]; nothing downstream hardwires a component count.  A
@@ -9,61 +9,11 @@
 //! behaviour: a component that is equal on both sides can neither veto nor
 //! establish dominance.
 
-use crate::workspace::ScoreScratch;
-use lms_protein::{LoopStructure, LoopTarget, Torsions};
 use std::fmt;
 
 /// Number of scoring functions (objectives) a [`ScoreVector`] carries, in
 /// the canonical order (VDW, DIST, TRIPLET, BURIAL).
 pub const NUM_OBJECTIVES: usize = 4;
-
-/// A backbone scoring function evaluated on a built loop conformation.
-///
-/// Implementations must be cheap to evaluate (they run once per
-/// conformation per iteration, i.e. millions of times per trajectory) and
-/// thread-safe, because the executor evaluates the population in parallel.
-///
-/// The primary entry point is [`ScoringFunction::score_with`], which stages
-/// intermediate data in a caller-owned [`ScoreScratch`] and performs no heap
-/// allocation after warm-up.  [`ScoringFunction::score`] is a convenience
-/// wrapper that allocates a throwaway scratch; both paths run the identical
-/// kernel and therefore return bit-identical values.
-///
-/// **Batch awareness.**  The scratch buffers are member-major SoA slices:
-/// the population-batched sampler pipeline leases one scratch per member
-/// from a shared pool and launches the objectives as separate
-/// population-wide kernels in canonical order, with the shared staging of
-/// one pass feeding the next (the VDW pass fills the BURIAL contact counts
-/// filtered from its candidate lists — see
-/// `MultiScorer::vdw_pass`/`dist_pass`/`triplet_pass` in this crate).
-/// Implementations must therefore treat the scratch as stage-owned state
-/// that persists between kernels of the same evaluation, never as private
-/// storage that may be reset wholesale mid-evaluation.
-pub trait ScoringFunction: Send + Sync {
-    /// Short identifier used in reports (`"VDW"`, `"DIST"`, `"TRIPLET"`,
-    /// `"BURIAL"`).
-    fn name(&self) -> &'static str;
-
-    /// Score a conformation; lower is better.  Thin allocating wrapper over
-    /// [`ScoringFunction::score_with`], kept for call sites that evaluate
-    /// rarely and don't want to manage a workspace.
-    fn score(&self, target: &LoopTarget, structure: &LoopStructure, torsions: &Torsions) -> f64 {
-        let mut scratch = ScoreScratch::new();
-        self.score_with(target, structure, torsions, &mut scratch)
-    }
-
-    /// Score a conformation using caller-owned scratch buffers; lower is
-    /// better.  Must not allocate once `scratch` has warmed up on this loop
-    /// length, and must return exactly the same value as
-    /// [`ScoringFunction::score`].
-    fn score_with(
-        &self,
-        target: &LoopTarget,
-        structure: &LoopStructure,
-        torsions: &Torsions,
-        scratch: &mut ScoreScratch,
-    ) -> f64;
-}
 
 /// The vector of objective values for one conformation, one slot per
 /// [`Objective`] in the fixed (VDW, DIST, TRIPLET, BURIAL) order.

@@ -23,9 +23,8 @@
 //! gathers anyway.
 
 use crate::library::KnowledgeBase;
-use crate::traits::ScoringFunction;
 use crate::workspace::ScoreScratch;
-use lms_protein::{LoopStructure, LoopTarget, RamaClass, Torsions};
+use lms_protein::{LoopTarget, RamaClass, Torsions};
 use std::sync::Arc;
 
 /// Triplet torsion-angle statistical potential.
@@ -40,10 +39,24 @@ impl TripletScore {
         TripletScore { kb }
     }
 
-    /// Score directly from torsions and the residue-class sequence; exposed
-    /// so the sampler can evaluate without a built structure when only this
-    /// objective is needed.
-    pub fn score_torsions(&self, classes: &[RamaClass], torsions: &Torsions) -> f64 {
+    /// Score a torsion vector on `target`'s sequence, staging the residue
+    /// classes in `scratch`; lower is better.
+    pub fn score(
+        &self,
+        target: &LoopTarget,
+        torsions: &Torsions,
+        scratch: &mut ScoreScratch,
+    ) -> f64 {
+        scratch.classes.clear();
+        scratch
+            .classes
+            .extend(target.sequence.iter().map(|aa| aa.rama_class()));
+        self.score_classes(&scratch.classes, torsions)
+    }
+
+    /// The kernel: one table lookup per residue over the residue-class
+    /// sequence.
+    fn score_classes(&self, classes: &[RamaClass], torsions: &Torsions) -> f64 {
         let n = classes.len();
         debug_assert_eq!(torsions.n_residues(), n);
         let mut total = 0.0;
@@ -69,42 +82,15 @@ impl TripletScore {
     }
 }
 
-impl ScoringFunction for TripletScore {
-    fn name(&self) -> &'static str {
-        "TRIPLET"
-    }
-
-    fn score_with(
-        &self,
-        target: &LoopTarget,
-        _structure: &LoopStructure,
-        torsions: &Torsions,
-        scratch: &mut ScoreScratch,
-    ) -> f64 {
-        // Stage the residue classes in the reusable scratch buffer instead
-        // of collecting a fresh Vec per evaluation.
-        scratch.classes.clear();
-        scratch
-            .classes
-            .extend(target.sequence.iter().map(|aa| aa.rama_class()));
-        self.score_torsions(&scratch.classes, torsions)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::library::KnowledgeBaseConfig;
     use lms_geometry::deg_to_rad;
-    use lms_protein::{BenchmarkLibrary, LoopBuilder};
+    use lms_protein::BenchmarkLibrary;
 
     fn scorer() -> TripletScore {
         TripletScore::new(KnowledgeBase::build(KnowledgeBaseConfig::fast()))
-    }
-
-    #[test]
-    fn name_is_triplet() {
-        assert_eq!(scorer().name(), "TRIPLET");
     }
 
     #[test]
@@ -113,7 +99,7 @@ mod tests {
         let classes = vec![RamaClass::General; 8];
         let good = Torsions::from_pairs(&[(deg_to_rad(-63.0), deg_to_rad(-43.0)); 8]);
         let bad = Torsions::from_pairs(&[(deg_to_rad(75.0), deg_to_rad(-100.0)); 8]);
-        assert!(s.score_torsions(&classes, &good) < s.score_torsions(&classes, &bad) - 1.0);
+        assert!(s.score_classes(&classes, &good) < s.score_classes(&classes, &bad) - 1.0);
     }
 
     #[test]
@@ -121,9 +107,7 @@ mod tests {
         let s = scorer();
         let lib = BenchmarkLibrary::standard();
         let target = lib.target_by_name("1cex").unwrap();
-        let builder = LoopBuilder::default();
-        let native_struct = target.build(&builder, &target.native_torsions);
-        let native_score = s.score(&target, &native_struct, &target.native_torsions);
+        let native_score = s.score(&target, &target.native_torsions, &mut ScoreScratch::new());
 
         // A torsion vector drawn uniformly at random is overwhelmingly
         // likely to fall outside the allowed basins somewhere.
@@ -138,8 +122,7 @@ mod tests {
                 })
                 .collect::<Vec<_>>(),
         );
-        let uniform_struct = target.build(&builder, &uniform);
-        let uniform_score = s.score(&target, &uniform_struct, &uniform);
+        let uniform_score = s.score(&target, &uniform, &mut ScoreScratch::new());
         assert!(
             native_score < uniform_score,
             "native {native_score} should beat arbitrary {uniform_score}"
@@ -155,8 +138,8 @@ mod tests {
         let long = vec![RamaClass::General; 16];
         let t_short = Torsions::from_pairs(&[(deg_to_rad(-63.0), deg_to_rad(-43.0)); 4]);
         let t_long = Torsions::from_pairs(&vec![(deg_to_rad(-63.0), deg_to_rad(-43.0)); 16]);
-        let a = s.score_torsions(&short, &t_short);
-        let b = s.score_torsions(&long, &t_long);
+        let a = s.score_classes(&short, &t_short);
+        let b = s.score_classes(&long, &t_long);
         // Interior residues all have identical contexts; only the two
         // termini differ, so the per-residue scores are close.
         assert!((a - b).abs() < 1.0, "{a} vs {b}");
@@ -171,9 +154,6 @@ mod tests {
             (deg_to_rad(80.0), deg_to_rad(10.0)),
             (deg_to_rad(-65.0), deg_to_rad(150.0)),
         ]);
-        assert_eq!(
-            s.score_torsions(&classes, &t),
-            s.score_torsions(&classes, &t)
-        );
+        assert_eq!(s.score_classes(&classes, &t), s.score_classes(&classes, &t));
     }
 }

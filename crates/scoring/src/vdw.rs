@@ -40,10 +40,9 @@
 //! The full pass is the `r = 0` case ([`EnvResume::FULL`]).  The
 //! intra-loop term is always summed in full.
 
-use crate::traits::ScoringFunction;
 use crate::workspace::ScoreScratch;
 use lms_geometry::Vec3;
-use lms_protein::{EnvCandidates, LoopStructure, LoopTarget, Torsions, ENV_LIST_RADIUS};
+use lms_protein::{EnvCandidates, LoopStructure, LoopTarget, ENV_LIST_RADIUS};
 
 /// Where a loop-to-environment pass starts: the first residue it sums and
 /// the checkpoint of an earlier pass it resumes from (see the module docs).
@@ -159,20 +158,6 @@ impl VdwScore {
     /// Create a scorer with explicit radii and contact weights.
     pub fn new(radii: VdwRadii, weights: ContactWeights) -> Self {
         VdwScore { radii, weights }
-    }
-
-    /// The radii in use.
-    pub fn radii(&self) -> &VdwRadii {
-        &self.radii
-    }
-
-    /// The environment neighbour cutoff (Å): the list radius
-    /// [`ENV_LIST_RADIUS`].  Every site's contact reach must lie within it,
-    /// which the environment pass asserts.  The largest radius sum, Trp
-    /// centroid on Trp centroid, is 3.2 + 3.2 = 6.4 Å, so every softness up
-    /// to 7 / 6.4 fits.
-    pub fn cutoff(&self) -> f64 {
-        ENV_LIST_RADIUS
     }
 
     fn overlap_penalty(&self, d: f64, sigma: f64) -> f64 {
@@ -325,6 +310,8 @@ impl VdwScore {
     ) -> f64 {
         let softness = self.radii.softness;
         let max_site = s.site_r.iter().fold(0.0f64, |m, &r| m.max(r));
+        // The largest radius sum, Trp centroid on Trp centroid, is
+        // 3.2 + 3.2 = 6.4 Å, so every softness up to 7 / 6.4 fits.
         let reach = (max_site + env.max_radius()) * softness;
         assert!(
             reach <= ENV_LIST_RADIUS,
@@ -376,7 +363,7 @@ impl VdwScore {
         total
     }
 
-    /// The loop-to-environment term of [`VdwScore::score_target_with`] in
+    /// The loop-to-environment term of [`VdwScore::score_target_from`] in
     /// isolation (the production pass over the per-cell candidate lists).
     /// Exposed so equivalence tests and benchmarks can compare it against
     /// [`VdwScore::environment_term_linear`].
@@ -408,47 +395,22 @@ impl VdwScore {
         self.against_environment_linear(scratch, target.env_candidates())
     }
 
-    /// Score a structure in the context of a target (needed for the residue
-    /// types and the environment), staging data in `scratch`.
-    pub fn score_target_with(
-        &self,
-        target: &LoopTarget,
-        structure: &LoopStructure,
-        scratch: &mut ScoreScratch,
-    ) -> f64 {
-        self.score_target_from(target, structure, scratch, None, EnvResume::FULL)
-    }
-
-    /// [`VdwScore::score_target_with`] with the environment term evaluated
-    /// through the shared VDW + BURIAL pass: on return,
-    /// `scratch.burial_counts` holds each residue's environment contact
-    /// count within `burial_radius` of its Cα, filtered from the same
-    /// candidate lists the VDW sum consumed.  The returned VDW score is
-    /// bit-identical to [`VdwScore::score_target_with`].
+    /// The VDW score of a structure in the context of its target (the
+    /// residue types and the environment), staged in `scratch`: the
+    /// intra-loop term summed in full plus the environment term summed from
+    /// `resume` ([`EnvResume::FULL`] for the full pass), divided by the
+    /// residue count.
+    ///
+    /// With `burial_radius = Some(r)`, the environment pass also leaves each
+    /// residue's environment contact count within `r` of its Cα in
+    /// [`ScoreScratch::burial_counts`], filtered from the same candidate
+    /// lists; the returned score does not depend on it.
     ///
     /// # Panics
     ///
-    /// If `burial_radius` exceeds [`ENV_LIST_RADIUS`].
-    pub fn score_target_with_burial(
-        &self,
-        target: &LoopTarget,
-        structure: &LoopStructure,
-        scratch: &mut ScoreScratch,
-        burial_radius: f64,
-    ) -> f64 {
-        self.score_target_from(
-            target,
-            structure,
-            scratch,
-            Some(burial_radius),
-            EnvResume::FULL,
-        )
-    }
-
-    /// The one VDW pass behind every entry point: stage the sites, sum the
-    /// intra-loop term in full and the environment term from `resume`
-    /// (counting burial within `burial_radius` when given).
-    pub(crate) fn score_target_from(
+    /// If a site's contact reach or `burial_radius` exceeds
+    /// [`ENV_LIST_RADIUS`].
+    pub fn score_target_from(
         &self,
         target: &LoopTarget,
         structure: &LoopStructure,
@@ -467,28 +429,6 @@ impl VdwScore {
         );
         (intra + inter) / structure.n_residues() as f64
     }
-
-    /// Allocating convenience wrapper over [`VdwScore::score_target_with`].
-    pub fn score_target(&self, target: &LoopTarget, structure: &LoopStructure) -> f64 {
-        let mut scratch = ScoreScratch::new();
-        self.score_target_with(target, structure, &mut scratch)
-    }
-}
-
-impl ScoringFunction for VdwScore {
-    fn name(&self) -> &'static str {
-        "VDW"
-    }
-
-    fn score_with(
-        &self,
-        target: &LoopTarget,
-        structure: &LoopStructure,
-        _torsions: &Torsions,
-        scratch: &mut ScoreScratch,
-    ) -> f64 {
-        self.score_target_with(target, structure, scratch)
-    }
 }
 
 #[cfg(test)]
@@ -497,9 +437,15 @@ mod tests {
     use lms_geometry::deg_to_rad;
     use lms_protein::{BenchmarkLibrary, LoopBuilder, Torsions};
 
-    #[test]
-    fn name_is_vdw() {
-        assert_eq!(VdwScore::default().name(), "VDW");
+    /// The full pass without burial into a throwaway scratch.
+    fn full_pass(s: &VdwScore, target: &LoopTarget, structure: &LoopStructure) -> f64 {
+        s.score_target_from(
+            target,
+            structure,
+            &mut ScoreScratch::new(),
+            None,
+            EnvResume::FULL,
+        )
     }
 
     #[test]
@@ -527,12 +473,12 @@ mod tests {
         let target = lib.target_by_name("1cex").unwrap();
         let builder = LoopBuilder::default();
         let native = target.build(&builder, &target.native_torsions);
-        let native_score = s.score_target(&target, &native);
+        let native_score = full_pass(&s, &target, &native);
 
         // All-zero torsions coil the loop into itself.
         let clash_t = Torsions::zeros(target.n_residues());
         let clashing = target.build(&builder, &clash_t);
-        let clash_score = s.score_target(&target, &clashing);
+        let clash_score = full_pass(&s, &target, &clashing);
         assert!(
             native_score < clash_score,
             "native {native_score} should beat clashing {clash_score}"
@@ -551,11 +497,13 @@ mod tests {
         let builder = LoopBuilder::default();
         let torsions =
             |n: usize| Torsions::from_pairs(&vec![(deg_to_rad(-63.0), deg_to_rad(-43.0)); n]);
-        let b = s.score_target(
+        let b = full_pass(
+            &s,
             &buried,
             &buried.build(&builder, &torsions(buried.n_residues())),
         );
-        let srf = s.score_target(
+        let srf = full_pass(
+            &s,
             &surface,
             &surface.build(&builder, &torsions(surface.n_residues())),
         );
@@ -569,8 +517,8 @@ mod tests {
         let target = lib.target_by_name("5pti").unwrap();
         let builder = LoopBuilder::default();
         let native = target.build(&builder, &target.native_torsions);
-        let a = s.score_target(&target, &native);
-        let b = s.score_target(&target, &native);
+        let a = full_pass(&s, &target, &native);
+        let b = full_pass(&s, &target, &native);
         assert_eq!(a, b);
         assert!(a.is_finite());
         assert!(a >= 0.0, "soft-sphere penalties are non-negative");
@@ -585,12 +533,13 @@ mod tests {
             let target = lib.target_by_name(name).unwrap();
             let native = target.build(&builder, &target.native_torsions);
             let mut scratch = ScoreScratch::new();
-            let plain = s.score_target_with(&target, &native, &mut scratch);
-            let shared = s.score_target_with_burial(
+            let plain = full_pass(&s, &target, &native);
+            let shared = s.score_target_from(
                 &target,
                 &native,
                 &mut scratch,
-                crate::burial::BURIAL_RADIUS,
+                Some(crate::burial::BURIAL_RADIUS),
+                EnvResume::FULL,
             );
             assert_eq!(plain.to_bits(), shared.to_bits(), "{name}");
             // The piggybacked counts equal the exhaustive linear reference.
@@ -688,7 +637,7 @@ mod tests {
             ContactWeights::default(),
         );
         let native = target.build(&LoopBuilder::default(), &target.native_torsions);
-        s.score_target(&target, &native);
+        full_pass(&s, &target, &native);
     }
 
     #[test]
@@ -700,11 +649,12 @@ mod tests {
             let target = lib.target_by_name(name).unwrap();
             let clashing = target.build(&builder, &Torsions::zeros(target.n_residues()));
             let mut scratch = ScoreScratch::new();
-            s.score_target_with_burial(
+            s.score_target_from(
                 &target,
                 &clashing,
                 &mut scratch,
-                crate::burial::BURIAL_RADIUS,
+                Some(crate::burial::BURIAL_RADIUS),
+                EnvResume::FULL,
             );
             let env = target.env_candidates();
             for (i, res) in clashing.residues.iter().enumerate() {
@@ -725,16 +675,19 @@ mod tests {
         let clash_t = Torsions::zeros(target.n_residues());
         let clashing = target.build(&builder, &clash_t);
 
-        let base = VdwScore::default().score_target(&target, &clashing);
-        let doubled = VdwScore::new(
-            VdwRadii::default(),
-            ContactWeights {
-                atom_atom: 2.0,
-                atom_centroid: 1.0,
-                centroid_centroid: 0.5,
-            },
-        )
-        .score_target(&target, &clashing);
+        let base = full_pass(&VdwScore::default(), &target, &clashing);
+        let doubled = full_pass(
+            &VdwScore::new(
+                VdwRadii::default(),
+                ContactWeights {
+                    atom_atom: 2.0,
+                    atom_centroid: 1.0,
+                    centroid_centroid: 0.5,
+                },
+            ),
+            &target,
+            &clashing,
+        );
         assert!(
             (doubled - 2.0 * base).abs() < 1e-9,
             "doubling weights doubles the score"
@@ -748,22 +701,28 @@ mod tests {
         let builder = LoopBuilder::default();
         let clash_t = Torsions::zeros(target.n_residues());
         let clashing = target.build(&builder, &clash_t);
-        let soft = VdwScore::new(
-            VdwRadii {
-                softness: 0.8,
-                ..VdwRadii::default()
-            },
-            ContactWeights::default(),
-        )
-        .score_target(&target, &clashing);
-        let hard = VdwScore::new(
-            VdwRadii {
-                softness: 1.0,
-                ..VdwRadii::default()
-            },
-            ContactWeights::default(),
-        )
-        .score_target(&target, &clashing);
+        let soft = full_pass(
+            &VdwScore::new(
+                VdwRadii {
+                    softness: 0.8,
+                    ..VdwRadii::default()
+                },
+                ContactWeights::default(),
+            ),
+            &target,
+            &clashing,
+        );
+        let hard = full_pass(
+            &VdwScore::new(
+                VdwRadii {
+                    softness: 1.0,
+                    ..VdwRadii::default()
+                },
+                ContactWeights::default(),
+            ),
+            &target,
+            &clashing,
+        );
         assert!(hard > soft);
     }
 }

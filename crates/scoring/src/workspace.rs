@@ -1,15 +1,16 @@
 //! Caller-owned scratch buffers for the zero-allocation scoring pipeline.
 //!
-//! Every scoring function can be evaluated through
-//! [`ScoringFunction::score_with`](crate::traits::ScoringFunction::score_with),
-//! which stages any intermediate data in a [`ScoreScratch`] instead of
-//! allocating per call.  The buffers are laid out structure-of-arrays
-//! (split x/y/z coordinate arrays plus parallel radius/kind arrays) so the
-//! contact loops are branch-light and auto-vectorizable — the same data
-//! layout a batched GPU evaluator would use.
+//! Every pass of [`MultiScorer`](crate::MultiScorer) (and
+//! [`MultiScorer::evaluate_with`](crate::MultiScorer::evaluate_with), which
+//! runs them in order) stages its intermediate data in a [`ScoreScratch`]
+//! instead of allocating per call.  The buffers are laid out
+//! structure-of-arrays (split x/y/z coordinate arrays plus parallel
+//! radius/kind arrays) so the contact loops are branch-light and
+//! auto-vectorizable — the same data layout a batched GPU evaluator would
+//! use.
 //!
 //! **Invariant:** after one warm-up evaluation on a given loop length, no
-//! `score_with` call allocates.  `clear()` + `push` on retained `Vec`s is
+//! pass allocates.  `clear()` + `push` on retained `Vec`s is
 //! the only buffer discipline used, and every capacity is a function of the
 //! loop length, which is fixed per target.  The environment is read in
 //! place: each site borrows its precomputed candidate list from the
@@ -17,8 +18,8 @@
 
 use lms_protein::RamaClass;
 
-/// Reusable scratch space for the VDW, BURIAL and TRIPLET kernels (DIST
-/// reads the backbone atoms in place and stages nothing).
+/// Reusable scratch space for the VDW (with BURIAL) and TRIPLET passes
+/// (DIST reads the backbone atoms in place and stages nothing).
 ///
 /// One `ScoreScratch` per concurrent evaluator (e.g. per population member)
 /// suffices; the buffers grow to the high-water mark of the loop being
@@ -44,7 +45,7 @@ pub struct ScoreScratch {
     pub(crate) classes: Vec<RamaClass>,
     /// BURIAL per-residue environment contact counts.  Filled by the shared
     /// VDW/BURIAL environment pass (a Cα site's candidate list serves both
-    /// objectives) or by the standalone BURIAL kernel.
+    /// objectives).
     pub(crate) burial_counts: Vec<u32>,
     /// The environment pass's checkpoint row: entry `r` is the running
     /// loop-to-environment total over the sites of every residue before
@@ -75,8 +76,8 @@ impl ScoreScratch {
         }
     }
 
-    /// The per-residue burial contact counts of the most recent evaluation
-    /// that computed them (empty until a burial-enabled kernel has run).
+    /// The per-residue burial contact counts of the most recent VDW pass
+    /// that counted them (empty until a pass with BURIAL enabled has run).
     pub fn burial_counts(&self) -> &[u32] {
         &self.burial_counts
     }

@@ -2,9 +2,9 @@
 //! environment pass:
 //!
 //! * the shared burial score (counts filtered from the candidate lists the
-//!   VDW pass reads) is **bit-identical** to both the standalone list
-//!   kernel and the exhaustive linear-scan reference, on arbitrary
-//!   conformations and environment densities;
+//!   VDW pass reads), full or resumed at residue 0, is **bit-identical** to
+//!   the exhaustive linear-scan reference, and so are its per-residue
+//!   counts, on arbitrary conformations and environment densities;
 //! * enabling the objective leaves the three core components bit-identical
 //!   to the three-objective evaluation (the burial filter only reads the
 //!   lists the VDW sum already consumes);
@@ -13,7 +13,8 @@
 use lms_geometry::{StreamRngFactory, Vec3};
 use lms_protein::{BenchmarkLibrary, EnvAtom, Environment, LoopBuilder, LoopTarget, Torsions};
 use lms_scoring::{
-    BurialScore, KnowledgeBase, KnowledgeBaseConfig, MultiScorer, ScoreScratch, ScratchPool,
+    BurialScore, EnvResume, KnowledgeBase, KnowledgeBaseConfig, MultiScorer, ScoreScratch,
+    ScratchPool, BURIAL_RADIUS,
 };
 use proptest::prelude::*;
 use rand::Rng;
@@ -80,24 +81,35 @@ proptest! {
         let torsions = perturbed(&target, seed as u64, magnitude);
         let structure = target.build(&builder, &torsions);
 
-        // Shared path (production): burial counts filtered in the VDW
-        // environment pass inside the burial-enabled MultiScorer.
+        // Production: burial counts filtered in the VDW environment pass of
+        // the burial-enabled MultiScorer, full and resumed at residue 0 from
+        // another conformation's checkpoint.
         let scorer = MultiScorer::new(kb()).with_burial(true);
         let mut scratch = ScoreScratch::for_loop_len(target.n_residues());
-        let v = scorer.evaluate_with(&target, &structure, &torsions, &mut scratch);
+        let (_, full) = scorer.vdw_pass(&target, &structure, &mut scratch);
+        let other = target.build(&builder, &perturbed(&target, seed as u64 + 1, 0.5));
+        let mut checkpoint = ScoreScratch::new();
+        scorer.vdw_pass(&target, &other, &mut checkpoint);
+        let resume = EnvResume::new(0, checkpoint.env_totals(), checkpoint.burial_counts());
+        let mut resumed_scratch = ScoreScratch::new();
+        let (_, resumed) = scorer.vdw_pass_from(&target, &structure, &mut resumed_scratch, resume);
 
-        // Standalone list kernel and exhaustive linear reference.
-        let burial = BurialScore::new(kb());
-        let mut scratch2 = ScoreScratch::new();
-        let standalone = burial.score_target_with(&target, &structure, &mut scratch2);
-        let linear = burial.score_target_linear(&target, &structure);
+        // The exhaustive linear reference.
+        let linear = BurialScore::new(kb()).score_target_linear(&target, &structure);
 
-        prop_assert_eq!(v.burial().to_bits(), standalone.to_bits());
-        prop_assert_eq!(v.burial().to_bits(), linear.to_bits());
-        prop_assert!(v.burial().is_finite());
+        prop_assert_eq!(full.to_bits(), linear.to_bits());
+        prop_assert_eq!(resumed.to_bits(), linear.to_bits());
+        prop_assert!(full.is_finite());
 
-        // The piggybacked counts match the standalone counting kernel.
-        prop_assert_eq!(scratch.burial_counts(), scratch2.burial_counts());
+        // The piggybacked counts match the linear count at every Cα.
+        let env = target.env_candidates();
+        let counts: Vec<u32> = structure
+            .residues
+            .iter()
+            .map(|res| env.count_within_linear(res.ca, BURIAL_RADIUS))
+            .collect();
+        prop_assert_eq!(scratch.burial_counts(), &counts[..]);
+        prop_assert_eq!(resumed_scratch.burial_counts(), &counts[..]);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use lms_protein::LoopBuilder;
 use lms_protein::{
     AminoAcid, AnchorFrame, EnvAtom, Environment, LoopFrame, LoopTarget, Torsions, ENV_LIST_RADIUS,
 };
-use lms_scoring::{ContactWeights, ScoreScratch, VdwRadii, VdwScore};
+use lms_scoring::{ContactWeights, EnvResume, ScoreScratch, VdwRadii, VdwScore};
 use proptest::prelude::*;
 use std::f64::consts::PI;
 use std::sync::Arc;
@@ -97,8 +97,8 @@ proptest! {
         prop_assert_eq!(cells, linear);
         // The full score path (which reads the same lists) stays
         // finite and deterministic.
-        let a = vdw.score_target_with(&target, &structure, &mut scratch);
-        let b = vdw.score_target_with(&target, &structure, &mut scratch);
+        let a = vdw.score_target_from(&target, &structure, &mut scratch, None, EnvResume::FULL);
+        let b = vdw.score_target_from(&target, &structure, &mut scratch, None, EnvResume::FULL);
         prop_assert_eq!(a, b);
         prop_assert!(a.is_finite());
     }

@@ -1,10 +1,11 @@
 //! Property tests for the zero-allocation scoring pipeline, in two tiers:
 //!
-//! 1. **Wrapper identity** — `score_with` (workspace path) and the legacy
-//!    `score` wrapper must be **bit-identical** for any torsion vector, on
-//!    all three scoring functions and the combined multi-scorer.  This pins
-//!    the wrapper/scratch-reuse contract, but since `score` delegates to
-//!    `score_with` it cannot detect a defect in the rewritten kernels.
+//! 1. **Pass identity** — each `MultiScorer` pass, run on a scratch the
+//!    earlier passes of an evaluation already filled, must be
+//!    **bit-identical** to its objective's scorer on a fresh scratch for
+//!    any torsion vector, and `evaluate_with` to the allocating `evaluate`.
+//!    This pins the stage-order/scratch-reuse contract, but since each pass
+//!    delegates to its scorer it cannot detect a defect in the kernels.
 //! 2. **Seed-math equivalence** — the SoA kernels must agree with an
 //!    *independent* reimplementation of the seed repository's original
 //!    kernels ([`seed_reference`]): DIST and TRIPLET bit-identically (same
@@ -12,9 +13,9 @@
 //!    zero-contribution pairs), VDW to tight relative tolerance (the
 //!    environment term sums the same contacts in a different order).
 
-use lms_protein::{BenchmarkLibrary, LoopBuilder, LoopTarget, Torsions};
+use lms_protein::{BenchmarkLibrary, LoopBuilder, LoopStructure, LoopTarget, Torsions};
 use lms_scoring::{
-    DistScore, KnowledgeBase, KnowledgeBaseConfig, MultiScorer, ScoreScratch, ScoringFunction,
+    DistScore, EnvResume, KnowledgeBase, KnowledgeBaseConfig, MultiScorer, ScoreScratch,
     TripletScore, VdwScore,
 };
 use proptest::prelude::*;
@@ -157,6 +158,22 @@ fn shared_kb() -> Arc<KnowledgeBase> {
     Arc::clone(KB.get_or_init(|| KnowledgeBase::build(KnowledgeBaseConfig::fast())))
 }
 
+fn shared_multi() -> MultiScorer {
+    MultiScorer::new(shared_kb())
+}
+
+/// A scratch left as a whole evaluation of the same conformation leaves
+/// it: what a pass finds when it runs mid-pipeline.
+fn warm_scratch(
+    target: &LoopTarget,
+    structure: &LoopStructure,
+    torsions: &Torsions,
+) -> ScoreScratch {
+    let mut scratch = ScoreScratch::new();
+    shared_multi().evaluate_with(target, structure, torsions, &mut scratch);
+    scratch
+}
+
 fn arb_torsions(n_residues: usize) -> impl Strategy<Value = Torsions> {
     prop::collection::vec(-std::f64::consts::PI..std::f64::consts::PI, 2 * n_residues)
         .prop_map(Torsions::from_flat)
@@ -169,33 +186,36 @@ proptest! {
     fn vdw_workspace_path_is_bit_identical(torsions in arb_torsions(12)) {
         let target = shared_target();
         let structure = target.build(&LoopBuilder::default(), &torsions);
-        let vdw = VdwScore::default();
-        let legacy = vdw.score(target, &structure, &torsions);
-        let mut scratch = ScoreScratch::new();
-        let with_ws = vdw.score_with(target, &structure, &torsions, &mut scratch);
-        prop_assert_eq!(legacy.to_bits(), with_ws.to_bits());
+        let own = VdwScore::default().score_target_from(
+            target,
+            &structure,
+            &mut ScoreScratch::new(),
+            None,
+            EnvResume::FULL,
+        );
+        let mut scratch = warm_scratch(target, &structure, &torsions);
+        let (pass, _) = shared_multi().vdw_pass(target, &structure, &mut scratch);
+        prop_assert_eq!(own.to_bits(), pass.to_bits());
     }
 
     #[test]
     fn dist_workspace_path_is_bit_identical(torsions in arb_torsions(12)) {
         let target = shared_target();
         let structure = target.build(&LoopBuilder::default(), &torsions);
-        let dist = DistScore::new(shared_kb());
-        let legacy = dist.score(target, &structure, &torsions);
-        let mut scratch = ScoreScratch::new();
-        let with_ws = dist.score_with(target, &structure, &torsions, &mut scratch);
-        prop_assert_eq!(legacy.to_bits(), with_ws.to_bits());
+        let own = DistScore::new(shared_kb()).score_structure(&structure);
+        let mut scratch = warm_scratch(target, &structure, &torsions);
+        let pass = shared_multi().dist_pass(target, &structure, &mut scratch);
+        prop_assert_eq!(own.to_bits(), pass.to_bits());
     }
 
     #[test]
     fn triplet_workspace_path_is_bit_identical(torsions in arb_torsions(12)) {
         let target = shared_target();
         let structure = target.build(&LoopBuilder::default(), &torsions);
-        let triplet = TripletScore::new(shared_kb());
-        let legacy = triplet.score(target, &structure, &torsions);
-        let mut scratch = ScoreScratch::new();
-        let with_ws = triplet.score_with(target, &structure, &torsions, &mut scratch);
-        prop_assert_eq!(legacy.to_bits(), with_ws.to_bits());
+        let own = TripletScore::new(shared_kb()).score(target, &torsions, &mut ScoreScratch::new());
+        let mut scratch = warm_scratch(target, &structure, &torsions);
+        let pass = shared_multi().triplet_pass(target, &structure, &torsions, &mut scratch);
+        prop_assert_eq!(own.to_bits(), pass.to_bits());
     }
 
     #[test]
@@ -217,9 +237,7 @@ proptest! {
         // reject only removes pairs the seed kernel also skipped.
         let target = shared_target();
         let structure = target.build(&LoopBuilder::default(), &torsions);
-        let dist = DistScore::new(shared_kb());
-        let mut scratch = ScoreScratch::new();
-        let ours = dist.score_with(target, &structure, &torsions, &mut scratch);
+        let ours = DistScore::new(shared_kb()).score_structure(&structure);
         let reference = seed_reference::dist(&shared_kb(), &structure);
         prop_assert_eq!(ours.to_bits(), reference.to_bits());
     }
@@ -227,10 +245,8 @@ proptest! {
     #[test]
     fn triplet_matches_seed_reference_bit_identically(torsions in arb_torsions(12)) {
         let target = shared_target();
-        let structure = target.build(&LoopBuilder::default(), &torsions);
         let triplet = TripletScore::new(shared_kb());
-        let mut scratch = ScoreScratch::new();
-        let ours = triplet.score_with(target, &structure, &torsions, &mut scratch);
+        let ours = triplet.score(target, &torsions, &mut ScoreScratch::new());
         let reference = seed_reference::triplet(&shared_kb(), target, &torsions);
         prop_assert_eq!(ours.to_bits(), reference.to_bits());
     }
@@ -244,7 +260,7 @@ proptest! {
         let structure = target.build(&LoopBuilder::default(), &torsions);
         let vdw = VdwScore::default();
         let mut scratch = ScoreScratch::new();
-        let ours = vdw.score_with(target, &structure, &torsions, &mut scratch);
+        let ours = vdw.score_target_from(target, &structure, &mut scratch, None, EnvResume::FULL);
         let reference = seed_reference::vdw(target, &structure);
         prop_assert!(
             (ours - reference).abs() <= 1e-9 * (1.0 + reference.abs()),

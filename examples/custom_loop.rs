@@ -114,5 +114,10 @@ fn main() -> Result<(), Error> {
         .map(|d| target.closure_deviation(&target.build(&builder, &d.torsions)))
         .fold(0.0f64, f64::max);
     println!("worst closure deviation across decoys: {worst_closure:.2} A");
+    let limit = sampler.config().max_closure_deviation;
+    assert!(
+        worst_closure <= limit,
+        "a decoy breaks the closure condition: {worst_closure} A > {limit} A"
+    );
     Ok(())
 }

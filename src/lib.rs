@@ -193,12 +193,11 @@ pub use lms_simt as simt;
 pub mod prelude {
     pub use lms_closure::{CcdCloser, CcdConfig, CcdResult};
     pub use lms_core::{
-        crowding_distances, AttemptFailure, BatchHandle, ComponentTimes, ConfigError, Decoy,
-        DecoyProduction, DecoySet, EngineBuilder, Error, InitMode, IterationSnapshot, Job,
-        JobBuilder, JobId, JobLimits, JobProgress, JobResult, JobStatus, LoopModelingEngine,
-        MoscemSampler, MutationConfig, NumericGuard, ObjectiveMode, PoisonedLane, RetryPolicy,
-        RunControls, SamplerConfig, SamplerConfigBuilder, StageRecord, StageRow,
-        TemperatureSchedule, TrajectoryResult,
+        AttemptFailure, BatchHandle, ComponentTimes, ConfigError, Decoy, DecoyProduction, DecoySet,
+        EngineBuilder, Error, InitMode, IterationSnapshot, Job, JobBuilder, JobId, JobLimits,
+        JobProgress, JobResult, JobStatus, LoopModelingEngine, MoscemSampler, MutationConfig,
+        NumericGuard, ObjectiveMode, PoisonedLane, RetryPolicy, RunControls, SamplerConfig,
+        SamplerConfigBuilder, StageRecord, StageRow, TemperatureSchedule, TrajectoryResult,
     };
     pub use lms_decoys::{
         cluster_decoys, compare_decoy_sets, distinct_non_dominated, ensemble_stats, ClusterMetric,
