@@ -112,7 +112,7 @@ mod nerf_per_rotation {
                 }
                 torsions.rotate_angle(k, delta);
                 rotations += 1;
-                builder.rebuild_spine_from(frame, sequence, torsions, k, scratch);
+                builder.rebuild_spine_from(frame, sequence, torsions, sequence.len(), k, scratch);
             }
             deviation = builder.closure_deviation(frame, scratch);
         }

@@ -4,7 +4,10 @@
 //! `BENCH_<x>.json` in the fresh directory and runs the gate of
 //! [`lms_bench::regression`] over each pair: exits non-zero when a gated
 //! ratio regresses more than the noise tolerance (default 25%), a bound
-//! row breaks its bound, or a gated row is missing on either side.
+//! row breaks its bound, or a gated row is missing on either side.  Each
+//! gated row prints its floor (the value it would fail at) and its
+//! headroom above it; a passing row within 10% of its floor is marked
+//! `NEAR FLOOR`, which never changes the verdict.
 //!
 //! ```text
 //! cargo run -p lms-bench --bin check_regression -- \
@@ -12,7 +15,7 @@
 //! ```
 
 use lms_bench::artifact::Artifact;
-use lms_bench::regression::compare;
+use lms_bench::regression::{compare, NEAR_FLOOR};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -111,13 +114,23 @@ fn run() -> Result<bool, String> {
     for (stem, comparisons) in &report {
         println!("  BENCH_{stem}.json");
         for c in comparisons {
+            let headroom = c.headroom(opts.tolerance);
             let flag = if c.regressed(opts.tolerance) {
                 regressions += 1;
                 "REGRESSED"
             } else {
                 "ok"
             };
-            println!("  [{flag:>9}] {c}");
+            let near = if (0.0..NEAR_FLOOR).contains(&headroom) {
+                "  NEAR FLOOR"
+            } else {
+                ""
+            };
+            println!(
+                "  [{flag:>9}] {c}  floor {:>8.3}  headroom {:>+6.1}%{near}",
+                c.floor(opts.tolerance),
+                headroom * 100.0
+            );
         }
     }
     if regressions == 0 {

@@ -24,6 +24,10 @@
 use crate::artifact::{Artifact, Better, Gate};
 use std::fmt;
 
+/// Headroom below which a passing row is flagged as close to its floor:
+/// one more ordinary run-to-run swing could fail it on unchanged code.
+pub const NEAR_FLOOR: f64 = 0.10;
+
 /// One gated metric compared between a baseline and a fresh artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Comparison {
@@ -47,10 +51,31 @@ impl Comparison {
         if !self.fresh.is_finite() || !self.reference.is_finite() {
             return true;
         }
+        match self.better {
+            Better::Higher => self.fresh < self.floor(tolerance),
+            Better::Lower => self.fresh > self.floor(tolerance),
+        }
+    }
+
+    /// The value the fresh one may reach before it regresses at
+    /// `tolerance`: the bound itself, or the baseline moved against the
+    /// row's direction by the tolerance.
+    pub fn floor(&self, tolerance: f64) -> f64 {
         let slack = if self.bound { 0.0 } else { tolerance };
         match self.better {
-            Better::Higher => self.fresh < self.reference * (1.0 - slack),
-            Better::Lower => self.fresh > self.reference * (1.0 + slack),
+            Better::Higher => self.reference * (1.0 - slack),
+            Better::Lower => self.reference * (1.0 + slack),
+        }
+    }
+
+    /// How far the fresh value sits from its [`Comparison::floor`], as the
+    /// fraction by which it could still move against the row's direction
+    /// before failing (negative once it has regressed).
+    pub fn headroom(&self, tolerance: f64) -> f64 {
+        let floor = self.floor(tolerance);
+        match self.better {
+            Better::Higher => self.fresh / floor - 1.0,
+            Better::Lower => floor / self.fresh - 1.0,
         }
     }
 
@@ -246,6 +271,33 @@ mod tests {
         // + window + blocks w8 + simd + batch floor.
         assert_eq!(metrics.len(), 12);
         assert!(regressions.is_empty(), "{regressions:?}");
+    }
+
+    #[test]
+    fn headroom_is_measured_from_the_floor() {
+        let row = |reference: f64, fresh: f64, better: Better, bound: bool| Comparison {
+            name: "row".to_string(),
+            reference,
+            fresh,
+            better,
+            bound,
+        };
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-12;
+        // A speedup with baseline 168 and floor 126 that reads 132.7 sits
+        // 5.3% above its floor.
+        let x100 = row(168.0, 132.7, Better::Higher, false);
+        assert!(close(x100.floor(0.25), 126.0));
+        assert!(close(x100.headroom(0.25), 132.7 / 126.0 - 1.0));
+        assert!(x100.headroom(0.25) < NEAR_FLOOR && !x100.regressed(0.25));
+        // A cost ratio may rise to 1.25× its baseline.
+        let cost = row(1.0, 1.0, Better::Lower, false);
+        assert!(close(cost.headroom(0.25), 0.25));
+        // An absolute bound takes no tolerance.
+        let bound = row(0.70, 0.77, Better::Higher, true);
+        assert!(close(bound.floor(0.25), 0.70));
+        assert!(close(bound.headroom(0.25), 0.1));
+        // A regressed row has negative headroom.
+        assert!(row(1.5, 1.05, Better::Higher, false).headroom(0.25) < 0.0);
     }
 
     #[test]

@@ -11,16 +11,24 @@
 //! batched loop ([`optimal_rotation_batch`]) instead of being interleaved
 //! with structure traversal.
 //!
-//! **Bit-identity.**  `close_batch` is the only driver of the rigid sweep;
-//! the per-member entry points ([`CcdCloser::close_lane`] and the
-//! allocating [`CcdCloser::close`]) close a one-lane block.  Each member's
-//! computation depends only on its own state, and the lockstep schedule
-//! performs, per member, the same operations in the same order whatever
-//! the block width: exact build → (check; sweep over eligible torsions:
-//! axis atoms mapped through the sweep's rigid motion and written back,
-//! closed-form `[a, b]`, conditional apply into the motion and the
-//! torsion's turn; tracked end frame stored) → settle the turned torsions
-//! → exact suffix build and its deviation.  The batched inner products call
+//! **Bit-identity.**  One private driver runs the rigid sweep.
+//! [`CcdCloser::close_batch`] is an exact
+//! [`LoopBuilder::build_into`](lms_protein::LoopBuilder::build_into) of
+//! every lane followed by it, where a lane that never rotated keeps that
+//! build; [`CcdCloser::close_prepared`] runs it on lanes the staged
+//! sampler prepares from each member's earlier build
+//! ([`LoopBuilder::rebuild_spine_from`](lms_protein::LoopBuilder::rebuild_spine_from)),
+//! which places the same bits everywhere the sweep reads; and the
+//! per-member entry points ([`CcdCloser::close_lane`] and the allocating
+//! [`CcdCloser::close`]) close a one-lane `close_batch` block.  Each
+//! member's computation depends only on its own state, and the lockstep
+//! schedule performs, per member, the same operations in the same order
+//! whatever the block width: prepared build → (check; sweep over eligible
+//! torsions: axis atoms mapped through the sweep's rigid motion and written
+//! back, closed-form `[a, b]`, conditional apply into the motion and the
+//! torsion's turn; tracked end frame stored) → settle the turned torsions →
+//! exact suffix build and its deviation (unless a fully built lane never
+//! rotated).  The batched inner products call
 //! the identical scalar kernel per gathered lane, so every rotation — and
 //! therefore every closed loop — is independent of how the population is
 //! partitioned into blocks, bit for bit (tested in this module and in
@@ -147,12 +155,14 @@ impl CcdCloser {
         scratch.results[0]
     }
 
-    /// Close every lane of one block in population lockstep.
+    /// Close every lane of one block in population lockstep: an exact
+    /// build of every lane's torsions, then the sweep of
+    /// [`CcdCloser::close_prepared`], whose final suffix build a lane that
+    /// never rotated skips (it still holds its exact build).
     ///
-    /// All lanes march through the same `(sweep, torsion)` schedule;
-    /// converged and out-of-range lanes are masked.  Per-lane statistics
-    /// land in `scratch.results()` (lane order) and each lane's structure
-    /// buffer holds the exact build of its final torsions.
+    /// Per-lane statistics land in `scratch.results()` (lane order) and
+    /// each lane's structure buffer holds the exact build of its final
+    /// torsions.
     ///
     /// # Panics
     ///
@@ -164,6 +174,54 @@ impl CcdCloser {
         sequence: &[AminoAcid],
         lanes: &mut [CcdLane<'_>],
         scratch: &mut CcdBatchScratch,
+    ) {
+        for lane in lanes.iter_mut() {
+            self.builder()
+                .build_into(frame, sequence, lane.torsions, lane.structure);
+        }
+        self.sweep_lanes(frame, sequence, lanes, scratch, true);
+    }
+
+    /// The lockstep sweep over lanes whose structures are already
+    /// prepared: each lane's structure must hold the exact build of its
+    /// torsions on every residue below the residue of its start index (the
+    /// loop length for a start past the last torsion) and the exact spine
+    /// (N, Cα, C') and end frame everywhere — what
+    /// [`LoopBuilder::rebuild_spine_from`](lms_protein::LoopBuilder::rebuild_spine_from)
+    /// leaves, and what a full build satisfies.
+    ///
+    /// All lanes march through the same `(sweep, torsion)` schedule;
+    /// converged and out-of-range lanes are masked.  Every lane ends with
+    /// the exact suffix build from its start residue, so on return each
+    /// lane's structure buffer holds the exact full build of its final
+    /// torsions, O atoms and centroids included, and its deviation in
+    /// `scratch.results()` (lane order) is read from that build.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lanes disagree on torsion count (a block always comes
+    /// from one population over one target).
+    pub fn close_prepared(
+        &self,
+        frame: &LoopFrame,
+        sequence: &[AminoAcid],
+        lanes: &mut [CcdLane<'_>],
+        scratch: &mut CcdBatchScratch,
+    ) {
+        self.sweep_lanes(frame, sequence, lanes, scratch, false);
+    }
+
+    /// The one sweep driver behind [`CcdCloser::close_batch`] and
+    /// [`CcdCloser::close_prepared`].  `fully_built` says every lane
+    /// already holds the exact full build of its torsions, so a lane that
+    /// never rotated keeps it and skips the suffix build.
+    fn sweep_lanes(
+        &self,
+        frame: &LoopFrame,
+        sequence: &[AminoAcid],
+        lanes: &mut [CcdLane<'_>],
+        scratch: &mut CcdBatchScratch,
+        fully_built: bool,
     ) {
         let builder = *self.builder();
         let config = *self.config();
@@ -178,8 +236,7 @@ impl CcdCloser {
         }
         scratch.reset(lanes.len(), n_angles);
 
-        for (j, lane) in lanes.iter_mut().enumerate() {
-            builder.build_into(frame, sequence, lane.torsions, lane.structure);
+        for (j, lane) in lanes.iter().enumerate() {
             let dev = builder.closure_deviation(frame, lane.structure);
             scratch.initial[j] = dev;
             scratch.deviation[j] = dev;
@@ -259,19 +316,23 @@ impl CcdCloser {
             }
         }
 
-        // Per rotated lane: settle the turns into the torsions, then one
-        // exact suffix build from the start torsion's residue restores the
-        // whole structure (the sweeps wrote nothing upstream of it, so
-        // this is bit-identical to a full build) and gives the reported
-        // deviation.  Untouched lanes still hold their exact initial build.
+        // Per lane: settle the turns into the torsions (a no-op for a lane
+        // that never rotated), then one exact suffix build from the start
+        // torsion's residue restores the whole structure — the sweeps and
+        // the preparation wrote nothing but exact bits upstream of it, so
+        // this is bit-identical to a full build — and gives the reported
+        // deviation.  A prepared lane that never rotated needs it too: its
+        // O atoms and centroids from the start residue on may be stale; a
+        // fully built one still holds its exact build.
         for (j, lane) in lanes.iter_mut().enumerate() {
-            if scratch.rotations[j] > 0 {
-                let turns = &scratch.turns[j * n_angles..(j + 1) * n_angles];
-                settle(lane.torsions, turns);
-                let start = lane.start_index.min(n_angles);
-                builder.rebuild_from(frame, sequence, lane.torsions, start, lane.structure);
-                scratch.deviation[j] = builder.closure_deviation(frame, lane.structure);
+            if fully_built && scratch.rotations[j] == 0 {
+                continue;
             }
+            let turns = &scratch.turns[j * n_angles..(j + 1) * n_angles];
+            settle(lane.torsions, turns);
+            let start = lane.start_index.min(n_angles);
+            builder.rebuild_from(frame, sequence, lane.torsions, start, lane.structure);
+            scratch.deviation[j] = builder.closure_deviation(frame, lane.structure);
         }
 
         for j in 0..lanes.len() {
@@ -291,7 +352,7 @@ mod tests {
     use super::*;
     use crate::ccd::CcdConfig;
     use lms_geometry::deg_to_rad;
-    use lms_protein::BenchmarkLibrary;
+    use lms_protein::{BenchmarkLibrary, LoopBuilder};
     use rand::Rng;
 
     fn perturbed(name: &str, count: usize, seed: u64) -> (lms_protein::LoopTarget, Vec<Torsions>) {
@@ -426,6 +487,107 @@ mod tests {
                 assert_eq!(one.0, other.0, "{name} w{width}: torsions diverged");
                 assert_eq!(one.1, other.1, "{name} w{width}: stats diverged");
                 assert_eq!(one.2, other.2, "{name} w{width}: structures diverged");
+            }
+        }
+    }
+
+    #[test]
+    fn prepared_lanes_close_bit_identically_to_close_batch() {
+        // Each lane's candidate differs from its member from the start
+        // index on; the lane is prepared from the member's build, of which
+        // the first `built` residues are kept, and closed by
+        // `close_prepared`.
+        // Torsions, statistics and structures must equal `close_batch` of
+        // the same candidates, bit for bit.  Starts cover 0, 1, the middle,
+        // the last torsion, the loop end and past it; the native lane is
+        // already closed and rotates nothing, yet its O atoms and centroids
+        // past the start residue are stale after the preparation.
+        let builder = LoopBuilder::default();
+        for (name, seed) in [("1cex", 5u64), ("5pti", 13)] {
+            let (target, members) = perturbed(name, 7, seed);
+            let closer = CcdCloser::with_config(CcdConfig::new().with_max_sweeps(64));
+            let (frame, sequence) = (&target.frame, &target.sequence[..]);
+            let n_res = target.n_residues();
+            let n_angles = members[0].n_angles();
+            let starts = [0, 1, n_angles / 2, n_angles - 1, n_angles, n_angles + 3, 5];
+            let candidates: Vec<Torsions> = members
+                .iter()
+                .zip(starts)
+                .enumerate()
+                .map(|(m, (member, start))| {
+                    if m == 6 {
+                        return target.native_torsions.clone();
+                    }
+                    let mut cand = member.clone();
+                    for k in start..n_angles {
+                        cand.rotate_angle(k, deg_to_rad(25.0 - 7.0 * k as f64));
+                    }
+                    cand
+                })
+                .collect();
+            // The native lane's member differs from it from the start on.
+            let mut member_torsions = members.clone();
+            member_torsions[6] = target.native_torsions.clone();
+            for k in starts[6]..n_angles {
+                member_torsions[6].rotate_angle(k, deg_to_rad(3.0));
+            }
+            let mut reference_torsions = candidates.clone();
+            let mut reference_structures: Vec<LoopStructure> = (0..starts.len())
+                .map(|_| LoopStructure::with_capacity(n_res))
+                .collect();
+            let mut lanes: Vec<CcdLane> = reference_torsions
+                .iter_mut()
+                .zip(reference_structures.iter_mut())
+                .zip(starts)
+                .map(|((t, s), start_index)| CcdLane {
+                    torsions: t,
+                    structure: s,
+                    start_index,
+                })
+                .collect();
+            let mut scratch = CcdBatchScratch::new();
+            closer.close_batch(frame, sequence, &mut lanes, &mut scratch);
+            drop(lanes);
+            let reference_results = scratch.results().to_vec();
+            assert!(
+                reference_results[..6]
+                    .iter()
+                    .filter(|r| r.rotations_applied > 0)
+                    .count()
+                    >= 3,
+                "{name}: too few lanes rotated to compare"
+            );
+            assert!(reference_results[6].converged);
+            assert_eq!(reference_results[6].rotations_applied, 0);
+
+            for built in [0, 2, n_res] {
+                let mut torsions = candidates.clone();
+                let mut structures: Vec<LoopStructure> = member_torsions
+                    .iter()
+                    .map(|t| builder.build(frame, sequence, t))
+                    .collect();
+                for ((t, s), &start) in torsions.iter().zip(&mut structures).zip(&starts) {
+                    builder.rebuild_spine_from(frame, sequence, t, built, start, s);
+                }
+                let mut lanes: Vec<CcdLane> = torsions
+                    .iter_mut()
+                    .zip(structures.iter_mut())
+                    .zip(starts)
+                    .map(|((t, s), start_index)| CcdLane {
+                        torsions: t,
+                        structure: s,
+                        start_index,
+                    })
+                    .collect();
+                closer.close_prepared(frame, sequence, &mut lanes, &mut scratch);
+                drop(lanes);
+                assert_eq!(torsions, reference_torsions, "{name} built {built}");
+                assert_eq!(
+                    scratch.results(),
+                    &reference_results[..],
+                    "{name} built {built}"
+                );
+                assert_eq!(structures, reference_structures, "{name} built {built}");
             }
         }
     }

@@ -46,10 +46,14 @@
 //! rotated by its turn's angle, one `atan2` per turned torsion instead of
 //! one per rotation.
 //!
-//! No NeRF runs inside the sweep loop: the exact [`LoopBuilder::build_into`]
-//! runs once at closure start and, if any rotation was applied, the exact
-//! suffix build [`LoopBuilder::rebuild_from`] of the settled torsions runs
-//! once at closure end (nothing upstream of the start torsion's residue
+//! No NeRF runs inside the sweep loop.  At closure start the lane holds an
+//! exact build of the torsions, at least on the spine and end frame the
+//! sweep reads — a full [`LoopBuilder::build_into`]
+//! ([`CcdCloser::close_batch`]), or, in the staged sampler, the member's
+//! earlier build completed by [`LoopBuilder::rebuild_spine_from`] — and at
+//! closure end the exact suffix build [`LoopBuilder::rebuild_from`] of the
+//! settled torsions runs once per lane, skipped only by a fully built lane
+//! that never rotated (nothing upstream of the start torsion's residue
 //! moved, so it is bit-identical to a full build).  `final_deviation` and
 //! `converged` — hence the sampler's closure gate — are computed from that
 //! exact final build, never from the tracked frame.  The written-back spine
@@ -59,8 +63,10 @@
 //! NeRF-per-rotation sweep up to that round-off (checked against a
 //! test-only NeRF oracle over a production-point ensemble).
 //!
-//! [`CcdCloser::close_batch`] is the one driver of the sweep; the
-//! per-member entry points close a one-lane block.
+//! One private driver in `batch.rs` runs the sweep:
+//! [`CcdCloser::close_prepared`] calls it on prepared lanes,
+//! `close_batch` builds its lanes first, and the per-member entry points
+//! close a one-lane block.
 
 use crate::batch::{CcdBatchScratch, CcdLane};
 use lms_geometry::{Rotation, Vec3};
@@ -232,6 +238,7 @@ pub(crate) const NO_TURN: Turn = [1.0, 0.0];
 /// The rigid-body state of one CCD sweep (see the module docs): the
 /// composed motion `x ↦ rot·x + shift` of everything downstream of the
 /// sweep's accepted rotations and the tracked end frame.  Driven only by
+/// the one sweep driver behind [`CcdCloser::close_prepared`] and
 /// [`CcdCloser::close_batch`].
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct RigidSweep {
@@ -648,7 +655,14 @@ mod tests {
                 }
                 torsions.rotate_angle(k, delta);
                 rotations_applied += 1;
-                builder.rebuild_spine_from(frame, sequence, torsions, k, &mut scratch);
+                builder.rebuild_spine_from(
+                    frame,
+                    sequence,
+                    torsions,
+                    sequence.len(),
+                    k,
+                    &mut scratch,
+                );
             }
             deviation = builder.closure_deviation(frame, &scratch);
         }

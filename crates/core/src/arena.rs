@@ -9,8 +9,9 @@
 //!
 //! * flat member-major SoA buffers for everything cross-member stages read
 //!   (current/candidate torsion lanes, [`ScoreVector`] slots, closure and
-//!   acceptance flags, RNG stream handles, fitness, and the checkpoint
-//!   rows of each member's VDW environment pass), and
+//!   acceptance flags, RNG stream handles, fitness, the checkpoint rows of
+//!   each member's VDW environment pass and the built-prefix length of
+//!   each member's structure buffer), and
 //! * a `MemberSlot` per member holding the heavyweight reusable
 //!   workspaces that existing kernels consume by reference (the CCD/scoring
 //!   structure buffer, the scoring scratch, the candidate torsion view the
@@ -43,7 +44,9 @@ pub(crate) fn store_checkpoint(scratch: &ScoreScratch, totals: &mut [f64], count
 /// per-conformation kernels mutate through references.
 #[derive(Debug)]
 pub(crate) struct MemberSlot {
-    /// Reused structure buffer: holds the most recently built candidate.
+    /// Reused structure buffer: holds the most recently built candidate,
+    /// whose first [`PopulationArena::built_residues`] residues are also
+    /// the member's current build.
     pub(crate) structure: LoopStructure,
     /// Reused scoring workspace (member-major SoA slices inside).
     pub(crate) scratch: ScoreScratch,
@@ -56,6 +59,10 @@ pub(crate) struct MemberSlot {
     /// `EvalVdw` kernel checks every resumed pass against.
     #[cfg(debug_assertions)]
     pub(crate) check: ScoreScratch,
+    /// Debug builds only: the fresh build the staged `close` kernel checks
+    /// every prepared closure lane against.
+    #[cfg(debug_assertions)]
+    pub(crate) check_structure: LoopStructure,
 }
 
 /// The population-wide SoA arena of one staged trajectory run.
@@ -105,6 +112,14 @@ pub struct PopulationArena {
     /// Per-member burial counts of the current conformation, `n_residues`
     /// each (all zero while the burial objective is off).
     pub(crate) burial_counts: Vec<u32>,
+    /// Per member: how many leading residues of its slot's structure
+    /// buffer are the exact build of its current torsions, so that the
+    /// next closure re-places only the rest.  The loop length after
+    /// initialisation and after an accepted candidate, the candidate's CCD
+    /// start residue after a rejected one (the candidate agreed with the
+    /// member below it), and 0 after an initialisation quarantine (the
+    /// member's torsions came from a donor).
+    pub(crate) built_residues: Vec<usize>,
     pub(crate) rngs: Vec<ChaCha8Rng>,
     // --- reusable host-side iteration buffers ---------------------------
     pub(crate) order: Vec<usize>,
@@ -159,6 +174,8 @@ impl PopulationArena {
                 mut_indices: Vec::with_capacity(max_mutations.max(1)),
                 #[cfg(debug_assertions)]
                 check: ScoreScratch::for_loop_len(n_residues),
+                #[cfg(debug_assertions)]
+                check_structure: LoopStructure::with_capacity(n_residues),
             })
             .collect();
         // Stride partition sizes are fixed by (n, m): complex `c` holds the
@@ -199,6 +216,7 @@ impl PopulationArena {
             ccd_start: vec![0; n_members],
             env_totals: vec![0.0; n_members * (n_residues + 1)],
             burial_counts: vec![0; n_members * n_residues],
+            built_residues: vec![0; n_members],
             rngs: vec![placeholder; n_members],
             order: Vec::with_capacity(n_members),
             complex_of: vec![0; n_members],

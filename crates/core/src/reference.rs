@@ -8,7 +8,9 @@
 //! stages call ([`Mutator::mutate_in_place`](crate::Mutator::mutate_in_place),
 //! [`CcdCloser::close_lane`], [`MultiScorer::evaluate_with`](lms_scoring::MultiScorer::evaluate_with),
 //! [`fitness_against`] and [`fitness_assignment`]), and keeps one workspace
-//! for the whole population, since one member is in flight at a time.
+//! for the whole population, since one member is in flight at a time.  Every closure
+//! builds its lane from scratch, so the staged pipeline's prefix reuse is
+//! checked against it.
 //!
 //! Its scope is the bit-identity contract: runs without run-time
 //! [`JobLimits`](crate::JobLimits) whose lanes stay finite.  Deadlines, the
@@ -27,7 +29,7 @@ use crate::sampler::{
 use crate::stages::StageRecord;
 use lms_closure::{CcdBatchScratch, CcdCloser, CcdLane};
 use lms_geometry::StreamRngFactory;
-use lms_protein::{LoopStructure, RamaClass, RamaLibrary, Torsions};
+use lms_protein::{LoopStructure, RamaLibrary, Torsions};
 use lms_scoring::{ScoreScratch, ScoreVector};
 use rand::Rng;
 use std::time::Instant;
@@ -52,7 +54,7 @@ impl MoscemSampler {
         );
         let n = cfg.population_size;
         let n_res = target.n_residues();
-        let classes: Vec<RamaClass> = target.sequence.iter().map(|aa| aa.rama_class()).collect();
+        let classes = &self.classes;
         let factory = StreamRngFactory::new(seed);
         let closer = CcdCloser::new(self.builder, cfg.ccd);
         let (frame, sequence) = (&target.frame, &target.sequence);
@@ -82,7 +84,7 @@ impl MoscemSampler {
             for _ in 0..4 {
                 sample_initial_torsions(
                     cfg.init_mode,
-                    &classes,
+                    classes,
                     &rama,
                     &mut conf.torsions,
                     &mut rng,
@@ -153,7 +155,7 @@ impl MoscemSampler {
                 cand.copy_from(&conf.torsions);
                 let start =
                     self.mutator
-                        .mutate_in_place(&mut cand, &classes, &mut rng, &mut mut_indices);
+                        .mutate_in_place(&mut cand, classes, &mut rng, &mut mut_indices);
                 let lane = CcdLane {
                     torsions: &mut cand,
                     structure: &mut structure,

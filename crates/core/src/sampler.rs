@@ -189,6 +189,9 @@ pub struct DecoyProduction {
 #[derive(Debug, Clone)]
 pub struct MoscemSampler {
     target: LoopTarget,
+    /// The target's per-residue Ramachandran classes, staged once: the
+    /// mutation move and the initial sampling read them.
+    pub(crate) classes: Vec<RamaClass>,
     pub(crate) scorer: MultiScorer,
     config: SamplerConfig,
     pub(crate) builder: LoopBuilder,
@@ -205,6 +208,7 @@ impl MoscemSampler {
     ) -> Result<Self, ConfigError> {
         config.validate()?;
         Ok(MoscemSampler {
+            classes: target.sequence.iter().map(|aa| aa.rama_class()).collect(),
             target,
             scorer: MultiScorer::new(kb).with_burial(config.burial_objective),
             mutator: Mutator::new(config.mutation.clone()),
@@ -318,12 +322,7 @@ impl MoscemSampler {
     ) -> Result<TrajectoryResult, Error> {
         let cfg = &self.config;
         let n = cfg.population_size;
-        let classes: Vec<RamaClass> = self
-            .target
-            .sequence
-            .iter()
-            .map(|aa| aa.rama_class())
-            .collect();
+        let classes = &self.classes;
         let factory = StreamRngFactory::new(seed);
         let closer = CcdCloser::new(self.builder, cfg.ccd);
         let mut stall_streak = 0usize;
@@ -367,14 +366,14 @@ impl MoscemSampler {
                     if round == 0 {
                         *rng = init_factory.stream(i as u64, 0);
                     }
-                    sample_initial_torsions(init_mode, &classes, &rama, &mut slot.cand, rng);
+                    sample_initial_torsions(init_mode, classes, &rama, &mut slot.cand, rng);
                     #[cfg(feature = "fault-injection")]
                     if lms_simt::fault::take_nan() {
                         slot.cand.set_angle(0, f64::NAN);
                     }
                 });
             }
-            let (close, rotations) = self.stage_close(
+            let (close, tally) = self.stage_close(
                 executor,
                 arena,
                 &closer,
@@ -382,9 +381,13 @@ impl MoscemSampler {
                 Some(cfg.ccd.start_index),
             );
             init_close += close.host;
-            stages.add_ccd_rotations(rotations);
+            tally.add_to(&mut stages);
         }
         stages.record(KernelKind::Ccd, init_close);
+        // Every member's structure buffer now holds the full build of the
+        // torsions it starts sampling from.
+        let n_res = arena.n_residues();
+        arena.built_residues.fill(n_res);
         // The init rounds score in full: no member has a checkpoint yet.
         let (launches, skipped) = self.stage_rebuild_and_score(executor, arena, false);
         for launch in launches {
@@ -394,7 +397,6 @@ impl MoscemSampler {
         // The candidates' checkpoint rows become the members' now, so that
         // the quarantine below re-seeds a poisoned member's checkpoint from
         // its donor together with its other lanes.
-        let n_res = arena.n_residues();
         for ((slot, totals), counts) in arena
             .slots
             .iter()
@@ -483,7 +485,7 @@ impl MoscemSampler {
                     slot.cand.copy_from_flat(&cur[i * stride..(i + 1) * stride]);
                     let start = self.mutator.mutate_in_place(
                         &mut slot.cand,
-                        &classes,
+                        classes,
                         rng,
                         &mut slot.mut_indices,
                     );
@@ -500,10 +502,11 @@ impl MoscemSampler {
             }
 
             // Stage 2 — close: lockstep CCD blocks with batched
-            // optimal-rotation inner products.
-            let (close, rotations) = self.stage_close(executor, arena, &closer, None, None);
+            // optimal-rotation inner products, each lane prepared from its
+            // member's built prefix.
+            let (close, tally) = self.stage_close(executor, arena, &closer, None, None);
             stages.record(close.kind, close.host);
-            stages.add_ccd_rotations(rotations);
+            tally.add_to(&mut stages);
             // Closure stall guard: a streak of iterations in which not a
             // single member's CCD converged means the sampler is burning
             // its budget without making progress.
@@ -589,10 +592,14 @@ impl MoscemSampler {
             }
 
             // Stage 6 — select: accepted candidates overwrite their
-            // members' lanes, the VDW checkpoint included.
+            // members' lanes, the VDW checkpoint included; every member's
+            // built prefix is the whole candidate on acceptance and the
+            // part below the CCD start residue on rejection.
             {
                 let n_res = arena.n_residues();
                 let cur = SharedLanes::new(&mut arena.torsions);
+                let built = SharedLanes::new(&mut arena.built_residues);
+                let starts = &arena.ccd_start;
                 let env_totals = SharedLanes::new(&mut arena.env_totals);
                 let burial_counts = SharedLanes::new(&mut arena.burial_counts);
                 let slots = &arena.slots;
@@ -609,6 +616,11 @@ impl MoscemSampler {
                 let select = executor.launch(KernelKind::Select, n, |i| {
                     // SAFETY: kernel i touches only member i's lanes.
                     *unsafe { proposed.item_mut(i) } += 1;
+                    *unsafe { built.item_mut(i) } = if accepted[i] {
+                        n_res
+                    } else {
+                        start_residue(starts[i], n_res)
+                    };
                     if accepted[i] {
                         unsafe { cur.lane_mut(i * stride, stride) }
                             .copy_from_slice(&cand[i * stride..(i + 1) * stride]);
@@ -681,8 +693,14 @@ impl MoscemSampler {
     /// `mask_above` restricts the launch to members whose candidate closure
     /// deviation still exceeds the bound (the init retry rounds);
     /// `start_override` forces one CCD start index for every lane (init)
-    /// instead of the per-member mutated index.  Returns the launch and the
-    /// number of CCD rotations its lanes applied.
+    /// and builds each lane from scratch.  Without it (the MCMC stage) each
+    /// lane closes from its member's mutated index and is prepared from the
+    /// member's built prefix
+    /// ([`LoopBuilder::rebuild_spine_from`](lms_protein::LoopBuilder::rebuild_spine_from)):
+    /// the candidate agrees with the member below the start residue, so
+    /// only the part of the prefix the member has not built yet is placed
+    /// in full, and from the start residue on only the spine and end frame
+    /// the sweep reads.  Returns the launch and what its lanes did.
     fn stage_close(
         &self,
         executor: &Executor,
@@ -690,8 +708,10 @@ impl MoscemSampler {
         closer: &CcdCloser,
         mask_above: Option<f64>,
         start_override: Option<usize>,
-    ) -> (KernelLaunch, u64) {
+    ) -> (KernelLaunch, CloseTally) {
         let n = arena.n_members();
+        let n_res = arena.n_residues();
+        let (frame, sequence) = (&self.target.frame, &self.target.sequence);
         let n_blocks = arena.n_blocks();
         let width = arena.ccd_block_width();
         debug_assert!(width <= MAX_CCD_BLOCK_WIDTH);
@@ -700,7 +720,10 @@ impl MoscemSampler {
         let devs = SharedLanes::new(&mut arena.cand_closure_dev);
         let converged = SharedLanes::new(&mut arena.cand_converged);
         let starts = &arena.ccd_start;
+        let built = &arena.built_residues;
         let rotations = AtomicU64::new(0);
+        let residues = AtomicU64::new(0);
+        let reused = AtomicU64::new(0);
         let launch = executor.launch(KernelKind::Ccd, n_blocks, |b| {
             let lo = b * width;
             let hi = (lo + width).min(n);
@@ -715,6 +738,7 @@ impl MoscemSampler {
                 [const { MaybeUninit::uninit() }; MAX_CCD_BLOCK_WIDTH];
             let mut ids = [0usize; MAX_CCD_BLOCK_WIDTH];
             let mut count = 0usize;
+            let mut block_reused = 0u64;
             // Raw indexing is the deliberate kernel idiom here: `i` is the
             // device thread id addressing several parallel SoA buffers.
             #[allow(clippy::needless_range_loop)]
@@ -726,12 +750,40 @@ impl MoscemSampler {
                 }
                 let slot = unsafe { slots.item_mut(i) };
                 let MemberSlot {
-                    cand, structure, ..
+                    cand,
+                    structure,
+                    #[cfg(debug_assertions)]
+                    check_structure,
+                    ..
                 } = slot;
+                let start_index = start_override.unwrap_or(starts[i]);
+                if start_override.is_some() {
+                    self.builder.build_into(frame, sequence, cand, structure);
+                } else {
+                    let first = start_residue(start_index, n_res);
+                    let keep = built[i].min(first);
+                    self.builder.rebuild_spine_from(
+                        frame,
+                        sequence,
+                        cand,
+                        keep,
+                        start_index,
+                        structure,
+                    );
+                    block_reused += keep as u64;
+                    // Debug builds check every prepared lane against a
+                    // fresh build of its candidate.
+                    #[cfg(debug_assertions)]
+                    {
+                        self.builder
+                            .build_into(frame, sequence, cand, check_structure);
+                        assert_prepared_is_exact(i, first, structure, check_structure);
+                    }
+                }
                 store[count] = MaybeUninit::new(CcdLane {
                     torsions: cand,
                     structure,
-                    start_index: start_override.unwrap_or(starts[i]),
+                    start_index,
                 });
                 ids[count] = i;
                 count += 1;
@@ -741,7 +793,7 @@ impl MoscemSampler {
             let lanes = unsafe {
                 std::slice::from_raw_parts_mut(store.as_mut_ptr().cast::<CcdLane>(), count)
             };
-            closer.close_batch(&self.target.frame, &self.target.sequence, lanes, scratch);
+            closer.close_prepared(frame, sequence, lanes, scratch);
             let mut block_rotations = 0u64;
             for (j, &i) in ids[..count].iter().enumerate() {
                 let res = scratch.results()[j];
@@ -749,15 +801,22 @@ impl MoscemSampler {
                 *unsafe { converged.item_mut(i) } = res.converged;
                 block_rotations += res.rotations_applied as u64;
             }
-            // Relaxed: a count that publishes no other data, read after the
+            // Relaxed: counts that publish no other data, read after the
             // launch has joined every block.
             rotations.fetch_add(block_rotations, Ordering::Relaxed);
+            residues.fetch_add((count * n_res) as u64, Ordering::Relaxed);
+            reused.fetch_add(block_reused, Ordering::Relaxed);
             #[cfg(feature = "fault-injection")]
             if lms_simt::fault::take_nan() {
                 *unsafe { devs.item_mut(lo) } = f64::NAN;
             }
         });
-        (launch, rotations.into_inner())
+        let tally = CloseTally {
+            rotations: rotations.into_inner(),
+            residues: residues.into_inner(),
+            reused: reused.into_inner(),
+        };
+        (launch, tally)
     }
 
     /// The staged `rebuild` and `score` kernels: observable readback (RMSD
@@ -1079,6 +1138,8 @@ impl MoscemSampler {
                 arena
                     .burial_counts
                     .copy_within(donor * n_res..(donor + 1) * n_res, i * n_res);
+                // Its structure buffer holds its own poisoned build.
+                arena.built_residues[i] = 0;
                 arena.healthy[i] = true;
             }
         } else {
@@ -1186,6 +1247,66 @@ pub(crate) fn snapshot(
         best_rmsd: rmsd.iter().copied().fold(f64::INFINITY, f64::min),
         temperature,
     }
+}
+
+/// What one `close` launch's lanes did: the CCD rotations they applied and
+/// the residues of their start builds, all of them and those reused from
+/// the members' earlier builds.
+#[derive(Debug, Clone, Copy)]
+struct CloseTally {
+    rotations: u64,
+    residues: u64,
+    reused: u64,
+}
+
+impl CloseTally {
+    fn add_to(self, stages: &mut StageRecord) {
+        stages.add_ccd_rotations(self.rotations);
+        stages.add_closure_residues(self.residues, self.reused);
+    }
+}
+
+/// The residue owning CCD start index `start` of a loop of `n_res`
+/// residues (`n_res` for a start past the last torsion): a candidate agrees
+/// with its member on every residue below it.
+fn start_residue(start: usize, n_res: usize) -> usize {
+    Torsions::describe_angle(start).0.min(n_res)
+}
+
+/// Debug builds: the closure lane prepared for member `member` must equal
+/// `fresh`, a full build of the same candidate, bit for bit on everything
+/// the sweep reads or keeps — every residue below `first` (the CCD start
+/// residue) in full, the spine (N, Cα, C') of every residue, and the end
+/// frame.
+#[cfg(debug_assertions)]
+fn assert_prepared_is_exact(
+    member: usize,
+    first: usize,
+    prepared: &lms_protein::LoopStructure,
+    fresh: &lms_protein::LoopStructure,
+) {
+    let bits = |v: lms_geometry::Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+    let spine = |r: &lms_protein::ResidueAtoms| [bits(r.n), bits(r.ca), bits(r.c)];
+    let full = |r: &lms_protein::ResidueAtoms| (spine(r), bits(r.o), r.centroid.map(bits));
+    let mismatch = prepared
+        .residues
+        .iter()
+        .zip(&fresh.residues)
+        .enumerate()
+        .find(|(k, (p, f))| {
+            if *k < first {
+                full(p) != full(f)
+            } else {
+                spine(p) != spine(f)
+            }
+        });
+    assert!(
+        mismatch.is_none()
+            && prepared.end_frame.atoms().map(bits) == fresh.end_frame.atoms().map(bits),
+        "member {member}: the closure lane prepared from its built prefix (start residue \
+         {first}) differs from a fresh build at residue {:?}",
+        mismatch.map(|(k, _)| k),
+    );
 }
 
 /// Debug builds: the VDW pass that member `member` resumed at `from` must
@@ -1505,6 +1626,82 @@ mod tests {
             stages.env_residues_scored() + stages.env_residues_skipped(),
             (population * n_res * (iterations + 1)) as u64
         );
+    }
+
+    #[test]
+    fn closure_residue_counts_follow_the_starts_and_acceptances() {
+        // Every MCMC closure keeps the member's built prefix up to the
+        // candidate's start residue: the whole loop after initialisation
+        // and after an acceptance, the last candidate's start residue after
+        // a rejection.  The init closures build in full.
+        let (population, iterations, seed) = (12usize, 5usize, 11u64);
+        let cfg = |iterations| SamplerConfig {
+            population_size: population,
+            n_complexes: 2,
+            iterations,
+            ..SamplerConfig::test_scale()
+        };
+        let sampler = small_sampler("1cex", cfg(iterations));
+        let result = sampler.run_with_seed(&scalar(), seed);
+        let target = sampler.target();
+        let n_res = target.n_residues();
+        // A run of k iterations is the first k iterations of a longer one,
+        // so the acceptances of iteration k are the accepted-move counts
+        // that rose between the runs of k − 1 and k iterations.
+        let accepted_moves: Vec<Vec<usize>> = (0..=iterations)
+            .map(|k| {
+                let run = small_sampler("1cex", cfg(k)).run_with_seed(&scalar(), seed);
+                run.population.iter().map(|c| c.accepted_moves).collect()
+            })
+            .collect();
+        assert_eq!(
+            accepted_moves[iterations],
+            result
+                .population
+                .iter()
+                .map(|c| c.accepted_moves)
+                .collect::<Vec<_>>()
+        );
+        // The start index depends only on the draws of the member's
+        // (member, iteration) stream, as in the test above.
+        let evo = StreamRngFactory::new(seed).derive(1);
+        let mut torsions = target.native_torsions.clone();
+        let mut indices = Vec::new();
+        let mut built = vec![n_res; population];
+        let (mut expected, mut accepts, mut rejects) = (0u64, 0, 0);
+        for iter in 1..=iterations {
+            for (i, built) in built.iter_mut().enumerate() {
+                let mut rng = evo.stream(i as u64, iter as u64);
+                let start = sampler.mutator.mutate_in_place(
+                    &mut torsions,
+                    &sampler.classes,
+                    &mut rng,
+                    &mut indices,
+                );
+                let first = start_residue(start, n_res);
+                expected += (*built).min(first) as u64;
+                *built = if accepted_moves[iter][i] > accepted_moves[iter - 1][i] {
+                    accepts += 1;
+                    n_res
+                } else {
+                    rejects += 1;
+                    first
+                };
+            }
+        }
+        assert!(
+            accepts > 0 && rejects > 0,
+            "{accepts} accepted, {rejects} rejected"
+        );
+        let stages = &result.stages;
+        assert!(expected > 0);
+        assert_eq!(stages.closure_residues_reused(), expected);
+        // Every closure's start build covers the whole loop: the MCMC ones
+        // once per member and iteration, the init ones at least once per
+        // member.
+        let total = stages.closure_residues_placed() + stages.closure_residues_reused();
+        assert_eq!(total % n_res as u64, 0);
+        assert!(total >= (population * n_res * (iterations + 1)) as u64);
     }
 
     #[cfg(feature = "fault-injection")]

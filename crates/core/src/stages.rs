@@ -5,6 +5,7 @@
 //! [`Executor::launch`](lms_simt::Executor::launch) calls (the
 //! [`KernelLaunch::host`](lms_simt::KernelLaunch::host) duration), plus the
 //! total number of CCD rotations the trajectory applied, the number of
+//! residues the closures' start builds placed and reused, the number of
 //! residues the VDW environment pass scored and skipped, and the summed
 //! Pareto front size of the population fitness stage.  The record is a
 //! fixed-size array updated on the host thread between launches: no lock,
@@ -25,14 +26,16 @@ pub struct StageRow {
 }
 
 /// Per-[`KernelKind`] measured rows of one trajectory, plus its total CCD
-/// rotation count, its VDW environment residue counts and its summed
-/// population front size.
+/// rotation count, its closure-start and VDW environment residue counts and
+/// its summed population front size.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageRecord {
     /// Indexed by `KernelKind as usize` (declaration order, which is
     /// [`KernelKind::ALL`]'s order).
     rows: [StageRow; KernelKind::ALL.len()],
     ccd_rotations: u64,
+    closure_residues_placed: u64,
+    closure_residues_reused: u64,
     env_residues_scored: u64,
     env_residues_skipped: u64,
     front_size_sum: u64,
@@ -49,6 +52,14 @@ impl StageRecord {
     /// Add `rotations` applied CCD rotations to the trajectory total.
     pub(crate) fn add_ccd_rotations(&mut self, rotations: u64) {
         self.ccd_rotations += rotations;
+    }
+
+    /// Add one `[CCD]` launch's `residues` closure-start residues, of which
+    /// `reused` were kept from the members' earlier builds and the rest
+    /// placed.
+    pub(crate) fn add_closure_residues(&mut self, residues: u64, reused: u64) {
+        self.closure_residues_placed += residues - reused;
+        self.closure_residues_reused += reused;
     }
 
     /// Add one `[EvalVdw]` launch's `residues` loop residues, of which
@@ -81,6 +92,20 @@ impl StageRecord {
     /// rounds included).
     pub fn ccd_rotations(&self) -> u64 {
         self.ccd_rotations
+    }
+
+    /// Loop residues the closures' start builds placed (in full, or spine
+    /// only from the CCD start residue on) over the trajectory: every
+    /// residue of every initialisation closure included.
+    pub fn closure_residues_placed(&self) -> u64 {
+        self.closure_residues_placed
+    }
+
+    /// Loop residues the closures' start builds kept from the member's
+    /// earlier build: per MCMC closure, the member's built prefix up to the
+    /// candidate's CCD start residue.
+    pub fn closure_residues_reused(&self) -> u64 {
+        self.closure_residues_reused
     }
 
     /// Loop residues whose sites the VDW environment pass summed over the
@@ -189,6 +214,8 @@ mod tests {
         r.add_ccd_rotations(2);
         r.add_env_residues(24, 4);
         r.add_env_residues(12, 5);
+        r.add_closure_residues(24, 0);
+        r.add_closure_residues(12, 7);
         r.add_front_size(7);
         r.add_front_size(3);
         assert_eq!(r.row(KernelKind::Ccd).calls, 2);
@@ -196,6 +223,10 @@ mod tests {
         assert_eq!(r.row(KernelKind::Select), StageRow::default());
         assert_eq!(r.ccd_rotations(), 42);
         assert_eq!((r.env_residues_scored(), r.env_residues_skipped()), (27, 9));
+        assert_eq!(
+            (r.closure_residues_placed(), r.closure_residues_reused()),
+            (29, 7)
+        );
         assert_eq!(r.front_size_sum(), 10);
         assert_eq!(r.total_wall(), Duration::from_micros(100));
         let kinds: Vec<KernelKind> = r.rows().map(|(k, _)| k).collect();

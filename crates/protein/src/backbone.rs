@@ -19,13 +19,15 @@
 //! untouched prefix in the caller's buffer and re-runs the identical
 //! placement code only from the changed residue onward, which makes a
 //! rebuild after an edit O(suffix) instead of O(loop) without altering a
-//! single output bit.  CCD itself does not use these suffix rebuilds (its
-//! sweeps move the spine rigidly and finish with one full build);
-//! [`LoopBuilder::rebuild_spine_from`] serves the CCD tests'
-//! NeRF-per-rotation oracle and the closure bench's baseline.  Both `build_into` and `rebuild_from`
-//! funnel through the same private `place_residue`/`place_end_frame`
-//! helpers, so the equivalence is structural, not coincidental (and is
-//! property-tested in `tests/incremental_rebuild.rs`).
+//! single output bit.  A CCD closure uses the same invariant twice: it
+//! starts from [`LoopBuilder::rebuild_spine_from`], which keeps the prefix
+//! the member already built, re-places the rest of the prefix in full and
+//! only the spine and end frame from the first adjustable residue on (its
+//! sweeps move the spine rigidly), and it ends with one `rebuild_from` of
+//! that suffix.  All three entry points funnel through one private
+//! placement loop over the same `place_residue`/`place_spine`/
+//! `place_end_frame` helpers, so the equivalence is structural, not
+//! coincidental (and is property-tested in `tests/incremental_rebuild.rs`).
 //!
 //! Every placement goes through [`lms_geometry::place_atom_with`] with the
 //! fixed bonds' `len·cos θ` / `len·sin θ` and the `sin_cos` of ω and of the
@@ -137,6 +139,15 @@ impl ResidueAtoms {
         [self.n, self.ca, self.c, self.o]
     }
 }
+
+/// The fill of a residue slot before its first placement.
+const UNPLACED: ResidueAtoms = ResidueAtoms {
+    n: Vec3::ZERO,
+    ca: Vec3::ZERO,
+    c: Vec3::ZERO,
+    o: Vec3::ZERO,
+    centroid: None,
+};
 
 /// A fully built loop conformation in Cartesian space.
 #[derive(Debug, Clone, PartialEq)]
@@ -304,32 +315,9 @@ impl LoopBuilder {
             sequence.len(),
             "torsion vector and sequence must have the same number of residues"
         );
-        let residues = &mut out.residues;
-        residues.clear();
-
-        let mut prev_n = frame.n_anchor.n;
-        let mut prev_ca = frame.n_anchor.ca;
-        let mut prev_c = frame.n_anchor.c;
-        let mut prev_psi = frame.n_anchor_psi;
-
-        for (i, &aa) in sequence.iter().enumerate() {
-            let r = self.place_residue(
-                prev_n,
-                prev_ca,
-                prev_c,
-                prev_psi,
-                aa,
-                torsions.phi(i),
-                torsions.psi(i),
-            );
-            residues.push(r);
-            prev_n = r.n;
-            prev_ca = r.ca;
-            prev_c = r.c;
-            prev_psi = torsions.psi(i);
-        }
-
-        out.end_frame = self.place_end_frame(prev_n, prev_ca, prev_c, prev_psi, frame.c_anchor_phi);
+        out.residues.clear();
+        out.residues.resize(sequence.len(), UNPLACED);
+        self.place_range(frame, sequence, torsions, 0, sequence.len(), out);
     }
 
     /// Rebuild only the *suffix* of a previously built structure after a
@@ -361,6 +349,59 @@ impl LoopBuilder {
         changed_angle: usize,
         out: &mut LoopStructure,
     ) {
+        Self::assert_rebuildable(sequence, torsions, out);
+        if changed_angle >= torsions.n_angles() {
+            return;
+        }
+        let (first, _) = Torsions::describe_angle(changed_angle);
+        self.place_range(frame, sequence, torsions, first, sequence.len(), out);
+    }
+
+    /// Bring a structure up to date for `torsions` as far as a closure
+    /// sweep from `changed_angle` needs it: residues `[min(built, first),
+    /// first)` are re-placed in full, where `first` is the residue owning
+    /// `changed_angle` (the loop length when it is past the last torsion),
+    /// and from `first` on only the *backbone spine* (N, Cα, C') and the
+    /// end frame are placed, leaving every later residue's O atom and
+    /// side-chain centroid **stale**.
+    ///
+    /// The NeRF recurrence consumes only the spine: O and centroid hang off
+    /// a residue's own N/Cα/C' and never feed a later placement.  A closure
+    /// sweep that only needs rotation pivots/axes (spine atoms) and the
+    /// moving end frame can therefore skip ~2/5 of every suffix placement
+    /// and recover the full structure with one [`LoopBuilder::rebuild_from`]
+    /// at `changed_angle` at the end.  The staged sampler prepares each
+    /// closure this way from the member's earlier build (`built` = the
+    /// number of its leading residues that are already exact); the
+    /// NeRF-per-rotation CCD oracle passes `built = n` after each rotation.
+    /// Every coordinate it places is bit-identical to
+    /// [`LoopBuilder::build_into`]'s (the placement calls are the same code
+    /// on the same inputs).
+    ///
+    /// # Contract
+    /// The first `built` residues of `out` must be the exact build of a
+    /// torsion vector that agrees with `torsions` on every flat index
+    /// below `changed_angle`.  Afterwards residues below `first` are exact
+    /// and the spine and end frame are exact everywhere; the O/centroid
+    /// fields from `first` on are unspecified until a full rebuild.
+    ///
+    /// # Panics
+    /// Panics if `torsions`, `sequence` and `out` disagree on residue count.
+    pub fn rebuild_spine_from(
+        &self,
+        frame: &LoopFrame,
+        sequence: &[AminoAcid],
+        torsions: &Torsions,
+        built: usize,
+        changed_angle: usize,
+        out: &mut LoopStructure,
+    ) {
+        Self::assert_rebuildable(sequence, torsions, out);
+        let first = Torsions::describe_angle(changed_angle.min(torsions.n_angles())).0;
+        self.place_range(frame, sequence, torsions, built.min(first), first, out);
+    }
+
+    fn assert_rebuildable(sequence: &[AminoAcid], torsions: &Torsions, out: &LoopStructure) {
         assert_eq!(
             torsions.n_residues(),
             sequence.len(),
@@ -369,16 +410,26 @@ impl LoopBuilder {
         assert_eq!(
             out.n_residues(),
             sequence.len(),
-            "rebuild_from requires a structure previously built for this loop"
+            "a partial rebuild requires a structure previously built for this loop"
         );
-        if changed_angle >= torsions.n_angles() {
-            return;
-        }
-        let (first, _) = Torsions::describe_angle(changed_angle);
+    }
 
-        // Placement context entering residue `first`: the fixed anchor for
-        // residue 0, otherwise the (invariant) atoms of residue `first - 1`.
-        let (mut prev_n, mut prev_ca, mut prev_c, mut prev_psi) = if first == 0 {
+    /// The one placement loop every build runs: residues `[full_from,
+    /// spine_from)` in full, the spine of every residue from `spine_from`
+    /// on, then the end frame, starting from the placement context entering
+    /// residue `full_from` — the fixed anchor for residue 0, otherwise the
+    /// (exact) spine of residue `full_from - 1`.
+    fn place_range(
+        &self,
+        frame: &LoopFrame,
+        sequence: &[AminoAcid],
+        torsions: &Torsions,
+        full_from: usize,
+        spine_from: usize,
+        out: &mut LoopStructure,
+    ) {
+        debug_assert!(full_from <= spine_from && spine_from <= sequence.len());
+        let (mut prev_n, mut prev_ca, mut prev_c, mut prev_psi) = if full_from == 0 {
             (
                 frame.n_anchor.n,
                 frame.n_anchor.ca,
@@ -386,12 +437,12 @@ impl LoopBuilder {
                 frame.n_anchor_psi,
             )
         } else {
-            let p = &out.residues[first - 1];
-            (p.n, p.ca, p.c, torsions.psi(first - 1))
+            let p = &out.residues[full_from - 1];
+            (p.n, p.ca, p.c, torsions.psi(full_from - 1))
         };
 
         #[allow(clippy::needless_range_loop)] // indexes sequence and torsions together
-        for i in first..sequence.len() {
+        for i in full_from..spine_from {
             let r = self.place_residue(
                 prev_n,
                 prev_ca,
@@ -407,65 +458,7 @@ impl LoopBuilder {
             prev_c = r.c;
             prev_psi = torsions.psi(i);
         }
-
-        out.end_frame = self.place_end_frame(prev_n, prev_ca, prev_c, prev_psi, frame.c_anchor_phi);
-    }
-
-    /// Rebuild only the *backbone spine* (N, Cα, C' plus the end frame) of
-    /// the suffix after a single-torsion edit, leaving every residue's O
-    /// atom and side-chain centroid **stale**.
-    ///
-    /// The NeRF recurrence consumes only the spine: O and centroid hang off
-    /// a residue's own N/Cα/C' and never feed a later placement.  A closure
-    /// sweep that only needs rotation pivots/axes (spine atoms) and the
-    /// moving end frame can therefore skip ~2/5 of every suffix rebuild and
-    /// recover the full structure with one [`LoopBuilder::build_into`] at
-    /// the end (the NeRF-per-rotation CCD reference does exactly this).
-    /// The spine and end-frame coordinates this produces are bit-identical
-    /// to [`LoopBuilder::rebuild_from`]'s (the placement calls are the same
-    /// code on the same inputs); only O/centroid are left behind.
-    ///
-    /// # Contract
-    /// As [`LoopBuilder::rebuild_from`], except that the O/centroid fields
-    /// of `out` are unspecified afterwards until a full rebuild.
-    ///
-    /// # Panics
-    /// Panics if `torsions`, `sequence` and `out` disagree on residue count.
-    pub fn rebuild_spine_from(
-        &self,
-        frame: &LoopFrame,
-        sequence: &[AminoAcid],
-        torsions: &Torsions,
-        changed_angle: usize,
-        out: &mut LoopStructure,
-    ) {
-        assert_eq!(
-            torsions.n_residues(),
-            sequence.len(),
-            "torsion vector and sequence must have the same number of residues"
-        );
-        assert_eq!(
-            out.n_residues(),
-            sequence.len(),
-            "rebuild_spine_from requires a structure previously built for this loop"
-        );
-        if changed_angle >= torsions.n_angles() {
-            return;
-        }
-        let (first, _) = Torsions::describe_angle(changed_angle);
-        let (mut prev_n, mut prev_ca, mut prev_c, mut prev_psi) = if first == 0 {
-            (
-                frame.n_anchor.n,
-                frame.n_anchor.ca,
-                frame.n_anchor.c,
-                frame.n_anchor_psi,
-            )
-        } else {
-            let p = &out.residues[first - 1];
-            (p.n, p.ca, p.c, torsions.psi(first - 1))
-        };
-
-        for i in first..sequence.len() {
+        for i in spine_from..sequence.len() {
             let (n, ca, c) = self.place_spine(prev_n, prev_ca, prev_c, prev_psi, torsions.phi(i));
             let r = &mut out.residues[i];
             r.n = n;
@@ -889,7 +882,7 @@ mod tests {
         for sweep in 0..2 {
             for k in 0..t.n_angles() {
                 t.rotate_angle(k, deg_to_rad(4.0 + sweep as f64) * 0.5);
-                builder.rebuild_spine_from(&frame, &seq, &t, k, &mut spine);
+                builder.rebuild_spine_from(&frame, &seq, &t, seq.len(), k, &mut spine);
                 builder.rebuild_from(&frame, &seq, &t, k, &mut full);
                 for (a, b) in spine.residues.iter().zip(full.residues.iter()) {
                     assert_eq!(a.n, b.n);
@@ -902,6 +895,52 @@ mod tests {
         // One full rebuild from the final torsions restores everything.
         builder.build_into(&frame, &seq, &t, &mut spine);
         assert_eq!(spine, full);
+    }
+
+    #[test]
+    fn spine_rebuild_reuses_exactly_the_built_prefix() {
+        // A member's structure is exact on its first `built` residues and
+        // stale after them (a different candidate's build).  Preparing a
+        // candidate that differs from the member from `start` on must give
+        // the candidate's full build below the start residue and its exact
+        // spine and end frame everywhere, for every `built` and every
+        // start, including starts at and past the last torsion.
+        let builder = LoopBuilder::default();
+        let frame = test_frame();
+        let n = 6;
+        let seq = test_sequence(n);
+        let member = alpha_torsions(n);
+        let mut stale_torsions = member.clone();
+        for k in 0..stale_torsions.n_angles() {
+            stale_torsions.rotate_angle(k, deg_to_rad(17.0 + k as f64));
+        }
+        let stale = builder.build(&frame, &seq, &stale_torsions);
+        let exact_member = builder.build(&frame, &seq, &member);
+        for start in 0..=member.n_angles() + 2 {
+            let mut cand = member.clone();
+            for k in start..cand.n_angles() {
+                cand.rotate_angle(k, deg_to_rad(-9.0));
+            }
+            let full = builder.build(&frame, &seq, &cand);
+            let first = (start / 2).min(n);
+            for built in 0..=n {
+                let mut s = stale.clone();
+                s.residues[..built].copy_from_slice(&exact_member.residues[..built]);
+                builder.rebuild_spine_from(&frame, &seq, &cand, built, start, &mut s);
+                assert_eq!(
+                    s.residues[..first],
+                    full.residues[..first],
+                    "{start}/{built}"
+                );
+                for (a, b) in s.residues.iter().zip(&full.residues) {
+                    assert_eq!((a.n, a.ca, a.c), (b.n, b.ca, b.c), "{start}/{built}");
+                }
+                assert_eq!(s.end_frame, full.end_frame, "{start}/{built}");
+                // The closing suffix build recovers everything.
+                builder.rebuild_from(&frame, &seq, &cand, start, &mut s);
+                assert_eq!(s, full, "{start}/{built}");
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! loop and *between* the loop and "the residues in the rest of the
 //! protein" (the paper's wording).  [`Environment`] holds that fixed atom
 //! set; [`EnvCandidates`] is the per-target snapshot the scoring hot path
-//! actually consumes — flat SoA coordinate arrays plus, for every cell of a
-//! grid, the ascending list of candidates within [`ENV_LIST_RADIUS`] of that
-//! cell (see its docs for the layout).  It is built once per target, so a
+//! actually consumes — one packed `[x, y, z, r]` record per candidate plus,
+//! for every cell of a grid, the ascending list of candidates within
+//! [`ENV_LIST_RADIUS`] of that cell (see its docs for the layout).  It is built once per target, so a
 //! per-evaluation query is one slice read: no hashing, no gather, no sort,
 //! no allocation.
 
@@ -51,11 +51,17 @@ pub struct Environment {
     atoms: Vec<EnvAtom>,
 }
 
-/// A precomputed, flat structure-of-arrays snapshot of the environment atoms
-/// that can ever interact with a loop region, plus per-cell candidate lists
-/// over them so a contact query reads one precomputed slice.
+/// A precomputed, flat snapshot of the environment atoms that can ever
+/// interact with a loop region, plus per-cell candidate lists over them so a
+/// contact query reads one precomputed slice.
 ///
-/// Scoring functions historically walked these parallel arrays linearly per
+/// Each candidate is one packed `[x, y, z, r]` record (position and
+/// soft-sphere radius), so the per-site gather through a cell list touches
+/// one 32-byte record per candidate instead of four separate arrays; the
+/// centroid flags, read only for contacts that overlap, stay a parallel
+/// array.
+///
+/// Scoring functions historically walked these arrays linearly per
 /// loop site, which degrades toward O(total protein atoms) per evaluation on
 /// full-size environments: the candidate reach bound covers the *whole*
 /// loop, so on a real protein the candidate set is large even though each
@@ -82,10 +88,7 @@ pub struct Environment {
 /// point summation order included (the scoring crate property-tests this).
 #[derive(Debug, Clone, Default)]
 pub struct EnvCandidates {
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    zs: Vec<f64>,
-    radii: Vec<f64>,
+    records: Vec<[f64; 4]>,
     centroid: Vec<bool>,
     /// Largest candidate soft-sphere radius (0 when empty); callers use it
     /// to bound per-site contact reach.
@@ -106,32 +109,18 @@ pub struct EnvCandidates {
 impl EnvCandidates {
     /// Number of candidate atoms.
     pub fn len(&self) -> usize {
-        self.xs.len()
+        self.records.len()
     }
 
     /// Whether no environment atom is in reach of the loop region.
     pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
+        self.records.is_empty()
     }
 
-    /// Candidate x coordinates.
-    pub fn xs(&self) -> &[f64] {
-        &self.xs
-    }
-
-    /// Candidate y coordinates.
-    pub fn ys(&self) -> &[f64] {
-        &self.ys
-    }
-
-    /// Candidate z coordinates.
-    pub fn zs(&self) -> &[f64] {
-        &self.zs
-    }
-
-    /// Candidate soft-sphere radii.
-    pub fn radii(&self) -> &[f64] {
-        &self.radii
+    /// The packed candidate records, `[x, y, z, r]`: centre coordinates
+    /// and soft-sphere radius.
+    pub fn records(&self) -> &[[f64; 4]] {
+        &self.records
     }
 
     /// Per-candidate centroid flags (`true` = side-chain centroid
@@ -156,23 +145,24 @@ impl EnvCandidates {
     /// scattered in ascending index order, so every row comes out sorted
     /// with no sort step.
     fn build_lists(&mut self) {
-        self.max_radius = self.radii.iter().fold(0.0f64, |m, &r| m.max(r));
+        self.max_radius = self.records.iter().fold(0.0f64, |m, r| m.max(r[3]));
         if self.is_empty() {
             return;
         }
-        let fold =
-            |init: f64, vs: &[f64], f: fn(f64, f64) -> f64| vs.iter().fold(init, |m, &v| f(m, v));
+        let fold = |init: f64, k: usize, f: fn(f64, f64) -> f64| {
+            self.records.iter().fold(init, |m, r| f(m, r[k]))
+        };
         let reach = ENV_LIST_RADIUS + LIST_SLACK;
         let grow = Vec3::new(reach, reach, reach);
         let min = Vec3::new(
-            fold(f64::INFINITY, &self.xs, f64::min),
-            fold(f64::INFINITY, &self.ys, f64::min),
-            fold(f64::INFINITY, &self.zs, f64::min),
+            fold(f64::INFINITY, 0, f64::min),
+            fold(f64::INFINITY, 1, f64::min),
+            fold(f64::INFINITY, 2, f64::min),
         ) - grow;
         let max = Vec3::new(
-            fold(f64::NEG_INFINITY, &self.xs, f64::max),
-            fold(f64::NEG_INFINITY, &self.ys, f64::max),
-            fold(f64::NEG_INFINITY, &self.zs, f64::max),
+            fold(f64::NEG_INFINITY, 0, f64::max),
+            fold(f64::NEG_INFINITY, 1, f64::max),
+            fold(f64::NEG_INFINITY, 2, f64::max),
         ) + grow;
         self.origin = min;
         let cells_along = |lo: f64, hi: f64| ((hi - lo) * INV_CELL) as usize + 1;
@@ -228,7 +218,8 @@ impl EnvCandidates {
     /// indices) whose box lies within `reach` of candidate `i`: a row-wise
     /// box-distance range per (y, z) cell pair instead of a test per cell.
     fn for_each_run(&self, i: usize, reach: f64, mut f: impl FnMut(usize, usize)) {
-        let u = Vec3::new(self.xs[i], self.ys[i], self.zs[i]) - self.origin;
+        let [x, y, z, _] = self.records[i];
+        let u = Vec3::new(x, y, z) - self.origin;
         // Inclusive cell span along one axis of the interval `v ± r`.
         let span = |v: f64, r: f64, n: usize| {
             let lo = ((v - r) * INV_CELL).max(0.0) as usize;
@@ -290,13 +281,7 @@ impl EnvCandidates {
         let r2 = radius * radius;
         let mut n = 0u32;
         for &i in indices {
-            let i = i as usize;
-            let dx = p.x - self.xs[i];
-            let dy = p.y - self.ys[i];
-            let dz = p.z - self.zs[i];
-            if dx * dx + dy * dy + dz * dz <= r2 {
-                n += 1;
-            }
+            n += u32::from(Self::within_sq(p, &self.records[i as usize], r2));
         }
         n
     }
@@ -307,15 +292,19 @@ impl EnvCandidates {
     pub fn count_within_linear(&self, p: Vec3, radius: f64) -> u32 {
         let r2 = radius * radius;
         let mut n = 0u32;
-        for i in 0..self.len() {
-            let dx = p.x - self.xs[i];
-            let dy = p.y - self.ys[i];
-            let dz = p.z - self.zs[i];
-            if dx * dx + dy * dy + dz * dz <= r2 {
-                n += 1;
-            }
+        for record in &self.records {
+            n += u32::from(Self::within_sq(p, record, r2));
         }
         n
+    }
+
+    /// Whether a record's centre lies within squared distance `r2` of `p`.
+    #[inline]
+    fn within_sq(p: Vec3, &[x, y, z, _]: &[f64; 4], r2: f64) -> bool {
+        let dx = p.x - x;
+        let dy = p.y - y;
+        let dz = p.z - z;
+        dx * dx + dy * dy + dz * dz <= r2
     }
 }
 
@@ -374,22 +363,26 @@ impl Environment {
             .count()
     }
 
-    /// Collect a flat SoA candidate set of every atom whose centre lies
+    /// Collect the packed candidate set of every atom whose centre lies
     /// within `radius` of `center`, together with its per-cell lists.
     /// Computed once per loop target (the caller passes a conservative reach
     /// bound); the scoring kernels then read one list per site (or scan the
-    /// arrays linearly) with no per-evaluation allocation.
+    /// records linearly) with no per-evaluation allocation.
     pub fn candidates_within(&self, center: Vec3, radius: f64) -> EnvCandidates {
-        let mut out = EnvCandidates::default();
         let r2 = radius * radius;
-        for a in &self.atoms {
-            if a.position.distance_sq(center) <= r2 {
-                out.xs.push(a.position.x);
-                out.ys.push(a.position.y);
-                out.zs.push(a.position.z);
-                out.radii.push(a.radius);
-                out.centroid.push(a.is_centroid);
-            }
+        let within = |a: &&EnvAtom| a.position.distance_sq(center) <= r2;
+        // Sized exactly up front: growing one record array by doubling
+        // would hold a copy of up to twice its size at the peak.
+        let count = self.atoms.iter().filter(within).count();
+        let mut out = EnvCandidates {
+            records: Vec::with_capacity(count),
+            centroid: Vec::with_capacity(count),
+            ..EnvCandidates::default()
+        };
+        for a in self.atoms.iter().filter(within) {
+            let p = a.position;
+            out.records.push([p.x, p.y, p.z, a.radius]);
+            out.centroid.push(a.is_centroid);
         }
         out.build_lists();
         out
@@ -489,7 +482,8 @@ mod tests {
         (0..cand.len() as u32)
             .filter(|&i| {
                 let i = i as usize;
-                Vec3::new(cand.xs()[i], cand.ys()[i], cand.zs()[i]).distance_sq(p) <= r * r
+                let [x, y, z, _] = cand.records()[i];
+                Vec3::new(x, y, z).distance_sq(p) <= r * r
             })
             .collect()
     }
@@ -568,7 +562,8 @@ mod tests {
         let env = Environment::new(atoms);
         let cand = env.candidates_within(Vec3::new(5.0, 5.0, 5.0), 100.0);
         for i in 0..cand.len() {
-            let p = Vec3::new(cand.xs()[i], cand.ys()[i], cand.zs()[i]);
+            let [x, y, z, _] = cand.records()[i];
+            let p = Vec3::new(x, y, z);
             assert!(cand.near(p).binary_search(&(i as u32)).is_ok());
             assert_list_covers(&cand, p);
         }

@@ -38,7 +38,7 @@ pub struct LoopTarget {
     /// hardest case, 1xyz 813:824).
     pub buried: bool,
     /// Lazily computed environment-neighbour cache: the fixed-environment
-    /// atoms reachable from this loop region, in SoA layout.  Shared across
+    /// atoms reachable from this loop region, as packed records.  Shared across
     /// clones (worker threads score the same target) and initialised at most
     /// once per target; use [`LoopTarget::env_candidates`] to access it.
     ///
@@ -77,7 +77,7 @@ impl LoopTarget {
     }
 
     /// The fixed-environment atoms that can ever be within contact range of
-    /// this loop, as a flat SoA candidate set with its per-cell lists.
+    /// this loop, as a packed candidate set with its per-cell lists.
     /// Computed on first use (once per target, shared across clones) so
     /// per-evaluation scoring performs no spatial-grid queries and no
     /// allocation.

@@ -7,14 +7,19 @@
 //! separation class and the binned distance.  The table is the DIST half of
 //! the synthetic [`KnowledgeBase`].
 //!
-//! The kernel reads the backbone atoms in place from the structure, takes
-//! the separation class once per residue pair and each atom pair's table
-//! row once, and rejects pairs at or beyond [`DIST_MAX`] on the squared
-//! distance before taking the square root.  Pairs it skips contribute
-//! nothing, so the score is bit-identical to the naive all-pairs sum over
-//! [`DistTable::energy`](crate::DistTable::energy) (the test oracle below).
+//! The kernel reads the backbone atoms in place from the structure and
+//! looks the 48 `(a, b, sep)` table rows up once per call.  Per residue
+//! pair it takes the separation class once, computes the 16 atom-pair
+//! distances as one block, and then, in the `(a, b)` order, adds
+//! `row[bin]` for a pair below [`DIST_MAX`] and `+0.0` otherwise — no
+//! data-dependent branch.  That is bit-identical to the naive all-pairs
+//! sum over [`DistTable::energy`](crate::DistTable::energy) (the test
+//! oracle below), which skips the far pairs: adding `+0.0` changes no bit
+//! of a total that starts at `+0.0` (a round-to-nearest sum is `−0.0` only
+//! when both terms are), and a NaN distance fails `d >= DIST_MAX`, so it
+//! is counted in bin 0 on both paths.
 
-use crate::library::{distance_bin, BackboneAtomKind, KnowledgeBase, SeparationClass, DIST_MAX};
+use crate::library::{distance_bin, KnowledgeBase, SeparationClass, DIST_MAX};
 use lms_protein::LoopStructure;
 use std::sync::Arc;
 
@@ -33,6 +38,7 @@ impl DistScore {
     /// Score a built structure directly (without needing the target).
     /// Reads the atoms in place and allocates nothing.
     pub fn score_structure(&self, structure: &LoopStructure) -> f64 {
+        let rows = self.kb.dist.rows();
         let residues = &structure.residues;
         let mut total = 0.0;
         let mut pairs = 0usize;
@@ -42,26 +48,20 @@ impl DistScore {
                 let sep = SeparationClass::from_separation(j - i)
                     .expect("every separation >= 2 has a class");
                 let atoms_j = rj.backbone();
-                // By reference: by-value `into_iter` ran this loop ~30%
-                // slower (baseline x86-64 target, 12-residue loop).
-                for (&ka, &pa) in BackboneAtomKind::ALL.iter().zip(atoms_i.iter()) {
-                    for (&kb, &pb) in BackboneAtomKind::ALL.iter().zip(atoms_j.iter()) {
-                        let d2 = pa.distance_sq(pb);
-                        // Pairs beyond the table range carry no statistical
-                        // signal and are skipped, matching how the table was
-                        // built.  `d2 >= DIST_MAX²` implies `d >= DIST_MAX`;
-                        // the second test stays because sqrt can round a `d2`
-                        // just below DIST_MAX² up to exactly DIST_MAX.
-                        if d2 >= DIST_MAX * DIST_MAX {
-                            continue;
-                        }
-                        let d = d2.sqrt();
-                        if d >= DIST_MAX {
-                            continue;
-                        }
-                        total += self.kb.dist.row(ka, kb, sep)[distance_bin(d)];
-                        pairs += 1;
+                let mut d = [0.0; 16];
+                for (a, &pa) in atoms_i.iter().enumerate() {
+                    for (b, &pb) in atoms_j.iter().enumerate() {
+                        d[a * 4 + b] = pa.distance(pb);
                     }
+                }
+                // Pairs at or beyond the table range carry no statistical
+                // signal and add `+0.0`, matching how the table was built.
+                for (&d, row) in d.iter().zip(&rows[sep.index()]) {
+                    // Negated on purpose: a NaN distance is inside, in bin 0.
+                    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                    let inside = !(d >= DIST_MAX);
+                    total += if inside { row[distance_bin(d)] } else { 0.0 };
+                    pairs += usize::from(inside);
                 }
             }
         }
@@ -76,10 +76,12 @@ impl DistScore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::library::KnowledgeBaseConfig;
+    use crate::library::{BackboneAtomKind, KnowledgeBaseConfig};
     use crate::ScoreScratch;
-    use lms_geometry::deg_to_rad;
-    use lms_protein::{AminoAcid, BenchmarkLibrary, LoopBuilder, LoopTarget, Torsions};
+    use lms_geometry::{deg_to_rad, Vec3};
+    use lms_protein::{
+        AminoAcid, AnchorFrame, BenchmarkLibrary, LoopBuilder, LoopTarget, ResidueAtoms, Torsions,
+    };
 
     fn scorer() -> DistScore {
         DistScore::new(KnowledgeBase::build(KnowledgeBaseConfig::fast()))
@@ -214,6 +216,76 @@ mod tests {
                     target.name
                 );
             }
+        }
+    }
+
+    #[test]
+    fn dist_pass_matches_naive_oracle_at_the_range_edge() {
+        // Hand-placed atoms: pairs at exactly DIST_MAX, at the largest d²
+        // below DIST_MAX² (its square root rounds to just below DIST_MAX,
+        // so a d² test decides no pair the d test does not), NaN
+        // coordinates and ±∞ coordinates, whose differences give both
+        // infinite and NaN distances.
+        let kb = KnowledgeBase::build(KnowledgeBaseConfig::fast());
+        let scorer = DistScore::new(Arc::clone(&kb));
+        let below = (DIST_MAX * DIST_MAX).next_down();
+        assert!(below.sqrt() < DIST_MAX);
+        let x = |x: f64| Vec3::new(x, 0.0, 0.0);
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let far = [
+            x(DIST_MAX),
+            x(below.sqrt()),
+            x(DIST_MAX.next_down()),
+            x(DIST_MAX.next_up()),
+        ];
+        let cases: [Vec<[Vec3; 4]>; 5] = [
+            // In range, exactly at the edge and just either side of it.
+            vec![[Vec3::ZERO; 4], [x(3.0); 4], far],
+            // NaN distances land in bin 0 on both paths.
+            vec![
+                [Vec3::ZERO; 4],
+                [x(3.0); 4],
+                [x(nan), x(1.0), x(nan), x(2.0)],
+            ],
+            // Infinite distances are out of range; ∞ − ∞ is NaN.
+            vec![
+                [x(inf), Vec3::ZERO, x(-inf), x(1.0)],
+                [x(4.0); 4],
+                [x(inf), x(-inf), x(2.0), Vec3::new(0.0, inf, 0.0)],
+            ],
+            // Medium and far separations through the edge.
+            vec![
+                [Vec3::ZERO; 4],
+                [x(1.0); 4],
+                [x(2.0); 4],
+                far,
+                [x(-inf), x(nan), x(15.0), x(16.5)],
+                [x(9.0); 4],
+            ],
+            // Every pair out of range: no pair is counted.
+            vec![[Vec3::ZERO; 4], [x(1.0); 4], [x(40.0); 4]],
+        ];
+        for (c, residues) in cases.iter().enumerate() {
+            let structure = LoopStructure {
+                residues: residues
+                    .iter()
+                    .map(|&[n, ca, c, o]| ResidueAtoms {
+                        n,
+                        ca,
+                        c,
+                        o,
+                        centroid: None,
+                    })
+                    .collect(),
+                end_frame: AnchorFrame::new(Vec3::ZERO, Vec3::ZERO, Vec3::ZERO),
+            };
+            let pass = scorer.score_structure(&structure);
+            let oracle = naive_dist(&kb, &structure);
+            assert_eq!(
+                pass.to_bits(),
+                oracle.to_bits(),
+                "case {c}: {pass} vs {oracle}"
+            );
         }
     }
 

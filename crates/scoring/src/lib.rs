@@ -36,17 +36,17 @@
 //! Scoring runs once per conformation per iteration — millions of times per
 //! trajectory — so the hot path must not touch the allocator.  The caller
 //! owns a [`ScoreScratch`] whose structure-of-arrays buffers (split x/y/z
-//! coordinates, radii, atom kinds, residue classes) are `clear()`ed and
-//! refilled per evaluation.  After one warm-up call per loop length, **no
+//! site coordinates, radii, site kinds) are `clear()`ed and refilled per
+//! evaluation.  After one warm-up call per loop length, **no
 //! pass allocates** — this invariant is enforced by a counting-allocator
 //! test in `lms-core` (`tests/zero_alloc.rs`).
 //!
 //! The environment half of the VDW kernel additionally relies on the
 //! per-target environment-neighbour cache (`LoopTarget::env_candidates`),
 //! built once per target: the fixed-environment atoms reachable from the
-//! loop region as a flat SoA candidate set, plus, for every cell of a 4 Å
-//! grid, the ascending list of candidates within the list radius
-//! (`lms_protein::ENV_LIST_RADIUS`, 7 Å) of that cell.  Per evaluation each
+//! loop region as packed `[x, y, z, r]` candidate records, plus, for every
+//! cell of a 4 Å grid, the ascending list of candidates within the list
+//! radius (`lms_protein::ENV_LIST_RADIUS`, 7 Å) of that cell.  Per evaluation each
 //! site reads its cell's list — no gather, no sort, no scratch index buffer,
 //! O(local density) per site instead of O(all candidates) — and sums in the
 //! linear scan's order, so the term is bit-identical to the exhaustive

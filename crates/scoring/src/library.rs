@@ -259,7 +259,19 @@ impl DistTable {
         b: BackboneAtomKind,
         sep: SeparationClass,
     ) -> &[f64; DIST_BINS] {
-        let start = Self::flat_index(a, b, sep, 0);
+        self.row_at(Self::flat_index(a, b, sep, 0))
+    }
+
+    /// Every row at once, indexed `[sep.index()][a.index() * 4 +
+    /// b.index()]`: a scorer looks the 48 rows up once per call instead of
+    /// once per atom pair.
+    pub(crate) fn rows(&self) -> [[&[f64; DIST_BINS]; 16]; SeparationClass::COUNT] {
+        std::array::from_fn(|sep| {
+            std::array::from_fn(|ab| self.row_at((ab * SeparationClass::COUNT + sep) * DIST_BINS))
+        })
+    }
+
+    fn row_at(&self, start: usize) -> &[f64; DIST_BINS] {
         self.energies[start..start + DIST_BINS]
             .try_into()
             .expect("a DIST table row holds DIST_BINS energies")

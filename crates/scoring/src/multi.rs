@@ -181,15 +181,15 @@ impl MultiScorer {
     }
 
     /// Staged TRIPLET kernel: the torsion-triplet score (it reads only the
-    /// torsion vector and the residue classes).
+    /// torsion vector and the target's residue types, classified in place).
     pub fn triplet_pass(
         &self,
         target: &LoopTarget,
         _structure: &LoopStructure,
         torsions: &Torsions,
-        scratch: &mut ScoreScratch,
+        _scratch: &mut ScoreScratch,
     ) -> f64 {
-        self.triplet.score(target, torsions, scratch)
+        self.triplet.score(&target.sequence, torsions)
     }
 }
 

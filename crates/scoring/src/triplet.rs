@@ -23,8 +23,7 @@
 //! gathers anyway.
 
 use crate::library::KnowledgeBase;
-use crate::workspace::ScoreScratch;
-use lms_protein::{LoopTarget, RamaClass, Torsions};
+use lms_protein::{AminoAcid, RamaClass, Torsions};
 use std::sync::Arc;
 
 /// Triplet torsion-angle statistical potential.
@@ -39,44 +38,29 @@ impl TripletScore {
         TripletScore { kb }
     }
 
-    /// Score a torsion vector on `target`'s sequence, staging the residue
-    /// classes in `scratch`; lower is better.
-    pub fn score(
-        &self,
-        target: &LoopTarget,
-        torsions: &Torsions,
-        scratch: &mut ScoreScratch,
-    ) -> f64 {
-        scratch.classes.clear();
-        scratch
-            .classes
-            .extend(target.sequence.iter().map(|aa| aa.rama_class()));
-        self.score_classes(&scratch.classes, torsions)
-    }
-
-    /// The kernel: one table lookup per residue over the residue-class
-    /// sequence.
-    fn score_classes(&self, classes: &[RamaClass], torsions: &Torsions) -> f64 {
-        let n = classes.len();
+    /// Score a torsion vector on a loop `sequence`, lower is better: one
+    /// table lookup per residue, each residue's Ramachandran class read
+    /// off its type in place.
+    pub fn score(&self, sequence: &[AminoAcid], torsions: &Torsions) -> f64 {
+        let n = sequence.len();
         debug_assert_eq!(torsions.n_residues(), n);
+        let class = |i: usize| sequence[i].rama_class();
+        // Terminal residues take the loop anchor (general class) as their
+        // missing neighbour.
         let mut total = 0.0;
+        let mut prev = RamaClass::General;
+        let mut center = if n == 0 { RamaClass::General } else { class(0) };
         for i in 0..n {
-            // Terminal residues take the loop anchor (general class) as
-            // their missing neighbour.
-            let prev = if i == 0 {
-                RamaClass::General
-            } else {
-                classes[i - 1]
-            };
             let next = if i + 1 == n {
                 RamaClass::General
             } else {
-                classes[i + 1]
+                class(i + 1)
             };
-            total +=
-                self.kb
-                    .triplet
-                    .energy(prev, classes[i], next, torsions.phi(i), torsions.psi(i));
+            total += self
+                .kb
+                .triplet
+                .energy(prev, center, next, torsions.phi(i), torsions.psi(i));
+            (prev, center) = (center, next);
         }
         total / n as f64
     }
@@ -96,10 +80,10 @@ mod tests {
     #[test]
     fn alpha_torsions_beat_disallowed_torsions() {
         let s = scorer();
-        let classes = vec![RamaClass::General; 8];
+        let classes = vec![AminoAcid::Ala; 8];
         let good = Torsions::from_pairs(&[(deg_to_rad(-63.0), deg_to_rad(-43.0)); 8]);
         let bad = Torsions::from_pairs(&[(deg_to_rad(75.0), deg_to_rad(-100.0)); 8]);
-        assert!(s.score_classes(&classes, &good) < s.score_classes(&classes, &bad) - 1.0);
+        assert!(s.score(&classes, &good) < s.score(&classes, &bad) - 1.0);
     }
 
     #[test]
@@ -107,7 +91,7 @@ mod tests {
         let s = scorer();
         let lib = BenchmarkLibrary::standard();
         let target = lib.target_by_name("1cex").unwrap();
-        let native_score = s.score(&target, &target.native_torsions, &mut ScoreScratch::new());
+        let native_score = s.score(&target.sequence, &target.native_torsions);
 
         // A torsion vector drawn uniformly at random is overwhelmingly
         // likely to fall outside the allowed basins somewhere.
@@ -122,7 +106,7 @@ mod tests {
                 })
                 .collect::<Vec<_>>(),
         );
-        let uniform_score = s.score(&target, &uniform, &mut ScoreScratch::new());
+        let uniform_score = s.score(&target.sequence, &uniform);
         assert!(
             native_score < uniform_score,
             "native {native_score} should beat arbitrary {uniform_score}"
@@ -134,12 +118,12 @@ mod tests {
         let s = scorer();
         // Same torsions, different lengths: per-residue normalisation keeps
         // the scores on a comparable scale.
-        let short = vec![RamaClass::General; 4];
-        let long = vec![RamaClass::General; 16];
+        let short = vec![AminoAcid::Ala; 4];
+        let long = vec![AminoAcid::Ala; 16];
         let t_short = Torsions::from_pairs(&[(deg_to_rad(-63.0), deg_to_rad(-43.0)); 4]);
         let t_long = Torsions::from_pairs(&vec![(deg_to_rad(-63.0), deg_to_rad(-43.0)); 16]);
-        let a = s.score_classes(&short, &t_short);
-        let b = s.score_classes(&long, &t_long);
+        let a = s.score(&short, &t_short);
+        let b = s.score(&long, &t_long);
         // Interior residues all have identical contexts; only the two
         // termini differ, so the per-residue scores are close.
         assert!((a - b).abs() < 1.0, "{a} vs {b}");
@@ -148,12 +132,12 @@ mod tests {
     #[test]
     fn deterministic_scoring() {
         let s = scorer();
-        let classes = vec![RamaClass::General, RamaClass::Glycine, RamaClass::Proline];
+        let classes = vec![AminoAcid::Ala, AminoAcid::Gly, AminoAcid::Pro];
         let t = Torsions::from_pairs(&[
             (deg_to_rad(-70.0), deg_to_rad(140.0)),
             (deg_to_rad(80.0), deg_to_rad(10.0)),
             (deg_to_rad(-65.0), deg_to_rad(150.0)),
         ]);
-        assert_eq!(s.score_classes(&classes, &t), s.score_classes(&classes, &t));
+        assert_eq!(s.score(&classes, &t), s.score(&classes, &t));
     }
 }

@@ -253,29 +253,27 @@ impl VdwScore {
     }
 
     /// Loop-to-environment clash contribution via an exhaustive linear scan
-    /// of the target's precomputed SoA candidate set.  Candidates beyond
+    /// of the target's precomputed candidate records.  Candidates beyond
     /// overlap range contribute exactly 0, so the conservative candidate
     /// superset changes nothing but speed.  This is the *reference* path
     /// that the production pass ([`VdwScore::against_environment`]) must
     /// (and does) reproduce bit for bit.
     fn against_environment_linear(&self, s: &ScoreScratch, env: &EnvCandidates) -> f64 {
-        let (ex, ey, ez) = (env.xs(), env.ys(), env.zs());
-        let (er, ec) = (env.radii(), env.centroid_flags());
+        let (records, ec) = (env.records(), env.centroid_flags());
         let mut total = 0.0;
         for a in 0..s.site_x.len() {
             let (xa, ya, za) = (s.site_x[a], s.site_y[a], s.site_z[a]);
             let (ra, ca) = (s.site_r[a], s.site_centroid[a]);
-            for b in 0..ex.len() {
-                let dx = xa - ex[b];
-                let dy = ya - ey[b];
-                let dz = za - ez[b];
+            for (b, &[xb, yb, zb, rb]) in records.iter().enumerate() {
+                let dx = xa - xb;
+                let dy = ya - yb;
+                let dz = za - zb;
                 let d2 = dx * dx + dy * dy + dz * dz;
-                let sigma = (ra + er[b]) * self.radii.softness;
+                let sigma = (ra + rb) * self.radii.softness;
                 if d2 >= sigma * sigma || sigma <= 0.0 {
                     continue;
                 }
-                total +=
-                    self.contact_weight(ca, ec[b]) * self.overlap_penalty(d2.sqrt(), ra + er[b]);
+                total += self.contact_weight(ca, ec[b]) * self.overlap_penalty(d2.sqrt(), ra + rb);
             }
         }
         total
@@ -329,8 +327,7 @@ impl VdwScore {
         }
         s.env_totals.clear();
         s.env_totals.extend_from_slice(&resume.totals[..=r0]);
-        let (ex, ey, ez) = (env.xs(), env.ys(), env.zs());
-        let (er, ec) = (env.radii(), env.centroid_flags());
+        let (records, ec) = (env.records(), env.centroid_flags());
         let n_sites = s.site_x.len();
         let mut total = resume.totals[r0];
         // Sites are staged in residue order: skip the resumed prefix.
@@ -345,16 +342,17 @@ impl VdwScore {
                 }
                 for &b in near {
                     let b = b as usize;
-                    let dx = p.x - ex[b];
-                    let dy = p.y - ey[b];
-                    let dz = p.z - ez[b];
+                    let [xb, yb, zb, rb] = records[b];
+                    let dx = p.x - xb;
+                    let dy = p.y - yb;
+                    let dz = p.z - zb;
                     let d2 = dx * dx + dy * dy + dz * dz;
-                    let sigma = (ra + er[b]) * softness;
+                    let sigma = (ra + rb) * softness;
                     if d2 >= sigma * sigma || sigma <= 0.0 {
                         continue;
                     }
                     total += self.contact_weight(a_centroid, ec[b])
-                        * self.overlap_penalty(d2.sqrt(), ra + er[b]);
+                        * self.overlap_penalty(d2.sqrt(), ra + rb);
                 }
                 a += 1;
             }
@@ -383,7 +381,7 @@ impl VdwScore {
         )
     }
 
-    /// The same environment term via the exhaustive linear SoA scan — the
+    /// The same environment term via the exhaustive linear scan — the
     /// reference implementation the production pass must match bit for bit.
     pub fn environment_term_linear(
         &self,

@@ -16,10 +16,9 @@
 //! place: each site borrows its precomputed candidate list from the
 //! per-target cache, so no buffer here scales with the environment.
 
-use lms_protein::RamaClass;
-
-/// Reusable scratch space for the VDW (with BURIAL) and TRIPLET passes
-/// (DIST reads the backbone atoms in place and stages nothing).
+/// Reusable scratch space for the VDW pass (with BURIAL); DIST reads the
+/// backbone atoms in place and TRIPLET reads the torsions and the
+/// target's residue classes, so neither stages anything here.
 ///
 /// One `ScoreScratch` per concurrent evaluator (e.g. per population member)
 /// suffices; the buffers grow to the high-water mark of the loop being
@@ -41,8 +40,6 @@ pub struct ScoreScratch {
     /// Whether each VDW site is its residue's Cα — the probe point the
     /// shared environment pass computes BURIAL contact counts at.
     pub(crate) site_is_ca: Vec<bool>,
-    /// TRIPLET per-residue Ramachandran classes.
-    pub(crate) classes: Vec<RamaClass>,
     /// BURIAL per-residue environment contact counts.  Filled by the shared
     /// VDW/BURIAL environment pass (a Cα site's candidate list serves both
     /// objectives).
@@ -70,7 +67,6 @@ impl ScoreScratch {
             site_res: Vec::with_capacity(5 * n_residues),
             site_centroid: Vec::with_capacity(5 * n_residues),
             site_is_ca: Vec::with_capacity(5 * n_residues),
-            classes: Vec::with_capacity(n_residues),
             burial_counts: Vec::with_capacity(n_residues),
             env_totals: Vec::with_capacity(n_residues + 1),
         }
@@ -99,7 +95,6 @@ impl ScoreScratch {
         self.site_res.clear();
         self.site_centroid.clear();
         self.site_is_ca.clear();
-        self.classes.clear();
         self.burial_counts.clear();
         self.env_totals.clear();
     }
@@ -116,7 +111,6 @@ mod tests {
         assert!(s.site_res.capacity() >= 60);
         assert!(s.burial_counts.capacity() >= 12);
         assert!(s.env_totals.capacity() >= 13);
-        assert!(s.classes.capacity() >= 12);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! 2. **Seed-math equivalence** — the SoA kernels must agree with an
 //!    *independent* reimplementation of the seed repository's original
 //!    kernels ([`seed_reference`]): DIST and TRIPLET bit-identically (same
-//!    summation order; the squared-distance reject only removes
-//!    zero-contribution pairs), VDW to tight relative tolerance (the
-//!    environment term sums the same contacts in a different order).
+//!    summation order; DIST's out-of-range pairs add `+0.0`), VDW to
+//!    tight relative tolerance (the environment term sums the same
+//!    contacts in a different order).
 
 use lms_protein::{BenchmarkLibrary, LoopBuilder, LoopStructure, LoopTarget, Torsions};
 use lms_scoring::{
@@ -212,7 +212,7 @@ proptest! {
     fn triplet_workspace_path_is_bit_identical(torsions in arb_torsions(12)) {
         let target = shared_target();
         let structure = target.build(&LoopBuilder::default(), &torsions);
-        let own = TripletScore::new(shared_kb()).score(target, &torsions, &mut ScoreScratch::new());
+        let own = TripletScore::new(shared_kb()).score(&target.sequence, &torsions);
         let mut scratch = warm_scratch(target, &structure, &torsions);
         let pass = shared_multi().triplet_pass(target, &structure, &torsions, &mut scratch);
         prop_assert_eq!(own.to_bits(), pass.to_bits());
@@ -233,8 +233,8 @@ proptest! {
 
     #[test]
     fn dist_matches_seed_reference_bit_identically(torsions in arb_torsions(12)) {
-        // Same summation order as the seed kernel; the squared-distance
-        // reject only removes pairs the seed kernel also skipped.
+        // Same summation order as the seed kernel; the pairs the seed
+        // kernel skipped add `+0.0`, which changes no bit.
         let target = shared_target();
         let structure = target.build(&LoopBuilder::default(), &torsions);
         let ours = DistScore::new(shared_kb()).score_structure(&structure);
@@ -246,7 +246,7 @@ proptest! {
     fn triplet_matches_seed_reference_bit_identically(torsions in arb_torsions(12)) {
         let target = shared_target();
         let triplet = TripletScore::new(shared_kb());
-        let ours = triplet.score(target, &torsions, &mut ScoreScratch::new());
+        let ours = triplet.score(&target.sequence, &torsions);
         let reference = seed_reference::triplet(&shared_kb(), target, &torsions);
         prop_assert_eq!(ours.to_bits(), reference.to_bits());
     }
