@@ -208,7 +208,7 @@ pub fn fig4_speedup_scaling(scale: Scale) -> String {
 /// work of every kernel is kept, only the launch geometry changes.  This is
 /// what lets the quick-scale harness still report the paper's
 /// full-population speedup honestly.
-pub fn extrapolate_speedup_to_paper_population(
+fn extrapolate_speedup_to_paper_population(
     result: &TrajectoryResult,
     sampler: &MoscemSampler,
 ) -> f64 {
@@ -339,9 +339,8 @@ pub fn table4_benchmark(scale: Scale) -> String {
     out
 }
 
-/// The per-target outcomes and the rendered Table IV.  Exposed separately so
-/// integration tests can assert on the numbers.
-pub fn table4_outcomes(scale: Scale) -> (Vec<TargetOutcome>, String) {
+/// The per-target outcomes and the rendered Table IV.
+fn table4_outcomes(scale: Scale) -> (Vec<TargetOutcome>, String) {
     let library = crate::benchmark_library();
     let kb = shared_kb();
     let specs = library.specs();

@@ -137,12 +137,6 @@ impl DecoySet {
             .filter(|d| d.rmsd_to_native <= rmsd_cutoff)
             .count()
     }
-
-    /// Whether the set contains at least one decoy within the cutoff — the
-    /// per-target success criterion of Table IV.
-    pub fn has_decoy_within(&self, rmsd_cutoff: f64) -> bool {
-        self.count_within(rmsd_cutoff) > 0
-    }
 }
 
 #[cfg(test)]
@@ -189,8 +183,7 @@ mod tests {
         assert!((set.best_rmsd().unwrap() - 0.9).abs() < 1e-12);
         assert_eq!(set.count_within(1.0), 1);
         assert_eq!(set.count_within(1.5), 2);
-        assert!(set.has_decoy_within(1.0));
-        assert!(!set.has_decoy_within(0.5));
+        assert_eq!(set.count_within(0.5), 0);
         assert!(DecoySet::new(30.0).best_rmsd().is_none());
     }
 

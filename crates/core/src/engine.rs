@@ -122,13 +122,6 @@ pub struct AttemptFailure {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(u64);
 
-impl JobId {
-    /// The raw id (monotonically increasing per engine).
-    pub fn as_u64(&self) -> u64 {
-        self.0
-    }
-}
-
 impl std::fmt::Display for JobId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "job#{}", self.0)
@@ -521,11 +514,8 @@ impl LoopModelingEngine {
         for _ in 0..workers {
             let inner = Arc::clone(&self.inner);
             let queue = Arc::clone(&queue);
-            // Each worker gets its OWN split of the executor: `split` builds
-            // a fresh lazily-initialised pool per call, whereas cloning one
-            // split executor would share a single `threads/workers`-sized
-            // pool across every concurrent job and serialize the batch onto
-            // it.
+            // Each worker launches on its share of the executor's threads,
+            // so concurrent jobs together use the budget once.
             let executor = self.inner.executor.split(workers);
             let tx: Sender<JobResult> = tx.clone();
             std::thread::spawn(move || loop {
@@ -1008,23 +998,6 @@ mod tests {
         assert!(handle.progress().is_empty());
         assert!(handle.next_result().is_none());
         assert!(handle.join().is_empty());
-    }
-
-    #[test]
-    fn workers_get_independent_executor_splits() {
-        // Regression guard for the shared-pool bug: two workers must not
-        // end up on the same lazily-built pool.  `split` builds a fresh
-        // pool per call, so consecutive splits are independent executors.
-        let exec = ExecutorConfig::parallel().threads(4).build().unwrap();
-        let a = exec.split(2);
-        let b = exec.split(2);
-        assert!(a.is_parallel() && b.is_parallel());
-        assert!(
-            !a.shares_pool_with(&b),
-            "independent splits must not share a thread pool"
-        );
-        // Clones DO share, which is exactly what split must avoid.
-        assert!(a.shares_pool_with(&a.clone()));
     }
 
     #[test]

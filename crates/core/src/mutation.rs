@@ -15,8 +15,8 @@ use rand::Rng;
 
 /// Configuration of the mutation move.
 ///
-/// `#[non_exhaustive]`: construct via [`MutationConfig::new`] (or
-/// `default()`) and the `with_*` setters.
+/// `#[non_exhaustive]`: construct via `default()` and set the public
+/// fields.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct MutationConfig {
@@ -37,36 +37,6 @@ impl Default for MutationConfig {
             perturbation_sigma: 30f64.to_radians(),
             resample_probability: 0.25,
         }
-    }
-}
-
-impl MutationConfig {
-    /// The default configuration, as a starting point for the `with_*`
-    /// setters.
-    pub fn new() -> Self {
-        MutationConfig::default()
-    }
-
-    /// Set the maximum number of torsion angles mutated per move.
-    #[must_use]
-    pub fn with_max_mutations(mut self, max_mutations: usize) -> Self {
-        self.max_mutations = max_mutations;
-        self
-    }
-
-    /// Set the standard deviation (radians) of the local perturbation move.
-    #[must_use]
-    pub fn with_perturbation_sigma(mut self, sigma: f64) -> Self {
-        self.perturbation_sigma = sigma;
-        self
-    }
-
-    /// Set the probability that a selected torsion is resampled from the
-    /// Ramachandran model instead of locally perturbed.
-    #[must_use]
-    pub fn with_resample_probability(mut self, p: f64) -> Self {
-        self.resample_probability = p;
-        self
     }
 }
 

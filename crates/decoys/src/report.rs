@@ -28,11 +28,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render the table with aligned columns.
     pub fn render(&self) -> String {
         let n_cols = self
@@ -103,7 +98,6 @@ mod tests {
         assert!(s.contains("Protein"));
         assert!(s.contains("1cex"));
         assert!(s.contains("42.6"));
-        assert_eq!(t.n_rows(), 2);
         // Every data line at least as long as the header line's columns.
         let lines: Vec<&str> = s.lines().collect();
         assert!(lines.len() >= 4);

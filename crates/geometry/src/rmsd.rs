@@ -125,7 +125,7 @@ pub fn jacobi_eigen_symmetric3(m: &Mat3) -> ([f64; 3], [Vec3; 3]) {
 /// eigenvector (as a `[f64; 4]` column) for `eigenvalues[i]`, sorted in
 /// descending eigenvalue order.  Used by the quaternion superposition.
 #[allow(clippy::needless_range_loop)] // index loops mirror the textbook formulation
-pub fn jacobi_eigen_symmetric4(m: &[[f64; 4]; 4]) -> ([f64; 4], [[f64; 4]; 4]) {
+fn jacobi_eigen_symmetric4(m: &[[f64; 4]; 4]) -> ([f64; 4], [[f64; 4]; 4]) {
     let mut a = *m;
     let mut v = [[0.0; 4]; 4];
     for (i, row) in v.iter_mut().enumerate() {

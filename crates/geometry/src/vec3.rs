@@ -166,12 +166,6 @@ impl Vec3 {
         )
     }
 
-    /// Linear interpolation between `self` (t = 0) and `other` (t = 1).
-    #[inline]
-    pub fn lerp(self, other: Vec3, t: f64) -> Vec3 {
-        self + (other - self) * t
-    }
-
     /// Angle (radians, in `[0, π]`) between this vector and another.
     ///
     /// Returns `0.0` if either vector is (near-)zero.
@@ -434,15 +428,6 @@ mod tests {
         ];
         assert_eq!(Vec3::centroid(&pts), Vec3::new(0.5, 0.5, 0.5));
         assert_eq!(Vec3::centroid(&[]), Vec3::ZERO);
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = Vec3::new(1.0, 2.0, 3.0);
-        let b = Vec3::new(3.0, 6.0, 9.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec3::new(2.0, 4.0, 6.0));
     }
 
     #[test]

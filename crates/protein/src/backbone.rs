@@ -194,11 +194,6 @@ impl LoopStructure {
     pub fn centroids(&self) -> Vec<Vec3> {
         self.residues.iter().filter_map(|r| r.centroid).collect()
     }
-
-    /// Total number of heavy atoms represented (backbone + centroids).
-    pub fn atom_count(&self) -> usize {
-        self.residues.len() * 4 + self.centroids().len()
-    }
 }
 
 /// Builds loop structures from torsion vectors.
@@ -653,7 +648,6 @@ mod tests {
         // No glycine in this sequence slice -> every residue has a centroid.
         let n_gly = seq.iter().filter(|a| a.is_glycine()).count();
         assert_eq!(s.centroids().len(), 8 - n_gly);
-        assert_eq!(s.atom_count(), 32 + 8 - n_gly);
     }
 
     #[test]

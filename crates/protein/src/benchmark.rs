@@ -188,11 +188,6 @@ impl BenchmarkLibrary {
         standard_specs()
     }
 
-    /// Generate every target in the standard benchmark.
-    pub fn all_targets(&self) -> Vec<LoopTarget> {
-        self.specs().iter().map(|s| self.generate(s)).collect()
-    }
-
     /// Generate one target by its host-protein name (e.g. `"1cex"`).
     pub fn target_by_name(&self, name: &str) -> Option<LoopTarget> {
         self.specs()
@@ -559,7 +554,7 @@ mod tests {
     #[ignore = "generates all 53 targets; run with --ignored for the full check"]
     fn all_targets_generate_successfully() {
         let lib = BenchmarkLibrary::standard();
-        let targets = lib.all_targets();
+        let targets: Vec<_> = lib.specs().iter().map(|s| lib.generate(s)).collect();
         assert_eq!(targets.len(), 53);
         let builder = LoopBuilder::default();
         for t in &targets {

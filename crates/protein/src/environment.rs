@@ -387,16 +387,6 @@ impl Environment {
         out.build_lists();
         out
     }
-
-    /// Minimum distance from `p` to any environment atom centre, or `None`
-    /// when the environment is empty.  (Exact: falls back to a full scan, so
-    /// use for diagnostics rather than inner loops.)
-    pub fn min_distance(&self, p: Vec3) -> Option<f64> {
-        self.atoms
-            .iter()
-            .map(|a| a.position.distance(p))
-            .min_by(|a, b| a.partial_cmp(b).unwrap())
-    }
 }
 
 #[cfg(test)]
@@ -425,7 +415,6 @@ mod tests {
         assert!(env.is_empty());
         assert_eq!(env.len(), 0);
         assert_eq!(env.burial_count(Vec3::ZERO, 10.0), 0);
-        assert!(env.min_distance(Vec3::ZERO).is_none());
     }
 
     #[test]
@@ -458,16 +447,6 @@ mod tests {
         assert_eq!(env.burial_count(Vec3::ZERO, 0.5), 1);
         assert_eq!(env.burial_count(Vec3::new(10.0, 0.0, 0.0), 0.5), 1);
         assert_eq!(env.burial_count(Vec3::new(5.0, 0.0, 0.0), 0.5), 0);
-    }
-
-    #[test]
-    fn min_distance_is_exact() {
-        let atoms = vec![
-            EnvAtom::backbone(Vec3::new(3.0, 0.0, 0.0), 1.7),
-            EnvAtom::backbone(Vec3::new(0.0, 4.0, 0.0), 1.7),
-        ];
-        let env = Environment::new(atoms);
-        assert!((env.min_distance(Vec3::ZERO).unwrap() - 3.0).abs() < 1e-12);
     }
 
     #[test]

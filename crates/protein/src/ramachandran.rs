@@ -17,7 +17,6 @@
 use crate::amino::RamaClass;
 use lms_geometry::{deg_to_rad, wrap_rad, wrapped_normal};
 use rand::Rng;
-use std::f64::consts::PI;
 
 /// One basin (mode) of the Ramachandran mixture: a wrapped, axis-aligned
 /// Gaussian in `(φ, ψ)`.
@@ -161,15 +160,16 @@ impl RamaLibrary {
     }
 }
 
-/// Check that an angle pair is inside the torus domain `(-π, π]²`.
-pub fn in_torsion_domain(phi: f64, psi: f64) -> bool {
-    phi > -PI - 1e-9 && phi <= PI + 1e-9 && psi > -PI - 1e-9 && psi <= PI + 1e-9
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lms_geometry::StreamRngFactory;
+    use std::f64::consts::PI;
+
+    /// Check that an angle pair is inside the torus domain `(-π, π]²`.
+    fn in_torsion_domain(phi: f64, psi: f64) -> bool {
+        phi > -PI - 1e-9 && phi <= PI + 1e-9 && psi > -PI - 1e-9 && psi <= PI + 1e-9
+    }
 
     #[test]
     fn samples_stay_in_domain() {

@@ -14,7 +14,7 @@
 //! allocating path.
 
 use crate::workspace::ScoreScratch;
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A thread-safe free list of [`ScoreScratch`] workspaces.
 ///
@@ -32,31 +32,36 @@ impl ScratchPool {
         ScratchPool::default()
     }
 
+    /// The free list.  A panic while it was held cannot leave it torn (every
+    /// critical section is one `Vec` call), so poisoning is ignored.
+    fn free(&self) -> MutexGuard<'_, Vec<ScoreScratch>> {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Take one scratch from the pool, or create one pre-sized for a loop
     /// of `n_residues` when the pool is empty.  A recycled scratch may have
     /// been warmed on a different target; its first evaluation on the new
     /// target re-sizes the buffers and every later one is allocation-free.
     pub fn acquire(&self, n_residues: usize) -> ScoreScratch {
-        self.free
-            .lock()
+        self.free()
             .pop()
             .unwrap_or_else(|| ScoreScratch::for_loop_len(n_residues))
     }
 
     /// Return one scratch to the pool for reuse.
     pub fn release(&self, scratch: ScoreScratch) {
-        self.free.lock().push(scratch);
+        self.free().push(scratch);
     }
 
     /// Return many scratches to the pool at once (e.g. a whole population's
     /// worth when a trajectory finishes).
     pub fn release_all<I: IntoIterator<Item = ScoreScratch>>(&self, scratches: I) {
-        self.free.lock().extend(scratches);
+        self.free().extend(scratches);
     }
 
     /// Number of scratches currently parked in the pool.
     pub fn idle_count(&self) -> usize {
-        self.free.lock().len()
+        self.free().len()
     }
 }
 
@@ -94,5 +99,21 @@ mod tests {
         let scratches: Vec<_> = (0..16).map(|_| pool.acquire(4)).collect();
         pool.release_all(scratches);
         assert_eq!(pool.idle_count(), 16);
+    }
+
+    #[test]
+    fn a_poisoned_free_list_keeps_working() {
+        let pool = ScratchPool::new();
+        pool.release(pool.acquire(4));
+        let poisoned = std::panic::catch_unwind(|| {
+            let _guard = pool.free.lock().unwrap();
+            panic!("poison the free list");
+        });
+        assert!(poisoned.is_err() && pool.free.is_poisoned());
+        assert_eq!(pool.idle_count(), 1);
+        let s = pool.acquire(4);
+        assert_eq!(pool.idle_count(), 0);
+        pool.release(s);
+        assert_eq!(pool.idle_count(), 1);
     }
 }

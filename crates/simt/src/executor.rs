@@ -14,9 +14,9 @@
 //!
 //! * [`Backend::Scalar`] — one conformation after another on the calling
 //!   thread: the "CPU implementation" baseline of the paper.
-//! * [`Backend::Parallel`] — a work-stealing data-parallel map over the
-//!   population (rayon), playing the role of the GPU in the heterogeneous
-//!   CPU–GPU platform.
+//! * [`Backend::Parallel`] — the population split into one contiguous
+//!   chunk of lanes per worker thread, playing the role of the GPU in the
+//!   heterogeneous CPU–GPU platform.
 //!
 //! Executors are built through the validated [`ExecutorConfig`] builder:
 //!
@@ -43,10 +43,7 @@
 //! tests).
 
 use crate::kernel::KernelKind;
-use rayon::prelude::*;
-use rayon::ThreadPool;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Default lockstep CCD block width (population members per batched CCD
@@ -75,13 +72,6 @@ pub struct KernelLaunch {
     pub host: Duration,
 }
 
-impl KernelLaunch {
-    /// Measured host time in microseconds.
-    pub fn host_us(&self) -> f64 {
-        self.host.as_secs_f64() * 1e6
-    }
-}
-
 /// Which execution strategy an [`Executor`] uses for population kernels.
 ///
 /// `#[non_exhaustive]`: future backends (a GPU device, for one) will add
@@ -91,7 +81,7 @@ impl KernelLaunch {
 pub enum Backend {
     /// Sequential execution on the calling thread (the CPU baseline).
     Scalar,
-    /// Data-parallel execution across a rayon thread pool (the device role).
+    /// Data-parallel execution across worker threads (the device role).
     Parallel,
 }
 
@@ -208,8 +198,8 @@ impl std::error::Error for ExecutorConfigError {}
 /// Validated builder for [`Executor`]s — the one construction surface for
 /// every backend.
 ///
-/// Defaults: [`Backend::Parallel`] with rayon's default thread budget (one
-/// worker per core) and [`DEFAULT_CCD_BLOCK_WIDTH`].
+/// Defaults: [`Backend::Parallel`] with one worker thread per core and
+/// [`DEFAULT_CCD_BLOCK_WIDTH`].
 ///
 /// ```
 /// use lms_simt::{Backend, ExecutorConfig};
@@ -269,7 +259,8 @@ impl ExecutorConfig {
         self
     }
 
-    /// Set the worker-thread budget (0 = rayon's default, one per core).
+    /// Set the worker-thread budget (0 = one per core, resolved at
+    /// [`build`](Self::build) time).
     /// Ignored by the scalar backend, which always runs on the calling
     /// thread.
     pub fn threads(mut self, threads: usize) -> ExecutorConfig {
@@ -296,28 +287,28 @@ impl ExecutorConfig {
                 max: MAX_CCD_BLOCK_WIDTH,
             });
         }
-        let backend = match self.backend {
-            Backend::Scalar => BackendImpl::Scalar,
-            Backend::Parallel => BackendImpl::Parallel {
-                threads: self.threads,
-                pool: Arc::new(OnceLock::new()),
-            },
+        let threads = match (self.backend, self.threads) {
+            (Backend::Scalar, _) => 1,
+            (Backend::Parallel, 0) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            (Backend::Parallel, n) => n,
         };
         Ok(Executor {
-            backend,
+            backend: self.backend,
+            threads,
             ccd_block_width: self.ccd_block_width,
         })
     }
 }
 
 impl From<Executor> for ExecutorConfig {
-    /// Recover the configuration an executor was built from, so an
-    /// already-built `Executor` can be handed anywhere an
-    /// `impl Into<ExecutorConfig>` is expected (the engine builder).
+    /// Recover a configuration that builds an equivalent executor (its
+    /// thread budget as resolved), so an already-built `Executor` can be
+    /// handed anywhere an `impl Into<ExecutorConfig>` is expected (the
+    /// engine builder).
     fn from(exec: Executor) -> ExecutorConfig {
         ExecutorConfig {
-            backend: exec.backend.kind(),
-            threads: exec.backend.raw_threads(),
+            backend: exec.backend,
+            threads: exec.threads,
             ccd_block_width: exec.ccd_block_width,
         }
     }
@@ -329,110 +320,50 @@ impl From<&Executor> for ExecutorConfig {
     }
 }
 
-/// The private backend realisation behind [`Executor`].  Public code sees
-/// only [`Backend`] and [`Capabilities`]; keeping the rayon pool handles
-/// out of the public type is what lets future backends (GPU queues, device
-/// contexts) slot in without an API break.
-#[derive(Debug, Clone)]
-enum BackendImpl {
-    Scalar,
-    Parallel {
-        /// Number of worker threads (0 = rayon's default, one per core).
-        threads: usize,
-        /// The explicitly-sized thread pool, built lazily on the first
-        /// launch and reused for every subsequent one (building a pool per
-        /// kernel launch was measurable overhead at sampler iteration
-        /// rates).  Shared across clones of this executor; unused (and
-        /// never built) when `threads == 0`, where rayon's global pool
-        /// serves instead.
-        pool: Arc<OnceLock<ThreadPool>>,
-    },
-}
-
-impl BackendImpl {
-    fn kind(&self) -> Backend {
-        match self {
-            BackendImpl::Scalar => Backend::Scalar,
-            BackendImpl::Parallel { .. } => Backend::Parallel,
-        }
-    }
-
-    /// The configured thread count as written (0 = rayon default), as
-    /// opposed to the resolved budget `Executor::thread_count` reports.
-    fn raw_threads(&self) -> usize {
-        match self {
-            BackendImpl::Scalar => 0,
-            BackendImpl::Parallel { threads, .. } => *threads,
-        }
-    }
-
-    /// The pooled-dispatch parameters of the parallel backend.
-    fn pool_parts(&self) -> Option<(usize, &Arc<OnceLock<ThreadPool>>)> {
-        match self {
-            BackendImpl::Scalar => None,
-            BackendImpl::Parallel { threads, pool } => Some((*threads, pool)),
-        }
-    }
-}
-
 /// How the per-conformation kernels are executed on the host.
 ///
 /// Construct through [`ExecutorConfig`]; inspect through
-/// [`capabilities`](Executor::capabilities).  The concrete backend state
-/// (thread-pool handles) is private so new backends never change this
-/// type's public surface.
+/// [`capabilities`](Executor::capabilities).
 #[derive(Debug, Clone)]
 pub struct Executor {
-    backend: BackendImpl,
+    backend: Backend,
+    /// Worker threads per launch, resolved once at build time: 1 for
+    /// scalar, one per core for an unsized parallel executor.
+    threads: usize,
     ccd_block_width: usize,
 }
 
 impl Executor {
-    /// The lazily-built pool of an explicitly-sized pooled executor.
-    fn sized_pool(pool: &OnceLock<ThreadPool>, threads: usize) -> &ThreadPool {
-        pool.get_or_init(|| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("failed to build rayon pool")
-        })
-    }
-
     /// An executor with this executor's thread budget divided across `ways`
     /// concurrent consumers — the scheduling primitive behind the batch job
     /// engine: when `ways` jobs run at once, each gets `1/ways` of the
     /// worker threads (at least one), so the jobs together saturate the
     /// machine instead of oversubscribing it `ways`-fold.
     ///
-    /// Scalar stays scalar; a pooled executor's budget is its explicit
+    /// Scalar stays scalar; a parallel executor's budget is its explicit
     /// thread count, or one thread per core when unsized.  The split keeps
-    /// the backend and the CCD block width; each split executor gets its
-    /// own (lazily-built) pool.  Because executor choice never changes
-    /// sampled trajectories (per-stream RNG discipline), running a job on a
-    /// split executor is bit-identical to running it on the original.
+    /// the backend and the CCD block width.  Because executor choice never
+    /// changes sampled trajectories (per-stream RNG discipline), running a
+    /// job on a split executor is bit-identical to running it on the
+    /// original.
     pub fn split(&self, ways: usize) -> Executor {
-        let config = ExecutorConfig::from(self);
         match self.backend {
-            BackendImpl::Scalar => self.clone(),
-            _ => {
-                let share = (self.thread_count() / ways.max(1)).max(1);
-                config
-                    .threads(share)
-                    .build()
-                    .expect("splitting a valid executor keeps it valid")
-            }
+            Backend::Scalar => self.clone(),
+            Backend::Parallel => Executor {
+                threads: (self.threads / ways.max(1)).max(1),
+                ..self.clone()
+            },
         }
     }
 
     /// What this executor reports about itself: backend, thread budget,
     /// CCD block width and host ISA.
     pub fn capabilities(&self) -> Capabilities {
-        let backend = self.backend.kind();
         Capabilities {
-            backend,
-            name: backend.name(),
+            backend: self.backend,
+            name: self.backend.name(),
             lane_width: 1,
-            threads: self.thread_count(),
+            threads: self.threads,
             ccd_block_width: self.ccd_block_width,
             isa: detected_host_isa(),
         }
@@ -446,23 +377,7 @@ impl Executor {
 
     /// Short display name of the backend.
     pub fn name(&self) -> &'static str {
-        self.backend.kind().name()
-    }
-
-    /// Whether this executor runs work concurrently.
-    pub fn is_parallel(&self) -> bool {
-        self.backend.pool_parts().is_some()
-    }
-
-    /// Whether `self` and `other` dispatch onto the *same* lazily-built
-    /// thread pool (i.e. one is a clone of the other).  Diagnostic for
-    /// tests and schedulers that care about pool sharing; always `false`
-    /// when either side is scalar or uses rayon's global pool.
-    pub fn shares_pool_with(&self, other: &Executor) -> bool {
-        match (self.backend.pool_parts(), other.backend.pool_parts()) {
-            (Some((ta, pa)), Some((tb, pb))) if ta != 0 && tb != 0 => Arc::ptr_eq(pa, pb),
-            _ => false,
-        }
+        self.backend.name()
     }
 
     /// Launch one population-wide kernel: apply `kernel` to every logical
@@ -508,15 +423,7 @@ impl Executor {
             crate::fault::clear_nan();
         };
         let start = Instant::now();
-        // The parallel backends split one zero-sized item per logical
-        // thread across the pool; a `Vec` of a ZST never touches the heap.
-        let mut lanes = vec![(); threads];
-        match self.backend.pool_parts() {
-            None => (0..threads).for_each(lane),
-            Some((0, _)) => lanes.par_iter_mut().enumerate().for_each(|(i, _)| lane(i)),
-            Some((sized, pool)) => Self::sized_pool(pool, sized)
-                .install(|| lanes.par_iter_mut().enumerate().for_each(|(i, _)| lane(i))),
-        }
+        run_chunks(threads, self.threads, &lane);
         KernelLaunch {
             kind,
             threads,
@@ -526,17 +433,32 @@ impl Executor {
 
     /// Number of worker threads this executor will use.
     pub fn thread_count(&self) -> usize {
-        match self.backend.pool_parts() {
-            None => 1,
-            Some((threads, _)) => {
-                if threads == 0 {
-                    rayon::current_num_threads()
-                } else {
-                    threads
-                }
-            }
-        }
+        self.threads
     }
+}
+
+/// Run `lane(i)` exactly once for every `i` in `0..len` on up to `workers`
+/// threads.  The lanes split into contiguous chunks of
+/// `len.div_ceil(workers)`: the calling thread runs the first chunk and one
+/// scoped thread runs each of the others, so a panicking lane reaches the
+/// caller once every chunk has finished.  At one worker the lanes run
+/// inline, in order, on the calling thread.
+fn run_chunks(len: usize, workers: usize, lane: &(impl Fn(usize) + Sync)) {
+    if len == 0 {
+        return;
+    }
+    let workers = workers.clamp(1, len);
+    if workers == 1 {
+        (0..len).for_each(lane);
+        return;
+    }
+    let chunk = len.div_ceil(workers);
+    std::thread::scope(|scope| {
+        for start in (chunk..len).step_by(chunk) {
+            scope.spawn(move || (start..(start + chunk).min(len)).for_each(lane));
+        }
+        (0..chunk).for_each(lane);
+    });
 }
 
 #[cfg(test)]
@@ -605,8 +527,6 @@ mod tests {
     fn executor_metadata() {
         assert_eq!(scalar().name(), "scalar");
         assert_eq!(parallel().name(), "parallel");
-        assert!(!scalar().is_parallel());
-        assert!(parallel().is_parallel());
         assert_eq!(scalar().thread_count(), 1);
         assert_eq!(parallel_with_threads(3).thread_count(), 3);
         assert!(parallel().thread_count() >= 1);
@@ -672,44 +592,28 @@ mod tests {
     }
 
     #[test]
-    fn explicit_pool_is_lazy_built_once_and_shared_with_clones() {
-        let exec = parallel_with_threads(2);
-        let BackendImpl::Parallel { pool, .. } = &exec.backend else {
-            unreachable!()
-        };
-        assert!(pool.get().is_none(), "pool must not be built before use");
-        let mut items = vec![0u8; 256];
-        launch_over(&exec, &mut items, |_, x| *x += 1);
-        let first = pool.get().expect("first launch builds the pool") as *const ThreadPool;
-        launch_over(&exec, &mut items, |_, x| *x += 1);
-        launch_over(&exec, &mut items, |_, x| *x += 1);
-        let second = pool.get().unwrap() as *const ThreadPool;
-        assert_eq!(first, second, "subsequent launches must reuse the pool");
-        // Clones share the same lazily-built pool; fresh builds do not.
-        let clone = exec.clone();
-        assert!(exec.shares_pool_with(&clone));
-        assert!(!exec.shares_pool_with(&parallel_with_threads(2)));
-        assert!(!exec.shares_pool_with(&scalar()));
-        assert!(!parallel().shares_pool_with(&parallel()));
+    fn default_parallel_resolves_one_thread_per_core() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let exec = parallel();
+        assert_eq!(exec.thread_count(), cores);
+        assert_eq!(exec.capabilities().threads, cores);
     }
 
     #[test]
     fn split_divides_the_thread_budget() {
         // Scalar splits to scalar.
-        assert!(!scalar().split(4).is_parallel());
-        // An explicitly-sized pool divides evenly, never below one thread.
+        assert_eq!(scalar().split(4).capabilities().backend, Backend::Scalar);
+        // An explicitly-sized executor divides evenly, never below one thread.
         let exec = parallel_with_threads(8);
         assert_eq!(exec.split(2).thread_count(), 4);
         assert_eq!(exec.split(3).thread_count(), 2);
         assert_eq!(exec.split(100).thread_count(), 1);
         assert_eq!(exec.split(0).thread_count(), 8);
-        // Splits get their own pool but keep backend and block width.
+        // Splits keep backend and block width.
         let wide_cfg = ExecutorConfig::parallel().threads(8).ccd_block_width(32);
-        let wide = wide_cfg.build().unwrap();
-        let half = wide.split(2);
+        let half = wide_cfg.build().unwrap().split(2);
         assert_eq!(half.capabilities().backend, Backend::Parallel);
         assert_eq!(half.ccd_block_width(), 32);
-        assert!(!wide.shares_pool_with(&half));
         // Splitting preserves results.
         let mut a = vec![0u64; 999];
         let mut b = vec![0u64; 999];
@@ -721,10 +625,30 @@ mod tests {
 
     #[test]
     fn explicit_thread_count_still_visits_everything() {
-        let mut items = vec![1u64; 1000];
-        launch_over(&parallel_with_threads(2), &mut items, |i, x| *x = i as u64);
-        for (i, &x) in items.iter().enumerate() {
-            assert_eq!(x, i as u64);
+        // Fewer lanes than threads, a remainder chunk, and empty launches.
+        for (lanes, threads) in [(1000, 2), (0, 2), (1, 4), (3, 4), (1000, 3), (1001, 7)] {
+            let visits = AtomicUsize::new(0);
+            let mut items = vec![usize::MAX; lanes];
+            launch_over(&parallel_with_threads(threads), &mut items, |i, x| {
+                visits.fetch_add(1, Ordering::Relaxed);
+                *x = i;
+            });
+            assert_eq!(
+                visits.load(Ordering::Relaxed),
+                lanes,
+                "{lanes} lanes / {threads}"
+            );
+            assert!(items.iter().enumerate().all(|(i, &x)| x == i));
         }
+    }
+
+    #[test]
+    fn a_panicking_lane_reaches_the_caller() {
+        // The last lane runs on a spawned thread, not the caller's chunk.
+        let exec = parallel_with_threads(2);
+        let caught = std::panic::catch_unwind(|| {
+            let _ = exec.launch(KernelKind::Ccd, 64, |i| assert!(i != 63, "lane 63"));
+        });
+        assert!(caught.is_err());
     }
 }

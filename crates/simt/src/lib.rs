@@ -43,3 +43,46 @@ pub use executor::{
 pub use fault::{FaultKind, FaultPlan, FaultSession, FaultSite};
 pub use kernel::KernelKind;
 pub use lanes::SharedLanes;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn for_each_visits_every_index_once() {
+        // 4097 lanes leave a remainder chunk at every thread count tried.
+        for threads in [1, 2, 3, 8] {
+            let executor = ExecutorConfig::parallel().threads(threads).build().unwrap();
+            let mut items = vec![0usize; 4097];
+            let visits = AtomicUsize::new(0);
+            let lanes = SharedLanes::new(&mut items);
+            let record = executor.launch(KernelKind::Reproduction, 4097, |i| {
+                visits.fetch_add(1, Ordering::Relaxed);
+                // SAFETY: kernel i touches only lane i.
+                *unsafe { lanes.item_mut(i) } = i * 2;
+            });
+            assert_eq!(record.threads, 4097);
+            assert_eq!(visits.load(Ordering::Relaxed), 4097, "{threads} threads");
+            assert!(items.iter().enumerate().all(|(i, &x)| x == i * 2));
+        }
+    }
+
+    #[test]
+    fn empty_slices_are_noops() {
+        for config in [
+            ExecutorConfig::scalar(),
+            ExecutorConfig::parallel(),
+            ExecutorConfig::parallel().threads(4),
+        ] {
+            let executor = config.build().unwrap();
+            let mut empty: Vec<u8> = Vec::new();
+            let lanes = SharedLanes::new(&mut empty);
+            assert!(lanes.is_empty());
+            let record = executor.launch(KernelKind::Reproduction, lanes.len(), |_| {
+                panic!("must not run")
+            });
+            assert_eq!(record.threads, 0);
+        }
+    }
+}

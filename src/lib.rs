@@ -95,7 +95,8 @@
 //!
 //! Executors are built through the validated [`prelude::ExecutorConfig`]
 //! builder and slot in behind the same kernel-launch entry point: `scalar`
-//! (sequential baseline) and `parallel` (rayon thread pool).  Every kernel
+//! (sequential baseline) and `parallel` (one contiguous chunk of lanes per
+//! worker thread, on scoped `std` threads).  Every kernel
 //! is scalar code on both.  Backend choice **never changes sampled
 //! trajectories** (per-stream RNG discipline); it only changes how fast
 //! they run.  Every executor reports [`prelude::Capabilities`] (backend
