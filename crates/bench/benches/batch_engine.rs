@@ -19,16 +19,19 @@
 //!
 //! Besides the criterion group, the harness writes `BENCH_batch.json` at
 //! the workspace root (see `lms_bench::artifact`) recording both modes for
-//! the perf trajectory.
+//! the perf trajectory.  The two modes are timed in alternating samples
+//! (`lms_bench::timing::paired_median_ns`), like the other bench writers,
+//! so host-speed drift slows both sides of the speedup alike.
 
 use criterion::{criterion_group, Criterion};
 use lms_bench::artifact::{Artifact, Better, Gate};
 use lms_bench::shared_kb;
+use lms_bench::timing::paired_median_ns;
 use lms_core::{Job, LoopModelingEngine, MoscemSampler, SamplerConfig, TrajectoryResult};
 use lms_protein::{BenchmarkLibrary, LoopTarget};
 use lms_simt::{Executor, ExecutorConfig};
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The batch: 8 small jobs over loops of different lengths, the shape the
 /// ISSUE's acceptance criterion names.
@@ -124,19 +127,6 @@ fn bench_batch_vs_sequential(c: &mut Criterion) {
     group.finish();
 }
 
-/// Median wall-clock of `f` over `samples` runs.
-fn median_wall<F: FnMut()>(mut f: F, samples: u32) -> Duration {
-    let mut walls: Vec<Duration> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed()
-        })
-        .collect();
-    walls.sort();
-    walls[walls.len() / 2]
-}
-
 /// Scheduler-overhead floor the batch speedup is held to on a 1-core host,
 /// where no parallel win is physically possible.
 const ONE_CORE_OVERHEAD_FLOOR: f64 = 0.70;
@@ -160,21 +150,18 @@ fn write_bench_json() {
     let batch_results = run_batch(&engine, &targets);
     assert_equivalent(&sequential_results, &batch_results);
 
-    let samples = 7;
-    let sequential = median_wall(
+    let (sequential_ns, batch_ns) = paired_median_ns(
         || {
             black_box(run_sequential(&targets, &executor).len());
         },
-        samples,
-    );
-    let batch = median_wall(
         || {
             black_box(run_batch(&engine, &targets).len());
         },
-        samples,
+        1,
+        7,
     );
-    let speedup = sequential.as_secs_f64() / batch.as_secs_f64().max(1e-12);
-    let (sequential_ms, batch_ms) = (sequential.as_secs_f64() * 1e3, batch.as_secs_f64() * 1e3);
+    let speedup = sequential_ns / batch_ns.max(1e-3);
+    let (sequential_ms, batch_ms) = (sequential_ns / 1e6, batch_ns / 1e6);
     println!(
         "batch_engine: {} jobs, sequential {sequential_ms:.1} ms, batch {batch_ms:.1} ms, \
          speedup {speedup:.3}x on {host_cores} core(s)",

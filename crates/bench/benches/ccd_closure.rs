@@ -31,20 +31,18 @@
 
 use criterion::{criterion_group, Criterion};
 use lms_bench::artifact::{Artifact, Better, Gate};
-use lms_bench::scaled_env_target;
+use lms_bench::timing::{median_ns, paired_median_ns};
+use lms_bench::{scaled_env_target, target_of_len};
 use lms_closure::{
     optimal_rotation_batch, CcdBatchScratch, CcdCloser, CcdConfig, CcdLane, CcdResult,
 };
 use lms_core::SamplerConfig;
 use lms_geometry::{StreamRngFactory, Vec3};
-use lms_protein::{
-    AminoAcid, BenchmarkLibrary, LoopBuilder, LoopFrame, LoopStructure, LoopTarget, TargetSpec,
-    Torsions,
-};
+use lms_protein::{AminoAcid, LoopBuilder, LoopFrame, LoopStructure, LoopTarget, Torsions};
 use lms_scoring::{ScoreScratch, VdwScore};
 use lms_simt::ExecutorConfig;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The CCD operating point the sampler runs (and so every closure section
 /// here measures).
@@ -140,16 +138,6 @@ const BLOCK_POPULATION: usize = 16;
 
 /// Population closures per timed sample of the lockstep-closure sweep.
 const BLOCK_ITERS: u32 = 40;
-
-fn target_of_len(len: usize) -> LoopTarget {
-    let spec = TargetSpec {
-        name: "1cex",
-        start: 40,
-        len,
-        buried: false,
-    };
-    BenchmarkLibrary::standard().generate(&spec)
-}
 
 /// Perturbed-native torsion starts: far enough from closure that CCD does
 /// real work at every length.
@@ -336,42 +324,6 @@ fn bench_rotation_kernel(c: &mut Criterion) {
         });
     }
     group.finish();
-}
-
-/// Mean ns/call of one timed batch of `iters` calls.
-fn batch_ns<F: FnMut()>(f: &mut F, iters: u32) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
-
-fn median(mut results: Vec<f64>) -> f64 {
-    results.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    results[results.len() / 2]
-}
-
-/// Median ns/call of a closure over `samples` timed batches.
-fn median_ns<F: FnMut()>(mut f: F, iters: u32, samples: u32) -> f64 {
-    median((0..samples).map(|_| batch_ns(&mut f, iters)).collect())
-}
-
-/// Median ns/call of two closures over `samples` timed batches each, the
-/// batches alternating, so host-speed drift slows both sides of their
-/// ratio alike.
-fn paired_median_ns<F: FnMut(), G: FnMut()>(
-    mut f: F,
-    mut g: G,
-    iters: u32,
-    samples: u32,
-) -> (f64, f64) {
-    let (mut fs, mut gs) = (Vec::new(), Vec::new());
-    for _ in 0..samples {
-        fs.push(batch_ns(&mut f, iters));
-        gs.push(batch_ns(&mut g, iters));
-    }
-    (median(fs), median(gs))
 }
 
 /// The capabilities of the executor backend this bench run's lockstep

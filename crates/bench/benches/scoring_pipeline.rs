@@ -43,13 +43,14 @@
 
 use criterion::{criterion_group, Criterion};
 use lms_bench::artifact::{Artifact, Better, Gate};
-use lms_bench::{scaled_env_target, shared_kb};
+use lms_bench::timing::{median_ns, paired_median_ns};
+use lms_bench::{scaled_env_target, shared_kb, target_of_len};
 use lms_core::{member_is_finite, MoscemSampler, MutationConfig, Mutator, SamplerConfig};
-use lms_protein::{BenchmarkLibrary, LoopBuilder, LoopStructure, LoopTarget, TargetSpec, Torsions};
+use lms_protein::{LoopBuilder, LoopStructure, LoopTarget, Torsions};
 use lms_scoring::{EnvResume, MultiScorer, ScoreScratch};
 use lms_simt::ExecutorConfig;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The seed repository's allocating scoring pipeline, kept here as the
 /// benchmark baseline after production scoring moved to the workspace
@@ -250,18 +251,6 @@ mod legacy {
 
 /// Loop lengths the pipeline is profiled at.
 const LOOP_LENGTHS: [usize; 3] = [4, 8, 12];
-
-fn target_of_len(len: usize) -> LoopTarget {
-    // Length 12 matches the paper's headline targets; shorter loops are
-    // generated from ad-hoc specs with the same synthetic machinery.
-    let spec = TargetSpec {
-        name: "1cex",
-        start: 40,
-        len,
-        buried: false,
-    };
-    BenchmarkLibrary::standard().generate(&spec)
-}
 
 fn conformations(target: &LoopTarget, count: usize) -> Vec<Torsions> {
     // A spread of perturbed-native conformations so the kernels see varied
@@ -497,42 +486,6 @@ fn bench_passes(c: &mut Criterion) {
     group.finish();
 }
 
-/// Median ns/eval of a closure over `samples` timed batches.
-fn median_ns_per_eval<F: FnMut()>(mut f: F, iters: u32, samples: u32) -> f64 {
-    let mut results: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
-    results.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    results[results.len() / 2]
-}
-
-/// Median ns/eval of two closures over `samples` timed batches each, the
-/// batches alternating, so host drift slows both sides of their ratio
-/// alike.
-fn paired_median_ns_per_eval<F: FnMut(), G: FnMut()>(
-    mut f: F,
-    mut g: G,
-    iters: u32,
-    samples: u32,
-) -> (f64, f64) {
-    let (mut fs, mut gs) = (Vec::new(), Vec::new());
-    for _ in 0..samples {
-        fs.push(median_ns_per_eval(&mut f, iters, 1));
-        gs.push(median_ns_per_eval(&mut g, iters, 1));
-    }
-    let median = |mut v: Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        v[v.len() / 2]
-    };
-    (median(fs), median(gs))
-}
-
 /// Absolute ceiling on the health sweep's cost relative to one batched
 /// member-iteration: the guard runs every staged iteration, so it must stay
 /// noise regardless of runner speed.
@@ -556,7 +509,7 @@ fn write_bench_json() {
         let mut structure = LoopStructure::with_capacity(len);
         let mut scratch = ScoreScratch::for_loop_len(len);
         let mut j = 0usize;
-        let (allocating, workspace) = paired_median_ns_per_eval(
+        let (allocating, workspace) = paired_median_ns(
             || {
                 let t = &torsions[i % torsions.len()];
                 i += 1;
@@ -595,7 +548,7 @@ fn write_bench_json() {
         let mut structure = LoopStructure::with_capacity(12);
         let mut scratch = ScoreScratch::for_loop_len(12);
         let mut i = 0usize;
-        median_ns_per_eval(
+        median_ns(
             || {
                 let t = &torsions[i % torsions.len()];
                 i += 1;
@@ -626,7 +579,7 @@ fn write_bench_json() {
     // The full and the resumed VDW pass alternate batch by batch, so host
     // drift slows both rows alike.
     let (mut resumed_scratch, mut r) = (ScoreScratch::for_loop_len(12), 0usize);
-    let (vdw_ns, vdw_resumed_ns) = paired_median_ns_per_eval(
+    let (vdw_ns, vdw_resumed_ns) = paired_median_ns(
         || {
             i += 1;
             black_box(scorer.vdw_pass(&target, &structures[i % structures.len()], &mut scratch));
@@ -639,7 +592,7 @@ fn write_bench_json() {
         5_000,
         9,
     );
-    let dist_ns = median_ns_per_eval(
+    let dist_ns = median_ns(
         || {
             i += 1;
             black_box(scorer.dist_pass(&target, &structures[i % structures.len()], &mut scratch));
@@ -647,7 +600,7 @@ fn write_bench_json() {
         5_000,
         9,
     );
-    let triplet_ns = median_ns_per_eval(
+    let triplet_ns = median_ns(
         || {
             i += 1;
             let k = i % structures.len();
@@ -678,14 +631,14 @@ fn write_bench_json() {
         }
     }
     let member_iters = (PIPELINE_POPULATION * PIPELINE_ITERATIONS) as f64;
-    let per_member_ns = median_ns_per_eval(
+    let per_member_ns = median_ns(
         || {
             let _ = black_box(sampler.run_reference_with_seed(PIPELINE_SEED));
         },
         1,
         9,
     ) / member_iters;
-    let batched_ns = median_ns_per_eval(
+    let batched_ns = median_ns(
         || {
             let _ = black_box(sampler.run_with_seed(&exec, PIPELINE_SEED));
         },
@@ -718,7 +671,7 @@ fn write_bench_json() {
     let sweep_devs = vec![0.12f64; population];
     let sweep_rmsds = vec![1.5f64; population];
     let mut healthy = vec![true; population];
-    let sweep_ns = median_ns_per_eval(
+    let sweep_ns = median_ns(
         || {
             for i in 0..population {
                 healthy[i] = member_is_finite(

@@ -114,6 +114,7 @@ pub fn fig3_population_size(scale: Scale) -> String {
             .iterations(scale.iterations())
             .build()
             .expect("valid experiment config");
+        let distinct_deg = cfg.distinct_threshold_deg;
         let sampler = MoscemSampler::new(target.clone(), kb.clone(), cfg);
         let results: Vec<_> = (0..trajectories)
             .map(|t| {
@@ -123,7 +124,7 @@ pub fn fig3_population_size(scale: Scale) -> String {
                 )
             })
             .collect();
-        let stats = ensemble_stats(&results, 30.0).expect("at least one trajectory");
+        let stats = ensemble_stats(&results, distinct_deg).expect("at least one trajectory");
         table.add_row(vec![
             pop.to_string(),
             format!("{:.1}", stats.avg_distinct_non_dominated),

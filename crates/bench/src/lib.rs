@@ -15,7 +15,7 @@
 #![warn(missing_docs)]
 
 use lms_core::{MoscemSampler, SamplerConfig};
-use lms_protein::{BenchmarkLibrary, LoopTarget};
+use lms_protein::{BenchmarkLibrary, LoopTarget, TargetSpec};
 use lms_scoring::{KnowledgeBase, KnowledgeBaseConfig};
 use std::sync::{Arc, OnceLock};
 
@@ -24,6 +24,7 @@ pub mod experiments;
 pub mod gtx280;
 pub mod profiler;
 pub mod regression;
+pub mod timing;
 
 /// How far an experiment run is scaled toward the paper's operating point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,6 +187,19 @@ pub fn load_target(name: &str) -> LoopTarget {
     benchmark_library()
         .target_by_name(name)
         .unwrap_or_else(|| panic!("target {name:?} is not in the 53-loop benchmark"))
+}
+
+/// The 1cex loop region starting at residue 40, generated at loop length
+/// `len` (12 is the benchmark's 1cex target): the loop-length axis of the
+/// bench writers.
+pub fn target_of_len(len: usize) -> LoopTarget {
+    let spec = TargetSpec {
+        name: "1cex",
+        start: 40,
+        len,
+        buried: false,
+    };
+    benchmark_library().generate(&spec)
 }
 
 /// A sampler configuration matching the given scale for one target.

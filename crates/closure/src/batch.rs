@@ -15,10 +15,11 @@
 //! [`CcdCloser::close_batch`] is an exact
 //! [`LoopBuilder::build_into`](lms_protein::LoopBuilder::build_into) of
 //! every lane followed by it, where a lane that never rotated keeps that
-//! build; [`CcdCloser::close_prepared`] runs it on lanes the staged
-//! sampler prepares from each member's earlier build
-//! ([`LoopBuilder::rebuild_spine_from`](lms_protein::LoopBuilder::rebuild_spine_from)),
-//! which places the same bits everywhere the sweep reads; and the
+//! build; [`CcdCloser::close_prepared`], the staged sampler's one closure
+//! entry point, runs it on lanes prepared from each member's earlier build
+//! ([`LoopBuilder::rebuild_spine_from`](lms_protein::LoopBuilder::rebuild_spine_from);
+//! from no built residue at all in the init rounds), which places the
+//! same bits everywhere the sweep reads; and the
 //! per-member entry points ([`CcdCloser::close_lane`] and the allocating
 //! [`CcdCloser::close`]) close a one-lane `close_batch` block.  Each
 //! member's computation depends only on its own state, and the lockstep
@@ -48,7 +49,9 @@ pub struct CcdLane<'a> {
     /// The member's persistent structure buffer; on return it holds the
     /// structure built from the final torsions (ready for scoring).
     pub structure: &'a mut LoopStructure,
-    /// First flat torsion index eligible for adjustment.
+    /// First flat torsion index eligible for adjustment: 0 to adjust every
+    /// torsion, as the sampler's init rounds do; the smallest mutated index
+    /// for an MCMC closure.
     pub start_index: usize,
 }
 

@@ -50,7 +50,8 @@
 //! exact build of the torsions, at least on the spine and end frame the
 //! sweep reads — a full [`LoopBuilder::build_into`]
 //! ([`CcdCloser::close_batch`]), or, in the staged sampler, the member's
-//! earlier build completed by [`LoopBuilder::rebuild_spine_from`] — and at
+//! earlier build (none yet in the init rounds) completed by
+//! [`LoopBuilder::rebuild_spine_from`] — and at
 //! closure end the exact suffix build [`LoopBuilder::rebuild_from`] of the
 //! settled torsions runs once per lane, skipped only by a fully built lane
 //! that never rotated (nothing upstream of the start torsion's residue
@@ -66,7 +67,11 @@
 //! One private driver in `batch.rs` runs the sweep:
 //! [`CcdCloser::close_prepared`] calls it on prepared lanes,
 //! `close_batch` builds its lanes first, and the per-member entry points
-//! close a one-lane block.
+//! close a one-lane block.  The first adjustable torsion belongs to the
+//! lane ([`CcdLane::start_index`]), not to [`CcdConfig`]: the sampler's
+//! init rounds and [`CcdCloser::close`] adjust every torsion (start 0), and
+//! an MCMC closure starts "from the immediate torsion angle after the
+//! mutated ones" (the smallest mutated index).
 
 use crate::batch::{CcdBatchScratch, CcdLane};
 use lms_geometry::{Rotation, Vec3};
@@ -86,10 +91,6 @@ pub struct CcdConfig {
     pub max_sweeps: usize,
     /// Convergence tolerance on the anchor RMS deviation (Å).
     pub tolerance: f64,
-    /// First flat torsion index eligible for adjustment.  The paper starts
-    /// CCD "from the immediate torsion angle after the mutated ones"; the
-    /// sampler passes that index here.  Use 0 to adjust every torsion.
-    pub start_index: usize,
 }
 
 impl Default for CcdConfig {
@@ -101,7 +102,6 @@ impl Default for CcdConfig {
         CcdConfig {
             max_sweeps: 256,
             tolerance: 0.1,
-            start_index: 0,
         }
     }
 }
@@ -124,13 +124,6 @@ impl CcdConfig {
     #[must_use]
     pub fn with_tolerance(mut self, tolerance: f64) -> Self {
         self.tolerance = tolerance;
-        self
-    }
-
-    /// Set the first flat torsion index eligible for adjustment.
-    #[must_use]
-    pub fn with_start_index(mut self, start_index: usize) -> Self {
-        self.start_index = start_index;
         self
     }
 }
@@ -189,34 +182,23 @@ impl CcdCloser {
         &self.builder
     }
 
-    /// Close the loop *in place*: `torsions` is modified so that the built
-    /// structure's end frame approaches the fixed C-anchor.  Returns the
-    /// closure statistics; the caller rebuilds the structure afterwards (or
-    /// uses [`CcdCloser::close_lane`], which leaves it built).
+    /// Close the loop *in place*, adjusting every torsion: `torsions` is
+    /// modified so that the built structure's end frame approaches the
+    /// fixed C-anchor.  Returns the closure statistics.  Allocates its
+    /// structure and block workspace; the allocation-free per-member path,
+    /// which also takes a start torsion and leaves the structure built, is
+    /// [`CcdCloser::close_lane`].
     pub fn close(
         &self,
         frame: &LoopFrame,
         sequence: &[AminoAcid],
         torsions: &mut Torsions,
     ) -> CcdResult {
-        self.close_with_start(frame, sequence, torsions, self.config.start_index)
-    }
-
-    /// [`CcdCloser::close`] with an explicit start torsion index overriding
-    /// the configured one.  Allocates its structure and block workspace;
-    /// the allocation-free per-member path is [`CcdCloser::close_lane`].
-    pub fn close_with_start(
-        &self,
-        frame: &LoopFrame,
-        sequence: &[AminoAcid],
-        torsions: &mut Torsions,
-        start_index: usize,
-    ) -> CcdResult {
         let mut structure = LoopStructure::with_capacity(sequence.len());
         let lane = CcdLane {
             torsions,
             structure: &mut structure,
-            start_index,
+            start_index: 0,
         };
         self.close_lane(frame, sequence, lane, &mut CcdBatchScratch::new())
     }
@@ -401,6 +383,24 @@ mod tests {
             torsions.rotate_angle(k, delta);
         }
         (target, torsions)
+    }
+
+    /// Close `torsions` from flat torsion `start` on through a one-lane
+    /// [`CcdCloser::close_lane`] on fresh buffers.
+    fn close_from(
+        closer: &CcdCloser,
+        frame: &LoopFrame,
+        sequence: &[AminoAcid],
+        torsions: &mut Torsions,
+        start: usize,
+    ) -> CcdResult {
+        let mut structure = LoopStructure::with_capacity(sequence.len());
+        let lane = CcdLane {
+            torsions,
+            structure: &mut structure,
+            start_index: start,
+        };
+        closer.close_lane(frame, sequence, lane, &mut CcdBatchScratch::new())
     }
 
     #[test]
@@ -588,7 +588,13 @@ mod tests {
         let original = torsions.clone();
         let start = 6; // freeze the first three residues' torsions
         let closer = CcdCloser::default();
-        let result = closer.close_with_start(&target.frame, &target.sequence, &mut torsions, start);
+        let result = close_from(
+            &closer,
+            &target.frame,
+            &target.sequence,
+            &mut torsions,
+            start,
+        );
         for k in 0..start {
             assert_eq!(
                 torsions.angle(k),
@@ -720,7 +726,7 @@ mod tests {
             for (start_torsions, start) in production_starts(&target, 64, 100 + t as u64) {
                 let mut rigid = start_torsions.clone();
                 let mut nerf = start_torsions;
-                let r = closer.close_with_start(&target.frame, &target.sequence, &mut rigid, start);
+                let r = close_from(&closer, &target.frame, &target.sequence, &mut rigid, start);
                 let o = close_nerf_per_rotation(
                     &closer,
                     &target.frame,
@@ -888,7 +894,7 @@ mod tests {
             let builder = LoopBuilder::default();
             let closer = CcdCloser::with_config(config);
             let mut closed = start_torsions;
-            let result = closer.close_with_start(frame, sequence, &mut closed, start);
+            let result = close_from(&closer, frame, sequence, &mut closed, start);
             prop_assert_eq!(&closed, &audit.torsions);
             prop_assert_eq!(result.sweeps, audit.sweeps);
             let fresh = builder.build(frame, sequence, &closed);

@@ -5,10 +5,25 @@
 //! the ablation benches run behind one type:
 //!
 //! * [`TemperatureSchedule::Adaptive`] — the paper's acceptance-band
-//!   controller (the sampler's default);
-//! * [`TemperatureSchedule::Fixed`] — constant temperature (baseline).
+//!   controller (the sampler's default).  It has one recipe, so its
+//!   parameters are constants: start at 0.25, multiply by 1.15 while the
+//!   acceptance rate is below 0.2, divide by it while the rate is above
+//!   0.5, and keep the temperature within `[1e-3, 10]`;
+//! * [`TemperatureSchedule::Fixed`] — constant temperature (the ablation
+//!   benches' baseline).
 
 use crate::error::ConfigError;
+
+/// Starting temperature of the adaptive schedule.
+const ADAPTIVE_INITIAL: f64 = 0.25;
+/// Acceptance band `(low, high)` the adaptive schedule steers into.
+const ADAPTIVE_BAND: (f64, f64) = (0.2, 0.5);
+/// Multiplicative temperature adjustment per iteration outside the band.
+const ADAPTIVE_FACTOR: f64 = 1.15;
+/// Temperature floor of the adaptive schedule.
+const ADAPTIVE_MIN: f64 = 1e-3;
+/// Temperature ceiling of the adaptive schedule.
+const ADAPTIVE_MAX: f64 = 10.0;
 
 /// A temperature schedule for the fitness-landscape Metropolis test.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,21 +33,10 @@ pub enum TemperatureSchedule {
         /// The temperature.
         temperature: f64,
     },
-    /// Acceptance-band adaptive control (the paper's scheme): multiply the
-    /// temperature when acceptance drops below the band, divide when it
-    /// rises above it.
-    Adaptive {
-        /// Starting temperature.
-        initial: f64,
-        /// Acceptance band (low, high).
-        band: (f64, f64),
-        /// Adjustment factor (> 1).
-        factor: f64,
-        /// Temperature floor.
-        min: f64,
-        /// Temperature ceiling.
-        max: f64,
-    },
+    /// Acceptance-band adaptive control (the paper's scheme, with the
+    /// constants of the module docs): multiply the temperature when
+    /// acceptance drops below the band, divide when it rises above it.
+    Adaptive,
 }
 
 impl TemperatureSchedule {
@@ -40,50 +44,18 @@ impl TemperatureSchedule {
     pub fn initial_temperature(&self) -> f64 {
         match self {
             TemperatureSchedule::Fixed { temperature } => *temperature,
-            TemperatureSchedule::Adaptive { initial, .. } => *initial,
+            TemperatureSchedule::Adaptive => ADAPTIVE_INITIAL,
         }
     }
 
-    /// Check the schedule's invariants: every temperature positive and
-    /// finite, and an adaptive band with `low < high`, `min <= max` and a
-    /// factor above 1.
+    /// Check the schedule's invariant: its starting temperature (the only
+    /// one a fixed schedule has) must be positive and finite.
     pub(crate) fn validate(&self) -> Result<(), ConfigError> {
-        let positive = |value: f64| {
-            if value > 0.0 && value.is_finite() {
-                Ok(())
-            } else {
-                Err(ConfigError::NonPositiveTemperature { value })
-            }
-        };
-        match self {
-            TemperatureSchedule::Fixed { temperature } => positive(*temperature),
-            TemperatureSchedule::Adaptive {
-                initial,
-                band: (low, high),
-                factor,
-                min,
-                max,
-            } => {
-                positive(*initial)?;
-                positive(*min)?;
-                positive(*max)?;
-                if low >= high || low.is_nan() || high.is_nan() {
-                    return Err(ConfigError::InvalidAcceptanceBand {
-                        low: *low,
-                        high: *high,
-                    });
-                }
-                if min > max {
-                    return Err(ConfigError::InvertedTemperatureBounds {
-                        min: *min,
-                        max: *max,
-                    });
-                }
-                if *factor <= 1.0 || factor.is_nan() {
-                    return Err(ConfigError::TemperatureAdjustNotAboveOne { factor: *factor });
-                }
-                Ok(())
-            }
+        let value = self.initial_temperature();
+        if value > 0.0 && value.is_finite() {
+            Ok(())
+        } else {
+            Err(ConfigError::NonPositiveTemperature { value })
         }
     }
 
@@ -116,17 +88,11 @@ impl TemperatureController {
             TemperatureSchedule::Fixed { temperature } => {
                 self.temperature = *temperature;
             }
-            TemperatureSchedule::Adaptive {
-                band,
-                factor,
-                min,
-                max,
-                ..
-            } => {
-                if acceptance_rate < band.0 {
-                    self.temperature = (self.temperature * factor).min(*max);
-                } else if acceptance_rate > band.1 {
-                    self.temperature = (self.temperature / factor).max(*min);
+            TemperatureSchedule::Adaptive => {
+                if acceptance_rate < ADAPTIVE_BAND.0 {
+                    self.temperature = (self.temperature * ADAPTIVE_FACTOR).min(ADAPTIVE_MAX);
+                } else if acceptance_rate > ADAPTIVE_BAND.1 {
+                    self.temperature = (self.temperature / ADAPTIVE_FACTOR).max(ADAPTIVE_MIN);
                 }
             }
         }
@@ -163,21 +129,16 @@ mod tests {
 
     #[test]
     fn adaptive_schedule_respects_bounds() {
-        let mut c = TemperatureSchedule::Adaptive {
-            initial: 1.0,
-            band: (0.2, 0.5),
-            factor: 3.0,
-            min: 0.5,
-            max: 2.0,
-        }
-        .controller();
-        for _ in 0..10 {
+        // Enough starved iterations to pass the ceiling, then enough
+        // too-easy ones to pass the floor: the clamps hold exactly.
+        let mut c = TemperatureSchedule::Adaptive.controller();
+        for _ in 0..60 {
             c.update(0.0);
         }
-        assert!(c.temperature() <= 2.0 + 1e-12);
-        for _ in 0..10 {
+        assert_eq!(c.temperature(), ADAPTIVE_MAX);
+        for _ in 0..120 {
             c.update(1.0);
         }
-        assert!(c.temperature() >= 0.5 - 1e-12);
+        assert_eq!(c.temperature(), ADAPTIVE_MIN);
     }
 }

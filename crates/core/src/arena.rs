@@ -114,11 +114,11 @@ pub struct PopulationArena {
     pub(crate) burial_counts: Vec<u32>,
     /// Per member: how many leading residues of its slot's structure
     /// buffer are the exact build of its current torsions, so that the
-    /// next closure re-places only the rest.  The loop length after
-    /// initialisation and after an accepted candidate, the candidate's CCD
-    /// start residue after a rejected one (the candidate agreed with the
-    /// member below it), and 0 after an initialisation quarantine (the
-    /// member's torsions came from a donor).
+    /// next closure re-places only the rest.  0 during the init rounds,
+    /// the loop length after initialisation and after an accepted
+    /// candidate, the candidate's CCD start residue after a rejected one
+    /// (the candidate agreed with the member below it), and 0 after an
+    /// initialisation quarantine (the member's torsions came from a donor).
     pub(crate) built_residues: Vec<usize>,
     pub(crate) rngs: Vec<ChaCha8Rng>,
     // --- reusable host-side iteration buffers ---------------------------
@@ -165,7 +165,9 @@ impl PopulationArena {
         let n_blocks = n_members.div_ceil(ccd_block_width);
         let slots = (0..n_members)
             .map(|_| MemberSlot {
-                structure: LoopStructure::with_capacity(n_residues),
+                // Sized to the loop so that the first init closure can
+                // prepare it from no built residue.
+                structure: LoopStructure::unplaced(n_residues),
                 scratch: match pool {
                     Some(pool) => pool.acquire(n_residues),
                     None => ScoreScratch::for_loop_len(n_residues),

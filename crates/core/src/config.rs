@@ -4,6 +4,17 @@
 //! tweaks it through [`SamplerConfig::builder`] / [`SamplerConfig::to_builder`],
 //! which validate on [`SamplerConfigBuilder::build`] and leave the struct
 //! free to grow fields without breaking callers.
+//!
+//! The builder sets only what a caller actually varies: scale
+//! (population, complexes, iterations, seed), the temperature schedule,
+//! the CCD budget, the objective set and mode, snapshots, job limits and
+//! the numerical guard.  The paper's fixed recipe is not settable: the
+//! initial torsions are drawn from the per-residue Ramachandran mixture
+//! and closed by CCD from torsion 0, the adaptive schedule's constants
+//! live in [`crate::annealing`], and `mutation`, `max_closure_deviation`
+//! (0.75 Å) and `distinct_threshold_deg` (30°) are readable fields that
+//! always hold their defaults.  A new setting needs a second production
+//! value.
 
 use crate::annealing::TemperatureSchedule;
 use crate::error::ConfigError;
@@ -87,20 +98,6 @@ pub enum NumericGuard {
     Quarantine,
 }
 
-/// How the initial population's torsions are drawn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InitMode {
-    /// Torsions drawn uniformly from `(-π, π]` — the paper's literal
-    /// "initialize N conformations randomly".
-    UniformRandom,
-    /// Torsions drawn from the per-residue Ramachandran mixture.  This is
-    /// the default: it preserves the algorithm (random, independent
-    /// initialisation followed by CCD closure) while letting the scaled-down
-    /// populations used on a CPU-only host reach the paper's decoy quality;
-    /// switch to [`InitMode::UniformRandom`] to match the paper exactly.
-    Ramachandran,
-}
-
 /// How the sampler turns the enabled scoring functions into the quantity
 /// the Metropolis test acts on.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -137,11 +134,10 @@ pub struct SamplerConfig {
     /// Master random seed; every conformation derives its own stream.
     pub seed: u64,
     /// Metropolis temperature schedule on the fitness landscape.  The
-    /// default is the paper's acceptance-rate adjustment:
-    /// [`TemperatureSchedule::Adaptive`] from 0.25 in the `(0.2, 0.5)`
-    /// band, factor 1.15, clamped to `[1e-3, 10]`.
+    /// default is the paper's acceptance-rate adjustment,
+    /// [`TemperatureSchedule::Adaptive`].
     pub temperature: TemperatureSchedule,
-    /// Mutation (reproduction) move configuration.
+    /// Mutation (reproduction) move configuration (always the default).
     pub mutation: MutationConfig,
     /// CCD loop-closure configuration used inside the sampling loop.
     pub ccd: CcdConfig,
@@ -149,8 +145,8 @@ pub struct SamplerConfig {
     /// and still enter the Metropolis test: the paper's "loop closure
     /// condition".  Candidates whose CCD run finishes above this are
     /// rejected outright, and members above it are never harvested as
-    /// decoys.  Should be at least the CCD tolerance (which bounds the
-    /// deviation of a *converged* closure).
+    /// decoys.  Fixed at 0.75 Å; a CCD tolerance above it is rejected
+    /// (the tolerance bounds the deviation of a *converged* closure).
     pub max_closure_deviation: f64,
     /// Objective handling (multi-scoring Pareto sampling vs. baselines).
     pub objective_mode: ObjectiveMode,
@@ -159,13 +155,11 @@ pub struct SamplerConfig {
     /// pipeline (the BURIAL slot of every score vector stays exactly `0.0`,
     /// which cannot influence dominance, fitness or acceptance).
     pub burial_objective: bool,
-    /// How the initial population is drawn.
-    pub init_mode: InitMode,
     /// Iterations at which to record a population snapshot (Figure 5 uses
     /// 0, 20 and 100).  Iteration 0 is the initial population.
     pub snapshot_iterations: Vec<usize>,
-    /// Decoy structural-distinctness threshold in degrees (the paper uses
-    /// a maximum torsion deviation of at least 30°).
+    /// Decoy structural-distinctness threshold in degrees: the paper's
+    /// maximum torsion deviation of at least 30°, fixed.
     pub distinct_threshold_deg: f64,
     /// Per-job execution budgets (deadline, iteration budget, closure
     /// stall streak); unlimited by default.
@@ -182,22 +176,12 @@ impl Default for SamplerConfig {
             n_complexes: 2,
             iterations: 30,
             seed: 2010,
-            temperature: TemperatureSchedule::Adaptive {
-                initial: 0.25,
-                band: (0.2, 0.5),
-                factor: 1.15,
-                min: 1e-3,
-                max: 10.0,
-            },
+            temperature: TemperatureSchedule::Adaptive,
             mutation: MutationConfig::default(),
-            ccd: CcdConfig::new()
-                .with_max_sweeps(24)
-                .with_tolerance(0.25)
-                .with_start_index(0),
+            ccd: CcdConfig::new().with_max_sweeps(24).with_tolerance(0.25),
             max_closure_deviation: 0.75,
             objective_mode: ObjectiveMode::MultiScoring,
             burial_objective: false,
-            init_mode: InitMode::Ramachandran,
             snapshot_iterations: Vec::new(),
             distinct_threshold_deg: 30.0,
             limits: JobLimits::none(),
@@ -218,17 +202,6 @@ impl SamplerConfig {
     /// `SamplerConfig::test_scale().to_builder().seed(7).build()?`).
     pub fn to_builder(&self) -> SamplerConfigBuilder {
         SamplerConfigBuilder { cfg: self.clone() }
-    }
-
-    /// The paper's headline configuration: population 15,360 in 120
-    /// complexes, 100 iterations, 128 threads per block.
-    pub fn paper_scale() -> Self {
-        SamplerConfig {
-            population_size: 15_360,
-            n_complexes: 120,
-            iterations: 100,
-            ..Default::default()
-        }
     }
 
     /// A configuration scaled for quick tests.
@@ -274,12 +247,10 @@ impl SamplerConfig {
             });
         }
         self.temperature.validate()?;
-        if self.max_closure_deviation <= 0.0 || self.max_closure_deviation.is_nan() {
-            return Err(ConfigError::NonPositiveClosureDeviation {
-                value: self.max_closure_deviation,
-            });
-        }
-        if self.max_closure_deviation < self.ccd.tolerance {
+        // A NaN on either side is rejected too: the public fields can be
+        // assigned directly, bypassing the builder.
+        let order = self.max_closure_deviation.partial_cmp(&self.ccd.tolerance);
+        if matches!(order, None | Some(std::cmp::Ordering::Less)) {
             return Err(ConfigError::ClosureBelowCcdTolerance {
                 max_closure_deviation: self.max_closure_deviation,
                 ccd_tolerance: self.ccd.tolerance,
@@ -374,21 +345,9 @@ impl SamplerConfigBuilder {
         self
     }
 
-    /// Mutation (reproduction) move configuration.
-    pub fn mutation(mut self, mutation: MutationConfig) -> Self {
-        self.cfg.mutation = mutation;
-        self
-    }
-
     /// CCD loop-closure configuration.
     pub fn ccd(mut self, ccd: CcdConfig) -> Self {
         self.cfg.ccd = ccd;
-        self
-    }
-
-    /// Maximum loop-closure deviation (Å) admitted to the Metropolis test.
-    pub fn max_closure_deviation(mut self, deviation: f64) -> Self {
-        self.cfg.max_closure_deviation = deviation;
         self
     }
 
@@ -406,21 +365,9 @@ impl SamplerConfigBuilder {
         self
     }
 
-    /// How the initial population is drawn.
-    pub fn init_mode(mut self, mode: InitMode) -> Self {
-        self.cfg.init_mode = mode;
-        self
-    }
-
     /// Iterations at which to record a population snapshot.
     pub fn snapshot_iterations(mut self, iterations: Vec<usize>) -> Self {
         self.cfg.snapshot_iterations = iterations;
-        self
-    }
-
-    /// Decoy structural-distinctness threshold in degrees.
-    pub fn distinct_threshold_deg(mut self, deg: f64) -> Self {
-        self.cfg.distinct_threshold_deg = deg;
         self
     }
 
@@ -455,16 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_scale_matches_headline_numbers() {
-        let c = SamplerConfig::paper_scale();
-        assert_eq!(c.population_size, 15_360);
-        assert_eq!(c.n_complexes, 120);
-        assert_eq!(c.iterations, 100);
-        assert_eq!(c.complex_size(), 128);
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
     fn builder_roundtrips_and_validates() {
         let built = SamplerConfig::builder()
             .population_size(64)
@@ -484,18 +421,6 @@ mod tests {
         assert_eq!(tweaked.iterations, built.iterations);
     }
 
-    /// The default adaptive schedule with the given band, factor and
-    /// initial temperature.
-    fn adaptive(band: (f64, f64), factor: f64, initial: f64) -> TemperatureSchedule {
-        TemperatureSchedule::Adaptive {
-            initial,
-            band,
-            factor,
-            min: 1e-3,
-            max: 10.0,
-        }
-    }
-
     #[test]
     fn invalid_configs_are_rejected_with_typed_errors() {
         use crate::error::ConfigError as E;
@@ -513,34 +438,35 @@ mod tests {
                 },
             ),
             (
-                SamplerConfig::builder().temperature(adaptive((0.5, 0.2), 1.15, 0.25)),
-                E::InvalidAcceptanceBand {
-                    low: 0.5,
-                    high: 0.2,
-                },
-            ),
-            (
-                SamplerConfig::builder().temperature(adaptive((0.2, 0.5), 0.9, 0.25)),
-                E::TemperatureAdjustNotAboveOne { factor: 0.9 },
-            ),
-            (
-                SamplerConfig::builder().temperature(adaptive((0.2, 0.5), 1.15, 0.0)),
+                SamplerConfig::builder()
+                    .temperature(TemperatureSchedule::Fixed { temperature: 0.0 }),
                 E::NonPositiveTemperature { value: 0.0 },
             ),
             (
-                SamplerConfig::builder().max_closure_deviation(0.0),
-                E::NonPositiveClosureDeviation { value: 0.0 },
-            ),
-            (
-                SamplerConfig::builder().max_closure_deviation(0.1),
+                SamplerConfig::builder().ccd(CcdConfig::new().with_tolerance(1.0)),
                 E::ClosureBelowCcdTolerance {
-                    max_closure_deviation: 0.1,
-                    ccd_tolerance: 0.25,
+                    max_closure_deviation: 0.75,
+                    ccd_tolerance: 1.0,
                 },
             ),
         ];
         for (builder, expected) in cases {
             assert_eq!(builder.build().unwrap_err(), expected);
+        }
+        // A NaN closure bound or tolerance is rejected, not compared away.
+        for config in [
+            SamplerConfig {
+                max_closure_deviation: f64::NAN,
+                ..SamplerConfig::default()
+            },
+            SamplerConfig::builder()
+                .ccd(CcdConfig::new().with_tolerance(f64::NAN))
+                .cfg,
+        ] {
+            assert!(matches!(
+                config.validate(),
+                Err(E::ClosureBelowCcdTolerance { .. })
+            ));
         }
     }
 
@@ -562,21 +488,11 @@ mod tests {
             }
         );
         assert_eq!(
-            rejected(adaptive((0.5, 0.2), 1.15, 0.25)),
-            E::InvalidAcceptanceBand {
-                low: 0.5,
-                high: 0.2,
-            }
-        );
-        assert_eq!(
-            rejected(TemperatureSchedule::Adaptive {
-                initial: 0.25,
-                band: (0.2, 0.5),
-                factor: 1.15,
-                min: 2.0,
-                max: 1.0,
-            }),
-            E::InvertedTemperatureBounds { min: 2.0, max: 1.0 }
+            rejected(TemperatureSchedule::Fixed {
+                temperature: f64::NAN
+            })
+            .to_string(),
+            "temperature must be positive and finite (got NaN)"
         );
         assert_eq!(
             rejected(TemperatureSchedule::Fixed { temperature: -1.0 }),

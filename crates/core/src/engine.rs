@@ -401,9 +401,8 @@ impl EngineBuilder {
     }
 
     /// Validate and build the engine.  The executor configuration is
-    /// validated here; a rejected one (zero/oversized CCD block width, a
-    /// backend missing its cargo feature) surfaces as
-    /// [`ConfigError::InvalidExecutor`].
+    /// validated here; a rejected one (zero/oversized CCD block width)
+    /// surfaces as [`ConfigError::InvalidExecutor`].
     pub fn build(self) -> Result<LoopModelingEngine, ConfigError> {
         if self.concurrency == 0 {
             return Err(ConfigError::ZeroConcurrency);

@@ -32,34 +32,10 @@ pub enum ConfigError {
         /// Configured population size.
         population_size: usize,
     },
-    /// Every temperature of the schedule must be positive and finite.
+    /// A fixed temperature schedule's temperature must be positive and
+    /// finite.
     NonPositiveTemperature {
         /// The rejected temperature.
-        value: f64,
-    },
-    /// The adaptive schedule's acceptance band must satisfy `low < high`.
-    InvalidAcceptanceBand {
-        /// Lower edge of the rejected band.
-        low: f64,
-        /// Upper edge of the rejected band.
-        high: f64,
-    },
-    /// The adaptive schedule's temperature floor must not exceed its
-    /// ceiling.
-    InvertedTemperatureBounds {
-        /// The rejected floor.
-        min: f64,
-        /// The rejected ceiling.
-        max: f64,
-    },
-    /// The adaptive schedule's multiplicative adjustment must exceed 1.
-    TemperatureAdjustNotAboveOne {
-        /// The rejected factor.
-        factor: f64,
-    },
-    /// `max_closure_deviation` must be positive and not NaN.
-    NonPositiveClosureDeviation {
-        /// The rejected deviation.
         value: f64,
     },
     /// The loop-closure condition cannot be tighter than the CCD tolerance
@@ -95,8 +71,7 @@ pub enum ConfigError {
     /// iteration boundary).
     ZeroStallLimit,
     /// The engine's [`ExecutorConfig`](lms_simt::ExecutorConfig) failed
-    /// validation (e.g. a zero or oversized CCD block width, or a backend
-    /// whose cargo feature is not compiled in).
+    /// validation (a zero or oversized CCD block width).
     InvalidExecutor(lms_simt::ExecutorConfigError),
 }
 
@@ -113,24 +88,7 @@ impl fmt::Display for ConfigError {
                 "n_complexes ({n_complexes}) cannot exceed population_size ({population_size})"
             ),
             ConfigError::NonPositiveTemperature { value } => {
-                write!(f, "temperatures must be positive and finite (got {value})")
-            }
-            ConfigError::InvalidAcceptanceBand { low, high } => write!(
-                f,
-                "acceptance band must satisfy low < high (got {low} >= {high})"
-            ),
-            ConfigError::InvertedTemperatureBounds { min, max } => write!(
-                f,
-                "temperature floor must not exceed the ceiling (got {min} > {max})"
-            ),
-            ConfigError::TemperatureAdjustNotAboveOne { factor } => {
-                write!(
-                    f,
-                    "temperature adjustment factor must exceed 1 (got {factor})"
-                )
-            }
-            ConfigError::NonPositiveClosureDeviation { value } => {
-                write!(f, "max_closure_deviation must be positive (got {value})")
+                write!(f, "temperature must be positive and finite (got {value})")
             }
             ConfigError::ClosureBelowCcdTolerance {
                 max_closure_deviation,
@@ -334,6 +292,91 @@ impl From<ConfigError> for Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every `ConfigError` variant is reachable through a public builder
+    /// (`SamplerConfigBuilder`, `Job::builder`, `EngineBuilder`).  The
+    /// `match` has no wildcard: a new variant fails to compile until it
+    /// gets an arm here, and an arm whose case no builder reaches any more
+    /// (a check left behind by a deleted setting) fails the test.
+    #[test]
+    fn every_config_error_is_reachable_through_a_public_builder() {
+        use crate::{Job, JobLimits, LoopModelingEngine, ObjectiveMode, SamplerConfig};
+        use lms_closure::CcdConfig;
+        use lms_scoring::{KnowledgeBase, KnowledgeBaseConfig};
+        use lms_simt::ExecutorConfig;
+
+        let sampler = SamplerConfig::builder;
+        let target = lms_protein::BenchmarkLibrary::standard()
+            .target_by_name("1cex")
+            .unwrap();
+        let unpopulated = SamplerConfig {
+            population_size: 0,
+            ..SamplerConfig::default()
+        };
+        let engine =
+            || LoopModelingEngine::builder(KnowledgeBase::build(KnowledgeBaseConfig::fast()));
+        let cases = [
+            Job::builder(target).config(unpopulated).build().map(drop),
+            sampler().n_complexes(0).build().map(drop),
+            sampler()
+                .population_size(8)
+                .n_complexes(9)
+                .build()
+                .map(drop),
+            sampler()
+                .temperature(crate::TemperatureSchedule::Fixed { temperature: 0.0 })
+                .build()
+                .map(drop),
+            sampler()
+                .ccd(CcdConfig::new().with_tolerance(1.0))
+                .build()
+                .map(drop),
+            engine().concurrency(0).build().map(drop),
+            sampler()
+                .objective_mode(ObjectiveMode::Single(Objective::Burial))
+                .build()
+                .map(drop),
+            sampler()
+                .limits(JobLimits::none().with_deadline(Duration::ZERO))
+                .build()
+                .map(drop),
+            sampler()
+                .iterations(10)
+                .limits(JobLimits::none().with_max_iterations(5))
+                .build()
+                .map(drop),
+            sampler()
+                .limits(JobLimits::none().with_max_closure_stall(0))
+                .build()
+                .map(drop),
+            engine()
+                .executor(ExecutorConfig::parallel().ccd_block_width(0))
+                .build()
+                .map(drop),
+        ];
+        const VARIANTS: usize = 11;
+        let mut reached = [false; VARIANTS];
+        for case in cases {
+            let index = match case.expect_err("every case is an invalid configuration") {
+                ConfigError::ZeroPopulation => 0,
+                ConfigError::ZeroComplexes => 1,
+                ConfigError::ComplexesExceedPopulation { .. } => 2,
+                ConfigError::NonPositiveTemperature { .. } => 3,
+                ConfigError::ClosureBelowCcdTolerance { .. } => 4,
+                ConfigError::ZeroConcurrency => 5,
+                ConfigError::BurialObjectiveDisabled => 6,
+                ConfigError::ZeroDeadline => 7,
+                ConfigError::IterationBudgetExceeded { .. } => 8,
+                ConfigError::ZeroStallLimit => 9,
+                ConfigError::InvalidExecutor(_) => 10,
+            };
+            reached[index] = true;
+        }
+        assert_eq!(
+            reached, [true; VARIANTS],
+            "a ConfigError variant went unreached"
+        );
+    }
 
     #[test]
     fn display_messages_name_the_offending_values() {

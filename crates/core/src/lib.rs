@@ -69,9 +69,7 @@ pub mod stages;
 
 pub use annealing::{TemperatureController, TemperatureSchedule};
 pub use arena::PopulationArena;
-pub use config::{
-    InitMode, JobLimits, NumericGuard, ObjectiveMode, SamplerConfig, SamplerConfigBuilder,
-};
+pub use config::{JobLimits, NumericGuard, ObjectiveMode, SamplerConfig, SamplerConfigBuilder};
 pub use conformation::Conformation;
 pub use convergence::gelman_rubin;
 pub use decoyset::{Decoy, DecoySet};

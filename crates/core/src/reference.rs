@@ -82,17 +82,11 @@ impl MoscemSampler {
             // start CCD cannot close is redrawn from the member's own
             // stream, up to three times.
             for _ in 0..4 {
-                sample_initial_torsions(
-                    cfg.init_mode,
-                    classes,
-                    &rama,
-                    &mut conf.torsions,
-                    &mut rng,
-                );
+                sample_initial_torsions(classes, &rama, &mut conf.torsions, &mut rng);
                 let lane = CcdLane {
                     torsions: &mut conf.torsions,
                     structure: &mut structure,
-                    start_index: cfg.ccd.start_index,
+                    start_index: 0,
                 };
                 conf.closure_deviation = closer
                     .close_lane(frame, sequence, lane, &mut ccd_scratch)

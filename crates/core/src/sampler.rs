@@ -4,8 +4,13 @@
 //! multi-objective MCMC sampler over the loop torsion space.  One sampling
 //! *trajectory* follows the paper's pseudo-code:
 //!
-//! 1. **Initialization** — every population member gets random torsions,
-//!    is closed with CCD and scored with the three scoring functions.
+//! 1. **Initialization** — every population member gets random torsions
+//!    (drawn from the per-residue Ramachandran mixture), is closed with CCD
+//!    and scored with the three scoring functions.  A member whose closure
+//!    stays above the loop-closure bound redraws, up to three times.  The
+//!    init closures run through the same staged close as the MCMC ones
+//!    ([`CcdCloser::close_prepared`] on lanes prepared from each member's
+//!    built prefix), from torsion 0 and with no residue built yet.
 //! 2. **Iterations** — fitness assignment (Eq. 1) over the population,
 //!    sorting and stride-partition into complexes (host side), then the
 //!    per-conformation evolution kernel (mutation → CCD → scoring →
@@ -25,7 +30,7 @@
 //! pipeline must match bit for bit lives in [`crate::reference`].
 
 use crate::arena::{store_checkpoint, MemberSlot, PopulationArena};
-use crate::config::{InitMode, NumericGuard, ObjectiveMode, SamplerConfig};
+use crate::config::{NumericGuard, ObjectiveMode, SamplerConfig};
 use crate::conformation::Conformation;
 use crate::decoyset::DecoySet;
 use crate::error::{ConfigError, Error};
@@ -35,7 +40,7 @@ use crate::pareto::{
 };
 use crate::stages::StageRecord;
 use lms_closure::{CcdCloser, CcdLane};
-use lms_geometry::{random_torsion, StreamRngFactory};
+use lms_geometry::StreamRngFactory;
 use lms_protein::{LoopBuilder, LoopTarget, RamaClass, RamaLibrary, Torsions};
 use lms_scoring::{EnvResume, KnowledgeBase, MultiScorer, ScoreVector, ScratchPool};
 use lms_simt::{Executor, KernelKind, KernelLaunch, SharedLanes, MAX_CCD_BLOCK_WIDTH};
@@ -336,8 +341,11 @@ impl MoscemSampler {
         // population, then the rebuild/score kernels. ----------------------
         let init_factory = factory.derive(0xC0);
         let rama = RamaLibrary::default();
-        let init_mode = cfg.init_mode;
         let max_closure = cfg.max_closure_deviation;
+        // Init closures go through the MCMC lane path: every torsion is
+        // adjustable and no residue of a member's structure is built yet.
+        arena.ccd_start.fill(0);
+        arena.built_residues.fill(0);
 
         // The init rounds together make one `[CCD]` stage invocation.
         let mut init_close = Duration::ZERO;
@@ -366,20 +374,15 @@ impl MoscemSampler {
                     if round == 0 {
                         *rng = init_factory.stream(i as u64, 0);
                     }
-                    sample_initial_torsions(init_mode, classes, &rama, &mut slot.cand, rng);
+                    sample_initial_torsions(classes, &rama, &mut slot.cand, rng);
                     #[cfg(feature = "fault-injection")]
                     if lms_simt::fault::take_nan() {
                         slot.cand.set_angle(0, f64::NAN);
                     }
                 });
             }
-            let (close, tally) = self.stage_close(
-                executor,
-                arena,
-                &closer,
-                if round > 0 { Some(max_closure) } else { None },
-                Some(cfg.ccd.start_index),
-            );
+            let mask_above = if round > 0 { Some(max_closure) } else { None };
+            let (close, tally) = self.stage_close(executor, arena, &closer, mask_above);
             init_close += close.host;
             tally.add_to(&mut stages);
         }
@@ -504,7 +507,7 @@ impl MoscemSampler {
             // Stage 2 — close: lockstep CCD blocks with batched
             // optimal-rotation inner products, each lane prepared from its
             // member's built prefix.
-            let (close, tally) = self.stage_close(executor, arena, &closer, None, None);
+            let (close, tally) = self.stage_close(executor, arena, &closer, None);
             stages.record(close.kind, close.host);
             tally.add_to(&mut stages);
             // Closure stall guard: a streak of iterations in which not a
@@ -691,23 +694,22 @@ impl MoscemSampler {
     /// optimal-rotation inner products.
     ///
     /// `mask_above` restricts the launch to members whose candidate closure
-    /// deviation still exceeds the bound (the init retry rounds);
-    /// `start_override` forces one CCD start index for every lane (init)
-    /// and builds each lane from scratch.  Without it (the MCMC stage) each
-    /// lane closes from its member's mutated index and is prepared from the
-    /// member's built prefix
+    /// deviation still exceeds the bound (the init retry rounds).  Each
+    /// lane closes from its member's [`ccd_start`](PopulationArena) (the
+    /// mutated index in the MCMC stage, 0 in the init rounds) and is
+    /// prepared from the member's built prefix
     /// ([`LoopBuilder::rebuild_spine_from`](lms_protein::LoopBuilder::rebuild_spine_from)):
     /// the candidate agrees with the member below the start residue, so
     /// only the part of the prefix the member has not built yet is placed
-    /// in full, and from the start residue on only the spine and end frame
-    /// the sweep reads.  Returns the launch and what its lanes did.
+    /// in full (none in the init rounds, where nothing is built), and from
+    /// the start residue on only the spine and end frame the sweep reads.
+    /// Returns the launch and what its lanes did.
     fn stage_close(
         &self,
         executor: &Executor,
         arena: &mut PopulationArena,
         closer: &CcdCloser,
         mask_above: Option<f64>,
-        start_override: Option<usize>,
     ) -> (KernelLaunch, CloseTally) {
         let n = arena.n_members();
         let n_res = arena.n_residues();
@@ -756,29 +758,25 @@ impl MoscemSampler {
                     check_structure,
                     ..
                 } = slot;
-                let start_index = start_override.unwrap_or(starts[i]);
-                if start_override.is_some() {
-                    self.builder.build_into(frame, sequence, cand, structure);
-                } else {
-                    let first = start_residue(start_index, n_res);
-                    let keep = built[i].min(first);
-                    self.builder.rebuild_spine_from(
-                        frame,
-                        sequence,
-                        cand,
-                        keep,
-                        start_index,
-                        structure,
-                    );
-                    block_reused += keep as u64;
-                    // Debug builds check every prepared lane against a
-                    // fresh build of its candidate.
-                    #[cfg(debug_assertions)]
-                    {
-                        self.builder
-                            .build_into(frame, sequence, cand, check_structure);
-                        assert_prepared_is_exact(i, first, structure, check_structure);
-                    }
+                let start_index = starts[i];
+                let first = start_residue(start_index, n_res);
+                let keep = built[i].min(first);
+                self.builder.rebuild_spine_from(
+                    frame,
+                    sequence,
+                    cand,
+                    keep,
+                    start_index,
+                    structure,
+                );
+                block_reused += keep as u64;
+                // Debug builds check every prepared lane against a fresh
+                // build of its candidate.
+                #[cfg(debug_assertions)]
+                {
+                    self.builder
+                        .build_into(frame, sequence, cand, check_structure);
+                    assert_prepared_is_exact(i, first, structure, check_structure);
                 }
                 store[count] = MaybeUninit::new(CcdLane {
                     torsions: cand,
@@ -1338,30 +1336,20 @@ fn assert_resume_is_exact(
     );
 }
 
-/// Draw one member's initial torsions under the configured init mode.
-/// Shared by the per-member reference and the staged pipeline's init
-/// kernel: bit-identity between the two depends on identical draw
+/// Draw one member's initial torsions from the per-residue Ramachandran
+/// mixture.  Shared by the per-member reference and the staged pipeline's
+/// init kernel: bit-identity between the two depends on identical draw
 /// sequences, so there is exactly one sampling implementation to drift.
 pub(crate) fn sample_initial_torsions<R: Rng + ?Sized>(
-    init_mode: InitMode,
     classes: &[RamaClass],
     rama: &RamaLibrary,
     torsions: &mut Torsions,
     rng: &mut R,
 ) {
-    match init_mode {
-        InitMode::UniformRandom => {
-            for k in 0..torsions.n_angles() {
-                torsions.set_angle(k, random_torsion(rng));
-            }
-        }
-        InitMode::Ramachandran => {
-            for (r, &class) in classes.iter().enumerate() {
-                let (phi, psi) = rama.model(class).sample(rng);
-                torsions.set_phi(r, phi);
-                torsions.set_psi(r, psi);
-            }
-        }
+    for (r, &class) in classes.iter().enumerate() {
+        let (phi, psi) = rama.model(class).sample(rng);
+        torsions.set_phi(r, phi);
+        torsions.set_psi(r, psi);
     }
 }
 

@@ -78,10 +78,7 @@ fn member_iteration_is_allocation_free_after_warmup() {
     let builder = LoopBuilder::default();
     let closer = CcdCloser::new(
         builder,
-        CcdConfig::new()
-            .with_max_sweeps(24)
-            .with_tolerance(0.25)
-            .with_start_index(0),
+        CcdConfig::new().with_max_sweeps(24).with_tolerance(0.25),
     );
     let mutator = Mutator::new(MutationConfig::default());
     let classes: Vec<RamaClass> = target.sequence.iter().map(|aa| aa.rama_class()).collect();

@@ -170,6 +170,16 @@ impl LoopStructure {
         }
     }
 
+    /// A structure of `n_residues` residues, none placed yet (every atom
+    /// at the origin): the buffer a closure prepared with
+    /// [`LoopBuilder::rebuild_spine_from`] from no built residue fills.
+    pub fn unplaced(n_residues: usize) -> Self {
+        LoopStructure {
+            residues: vec![UNPLACED; n_residues],
+            end_frame: AnchorFrame::new(Vec3::ZERO, Vec3::ZERO, Vec3::ZERO),
+        }
+    }
+
     /// Number of loop residues.
     pub fn n_residues(&self) -> usize {
         self.residues.len()
@@ -196,16 +206,18 @@ impl LoopStructure {
     }
 }
 
-/// Builds loop structures from torsion vectors.
+/// Builds loop structures from torsion vectors, always with the ideal
+/// [`BackboneGeometry::default`] covalent geometry.
 #[derive(Debug, Clone, Copy)]
 pub struct LoopBuilder {
-    geometry: BackboneGeometry,
     nerf: NerfConstants,
 }
 
 impl Default for LoopBuilder {
     fn default() -> Self {
-        LoopBuilder::new(BackboneGeometry::default())
+        LoopBuilder {
+            nerf: NerfConstants::new(&BackboneGeometry::default()),
+        }
     }
 }
 
@@ -262,19 +274,6 @@ pub struct LoopFrame {
 }
 
 impl LoopBuilder {
-    /// Create a builder with the given covalent geometry.
-    pub fn new(geometry: BackboneGeometry) -> Self {
-        LoopBuilder {
-            geometry,
-            nerf: NerfConstants::new(&geometry),
-        }
-    }
-
-    /// The covalent geometry in use.
-    pub fn geometry(&self) -> &BackboneGeometry {
-        &self.geometry
-    }
-
     /// Build the Cartesian structure of a loop from its torsion vector.
     ///
     /// # Panics
@@ -588,7 +587,7 @@ pub fn build_segment_de_novo(
     sequence: &[AminoAcid],
     torsions: &Torsions,
 ) -> LoopStructure {
-    let g = builder.geometry();
+    let g = BackboneGeometry::default();
     // Canonical anchor frame: a virtual residue placed so that the first
     // real residue starts near the origin in a standard orientation.
     let n = Vec3::new(-g.len_c_n - g.len_n_ca, 0.8, 0.0);
@@ -653,7 +652,7 @@ mod tests {
     #[test]
     fn built_bond_lengths_match_ideal_geometry() {
         let builder = LoopBuilder::default();
-        let g = *builder.geometry();
+        let g = BackboneGeometry::default();
         let seq = test_sequence(6);
         let s = builder.build(&test_frame(), &seq, &alpha_torsions(6));
         for (i, r) in s.residues.iter().enumerate() {
@@ -682,7 +681,7 @@ mod tests {
     #[test]
     fn built_bond_angles_match_ideal_geometry() {
         let builder = LoopBuilder::default();
-        let g = *builder.geometry();
+        let g = BackboneGeometry::default();
         let seq = test_sequence(5);
         let s = builder.build(&test_frame(), &seq, &alpha_torsions(5));
         for r in &s.residues {

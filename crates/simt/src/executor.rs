@@ -24,11 +24,11 @@
 //! use lms_simt::{Backend, ExecutorConfig};
 //!
 //! # fn main() -> Result<(), lms_simt::ExecutorConfigError> {
-//! let exec = ExecutorConfig::new()
-//!     .backend(Backend::Parallel)
+//! let exec = ExecutorConfig::parallel()
 //!     .threads(2)
 //!     .ccd_block_width(16)
 //!     .build()?;
+//! assert_eq!(exec.capabilities().backend, Backend::Parallel);
 //! assert_eq!(exec.capabilities().threads, 2);
 //! assert_eq!(exec.ccd_block_width(), 16);
 //! # Ok(())
@@ -229,20 +229,19 @@ impl Default for ExecutorConfig {
 }
 
 impl ExecutorConfig {
-    /// The default configuration (parallel backend, default thread budget,
-    /// default CCD block width).
-    pub fn new() -> ExecutorConfig {
-        ExecutorConfig::default()
-    }
-
-    /// Shorthand for `new().backend(Backend::Scalar)`.
+    /// The sequential backend ([`Backend::Scalar`]) at the default CCD
+    /// block width.
     pub fn scalar() -> ExecutorConfig {
-        ExecutorConfig::new().backend(Backend::Scalar)
+        ExecutorConfig {
+            backend: Backend::Scalar,
+            ..ExecutorConfig::default()
+        }
     }
 
-    /// Shorthand for `new().backend(Backend::Parallel)`.
+    /// The parallel backend ([`Backend::Parallel`]) with the default
+    /// thread budget and CCD block width — the same as `default()`.
     pub fn parallel() -> ExecutorConfig {
-        ExecutorConfig::new().backend(Backend::Parallel)
+        ExecutorConfig::default()
     }
 
     /// The same as [`parallel`](Self::parallel); kept only because the
@@ -251,12 +250,6 @@ impl ExecutorConfig {
     #[doc(hidden)]
     pub fn simd() -> ExecutorConfig {
         ExecutorConfig::parallel()
-    }
-
-    /// Select the execution backend.
-    pub fn backend(mut self, backend: Backend) -> ExecutorConfig {
-        self.backend = backend;
-        self
     }
 
     /// Set the worker-thread budget (0 = one per core, resolved at
@@ -550,14 +543,14 @@ mod tests {
     #[test]
     fn config_validates_ccd_block_width() {
         assert_eq!(
-            ExecutorConfig::new()
+            ExecutorConfig::parallel()
                 .ccd_block_width(0)
                 .build()
                 .unwrap_err(),
             ExecutorConfigError::ZeroCcdBlockWidth
         );
         assert_eq!(
-            ExecutorConfig::new()
+            ExecutorConfig::parallel()
                 .ccd_block_width(MAX_CCD_BLOCK_WIDTH + 1)
                 .build()
                 .unwrap_err(),
@@ -566,7 +559,10 @@ mod tests {
                 max: MAX_CCD_BLOCK_WIDTH
             }
         );
-        let exec = ExecutorConfig::new().ccd_block_width(16).build().unwrap();
+        let exec = ExecutorConfig::parallel()
+            .ccd_block_width(16)
+            .build()
+            .unwrap();
         assert_eq!(exec.ccd_block_width(), 16);
         // Errors display something actionable.
         assert!(ExecutorConfigError::ZeroCcdBlockWidth

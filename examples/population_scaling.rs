@@ -47,7 +47,8 @@ fn main() -> Result<(), Error> {
             .into_iter()
             .map(|job| job.outcome)
             .collect::<Result<_, _>>()?;
-        let stats = ensemble_stats(&results, 30.0).expect("trajectories ran");
+        let stats =
+            ensemble_stats(&results, config.distinct_threshold_deg).expect("trajectories ran");
         println!(
             "{:<12} {:>26.1} {:>11.2}A {:>11.2}A {:>11.2}A",
             population,

@@ -195,10 +195,10 @@ pub mod prelude {
     pub use lms_closure::{CcdCloser, CcdConfig, CcdResult};
     pub use lms_core::{
         AttemptFailure, BatchHandle, ComponentTimes, ConfigError, Decoy, DecoyProduction, DecoySet,
-        EngineBuilder, Error, InitMode, IterationSnapshot, Job, JobBuilder, JobId, JobLimits,
-        JobProgress, JobResult, JobStatus, LoopModelingEngine, MoscemSampler, MutationConfig,
-        NumericGuard, ObjectiveMode, PoisonedLane, RetryPolicy, RunControls, SamplerConfig,
-        SamplerConfigBuilder, StageRecord, StageRow, TemperatureSchedule, TrajectoryResult,
+        EngineBuilder, Error, IterationSnapshot, Job, JobBuilder, JobId, JobLimits, JobProgress,
+        JobResult, JobStatus, LoopModelingEngine, MoscemSampler, MutationConfig, NumericGuard,
+        ObjectiveMode, PoisonedLane, RetryPolicy, RunControls, SamplerConfig, SamplerConfigBuilder,
+        StageRecord, StageRow, TemperatureSchedule, TrajectoryResult,
     };
     pub use lms_decoys::{
         cluster_decoys, compare_decoy_sets, distinct_non_dominated, ensemble_stats, ClusterMetric,
