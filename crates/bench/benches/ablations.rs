@@ -1,16 +1,25 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md:
-//! multi-scoring Pareto sampling vs. single-objective optimisation, the
-//! number of complexes, the CCD sweep budget, and adaptive temperature vs.
-//! a fixed temperature.
+//! Ablation benchmarks for the sampler's design choices: multi-scoring
+//! Pareto sampling vs. single-objective optimisation, the number of
+//! complexes, the CCD sweep budget, and adaptive temperature vs. a fixed
+//! temperature.
+//!
+//! Each variant is one trajectory (population 64, 3 iterations) on the
+//! parallel executor, timed as the median of [`SAMPLES`] runs with
+//! `lms_bench::timing::median_ns`.  One line per variant prints its time
+//! and the run's best RMSD, front size and acceptance rate.  No artifact
+//! is written: the variants change what the sampler computes, so their
+//! times are no gated comparison.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use lms_bench::timing::median_ns;
 use lms_bench::{load_target, shared_kb};
 use lms_closure::CcdConfig;
 use lms_core::{MoscemSampler, ObjectiveMode, SamplerConfig, TemperatureSchedule};
 use lms_scoring::Objective;
-use lms_simt::ExecutorConfig;
+use lms_simt::{Executor, ExecutorConfig};
 use std::hint::black_box;
-use std::time::Duration;
+
+/// Timed runs per variant.
+const SAMPLES: u32 = 5;
 
 fn base_config() -> SamplerConfig {
     SamplerConfig::builder()
@@ -22,13 +31,22 @@ fn base_config() -> SamplerConfig {
         .expect("valid bench config")
 }
 
-fn bench_single_vs_multi(c: &mut Criterion) {
+/// Time `SAMPLES` runs of `sampler` and print one line for the variant.
+fn time_variant(executor: &Executor, group: &str, variant: &str, sampler: &MoscemSampler) {
+    let mut last = None;
+    let ns = median_ns(|| last = Some(black_box(sampler.run(executor))), 1, SAMPLES);
+    let result = last.expect("at least one timed run");
+    println!(
+        "ablations/{group}/{variant}: {:.1} ms/run, best rmsd {:.2} A, front {}, acceptance {:.3}",
+        ns / 1e6,
+        result.best_rmsd(),
+        result.non_dominated_count(),
+        result.acceptance_rate,
+    );
+}
+
+fn bench_single_vs_multi(executor: &Executor) {
     let target = load_target("1akz");
-    let kb = shared_kb();
-    let mut group = c.benchmark_group("ablations/objective_mode");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(3));
-    group.warm_up_time(Duration::from_millis(500));
     let modes = [
         ("multi_pareto", ObjectiveMode::MultiScoring),
         ("single_vdw", ObjectiveMode::Single(Objective::Vdw)),
@@ -44,55 +62,27 @@ fn bench_single_vs_multi(c: &mut Criterion) {
             .objective_mode(mode)
             .build()
             .expect("valid bench config");
-        let sampler = MoscemSampler::new(target.clone(), kb.clone(), cfg);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(
-                    sampler
-                        .run(&ExecutorConfig::parallel().build().unwrap())
-                        .best_rmsd(),
-                )
-            })
-        });
+        let sampler = MoscemSampler::new(target.clone(), shared_kb(), cfg);
+        time_variant(executor, "objective_mode", name, &sampler);
     }
-    group.finish();
 }
 
-fn bench_complexes(c: &mut Criterion) {
+fn bench_complexes(executor: &Executor) {
     let target = load_target("1cex");
-    let kb = shared_kb();
-    let mut group = c.benchmark_group("ablations/complexes");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(3));
-    group.warm_up_time(Duration::from_millis(500));
-    for &m in &[1usize, 2, 8] {
+    for m in [1usize, 2, 8] {
         let cfg = base_config()
             .to_builder()
             .n_complexes(m)
             .build()
             .expect("valid bench config");
-        let sampler = MoscemSampler::new(target.clone(), kb.clone(), cfg);
-        group.bench_with_input(BenchmarkId::from_parameter(m), &m, |b, _| {
-            b.iter(|| {
-                black_box(
-                    sampler
-                        .run(&ExecutorConfig::parallel().build().unwrap())
-                        .non_dominated_count(),
-                )
-            })
-        });
+        let sampler = MoscemSampler::new(target.clone(), shared_kb(), cfg);
+        time_variant(executor, "complexes", &m.to_string(), &sampler);
     }
-    group.finish();
 }
 
-fn bench_ccd_budget(c: &mut Criterion) {
+fn bench_ccd_budget(executor: &Executor) {
     let target = load_target("1ixh");
-    let kb = shared_kb();
-    let mut group = c.benchmark_group("ablations/ccd_budget");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(3));
-    group.warm_up_time(Duration::from_millis(500));
-    for &sweeps in &[8usize, 24, 64] {
+    for sweeps in [8usize, 24, 64] {
         let cfg = base_config()
             .to_builder()
             .ccd(
@@ -102,62 +92,30 @@ fn bench_ccd_budget(c: &mut Criterion) {
             )
             .build()
             .expect("valid bench config");
-        let sampler = MoscemSampler::new(target.clone(), kb.clone(), cfg);
-        group.bench_with_input(BenchmarkId::from_parameter(sweeps), &sweeps, |b, _| {
-            b.iter(|| {
-                black_box(
-                    sampler
-                        .run(&ExecutorConfig::parallel().build().unwrap())
-                        .best_rmsd(),
-                )
-            })
-        });
+        let sampler = MoscemSampler::new(target.clone(), shared_kb(), cfg);
+        time_variant(executor, "ccd_budget", &sweeps.to_string(), &sampler);
     }
-    group.finish();
 }
 
-fn bench_annealing(c: &mut Criterion) {
+fn bench_annealing(executor: &Executor) {
     let target = load_target("153l");
-    let kb = shared_kb();
-    let mut group = c.benchmark_group("ablations/temperature");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(3));
-    group.warm_up_time(Duration::from_millis(500));
     // Adaptive temperature (the paper's scheme).
-    let adaptive = MoscemSampler::new(target.clone(), kb.clone(), base_config());
-    group.bench_function("adaptive", |b| {
-        b.iter(|| {
-            black_box(
-                adaptive
-                    .run(&ExecutorConfig::parallel().build().unwrap())
-                    .acceptance_rate,
-            )
-        })
-    });
+    let adaptive = MoscemSampler::new(target.clone(), shared_kb(), base_config());
+    time_variant(executor, "temperature", "adaptive", &adaptive);
     // Fixed temperature at the adaptive schedule's starting point.
     let fixed_cfg = base_config()
         .to_builder()
         .temperature(TemperatureSchedule::Fixed { temperature: 0.25 })
         .build()
         .expect("valid bench config");
-    let fixed = MoscemSampler::new(target, kb, fixed_cfg);
-    group.bench_function("fixed", |b| {
-        b.iter(|| {
-            black_box(
-                fixed
-                    .run(&ExecutorConfig::parallel().build().unwrap())
-                    .acceptance_rate,
-            )
-        })
-    });
-    group.finish();
+    let fixed = MoscemSampler::new(target, shared_kb(), fixed_cfg);
+    time_variant(executor, "temperature", "fixed", &fixed);
 }
 
-criterion_group!(
-    benches,
-    bench_single_vs_multi,
-    bench_complexes,
-    bench_ccd_budget,
-    bench_annealing
-);
-criterion_main!(benches);
+fn main() {
+    let executor = ExecutorConfig::parallel().build().unwrap();
+    bench_single_vs_multi(&executor);
+    bench_complexes(&executor);
+    bench_ccd_budget(&executor);
+    bench_annealing(&executor);
+}

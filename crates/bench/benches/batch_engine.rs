@@ -17,13 +17,12 @@
 //!   sequential runs (asserted here on every measurement, property-tested
 //!   in `tests/batch_engine.rs`).
 //!
-//! Besides the criterion group, the harness writes `BENCH_batch.json` at
-//! the workspace root (see `lms_bench::artifact`) recording both modes for
-//! the perf trajectory.  The two modes are timed in alternating samples
+//! The harness writes `BENCH_batch.json` at the workspace root (see
+//! `lms_bench::artifact`) recording both modes for the perf trajectory.
+//! The two modes are timed in alternating samples
 //! (`lms_bench::timing::paired_median_ns`), like the other bench writers,
 //! so host-speed drift slows both sides of the speedup alike.
 
-use criterion::{criterion_group, Criterion};
 use lms_bench::artifact::{Artifact, Better, Gate};
 use lms_bench::shared_kb;
 use lms_bench::timing::paired_median_ns;
@@ -31,10 +30,8 @@ use lms_core::{Job, LoopModelingEngine, MoscemSampler, SamplerConfig, Trajectory
 use lms_protein::{BenchmarkLibrary, LoopTarget};
 use lms_simt::{Executor, ExecutorConfig};
 use std::hint::black_box;
-use std::time::Duration;
 
-/// The batch: 8 small jobs over loops of different lengths, the shape the
-/// ISSUE's acceptance criterion names.
+/// The batch: 8 small jobs over loops of different lengths.
 const BATCH_NAMES: [&str; 8] = [
     "1ads", "5pti", "1cex", "3pte", "1akz", "1ixh", "153l", "1dim",
 ];
@@ -106,27 +103,6 @@ fn assert_equivalent(a: &[TrajectoryResult], b: &[TrajectoryResult]) {
     }
 }
 
-fn bench_batch_vs_sequential(c: &mut Criterion) {
-    let targets = batch_targets();
-    let engine = LoopModelingEngine::builder(shared_kb())
-        .executor(ExecutorConfig::parallel())
-        .build()
-        .expect("valid engine");
-    let mut group = c.benchmark_group("batch_engine");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(4));
-    group.warm_up_time(Duration::from_millis(500));
-    group.bench_function("sequential_8_jobs", |b| {
-        b.iter(|| {
-            black_box(run_sequential(&targets, &ExecutorConfig::parallel().build().unwrap()).len())
-        })
-    });
-    group.bench_function("engine_batch_8_jobs", |b| {
-        b.iter(|| black_box(run_batch(&engine, &targets).len()))
-    });
-    group.finish();
-}
-
 /// Scheduler-overhead floor the batch speedup is held to on a 1-core host,
 /// where no parallel win is physically possible.
 const ONE_CORE_OVERHEAD_FLOOR: f64 = 0.70;
@@ -187,10 +163,6 @@ fn write_bench_json() {
     artifact.write_to_workspace_root("BENCH_batch.json");
 }
 
-criterion_group!(benches, bench_batch_vs_sequential);
-
 fn main() {
-    let mut criterion = Criterion::default();
-    benches(&mut criterion);
     write_bench_json();
 }

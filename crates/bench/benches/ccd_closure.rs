@@ -21,15 +21,14 @@
 //! * **Lockstep CCD blocks**: the population-batched `close_batch` swept
 //!   over CCD block widths (ungated `blocks.scalar_ns_per_member.w*`
 //!   rows); the batched optimal-rotation kernel is also timed in
-//!   isolation (criterion only).
+//!   isolation (ungated `rotation_kernel.ns_per_lane.w*` rows).
 //!
-//! Besides the criterion groups, the harness writes `BENCH_ccd.json` at
-//! the workspace root (see `lms_bench::artifact`) recording the
-//! comparisons and the executor capabilities that produced them.  The two
-//! CCD sweeps, and the two VDW environment passes, are timed in
-//! alternating batches, so their ratios survive host-speed drift.
+//! The harness writes `BENCH_ccd.json` at the workspace root (see
+//! `lms_bench::artifact`) recording the comparisons and the executor
+//! capabilities that produced them.  The two CCD sweeps, and the two VDW
+//! environment passes, are timed in alternating batches, so their ratios
+//! survive host-speed drift.
 
-use criterion::{criterion_group, Criterion};
 use lms_bench::artifact::{Artifact, Better, Gate};
 use lms_bench::timing::{median_ns, paired_median_ns};
 use lms_bench::{scaled_env_target, target_of_len};
@@ -42,7 +41,6 @@ use lms_protein::{AminoAcid, LoopBuilder, LoopFrame, LoopStructure, LoopTarget, 
 use lms_scoring::{ScoreScratch, VdwScore};
 use lms_simt::ExecutorConfig;
 use std::hint::black_box;
-use std::time::Duration;
 
 /// The CCD operating point the sampler runs (and so every closure section
 /// here measures).
@@ -132,6 +130,9 @@ const BLOCK_WIDTHS: [usize; 3] = [4, 8, 16];
 
 /// Lane counts the isolated rotation-kernel comparison runs at.
 const KERNEL_WIDTHS: [usize; 4] = [4, 8, 16, 32];
+
+/// Kernel calls per timed sample of the isolated rotation kernel.
+const KERNEL_ITERS: u32 = 20_000;
 
 /// Members in the lockstep-closure population.
 const BLOCK_POPULATION: usize = 16;
@@ -229,101 +230,6 @@ fn close_population(
             .collect();
         closer.close_batch(&target.frame, &target.sequence, &mut lanes, scratch);
     }
-}
-
-fn bench_ccd_closure(c: &mut Criterion) {
-    let builder = LoopBuilder::default();
-    let config = production_ccd();
-    let mut group = c.benchmark_group("ccd_closure");
-    group.sample_size(12);
-    group.measurement_time(Duration::from_secs(2));
-    group.warm_up_time(Duration::from_millis(300));
-
-    for &len in &LOOP_LENGTHS {
-        let target = target_of_len(len);
-        let torsions = starts(&target, 16);
-        let closer = CcdCloser::with_config(config);
-
-        group.bench_function(format!("nerf_per_rotation/len{len}"), |b| {
-            let mut scratch = LoopStructure::with_capacity(len);
-            let mut i = 0usize;
-            b.iter(|| {
-                let mut t = torsions[i % torsions.len()].clone();
-                i += 1;
-                black_box(nerf_per_rotation::close(
-                    &builder,
-                    &config,
-                    &target.frame,
-                    &target.sequence,
-                    &mut t,
-                    &mut scratch,
-                ))
-            })
-        });
-
-        group.bench_function(format!("rigid/len{len}"), |b| {
-            let mut scratch = LoopStructure::with_capacity(len);
-            let mut block = CcdBatchScratch::new();
-            let mut i = 0usize;
-            b.iter(|| {
-                let mut t = torsions[i % torsions.len()].clone();
-                i += 1;
-                black_box(close_one(
-                    &closer,
-                    &target,
-                    &mut t,
-                    &mut scratch,
-                    &mut block,
-                ))
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_vdw_environment(c: &mut Criterion) {
-    let builder = LoopBuilder::default();
-    let vdw = VdwScore::default();
-    let base = target_of_len(12);
-    let mut group = c.benchmark_group("vdw_env");
-    group.sample_size(12);
-    group.measurement_time(Duration::from_secs(2));
-    group.warm_up_time(Duration::from_millis(300));
-
-    for &factor in &ENV_FACTORS {
-        let target = scaled_env_target(&base, factor);
-        let structure = target.build(&builder, &target.native_torsions);
-        target.env_candidates();
-
-        group.bench_function(format!("linear/x{factor}"), |b| {
-            let mut scratch = ScoreScratch::for_loop_len(12);
-            b.iter(|| black_box(vdw.environment_term_linear(&target, &structure, &mut scratch)))
-        });
-        group.bench_function(format!("lists/x{factor}"), |b| {
-            let mut scratch = ScoreScratch::for_loop_len(12);
-            b.iter(|| black_box(vdw.environment_term(&target, &structure, &mut scratch)))
-        });
-    }
-    group.finish();
-}
-
-fn bench_rotation_kernel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ccd_rotation_kernel");
-    group.sample_size(12);
-    group.measurement_time(Duration::from_secs(1));
-    group.warm_up_time(Duration::from_millis(200));
-
-    for &width in &KERNEL_WIDTHS {
-        let (moving, targets, pivots, axes) = kernel_inputs(width);
-        group.bench_function(format!("scalar/w{width}"), |b| {
-            let mut ab = Vec::with_capacity(width);
-            b.iter(|| {
-                optimal_rotation_batch(&moving, &targets, &pivots, &axes, &mut ab);
-                black_box(&ab);
-            })
-        });
-    }
-    group.finish();
 }
 
 /// The capabilities of the executor backend this bench run's lockstep
@@ -463,18 +369,26 @@ fn write_bench_json() {
         artifact.ns(format!("blocks.scalar_ns_per_member.w{width}"), scalar);
     }
 
+    // --- Batched optimal-rotation kernel in isolation ------------------
+    for &width in &KERNEL_WIDTHS {
+        let (moving, targets, pivots, axes) = kernel_inputs(width);
+        let mut ab = Vec::with_capacity(width);
+        let kernel_ns = median_ns(
+            || {
+                optimal_rotation_batch(&moving, &targets, &pivots, &axes, &mut ab);
+                black_box(&ab);
+            },
+            KERNEL_ITERS,
+            9,
+        );
+        let per_lane = kernel_ns / width as f64;
+        println!("rotation_kernel w={width}: {kernel_ns:.1} ns/call, {per_lane:.2} ns/lane");
+        artifact.ns(format!("rotation_kernel.ns_per_lane.w{width}"), per_lane);
+    }
+
     artifact.write_to_workspace_root("BENCH_ccd.json");
 }
 
-criterion_group!(
-    benches,
-    bench_ccd_closure,
-    bench_vdw_environment,
-    bench_rotation_kernel
-);
-
 fn main() {
-    let mut criterion = Criterion::default();
-    benches(&mut criterion);
     write_bench_json();
 }

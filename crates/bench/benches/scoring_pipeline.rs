@@ -36,12 +36,11 @@
 //! member-iteration); its row carries that bound, which the CI gate
 //! enforces absolutely.
 //!
-//! Besides the criterion groups, the harness writes `BENCH_scoring.json`
-//! at the workspace root (see `lms_bench::artifact`): every measured time
-//! as an ungated row, and the workspace, cost, pipeline and health-sweep
-//! ratios as rows the CI perf-regression gate tracks.
+//! The harness writes `BENCH_scoring.json` at the workspace root (see
+//! `lms_bench::artifact`): every measured time as an ungated row, and the
+//! workspace, cost, pipeline and health-sweep ratios as rows the CI
+//! perf-regression gate tracks.
 
-use criterion::{criterion_group, Criterion};
 use lms_bench::artifact::{Artifact, Better, Gate};
 use lms_bench::timing::{median_ns, paired_median_ns};
 use lms_bench::{scaled_env_target, shared_kb, target_of_len};
@@ -50,7 +49,6 @@ use lms_protein::{LoopBuilder, LoopStructure, LoopTarget, Torsions};
 use lms_scoring::{EnvResume, MultiScorer, ScoreScratch};
 use lms_simt::ExecutorConfig;
 use std::hint::black_box;
-use std::time::Duration;
 
 /// The seed repository's allocating scoring pipeline, kept here as the
 /// benchmark baseline after production scoring moved to the workspace
@@ -268,82 +266,9 @@ fn conformations(target: &LoopTarget, count: usize) -> Vec<Torsions> {
         .collect()
 }
 
-fn bench_scoring_pipeline(c: &mut Criterion) {
-    let kb = shared_kb();
-    let builder = LoopBuilder::default();
-    let mut group = c.benchmark_group("scoring_pipeline");
-    group.sample_size(20);
-    group.measurement_time(Duration::from_secs(2));
-    group.warm_up_time(Duration::from_millis(300));
-
-    for &len in &LOOP_LENGTHS {
-        let target = target_of_len(len);
-        let grid = legacy::Grid::new(&target);
-        let scorer = MultiScorer::new(kb.clone());
-        let torsions = conformations(&target, 16);
-
-        group.bench_function(format!("allocating/len{len}"), |b| {
-            let mut i = 0usize;
-            b.iter(|| {
-                let t = &torsions[i % torsions.len()];
-                i += 1;
-                // The seed pipeline: fresh structure, AoS sites, grid queries.
-                let structure = target.build(&builder, t);
-                black_box(legacy::evaluate(&kb, &target, &grid, &structure, t))
-            })
-        });
-
-        group.bench_function(format!("workspace/len{len}"), |b| {
-            let mut structure = LoopStructure::with_capacity(len);
-            let mut scratch = ScoreScratch::for_loop_len(len);
-            let mut i = 0usize;
-            b.iter(|| {
-                let t = &torsions[i % torsions.len()];
-                i += 1;
-                // The zero-allocation pipeline: in-place rebuild + reused
-                // scoring workspace.
-                target.build_into(&builder, t, &mut structure);
-                black_box(scorer.evaluate_with(&target, &structure, t, &mut scratch))
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Environment scale factor the 3-vs-4-objective comparison runs at
 /// (matching the cell-list bench's 10× "full-size protein" point).
 const OBJECTIVE_ENV_FACTOR: usize = 10;
-
-fn bench_objective_scaling(c: &mut Criterion) {
-    let kb = shared_kb();
-    let builder = LoopBuilder::default();
-    let base = target_of_len(12);
-    let target = scaled_env_target(&base, OBJECTIVE_ENV_FACTOR);
-    target.env_candidates();
-    let torsions = conformations(&target, 16);
-    let three = MultiScorer::new(kb.clone());
-    let four = three.clone().with_burial(true);
-
-    let mut group = c.benchmark_group("objective_scaling");
-    group.sample_size(20);
-    group.measurement_time(Duration::from_secs(2));
-    group.warm_up_time(Duration::from_millis(300));
-
-    for (name, scorer) in [("three_objectives", &three), ("four_objectives", &four)] {
-        group.bench_function(format!("{name}/x{OBJECTIVE_ENV_FACTOR}"), |b| {
-            let mut structure = LoopStructure::with_capacity(12);
-            let mut scratch = ScoreScratch::for_loop_len(12);
-            let mut i = 0usize;
-            b.iter(|| {
-                let t = &torsions[i % torsions.len()];
-                i += 1;
-                target.build_into(&builder, t, &mut structure);
-                black_box(scorer.evaluate_with(&target, &structure, t, &mut scratch))
-            })
-        });
-    }
-    group.finish();
-}
 
 /// The trajectory configuration of the staged-vs-per-member pipeline
 /// comparison: loop length 12 (the paper's headline targets), a small
@@ -362,22 +287,6 @@ fn pipeline_sampler() -> MoscemSampler {
         .build()
         .expect("valid pipeline bench config");
     MoscemSampler::new(target_of_len(12), shared_kb(), cfg)
-}
-
-fn bench_population_pipeline(c: &mut Criterion) {
-    let sampler = pipeline_sampler();
-    let exec = ExecutorConfig::scalar().build().unwrap();
-    let mut group = c.benchmark_group("population_pipeline");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(4));
-    group.warm_up_time(Duration::from_millis(500));
-    group.bench_function("per_member/len12", |b| {
-        b.iter(|| black_box(sampler.run_reference_with_seed(PIPELINE_SEED)))
-    });
-    group.bench_function("batched/len12", |b| {
-        b.iter(|| black_box(sampler.run_with_seed(&exec, PIPELINE_SEED)))
-    });
-    group.finish();
 }
 
 /// Loop 12 conformations, built once, that the per-pass rows time each
@@ -441,49 +350,6 @@ fn resumed_pass(
 ) -> (f64, f64) {
     let from = EnvResume::new(case.residue, &case.totals, &case.counts);
     scorer.vdw_pass_from(target, &case.structure, scratch, from)
-}
-
-fn bench_passes(c: &mut Criterion) {
-    let scorer = MultiScorer::new(shared_kb());
-    let (target, torsions, structures) = pass_inputs();
-    let cases = resume_cases(&scorer, &target, &torsions);
-    let mut group = c.benchmark_group("passes");
-    group.sample_size(20);
-    group.measurement_time(Duration::from_secs(2));
-    group.warm_up_time(Duration::from_millis(300));
-    let mut scratch = ScoreScratch::for_loop_len(12);
-    let mut i = 0usize;
-    group.bench_function("vdw/len12", |b| {
-        b.iter(|| {
-            i += 1;
-            black_box(scorer.vdw_pass(&target, &structures[i % structures.len()], &mut scratch))
-        })
-    });
-    group.bench_function("vdw_resumed/len12", |b| {
-        b.iter(|| {
-            i += 1;
-            black_box(resumed_pass(
-                &scorer,
-                &target,
-                &cases[i % cases.len()],
-                &mut scratch,
-            ))
-        })
-    });
-    group.bench_function("dist/len12", |b| {
-        b.iter(|| {
-            i += 1;
-            black_box(scorer.dist_pass(&target, &structures[i % structures.len()], &mut scratch))
-        })
-    });
-    group.bench_function("triplet/len12", |b| {
-        b.iter(|| {
-            i += 1;
-            let k = i % structures.len();
-            black_box(scorer.triplet_pass(&target, &structures[k], &torsions[k], &mut scratch))
-        })
-    });
-    group.finish();
 }
 
 /// Absolute ceiling on the health sweep's cost relative to one batched
@@ -703,16 +569,6 @@ fn write_bench_json() {
     artifact.write_to_workspace_root("BENCH_scoring.json");
 }
 
-criterion_group!(
-    benches,
-    bench_scoring_pipeline,
-    bench_objective_scaling,
-    bench_passes,
-    bench_population_pipeline
-);
-
 fn main() {
-    let mut criterion = Criterion::default();
-    benches(&mut criterion);
     write_bench_json();
 }

@@ -1,29 +1,23 @@
 //! CI perf-regression gate over the bench artifacts.
 //!
-//! Pairs every `BENCH_<x>.baseline.json` in the baseline directory with
-//! `BENCH_<x>.json` in the fresh directory and runs the gate of
-//! [`lms_bench::regression`] over each pair: exits non-zero when a gated
-//! ratio regresses more than the noise tolerance (default 25%), a bound
-//! row breaks its bound, or a gated row is missing on either side.  Each
-//! gated row prints its floor (the value it would fail at) and its
-//! headroom above it; a passing row within 10% of its floor is marked
-//! `NEAR FLOOR`, which never changes the verdict.
+//! Pairs every `BENCH_<x>.baseline.json` at the workspace root with
+//! `BENCH_<x>.json` in the fresh directory (the workspace root unless
+//! given) and runs the gate of [`lms_bench::regression`] over each pair:
+//! exits non-zero when a gated ratio regresses more than the noise
+//! tolerance (`regression::TOLERANCE`, 25%), a bound row breaks its bound,
+//! or a gated row is missing on either side.  Each gated row prints its
+//! floor (the value it would fail at) and its headroom above it; a passing
+//! row within 10% of its floor is marked `NEAR FLOOR`, which never changes
+//! the verdict.
 //!
 //! ```text
-//! cargo run -p lms-bench --bin check_regression -- \
-//!     [--tolerance 0.25] [--baseline-dir DIR] [--fresh-dir DIR]
+//! cargo run -p lms-bench --bin check_regression -- [--fresh-dir DIR]
 //! ```
 
 use lms_bench::artifact::Artifact;
-use lms_bench::regression::{compare, NEAR_FLOOR};
+use lms_bench::regression::{compare, NEAR_FLOOR, TOLERANCE};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-struct Options {
-    tolerance: f64,
-    baseline_dir: PathBuf,
-    fresh_dir: PathBuf,
-}
 
 fn workspace_root() -> PathBuf {
     std::env::var("CARGO_MANIFEST_DIR")
@@ -31,39 +25,16 @@ fn workspace_root() -> PathBuf {
         .unwrap_or_else(|_| PathBuf::from("."))
 }
 
-fn parse_options() -> Result<Options, String> {
-    let root = workspace_root();
-    let mut opts = Options {
-        tolerance: 0.25,
-        baseline_dir: root.clone(),
-        fresh_dir: root,
-    };
+/// The fresh directory: `--fresh-dir DIR`, or the workspace root.
+fn fresh_dir() -> Result<PathBuf, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: usize| -> Result<&String, String> {
-            args.get(i + 1)
-                .ok_or_else(|| format!("{} needs a value", args[i]))
-        };
-        match args[i].as_str() {
-            "--tolerance" => {
-                opts.tolerance = value(i)?
-                    .parse()
-                    .map_err(|e| format!("bad --tolerance: {e}"))?;
-                i += 2;
-            }
-            "--baseline-dir" => {
-                opts.baseline_dir = PathBuf::from(value(i)?);
-                i += 2;
-            }
-            "--fresh-dir" => {
-                opts.fresh_dir = PathBuf::from(value(i)?);
-                i += 2;
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
+    match args.as_slice() {
+        [] => Ok(workspace_root()),
+        [flag, dir] if flag == "--fresh-dir" => Ok(PathBuf::from(dir)),
+        _ => Err(format!(
+            "usage: check_regression [--fresh-dir DIR], got {args:?}"
+        )),
     }
-    Ok(opts)
 }
 
 fn load(path: &Path) -> Result<Artifact, String> {
@@ -93,29 +64,26 @@ fn baseline_stems(dir: &Path) -> Result<Vec<String>, String> {
 }
 
 fn run() -> Result<bool, String> {
-    let opts = parse_options()?;
+    let fresh_dir = fresh_dir()?;
+    let baseline_dir = workspace_root();
     let mut report = Vec::new();
-    for stem in baseline_stems(&opts.baseline_dir)? {
-        let baseline = load(
-            &opts
-                .baseline_dir
-                .join(format!("BENCH_{stem}.baseline.json")),
-        )?;
-        let fresh = load(&opts.fresh_dir.join(format!("BENCH_{stem}.json")))?;
+    for stem in baseline_stems(&baseline_dir)? {
+        let baseline = load(&baseline_dir.join(format!("BENCH_{stem}.baseline.json")))?;
+        let fresh = load(&fresh_dir.join(format!("BENCH_{stem}.json")))?;
         report.push((stem, compare(&baseline, &fresh)?));
     }
 
     let gated: usize = report.iter().map(|(_, c)| c.len()).sum();
     println!(
         "perf-regression gate: {gated} gated metrics, tolerance {:.0}%",
-        opts.tolerance * 100.0
+        TOLERANCE * 100.0
     );
     let mut regressions = 0;
     for (stem, comparisons) in &report {
         println!("  BENCH_{stem}.json");
         for c in comparisons {
-            let headroom = c.headroom(opts.tolerance);
-            let flag = if c.regressed(opts.tolerance) {
+            let headroom = c.headroom();
+            let flag = if c.regressed() {
                 regressions += 1;
                 "REGRESSED"
             } else {
@@ -128,7 +96,7 @@ fn run() -> Result<bool, String> {
             };
             println!(
                 "  [{flag:>9}] {c}  floor {:>8.3}  headroom {:>+6.1}%{near}",
-                c.floor(opts.tolerance),
+                c.floor(),
                 headroom * 100.0
             );
         }

@@ -12,7 +12,7 @@
 //!   absolute bound (the health sweep's 3% ceiling, the batch engine's
 //!   scheduler-overhead floor on a 1-core host);
 //! * otherwise the fresh value may move against its direction by at most
-//!   the tolerance relative to the baseline value;
+//!   [`TOLERANCE`] relative to the baseline value;
 //! * a non-finite value is a regression.
 //!
 //! Only in-process ratios are written as `ratio` rows (allocating/workspace,
@@ -23,6 +23,10 @@
 
 use crate::artifact::{Artifact, Better, Gate};
 use std::fmt;
+
+/// How far a gated ratio may move against its direction, relative to its
+/// baseline, before it regresses: a tracked speedup may lose up to 25%.
+pub const TOLERANCE: f64 = 0.25;
 
 /// Headroom below which a passing row is flagged as close to its floor:
 /// one more ordinary run-to-run swing could fail it on unchanged code.
@@ -40,28 +44,28 @@ pub struct Comparison {
     pub fresh: f64,
     /// Regression direction.
     pub better: Better,
-    /// Whether `reference` is an absolute bound (no tolerance applies).
+    /// Whether `reference` is an absolute bound ([`TOLERANCE`] does not
+    /// apply).
     pub bound: bool,
 }
 
 impl Comparison {
-    /// Whether the fresh value constitutes a regression at `tolerance`
-    /// (e.g. 0.25 = a tracked speedup may lose up to 25% before failing).
-    pub fn regressed(&self, tolerance: f64) -> bool {
+    /// Whether the fresh value constitutes a regression.
+    pub fn regressed(&self) -> bool {
         if !self.fresh.is_finite() || !self.reference.is_finite() {
             return true;
         }
         match self.better {
-            Better::Higher => self.fresh < self.floor(tolerance),
-            Better::Lower => self.fresh > self.floor(tolerance),
+            Better::Higher => self.fresh < self.floor(),
+            Better::Lower => self.fresh > self.floor(),
         }
     }
 
-    /// The value the fresh one may reach before it regresses at
-    /// `tolerance`: the bound itself, or the baseline moved against the
-    /// row's direction by the tolerance.
-    pub fn floor(&self, tolerance: f64) -> f64 {
-        let slack = if self.bound { 0.0 } else { tolerance };
+    /// The value the fresh one may reach before it regresses: the bound
+    /// itself, or the baseline moved against the row's direction by
+    /// [`TOLERANCE`].
+    pub fn floor(&self) -> f64 {
+        let slack = if self.bound { 0.0 } else { TOLERANCE };
         match self.better {
             Better::Higher => self.reference * (1.0 - slack),
             Better::Lower => self.reference * (1.0 + slack),
@@ -71,8 +75,8 @@ impl Comparison {
     /// How far the fresh value sits from its [`Comparison::floor`], as the
     /// fraction by which it could still move against the row's direction
     /// before failing (negative once it has regressed).
-    pub fn headroom(&self, tolerance: f64) -> f64 {
-        let floor = self.floor(tolerance);
+    pub fn headroom(&self) -> f64 {
+        let floor = self.floor();
         match self.better {
             Better::Higher => self.fresh / floor - 1.0,
             Better::Lower => floor / self.fresh - 1.0,
@@ -204,17 +208,12 @@ mod tests {
     /// it: every comparison, and the regressions among them.
     fn gate(
         pairs: [(Artifact, Artifact); 3],
-        tolerance: f64,
     ) -> Result<(Vec<Comparison>, Vec<Comparison>), String> {
         let mut all = Vec::new();
         for (baseline, fresh) in &pairs {
             all.extend(compare(baseline, fresh)?);
         }
-        let regressions = all
-            .iter()
-            .filter(|c| c.regressed(tolerance))
-            .cloned()
-            .collect();
+        let regressions = all.iter().filter(|c| c.regressed()).cloned().collect();
         Ok((all, regressions))
     }
 
@@ -266,7 +265,7 @@ mod tests {
 
     #[test]
     fn identical_artifacts_pass() {
-        let (metrics, regressions) = gate(identical(), 0.25).unwrap();
+        let (metrics, regressions) = gate(identical()).unwrap();
         // 2 scoring speedups + cost ratio + pipeline + 2 ccd + 2 vdw_env
         // + window + blocks w8 + simd + batch floor.
         assert_eq!(metrics.len(), 12);
@@ -286,18 +285,18 @@ mod tests {
         // A speedup with baseline 168 and floor 126 that reads 132.7 sits
         // 5.3% above its floor.
         let x100 = row(168.0, 132.7, Better::Higher, false);
-        assert!(close(x100.floor(0.25), 126.0));
-        assert!(close(x100.headroom(0.25), 132.7 / 126.0 - 1.0));
-        assert!(x100.headroom(0.25) < NEAR_FLOOR && !x100.regressed(0.25));
+        assert!(close(x100.floor(), 126.0));
+        assert!(close(x100.headroom(), 132.7 / 126.0 - 1.0));
+        assert!(x100.headroom() < NEAR_FLOOR && !x100.regressed());
         // A cost ratio may rise to 1.25× its baseline.
         let cost = row(1.0, 1.0, Better::Lower, false);
-        assert!(close(cost.headroom(0.25), 0.25));
+        assert!(close(cost.headroom(), 0.25));
         // An absolute bound takes no tolerance.
         let bound = row(0.70, 0.77, Better::Higher, true);
-        assert!(close(bound.floor(0.25), 0.70));
-        assert!(close(bound.headroom(0.25), 0.1));
+        assert!(close(bound.floor(), 0.70));
+        assert!(close(bound.headroom(), 0.1));
         // A regressed row has negative headroom.
-        assert!(row(1.5, 1.05, Better::Higher, false).headroom(0.25) < 0.0);
+        assert!(row(1.5, 1.05, Better::Higher, false).headroom() < 0.0);
     }
 
     #[test]
@@ -305,7 +304,7 @@ mod tests {
         // Losing the batching win (1.50 → 1.05, i.e. −30%) must trip the
         // 25% gate.
         let degraded = set(a(SCORING), "pipeline.speedup", 1.05);
-        let (_, regressions) = gate(fresh(degraded, a(CCD), a(BATCH_1CORE)), 0.25).unwrap();
+        let (_, regressions) = gate(fresh(degraded, a(CCD), a(BATCH_1CORE))).unwrap();
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].name.contains("pipeline"));
     }
@@ -315,14 +314,14 @@ mod tests {
         // The wide kernels decaying to below scalar speed (1.32 → 0.90,
         // i.e. −32%) must trip the 25% gate.
         let degraded = set(a(CCD), "simd.speedup", 0.90);
-        let (_, regressions) = gate(fresh(a(SCORING), degraded, a(BATCH_1CORE)), 0.25).unwrap();
+        let (_, regressions) = gate(fresh(a(SCORING), degraded, a(BATCH_1CORE))).unwrap();
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].name.contains("simd"));
         // A fresh artifact from a scalar-only bench run has no simd row:
         // against a baseline that snapshotted it, that is an error, not a
         // skipped metric.
         let scalar_only = without(a(CCD), "simd.speedup");
-        let err = gate(fresh(a(SCORING), scalar_only, a(BATCH_1CORE)), 0.25).unwrap_err();
+        let err = gate(fresh(a(SCORING), scalar_only, a(BATCH_1CORE))).unwrap_err();
         assert!(err.contains("simd"), "{err}");
     }
 
@@ -333,7 +332,7 @@ mod tests {
         // → 0.90) must each trip the 25% gate.
         let degraded = set(a(CCD), "vdw_env.window_speedup", 1.0);
         let degraded = set(degraded, "blocks.wide_speedup.w8", 0.90);
-        let (_, regressions) = gate(fresh(a(SCORING), degraded, a(BATCH_1CORE)), 0.25).unwrap();
+        let (_, regressions) = gate(fresh(a(SCORING), degraded, a(BATCH_1CORE))).unwrap();
         assert_eq!(regressions.len(), 2);
         assert!(regressions.iter().any(|m| m.name.contains("blocks")));
         assert!(regressions.iter().any(|m| m.name.contains("window")));
@@ -344,7 +343,7 @@ mod tests {
         // A fresh run that lost the len-8 workspace speedup (4.97 → 2.0,
         // i.e. −60%) must trip the 25% gate.
         let degraded = set(a(SCORING), "workspace_speedup.len8", 2.0);
-        let (_, regressions) = gate(fresh(degraded, a(CCD), a(BATCH_1CORE)), 0.25).unwrap();
+        let (_, regressions) = gate(fresh(degraded, a(CCD), a(BATCH_1CORE))).unwrap();
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].name.contains("len8"));
     }
@@ -356,7 +355,7 @@ mod tests {
         // measures.
         let mut pairs = identical();
         pairs[0].0 = set(a(SCORING), "workspace_speedup.len4", 40.0);
-        let (_, regressions) = gate(pairs, 0.25).unwrap();
+        let (_, regressions) = gate(pairs).unwrap();
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].name.contains("len4"));
     }
@@ -366,7 +365,7 @@ mod tests {
         // The 4-objective eval getting relatively more expensive than the
         // baseline recorded (1.10 → 1.45 is a +32% cost regression).
         let worse = set(a(SCORING), "objectives.cost_ratio", 1.45);
-        let (_, regressions) = gate(fresh(worse, a(CCD), a(BATCH_1CORE)), 0.25).unwrap();
+        let (_, regressions) = gate(fresh(worse, a(CCD), a(BATCH_1CORE))).unwrap();
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].name.contains("cost_ratio"));
     }
@@ -388,14 +387,14 @@ mod tests {
         };
         let mut pairs = fresh(with_sweep(0.0003), a(CCD), a(BATCH_1CORE));
         pairs[0].0 = with_sweep(0.0003);
-        let (metrics, regressions) = gate(pairs, 0.25).unwrap();
+        let (metrics, regressions) = gate(pairs).unwrap();
         assert_eq!(metrics.len(), 13);
         assert!(regressions.is_empty(), "{regressions:?}");
-        // …and past the bound it fails, no matter the tolerance: the
-        // bound is absolute, so even a huge tolerance cannot excuse it.
+        // …and past the bound it fails: the bound is absolute, so the
+        // tolerance cannot excuse it.
         let mut pairs = fresh(with_sweep(0.05), a(CCD), a(BATCH_1CORE));
         pairs[0].0 = with_sweep(0.0003);
-        let (_, regressions) = gate(pairs, 5.0).unwrap();
+        let (_, regressions) = gate(pairs).unwrap();
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].name.contains("health_sweep"));
     }
@@ -404,7 +403,7 @@ mod tests {
     fn small_noise_within_tolerance_passes() {
         let noisy = set(a(SCORING), "workspace_speedup.len4", 5.9);
         let noisy = set(noisy, "objectives.cost_ratio", 1.30);
-        let (_, regressions) = gate(fresh(noisy, a(CCD), a(BATCH_1CORE)), 0.25).unwrap();
+        let (_, regressions) = gate(fresh(noisy, a(CCD), a(BATCH_1CORE))).unwrap();
         assert!(regressions.is_empty(), "{regressions:?}");
     }
 
@@ -414,16 +413,16 @@ mod tests {
         // multi-core baseline…
         let mut pairs = identical();
         pairs[2].0 = a(BATCH_8CORE);
-        let (_, regressions) = gate(pairs, 0.25).unwrap();
+        let (_, regressions) = gate(pairs).unwrap();
         assert!(regressions.is_empty(), "{regressions:?}");
         // …but a run whose scheduler overhead blows past the floor fails.
         let pathological = set(a(BATCH_1CORE), "speedup", 0.5);
-        let (_, regressions) = gate(fresh(a(SCORING), a(CCD), pathological), 0.25).unwrap();
+        let (_, regressions) = gate(fresh(a(SCORING), a(CCD), pathological)).unwrap();
         assert_eq!(regressions.len(), 1);
         // Multi-core vs multi-core compares ratios normally.
         let mut pairs = fresh(a(SCORING), a(CCD), set(a(BATCH_8CORE), "speedup", 2.0));
         pairs[2].0 = a(BATCH_8CORE);
-        let (_, regressions) = gate(pairs, 0.25).unwrap();
+        let (_, regressions) = gate(pairs).unwrap();
         assert_eq!(regressions.len(), 1);
     }
 
@@ -438,7 +437,7 @@ mod tests {
             fresh(a(SCORING), no_wide_block, a(BATCH_1CORE)),
             fresh(no_cost, a(CCD), a(BATCH_1CORE)),
         ] {
-            let err = gate(pairs, 0.25).unwrap_err();
+            let err = gate(pairs).unwrap_err();
             assert!(err.contains("lost tracked"), "{err}");
         }
     }
@@ -467,7 +466,7 @@ mod tests {
     #[test]
     fn non_finite_values_regress() {
         let broken = set(a(SCORING), "pipeline.speedup", f64::NAN);
-        let (_, regressions) = gate(fresh(broken, a(CCD), a(BATCH_1CORE)), 10.0).unwrap();
+        let (_, regressions) = gate(fresh(broken, a(CCD), a(BATCH_1CORE))).unwrap();
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].name.contains("pipeline"));
     }
@@ -475,7 +474,7 @@ mod tests {
     #[test]
     fn losing_a_tracked_point_is_an_error() {
         let truncated = without(a(SCORING), "workspace_speedup.len8");
-        assert!(gate(fresh(truncated, a(CCD), a(BATCH_1CORE)), 0.25).is_err());
+        assert!(gate(fresh(truncated, a(CCD), a(BATCH_1CORE))).is_err());
     }
 
     #[test]

@@ -138,7 +138,6 @@ pub struct PopulationArena {
     /// Ascending sorted positions of every complex's front members, built
     /// on the host between the two `[FitAssg] within Complex` passes.
     pub(crate) complex_front_members: Vec<usize>,
-    pub(crate) trace_sums: Vec<(f64, usize)>,
     // --- heavyweight member and block workspaces ------------------------
     pub(crate) slots: Vec<MemberSlot>,
     pub(crate) ccd_blocks: Vec<CcdBatchScratch>,
@@ -229,7 +228,6 @@ impl PopulationArena {
             complex_front: vec![false; n_members],
             complex_fitness: vec![0.0; n_members],
             complex_front_members: Vec::with_capacity(n_members),
-            trace_sums: vec![(0.0, 0); m],
             slots,
             ccd_blocks: vec![CcdBatchScratch::new(); n_blocks],
         }

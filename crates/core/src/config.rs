@@ -198,20 +198,10 @@ impl SamplerConfig {
         }
     }
 
-    /// Turn this configuration back into a builder (e.g. to tweak a preset:
-    /// `SamplerConfig::test_scale().to_builder().seed(7).build()?`).
+    /// Turn this configuration back into a builder (e.g. to tweak a
+    /// configuration: `SamplerConfig::default().to_builder().seed(7).build()?`).
     pub fn to_builder(&self) -> SamplerConfigBuilder {
         SamplerConfigBuilder { cfg: self.clone() }
-    }
-
-    /// A configuration scaled for quick tests.
-    pub fn test_scale() -> Self {
-        SamplerConfig {
-            population_size: 48,
-            n_complexes: 2,
-            iterations: 6,
-            ..Default::default()
-        }
     }
 
     /// Number of population members per complex (rounded up; the final
@@ -388,6 +378,19 @@ impl SamplerConfigBuilder {
     pub fn build(self) -> Result<SamplerConfig, ConfigError> {
         self.cfg.validate()?;
         Ok(self.cfg)
+    }
+}
+
+#[cfg(test)]
+impl SamplerConfig {
+    /// A configuration scaled for quick unit tests.
+    pub(crate) fn test_scale() -> Self {
+        SamplerConfig {
+            population_size: 48,
+            n_complexes: 2,
+            iterations: 6,
+            ..Default::default()
+        }
     }
 }
 

@@ -56,7 +56,6 @@ pub mod annealing;
 pub mod arena;
 pub mod config;
 pub mod conformation;
-pub mod convergence;
 pub mod decoyset;
 pub mod engine;
 pub mod error;
@@ -71,7 +70,6 @@ pub use annealing::{TemperatureController, TemperatureSchedule};
 pub use arena::PopulationArena;
 pub use config::{JobLimits, NumericGuard, ObjectiveMode, SamplerConfig, SamplerConfigBuilder};
 pub use conformation::Conformation;
-pub use convergence::gelman_rubin;
 pub use decoyset::{Decoy, DecoySet};
 pub use engine::{
     AttemptFailure, BatchHandle, EngineBuilder, Job, JobBuilder, JobId, JobProgress, JobResult,

@@ -113,7 +113,6 @@ impl MoscemSampler {
         // --- Initial fitness + snapshot 0 ----------------------------------
         let mut temperature_controller = cfg.temperature.controller();
         let mut temperature = temperature_controller.temperature();
-        let mut complex_traces: Vec<Vec<f64>> = vec![Vec::new(); cfg.n_complexes];
         let mut snapshots = Vec::new();
         assign_fitness(mode, &mut population);
         if cfg.snapshot_iterations.contains(&0) {
@@ -191,16 +190,6 @@ impl MoscemSampler {
             total_accepted += accepted_now;
             temperature = temperature_controller.update(accepted_now as f64 / n as f64);
 
-            // Per-complex mean VDW trace for convergence diagnostics.
-            let mut sums = vec![(0.0f64, 0usize); m];
-            for (&c, conf) in complex_of.iter().zip(&population) {
-                sums[c].0 += conf.scores.vdw();
-                sums[c].1 += 1;
-            }
-            for (trace, (sum, count)) in complex_traces.iter_mut().zip(sums) {
-                trace.push(if count == 0 { 0.0 } else { sum / count as f64 });
-            }
-
             assign_fitness(mode, &mut population);
             if cfg.snapshot_iterations.contains(&iter) {
                 snapshots.push(population_snapshot(iter, &population, temperature));
@@ -219,7 +208,6 @@ impl MoscemSampler {
             } else {
                 total_accepted as f64 / total_proposed as f64
             },
-            complex_traces,
         }
     }
 }

@@ -143,9 +143,6 @@ pub struct TrajectoryResult {
     pub final_temperature: f64,
     /// Overall acceptance rate across all proposals.
     pub acceptance_rate: f64,
-    /// Per-complex trace of the mean VDW score after every iteration; the
-    /// complexes act as parallel chains for convergence diagnostics.
-    pub complex_traces: Vec<Vec<f64>>,
 }
 
 impl TrajectoryResult {
@@ -167,13 +164,6 @@ impl TrajectoryResult {
     /// decoy set, tagging them with `trajectory_index`.
     pub fn harvest_into(&self, set: &mut DecoySet, trajectory_index: usize) -> usize {
         set.harvest_population(&self.population, trajectory_index)
-    }
-
-    /// Gelman–Rubin R̂ of the per-complex mean VDW traces — the "MCMC
-    /// equilibrium analysis" the paper alludes to.  `None` when the run had
-    /// fewer than two complexes or two iterations.
-    pub fn gelman_rubin_vdw(&self) -> Option<f64> {
-        crate::convergence::gelman_rubin(&self.complex_traces)
     }
 }
 
@@ -423,11 +413,6 @@ impl MoscemSampler {
         // --- Initial fitness + snapshot 0 ----------------------------------
         let mut temperature_controller = cfg.temperature.controller();
         let mut temperature = temperature_controller.temperature();
-        // `vec![v; n]` clones would drop the reserved capacity — build each
-        // trace buffer explicitly so steady-state pushes never reallocate.
-        let mut complex_traces: Vec<Vec<f64>> = (0..cfg.n_complexes)
-            .map(|_| Vec::with_capacity(cfg.iterations))
-            .collect();
         self.stage_fitness(executor, arena, &mut stages);
         if cfg.snapshot_iterations.contains(&0) {
             snapshots.push(snapshot(0, &arena.scores, &arena.rmsd, temperature));
@@ -648,19 +633,6 @@ impl MoscemSampler {
             let rate = accepted_now as f64 / n as f64;
             temperature = temperature_controller.update(rate);
 
-            // Per-complex mean VDW trace for convergence diagnostics.
-            for s in arena.trace_sums.iter_mut() {
-                *s = (0.0, 0);
-            }
-            for i in 0..n {
-                let c = arena.complex_of[i];
-                arena.trace_sums[c].0 += arena.scores[i].vdw();
-                arena.trace_sums[c].1 += 1;
-            }
-            for (c, &(sum, count)) in arena.trace_sums.iter().enumerate() {
-                complex_traces[c].push(if count == 0 { 0.0 } else { sum / count as f64 });
-            }
-
             // Population-wide fitness for the next iteration's sorting.
             self.stage_fitness(executor, arena, &mut stages);
 
@@ -683,7 +655,6 @@ impl MoscemSampler {
             } else {
                 total_accepted as f64 / total_proposed as f64
             },
-            complex_traces,
         })
     }
 
@@ -1828,27 +1799,14 @@ mod tests {
     #[test]
     fn convergence_traces_and_schedule_override() {
         use crate::annealing::TemperatureSchedule;
-        let base = SamplerConfig {
-            population_size: 24,
-            n_complexes: 3,
-            iterations: 6,
-            ..SamplerConfig::test_scale()
-        };
-        let sampler = small_sampler("1cex", base.clone());
-        let result = sampler.run(&parallel());
-        // One trace per complex, one point per iteration.
-        assert_eq!(result.complex_traces.len(), 3);
-        for trace in &result.complex_traces {
-            assert_eq!(trace.len(), 6);
-            assert!(trace.iter().all(|v| v.is_finite()));
-        }
-        assert!(result.gelman_rubin_vdw().is_some());
-
         // A fixed schedule in place of the adaptive default holds its
         // temperature through the run.
         let fixed_cfg = SamplerConfig {
+            population_size: 24,
+            n_complexes: 3,
+            iterations: 6,
             temperature: TemperatureSchedule::Fixed { temperature: 0.4 },
-            ..base
+            ..SamplerConfig::test_scale()
         };
         let fixed = small_sampler("1cex", fixed_cfg).run(&parallel());
         assert_eq!(fixed.final_temperature, 0.4);

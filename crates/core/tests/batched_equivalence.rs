@@ -113,10 +113,6 @@ fn assert_bit_identical(batched: &TrajectoryResult, reference: &TrajectoryResult
         "{label}: acceptance rate"
     );
     assert_eq!(
-        batched.complex_traces, reference.complex_traces,
-        "{label}: complex traces"
-    );
-    assert_eq!(
         batched.snapshots.len(),
         reference.snapshots.len(),
         "{label}: snapshot count"

@@ -26,8 +26,7 @@ fn target() -> LoopTarget {
 }
 
 fn tiny_builder(iterations: usize) -> lms_core::SamplerConfigBuilder {
-    SamplerConfig::test_scale()
-        .to_builder()
+    SamplerConfig::builder()
         .population_size(8)
         .n_complexes(2)
         .iterations(iterations)

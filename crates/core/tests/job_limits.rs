@@ -23,8 +23,7 @@ fn target() -> LoopTarget {
 }
 
 fn tiny_builder() -> lms_core::SamplerConfigBuilder {
-    SamplerConfig::test_scale()
-        .to_builder()
+    SamplerConfig::builder()
         .population_size(8)
         .n_complexes(2)
         .iterations(3)
